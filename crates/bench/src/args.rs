@@ -4,61 +4,53 @@
 //!
 //! * `--jobs N` / `-j N` / `-jN` / `--jobs=N` — worker threads
 //!   (see [`crate::pool::split_jobs`]);
-//! * `--log-level LEVEL` / `--log-level=LEVEL` — stderr logging
-//!   verbosity (`off`, `warn`, `info`, `debug`; default `info`);
-//! * `--trace-out PATH` / `--trace-out=PATH` — stream a wall-clock
-//!   JSONL campaign trace to `PATH` (see [`crate::experiments::enable_tracing`]);
-//! * `--solver-budget N` / `--solver-budget=N` — conflict ceiling per
-//!   symbolic solve; exhausted solves degrade to random mutation
-//!   (see [`crate::experiments::set_solver_budget`]);
-//! * `--solve-wall-ms N` / `--solve-wall-ms=N` — wall-clock ceiling per
-//!   symbolic solve in milliseconds (non-deterministic: reports may
-//!   vary between runs and job counts);
-//! * `--settle-mode MODE` / `--settle-mode=MODE` — combinational
-//!   settling engine for every campaign (`fixpoint`, `levelized` or
-//!   `compiled`; default `compiled`) — see
-//!   [`crate::experiments::set_settle_policy`];
-//! * `--snapshot-budget N` / `--snapshot-budget=N` — byte budget for
-//!   the copy-on-write snapshot store; unique bytes beyond it trigger
-//!   oldest-first eviction
-//!   (see [`crate::experiments::set_snapshot_budget`]);
-//! * `--introspect` — arm solver introspection for every campaign:
-//!   per-goal CDCL analytics, blame sets for failed goals, and the
-//!   cross-goal affinity matrix land in the report's `solver_scope`
-//!   block (see [`crate::experiments::set_introspection`]);
-//! * `--sample-every N` / `--sample-every=N` — flight-recorder
-//!   sampling interval in vectors; enables the sampler and the
-//!   per-cone/per-goal profilers
-//!   (see [`crate::experiments::set_sampling`]);
-//! * `--flight-out PATH` / `--flight-out=PATH` — canonical merged
-//!   `flight.jsonl` destination (requires `--sample-every`);
-//! * `--status-out PATH` / `--status-out=PATH` — `status.json`
-//!   heartbeat destination, atomically rewritten and pollable mid-run
+//! * `--log-level LEVEL` — stderr logging verbosity (`off`, `warn`,
+//!   `info`, `debug`; default `info`);
+//! * `--trace-out PATH` — stream a wall-clock JSONL campaign trace to
+//!   `PATH` (see [`crate::experiments::enable_tracing`]);
+//! * `--flight-out PATH` — canonical merged `flight.jsonl` destination
 //!   (requires `--sample-every`);
-//! * `--incremental` — keep warm solver sessions across goals sharing
-//!   an unrolled frame (assumption-based incremental solving plus the
-//!   bitblast cache) — see [`crate::experiments::set_incremental`];
-//! * `--solver-cache-budget N` / `--solver-cache-budget=N` — byte
-//!   budget for the warm-session bitblast cache; least-recently-used
-//!   sessions are evicted beyond it
-//!   (see [`crate::experiments::set_solver_cache_budget`]);
-//! * `--portfolio N` / `--portfolio=N` — race each budgeted
-//!   reachability query across `N` budget profiles (2–4); the
-//!   canonical lowest-index winner keeps reports deterministic
-//!   (see [`crate::experiments::set_portfolio`]);
-//! * `--affinity` — order each guidance round's goal batch by
-//!   KMV-sketch affinity (implies `--introspect`) — see
-//!   [`crate::experiments::set_affinity`].
+//! * `--status-out PATH` — `status.json` heartbeat destination,
+//!   atomically rewritten and pollable mid-run (requires
+//!   `--sample-every`);
+//!
+//! and the campaign knobs, each folded into the [`FuzzConfigBuilder`]
+//! carried on [`BenchArgs::config`]:
+//!
+//! * `--solver-budget N` — conflict ceiling per symbolic solve;
+//!   exhausted solves degrade to random mutation;
+//! * `--solve-wall-ms N` — wall-clock ceiling per symbolic solve in
+//!   milliseconds (non-deterministic: reports may vary between runs and
+//!   job counts);
+//! * `--settle-mode MODE` — combinational settling engine (`fixpoint`,
+//!   `levelized` or `compiled`; default `compiled`);
+//! * `--snapshot-budget N` — byte budget for the copy-on-write snapshot
+//!   store; unique bytes beyond it trigger oldest-first eviction;
+//! * `--introspect` — solver introspection: per-goal CDCL analytics,
+//!   blame sets for failed goals, and the cross-goal affinity matrix in
+//!   the report's `solver_scope` block;
+//! * `--sample-every N` — flight-recorder sampling interval in vectors;
+//!   enables the sampler and the per-cone/per-goal profilers;
+//! * `--incremental` — keep one warm solver session across goals posed
+//!   from the same start state (assumption-based incremental solving
+//!   plus the bitblast cache).
+//!
+//! Value flags also take the `--flag=VALUE` spelling. An unknown flag,
+//! a missing or malformed value, or a combination
+//! [`FuzzConfig::validate`](symbfuzz_core::FuzzConfig::validate)
+//! rejects is an [`ArgError`]; [`parse_bench_args`] prints it and exits
+//! with status 2.
 
 use crate::pool::split_jobs;
 use std::path::PathBuf;
-use symbfuzz_core::SettlePolicy;
+use std::str::FromStr;
+use symbfuzz_core::{ConfigError, FuzzConfig, FuzzConfigBuilder, SettlePolicy};
 use symbfuzz_telemetry::{set_log_level, Level};
 
 /// Parsed common bench arguments.
 #[derive(Debug)]
 pub struct BenchArgs {
-    /// Positional arguments, flags removed, in order.
+    /// Positional arguments and bin-specific flags, in order.
     pub rest: Vec<String>,
     /// Worker thread count (≥ 1).
     pub jobs: usize,
@@ -66,30 +58,65 @@ pub struct BenchArgs {
     pub log_level: Level,
     /// Trace file requested via `--trace-out`, if any.
     pub trace_out: Option<PathBuf>,
-    /// Per-solve conflict ceiling from `--solver-budget`, if any.
-    pub solver_budget: Option<u64>,
-    /// Per-solve wall-clock ceiling (ms) from `--solve-wall-ms`, if any.
-    pub solve_wall_ms: Option<u64>,
-    /// Settle engine from `--settle-mode`, if any.
-    pub settle_mode: Option<SettlePolicy>,
-    /// Snapshot-store byte budget from `--snapshot-budget`, if any.
-    pub snapshot_budget: Option<u64>,
-    /// Solver introspection armed via `--introspect`.
-    pub introspect: bool,
-    /// Flight-recorder interval (vectors) from `--sample-every`, if any.
-    pub sample_every: Option<u64>,
     /// Merged flight-stream file from `--flight-out`, if any.
     pub flight_out: Option<PathBuf>,
     /// Status heartbeat file from `--status-out`, if any.
     pub status_out: Option<PathBuf>,
-    /// Incremental solving armed via `--incremental`.
-    pub incremental: bool,
-    /// Bitblast-cache byte budget from `--solver-cache-budget`, if any.
-    pub solver_cache_budget: Option<u64>,
-    /// Portfolio width from `--portfolio`, if any.
-    pub portfolio: Option<u32>,
-    /// Affinity-ordered goal batching armed via `--affinity`.
-    pub affinity: bool,
+    /// The campaign knobs from the command line, validated. Experiments
+    /// set their own interval, threshold, vector budget and seed on a
+    /// clone.
+    pub config: FuzzConfigBuilder,
+}
+
+/// A bad bench command line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// A `--flag` no bench binary (or not this one) understands.
+    UnknownFlag(String),
+    /// A value flag at the end of the command line.
+    MissingValue(String),
+    /// A value that does not parse for its flag or position.
+    BadValue {
+        /// The flag, or a name for the positional argument.
+        what: String,
+        /// The offending text.
+        value: String,
+    },
+    /// The campaign knobs are inconsistent.
+    Config(ConfigError),
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
+            ArgError::MissingValue(flag) => write!(f, "`{flag}` needs a value"),
+            ArgError::BadValue { what, value } => write!(f, "bad value `{value}` for {what}"),
+            ArgError::Config(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ArgError {}
+
+impl From<ConfigError> for ArgError {
+    fn from(e: ConfigError) -> ArgError {
+        ArgError::Config(e)
+    }
+}
+
+fn parse<T: FromStr>(what: &str, value: &str) -> Result<T, ArgError> {
+    value.parse().map_err(|_| ArgError::BadValue {
+        what: what.to_string(),
+        value: value.to_string(),
+    })
+}
+
+/// Prints `e` and exits with status 2, the fate of every bad command
+/// line.
+pub fn exit_usage(e: &ArgError) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2)
 }
 
 impl BenchArgs {
@@ -100,167 +127,151 @@ impl BenchArgs {
             .and_then(|a| a.parse().ok())
             .unwrap_or(default)
     }
+
+    /// The `n`-th positional argument as a campaign vector budget (else
+    /// `default`), checked against the command line's campaign knobs.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::BadValue`] when it is not a number,
+    /// [`ArgError::Config`] when the budget is zero.
+    pub fn try_vectors(&self, n: usize, default: u64) -> Result<u64, ArgError> {
+        let vectors = match self.rest.get(n) {
+            Some(v) => parse("the vector budget", v)?,
+            None => default,
+        };
+        self.config.clone().max_vectors(vectors).build()?;
+        Ok(vectors)
+    }
+
+    /// [`try_vectors`](Self::try_vectors), exiting with status 2 on a
+    /// bad budget.
+    pub fn vectors(&self, n: usize, default: u64) -> u64 {
+        self.try_vectors(n, default)
+            .unwrap_or_else(|e| exit_usage(&e))
+    }
+
+    /// Removes the bin-specific switch `flag` from [`rest`](Self::rest)
+    /// and reports whether it was there.
+    pub fn take_switch(&mut self, flag: &str) -> bool {
+        let before = self.rest.len();
+        self.rest.retain(|a| a != flag);
+        self.rest.len() != before
+    }
+
+    /// Removes the bin-specific `flag VALUE` / `flag=VALUE` from
+    /// [`rest`](Self::rest) and returns the value (the last one given).
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::MissingValue`] when `flag` ends the command line.
+    pub fn take_value(&mut self, flag: &str) -> Result<Option<String>, ArgError> {
+        let mut value = None;
+        let mut kept = Vec::new();
+        let mut it = std::mem::take(&mut self.rest).into_iter();
+        while let Some(a) = it.next() {
+            if a == flag {
+                value = Some(it.next().ok_or(ArgError::MissingValue(a))?);
+            } else if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+                value = Some(v.to_string());
+            } else {
+                kept.push(a);
+            }
+        }
+        self.rest = kept;
+        Ok(value)
+    }
 }
 
-/// Splits `--log-level` and `--trace-out` out of `args`, then delegates
-/// the remainder to [`split_jobs`]. Unknown or malformed flag values
-/// fall back to the defaults (`Level::Info`, no trace).
-pub fn split_bench_args<A: Iterator<Item = String>>(args: A) -> BenchArgs {
+/// Splits the shared bench flags out of `args`, folds the campaign
+/// knobs into `base` (the binary's defaults, usually
+/// [`FuzzConfig::builder`]) and validates the result, then delegates
+/// the remainder to [`split_jobs`]. Flags named in `bin_flags` belong
+/// to the calling binary and stay in [`BenchArgs::rest`] (with their
+/// values) for it to take; any other unknown `--flag` is an error.
+///
+/// # Errors
+///
+/// See [`ArgError`].
+pub fn split_bench_args<A: Iterator<Item = String>>(
+    mut args: A,
+    base: FuzzConfigBuilder,
+    bin_flags: &[&str],
+) -> Result<BenchArgs, ArgError> {
     let mut log_level = Level::Info;
     let mut trace_out = None;
-    let mut solver_budget = None;
-    let mut solve_wall_ms = None;
-    let mut settle_mode = None;
-    let mut snapshot_budget = None;
-    let mut introspect = false;
-    let mut sample_every = None;
     let mut flight_out = None;
     let mut status_out = None;
-    let mut incremental = false;
-    let mut solver_cache_budget = None;
-    let mut portfolio = None;
-    let mut affinity = false;
+    let mut config = base;
     let mut passthrough = Vec::new();
-    let mut args = args.peekable();
     while let Some(a) = args.next() {
-        if a == "--log-level" {
-            if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                log_level = v;
-            }
-        } else if let Some(v) = a.strip_prefix("--log-level=") {
-            if let Ok(v) = v.parse() {
-                log_level = v;
-            }
-        } else if a == "--trace-out" {
-            if let Some(v) = args.next() {
-                trace_out = Some(PathBuf::from(v));
-            }
-        } else if let Some(v) = a.strip_prefix("--trace-out=") {
-            trace_out = Some(PathBuf::from(v));
-        } else if a == "--solver-budget" {
-            solver_budget = args.next().and_then(|v| v.parse().ok()).or(solver_budget);
-        } else if let Some(v) = a.strip_prefix("--solver-budget=") {
-            solver_budget = v.parse().ok().or(solver_budget);
-        } else if a == "--solve-wall-ms" {
-            solve_wall_ms = args.next().and_then(|v| v.parse().ok()).or(solve_wall_ms);
-        } else if let Some(v) = a.strip_prefix("--solve-wall-ms=") {
-            solve_wall_ms = v.parse().ok().or(solve_wall_ms);
-        } else if a == "--settle-mode" {
-            settle_mode = args
-                .next()
-                .and_then(|v| SettlePolicy::parse(&v))
-                .or(settle_mode);
-        } else if let Some(v) = a.strip_prefix("--settle-mode=") {
-            settle_mode = SettlePolicy::parse(v).or(settle_mode);
-        } else if a == "--snapshot-budget" {
-            snapshot_budget = args.next().and_then(|v| v.parse().ok()).or(snapshot_budget);
-        } else if let Some(v) = a.strip_prefix("--snapshot-budget=") {
-            snapshot_budget = v.parse().ok().or(snapshot_budget);
-        } else if a == "--introspect" {
-            introspect = true;
-        } else if a == "--sample-every" {
-            sample_every = args.next().and_then(|v| v.parse().ok()).or(sample_every);
-        } else if let Some(v) = a.strip_prefix("--sample-every=") {
-            sample_every = v.parse().ok().or(sample_every);
-        } else if a == "--flight-out" {
-            if let Some(v) = args.next() {
-                flight_out = Some(PathBuf::from(v));
-            }
-        } else if let Some(v) = a.strip_prefix("--flight-out=") {
-            flight_out = Some(PathBuf::from(v));
-        } else if a == "--status-out" {
-            if let Some(v) = args.next() {
-                status_out = Some(PathBuf::from(v));
-            }
-        } else if let Some(v) = a.strip_prefix("--status-out=") {
-            status_out = Some(PathBuf::from(v));
-        } else if a == "--incremental" {
-            incremental = true;
-        } else if a == "--solver-cache-budget" {
-            solver_cache_budget = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .or(solver_cache_budget);
-        } else if let Some(v) = a.strip_prefix("--solver-cache-budget=") {
-            solver_cache_budget = v.parse().ok().or(solver_cache_budget);
-        } else if a == "--portfolio" {
-            portfolio = args.next().and_then(|v| v.parse().ok()).or(portfolio);
-        } else if let Some(v) = a.strip_prefix("--portfolio=") {
-            portfolio = v.parse().ok().or(portfolio);
-        } else if a == "--affinity" {
-            affinity = true;
-        } else {
+        let (flag, inline) = match a.split_once('=') {
+            Some((f, v)) => (f, Some(v.to_string())),
+            None => (a.as_str(), None),
+        };
+        if !flag.starts_with("--") || flag == "--jobs" || bin_flags.contains(&flag) {
             passthrough.push(a);
+            continue;
+        }
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| args.next())
+                .ok_or_else(|| ArgError::MissingValue(flag.to_string()))
+        };
+        match flag {
+            "--introspect" => config = config.solver_introspection(true),
+            "--incremental" => config = config.incremental_solving(true),
+            "--log-level" => log_level = parse(flag, &value()?)?,
+            "--trace-out" => trace_out = Some(PathBuf::from(value()?)),
+            "--flight-out" => flight_out = Some(PathBuf::from(value()?)),
+            "--status-out" => status_out = Some(PathBuf::from(value()?)),
+            "--solver-budget" => config = config.solver_budget(parse(flag, &value()?)?),
+            "--solve-wall-ms" => config = config.solve_wall_ms(parse(flag, &value()?)?),
+            "--snapshot-budget" => config = config.snapshot_mem_budget(parse(flag, &value()?)?),
+            "--sample-every" => config = config.sample_every(parse(flag, &value()?)?),
+            "--settle-mode" => {
+                let value = value()?;
+                let policy = SettlePolicy::parse(&value).ok_or(ArgError::BadValue {
+                    what: flag.to_string(),
+                    value,
+                })?;
+                config = config.settle_policy(policy);
+            }
+            _ => return Err(ArgError::UnknownFlag(flag.to_string())),
         }
     }
+    config.clone().build()?;
     let (rest, jobs) = split_jobs(passthrough.into_iter());
-    BenchArgs {
+    Ok(BenchArgs {
         rest,
         jobs,
         log_level,
         trace_out,
-        solver_budget,
-        solve_wall_ms,
-        settle_mode,
-        snapshot_budget,
-        introspect,
-        sample_every,
         flight_out,
         status_out,
-        incremental,
-        solver_cache_budget,
-        portfolio,
-        affinity,
-    }
+        config,
+    })
 }
 
 /// [`split_bench_args`] over the process arguments (program name
-/// skipped), applying side effects: sets the global log level and, when
-/// `--trace-out` was given, opens the trace file via
-/// [`crate::experiments::enable_tracing`].
-pub fn parse_bench_args() -> BenchArgs {
-    let parsed = split_bench_args(std::env::args().skip(1));
+/// skipped), exiting with status 2 on a bad command line. Applies the
+/// side effects: sets the global log level and opens the `--trace-out`
+/// and flight-recorder destinations.
+pub fn parse_bench_args(bin_flags: &[&str]) -> BenchArgs {
+    let parsed = split_bench_args(std::env::args().skip(1), FuzzConfig::builder(), bin_flags)
+        .unwrap_or_else(|e| exit_usage(&e));
     set_log_level(parsed.log_level);
     if let Some(path) = &parsed.trace_out {
         if let Err(e) = crate::experiments::enable_tracing(path) {
             symbfuzz_telemetry::warn!("cannot open trace file {}: {e}", path.display());
         }
     }
-    if parsed.solver_budget.is_some() || parsed.solve_wall_ms.is_some() {
-        crate::experiments::set_solver_budget(parsed.solver_budget, parsed.solve_wall_ms);
-    }
-    if let Some(policy) = parsed.settle_mode {
-        crate::experiments::set_settle_policy(policy);
-    }
-    if let Some(budget) = parsed.snapshot_budget {
-        crate::experiments::set_snapshot_budget(budget);
-    }
-    if parsed.introspect {
-        crate::experiments::set_introspection(true);
-    }
-    if let Some(every) = parsed.sample_every {
-        crate::experiments::set_sampling(every);
-    }
     if parsed.flight_out.is_some() || parsed.status_out.is_some() {
         crate::experiments::set_flight_outputs(
             parsed.flight_out.as_deref(),
             parsed.status_out.as_deref(),
         );
-    }
-    if parsed.incremental {
-        crate::experiments::set_incremental(true);
-    }
-    if let Some(bytes) = parsed.solver_cache_budget {
-        crate::experiments::set_solver_cache_budget(bytes);
-    }
-    if let Some(width) = parsed.portfolio {
-        crate::experiments::set_portfolio(width);
-    }
-    if parsed.affinity {
-        // Affinity ordering keys on introspection sketches, so arm
-        // both (the config builder rejects one without the other).
-        crate::experiments::set_affinity(true);
-        crate::experiments::set_introspection(true);
     }
     parsed
 }
@@ -270,7 +281,19 @@ mod tests {
     use super::*;
 
     fn split(s: &str) -> BenchArgs {
-        split_bench_args(s.split_whitespace().map(String::from))
+        try_split(s).unwrap()
+    }
+
+    fn try_split(s: &str) -> Result<BenchArgs, ArgError> {
+        split_bench_args(
+            s.split_whitespace().map(String::from),
+            FuzzConfig::builder(),
+            &[],
+        )
+    }
+
+    fn knobs(s: &str) -> FuzzConfig {
+        split(s).config.build().unwrap()
     }
 
     #[test]
@@ -287,75 +310,47 @@ mod tests {
 
     #[test]
     fn equals_spellings_and_defaults() {
-        let a = split("--log-level=warn --trace-out=trace.jsonl");
+        let a = split("--log-level=warn --trace-out=trace.jsonl --jobs=3");
         assert_eq!(a.log_level, Level::Warn);
         assert_eq!(
             a.trace_out.as_deref(),
             Some(std::path::Path::new("trace.jsonl"))
         );
+        assert_eq!(a.jobs, 3);
         let b = split("1000");
         assert_eq!(b.log_level, Level::Info);
         assert!(b.trace_out.is_none());
         assert_eq!(b.pos(0, 0u64), 1000);
         assert_eq!(b.pos(1, 7u64), 7);
+        assert_eq!(b.config.build().unwrap(), FuzzConfig::default());
     }
 
     #[test]
-    fn extracts_solver_budget_flags() {
-        let a = split("2000 --solver-budget 10000 --solve-wall-ms=250 -j 2");
-        assert_eq!(a.rest, vec!["2000".to_string()]);
-        assert_eq!(a.solver_budget, Some(10_000));
-        assert_eq!(a.solve_wall_ms, Some(250));
-        let b = split("--solver-budget=500");
-        assert_eq!(b.solver_budget, Some(500));
-        assert_eq!(b.solve_wall_ms, None);
-        // Malformed values fall back to unset.
-        let c = split("--solver-budget lots");
-        assert_eq!(c.solver_budget, None);
+    fn folds_campaign_knobs_into_the_builder() {
+        let c = knobs(
+            "2000 --solver-budget 10000 --solve-wall-ms=250 --settle-mode levelized \
+             --snapshot-budget=65536 --introspect --sample-every 250 --incremental -j 2",
+        );
+        assert_eq!(c.solver_budget, Some(10_000));
+        assert_eq!(c.solve_wall_ms, Some(250));
+        assert_eq!(c.settle_policy, SettlePolicy::Levelized);
+        assert_eq!(c.snapshot_mem_budget, 65_536);
+        assert!(c.solver_introspection);
+        assert_eq!(c.sample_every, Some(250));
+        assert!(c.incremental_solving);
+        assert_eq!(
+            knobs("--settle-mode=fixpoint").settle_policy,
+            SettlePolicy::Fixpoint
+        );
+        let d = knobs("42");
+        assert!(!d.solver_introspection && !d.incremental_solving);
+        assert_eq!(d.solver_budget, None);
     }
 
     #[test]
-    fn extracts_settle_mode() {
-        let a = split("2000 --settle-mode levelized");
-        assert_eq!(a.rest, vec!["2000".to_string()]);
-        assert_eq!(a.settle_mode, Some(SettlePolicy::Levelized));
-        let b = split("--settle-mode=fixpoint");
-        assert_eq!(b.settle_mode, Some(SettlePolicy::Fixpoint));
-        let c = split("--settle-mode=compiled");
-        assert_eq!(c.settle_mode, Some(SettlePolicy::Compiled));
-        // Unknown engines fall back to unset (campaigns keep the
-        // compiled default).
-        let d = split("--settle-mode warp");
-        assert_eq!(d.settle_mode, None);
-        assert!(split("42").settle_mode.is_none());
-    }
-
-    #[test]
-    fn extracts_snapshot_budget() {
-        let a = split("2000 --snapshot-budget 65536 -j 2");
-        assert_eq!(a.rest, vec!["2000".to_string()]);
-        assert_eq!(a.snapshot_budget, Some(65_536));
-        let b = split("--snapshot-budget=1048576");
-        assert_eq!(b.snapshot_budget, Some(1_048_576));
-        // Malformed values fall back to unset.
-        let c = split("--snapshot-budget plenty");
-        assert_eq!(c.snapshot_budget, None);
-        assert!(split("42").snapshot_budget.is_none());
-    }
-
-    #[test]
-    fn extracts_introspect_flag() {
-        let a = split("2000 --introspect -j 2");
-        assert_eq!(a.rest, vec!["2000".to_string()]);
-        assert!(a.introspect);
-        assert!(!split("2000").introspect);
-    }
-
-    #[test]
-    fn extracts_flight_recorder_flags() {
-        let a = split("5000 --sample-every 250 --flight-out f.jsonl --status-out s.json -j 2");
+    fn extracts_flight_recorder_paths() {
+        let a = split("5000 --sample-every 250 --flight-out f.jsonl --status-out=s.json -j 2");
         assert_eq!(a.rest, vec!["5000".to_string()]);
-        assert_eq!(a.sample_every, Some(250));
         assert_eq!(
             a.flight_out.as_deref(),
             Some(std::path::Path::new("f.jsonl"))
@@ -364,48 +359,111 @@ mod tests {
             a.status_out.as_deref(),
             Some(std::path::Path::new("s.json"))
         );
-        let b = split("--sample-every=1000 --flight-out=r/f.jsonl --status-out=r/s.json");
-        assert_eq!(b.sample_every, Some(1000));
-        assert_eq!(
-            b.flight_out.as_deref(),
-            Some(std::path::Path::new("r/f.jsonl"))
-        );
-        assert_eq!(
-            b.status_out.as_deref(),
-            Some(std::path::Path::new("r/s.json"))
-        );
-        // Defaults and malformed intervals stay off.
         let c = split("100");
-        assert_eq!(c.sample_every, None);
         assert!(c.flight_out.is_none() && c.status_out.is_none());
-        assert_eq!(split("--sample-every often").sample_every, None);
     }
 
     #[test]
-    fn extracts_incremental_solver_flags() {
-        let a = split("2000 --incremental --solver-cache-budget 4096 --portfolio 3 --affinity");
-        assert_eq!(a.rest, vec!["2000".to_string()]);
-        assert!(a.incremental);
-        assert_eq!(a.solver_cache_budget, Some(4096));
-        assert_eq!(a.portfolio, Some(3));
-        assert!(a.affinity);
-        let b = split("--solver-cache-budget=1048576 --portfolio=2");
-        assert!(!b.incremental && !b.affinity);
-        assert_eq!(b.solver_cache_budget, Some(1_048_576));
-        assert_eq!(b.portfolio, Some(2));
-        // Malformed values fall back to unset.
-        let c = split("--portfolio wide --solver-cache-budget big");
-        assert_eq!(c.portfolio, None);
-        assert_eq!(c.solver_cache_budget, None);
-        let d = split("42");
-        assert!(!d.incremental && !d.affinity);
-        assert!(d.portfolio.is_none() && d.solver_cache_budget.is_none());
+    fn inconsistent_knobs_are_config_errors() {
+        // `resources 2000 --snapshot-budget 10`
+        assert_eq!(
+            try_split("2000 --snapshot-budget 10").unwrap_err(),
+            ArgError::Config(ConfigError::TinySnapshotBudget)
+        );
+        // `resources 2000 --solver-budget 0`
+        assert_eq!(
+            try_split("2000 --solver-budget 0").unwrap_err(),
+            ArgError::Config(ConfigError::ZeroSolverBudget)
+        );
+        assert_eq!(
+            try_split("--sample-every 0").unwrap_err(),
+            ArgError::Config(ConfigError::ZeroSampleEvery)
+        );
     }
 
     #[test]
-    fn bad_level_falls_back() {
-        let a = split("--log-level chatty 42");
-        assert_eq!(a.log_level, Level::Info);
-        assert_eq!(a.rest, vec!["42".to_string()]);
+    fn zero_vector_budget_is_a_config_error() {
+        // `table2 0`
+        let a = split("0");
+        assert_eq!(
+            a.try_vectors(0, 30_000).unwrap_err(),
+            ArgError::Config(ConfigError::ZeroMaxVectors)
+        );
+        assert_eq!(split("500").try_vectors(0, 30_000), Ok(500));
+        assert_eq!(split("").try_vectors(0, 30_000), Ok(30_000));
+        assert!(matches!(
+            split("many").try_vectors(0, 30_000),
+            Err(ArgError::BadValue { .. })
+        ));
+    }
+
+    #[test]
+    fn unknown_and_retired_flags_are_errors() {
+        // A retired flag must not shift the budget argument.
+        assert_eq!(
+            try_split("--portfolio 2 2000").unwrap_err(),
+            ArgError::UnknownFlag("--portfolio".into())
+        );
+        for flag in ["--affinity", "--solver-cache-budget=4096", "--smoke"] {
+            assert!(
+                matches!(try_split(flag), Err(ArgError::UnknownFlag(_))),
+                "{flag}"
+            );
+        }
+        let e = try_split("--portfolio 2").unwrap_err();
+        assert_eq!(e.to_string(), "unknown flag `--portfolio`");
+    }
+
+    #[test]
+    fn malformed_and_missing_values_are_errors() {
+        for (line, flag) in [
+            ("--solver-budget lots", "--solver-budget"),
+            ("--solve-wall-ms=soon", "--solve-wall-ms"),
+            ("--settle-mode warp", "--settle-mode"),
+            ("--snapshot-budget plenty", "--snapshot-budget"),
+            ("--sample-every often", "--sample-every"),
+            ("--log-level chatty 42", "--log-level"),
+        ] {
+            match try_split(line) {
+                Err(ArgError::BadValue { what, .. }) => assert_eq!(what, flag, "{line}"),
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+        assert_eq!(
+            try_split("2000 --trace-out").unwrap_err(),
+            ArgError::MissingValue("--trace-out".into())
+        );
+    }
+
+    #[test]
+    fn flags_override_the_binary_defaults() {
+        let base = || FuzzConfig::builder().snapshot_mem_budget(4096);
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let a = split_bench_args(args("2000").into_iter(), base(), &[]).unwrap();
+        assert_eq!(a.config.current().snapshot_mem_budget, 4096);
+        let b = split_bench_args(args("--snapshot-budget 8192").into_iter(), base(), &[]).unwrap();
+        assert_eq!(b.config.current().snapshot_mem_budget, 8192);
+    }
+
+    #[test]
+    fn bin_flags_pass_through_for_the_binary_to_take() {
+        let mut a = split_bench_args(
+            "--check-bench results --smoke 600 --check-bench=r2 -j 2"
+                .split_whitespace()
+                .map(String::from),
+            FuzzConfig::builder(),
+            &["--check-bench", "--smoke"],
+        )
+        .unwrap();
+        assert!(a.take_switch("--smoke"));
+        assert!(!a.take_switch("--smoke"));
+        assert_eq!(a.take_value("--check-bench"), Ok(Some("r2".into())));
+        assert_eq!(a.rest, vec!["600".to_string()]);
+        assert_eq!(a.jobs, 2);
+        a.rest.push("--check-bench".into());
+        assert_eq!(
+            a.take_value("--check-bench"),
+            Err(ArgError::MissingValue("--check-bench".into()))
+        );
     }
 }

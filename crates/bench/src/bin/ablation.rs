@@ -17,8 +17,8 @@ use symbfuzz_core::{CampaignResult, FuzzConfig, Strategy, SymbFuzz};
 use symbfuzz_designs::processor_benchmarks;
 
 fn main() {
-    let args = parse_bench_args();
-    let budget: u64 = args.pos(0, 30_000);
+    let args = parse_bench_args(&[]);
+    let budget = args.vectors(0, 30_000);
     let bench: usize = args.pos(1, 0);
     let b = &processor_benchmarks()[bench];
     let design = b.design().expect("benchmark elaborates");

@@ -4,8 +4,7 @@
 //! solver A/B").
 //!
 //! Usage: `budgetbench [max_vectors] [budget...] [--jobs N]
-//! [--log-level LEVEL] [--trace-out PATH] [--incremental]
-//! [--solver-cache-budget N] [--portfolio N] [--affinity]` — default
+//! [--log-level LEVEL] [--trace-out PATH] [--incremental]` — default
 //! 1 000 vectors at 500 / 2 000 / 10 000 conflicts. `budgetbench
 //! --smoke` runs one tiny ceiling (CI: proves a budget-exhausted
 //! campaign terminates cleanly and the A/B artifact stays
@@ -16,9 +15,9 @@ use symbfuzz_bench::render::{render_budget_profile, render_solvercache_profile, 
 use symbfuzz_bench::{flush_trace, parse_bench_args};
 
 fn main() {
-    let args = parse_bench_args();
-    if args.rest.iter().any(|a| a == "--smoke") {
-        let rows = budget_profile(&[500], 300, args.jobs);
+    let mut args = parse_bench_args(&["--smoke"]);
+    if args.take_switch("--smoke") {
+        let rows = budget_profile(&args.config, &[500], 300, args.jobs);
         println!("{}", render_budget_profile(&rows));
         assert!(
             rows.iter()
@@ -31,7 +30,7 @@ fn main() {
         println!("budget smoke OK: campaign degraded gracefully and terminated");
         return;
     }
-    let max_vectors: u64 = args.pos(0, 1_000);
+    let max_vectors = args.vectors(0, 1_000);
     let budgets: Vec<u64> = if args.rest.len() > 1 {
         args.rest[1..]
             .iter()
@@ -40,7 +39,7 @@ fn main() {
     } else {
         vec![500, 2_000, 10_000]
     };
-    let rows = budget_profile(&budgets, max_vectors, args.jobs);
+    let rows = budget_profile(&args.config, &budgets, max_vectors, args.jobs);
     println!("# Coverage vs solver budget ({max_vectors} vectors)\n");
     println!("{}", render_budget_profile(&rows));
     save_json("BENCH_budget", &rows).expect("write results/BENCH_budget.json");

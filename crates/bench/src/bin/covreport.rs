@@ -22,7 +22,7 @@ use symbfuzz_bench::covreport::{
 use symbfuzz_bench::experiments::resource_profile;
 use symbfuzz_bench::render::save_json;
 use symbfuzz_bench::trace::parse_trace;
-use symbfuzz_bench::{flush_trace, parse_bench_args};
+use symbfuzz_bench::{exit_usage, flush_trace, parse_bench_args};
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_telemetry::info;
 
@@ -59,30 +59,16 @@ fn check_files(paths: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_bench_args();
-    let mut trace_path: Option<String> = None;
-    let mut check = false;
-    let mut positional = Vec::new();
-    let mut it = args.rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--check" {
-            check = true;
-        } else if a == "--trace" {
-            trace_path = it.next().cloned();
-        } else if let Some(v) = a.strip_prefix("--trace=") {
-            trace_path = Some(v.to_string());
-        } else {
-            positional.push(a.clone());
-        }
-    }
+    let mut args = parse_bench_args(&["--check", "--trace"]);
+    let check = args.take_switch("--check");
+    let trace_path = args
+        .take_value("--trace")
+        .unwrap_or_else(|e| exit_usage(&e));
     if check {
-        return check_files(&positional);
+        return check_files(&args.rest);
     }
-    let budget: u64 = positional
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(5_000);
-    let bench: usize = positional.get(1).and_then(|a| a.parse().ok()).unwrap_or(0);
+    let budget = args.vectors(0, 5_000);
+    let bench: usize = args.pos(1, 0);
     let benches = processor_benchmarks();
     let Some(name) = benches.get(bench).map(|b| b.name) else {
         eprintln!(
@@ -91,7 +77,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let results = resource_profile(bench, budget, args.jobs);
+    let results = resource_profile(&args.config, bench, budget, args.jobs);
     let mut report = build_report(name, budget, &results);
     if let Some(path) = trace_path {
         let text = match std::fs::read_to_string(&path) {

@@ -8,10 +8,10 @@ use symbfuzz_bench::{flush_trace, parse_bench_args};
 use symbfuzz_telemetry::info;
 
 fn main() {
-    let args = parse_bench_args();
-    let budget: u64 = args.pos(0, 40_000);
+    let args = parse_bench_args(&[]);
+    let budget = args.vectors(0, 40_000);
     let bench: usize = args.pos(1, 0);
-    let race = coverage_race(bench, budget, 0x46A, args.jobs);
+    let race = coverage_race(&args.config, bench, budget, 0x46A, args.jobs);
     println!(
         "# Figure 4a — coverage vs input vectors on `{}`\n",
         race.design

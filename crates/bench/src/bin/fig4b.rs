@@ -7,11 +7,11 @@ use symbfuzz_bench::render::{render_fig4b_csv, save_json};
 use symbfuzz_bench::{flush_trace, parse_bench_args};
 
 fn main() {
-    let args = parse_bench_args();
-    let budget: u64 = args.pos(0, 10_000);
+    let args = parse_bench_args(&[]);
+    let budget = args.vectors(0, 10_000);
     let runs: u64 = args.pos(1, 4);
     let bench: usize = args.pos(2, 0);
-    let pts = variance_profile(bench, budget, runs, args.jobs);
+    let pts = variance_profile(&args.config, bench, budget, runs, args.jobs);
     println!("# Figure 4b — coverage variance over {runs} runs\n");
     print!("{}", render_fig4b_csv(&pts));
     save_json("fig4b", &pts).expect("write results/fig4b.json");

@@ -22,11 +22,11 @@
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
-use symbfuzz_bench::experiments::{resource_profile, settle_policy};
+use symbfuzz_bench::experiments::resource_profile;
 use symbfuzz_bench::pool::merge_telemetry;
 use symbfuzz_bench::render::{render_resources, save_json, write_flight_artifacts};
 use symbfuzz_bench::{flush_trace, parse_bench_args};
-use symbfuzz_core::{FuzzConfig, Strategy, SymbFuzz};
+use symbfuzz_core::{FuzzConfig, SettlePolicy, Strategy, SymbFuzz};
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_telemetry::info;
 
@@ -50,10 +50,11 @@ struct SamplingRow {
 
 /// Wall-clock vectors/sec of one campaign; `sample_every` arms the
 /// recorder and both profilers, `introspect` arms the solver-scope
-/// tracing. Always the compiled settle engine (unless `--settle-mode`
-/// overrode it) so each A/B isolates one instrument, not engine
+/// tracing. Every arm runs the same settle engine (`--settle-mode`,
+/// compiled by default) so each A/B isolates one instrument, not engine
 /// choice.
 fn throughput(
+    settle: SettlePolicy,
     bench_index: usize,
     budget: u64,
     sample_every: Option<u64>,
@@ -67,7 +68,7 @@ fn throughput(
         .threshold(2)
         .max_vectors(budget)
         .seed(0xCAB)
-        .settle_policy(settle_policy());
+        .settle_policy(settle);
     if let Some(every) = sample_every {
         cfg = cfg.sample_every(every);
     }
@@ -110,10 +111,10 @@ fn load_history() -> Vec<Value> {
 }
 
 fn main() {
-    let args = parse_bench_args();
-    let budget: u64 = args.pos(0, 20_000);
+    let args = parse_bench_args(&[]);
+    let budget = args.vectors(0, 20_000);
     let bench: usize = args.pos(1, 0);
-    let rows = resource_profile(bench, budget, args.jobs);
+    let rows = resource_profile(&args.config, bench, budget, args.jobs);
     println!("# §5.2 — resource profile\n");
     println!("{}", render_resources(&rows));
     let merged = merge_telemetry(rows.iter().map(|(_, r)| &r.telemetry));
@@ -137,14 +138,15 @@ fn main() {
     .expect("write flight artifacts");
 
     // Recorder overhead A/B: same campaign, recorder off vs on.
-    let every = args.sample_every.unwrap_or(100);
+    let knobs = args.config.current();
+    let (settle, every) = (knobs.settle_policy, knobs.sample_every.unwrap_or(100));
     let mut sampling_rows = Vec::new();
     println!("## Flight-recorder overhead ({budget} vectors per campaign)\n");
     println!("| Design | off vec/s | on vec/s | ratio | samples |");
     println!("|---|---|---|---|---|");
     for (i, b) in processor_benchmarks().iter().enumerate() {
-        let (off, _) = throughput(i, budget, None, false);
-        let (on, samples) = throughput(i, budget, Some(every), false);
+        let (off, _) = throughput(settle, i, budget, None, false);
+        let (on, samples) = throughput(settle, i, budget, Some(every), false);
         let row = SamplingRow {
             design: b.name.to_string(),
             budget,
@@ -177,8 +179,8 @@ fn main() {
     println!("| Design | off vec/s | on vec/s | ratio |");
     println!("|---|---|---|---|");
     for (i, b) in processor_benchmarks().iter().enumerate() {
-        let (off, _) = throughput(i, budget, None, false);
-        let (on, _) = throughput(i, budget, None, true);
+        let (off, _) = throughput(settle, i, budget, None, false);
+        let (on, _) = throughput(settle, i, budget, None, true);
         let row = SamplingRow {
             design: b.name.to_string(),
             budget,

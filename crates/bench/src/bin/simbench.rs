@@ -13,8 +13,9 @@
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
-use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::save_json;
+use symbfuzz_bench::{exit_usage, parse_bench_args, ArgError};
+use symbfuzz_core::SettlePolicy;
 use symbfuzz_designs::{bug_benchmarks, processor_benchmarks};
 use symbfuzz_logic::LogicVec;
 use symbfuzz_netlist::Design;
@@ -91,7 +92,19 @@ fn load_history() -> Vec<Value> {
 }
 
 fn main() {
-    let args = parse_bench_args();
+    // `--settle-mode` here selects the single engine to time, so the
+    // binary takes it itself rather than as a campaign knob.
+    let mut args = parse_bench_args(&["--settle-mode"]);
+    let only = match args.take_value("--settle-mode") {
+        Ok(None) => None,
+        Ok(Some(v)) => Some(SettlePolicy::parse(&v).unwrap_or_else(|| {
+            exit_usage(&ArgError::BadValue {
+                what: "--settle-mode".into(),
+                value: v,
+            })
+        })),
+        Err(e) => exit_usage(&e),
+    };
     let cycles: u64 = args.pos(0, 20_000);
     let procs = processor_benchmarks();
     let bugs = bug_benchmarks();
@@ -104,7 +117,7 @@ fn main() {
         )
         .collect();
 
-    if let Some(policy) = args.settle_mode {
+    if let Some(policy) = only {
         // Single-engine profiling mode: no speedups, no JSON.
         println!(
             "# Simulator throughput — `{}` engine, {cycles} cycles per run\n",

@@ -9,7 +9,7 @@
 //! drops to 2000 and skips the timed microbench loops' warm-up).
 //!
 //! The campaign A/B forces snapshot-cache misses by shrinking the
-//! store budget (default 64 KiB here, not the 64 MiB campaign
+//! store budget (default 4 KiB here, not the 64 MiB campaign
 //! default): evictions make rollbacks miss, and the A/B compares how
 //! many cycles each arm then replays. Acceptance: ancestor re-entry
 //! replays at least 5× fewer cycles per rollback than the
@@ -19,8 +19,8 @@ use serde::{Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
 use symbfuzz_bench::render::save_json;
-use symbfuzz_bench::split_bench_args;
-use symbfuzz_core::{FuzzConfig, Strategy, SymbFuzz};
+use symbfuzz_bench::{exit_usage, split_bench_args};
+use symbfuzz_core::{FuzzConfig, FuzzConfigBuilder, Strategy, SymbFuzz};
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_logic::LogicVec;
 use symbfuzz_netlist::Design;
@@ -129,18 +129,18 @@ fn microbench(design: &Arc<Design>, iters: u64) -> MicroRow {
 }
 
 fn campaign_arm(
+    base: &FuzzConfigBuilder,
     design: &Arc<Design>,
     props: &[symbfuzz_core::PropertySpec],
     vectors: u64,
-    budget_bytes: u64,
     ancestor: bool,
 ) -> CampaignArm {
-    let config = FuzzConfig::builder()
+    let config = base
+        .clone()
         .interval(100)
         .threshold(2)
         .max_vectors(vectors)
         .seed(0x5A9B)
-        .snapshot_mem_budget(budget_bytes)
         .use_ancestor_reentry(ancestor)
         .build()
         .expect("snapbench config is consistent");
@@ -178,22 +178,17 @@ fn campaign_arm(
 }
 
 fn main() {
-    let mut smoke = false;
-    let args = split_bench_args(std::env::args().skip(1).filter(|a| {
-        if a == "--smoke" {
-            smoke = true;
-            false
-        } else {
-            true
-        }
-    }));
-    set_log_level(args.log_level);
-    let vectors: u64 = args.pos(0, if smoke { 2_000 } else { 20_000 });
-    let iters: u64 = if smoke { 200 } else { 2_000 };
     // Tight enough to force evictions (and therefore rollback misses)
     // on ibex_like, whose full state is only ~400 bytes; the campaign
     // default is 64 MiB.
-    let budget_bytes = args.snapshot_budget.unwrap_or(4 * 1024);
+    let tight = FuzzConfig::builder().snapshot_mem_budget(4 * 1024);
+    let mut args = split_bench_args(std::env::args().skip(1), tight, &["--smoke"])
+        .unwrap_or_else(|e| exit_usage(&e));
+    set_log_level(args.log_level);
+    let smoke = args.take_switch("--smoke");
+    let vectors = args.vectors(0, if smoke { 2_000 } else { 20_000 });
+    let iters: u64 = if smoke { 200 } else { 2_000 };
+    let budget_bytes = args.config.current().snapshot_mem_budget;
 
     let ibex = &processor_benchmarks()[0];
     let design = ibex.design().expect("benchmark elaborates");
@@ -216,8 +211,8 @@ fn main() {
         "\n# Re-entry A/B — {} vectors, {budget_bytes}-byte snapshot budget\n",
         vectors
     );
-    let on = campaign_arm(&design, &props, vectors, budget_bytes, true);
-    let off = campaign_arm(&design, &props, vectors, budget_bytes, false);
+    let on = campaign_arm(&args.config, &design, &props, vectors, true);
+    let off = campaign_arm(&args.config, &design, &props, vectors, false);
     for arm in [&on, &off] {
         println!(
             "| ancestor={} | rollbacks {} | replayed {} | per-rollback {:.1} \

@@ -22,7 +22,7 @@ use symbfuzz_bench::solverscope::{
     build_scope_report, render_scope_html, render_scope_markdown, validate_bench_artifact,
     validate_scope_report,
 };
-use symbfuzz_bench::{flush_trace, parse_bench_args};
+use symbfuzz_bench::{exit_usage, flush_trace, parse_bench_args};
 use symbfuzz_telemetry::info;
 
 fn check_files(paths: &[String]) -> ExitCode {
@@ -92,37 +92,20 @@ fn check_bench_dir(dir: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_bench_args();
-    let mut check = false;
-    let mut check_bench: Option<String> = None;
-    let mut positional = Vec::new();
-    let mut it = args.rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--check" {
-            check = true;
-        } else if a == "--check-bench" {
-            check_bench = it.next().cloned();
-        } else if let Some(v) = a.strip_prefix("--check-bench=") {
-            check_bench = Some(v.to_string());
-        } else {
-            positional.push(a.clone());
-        }
-    }
+    let mut args = parse_bench_args(&["--check", "--check-bench"]);
+    let check = args.take_switch("--check");
+    let check_bench = args
+        .take_value("--check-bench")
+        .unwrap_or_else(|e| exit_usage(&e));
     if let Some(dir) = check_bench {
         return check_bench_dir(&dir);
     }
     if check {
-        return check_files(&positional);
+        return check_files(&args.rest);
     }
-    let max_vectors: u64 = positional
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1_000);
-    let solver_budget: u64 = positional
-        .get(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(500);
-    let report = build_scope_report(max_vectors, solver_budget, args.jobs);
+    let max_vectors = args.vectors(0, 1_000);
+    let solver_budget: u64 = args.pos(1, 500);
+    let report = build_scope_report(&args.config, max_vectors, solver_budget, args.jobs);
     save_json("solverscope", &report).expect("write results/solverscope.json");
     std::fs::write("results/solverscope.html", render_scope_html(&report))
         .expect("write results/solverscope.html");

@@ -8,10 +8,10 @@ use symbfuzz_bench::render::{render_speedup, save_json};
 use symbfuzz_bench::{flush_trace, parse_bench_args};
 
 fn main() {
-    let args = parse_bench_args();
-    let budget: u64 = args.pos(0, 40_000);
+    let args = parse_bench_args(&[]);
+    let budget = args.vectors(0, 40_000);
     let bench: usize = args.pos(1, 0);
-    let s = speedup(bench, budget, args.jobs);
+    let s = speedup(&args.config, bench, budget, args.jobs);
     println!("# §5.3 — time-to-coverage speed-up\n");
     println!("{}", render_speedup(&s));
     save_json("speedup", &s).expect("write results/speedup.json");

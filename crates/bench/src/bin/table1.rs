@@ -7,9 +7,9 @@ use symbfuzz_bench::render::{render_table1, save_json};
 use symbfuzz_bench::{flush_trace, parse_bench_args};
 
 fn main() {
-    let args = parse_bench_args();
-    let budget: u64 = args.pos(0, 50_000);
-    let rows = table1_rows(budget, args.jobs);
+    let args = parse_bench_args(&[]);
+    let budget = args.vectors(0, 50_000);
+    let rows = table1_rows(&args.config, budget, args.jobs);
     println!(
         "# Table 1 — detected bugs (budget {budget} vectors, {} jobs)\n",
         args.jobs

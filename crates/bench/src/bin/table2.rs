@@ -7,9 +7,9 @@ use symbfuzz_bench::render::{render_table2, save_json};
 use symbfuzz_bench::{flush_trace, parse_bench_args};
 
 fn main() {
-    let args = parse_bench_args();
-    let budget: u64 = args.pos(0, 30_000);
-    let m = detection_matrix(14, budget, args.jobs);
+    let args = parse_bench_args(&[]);
+    let budget = args.vectors(0, 30_000);
+    let m = detection_matrix(&args.config, 14, budget, args.jobs);
     println!("# Table 2 — bug detection by fuzzer (budget {budget}; paper value in parens)\n");
     println!("{}", render_table2(&m));
     save_json("table2", &m).expect("write results/table2.json");

@@ -9,9 +9,9 @@ use symbfuzz_bench::render::{render_table3, save_json};
 use symbfuzz_bench::{flush_trace, parse_bench_args};
 
 fn main() {
-    let args = parse_bench_args();
-    let budget: u64 = args.pos(0, 20_000);
-    let rows = table3_rows(budget, args.jobs);
+    let args = parse_bench_args(&[]);
+    let budget = args.vectors(0, 20_000);
+    let rows = table3_rows(&args.config, budget, args.jobs);
     println!("# Table 3 — benchmark details (campaign budget {budget})\n");
     println!("{}", render_table3(&rows));
     save_json("table3", &rows).expect("write results/table3.json");

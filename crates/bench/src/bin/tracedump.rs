@@ -4,8 +4,8 @@
 //! `Metrics` records), the per-goal solver cost table with p50/p90/p99
 //! per-call conflict quantiles (when the trace has `GoalSolveCost`
 //! records from an introspected campaign), the bitblast-cache hit
-//! rate and per-profile portfolio wins (when the trace has
-//! `SolverCache` records from an incremental campaign) and the
+//! rate (when the trace has `SolverCache` records from an incremental
+//! campaign) and the
 //! coverage/stagnation/bug timeline.
 //!
 //! Usage: `tracedump <trace.jsonl> [--check] [--json]`
@@ -77,7 +77,7 @@ fn main() -> ExitCode {
     }
     let cache = solver_cache_table(&records);
     if !cache.is_empty() {
-        println!("## Solver cache & portfolio\n");
+        println!("## Solver cache\n");
         println!("{cache}");
     }
     println!("## Timeline\n");

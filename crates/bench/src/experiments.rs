@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use symbfuzz_core::{
-    CampaignResult, CoverageSample, FuzzConfig, FuzzConfigBuilder, PortfolioBlock, PropertySpec,
-    SettlePolicy, SolverCacheBlock, SolverProfileBlock, SolverScopeBlock, Strategy, SymbFuzz,
+    CampaignResult, CoverageSample, FuzzConfig, FuzzConfigBuilder, PropertySpec, SolverCacheBlock,
+    SolverProfileBlock, SolverScopeBlock, Strategy, SymbFuzz,
 };
 use symbfuzz_designs::{bug_benchmarks, processor_benchmarks, Benchmark};
 use symbfuzz_logic::LogicVec;
@@ -47,189 +47,6 @@ pub fn tracing_enabled() -> bool {
     TRACE.get().is_some()
 }
 
-/// The process-global solver budget, set once by `--solver-budget` /
-/// `--solve-wall-ms`. `(conflict ceiling, wall-clock ceiling in ms)`.
-static SOLVER_BUDGET: OnceLock<(Option<u64>, Option<u64>)> = OnceLock::new();
-
-/// Caps every symbolic solve of every subsequent campaign in this
-/// process: `conflicts` CDCL conflicts and/or `wall_ms` milliseconds.
-/// Exhausted solves degrade to random mutation instead of blocking the
-/// campaign. First call wins; later calls are no-ops. Wall-clock
-/// ceilings make reports non-deterministic — conflict ceilings do not.
-pub fn set_solver_budget(conflicts: Option<u64>, wall_ms: Option<u64>) {
-    let _ = SOLVER_BUDGET.set((conflicts, wall_ms));
-}
-
-/// The active global solver budget (both `None` when unset).
-pub fn solver_budget() -> (Option<u64>, Option<u64>) {
-    SOLVER_BUDGET.get().copied().unwrap_or((None, None))
-}
-
-/// The process-global settle engine, set once by `--settle-mode`.
-static SETTLE_POLICY: OnceLock<SettlePolicy> = OnceLock::new();
-
-/// Selects the combinational settle engine every subsequent campaign
-/// in this process simulates with. First call wins; later calls are
-/// no-ops. Campaign reports are identical under every policy (see the
-/// `sched_equiv` suite), so this is a performance knob, not a
-/// semantics knob.
-pub fn set_settle_policy(policy: SettlePolicy) {
-    let _ = SETTLE_POLICY.set(policy);
-}
-
-/// The active settle engine ([`SettlePolicy::Compiled`] when unset).
-pub fn settle_policy() -> SettlePolicy {
-    SETTLE_POLICY.get().copied().unwrap_or_default()
-}
-
-/// The process-global snapshot-store byte budget, set once by
-/// `--snapshot-budget`.
-static SNAPSHOT_BUDGET: OnceLock<u64> = OnceLock::new();
-
-/// Bounds the copy-on-write snapshot store of every subsequent
-/// campaign in this process at `bytes` unique page bytes; beyond it
-/// the oldest snapshots are evicted first. First call wins; later
-/// calls are no-ops. Eviction order is a pure function of the campaign
-/// seed, so reports stay byte-identical at any `--jobs`.
-pub fn set_snapshot_budget(bytes: u64) {
-    let _ = SNAPSHOT_BUDGET.set(bytes);
-}
-
-/// The active snapshot budget (`None` when unset — campaigns use the
-/// [`FuzzConfig`] default).
-pub fn snapshot_budget() -> Option<u64> {
-    SNAPSHOT_BUDGET.get().copied()
-}
-
-/// The process-global solver-introspection switch, set once by
-/// `--introspect`.
-static INTROSPECTION: OnceLock<bool> = OnceLock::new();
-
-/// Arms solver introspection for every subsequent campaign in this
-/// process: each symbolic goal then carries CDCL analytics, a
-/// structural sketch, and (for failed goals) a blame set, folded into
-/// the report's `solver_scope` block. First call wins; later calls are
-/// no-ops. Everything recorded is a pure function of the campaign
-/// seed, so introspected reports stay byte-identical at any `--jobs`.
-pub fn set_introspection(on: bool) {
-    let _ = INTROSPECTION.set(on);
-}
-
-/// Whether solver introspection is armed (off when unset).
-pub fn introspection() -> bool {
-    INTROSPECTION.get().copied().unwrap_or(false)
-}
-
-/// The process-global incremental-solving switch, set once by
-/// `--incremental`.
-static INCREMENTAL: OnceLock<bool> = OnceLock::new();
-
-/// Arms incremental solving for every subsequent campaign in this
-/// process: goals sharing an unrolled frame reuse one warm solver via
-/// assumption literals, and transition-relation bitblasts are cached
-/// per frame. First call wins; later calls are no-ops. Session reuse
-/// is a pure function of the campaign seed, so reports stay
-/// byte-identical at any `--jobs`.
-pub fn set_incremental(on: bool) {
-    let _ = INCREMENTAL.set(on);
-}
-
-/// Whether incremental solving is armed (off when unset).
-pub fn incremental() -> bool {
-    INCREMENTAL.get().copied().unwrap_or(false)
-}
-
-/// The process-global portfolio width, set once by `--portfolio`.
-static PORTFOLIO: OnceLock<u32> = OnceLock::new();
-
-/// Races every budgeted reachability query of every subsequent
-/// campaign across `width` budget profiles (0 = off, 2..=4 profiles).
-/// First call wins; later calls are no-ops. The canonical
-/// lowest-index-winner rule keeps raced reports byte-identical at any
-/// `--jobs`.
-pub fn set_portfolio(width: u32) {
-    let _ = PORTFOLIO.set(width);
-}
-
-/// The active portfolio width (`None` when unset).
-pub fn portfolio() -> Option<u32> {
-    PORTFOLIO.get().copied()
-}
-
-/// The process-global affinity-ordering switch, set once by
-/// `--affinity`.
-static AFFINITY: OnceLock<bool> = OnceLock::new();
-
-/// Orders each guidance round's goal batch by KMV-sketch affinity so
-/// structurally similar goals hit a warm solver back to back. Implies
-/// solver introspection (the ordering keys on the sketches it
-/// collects). First call wins; later calls are no-ops.
-pub fn set_affinity(on: bool) {
-    let _ = AFFINITY.set(on);
-}
-
-/// Whether affinity-ordered goal batching is armed (off when unset).
-pub fn affinity() -> bool {
-    AFFINITY.get().copied().unwrap_or(false)
-}
-
-/// The process-global bitblast-cache byte budget, set once by
-/// `--solver-cache-budget`.
-static SOLVER_CACHE_BUDGET: OnceLock<u64> = OnceLock::new();
-
-/// Bounds the warm-session bitblast cache of every subsequent
-/// campaign at `bytes` estimated clause bytes; beyond it the
-/// least-recently-used sessions are evicted. First call wins; later
-/// calls are no-ops. Eviction order is a pure function of the
-/// campaign seed, so reports stay byte-identical at any `--jobs`.
-pub fn set_solver_cache_budget(bytes: u64) {
-    let _ = SOLVER_CACHE_BUDGET.set(bytes);
-}
-
-/// The active bitblast-cache budget (`None` when unset — campaigns
-/// use the [`FuzzConfig`] default).
-pub fn solver_cache_budget() -> Option<u64> {
-    SOLVER_CACHE_BUDGET.get().copied()
-}
-
-/// Applies the incremental/portfolio/affinity/cache-budget globals to
-/// a campaign builder — the shared tail of every experiment's config.
-/// `--affinity` forces introspection on, which the builder requires.
-fn apply_solver_knobs(mut b: FuzzConfigBuilder) -> FuzzConfigBuilder {
-    if incremental() {
-        b = b.incremental_solving(true);
-    }
-    if let Some(bytes) = solver_cache_budget() {
-        b = b.solver_cache_budget(bytes);
-    }
-    if let Some(width) = portfolio() {
-        b = b.portfolio(width);
-    }
-    if affinity() {
-        b = b.affinity_ordering(true).solver_introspection(true);
-    }
-    b
-}
-
-/// The process-global flight-recorder interval, set once by
-/// `--sample-every`.
-static SAMPLING: OnceLock<u64> = OnceLock::new();
-
-/// Arms the flight recorder for every subsequent campaign in this
-/// process: one delta-compressed sample every `every` input vectors
-/// (floored at 1), plus the per-cone VM profiler and the per-goal
-/// solver profiler. First call wins; later calls are no-ops. Sample
-/// streams are keyed to the deterministic vector-count clock, so
-/// recordings are byte-identical at any `--jobs`.
-pub fn set_sampling(every: u64) {
-    let _ = SAMPLING.set(every.max(1));
-}
-
-/// The active flight-recorder interval (`None` when sampling is off).
-pub fn sampling() -> Option<u64> {
-    SAMPLING.get().copied()
-}
-
 /// The live flight/status destinations, set once by `--flight-out` /
 /// `--status-out`. Only pool task 0 streams here mid-run (one writer
 /// per file); the bench bins overwrite both with the canonical merged
@@ -259,34 +76,23 @@ pub fn status_out() -> Option<&'static Path> {
     STATUS_OUT.get().map(PathBuf::as_path)
 }
 
-/// The shared campaign configuration: the experiments' historical
-/// interval/threshold choices plus whatever global solver budget
-/// [`set_solver_budget`] installed, validated by the builder.
-fn campaign_config(budget: u64, seed: u64) -> FuzzConfig {
-    let (conflicts, wall_ms) = solver_budget();
-    let mut b = FuzzConfig::builder()
+/// The shared campaign configuration: the command line's knobs
+/// (`base`, see [`crate::args::BenchArgs::config`]) plus the
+/// experiments' historical interval/threshold choices, a vector budget
+/// and a seed.
+///
+/// # Panics
+///
+/// If the knobs are inconsistent or `budget` is zero; the bench
+/// binaries reject both at parse time.
+fn campaign_config(base: &FuzzConfigBuilder, budget: u64, seed: u64) -> FuzzConfig {
+    base.clone()
         .interval(100)
         .threshold(2)
         .max_vectors(budget)
         .seed(seed)
-        .settle_policy(settle_policy());
-    if let Some(c) = conflicts {
-        b = b.solver_budget(c);
-    }
-    if let Some(ms) = wall_ms {
-        b = b.solve_wall_ms(ms);
-    }
-    if let Some(every) = sampling() {
-        b = b.sample_every(every);
-    }
-    if let Some(bytes) = snapshot_budget() {
-        b = b.snapshot_mem_budget(bytes);
-    }
-    if introspection() {
-        b = b.solver_introspection(true);
-    }
-    b = apply_solver_knobs(b);
-    b.build().expect("bench campaign config is consistent")
+        .build()
+        .expect("bench campaign config is validated at parse time")
 }
 
 /// Flushes the shared trace file (no-op when tracing is off).
@@ -330,14 +136,12 @@ pub fn attach_flight_outputs(fuzzer: &mut SymbFuzz, task: usize) {
 /// Builds and runs one campaign (`task` is the pool index, used only
 /// to label trace records).
 fn run(
+    config: FuzzConfig,
     design: Arc<Design>,
     strategy: Strategy,
     props: &[PropertySpec],
-    budget: u64,
-    seed: u64,
     task: usize,
 ) -> CampaignResult {
-    let config = campaign_config(budget, seed);
     let mut fuzzer =
         SymbFuzz::new(design, strategy, config, props).expect("properties must compile");
     attach_telemetry(&mut fuzzer, task);
@@ -346,7 +150,7 @@ fn run(
     // One summary record per campaign with the settle-engine mix so
     // `tracedump` can report the fast-path hit rate (no-op when the
     // collector has no sink, i.e. tracing is off), plus the solver
-    // cache / portfolio summary when those features are armed.
+    // cache summary when incremental solving is armed.
     fuzzer.telemetry().emit_settle_metrics();
     fuzzer.emit_solver_metrics();
     fuzzer.telemetry().flush();
@@ -374,11 +178,11 @@ pub struct Table1Row {
 
 /// Table 1: run SymbFuzz on each buggy IP until its property fires.
 /// Benchmarks run concurrently on up to `jobs` threads.
-pub fn table1_rows(budget: u64, jobs: usize) -> Vec<Table1Row> {
+pub fn table1_rows(base: &FuzzConfigBuilder, budget: u64, jobs: usize) -> Vec<Table1Row> {
     let benches = bug_benchmarks();
     run_pool(&benches, jobs, |task, b| {
         let design = b.design().expect("benchmark elaborates");
-        let config = campaign_config(budget, 0x5EED + b.id as u64);
+        let config = campaign_config(base, budget, 0x5EED + b.id as u64);
         let mut fuzzer = SymbFuzz::new(design, Strategy::SymbFuzz, config, &[b.property_spec()])
             .expect("property compiles");
         attach_telemetry(&mut fuzzer, task);
@@ -448,7 +252,12 @@ impl DetectionMatrix {
 /// small `nbugs` still saturates `jobs` workers; seeds depend only on
 /// the bug id and repeat index, so the matrix is identical at any
 /// parallelism.
-pub fn detection_matrix(nbugs: usize, budget: u64, jobs: usize) -> DetectionMatrix {
+pub fn detection_matrix(
+    base: &FuzzConfigBuilder,
+    nbugs: usize,
+    budget: u64,
+    jobs: usize,
+) -> DetectionMatrix {
     const FUZZERS: [Strategy; 4] = [
         Strategy::SymbFuzz,
         Strategy::RFuzz,
@@ -468,15 +277,8 @@ pub fn detection_matrix(nbugs: usize, budget: u64, jobs: usize) -> DetectionMatr
         let (b, design) = &prep[i];
         let spec = [b.property_spec()];
         (0..4).any(|r| {
-            run(
-                Arc::clone(design),
-                s,
-                &spec,
-                budget,
-                0xD1CE + b.id as u64 + r * 7919,
-                task,
-            )
-            .detected(b.name)
+            let config = campaign_config(base, budget, 0xD1CE + b.id as u64 + r * 7919);
+            run(config, Arc::clone(design), s, &spec, task).detected(b.name)
         })
     });
     let rows = prep
@@ -528,23 +330,24 @@ pub struct Table3Row {
 /// benchmark, fanned across `jobs` workers. `latency_s` is wall-clock
 /// and therefore the one report column that varies with `jobs` (and
 /// between runs); every other column is deterministic.
-pub fn table3_rows(budget: u64, jobs: usize) -> Vec<Table3Row> {
+pub fn table3_rows(base: &FuzzConfigBuilder, budget: u64, jobs: usize) -> Vec<Table3Row> {
     let benches = processor_benchmarks();
-    run_pool(&benches, jobs, |task, b| table3_row(b, budget, task))
+    run_pool(&benches, jobs, |task, b| {
+        table3_row(b, campaign_config(base, budget, 0xB3), task)
+    })
 }
 
-fn table3_row(b: &Benchmark, budget: u64, task: usize) -> Table3Row {
+fn table3_row(b: &Benchmark, config: FuzzConfig, task: usize) -> Table3Row {
     let start = Instant::now();
     let design = b.design().expect("benchmark elaborates");
     let stats = DesignStats::of(&design);
     let rc = classify_registers(&design);
     let engine = SymbolicEngine::new(Arc::clone(&design));
     let result = run(
+        config,
         Arc::clone(&design),
         Strategy::SymbFuzz,
         &b.property_specs(),
-        budget,
-        0xB3,
         task,
     );
     Table3Row {
@@ -586,20 +389,20 @@ impl RaceResult {
 /// one pool task per strategy. `bench_index` selects from
 /// [`processor_benchmarks`]; seeds vary per strategy to avoid
 /// accidental correlation.
-pub fn coverage_race(bench_index: usize, budget: u64, seed: u64, jobs: usize) -> RaceResult {
+pub fn coverage_race(
+    base: &FuzzConfigBuilder,
+    bench_index: usize,
+    budget: u64,
+    seed: u64,
+    jobs: usize,
+) -> RaceResult {
     let b = &processor_benchmarks()[bench_index];
     let design = b.design().expect("benchmark elaborates");
     let props = b.property_specs();
     let strategies = Strategy::all();
     let curves = run_pool(&strategies, jobs, |task, s| {
-        let r = run(
-            Arc::clone(&design),
-            *s,
-            &props,
-            budget,
-            seed ^ s.name().len() as u64,
-            task,
-        );
+        let config = campaign_config(base, budget, seed ^ s.name().len() as u64);
+        let r = run(config, Arc::clone(&design), *s, &props, task);
         (s.name().to_string(), r.series)
     });
     RaceResult {
@@ -628,6 +431,7 @@ pub struct VariancePoint {
 /// seed depends only on its run index, so the profile is identical at
 /// any parallelism.
 pub fn variance_profile(
+    base: &FuzzConfigBuilder,
     bench_index: usize,
     budget: u64,
     runs: u64,
@@ -643,15 +447,8 @@ pub fn variance_profile(
         .flat_map(|&s| (0..runs).map(move |r| (s, r)))
         .collect();
     let series: Vec<Vec<CoverageSample>> = run_pool(&tasks, jobs, |task, &(s, r)| {
-        run(
-            Arc::clone(&design),
-            s,
-            &props,
-            budget,
-            0xF00 + r * 7919,
-            task,
-        )
-        .series
+        let config = campaign_config(base, budget, 0xF00 + r * 7919);
+        run(config, Arc::clone(&design), s, &props, task).series
     });
     let mut out = Vec::new();
     for (si, s) in Strategy::all().iter().enumerate() {
@@ -693,16 +490,19 @@ pub struct SpeedupResult {
 
 /// Computes the §5.3 convergence comparison, one pool task per
 /// strategy.
-pub fn speedup(bench_index: usize, budget: u64, jobs: usize) -> SpeedupResult {
+pub fn speedup(
+    base: &FuzzConfigBuilder,
+    bench_index: usize,
+    budget: u64,
+    jobs: usize,
+) -> SpeedupResult {
     let b = &processor_benchmarks()[bench_index];
     let design = b.design().expect("benchmark elaborates");
     let props = b.property_specs();
     let strategies = Strategy::all();
     let results: Vec<(Strategy, CampaignResult)> = run_pool(&strategies, jobs, |task, s| {
-        (
-            *s,
-            run(Arc::clone(&design), *s, &props, budget, 0xACE, task),
-        )
+        let config = campaign_config(base, budget, 0xACE);
+        (*s, run(config, Arc::clone(&design), *s, &props, task))
     });
     let random = results
         .iter()
@@ -750,8 +550,6 @@ pub struct BudgetProfileRow {
     pub bitblast_cache_misses: u64,
     /// Warm-session goal-reuse rate in permille.
     pub session_reuse_milli: u64,
-    /// Portfolio wins per profile index (empty unless `--portfolio`).
-    pub portfolio_wins: Vec<u64>,
     /// Non-zero `SolveStatus` tallies, in schema order.
     pub solve_outcomes: Vec<(String, u64)>,
 }
@@ -793,33 +591,31 @@ fn profile_duvs() -> [(&'static str, Arc<Design>, Vec<PropertySpec>); 3] {
 /// showing budgets cost nothing when the solver succeeds. `goalfabric`
 /// is the goal-dense fixture whose many sibling goals share one
 /// unrolled frame — the design the incremental-solver knobs are
-/// measured on. Seeds are fixed per campaign, so rows are
-/// byte-identical at any `jobs` value.
-pub fn budget_profile(budgets: &[u64], max_vectors: u64, jobs: usize) -> Vec<BudgetProfileRow> {
+/// measured on. Each campaign runs the command line's knobs (`base`)
+/// with the ceiling under test. Seeds are fixed per campaign, so rows
+/// are byte-identical at any `jobs` value.
+pub fn budget_profile(
+    base: &FuzzConfigBuilder,
+    budgets: &[u64],
+    max_vectors: u64,
+    jobs: usize,
+) -> Vec<BudgetProfileRow> {
     let duvs = profile_duvs();
     let tasks: Vec<(usize, u64)> = (0..duvs.len())
         .flat_map(|i| budgets.iter().map(move |&b| (i, b)))
         .collect();
     run_pool(&tasks, jobs, |task, &(i, ceiling)| {
         let (name, design, props) = &duvs[i];
-        let mut b = FuzzConfig::builder()
+        let config = base
+            .clone()
             .interval(100)
             .threshold(1)
             .max_vectors(max_vectors)
             .seed(0xB0D6E7)
             .solver_budget(ceiling)
-            .escalation_cap(1);
-        if let Some(every) = sampling() {
-            b = b.sample_every(every);
-        }
-        if let Some(bytes) = snapshot_budget() {
-            b = b.snapshot_mem_budget(bytes);
-        }
-        if introspection() {
-            b = b.solver_introspection(true);
-        }
-        b = apply_solver_knobs(b);
-        let config = b.build().expect("budget profile config is consistent");
+            .escalation_cap(1)
+            .build()
+            .expect("budget profile config is consistent");
         let mut fuzzer = SymbFuzz::new(Arc::clone(design), Strategy::SymbFuzz, config, props)
             .expect("property compiles");
         attach_telemetry(&mut fuzzer, task);
@@ -845,10 +641,6 @@ pub fn budget_profile(budgets: &[u64], max_vectors: u64, jobs: usize) -> Vec<Bud
             bitblast_cache_hits: cache.frame_hits,
             bitblast_cache_misses: cache.frame_misses,
             session_reuse_milli: cache.reuse_milli,
-            portfolio_wins: r
-                .portfolio
-                .as_ref()
-                .map_or_else(Vec::new, |p| p.wins.clone()),
             solve_outcomes: r
                 .solve_outcomes
                 .iter()
@@ -883,9 +675,6 @@ pub struct ScopeProfileResult {
     /// The merged bitblast-cache block (`None` unless `--incremental`
     /// armed incremental solving for these campaigns).
     pub solver_cache: Option<SolverCacheBlock>,
-    /// The merged portfolio block (`None` unless `--portfolio` armed
-    /// racing for these campaigns).
-    pub portfolio: Option<PortfolioBlock>,
 }
 
 /// Solver-introspection profile: runs introspected SymbFuzz campaigns
@@ -894,10 +683,12 @@ pub struct ScopeProfileResult {
 /// the benign `ibex_like` control (satisfiable goals — affinity
 /// territory) and the goal-dense `goalfabric` fixture (sibling goals
 /// sharing one frame — session-reuse territory), two seeded campaigns
-/// per design fanned across the pool, then merges scope, profile,
-/// cache and portfolio blocks in task order. Seeds are fixed per
-/// campaign, so results are byte-identical at any `jobs` value.
+/// per design fanned across the pool, then merges scope, profile and
+/// cache blocks in task order. Campaigns run the command line's knobs
+/// (`base`) with introspection forced on. Seeds are fixed per campaign,
+/// so results are byte-identical at any `jobs` value.
 pub fn solverscope_profile(
+    base: &FuzzConfigBuilder,
     max_vectors: u64,
     solver_budget_ceiling: u64,
     jobs: usize,
@@ -909,16 +700,17 @@ pub fn solverscope_profile(
         .collect();
     let results = run_pool(&tasks, jobs, |task, &(i, r)| {
         let (_, design, props) = &duvs[i];
-        let mut b = FuzzConfig::builder()
+        let config = base
+            .clone()
             .interval(100)
             .threshold(1)
             .max_vectors(max_vectors)
             .seed(0xB0D6E7 + r * 7919)
             .solver_budget(solver_budget_ceiling)
             .escalation_cap(1)
-            .solver_introspection(true);
-        b = apply_solver_knobs(b);
-        let config = b.build().expect("scope profile config is consistent");
+            .solver_introspection(true)
+            .build()
+            .expect("scope profile config is consistent");
         let mut fuzzer = SymbFuzz::new(Arc::clone(design), Strategy::SymbFuzz, config, props)
             .expect("property compiles");
         attach_telemetry(&mut fuzzer, task);
@@ -938,8 +730,6 @@ pub fn solverscope_profile(
                 crate::pool::merge_solver_profiles(slice.iter().map(|r| &r.solver_profile));
             let solver_cache =
                 crate::pool::merge_solver_caches(slice.iter().map(|r| r.solver_cache.as_ref()));
-            let portfolio =
-                crate::pool::merge_portfolios(slice.iter().map(|r| r.portfolio.as_ref()));
             // Join: a goal counts as exhausted when any attempt hit the
             // budget ceiling; it counts as attributed when its scope
             // row carries a non-empty blame set.
@@ -966,7 +756,6 @@ pub fn solverscope_profile(
                 scope,
                 profile,
                 solver_cache,
-                portfolio,
             }
         })
         .collect()
@@ -1017,11 +806,6 @@ pub struct SolverCacheResult {
     pub geomean_conflict_ratio_milli: u64,
     /// The warm arm's bitblast-cache block.
     pub cache: SolverCacheBlock,
-    /// Reserved: the fixed sweep never races budget profiles (that
-    /// would change the conflict accounting under test), so this stays
-    /// `None`; campaign-level portfolio wins are reported by
-    /// `solverscope` and the budget table instead.
-    pub portfolio: Option<PortfolioBlock>,
 }
 
 /// Runs one design's cold-vs-warm sweep: the identical query sequence
@@ -1089,7 +873,7 @@ fn sweep_solver_ab(
     let budget = Budget::unlimited().with_conflicts(ceiling);
     let cold = SymbolicEngine::new(Arc::clone(design));
     let mut warm = SymbolicEngine::new(Arc::clone(design));
-    warm.set_solver_cache(Some(solver_cache_budget().unwrap_or(16 << 20)));
+    warm.set_solver_cache(true);
 
     let mut tallies: Vec<(u64, u64, u64, u64)> = vec![(0, 0, 0, 0); goals.len()];
     for state in &states {
@@ -1145,7 +929,6 @@ fn sweep_solver_ab(
             .sum();
         ((sum_ln / rows.len() as f64).exp() * 1000.0).round() as u64
     };
-    let stats = warm.cache_stats();
     SolverCacheResult {
         design: name.to_string(),
         solver_budget: ceiling,
@@ -1153,25 +936,15 @@ fn sweep_solver_ab(
         warm_conflicts_per_verdict_milli: cpv_milli(|g| (g.warm_conflicts, g.warm_verdicts)),
         geomean_conflict_ratio_milli: geomean,
         goals: rows,
-        cache: SolverCacheBlock {
-            frame_hits: stats.frame_hits,
-            frame_misses: stats.frame_misses,
-            evictions: stats.evictions,
-            goals: stats.goals,
-            reused_goals: stats.reused_goals,
-            reuse_milli: (stats.reused_goals * 1000)
-                .checked_div(stats.goals)
-                .unwrap_or(0),
-        },
-        portfolio: None,
+        cache: SolverCacheBlock::from(warm.cache_stats()),
     }
 }
 
 /// Incremental-solver A/B: poses the *identical* deterministic query
 /// sequence twice per DUV — once against a baseline engine that
 /// bit-blasts every exact-depth check from scratch, once against an
-/// engine with incremental [`SolverSession`](symbfuzz_smt::SolverSession)s
-/// and the byte-budgeted bitblast cache armed — and reports per-goal
+/// engine with an incremental [`SolverSession`](symbfuzz_smt::SolverSession)
+/// and the bitblast cache armed — and reports per-goal
 /// conflicts-to-verdict ratios joined on `(register, value)`.
 ///
 /// A campaign-level A/B cannot isolate the solver layer: warm sessions
@@ -1208,6 +981,7 @@ pub fn solvercache_profile(
 /// §5.2 resource profile: per-strategy resource stats on one
 /// benchmark, one pool task per strategy.
 pub fn resource_profile(
+    base: &FuzzConfigBuilder,
     bench_index: usize,
     budget: u64,
     jobs: usize,
@@ -1217,7 +991,13 @@ pub fn resource_profile(
     let props = b.property_specs();
     let strategies = Strategy::all();
     run_pool(&strategies, jobs, |task, s| {
-        let r = run(Arc::clone(&design), *s, &props, budget, 0xCAB, task);
+        let r = run(
+            campaign_config(base, budget, 0xCAB),
+            Arc::clone(&design),
+            *s,
+            &props,
+            task,
+        );
         (s.name().to_string(), r)
     })
 }
@@ -1230,7 +1010,7 @@ mod tests {
     fn table1_smoke_detects_shallow_bugs() {
         // Bugs 7 and 10 are one-to-two-cycle triggers; a small budget
         // suffices and keeps the test fast.
-        let rows = table1_rows(3_000, 4);
+        let rows = table1_rows(&FuzzConfig::builder(), 3_000, 4);
         assert_eq!(rows.len(), 14);
         let by_id = |id: u32| rows.iter().find(|r| r.id == id).unwrap();
         assert!(by_id(7).measured_vectors.is_some(), "bug 7 undetected");
@@ -1239,7 +1019,7 @@ mod tests {
 
     #[test]
     fn detection_matrix_symbfuzz_dominates() {
-        let m = detection_matrix(3, 4_000, 4);
+        let m = detection_matrix(&FuzzConfig::builder(), 3, 4_000, 4);
         for r in &m.rows {
             assert!(r.symbfuzz, "SymbFuzz missed bug {}", r.id);
             // Baselines never beat their paper visibility gates.
@@ -1251,7 +1031,7 @@ mod tests {
 
     #[test]
     fn table3_reports_structure() {
-        let rows = table3_rows(1_500, 2);
+        let rows = table3_rows(&FuzzConfig::builder(), 1_500, 2);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.loc > 20, "{} too small", r.name);
@@ -1263,7 +1043,7 @@ mod tests {
 
     #[test]
     fn coverage_race_orders_symbfuzz_first() {
-        let race = coverage_race(0, 6_000, 42, 4);
+        let race = coverage_race(&FuzzConfig::builder(), 0, 6_000, 42, 4);
         let sf = race.final_coverage("SymbFuzz").unwrap();
         let rnd = race.final_coverage("UVM-random").unwrap();
         assert!(sf >= rnd, "SymbFuzz {sf} < random {rnd}");
@@ -1272,7 +1052,7 @@ mod tests {
 
     #[test]
     fn variance_profile_produces_window_points() {
-        let pts = variance_profile(1, 2_000, 3, 4);
+        let pts = variance_profile(&FuzzConfig::builder(), 1, 2_000, 3, 4);
         assert!(!pts.is_empty());
         for p in &pts {
             assert!(p.vectors >= 800 && p.vectors <= 1_700);
@@ -1284,16 +1064,17 @@ mod tests {
     /// byte-identical whether campaigns run on 1 thread or 8.
     #[test]
     fn reports_are_byte_identical_across_job_counts() {
-        let serial = serde_json::to_string(&detection_matrix(2, 2_000, 1)).unwrap();
-        let wide = serde_json::to_string(&detection_matrix(2, 2_000, 8)).unwrap();
+        let base = FuzzConfig::builder();
+        let serial = serde_json::to_string(&detection_matrix(&base, 2, 2_000, 1)).unwrap();
+        let wide = serde_json::to_string(&detection_matrix(&base, 2, 2_000, 8)).unwrap();
         assert_eq!(serial, wide);
 
-        let serial = serde_json::to_string(&coverage_race(1, 2_000, 7, 1)).unwrap();
-        let wide = serde_json::to_string(&coverage_race(1, 2_000, 7, 8)).unwrap();
+        let serial = serde_json::to_string(&coverage_race(&base, 1, 2_000, 7, 1)).unwrap();
+        let wide = serde_json::to_string(&coverage_race(&base, 1, 2_000, 7, 8)).unwrap();
         assert_eq!(serial, wide);
 
-        let serial = serde_json::to_string(&variance_profile(1, 1_500, 2, 1)).unwrap();
-        let wide = serde_json::to_string(&variance_profile(1, 1_500, 2, 8)).unwrap();
+        let serial = serde_json::to_string(&variance_profile(&base, 1, 1_500, 2, 1)).unwrap();
+        let wide = serde_json::to_string(&variance_profile(&base, 1, 1_500, 2, 8)).unwrap();
         assert_eq!(serial, wide);
     }
 
@@ -1303,8 +1084,9 @@ mod tests {
     /// vector budget, and renders byte-identically at any `--jobs`.
     #[test]
     fn budget_profile_degrades_and_is_deterministic_across_jobs() {
-        let serial = serde_json::to_string(&budget_profile(&[10_000], 400, 1)).unwrap();
-        let wide = serde_json::to_string(&budget_profile(&[10_000], 400, 4)).unwrap();
+        let base = FuzzConfig::builder();
+        let serial = serde_json::to_string(&budget_profile(&base, &[10_000], 400, 1)).unwrap();
+        let wide = serde_json::to_string(&budget_profile(&base, &[10_000], 400, 4)).unwrap();
         assert_eq!(serial, wide);
         let rows: Vec<BudgetProfileRow> = serde_json::from_str(&serial).unwrap();
         assert_eq!(rows.len(), 3);
@@ -1330,8 +1112,9 @@ mod tests {
     /// and `--jobs 4`.
     #[test]
     fn solverscope_attributes_exhaustion_and_is_deterministic_across_jobs() {
-        let serial = serde_json::to_string(&solverscope_profile(400, 500, 1)).unwrap();
-        let wide = serde_json::to_string(&solverscope_profile(400, 500, 4)).unwrap();
+        let base = FuzzConfig::builder();
+        let serial = serde_json::to_string(&solverscope_profile(&base, 400, 500, 1)).unwrap();
+        let wide = serde_json::to_string(&solverscope_profile(&base, 400, 500, 4)).unwrap();
         assert_eq!(serial, wide);
         let rows: Vec<ScopeProfileResult> = serde_json::from_str(&serial).unwrap();
         assert_eq!(rows.len(), 3);
@@ -1397,7 +1180,7 @@ mod tests {
 
     #[test]
     fn speedup_has_random_baseline_of_one() {
-        let s = speedup(3, 4_000, 4);
+        let s = speedup(&FuzzConfig::builder(), 3, 4_000, 4);
         let rnd = s.rows.iter().find(|(n, _, _)| n == "UVM-random").unwrap();
         assert!((rnd.2.unwrap() - 1.0).abs() < 1e-9);
         let sf = s.rows.iter().find(|(n, _, _)| n == "SymbFuzz").unwrap();

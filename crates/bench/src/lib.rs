@@ -32,17 +32,20 @@
 //! graceful degradation to random mutation), `--solve-wall-ms N`
 //! (per-solve wall-clock ceiling; non-deterministic), the flight
 //! recorder's `--sample-every N` / `--flight-out PATH` /
-//! `--status-out PATH` (see [`monitor`]), and the incremental-solver
-//! knobs `--incremental` / `--solver-cache-budget BYTES` /
-//! `--portfolio N` / `--affinity`; all are handled by
-//! [`args::parse_bench_args`].
+//! `--status-out PATH` (see [`monitor`]), `--settle-mode MODE`,
+//! `--snapshot-budget BYTES`, `--introspect` and `--incremental`; all
+//! are handled by [`args::parse_bench_args`], which folds the campaign
+//! knobs into one validated
+//! [`FuzzConfigBuilder`](symbfuzz_core::FuzzConfigBuilder) and exits
+//! with status 2 on a bad command line.
 //!
 //! # Examples
 //!
 //! ```
 //! use symbfuzz_bench::experiments;
+//! use symbfuzz_core::FuzzConfig;
 //! // A miniature Table 2 on the first two bugs only (fast), 2 workers.
-//! let m = experiments::detection_matrix(2, 4_000, 2);
+//! let m = experiments::detection_matrix(&FuzzConfig::builder(), 2, 4_000, 2);
 //! assert_eq!(m.rows.len(), 2);
 //! assert!(m.rows.iter().all(|r| r.symbfuzz));
 //! ```
@@ -56,25 +59,23 @@ pub mod render;
 pub mod solverscope;
 pub mod trace;
 
-pub use args::{parse_bench_args, split_bench_args, BenchArgs};
+pub use args::{exit_usage, parse_bench_args, split_bench_args, ArgError, BenchArgs};
 pub use covreport::{
     build_report, render_html, render_markdown, trace_mechanism_counts, validate_covmap,
     validate_report, BugReport, ChainLink, CovReport, MechanismCount, StrategyReport,
     COVREPORT_VERSION,
 };
 pub use experiments::{
-    affinity, budget_profile, coverage_race, detection_matrix, enable_tracing, flush_trace,
-    incremental, introspection, portfolio, sampling, set_affinity, set_incremental,
-    set_introspection, set_portfolio, set_sampling, set_solver_budget, set_solver_cache_budget,
-    solver_cache_budget, solvercache_profile, solverscope_profile, table1_rows, table3_rows,
-    tracing_enabled, variance_profile, BudgetProfileRow, DetectionRow, RaceResult,
-    ScopeProfileResult, SolverCacheResult, SolverCacheRow, Table1Row, Table3Row, VariancePoint,
+    budget_profile, coverage_race, detection_matrix, enable_tracing, flush_trace,
+    solvercache_profile, solverscope_profile, table1_rows, table3_rows, tracing_enabled,
+    variance_profile, BudgetProfileRow, DetectionRow, RaceResult, ScopeProfileResult,
+    SolverCacheResult, SolverCacheRow, Table1Row, Table3Row, VariancePoint,
 };
 pub use monitor::{
     check_flight, check_status, parse_prometheus, render_dashboard, render_prometheus,
 };
 pub use pool::{
-    default_jobs, merge_covmap_counts, merge_flight_rows, merge_portfolios, merge_solver_caches,
+    default_jobs, merge_covmap_counts, merge_flight_rows, merge_solver_caches,
     merge_solver_profiles, merge_solver_scopes, merge_telemetry, merge_vm_profiles, parse_jobs,
     run_pool,
 };

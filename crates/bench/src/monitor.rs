@@ -549,7 +549,6 @@ mod tests {
         // campaign above runs with `incremental_solving` on).
         value("symbfuzz_bitblast_cache_hits_total");
         value("symbfuzz_bitblast_cache_misses_total");
-        value("symbfuzz_portfolio_races_won_total");
         value("symbfuzz_gauge_solver_session_reuse_milli");
         // Every cumulative counter in the heartbeat survives the
         // render → parse round trip with its value intact.

@@ -12,8 +12,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use symbfuzz_core::{
-    CovMap, FlightRow, PortfolioBlock, SolverCacheBlock, SolverProfileBlock, SolverScopeBlock,
-    TelemetryBlock, VmProfileBlock, SOLVERSCOPE_VERSION,
+    CovMap, FlightRow, SolverCacheBlock, SolverProfileBlock, SolverScopeBlock, TelemetryBlock,
+    VmProfileBlock, SOLVERSCOPE_VERSION,
 };
 use symbfuzz_telemetry::{merge_flight, FlightSample, Mechanism, MetricsSnapshot};
 
@@ -299,7 +299,6 @@ where
         let acc = acc.get_or_insert_with(SolverCacheBlock::default);
         acc.frame_hits += b.frame_hits;
         acc.frame_misses += b.frame_misses;
-        acc.evictions += b.evictions;
         acc.goals += b.goals;
         acc.reused_goals += b.reused_goals;
     }
@@ -307,21 +306,6 @@ where
         acc.reuse_milli = (acc.reused_goals * 1000)
             .checked_div(acc.goals)
             .unwrap_or(0);
-    }
-    acc
-}
-
-/// Merges per-task portfolio blocks (races and per-profile wins sum,
-/// width keeps the maximum — see [`PortfolioBlock::merge`]). `None`
-/// inputs (campaigns run without racing) contribute nothing; the
-/// merge is `None` only when every input is.
-pub fn merge_portfolios<'a, I>(blocks: I) -> Option<PortfolioBlock>
-where
-    I: IntoIterator<Item = Option<&'a PortfolioBlock>>,
-{
-    let mut acc: Option<PortfolioBlock> = None;
-    for b in blocks.into_iter().flatten() {
-        acc.get_or_insert_with(PortfolioBlock::default).merge(b);
     }
     acc
 }
@@ -368,7 +352,6 @@ mod tests {
         let a = SolverCacheBlock {
             frame_hits: 6,
             frame_misses: 2,
-            evictions: 1,
             goals: 10,
             reused_goals: 8,
             reuse_milli: 800,
@@ -376,7 +359,6 @@ mod tests {
         let b = SolverCacheBlock {
             frame_hits: 0,
             frame_misses: 2,
-            evictions: 0,
             goals: 10,
             reused_goals: 0,
             reuse_milli: 0,
@@ -384,32 +366,12 @@ mod tests {
         let merged = merge_solver_caches([Some(&a), None, Some(&b)]).unwrap();
         assert_eq!(merged.frame_hits, 6);
         assert_eq!(merged.frame_misses, 4);
-        assert_eq!(merged.evictions, 1);
         assert_eq!(merged.goals, 20);
         // Recomputed from the merged totals (8/20), not averaged
         // per-task (which would read 400 here too — but only by luck;
         // an idle task must not drag the pooled rate down).
         assert_eq!(merged.reuse_milli, 400);
         assert!(merge_solver_caches([None, None]).is_none());
-    }
-
-    #[test]
-    fn portfolios_merge_by_profile_index() {
-        let a = PortfolioBlock {
-            width: 2,
-            races: 3,
-            wins: vec![2, 1],
-        };
-        let b = PortfolioBlock {
-            width: 3,
-            races: 4,
-            wins: vec![1, 0, 3],
-        };
-        let merged = merge_portfolios([Some(&a), Some(&b), None]).unwrap();
-        assert_eq!(merged.width, 3);
-        assert_eq!(merged.races, 7);
-        assert_eq!(merged.wins, vec![3, 1, 3]);
-        assert!(merge_portfolios([None]).is_none());
     }
 
     #[test]

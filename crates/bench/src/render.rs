@@ -111,8 +111,8 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 pub fn render_budget_profile(rows: &[BudgetProfileRow]) -> String {
     let mut out = String::from(
         "| design | conflict budget | vectors | coverage | exhaustions | \
-         neg-cache hits | cache h/m | reuse | portfolio wins | outcomes |\n\
-         |---|---|---|---|---|---|---|---|---|---|\n",
+         neg-cache hits | cache h/m | reuse | outcomes |\n\
+         |---|---|---|---|---|---|---|---|---|\n",
     );
     for r in rows {
         let outcomes = r
@@ -130,18 +130,8 @@ pub fn render_budget_profile(rows: &[BudgetProfileRow]) -> String {
                 format!("{:.3}", r.session_reuse_milli as f64 / 1000.0),
             )
         };
-        let wins = if r.portfolio_wins.is_empty() {
-            "-".to_string()
-        } else {
-            r.portfolio_wins
-                .iter()
-                .enumerate()
-                .map(|(i, w)| format!("P{i}:{w}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {cache} | {reuse} | {wins} | {} |\n",
+            "| {} | {} | {} | {} | {} | {} | {cache} | {reuse} | {} |\n",
             r.design,
             r.solver_budget,
             r.vectors,
@@ -160,21 +150,11 @@ pub fn render_budget_profile(rows: &[BudgetProfileRow]) -> String {
 pub fn render_solvercache_profile(rows: &[SolverCacheResult]) -> String {
     let mut out = String::from(
         "| design | goals | cold confl/verdict | warm confl/verdict | geomean ratio | \
-         cache h/m | reuse | portfolio wins |\n|---|---|---|---|---|---|---|---|\n",
+         cache h/m | reuse |\n|---|---|---|---|---|---|---|\n",
     );
     for r in rows {
-        let wins = match &r.portfolio {
-            Some(p) => p
-                .wins
-                .iter()
-                .enumerate()
-                .map(|(i, w)| format!("P{i}:{w}"))
-                .collect::<Vec<_>>()
-                .join(" "),
-            None => "-".to_string(),
-        };
         out.push_str(&format!(
-            "| {} | {} | {:.3} | {:.3} | {:.3}× | {}/{} | {:.3} | {wins} |\n",
+            "| {} | {} | {:.3} | {:.3} | {:.3}× | {}/{} | {:.3} |\n",
             r.design,
             r.goals.len(),
             r.cold_conflicts_per_verdict_milli as f64 / 1000.0,
@@ -395,11 +375,10 @@ mod tests {
             bitblast_cache_hits: 9,
             bitblast_cache_misses: 3,
             session_reuse_milli: 750,
-            portfolio_wins: vec![2, 1],
             solve_outcomes: vec![("sat".into(), 4)],
         };
         let md = render_budget_profile(&[row]);
-        assert!(md.contains("| 9/3 | 0.750 | P0:2 P1:1 |"), "{md}");
+        assert!(md.contains("| 9/3 | 0.750 | sat:4 |"), "{md}");
 
         let ab = SolverCacheResult {
             design: "goalfabric".into(),
@@ -419,16 +398,14 @@ mod tests {
             cache: symbfuzz_core::SolverCacheBlock {
                 frame_hits: 9,
                 frame_misses: 3,
-                evictions: 0,
                 goals: 12,
                 reused_goals: 9,
                 reuse_milli: 750,
             },
-            portfolio: None,
         };
         let md = render_solvercache_profile(&[ab]);
         assert!(
-            md.contains("| 30.000 | 5.000 | 5.167× | 9/3 | 0.750 | - |"),
+            md.contains("| 30.000 | 5.000 | 5.167× | 9/3 | 0.750 |"),
             "{md}"
         );
         assert!(md.contains("`l0` = 1"), "{md}");

@@ -15,11 +15,11 @@
 
 use crate::experiments::ScopeProfileResult;
 use serde::{Deserialize, Serialize, Value};
-use symbfuzz_core::{ScopeGoalRow, SOLVERSCOPE_VERSION};
+use symbfuzz_core::{FuzzConfigBuilder, ScopeGoalRow, SOLVERSCOPE_VERSION};
 use symbfuzz_smt::{trace_hist_quantile, TRACE_HIST_BUCKETS};
 
 /// Version stamp of the report schema (v2 added the per-design
-/// `solver_cache` and `portfolio` blocks).
+/// `solver_cache` block).
 pub const SCOPEREPORT_VERSION: u32 = 2;
 
 /// The joined solver-introspection report (versioned JSON).
@@ -37,13 +37,19 @@ pub struct ScopeReport {
     pub designs: Vec<ScopeProfileResult>,
 }
 
-/// Builds the report by running the introspected campaign profile.
-pub fn build_scope_report(max_vectors: u64, solver_budget: u64, jobs: usize) -> ScopeReport {
+/// Builds the report by running the introspected campaign profile
+/// under the command line's campaign knobs (`base`).
+pub fn build_scope_report(
+    base: &FuzzConfigBuilder,
+    max_vectors: u64,
+    solver_budget: u64,
+    jobs: usize,
+) -> ScopeReport {
     ScopeReport {
         version: SCOPEREPORT_VERSION,
         max_vectors,
         solver_budget,
-        designs: crate::experiments::solverscope_profile(max_vectors, solver_budget, jobs),
+        designs: crate::experiments::solverscope_profile(base, max_vectors, solver_budget, jobs),
     }
 }
 
@@ -169,22 +175,6 @@ pub fn validate_scope_report(text: &str) -> Result<ScopeReport, String> {
                 return Err(format!(
                     "design `{}`: session reuse {} exceeds 1000 milli",
                     d.design, c.reuse_milli
-                ));
-            }
-        }
-        if let Some(p) = &d.portfolio {
-            if p.wins.len() != p.width as usize {
-                return Err(format!(
-                    "design `{}`: {} win tallies for portfolio width {}",
-                    d.design,
-                    p.wins.len(),
-                    p.width
-                ));
-            }
-            if p.wins.iter().sum::<u64>() > p.races {
-                return Err(format!(
-                    "design `{}`: more portfolio wins than races",
-                    d.design
                 ));
             }
         }
@@ -500,28 +490,14 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
         if let Some(c) = &d.solver_cache {
             out.push_str(&format!(
                 "<p>Bitblast cache: {} frame hits / {} misses \
-                 ({:.1}% hit rate), {} evictions; {} of {} goal checks \
+                 ({:.1}% hit rate); {} of {} goal checks \
                  answered on a warm session ({:.1}% reuse).</p>\n",
                 c.frame_hits,
                 c.frame_misses,
                 c.hit_rate_milli() as f64 / 10.0,
-                c.evictions,
                 c.reused_goals,
                 c.goals,
                 c.reuse_milli as f64 / 10.0
-            ));
-        }
-        if let Some(p) = &d.portfolio {
-            let wins = p
-                .wins
-                .iter()
-                .enumerate()
-                .map(|(i, w)| format!("P{i}: {w}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "<p>Portfolio: {} races across {} budget profiles — wins {wins}.</p>\n",
-                p.races, p.width
             ));
         }
 
@@ -632,8 +608,8 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
 pub fn render_scope_markdown(r: &ScopeReport) -> String {
     let mut out = format!(
         "# Solver introspection — {} vectors, conflict ceiling {}\n\n\
-         | design | campaigns | goals | exhausted | blamed | affinity | cache hit | reuse | portfolio wins |\n\
-         |---|---|---|---|---|---|---|---|---|\n",
+         | design | campaigns | goals | exhausted | blamed | affinity | cache hit | reuse |\n\
+         |---|---|---|---|---|---|---|---|\n",
         r.max_vectors, r.solver_budget
     );
     for d in &r.designs {
@@ -644,18 +620,8 @@ pub fn render_scope_markdown(r: &ScopeReport) -> String {
             ),
             None => ("-".to_string(), "-".to_string()),
         };
-        let wins = match &d.portfolio {
-            Some(p) => p
-                .wins
-                .iter()
-                .enumerate()
-                .map(|(i, w)| format!("P{i}:{w}"))
-                .collect::<Vec<_>>()
-                .join(" "),
-            None => "-".to_string(),
-        };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {:.3} | {hit} | {reuse} | {wins} |\n",
+            "| {} | {} | {} | {} | {} | {:.3} | {hit} | {reuse} |\n",
             d.design,
             d.campaigns,
             d.scope.goals.len(),
@@ -767,15 +733,9 @@ mod tests {
                 solver_cache: Some(symbfuzz_core::SolverCacheBlock {
                     frame_hits: 6,
                     frame_misses: 2,
-                    evictions: 1,
                     goals: 10,
                     reused_goals: 8,
                     reuse_milli: 800,
-                }),
-                portfolio: Some(symbfuzz_core::PortfolioBlock {
-                    width: 2,
-                    races: 5,
-                    wins: vec![3, 2],
                 }),
             }],
         }
@@ -825,26 +785,11 @@ mod tests {
             .unwrap_err()
             .contains("buckets"));
 
-        // v2 additions: cache reuse and portfolio tallies must be
-        // internally consistent.
+        // v2 addition: cache reuse must be internally consistent.
         let mut r = tiny_report();
         r.designs[0].solver_cache.as_mut().unwrap().reused_goals = 99;
         let json = serde_json::to_string(&r).unwrap();
         assert!(validate_scope_report(&json).unwrap_err().contains("reused"));
-
-        let mut r = tiny_report();
-        r.designs[0].portfolio.as_mut().unwrap().wins = vec![3];
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_scope_report(&json)
-            .unwrap_err()
-            .contains("win tallies"));
-
-        let mut r = tiny_report();
-        r.designs[0].portfolio.as_mut().unwrap().wins = vec![9, 9];
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_scope_report(&json)
-            .unwrap_err()
-            .contains("more portfolio wins"));
     }
 
     #[test]
@@ -871,10 +816,9 @@ mod tests {
     #[test]
     fn markdown_summarises_attribution() {
         let md = render_scope_markdown(&tiny_report());
-        // 6/8 frame hits = 75.0 %, 800 milli reuse, portfolio wins by
-        // profile index.
+        // 6/8 frame hits = 75.0 %, 800 milli reuse.
         assert!(
-            md.contains("| hard_factor | 2 | 2 | 1 | 1 | 1.000 | 75.0% | 0.800 | P0:3 P1:2 |"),
+            md.contains("| hard_factor | 2 | 2 | 1 | 1 | 1.000 | 75.0% | 0.800 |"),
             "{md}"
         );
         assert!(md.contains("blames lock, st"));

@@ -279,9 +279,17 @@ pub const METRICS_KIND: &str = "Metrics";
 pub const FLIGHT_KIND: &str = "Flight";
 
 /// Kind of the once-per-campaign incremental-solver summary record
-/// (`Collector::emit_solver_cache_metrics`): bitblast-cache counters,
-/// session-reuse gauge and per-profile portfolio win tallies.
+/// (`Collector::emit_solver_cache_metrics`): bitblast-cache counters
+/// and the session-reuse gauge.
 pub const SOLVER_CACHE_KIND: &str = "SolverCache";
+
+/// `(kind, field)` pairs earlier releases wrote that are no longer part
+/// of the kind's schema (the portfolio race tallies): accepted on input
+/// and dropped, so old traces still check.
+const RETIRED_FIELDS: [(&str, &str); 2] = [
+    (SOLVER_CACHE_KIND, "portfolio_races"),
+    (SOLVER_CACHE_KIND, "portfolio_wins"),
+];
 
 /// The `(field, expected type)` schema of each record kind, beyond the
 /// common `t`/`task`/`kind` header. A `checkpoint` may be number or
@@ -368,8 +376,6 @@ fn kind_schema(kind: &str) -> Option<&'static [(&'static str, &'static str)]> {
             ("bitblast_cache_hits", "number"),
             ("bitblast_cache_misses", "number"),
             ("session_reuse_milli", "number"),
-            ("portfolio_races", "number"),
-            ("portfolio_wins", "array"),
         ]),
         _ => None,
     }
@@ -411,6 +417,7 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
          `{FLIGHT_KIND}` or `{SOLVER_CACHE_KIND}`)",
         Event::KINDS
     ))?;
+    fields.retain(|(n, _)| !RETIRED_FIELDS.contains(&(kind.as_str(), n.as_str())));
     if fields.len() != schema.len() {
         return Err(format!(
             "`{kind}` expects fields {:?}, got {:?}",
@@ -597,10 +604,9 @@ pub fn settle_mix_table(records: &[TraceRecord]) -> String {
 
 /// Renders the incremental-solver summary from the once-per-campaign
 /// `SolverCache` records: per-task bitblast-cache hits/misses with the
-/// hit rate, the warm-session reuse ratio, and — when the campaign
-/// raced a portfolio — per-profile win columns, plus a totals row.
-/// Empty when the trace predates the incremental solver (no
-/// `SolverCache` records).
+/// hit rate and the warm-session reuse ratio, plus a totals row. Empty
+/// when the trace predates the incremental solver (no `SolverCache`
+/// records).
 pub fn solver_cache_table(records: &[TraceRecord]) -> String {
     let rows: Vec<&TraceRecord> = records
         .iter()
@@ -617,49 +623,25 @@ pub fn solver_cache_table(records: &[TraceRecord]) -> String {
             format!("{:.1}%", 100.0 * hits as f64 / total as f64)
         }
     };
-    let profiles = rows
-        .iter()
-        .map(|r| r.arr("portfolio_wins").len())
-        .max()
-        .unwrap_or(0);
-    let mut out = String::from("| task | cache hits | misses | hit rate | session reuse | races |");
-    for i in 0..profiles {
-        out.push_str(&format!(" P{i} wins |"));
-    }
-    out.push_str("\n|---|---|---|---|---|---|");
-    out.push_str(&"---|".repeat(profiles));
-    out.push('\n');
-    let (mut th, mut tm, mut tr) = (0u64, 0u64, 0u64);
-    let mut tw = vec![0u64; profiles];
+    let mut out = String::from(
+        "| task | cache hits | misses | hit rate | session reuse |\n|---|---|---|---|---|\n",
+    );
+    let (mut th, mut tm) = (0u64, 0u64);
     for r in &rows {
         let (hits, misses) = (r.num("bitblast_cache_hits"), r.num("bitblast_cache_misses"));
-        let wins = r.arr("portfolio_wins");
         out.push_str(&format!(
-            "| {} | {hits} | {misses} | {} | {:.3} | {} |",
+            "| {} | {hits} | {misses} | {} | {:.3} |\n",
             r.task,
             rate(hits, misses),
             r.num("session_reuse_milli") as f64 / 1000.0,
-            r.num("portfolio_races"),
         ));
-        for i in 0..profiles {
-            out.push_str(&format!(" {} |", wins.get(i).copied().unwrap_or(0)));
-        }
-        out.push('\n');
         th += hits;
         tm += misses;
-        tr += r.num("portfolio_races");
-        for (dst, src) in tw.iter_mut().zip(wins) {
-            *dst += *src;
-        }
     }
     out.push_str(&format!(
-        "| **all** | {th} | {tm} | {} | — | {tr} |",
+        "| **all** | {th} | {tm} | {} | — |\n",
         rate(th, tm)
     ));
-    for w in &tw {
-        out.push_str(&format!(" {w} |"));
-    }
-    out.push('\n');
     out
 }
 
@@ -1142,26 +1124,17 @@ mod tests {
         // The exact shape `Collector::emit_solver_cache_metrics` writes.
         let text = "\
 {\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
-\"bitblast_cache_misses\":10,\"session_reuse_milli\":800,\"portfolio_races\":5,\
-\"portfolio_wins\":[3,2]}
+\"bitblast_cache_misses\":10,\"session_reuse_milli\":800}
 {\"t\":2,\"task\":1,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":0,\
-\"bitblast_cache_misses\":0,\"session_reuse_milli\":0,\"portfolio_races\":0,\
-\"portfolio_wins\":[]}
+\"bitblast_cache_misses\":0,\"session_reuse_milli\":0}
 ";
         let recs = parse_trace(text).unwrap();
         let table = solver_cache_table(&recs);
+        assert!(table.contains("| 0 | 30 | 10 | 75.0% | 0.800 |"), "{table}");
+        assert!(table.contains("| 1 | 0 | 0 | - | 0.000 |"), "{table}");
+        // Totals sum counters across tasks.
         assert!(
-            table.contains("| 0 | 30 | 10 | 75.0% | 0.800 | 5 | 3 | 2 |"),
-            "{table}"
-        );
-        // A task with an empty wins array zero-fills the profile columns.
-        assert!(
-            table.contains("| 1 | 0 | 0 | - | 0.000 | 0 | 0 | 0 |"),
-            "{table}"
-        );
-        // Totals sum counters and per-profile wins across tasks.
-        assert!(
-            table.contains("| **all** | 30 | 10 | 75.0% | — | 5 | 3 | 2 |"),
+            table.contains("| **all** | 30 | 10 | 75.0% | — |"),
             "{table}"
         );
         // Canonical re-serialization round-trips.
@@ -1171,15 +1144,30 @@ mod tests {
             "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":1}"
         )
         .is_err());
-        // A non-array wins field is a schema violation too.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":1,\
-\"bitblast_cache_misses\":1,\"session_reuse_milli\":0,\"portfolio_races\":0,\
-\"portfolio_wins\":7}"
-        )
-        .is_err());
         // Traces without SolverCache records render nothing.
         assert_eq!(solver_cache_table(&[]), "");
+    }
+
+    #[test]
+    fn pre_change_solver_cache_lines_still_check() {
+        // Written while portfolio racing existed: the race tallies are
+        // accepted and dropped.
+        let old = "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
+\"bitblast_cache_misses\":10,\"session_reuse_milli\":800,\"portfolio_races\":5,\
+\"portfolio_wins\":[3,2]}";
+        let rec = parse_line(old).unwrap();
+        assert_eq!(rec.num("bitblast_cache_hits"), 30);
+        assert_eq!(
+            to_json_lines(&[rec]),
+            "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
+\"bitblast_cache_misses\":10,\"session_reuse_milli\":800}\n"
+        );
+        // Retired names are only forgiven on the kind that carried them.
+        assert!(parse_line(
+            "{\"t\":1,\"task\":0,\"kind\":\"Metrics\",\"settle_fast_path\":1,\
+\"settle_escapes\":0,\"x_island_cones\":0,\"settle_sweeps\":1,\"portfolio_races\":0}"
+        )
+        .is_err());
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! every `(state, goal, depth)` query, with the same shortest plan
 //! length on Sat (models may legitimately differ — warm sessions carry
 //! learned clauses that steer CDCL to a different witness). That must
-//! hold through mid-campaign session resets (the portfolio racer drops
-//! loser state) and under a starvation-level byte budget that evicts
-//! every session between queries.
+//! hold across start-state switches too, each of which drops the one
+//! warm session and seeds a cold one.
 //!
 //! Swept deterministically over the toy ALU, the goal-dense fabric and
 //! a Table-1 bug benchmark, then property-tested on the toy ALU with
@@ -21,6 +20,17 @@ use symbfuzz_netlist::{Design, SignalId};
 use symbfuzz_sim::{Reentry, Simulator};
 use symbfuzz_smt::Budget;
 use symbfuzz_symexec::{ReachOutcome, SymbolicEngine};
+
+/// The part of a state the solver sees (and the frame cache keys on).
+fn registers(design: &Design, state: &[LogicVec]) -> Vec<LogicVec> {
+    design
+        .signals
+        .iter()
+        .zip(state)
+        .filter(|(s, _)| s.is_register)
+        .map(|(_, v)| v.clone())
+        .collect()
+}
 
 /// Deterministic input-word generator (64-bit LCG, chunked to width).
 fn next_word(width: u32, state: &mut u64) -> LogicVec {
@@ -105,17 +115,16 @@ fn assert_same_verdict(
 
 /// Full deterministic sweep of one design: every sampled state crossed
 /// with every goal, under an unlimited budget and an unroll-depth
-/// ceiling, with a session reset halfway through.
-fn sweep_design(design: Arc<Design>, label: &str, cache_budget: u64) -> SymbolicEngine {
+/// ceiling.
+fn sweep_design(design: Arc<Design>, label: &str) -> SymbolicEngine {
     let fresh = SymbolicEngine::new(Arc::clone(&design));
     let mut warm = SymbolicEngine::new(Arc::clone(&design));
-    warm.set_solver_cache(Some(cache_budget));
+    warm.set_solver_cache(true);
     let states = sample_states(&design, 0x5EED ^ label.len() as u64);
     let regs = goal_registers(&design, 8, 5);
     assert!(!regs.is_empty(), "{label}: no narrow registers to target");
     let unlimited = Budget::unlimited();
     let shallow = Budget::unlimited().with_unroll_depth(1);
-    let mut queries = 0u32;
     for (si, state) in states.iter().enumerate() {
         for &reg in &regs {
             let w = design.signal(reg).width;
@@ -141,12 +150,6 @@ fn sweep_design(design: Arc<Design>, label: &str, cache_budget: u64) -> Symbolic
                     &shallow,
                     &format!("{label} state {si} depth-1"),
                 );
-                queries += 1;
-                if queries == 8 {
-                    // The portfolio racer drops loser sessions
-                    // mid-campaign; equivalence must survive it.
-                    warm.reset_solver_cache();
-                }
             }
         }
     }
@@ -155,7 +158,7 @@ fn sweep_design(design: Arc<Design>, label: &str, cache_budget: u64) -> Symbolic
 
 #[test]
 fn incremental_matches_fresh_on_toy_alu() {
-    let warm = sweep_design(toy_alu(), "toy_alu", 1 << 20);
+    let warm = sweep_design(toy_alu(), "toy_alu");
     let stats = warm.cache_stats();
     assert!(stats.goals > 0, "cache never consulted: {stats:?}");
     assert!(
@@ -170,7 +173,7 @@ fn incremental_matches_fresh_on_toy_alu() {
 
 #[test]
 fn incremental_matches_fresh_on_goal_fabric() {
-    let warm = sweep_design(goal_fabric(), "goalfabric", 1 << 20);
+    let warm = sweep_design(goal_fabric(), "goalfabric");
     let stats = warm.cache_stats();
     assert!(stats.reused_goals > 0, "fabric sweep never warm: {stats:?}");
 }
@@ -179,19 +182,47 @@ fn incremental_matches_fresh_on_goal_fabric() {
 fn incremental_matches_fresh_on_bug_benchmark() {
     let bug = &bug_benchmarks()[0];
     let design = bug.design().expect("bug benchmark elaborates");
-    sweep_design(design, bug.name, 1 << 20);
+    sweep_design(design, bug.name);
 }
 
 #[test]
-fn incremental_matches_fresh_under_starvation_eviction() {
-    // A one-byte budget evicts every session as soon as the sweep runs:
-    // verdicts must still match even though nothing ever stays warm.
-    let warm = sweep_design(toy_alu(), "toy_alu/starved", 1);
-    let stats = warm.cache_stats();
-    assert!(
-        stats.evictions > 0,
-        "starvation budget never evicted: {stats:?}"
-    );
+fn incremental_matches_fresh_when_start_states_alternate() {
+    // State-minor order: consecutive queries come from different start
+    // states, so each switch drops the warm session and the next query
+    // blasts its whole frame chain afresh. Verdicts must still match.
+    let design = toy_alu();
+    let fresh = SymbolicEngine::new(Arc::clone(&design));
+    let mut warm = SymbolicEngine::new(Arc::clone(&design));
+    warm.set_solver_cache(true);
+    let states = sample_states(&design, 0x5EED);
+    let budget = Budget::unlimited();
+    let mut prev: Option<Vec<LogicVec>> = None;
+    let mut switches = 0u32;
+    for reg in goal_registers(&design, 8, 5) {
+        let w = design.signal(reg).width;
+        for v in [0u64, 1, (1u64 << w.min(63)) - 1] {
+            let goal = [(reg, LogicVec::from_u64(w, v))];
+            for (si, state) in states.iter().enumerate() {
+                let misses = warm.cache_stats().frame_misses;
+                let f = fresh
+                    .solve_reach_budgeted(state, &goal, 3, &budget)
+                    .unwrap();
+                let (w_out, stats) = warm.solve_reach_profiled(state, &goal, 3, &budget).unwrap();
+                assert_eq!(f.status(), w_out.status(), "state {si}, goal {v}");
+                let regs = registers(&design, state);
+                if prev.as_ref().is_some_and(|p| *p != regs) {
+                    switches += 1;
+                    assert_eq!(
+                        warm.cache_stats().frame_misses - misses,
+                        u64::from(stats.deepest_unroll),
+                        "state {si}: the switch kept warm frames"
+                    );
+                }
+                prev = Some(regs);
+            }
+        }
+    }
+    assert!(switches > 0, "the sampled states never differ");
 }
 
 mod prop {
@@ -208,7 +239,7 @@ mod prop {
             let design = toy_alu();
             let fresh = SymbolicEngine::new(Arc::clone(&design));
             let mut warm = SymbolicEngine::new(Arc::clone(&design));
-            warm.set_solver_cache(Some(1 << 20));
+            warm.set_solver_cache(true);
             let states = sample_states(&design, seed);
             let regs = goal_registers(&design, 8, 4);
             let budget = Budget::unlimited();

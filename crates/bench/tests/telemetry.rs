@@ -46,8 +46,8 @@ fn lock_fuzzer(max_vectors: u64) -> SymbFuzz {
 /// campaign report embedding them) are byte-identical at any `--jobs`.
 #[test]
 fn merged_telemetry_is_byte_identical_across_job_counts() {
-    let serial = resource_profile(1, 2_000, 1);
-    let wide = resource_profile(1, 2_000, 4);
+    let serial = resource_profile(&FuzzConfig::builder(), 1, 2_000, 1);
+    let wide = resource_profile(&FuzzConfig::builder(), 1, 2_000, 4);
     let merged_serial = merge_telemetry(serial.iter().map(|(_, r)| &r.telemetry));
     let merged_wide = merge_telemetry(wide.iter().map(|(_, r)| &r.telemetry));
     assert_eq!(

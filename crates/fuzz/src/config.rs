@@ -175,37 +175,18 @@ pub struct FuzzConfig {
     /// when off the solver's trace hooks cost one pointer test per
     /// conflict and nothing is allocated.
     pub solver_introspection: bool,
-    /// Incremental solving: keep one warm SAT solver per unrolled
-    /// frame alive across goals (assumption-based `check_assuming`),
-    /// memoizing the transition-relation CNF so the geometric depth
-    /// schedule only blasts the new frame. Verdict-equivalent to fresh
-    /// solving; off by default (the A/B control for the solver-cache
-    /// experiments).
+    /// Incremental solving: keep one warm SAT solver for the current
+    /// start state alive across goals (assumption-based
+    /// `check_assuming`), memoizing the transition-relation CNF so the
+    /// geometric depth schedule only blasts the new frame; a goal from
+    /// another start state replaces the session. Verdict-equivalent to
+    /// fresh solving; off by default (the A/B control for the
+    /// solver-cache experiments).
     pub incremental_solving: bool,
-    /// Byte budget for the bitblast/session cache used by
-    /// `incremental_solving`: when the cached sessions' estimated
-    /// footprint exceeds this, least-recently-used frames are evicted.
-    pub solver_cache_budget: u64,
-    /// Portfolio width: race this many budget profiles per solve on
-    /// scoped threads (small-budget/restart-heavy probes alongside the
-    /// full budget), first definitive answer wins under the canonical
-    /// lowest-index rule — campaign reports stay byte-identical at any
-    /// thread count. `0` disables racing; widths of 2–4 are accepted.
-    pub portfolio: u32,
-    /// Affinity-ordered goal batching: reorder each guidance round's
-    /// targets by structural-sketch similarity (greedy nearest-neighbor
-    /// chaining over the KMV sketches) so goals sharing logic hit a
-    /// warm solver session back to back. Requires
-    /// `solver_introspection` for the sketches; off by default.
-    pub affinity_ordering: bool,
 }
 
 fn default_snapshot_mem_budget() -> u64 {
     64 * 1024 * 1024
-}
-
-fn default_solver_cache_budget() -> u64 {
-    16 * 1024 * 1024
 }
 
 impl Deserialize for FuzzConfig {
@@ -244,18 +225,6 @@ impl Deserialize for FuzzConfig {
                 Ok(f) => Deserialize::from_value(f)?,
                 Err(_) => defaults.incremental_solving,
             },
-            solver_cache_budget: match v.field("solver_cache_budget") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => defaults.solver_cache_budget,
-            },
-            portfolio: match v.field("portfolio") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => defaults.portfolio,
-            },
-            affinity_ordering: match v.field("affinity_ordering") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => defaults.affinity_ordering,
-            },
         })
     }
 }
@@ -283,9 +252,6 @@ impl Default for FuzzConfig {
             sample_every: None,
             solver_introspection: false,
             incremental_solving: false,
-            solver_cache_budget: default_solver_cache_budget(),
-            portfolio: 0,
-            affinity_ordering: false,
         }
     }
 }
@@ -323,15 +289,6 @@ impl FuzzConfig {
         if self.snapshot_mem_budget < 1024 {
             return Err(ConfigError::TinySnapshotBudget);
         }
-        if self.solver_cache_budget < 1024 {
-            return Err(ConfigError::TinySolverCacheBudget);
-        }
-        if self.portfolio == 1 || self.portfolio > 4 {
-            return Err(ConfigError::BadPortfolioWidth);
-        }
-        if self.affinity_ordering && !self.solver_introspection {
-            return Err(ConfigError::AffinityWithoutIntrospection);
-        }
         Ok(())
     }
 }
@@ -359,18 +316,6 @@ pub enum ConfigError {
     /// `snapshot_mem_budget` below 1 KiB (including zero): too small
     /// to hold even one page, so every fork would immediately evict.
     TinySnapshotBudget,
-    /// `solver_cache_budget` below 1 KiB (including zero): too small
-    /// to hold even one warm frame, so every solve would immediately
-    /// evict; set `incremental_solving: false` to disable reuse.
-    TinySolverCacheBudget,
-    /// `portfolio` width of 1 (a one-horse race is just the plain
-    /// solve — use 0) or above 4 (beyond the budget ladder's useful
-    /// spread).
-    BadPortfolioWidth,
-    /// `affinity_ordering` without `solver_introspection`: the
-    /// structural sketches the ordering keys on are only collected
-    /// when introspection is enabled.
-    AffinityWithoutIntrospection,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -396,19 +341,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TinySnapshotBudget => write!(
                 f,
                 "snapshot_mem_budget must be at least 1024 bytes (room for one small snapshot)"
-            ),
-            ConfigError::TinySolverCacheBudget => write!(
-                f,
-                "solver_cache_budget must be at least 1024 bytes (room for one warm frame); \
-                 set incremental_solving: false to disable reuse"
-            ),
-            ConfigError::BadPortfolioWidth => {
-                write!(f, "portfolio width must be 0 (off) or 2..=4 profiles")
-            }
-            ConfigError::AffinityWithoutIntrospection => write!(
-                f,
-                "affinity_ordering requires solver_introspection (the ordering keys on the \
-                 structural sketches introspection collects)"
             ),
         }
     }
@@ -439,6 +371,11 @@ macro_rules! setter {
 }
 
 impl FuzzConfigBuilder {
+    /// The configuration as set so far (not yet validated).
+    pub fn current(&self) -> &FuzzConfig {
+        &self.config
+    }
+
     setter!(
         /// Clock cycles per interval (coverage scan period).
         interval: u32
@@ -529,25 +466,10 @@ impl FuzzConfigBuilder {
         solver_introspection: bool
     );
     setter!(
-        /// Keep warm solver sessions across goals sharing an unrolled
-        /// frame (assumption-based incremental solving + bitblast
-        /// cache).
+        /// Keep one warm solver session across goals posed from the
+        /// same start state (assumption-based incremental solving +
+        /// bitblast cache).
         incremental_solving: bool
-    );
-    setter!(
-        /// Byte budget for the warm-session bitblast cache (LRU
-        /// eviction above it).
-        solver_cache_budget: u64
-    );
-    setter!(
-        /// Portfolio width: race this many budget profiles per solve
-        /// (0 = off, 2..=4 accepted).
-        portfolio: u32
-    );
-    setter!(
-        /// Reorder guidance targets by structural-sketch affinity
-        /// (requires `solver_introspection`).
-        affinity_ordering: bool
     );
 
     /// Validates and produces the configuration.
@@ -587,9 +509,6 @@ mod tests {
                     && k != "use_ancestor_reentry"
                     && k != "solver_introspection"
                     && k != "incremental_solving"
-                    && k != "solver_cache_budget"
-                    && k != "portfolio"
-                    && k != "affinity_ordering"
             })
             .collect();
         let back = FuzzConfig::from_value(&serde::Value::Object(stripped)).unwrap();
@@ -597,21 +516,27 @@ mod tests {
         assert!(back.use_ancestor_reentry);
         assert!(!back.solver_introspection);
         assert!(!back.incremental_solving);
-        assert_eq!(back.solver_cache_budget, 16 * 1024 * 1024);
-        assert_eq!(back.portfolio, 0);
-        assert!(!back.affinity_ordering);
     }
 
     #[test]
     fn configs_with_the_retired_snapshot_cap_key_still_load() {
         // snapshot_cap was removed with the deprecated count-bound
-        // shims; configs serialized while it existed carry the key and
-        // must still deserialize (the field is simply ignored).
+        // shims, and portfolio / affinity_ordering / solver_cache_budget
+        // with portfolio racing, affinity ordering and the session byte
+        // budget; configs serialized while they existed carry the keys
+        // and must still deserialize (the fields are simply ignored).
         let v = Serialize::to_value(&FuzzConfig::default());
         let serde::Value::Object(mut fields) = v else {
             panic!("config serializes to an object")
         };
-        fields.push(("snapshot_cap".to_string(), serde::Value::Num(256.0)));
+        for (key, value) in [
+            ("snapshot_cap", serde::Value::Num(256.0)),
+            ("portfolio", serde::Value::Num(2.0)),
+            ("affinity_ordering", serde::Value::Bool(true)),
+            ("solver_cache_budget", serde::Value::Num(16_777_216.0)),
+        ] {
+            fields.push((key.to_string(), value));
+        }
         let back = FuzzConfig::from_value(&serde::Value::Object(fields)).unwrap();
         assert_eq!(back, FuzzConfig::default());
     }
@@ -703,40 +628,6 @@ mod tests {
             .snapshot_mem_budget(1024)
             .build()
             .is_ok());
-        assert_eq!(
-            FuzzConfig::builder()
-                .solver_cache_budget(1023)
-                .build()
-                .unwrap_err(),
-            ConfigError::TinySolverCacheBudget
-        );
-        assert!(FuzzConfig::builder()
-            .solver_cache_budget(1024)
-            .build()
-            .is_ok());
-        assert_eq!(
-            FuzzConfig::builder().portfolio(1).build().unwrap_err(),
-            ConfigError::BadPortfolioWidth
-        );
-        assert_eq!(
-            FuzzConfig::builder().portfolio(5).build().unwrap_err(),
-            ConfigError::BadPortfolioWidth
-        );
-        for w in [0u32, 2, 3, 4] {
-            assert!(FuzzConfig::builder().portfolio(w).build().is_ok());
-        }
-        assert_eq!(
-            FuzzConfig::builder()
-                .affinity_ordering(true)
-                .build()
-                .unwrap_err(),
-            ConfigError::AffinityWithoutIntrospection
-        );
-        assert!(FuzzConfig::builder()
-            .affinity_ordering(true)
-            .solver_introspection(true)
-            .build()
-            .is_ok());
         // Every arm renders an informative message.
         for e in [
             ConfigError::ZeroInterval,
@@ -746,9 +637,6 @@ mod tests {
             ConfigError::ZeroSolverBudget,
             ConfigError::ZeroSampleEvery,
             ConfigError::TinySnapshotBudget,
-            ConfigError::TinySolverCacheBudget,
-            ConfigError::BadPortfolioWidth,
-            ConfigError::AffinityWithoutIntrospection,
         ] {
             assert!(!e.to_string().is_empty());
         }

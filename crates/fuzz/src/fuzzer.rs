@@ -4,14 +4,12 @@ use crate::config::{FuzzConfig, Strategy};
 use crate::mutate::{Granularity, Mutator};
 use crate::report::{
     BugRecord, CampaignResult, CovMap, CoverageSample, EdgeCov, FlightRow, FrontierRow, GoalCov,
-    NodeCov, PortfolioBlock, PropertySpec, ProvenanceRecord, ResourceStats, ScopeCollector,
-    SolverCacheBlock, SolverProfileBlock, SolverScopeBlock, TelemetryBlock, VmProfileBlock,
-    COVMAP_VERSION,
+    NodeCov, PropertySpec, ProvenanceRecord, ResourceStats, ScopeCollector, SolverCacheBlock,
+    SolverProfileBlock, SolverScopeBlock, TelemetryBlock, VmProfileBlock, COVMAP_VERSION,
 };
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use symbfuzz_cfgx::{Cfg, NodeId, Provenance};
 use symbfuzz_logic::LogicVec;
@@ -19,11 +17,8 @@ use symbfuzz_netlist::{classify_registers, Design, SignalId};
 use symbfuzz_props::{PropError, Property, PropertyChecker};
 use symbfuzz_ruvm::{Driver, SequenceItem, Sequencer};
 use symbfuzz_sim::{Reentry, Simulator, SnapshotId, SnapshotStore};
-use symbfuzz_smt::{budget_ladder, race, Budget, Runner};
-use symbfuzz_symexec::{
-    sketch_jaccard_milli, GoalScope, ReachError, ReachOutcome, ReachStats, SolveProfiler,
-    SolverCacheStats, SymbolicEngine,
-};
+use symbfuzz_smt::Budget;
+use symbfuzz_symexec::{GoalScope, ReachOutcome, ReachStats, SolveProfiler, SymbolicEngine};
 use symbfuzz_telemetry::{
     Collector, Counter, Event, Gauge, Mechanism, Phase, SampleState, Sampler, SolveStatus,
 };
@@ -121,13 +116,6 @@ pub struct SymbFuzz {
     /// Per-goal CDCL introspection scopes (collected only when
     /// `config.solver_introspection` is on).
     scope_collector: ScopeCollector,
-    /// One telemetry-detached engine per portfolio budget profile
-    /// (built lazily on the first race; empty when `portfolio` is 0).
-    portfolio_engines: Vec<SymbolicEngine>,
-    /// Races won per profile index (canonical lowest-index winner).
-    portfolio_wins: Vec<u64>,
-    /// Portfolio races run.
-    portfolio_races: u64,
 }
 
 impl SymbFuzz {
@@ -219,9 +207,6 @@ impl SymbFuzz {
             design,
             strategy,
             sampler: config.sample_every.map(Sampler::new),
-            portfolio_engines: Vec::new(),
-            portfolio_wins: vec![0; config.portfolio as usize],
-            portfolio_races: 0,
             config,
             telemetry,
             solve_profiler: SolveProfiler::new(),
@@ -289,14 +274,12 @@ impl SymbFuzz {
     }
 
     /// Streams the once-per-campaign `SolverCache` trace record: the
-    /// bitblast-cache hit/miss counters, the session-reuse gauge and
-    /// the per-profile portfolio win tallies. No-op when both the
-    /// incremental-solver features are off or no trace sink is
+    /// bitblast-cache hit/miss counters and the session-reuse gauge.
+    /// No-op when incremental solving is off or no trace sink is
     /// attached.
     pub fn emit_solver_metrics(&self) {
-        if self.config.incremental_solving || self.config.portfolio >= 2 {
-            self.telemetry
-                .emit_solver_cache_metrics(self.portfolio_races, &self.portfolio_wins);
+        if self.config.incremental_solving {
+            self.telemetry.emit_solver_cache_metrics();
         }
     }
 
@@ -480,24 +463,8 @@ impl SymbFuzz {
             solver_profile: SolverProfileBlock::from(&self.solve_profiler),
             solver_scope,
             solver_cache: self.config.incremental_solving.then(|| {
-                // The main engine and every portfolio engine keep
-                // their own caches; the report sums them (all figures
-                // are deterministic, so the sum is too).
-                let mut total = SolverCacheStats::default();
-                let engines = self.engine.iter().chain(self.portfolio_engines.iter());
-                for s in engines.map(|e| e.cache_stats()) {
-                    total.frame_hits += s.frame_hits;
-                    total.frame_misses += s.frame_misses;
-                    total.evictions += s.evictions;
-                    total.goals += s.goals;
-                    total.reused_goals += s.reused_goals;
-                }
-                SolverCacheBlock::from(total)
-            }),
-            portfolio: (self.config.portfolio >= 2).then(|| PortfolioBlock {
-                width: self.config.portfolio,
-                races: self.portfolio_races,
-                wins: self.portfolio_wins.clone(),
+                let stats = self.engine.as_ref().map(|e| e.cache_stats());
+                SolverCacheBlock::from(stats.unwrap_or_default())
             }),
         }
     }
@@ -782,7 +749,7 @@ impl SymbFuzz {
             let mut engine = SymbolicEngine::new(Arc::clone(&self.design));
             engine.set_collector(Some(Arc::clone(&self.telemetry)));
             if self.config.incremental_solving {
-                engine.set_solver_cache(Some(self.config.solver_cache_budget));
+                engine.set_solver_cache(true);
             }
             self.engine = Some(engine);
         }
@@ -868,146 +835,6 @@ impl SymbFuzz {
         b
     }
 
-    /// Permutes the target frontier into a greedy nearest-neighbor
-    /// chain over the goals' structural sketches: starting from the
-    /// first target in frontier order, repeatedly hop to the unvisited
-    /// target with the highest sketch-Jaccard affinity to the current
-    /// one. Ties — and targets never solved with introspection, which
-    /// have no sketch yet — keep frontier order, so the permutation is
-    /// a pure function of the campaign history.
-    fn order_by_affinity(&self, targets: &mut Vec<(SignalId, LogicVec)>) {
-        if targets.len() < 3 {
-            return;
-        }
-        let sketches: Vec<Option<&[u64]>> = targets
-            .iter()
-            .map(|(reg, value)| {
-                let name = &self.design.signal(*reg).name;
-                self.scope_collector
-                    .sketch_of(name, value.to_u64().unwrap_or(0))
-            })
-            .collect();
-        let n = targets.len();
-        let mut used = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        let mut cur = 0usize;
-        used[0] = true;
-        order.push(0);
-        while order.len() < n {
-            let mut best: Option<(u64, usize)> = None;
-            for (j, u) in used.iter().enumerate() {
-                if *u {
-                    continue;
-                }
-                let aff = match (sketches[cur], sketches[j]) {
-                    (Some(a), Some(b)) => sketch_jaccard_milli(a, b),
-                    _ => 0,
-                };
-                // Strict `>` keeps the lowest frontier index on ties.
-                if best.is_none_or(|(top, _)| aff > top) {
-                    best = Some((aff, j));
-                }
-            }
-            let (_, j) = best.expect("unvisited target remains");
-            used[j] = true;
-            order.push(j);
-            cur = j;
-        }
-        let reordered: Vec<(SignalId, LogicVec)> =
-            order.iter().map(|&i| targets[i].clone()).collect();
-        *targets = reordered;
-    }
-
-    /// Races one reachability query across `config.portfolio` budget
-    /// profiles ([`budget_ladder`]) on scoped threads, one
-    /// telemetry-detached engine per profile. The canonical winner is
-    /// the lowest profile index with a definitive answer (a loser can
-    /// only be aborted by a lower-indexed definitive profile, so the
-    /// winner always ran its deterministic budget to completion —
-    /// reports stay byte-identical at any thread count). Engines above
-    /// the winner may have been interrupted mid-solve and have their
-    /// cached solver state discarded; the winner's work is accounted to
-    /// telemetry post-hoc.
-    #[allow(clippy::type_complexity)]
-    fn race_solve(
-        &mut self,
-        reg: SignalId,
-        value: LogicVec,
-        budget: &Budget,
-    ) -> Result<(ReachOutcome, ReachStats, Option<GoalScope>), ReachError> {
-        let _span = self.telemetry.phase_owned(Phase::Solve);
-        let width = self.config.portfolio as usize;
-        while self.portfolio_engines.len() < width {
-            let mut e = SymbolicEngine::new(Arc::clone(&self.design));
-            if self.config.incremental_solving {
-                e.set_solver_cache(Some(self.config.solver_cache_budget));
-            }
-            self.portfolio_engines.push(e);
-        }
-        let ladder = budget_ladder(budget, self.config.portfolio);
-        let introspect = self.config.solver_introspection;
-        let depth = self.config.solve_depth;
-        let out = {
-            let state = self.sim.values();
-            type Raced = Result<(ReachOutcome, ReachStats, Option<GoalScope>), ReachError>;
-            let runners: Vec<Runner<'_, Raced>> = self.portfolio_engines[..width]
-                .iter_mut()
-                .zip(ladder)
-                .map(|(engine, rung)| {
-                    let value = value.clone();
-                    let runner = move |flag: &Arc<AtomicBool>| {
-                        let b = rung.with_abort(Arc::clone(flag));
-                        if introspect {
-                            engine
-                                .solve_reach_introspected(state, &[(reg, value)], depth, &b)
-                                .map(|(outcome, stats, scope)| (outcome, stats, Some(scope)))
-                        } else {
-                            engine
-                                .solve_reach_profiled(state, &[(reg, value)], depth, &b)
-                                .map(|(outcome, stats)| (outcome, stats, None))
-                        }
-                    };
-                    Box::new(runner) as Runner<'_, _>
-                })
-                .collect();
-            race(runners, |r| {
-                // Sat and Unsat settle the query; an exhausted budget
-                // (including a cooperative abort) does not. A pose
-                // error is decided before any solving and is identical
-                // across profiles.
-                !matches!(r, Ok((ReachOutcome::Exhausted { .. }, _, _)))
-            })
-        };
-        // No definitive profile: every rung exhausted un-aborted, so
-        // the full-budget profile (the last) is the canonical answer —
-        // the same verdict and spend the solo path would report.
-        let winner = out.winner.unwrap_or(width - 1);
-        for e in &self.portfolio_engines[winner + 1..width] {
-            e.reset_solver_cache();
-        }
-        self.portfolio_races += 1;
-        self.portfolio_wins[winner] += 1;
-        self.telemetry.add(Counter::PortfolioRacesWon, 1);
-        let result = out
-            .results
-            .into_iter()
-            .nth(winner)
-            .flatten()
-            .expect("racers do not panic");
-        if let Ok((_, stats, _)) = &result {
-            // The racers run telemetry-detached (loser event streams
-            // depend on abort timing); charge the winner's
-            // deterministic work to the campaign counters here.
-            self.telemetry
-                .add(Counter::SolverCalls, stats.solver_calls as u64);
-            self.telemetry
-                .add(Counter::SatConflicts, stats.spent.conflicts);
-            self.telemetry
-                .add(Counter::SatDecisions, stats.spent.decisions);
-        }
-        result
-    }
-
     /// Attempts to solve for any unseen control-register value from the
     /// simulator's current state; on success queues the input sequence.
     ///
@@ -1023,10 +850,7 @@ impl SymbFuzz {
         let budget = self.current_budget();
         let nregs = self.cfg.control_registers().len();
         let mut tried = 0usize;
-        // The target frontier in register-major order — exactly the
-        // order the nested loop used to visit. Affinity ordering (an
-        // opt-in) permutes this list so structurally similar goals run
-        // back to back against a warm incremental session.
+        // The target frontier in register-major order.
         let mut targets: Vec<(SignalId, LogicVec)> = Vec::new();
         for i in 0..nregs {
             let reg = self.cfg.control_registers()[i];
@@ -1034,107 +858,100 @@ impl SymbFuzz {
                 targets.push((reg, value));
             }
         }
-        if self.config.affinity_ordering {
-            self.order_by_affinity(&mut targets);
-        }
-        {
-            for (reg, value) in targets {
-                if tried >= self.config.targets_per_round {
-                    return SolveStatus::Unsat;
-                }
-                let key = (checkpoint, reg, value.clone());
-                let target_value = value.to_u64().unwrap_or(0);
-                if self.neg_cache.contains(&key) {
-                    self.telemetry.add(Counter::NegCacheHits, 1);
-                    let name = self.design.signal(reg).name.clone();
-                    self.solve_profiler.note_neg_cache_hit(&name, target_value);
-                    continue;
-                }
-                tried += 1;
-                self.resources.solver_calls += 1;
-                let result = if self.config.portfolio >= 2 {
-                    self.race_solve(reg, value, &budget)
+        for (reg, value) in targets {
+            if tried >= self.config.targets_per_round {
+                return SolveStatus::Unsat;
+            }
+            let key = (checkpoint, reg, value.clone());
+            let target_value = value.to_u64().unwrap_or(0);
+            if self.neg_cache.contains(&key) {
+                self.telemetry.add(Counter::NegCacheHits, 1);
+                let name = self.design.signal(reg).name.clone();
+                self.solve_profiler.note_neg_cache_hit(&name, target_value);
+                continue;
+            }
+            tried += 1;
+            self.resources.solver_calls += 1;
+            let result = {
+                let _span = self.telemetry.phase_owned(Phase::Solve);
+                let engine = self.engine.as_ref().expect("checked above");
+                if self.config.solver_introspection {
+                    engine
+                        .solve_reach_introspected(
+                            self.sim.values(),
+                            &[(reg, value)],
+                            self.config.solve_depth,
+                            &budget,
+                        )
+                        .map(|(outcome, stats, scope)| (outcome, stats, Some(scope)))
                 } else {
-                    let _span = self.telemetry.phase_owned(Phase::Solve);
-                    let engine = self.engine.as_ref().expect("checked above");
-                    if self.config.solver_introspection {
-                        engine
-                            .solve_reach_introspected(
-                                self.sim.values(),
-                                &[(reg, value)],
-                                self.config.solve_depth,
-                                &budget,
-                            )
-                            .map(|(outcome, stats, scope)| (outcome, stats, Some(scope)))
-                    } else {
-                        engine
-                            .solve_reach_profiled(
-                                self.sim.values(),
-                                &[(reg, value)],
-                                self.config.solve_depth,
-                                &budget,
-                            )
-                            .map(|(outcome, stats)| (outcome, stats, None))
+                    engine
+                        .solve_reach_profiled(
+                            self.sim.values(),
+                            &[(reg, value)],
+                            self.config.solve_depth,
+                            &budget,
+                        )
+                        .map(|(outcome, stats)| (outcome, stats, None))
+                }
+            };
+            let outcome = match result {
+                Ok((outcome, stats, scope)) => {
+                    let name = self.design.signal(reg).name.clone();
+                    self.solve_profiler.note_outcome(
+                        &name,
+                        target_value,
+                        self.escalation,
+                        &outcome,
+                        stats,
+                    );
+                    if let Some(scope) = scope {
+                        self.note_goal_scope(&name, target_value, &outcome, stats, &scope);
                     }
-                };
-                let outcome = match result {
-                    Ok((outcome, stats, scope)) => {
-                        let name = self.design.signal(reg).name.clone();
-                        self.solve_profiler.note_outcome(
-                            &name,
-                            target_value,
-                            self.escalation,
-                            &outcome,
-                            stats,
-                        );
-                        if let Some(scope) = scope {
-                            self.note_goal_scope(&name, target_value, &outcome, stats, &scope);
-                        }
-                        Some(outcome)
+                    Some(outcome)
+                }
+                // An unposable goal never reached the solver; it is
+                // cached like a proven unsat but left unprofiled.
+                Err(_) => None,
+            };
+            match outcome {
+                Some(ReachOutcome::Reached(seq)) => {
+                    let items = seq
+                        .iter()
+                        .map(|a| SequenceItem::new(a.to_word(&self.design)));
+                    self.sequencer.clear_replay();
+                    self.sequencer.push_replay(items);
+                    self.escalation = 0;
+                    self.telemetry.set_gauge(Gauge::EscalationLevel, 0);
+                    // Words drawn from this replay queue are
+                    // attributed to the goal just solved.
+                    self.current_goal =
+                        Some(self.note_goal(reg, target_value, checkpoint, SolveStatus::Sat));
+                    return SolveStatus::Sat;
+                }
+                Some(ReachOutcome::Unreachable) | None => {
+                    // Proven unsat (or an unposable goal): never
+                    // worth re-attempting from this rollback point.
+                    self.neg_cache.insert(key);
+                    self.note_goal(reg, target_value, checkpoint, SolveStatus::Unsat);
+                }
+                Some(ReachOutcome::Exhausted { reason, spent }) => {
+                    self.neg_cache.insert(key);
+                    self.note_goal(reg, target_value, checkpoint, SolveStatus::Unknown(reason));
+                    self.telemetry.add(Counter::BudgetExhaustions, 1);
+                    self.telemetry.record(Event::BudgetExhausted {
+                        reason,
+                        level: self.escalation as u64,
+                        conflicts: spent.conflicts,
+                        decisions: spent.decisions,
+                        propagations: spent.propagations,
+                    });
+                    if self.escalation < self.config.escalation_cap {
+                        self.escalation += 1;
                     }
-                    // An unposable goal never reached the solver; it is
-                    // cached like a proven unsat but left unprofiled.
-                    Err(_) => None,
-                };
-                match outcome {
-                    Some(ReachOutcome::Reached(seq)) => {
-                        let items = seq
-                            .iter()
-                            .map(|a| SequenceItem::new(a.to_word(&self.design)));
-                        self.sequencer.clear_replay();
-                        self.sequencer.push_replay(items);
-                        self.escalation = 0;
-                        self.telemetry.set_gauge(Gauge::EscalationLevel, 0);
-                        // Words drawn from this replay queue are
-                        // attributed to the goal just solved.
-                        self.current_goal =
-                            Some(self.note_goal(reg, target_value, checkpoint, SolveStatus::Sat));
-                        return SolveStatus::Sat;
-                    }
-                    Some(ReachOutcome::Unreachable) | None => {
-                        // Proven unsat (or an unposable goal): never
-                        // worth re-attempting from this rollback point.
-                        self.neg_cache.insert(key);
-                        self.note_goal(reg, target_value, checkpoint, SolveStatus::Unsat);
-                    }
-                    Some(ReachOutcome::Exhausted { reason, spent }) => {
-                        self.neg_cache.insert(key);
-                        self.note_goal(reg, target_value, checkpoint, SolveStatus::Unknown(reason));
-                        self.telemetry.add(Counter::BudgetExhaustions, 1);
-                        self.telemetry.record(Event::BudgetExhausted {
-                            reason,
-                            level: self.escalation as u64,
-                            conflicts: spent.conflicts,
-                            decisions: spent.decisions,
-                            propagations: spent.propagations,
-                        });
-                        if self.escalation < self.config.escalation_cap {
-                            self.escalation += 1;
-                        }
-                        self.telemetry
-                            .set_gauge(Gauge::EscalationLevel, self.escalation as u64);
-                        return SolveStatus::Unknown(reason);
-                    }
+                    self.telemetry
+                        .set_gauge(Gauge::EscalationLevel, self.escalation as u64);
+                    return SolveStatus::Unknown(reason);
                 }
             }
         }
@@ -1151,8 +968,8 @@ impl SymbFuzz {
         register: &str,
         value: u64,
         outcome: &ReachOutcome,
-        stats: symbfuzz_symexec::ReachStats,
-        scope: &symbfuzz_symexec::GoalScope,
+        stats: ReachStats,
+        scope: &GoalScope,
     ) {
         self.scope_collector.note(register, value, scope);
         self.telemetry
@@ -1957,15 +1774,7 @@ mod tests {
         .unwrap();
         let r = f.run();
         assert!(r.solver_cache.is_none());
-        assert!(r.portfolio.is_none());
-        let races = r
-            .telemetry
-            .counters
-            .iter()
-            .find(|(k, _)| k == "portfolio_races_won")
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        assert_eq!(races, 0);
+        assert!(r.solver_scope.is_none());
     }
 
     #[test]
@@ -2006,45 +1815,6 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_racing_is_deterministic_and_cracks_the_lock() {
-        let d = lock_design();
-        let cfg = FuzzConfig::builder()
-            .interval(32)
-            .threshold(1)
-            .max_vectors(20_000)
-            .solver_budget(50_000)
-            .portfolio(3)
-            .build()
-            .unwrap();
-        let mut f = SymbFuzz::new(
-            Arc::clone(&d),
-            Strategy::SymbFuzz,
-            cfg.clone(),
-            &lock_props(),
-        )
-        .unwrap();
-        let r = f.run();
-        assert!(r.detected("never_open"), "coverage {}", r.coverage_points);
-        let p = r.portfolio.as_ref().expect("portfolio was on");
-        assert_eq!(p.width, 3);
-        assert_eq!(p.wins.len(), 3);
-        assert!(p.races >= 1);
-        assert_eq!(p.wins.iter().sum::<u64>(), p.races);
-        let races = r
-            .telemetry
-            .counters
-            .iter()
-            .find(|(k, _)| k == "portfolio_races_won")
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        assert_eq!(races, p.races);
-        // The canonical lowest-index winner rule makes the whole
-        // report a pure function of the seed, threads notwithstanding.
-        let mut g = SymbFuzz::new(Arc::clone(&d), Strategy::SymbFuzz, cfg, &lock_props()).unwrap();
-        assert_eq!(r, g.run());
-    }
-
-    #[test]
     fn all_solver_features_compose_deterministically() {
         let d = lock_design();
         let cfg = FuzzConfig::builder()
@@ -2053,9 +1823,7 @@ mod tests {
             .max_vectors(20_000)
             .solver_budget(50_000)
             .incremental_solving(true)
-            .portfolio(2)
             .solver_introspection(true)
-            .affinity_ordering(true)
             .build()
             .unwrap();
         let mut f = SymbFuzz::new(
@@ -2068,7 +1836,6 @@ mod tests {
         let r = f.run();
         assert!(r.detected("never_open"), "coverage {}", r.coverage_points);
         assert!(r.solver_cache.is_some());
-        assert!(r.portfolio.is_some());
         assert!(r.solver_scope.is_some());
         let mut g = SymbFuzz::new(Arc::clone(&d), Strategy::SymbFuzz, cfg, &lock_props()).unwrap();
         assert_eq!(r, g.run());

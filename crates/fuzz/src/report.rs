@@ -875,15 +875,6 @@ impl ScopeCollector {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// The merged structural sketch recorded for a goal, if the goal
-    /// was ever solved with introspection on — the lookup behind
-    /// affinity-ordered goal batching.
-    pub fn sketch_of(&self, register: &str, value: u64) -> Option<&[u64]> {
-        self.index
-            .get(&(register.to_string(), value))
-            .map(|&i| self.rows[i].3.sketch.as_slice())
-    }
 }
 
 impl From<&ScopeCollector> for SolverScopeBlock {
@@ -913,8 +904,6 @@ pub struct SolverCacheBlock {
     pub frame_hits: u64,
     /// Frames substituted and bitblasted fresh.
     pub frame_misses: u64,
-    /// Sessions dropped by the byte-budget eviction sweep.
-    pub evictions: u64,
     /// Exact-depth checks issued through the cache.
     pub goals: u64,
     /// Checks answered on a warm solver (learned clauses retained).
@@ -937,7 +926,6 @@ impl From<SolverCacheStats> for SolverCacheBlock {
         SolverCacheBlock {
             frame_hits: s.frame_hits,
             frame_misses: s.frame_misses,
-            evictions: s.evictions,
             goals: s.goals,
             reused_goals: s.reused_goals,
             reuse_milli: s.reuse_milli(),
@@ -945,43 +933,11 @@ impl From<SolverCacheStats> for SolverCacheBlock {
     }
 }
 
-/// The portfolio-racing section of a campaign report: how many races
-/// ran and which budget profile won each, by profile index (profile 0
-/// is the cheapest restart-heavy probe, the last profile carries the
-/// full budget). Present only when `portfolio >= 2`. The canonical
-/// lowest-index winner rule keeps every figure byte-identical at any
-/// thread count.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct PortfolioBlock {
-    /// Profiles raced per solve.
-    pub width: u32,
-    /// Races run (one per budgeted reachability query).
-    pub races: u64,
-    /// Wins per profile index (`wins.len() == width`).
-    pub wins: Vec<u64>,
-}
-
-impl PortfolioBlock {
-    /// Merges another block (pool aggregation across campaigns):
-    /// races and per-profile wins sum; width keeps the maximum, with
-    /// shorter win vectors zero-extended.
-    pub fn merge(&mut self, other: &PortfolioBlock) {
-        self.width = self.width.max(other.width);
-        self.races += other.races;
-        if self.wins.len() < other.wins.len() {
-            self.wins.resize(other.wins.len(), 0);
-        }
-        for (a, b) in self.wins.iter_mut().zip(&other.wins) {
-            *a += b;
-        }
-    }
-}
-
 /// The outcome of one fuzzing campaign.
 ///
 /// `Deserialize` is hand-written so reports serialized before the
-/// incremental-solver release (no `solver_cache` / `portfolio` keys)
-/// still load, taking `None`.
+/// incremental-solver release (no `solver_cache` key) still load,
+/// taking `None`. Keys of retired sections are ignored.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignResult {
     /// Strategy name.
@@ -1029,8 +985,6 @@ pub struct CampaignResult {
     /// Incremental-solver cache section (present only when
     /// `incremental_solving` was on).
     pub solver_cache: Option<SolverCacheBlock>,
-    /// Portfolio-racing section (present only when `portfolio >= 2`).
-    pub portfolio: Option<PortfolioBlock>,
 }
 
 impl Deserialize for CampaignResult {
@@ -1055,10 +1009,6 @@ impl Deserialize for CampaignResult {
             solver_profile: Deserialize::from_value(v.field("solver_profile")?)?,
             solver_scope: Deserialize::from_value(v.field("solver_scope")?)?,
             solver_cache: match v.field("solver_cache") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => None,
-            },
-            portfolio: match v.field("portfolio") {
                 Ok(f) => Deserialize::from_value(f)?,
                 Err(_) => None,
             },
@@ -1130,14 +1080,13 @@ mod tests {
             solver_profile: SolverProfileBlock::default(),
             solver_scope: None,
             solver_cache: None,
-            portfolio: None,
         };
         assert_eq!(r.vectors_to_reach(30), Some(50));
         assert_eq!(r.vectors_to_reach(51), None);
         assert!(!r.detected("p"));
         // Round-trips, and reports serialized before the
-        // incremental-solver release (no solver_cache / portfolio
-        // keys) still load with both sections absent.
+        // incremental-solver release (no solver_cache key) still load
+        // with the section absent.
         let j = serde_json::to_string(&r).unwrap();
         assert_eq!(serde_json::from_str::<CampaignResult>(&j).unwrap(), r);
         let serde::Value::Object(fields) = Serialize::to_value(&r) else {
@@ -1145,10 +1094,59 @@ mod tests {
         };
         let stripped: Vec<(String, serde::Value)> = fields
             .into_iter()
-            .filter(|(k, _)| k != "solver_cache" && k != "portfolio")
+            .filter(|(k, _)| k != "solver_cache")
             .collect();
         let back = CampaignResult::from_value(&serde::Value::Object(stripped)).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn reports_with_retired_portfolio_and_eviction_keys_still_load() {
+        // Reports written while portfolio racing and the session byte
+        // budget existed carry a `portfolio` block and a
+        // `solver_cache.evictions` count; both are ignored on load.
+        let mut r = CampaignResult {
+            fuzzer: "x".into(),
+            design: "d".into(),
+            vectors: 1,
+            coverage_points: 0,
+            nodes: 0,
+            edges: 0,
+            node_coverage_ratio: 0.0,
+            edge_coverage_ratio: 0.0,
+            bugs: vec![],
+            series: vec![],
+            resources: ResourceStats::default(),
+            solve_outcomes: vec![],
+            telemetry: TelemetryBlock::default(),
+            covmap: CovMap::empty("x", "d"),
+            flight: vec![],
+            vm_profile: None,
+            solver_profile: SolverProfileBlock::default(),
+            solver_scope: None,
+            solver_cache: None,
+        };
+        r.solver_cache = Some(SolverCacheBlock {
+            frame_hits: 3,
+            frame_misses: 1,
+            goals: 2,
+            reused_goals: 1,
+            reuse_milli: 500,
+        });
+        let j = serde_json::to_string(&r).unwrap();
+        let old = j
+            .replacen(
+                "\"frame_misses\":1,",
+                "\"frame_misses\":1,\"evictions\":4,",
+                1,
+            )
+            .replacen(
+                "\"solver_cache\":{",
+                "\"portfolio\":{\"width\":2,\"races\":5,\"wins\":[3,2]},\"solver_cache\":{",
+                1,
+            );
+        assert!(old.contains("\"evictions\":4") && old.contains("\"wins\":[3,2]"));
+        assert_eq!(serde_json::from_str::<CampaignResult>(&old).unwrap(), r);
     }
 
     #[test]
@@ -1156,7 +1154,6 @@ mod tests {
         let stats = SolverCacheStats {
             frame_hits: 30,
             frame_misses: 10,
-            evictions: 2,
             goals: 8,
             reused_goals: 6,
         };
@@ -1167,37 +1164,6 @@ mod tests {
         assert_eq!(SolverCacheBlock::default().hit_rate_milli(), 0);
         let j = serde_json::to_string(&block).unwrap();
         assert_eq!(serde_json::from_str::<SolverCacheBlock>(&j).unwrap(), block);
-    }
-
-    #[test]
-    fn portfolio_block_merges_by_profile_index() {
-        let mut a = PortfolioBlock {
-            width: 2,
-            races: 5,
-            wins: vec![3, 2],
-        };
-        let b = PortfolioBlock {
-            width: 3,
-            races: 4,
-            wins: vec![1, 0, 3],
-        };
-        a.merge(&b);
-        assert_eq!(a.width, 3);
-        assert_eq!(a.races, 9);
-        assert_eq!(a.wins, vec![4, 2, 3]);
-        let j = serde_json::to_string(&a).unwrap();
-        assert_eq!(serde_json::from_str::<PortfolioBlock>(&j).unwrap(), a);
-    }
-
-    #[test]
-    fn scope_collector_exposes_goal_sketches() {
-        let mut s = GoalScope::new();
-        s.sketch = vec![1, 2, 3];
-        let mut c = ScopeCollector::new();
-        c.note("st", 7, &s);
-        assert_eq!(c.sketch_of("st", 7), Some(&[1u64, 2, 3][..]));
-        assert_eq!(c.sketch_of("st", 8), None);
-        assert_eq!(c.sketch_of("other", 7), None);
     }
 
     #[test]

@@ -69,22 +69,6 @@ impl BitBlaster {
         &self.solver
     }
 
-    /// Deterministic estimate of this blaster's memory footprint in
-    /// bytes, used by the frame cache's byte-budget eviction. Counts
-    /// CNF variables and clauses at fixed per-item costs plus the
-    /// term→literal map, so the figure is a pure function of what was
-    /// blasted — identical across runs and `--jobs` values.
-    pub fn approx_bytes(&self) -> u64 {
-        const PER_VAR: u64 = 40; // assign/phase/level/reason/activity/watch slots
-        const PER_CLAUSE: u64 = 48; // Vec header + avg literal payload + watch entries
-        const PER_MAP_ENTRY: u64 = 48; // HashMap slot + Vec header
-        let map_lits: u64 = self.map.values().map(|v| v.len() as u64 * 4).sum();
-        self.stats.num_vars as u64 * PER_VAR
-            + self.stats.num_clauses as u64 * PER_CLAUSE
-            + self.map.len() as u64 * PER_MAP_ENTRY
-            + map_lits
-    }
-
     fn fresh(&mut self) -> Lit {
         let v = self.solver.new_var();
         self.stats.num_vars += 1;

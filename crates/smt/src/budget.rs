@@ -15,7 +15,6 @@
 //! advanced during the attempt, carried inside `Unknown` results so
 //! callers can report and escalate.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use symbfuzz_telemetry::{Clock, UnknownReason};
 
@@ -70,7 +69,6 @@ pub struct Budget {
     term_nodes: Option<usize>,
     unroll_depth: Option<u32>,
     wall: Option<(Arc<dyn Clock>, u64)>,
-    abort: Option<Arc<AtomicBool>>,
 }
 
 impl std::fmt::Debug for Budget {
@@ -82,7 +80,6 @@ impl std::fmt::Debug for Budget {
             .field("term_nodes", &self.term_nodes)
             .field("unroll_depth", &self.unroll_depth)
             .field("wall_deadline", &self.wall.as_ref().map(|(_, d)| *d))
-            .field("abort", &self.abort.is_some())
             .finish()
     }
 }
@@ -138,17 +135,6 @@ impl Budget {
         self
     }
 
-    /// Attaches a cooperative abort flag: once another thread stores
-    /// `true`, the next budget check stops the search with
-    /// [`UnknownReason::Aborted`]. Used by the portfolio racer to
-    /// cancel losing profiles; aborted results must be discarded (not
-    /// reported) to preserve determinism.
-    #[must_use]
-    pub fn with_abort(mut self, flag: Arc<AtomicBool>) -> Budget {
-        self.abort = Some(flag);
-        self
-    }
-
     /// The conflict ceiling, if any.
     pub fn conflicts(&self) -> Option<u64> {
         self.conflicts
@@ -182,7 +168,6 @@ impl Budget {
             && self.term_nodes.is_none()
             && self.unroll_depth.is_none()
             && self.wall.is_none()
-            && self.abort.is_none()
     }
 
     /// Multiplies every counter ceiling by `factor` (saturating). The
@@ -211,15 +196,12 @@ impl Budget {
             term_nodes: self.term_nodes,
             unroll_depth: self.unroll_depth,
             wall: self.wall.clone(),
-            abort: self.abort.clone(),
         }
     }
 
     /// Checks the counter and wall ceilings against `spent`, in a
-    /// fixed priority (conflicts, decisions, propagations, wall,
-    /// abort) so the reported reason is deterministic. The abort flag
-    /// is checked last: when a deterministic ceiling and a racing
-    /// abort trip together, the deterministic reason wins.
+    /// fixed priority (conflicts, decisions, propagations, wall) so the
+    /// reported reason is deterministic.
     pub fn check(&self, spent: BudgetSpent) -> Option<UnknownReason> {
         if self.conflicts.is_some_and(|cap| spent.conflicts >= cap) {
             return Some(UnknownReason::Conflicts);
@@ -236,11 +218,6 @@ impl Budget {
         if let Some((clock, deadline)) = &self.wall {
             if clock.now_micros() >= *deadline {
                 return Some(UnknownReason::WallClock);
-            }
-        }
-        if let Some(flag) = &self.abort {
-            if flag.load(Ordering::Relaxed) {
-                return Some(UnknownReason::Aborted);
             }
         }
         None
@@ -311,45 +288,6 @@ mod tests {
                 .escalate(2)
                 .conflicts(),
             Some(u64::MAX)
-        );
-    }
-
-    #[test]
-    fn abort_flag_trips_check_and_is_lowest_priority() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let b = Budget::unlimited().with_abort(flag.clone());
-        assert!(!b.is_unlimited());
-        assert_eq!(b.check(BudgetSpent::default()), None);
-        flag.store(true, Ordering::Relaxed);
-        assert_eq!(
-            b.check(BudgetSpent::default()),
-            Some(UnknownReason::Aborted)
-        );
-        // Deterministic ceilings take priority over a racing abort.
-        let b = b.with_conflicts(1);
-        let spent = BudgetSpent {
-            conflicts: 1,
-            decisions: 0,
-            propagations: 0,
-        };
-        assert_eq!(b.check(spent), Some(UnknownReason::Conflicts));
-    }
-
-    #[test]
-    fn remaining_carries_the_abort_flag() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let b = Budget::unlimited()
-            .with_conflicts(10)
-            .with_abort(flag.clone());
-        let rem = b.remaining_after(BudgetSpent {
-            conflicts: 4,
-            decisions: 0,
-            propagations: 0,
-        });
-        flag.store(true, Ordering::Relaxed);
-        assert_eq!(
-            rem.check(BudgetSpent::default()),
-            Some(UnknownReason::Aborted)
         );
     }
 

@@ -18,9 +18,8 @@
 //!   concrete [`LogicVec`](symbfuzz_logic::LogicVec) values. Misuse
 //!   surfaces as [`SolverError`], never a panic.
 //! * [`Budget`] — optional resource ceilings (conflicts, decisions,
-//!   propagations, term nodes, unroll depth, opt-in wall clock, and a
-//!   cooperative abort flag for portfolio racing) that turn checks
-//!   into three-valued results with [`SatOutcome::Unknown`].
+//!   propagations, term nodes, unroll depth, opt-in wall clock) that
+//!   turn checks into three-valued results with [`SatOutcome::Unknown`].
 //! * [`SolverSession`] — assumption-based incremental solving: one
 //!   warm solver shared across related goals, per-goal targets as
 //!   assumption literals, learned clauses retained between checks.
@@ -52,7 +51,6 @@
 
 mod bitblast;
 mod budget;
-mod portfolio;
 mod sat;
 mod session;
 mod solver;
@@ -61,7 +59,6 @@ mod trace;
 
 pub use bitblast::{BitBlaster, Cnf};
 pub use budget::{Budget, BudgetSpent};
-pub use portfolio::{budget_ladder, race, RaceOutcome, Runner};
 pub use sat::{Lit, SatResult, SatSolver};
 pub use session::SolverSession;
 pub use solver::{render_term, BvSolver, Model, SatOutcome, SolverError};

@@ -146,8 +146,6 @@ pub struct SolverCacheStats {
     pub frame_hits: u64,
     /// Frames unrolled and blasted fresh.
     pub frame_misses: u64,
-    /// Sessions dropped by the byte-budget eviction sweep.
-    pub evictions: u64,
     /// Exact-depth checks issued through the cache.
     pub goals: u64,
     /// Checks answered on a warm solver (learned clauses retained from
@@ -187,20 +185,15 @@ struct FrameSession {
     /// only the *newly blasted* vars/clauses.
     last_vars: usize,
     last_clauses: usize,
-    /// LRU stamp for eviction.
-    last_used: u64,
 }
 
-/// The engine's term/bitblast cache: warm sessions keyed by
-/// `(design fingerprint, start state, traced)`, evicted
-/// least-recently-used when their summed [`BitBlaster::approx_bytes`]
-/// estimate exceeds the byte budget.
+/// The engine's term/bitblast cache: one warm session for the current
+/// `(design fingerprint, start state, traced)` key, replaced whenever a
+/// query arrives from a different start state.
 #[derive(Debug, Clone)]
 struct FrameCache {
-    budget_bytes: u64,
     fingerprint: u64,
-    sessions: Vec<FrameSession>,
-    tick: u64,
+    session: Option<FrameSession>,
     stats: SolverCacheStats,
 }
 
@@ -334,25 +327,21 @@ impl SymbolicEngine {
 
     /// Arms (or disarms) the incremental frame cache.
     ///
-    /// With `Some(budget_bytes)`, exact-depth queries run on warm
-    /// [`SolverSession`]s keyed by `(design fingerprint, start state)`:
+    /// When armed, exact-depth queries run on one warm
+    /// [`SolverSession`] keyed by `(design fingerprint, start state)`:
     /// the unrolled transition relation is substituted and bit-blasted
     /// once per frame, goals sharing a start state reuse it as
     /// assumption checks, and learned clauses carry across sibling
-    /// goals. Sessions are evicted least-recently-used once their
-    /// estimated footprint exceeds the byte budget.
+    /// goals. A query from another start state replaces the session.
     ///
     /// Verdicts (Sat / Unsat / Unknown-reason) match the fresh-solver
     /// path exactly for unlimited budgets and for the unroll-depth and
     /// conflicts-0 ceilings; only the *work to reach them* changes.
-    /// `None` (the default) disarms the cache and restores pre-cache
-    /// behaviour bit for bit.
-    pub fn set_solver_cache(&mut self, budget_bytes: Option<u64>) {
-        *self.cache.borrow_mut() = budget_bytes.map(|b| FrameCache {
-            budget_bytes: b,
+    /// Disarmed (the default), every query builds a fresh solver.
+    pub fn set_solver_cache(&mut self, armed: bool) {
+        *self.cache.borrow_mut() = armed.then(|| FrameCache {
             fingerprint: self.design_fingerprint(),
-            sessions: Vec::new(),
-            tick: 0,
+            session: None,
             stats: SolverCacheStats::default(),
         });
     }
@@ -364,16 +353,6 @@ impl SymbolicEngine {
             .as_ref()
             .map(|c| c.stats)
             .unwrap_or_default()
-    }
-
-    /// Drops every warm session but keeps the cache armed and its
-    /// cumulative statistics. Used by the portfolio racer to discard
-    /// the (nondeterministically aborted) solver state of losing
-    /// profiles.
-    pub fn reset_solver_cache(&self) {
-        if let Some(c) = self.cache.borrow_mut().as_mut() {
-            c.sessions.clear();
-        }
     }
 
     /// A structural digest of the design's dependency equations: the
@@ -855,26 +834,18 @@ impl SymbolicEngine {
             .as_mut()
             .expect("cached path requires an armed cache");
         let key = self.state_key(cache.fingerprint, current);
-        let FrameCache {
-            budget_bytes,
-            sessions,
-            tick,
-            stats,
-            ..
-        } = cache;
+        let FrameCache { session, stats, .. } = cache;
 
         let mut sorted_regs: Vec<SignalId> = self.cur_vars.keys().copied().collect();
         sorted_regs.sort_unstable();
 
-        let si = match sessions
-            .iter()
-            .position(|s| s.key == key && s.traced == traced)
-        {
-            Some(i) => i,
-            None => {
-                // Miss: seed a fresh session at step 0. Constants where
-                // the state is defined; X bits free with defined bits
-                // pinned by permanent assertions.
+        let fs = match session {
+            Some(fs) if fs.key == key && fs.traced == traced => fs,
+            _ => {
+                // Miss: seed a fresh session at step 0, replacing the
+                // previous one. Constants where the state is defined; X
+                // bits free with defined bits pinned by permanent
+                // assertions.
                 let mut sess = SolverSession::from_pool(self.pool.clone());
                 if traced {
                     sess.enable_trace();
@@ -902,7 +873,7 @@ impl SymbolicEngine {
                         state0.insert(var, fresh);
                     }
                 }
-                sessions.push(FrameSession {
+                session.insert(FrameSession {
                     key,
                     traced,
                     sess,
@@ -912,14 +883,9 @@ impl SymbolicEngine {
                     hash_memo: HashMap::new(),
                     last_vars: 0,
                     last_clauses: 0,
-                    last_used: 0,
-                });
-                sessions.len() - 1
+                })
             }
         };
-        let fs = &mut sessions[si];
-        fs.last_used = *tick;
-        *tick += 1;
         let warm = fs.sess.goals_checked() > 0;
 
         let over_cap = |pool: &TermPool| node_cap.is_some_and(|cap| pool.len() > cap);
@@ -1053,7 +1019,7 @@ impl SymbolicEngine {
             scope.note_structure(steps, digests, fs.frame_digests[..steps as usize].to_vec());
         }
 
-        let outcome = match result {
+        match result {
             SatResult::Unsat => ExactOutcome::Unsat(spent),
             SatResult::Unknown { reason, .. } => ExactOutcome::Exhausted { reason, spent },
             SatResult::Sat(raw) => {
@@ -1079,27 +1045,7 @@ impl SymbolicEngine {
                 }
                 ExactOutcome::Sat(out, spent)
             }
-        };
-
-        // Byte-budget eviction, least-recently-used first. The sweep
-        // may evict the session just used (a later call re-seeds it);
-        // either way memory stays bounded and the order is a pure
-        // function of the query sequence.
-        loop {
-            let total: u64 = sessions.iter().map(|s| s.sess.approx_bytes()).sum();
-            if total <= *budget_bytes || sessions.is_empty() {
-                break;
-            }
-            let lru = sessions
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(i, _)| i)
-                .unwrap();
-            sessions.remove(lru);
-            stats.evictions += 1;
         }
-        outcome
     }
 
     /// Attempts to attribute an `Unreachable`/`Exhausted` outcome to a
@@ -2010,7 +1956,7 @@ mod tests {
     fn cached_reach_matches_fresh_verdicts_and_replays() {
         let fresh = engine(FSM, "fsm");
         let mut cached = engine(FSM, "fsm");
-        cached.set_solver_cache(Some(16 << 20));
+        cached.set_solver_cache(true);
         let d = Arc::clone(fresh.design());
         let st = d.signal_by_name("state").unwrap();
         // Sibling goals from the same start state: every FSM state
@@ -2049,7 +1995,6 @@ mod tests {
             "sibling goals never reused: {stats:?}"
         );
         assert!(stats.frame_hits > 0, "no frame reuse: {stats:?}");
-        assert_eq!(stats.evictions, 0);
         assert!(stats.reuse_milli() > 0);
     }
 
@@ -2057,7 +2002,7 @@ mod tests {
     fn cached_reach_budget_ceilings_match_fresh() {
         let fresh = engine(FSM, "fsm");
         let mut cached = engine(FSM, "fsm");
-        cached.set_solver_cache(Some(16 << 20));
+        cached.set_solver_cache(true);
         let d = Arc::clone(fresh.design());
         let st = d.signal_by_name("state").unwrap();
         let targets = [(st, LogicVec::from_u64(3, 3))];
@@ -2080,51 +2025,42 @@ mod tests {
     }
 
     #[test]
-    fn cache_eviction_and_reset_preserve_verdicts() {
-        let mut e = engine(FSM, "fsm");
-        // A budget far below one session's footprint: every call seeds,
-        // solves, then evicts — correct, just never warm.
-        e.set_solver_cache(Some(1024));
-        let d = Arc::clone(e.design());
+    fn switching_start_states_replaces_the_session() {
+        let fresh = engine(FSM, "fsm");
+        let mut cached = engine(FSM, "fsm");
+        cached.set_solver_cache(true);
+        let d = Arc::clone(fresh.design());
         let st = d.signal_by_name("state").unwrap();
-        for val in [1u64, 2, 3] {
-            let out = e
-                .solve_reach_budgeted(
-                    &zero_state(&d),
-                    &[(st, LogicVec::from_u64(3, val))],
-                    4,
-                    &Budget::unlimited(),
-                )
+        let mut other = zero_state(&d);
+        other[st.index()] = LogicVec::from_u64(3, 1);
+        // Alternating start states: every query drops the warm session
+        // and seeds a cold one, so each query blasts its deepest frame
+        // chain afresh, and verdicts still match a fresh solver.
+        let mut cold_frames = 0;
+        for (i, val) in [1u64, 2, 3, 7].into_iter().enumerate() {
+            let start = if i % 2 == 0 {
+                zero_state(&d)
+            } else {
+                other.clone()
+            };
+            let targets = [(st, LogicVec::from_u64(3, val))];
+            let f = fresh
+                .solve_reach_budgeted(&start, &targets, 4, &Budget::unlimited())
                 .unwrap();
-            assert!(matches!(out, ReachOutcome::Reached(_)), "state {val}");
+            let (c, stats) = cached
+                .solve_reach_profiled(&start, &targets, 4, &Budget::unlimited())
+                .unwrap();
+            assert_eq!(f.status(), c.status(), "state {val} from start {i}");
+            cold_frames += u64::from(stats.deepest_unroll);
         }
-        assert!(e.cache_stats().evictions > 0, "{:?}", e.cache_stats());
-        // Explicit reset mid-campaign: verdicts unchanged after.
-        e.set_solver_cache(Some(16 << 20));
-        let before = e
-            .solve_reach_budgeted(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 3))],
-                4,
-                &Budget::unlimited(),
-            )
-            .unwrap();
-        e.reset_solver_cache();
-        let after = e
-            .solve_reach_budgeted(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 3))],
-                4,
-                &Budget::unlimited(),
-            )
-            .unwrap();
-        assert_eq!(before.status(), after.status());
+        let stats = cached.cache_stats();
+        assert_eq!(stats.frame_misses, cold_frames, "{stats:?}");
     }
 
     #[test]
     fn cached_introspection_still_records_structure() {
         let mut e = engine(FSM, "fsm");
-        e.set_solver_cache(Some(16 << 20));
+        e.set_solver_cache(true);
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
         let (outcome, stats, scope) = e

@@ -69,14 +69,11 @@ pub enum Counter {
     /// Unrolled frames blasted fresh because the cache had no session
     /// at that depth (or caching is off).
     BitblastCacheMisses,
-    /// Portfolio races where a profile returned a definitive verdict
-    /// (the canonical winner was Sat or Unsat, not Unknown).
-    PortfolioRacesWon,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 24;
 
     /// All counters in index order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -104,7 +101,6 @@ impl Counter {
         Counter::CoreExtractions,
         Counter::BitblastCacheHits,
         Counter::BitblastCacheMisses,
-        Counter::PortfolioRacesWon,
     ];
 
     /// Stable snake_case name used in snapshots and reports.
@@ -134,7 +130,6 @@ impl Counter {
             Counter::CoreExtractions => "core_extractions",
             Counter::BitblastCacheHits => "bitblast_cache_hits",
             Counter::BitblastCacheMisses => "bitblast_cache_misses",
-            Counter::PortfolioRacesWon => "portfolio_races_won",
         }
     }
 
@@ -453,24 +448,17 @@ impl Collector {
     }
 
     /// Streams one `SolverCache` summary record to the sink: the
-    /// bitblast-cache hit/miss counters, the session-reuse gauge and
-    /// the portfolio race tallies (`races` races decided, `wins[i]`
-    /// won by budget profile `i`), so `tracedump` can report the
-    /// cache hit rate and per-profile win columns. Call once at
+    /// bitblast-cache hit/miss counters and the session-reuse gauge,
+    /// so `tracedump` can report the cache hit rate. Call once at
     /// campaign end; no-op when no sink is attached.
-    pub fn emit_solver_cache_metrics(&self, races: u64, wins: &[u64]) {
+    pub fn emit_solver_cache_metrics(&self) {
         let mut sink = self.sink.lock().unwrap();
         if !sink.enabled() {
             return;
         }
         let t = self.clock.now_micros();
-        let wins = wins
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
         let line = format!(
-            "{{\"t\":{t},\"task\":{},\"kind\":\"SolverCache\",\"bitblast_cache_hits\":{},\"bitblast_cache_misses\":{},\"session_reuse_milli\":{},\"portfolio_races\":{races},\"portfolio_wins\":[{wins}]}}",
+            "{{\"t\":{t},\"task\":{},\"kind\":\"SolverCache\",\"bitblast_cache_hits\":{},\"bitblast_cache_misses\":{},\"session_reuse_milli\":{}}}",
             self.task.load(Ordering::Relaxed),
             self.get(Counter::BitblastCacheHits),
             self.get(Counter::BitblastCacheMisses),

@@ -22,15 +22,11 @@ pub enum UnknownReason {
     TermNodes,
     /// The unroll-depth ceiling truncated the search.
     UnrollDepth,
-    /// Another portfolio profile answered first and raised the abort
-    /// flag (deterministic given the canonical-winner rule: losers'
-    /// partial results are discarded, never reported).
-    Aborted,
 }
 
 impl UnknownReason {
     /// Number of reasons.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 6;
 
     /// Every reason, in a fixed order.
     pub const ALL: [UnknownReason; UnknownReason::COUNT] = [
@@ -40,7 +36,6 @@ impl UnknownReason {
         UnknownReason::WallClock,
         UnknownReason::TermNodes,
         UnknownReason::UnrollDepth,
-        UnknownReason::Aborted,
     ];
 
     /// Stable string used in the JSONL schema and campaign JSON.
@@ -52,7 +47,6 @@ impl UnknownReason {
             UnknownReason::WallClock => "wall_clock",
             UnknownReason::TermNodes => "term_nodes",
             UnknownReason::UnrollDepth => "unroll_depth",
-            UnknownReason::Aborted => "aborted",
         }
     }
 
@@ -101,7 +95,6 @@ impl SolveStatus {
         "unknown:wall_clock",
         "unknown:term_nodes",
         "unknown:unroll_depth",
-        "unknown:aborted",
     ];
 
     /// Stable string used in the JSONL schema and campaign JSON.
