@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use symbfuzz_core::{
-    CampaignResult, CoverageSample, FuzzConfig, FuzzConfigBuilder, PropertySpec, SolverCacheBlock,
-    SolverProfileBlock, SolverScopeBlock, Strategy, SymbFuzz,
+    CampaignResult, CoverageSample, FuzzConfig, FuzzConfigBuilder, GoalRow, PropertySpec,
+    SolverCacheBlock, SolverProfileBlock, Strategy, SymbFuzz,
 };
 use symbfuzz_designs::{bug_benchmarks, processor_benchmarks, Benchmark};
 use symbfuzz_logic::LogicVec;
@@ -651,9 +651,9 @@ pub fn budget_profile(
     })
 }
 
-/// One design's merged solver-introspection profile: the scope block
-/// (cost rows, blame sets, affinity matrix) joined against the solver
-/// profile's per-status tallies for the attribution-rate headline.
+/// One design's merged solver-introspection profile: the per-goal
+/// solver block (tallies, cost analytics, blame sets, affinity matrix)
+/// plus the attribution-rate headline counted from it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScopeProfileResult {
     /// DUV name (`hard_factor`, `ibex_like` or `goalfabric`).
@@ -664,13 +664,10 @@ pub struct ScopeProfileResult {
     pub campaigns: u64,
     /// Goals with at least one budget-exhausted attempt.
     pub exhausted_goals: u64,
-    /// Exhausted goals whose scope row carries a non-empty blame set.
+    /// Exhausted goals whose introspection record carries a non-empty
+    /// blame set.
     pub exhausted_blamed: u64,
-    /// Mean sketch affinity of adjacent equal-depth goals, in milli.
-    pub mean_adjacent_affinity_milli: u64,
-    /// The merged introspection block.
-    pub scope: SolverScopeBlock,
-    /// The merged per-goal solver profile (status tallies per goal).
+    /// The merged per-goal solver block.
     pub profile: SolverProfileBlock,
     /// The merged bitblast-cache block (`None` unless `--incremental`
     /// armed incremental solving for these campaigns).
@@ -683,7 +680,7 @@ pub struct ScopeProfileResult {
 /// the benign `ibex_like` control (satisfiable goals — affinity
 /// territory) and the goal-dense `goalfabric` fixture (sibling goals
 /// sharing one frame — session-reuse territory), two seeded campaigns
-/// per design fanned across the pool, then merges scope, profile and
+/// per design fanned across the pool, then merges the per-goal and
 /// cache blocks in task order. Campaigns run the command line's knobs
 /// (`base`) with introspection forced on. Seeds are fixed per campaign,
 /// so results are byte-identical at any `jobs` value.
@@ -723,37 +720,31 @@ pub fn solverscope_profile(
         .enumerate()
         .map(|(i, (name, _, _))| {
             let slice = &results[i * RUNS_PER_DESIGN..(i + 1) * RUNS_PER_DESIGN];
-            let scope =
-                crate::pool::merge_solver_scopes(slice.iter().map(|r| r.solver_scope.as_ref()))
-                    .unwrap_or_default();
-            let profile =
-                crate::pool::merge_solver_profiles(slice.iter().map(|r| &r.solver_profile));
+            let mut profile = SolverProfileBlock::default();
+            for r in slice {
+                profile.merge(&r.solver_profile);
+            }
             let solver_cache =
                 crate::pool::merge_solver_caches(slice.iter().map(|r| r.solver_cache.as_ref()));
-            // Join: a goal counts as exhausted when any attempt hit the
-            // budget ceiling; it counts as attributed when its scope
-            // row carries a non-empty blame set.
-            let mut exhausted_goals = 0u64;
-            let mut exhausted_blamed = 0u64;
-            for g in profile.goals.iter().filter(|g| g.exhausted > 0) {
-                exhausted_goals += 1;
-                let blamed = scope
-                    .goals
-                    .iter()
-                    .find(|s| s.register == g.register && s.value == g.value)
-                    .is_some_and(|s| !s.blame.is_empty());
-                if blamed {
-                    exhausted_blamed += 1;
-                }
-            }
+            // A goal counts as exhausted when any attempt hit the
+            // budget ceiling, and as attributed when its introspection
+            // record carries a non-empty blame set.
+            let exhausted: Vec<&GoalRow> =
+                profile.goals.iter().filter(|g| g.exhausted > 0).collect();
+            let exhausted_blamed = exhausted
+                .iter()
+                .filter(|g| {
+                    g.introspection
+                        .as_ref()
+                        .is_some_and(|i| !i.blame.is_empty())
+                })
+                .count() as u64;
             ScopeProfileResult {
                 design: name.to_string(),
                 solver_budget: solver_budget_ceiling,
                 campaigns: RUNS_PER_DESIGN as u64,
-                exhausted_goals,
+                exhausted_goals: exhausted.len() as u64,
                 exhausted_blamed,
-                mean_adjacent_affinity_milli: scope.mean_adjacent_affinity_milli,
-                scope,
                 profile,
                 solver_cache,
             }
@@ -1130,22 +1121,25 @@ mod tests {
             hard.exhausted_blamed,
             hard.exhausted_goals
         );
-        for g in hard.scope.goals.iter().filter(|g| !g.blame.is_empty()) {
-            assert!(
-                g.blame.windows(2).all(|w| w[0] < w[1]),
-                "blame set not in sorted name order: {:?}",
-                g.blame
-            );
+        for r in &rows {
+            assert_eq!(r.profile.check(), Ok(()), "{}", r.design);
+            // The trace counts only conflicts that learned a clause;
+            // the budget adds at most one proof-ending conflict per
+            // exact-depth call.
+            for (g, i) in r.profile.introspected() {
+                assert!(i.learned <= g.conflicts, "{}: {g:?}", r.design);
+                assert!(
+                    g.conflicts <= i.learned + g.solver_calls,
+                    "{}: {g:?}",
+                    r.design
+                );
+            }
         }
         // The benign control reports cross-goal structural affinity.
         let ibex = rows.iter().find(|r| r.design == "ibex_like").unwrap();
-        assert!(!ibex.scope.goals.is_empty());
-        assert_eq!(
-            ibex.mean_adjacent_affinity_milli,
-            ibex.scope.mean_adjacent_affinity_milli
-        );
-        for g in &ibex.scope.goals {
-            assert!(!g.sketch.is_empty(), "goal {} has no sketch", g.register);
+        assert!(ibex.profile.introspected().next().is_some());
+        for (g, i) in ibex.profile.introspected() {
+            assert!(!i.sketch.is_empty(), "goal {} has no sketch", g.register);
         }
     }
 

@@ -75,9 +75,8 @@ pub use monitor::{
     check_flight, check_status, parse_prometheus, render_dashboard, render_prometheus,
 };
 pub use pool::{
-    default_jobs, merge_covmap_counts, merge_flight_rows, merge_solver_caches,
-    merge_solver_profiles, merge_solver_scopes, merge_telemetry, merge_vm_profiles, parse_jobs,
-    run_pool,
+    default_jobs, merge_covmap_counts, merge_flight_rows, merge_solver_caches, merge_telemetry,
+    merge_vm_profiles, parse_jobs, run_pool,
 };
 pub use solverscope::{
     build_scope_report, conflict_quantiles, render_scope_html, render_scope_markdown,

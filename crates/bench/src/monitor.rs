@@ -12,6 +12,7 @@
 
 use serde::Value;
 use std::fmt::Write as _;
+use symbfuzz_core::SolverProfileBlock;
 use symbfuzz_telemetry::FLIGHT_VERSION;
 
 /// The scalar header fields every `status.json` and every
@@ -93,8 +94,8 @@ pub fn check_status(text: &str) -> Result<Value, String> {
     if let Ok(p) = v.field("vm_profile") {
         check_vm_profile(p).map_err(|e| format!("vm_profile: {e}"))?;
     }
-    if let Ok(p) = v.field("solver_profile") {
-        check_solver_profile(p).map_err(|e| format!("solver_profile: {e}"))?;
+    if let Some(p) = status_solver_profile(&v) {
+        p.map_err(|e| format!("solver_profile: {e}"))?;
     }
     Ok(v)
 }
@@ -127,37 +128,17 @@ fn check_vm_profile(p: &Value) -> Result<(), String> {
     }
 }
 
-fn check_solver_profile(p: &Value) -> Result<(), String> {
-    for total in ["total_attempts", "total_neg_cache_hits"] {
-        field_num(p, total)?;
-    }
-    match p.field("goals") {
-        Ok(Value::Array(goals)) => {
-            for (i, g) in goals.iter().enumerate() {
-                for f in [
-                    "value",
-                    "attempts",
-                    "sat",
-                    "unsat",
-                    "exhausted",
-                    "neg_cache_hits",
-                    "conflicts",
-                    "decisions",
-                    "propagations",
-                    "solver_calls",
-                    "deepest_unroll",
-                ] {
-                    field_num(g, f).map_err(|e| format!("goals[{i}]: {e}"))?;
-                }
-                if !matches!(g.field("register"), Ok(Value::Str(_))) {
-                    return Err(format!("goals[{i}]: `register` must be a string"));
-                }
-                check_num_array(g, "escalations").map_err(|e| format!("goals[{i}]: {e}"))?;
-            }
-            Ok(())
-        }
-        _ => Err("missing `goals` array".into()),
-    }
+/// The heartbeat's per-goal solver section, when present: read
+/// through [`SolverProfileBlock::from_sections`] (so heartbeats with a
+/// v1 section and a `solver_scope` block still load), then checked with
+/// [`SolverProfileBlock::check`].
+fn status_solver_profile(status: &Value) -> Option<Result<SolverProfileBlock, String>> {
+    let p = status.field("solver_profile").ok()?;
+    Some(
+        SolverProfileBlock::from_sections(p, status.field("solver_scope").ok())
+            .map_err(|e| e.to_string())
+            .and_then(|block| block.check().map(|()| block)),
+    )
 }
 
 /// Validates a whole `flight.jsonl` stream: at least one record, every
@@ -293,46 +274,38 @@ pub fn render_dashboard(status: &Value, flight: &[Value], top: usize) -> String 
             100.0 * tf as f64 / te.max(1) as f64
         );
     }
-    if let Ok(p) = status.field("solver_profile") {
-        if let Ok(Value::Array(goals)) = p.field("goals") {
-            if !goals.is_empty() {
+    match status_solver_profile(status) {
+        Some(Ok(p)) => {
+            if !p.goals.is_empty() {
                 let _ = writeln!(out, "\nhardest solver goals (by cumulative conflicts):");
-                for g in goals.iter().take(top) {
-                    let register = match g.field("register") {
-                        Ok(Value::Str(s)) => s.as_str(),
-                        _ => "?",
-                    };
-                    let escalations = match g.field("escalations") {
-                        Ok(Value::Array(e)) => e
-                            .iter()
-                            .filter_map(|v| match v {
-                                Value::Num(n) => Some(format!("{}", *n as u64)),
-                                _ => None,
-                            })
-                            .collect::<Vec<_>>()
-                            .join(","),
-                        _ => String::new(),
-                    };
+                for g in p.hardest_first().into_iter().take(top) {
+                    let escalations: Vec<String> =
+                        g.escalations.iter().map(|e| e.to_string()).collect();
                     let _ = writeln!(
                         out,
-                        "  {register}=={:<6} {:>8} conflicts  {:>4} attempts \
-                         ({} sat / {} unsat / {} exhausted)  escalations [{escalations}]",
-                        field_num(g, "value").unwrap_or(0),
-                        field_num(g, "conflicts").unwrap_or(0),
-                        field_num(g, "attempts").unwrap_or(0),
-                        field_num(g, "sat").unwrap_or(0),
-                        field_num(g, "unsat").unwrap_or(0),
-                        field_num(g, "exhausted").unwrap_or(0),
+                        "  {}=={:<6} {:>8} conflicts  {:>4} attempts \
+                         ({} sat / {} unsat / {} exhausted)  escalations [{}]",
+                        g.register,
+                        g.value,
+                        g.conflicts,
+                        g.attempts,
+                        g.sat,
+                        g.unsat,
+                        g.exhausted,
+                        escalations.join(",")
                     );
                 }
             }
+            let _ = writeln!(
+                out,
+                "  solver attempts {}  negative-cache hits {}",
+                p.total_attempts, p.total_neg_cache_hits
+            );
         }
-        let _ = writeln!(
-            out,
-            "  solver attempts {}  negative-cache hits {}",
-            field_num(p, "total_attempts").unwrap_or(0),
-            field_num(p, "total_neg_cache_hits").unwrap_or(0)
-        );
+        Some(Err(e)) => {
+            let _ = writeln!(out, "\nsolver profile unreadable: {e}");
+        }
+        None => {}
     }
     out
 }
@@ -396,27 +369,33 @@ pub fn render_prometheus(status: &Value) -> String {
             }
         }
     }
-    if let Ok(p) = status.field("solver_profile") {
-        for total in ["total_attempts", "total_neg_cache_hits"] {
-            if let Ok(v) = field_num(p, total) {
-                let _ = writeln!(out, "symbfuzz_solver_{total} {v}");
-            }
-        }
-        if let Ok(Value::Array(goals)) = p.field("goals") {
-            for g in goals {
-                if let Ok(Value::Str(register)) = g.field("register") {
-                    let value = field_num(g, "value").unwrap_or(0);
-                    for f in ["attempts", "conflicts", "exhausted"] {
-                        let _ = writeln!(
-                            out,
-                            "symbfuzz_goal_{f}{{register=\"{}\",value=\"{value}\"}} {}",
-                            prom_name(register),
-                            field_num(g, f).unwrap_or(0)
-                        );
-                    }
+    match status_solver_profile(status) {
+        Some(Ok(p)) => {
+            let _ = writeln!(out, "symbfuzz_solver_total_attempts {}", p.total_attempts);
+            let _ = writeln!(
+                out,
+                "symbfuzz_solver_total_neg_cache_hits {}",
+                p.total_neg_cache_hits
+            );
+            for g in &p.goals {
+                for (f, v) in [
+                    ("attempts", g.attempts),
+                    ("conflicts", g.conflicts),
+                    ("exhausted", g.exhausted),
+                ] {
+                    let _ = writeln!(
+                        out,
+                        "symbfuzz_goal_{f}{{register=\"{}\",value=\"{}\"}} {v}",
+                        prom_name(&g.register),
+                        g.value
+                    );
                 }
             }
         }
+        Some(Err(e)) => {
+            let _ = writeln!(out, "# solver_profile unreadable: {e}");
+        }
+        None => {}
     }
     out
 }
@@ -467,20 +446,29 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<(String, u64)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Deserialize;
     use std::sync::Arc;
     use symbfuzz_core::{FuzzConfig, Strategy, SymbFuzz};
 
     /// Drives a real traced campaign so the artifacts under test are
     /// exactly what the fuzzer writes, not hand-rolled fixtures.
     fn campaign_artifacts() -> (String, String) {
-        let dir = std::env::temp_dir().join(format!("symbfuzz-monitor-{}", std::process::id()));
+        // One directory per call: tests run concurrently in-process.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("symbfuzz-monitor-{}-{call}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let d = Arc::new(
             symbfuzz_netlist::elaborate_src(
-                "module m(input clk, input rst_n, input [7:0] k, output logic ok);
+                "module m(input clk, input rst_n, input [15:0] k, output logic [1:0] st);
                    always_ff @(posedge clk or negedge rst_n)
-                     if (!rst_n) ok <= 1'b0;
-                     else begin if (k == 8'h5A) ok <= 1'b1; end
+                     if (!rst_n) st <= 2'd0;
+                     else case (st)
+                       2'd0: if (k == 16'h5AA5) st <= 2'd1;
+                       2'd1: if (k == 16'hA55A) st <= 2'd2; else st <= 2'd0;
+                       default: st <= 2'd2;
+                     endcase
                  endmodule",
                 "m",
             )
@@ -525,6 +513,84 @@ mod tests {
         assert!(prom.contains("symbfuzz_vectors 5000"), "{prom}");
         assert!(prom.contains("symbfuzz_vectors_total 5000"), "{prom}");
         assert!(prom.contains("symbfuzz_vm_total_execs"), "{prom}");
+    }
+
+    #[test]
+    fn corrupted_introspected_status_names_the_goal() {
+        let (status_text, _) = campaign_artifacts();
+        let Value::Object(mut fields) = check_status(&status_text).unwrap() else {
+            panic!("status is an object")
+        };
+        let (_, section) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "solver_profile")
+            .expect("heartbeat carries the solver section");
+        let mut block = SolverProfileBlock::from_value(section).unwrap();
+        let goal = block
+            .goals
+            .iter_mut()
+            .find(|g| g.introspection.is_some())
+            .expect("introspected campaign traces its goals");
+        let name = format!("goal `{}`={}", goal.register, goal.value);
+        goal.introspection
+            .as_mut()
+            .unwrap()
+            .call_conflict_hist
+            .push(0);
+        *section = serde::Serialize::to_value(&block);
+        let corrupted = serde_json::to_string(&Value::Object(fields)).unwrap();
+        let err = check_status(&corrupted).unwrap_err();
+        assert!(err.starts_with("solver_profile: "), "{err}");
+        assert!(err.contains(&name), "{err}");
+        assert!(err.contains("call-conflict"), "{err}");
+    }
+
+    /// A heartbeat as written before the per-goal record was unified:
+    /// an unversioned `solver_profile` plus a `solver_scope` block.
+    const PRE_CHANGE_STATUS: &str = r#"{"v":1,"interval":2,"t":200,"vectors":200,
+      "coverage":3,"nodes":2,"edges":1,"stagnant":0,"counters":{"vectors":200},
+      "gauges":{},"events":{},"phase_self_micros":{},
+      "solver_profile":{"goals":[{"register":"st","value":2,"attempts":1,"sat":0,
+        "unsat":1,"exhausted":0,"neg_cache_hits":3,"conflicts":12,"decisions":30,
+        "propagations":99,"solver_calls":2,"deepest_unroll":4,"escalations":[0]}],
+        "total_attempts":1,"total_neg_cache_hits":3},
+      "solver_scope":{"version":1,"goals":[{"register":"st","value":2,"attempts":1,
+        "conflicts":12,"learned":11,"restarts":0,
+        "learned_size_hist":[0,11,0,0,0,0,0,0,0,0,0,0],
+        "lbd_hist":[0,11,0,0,0,0,0,0,0,0,0,0],
+        "call_conflict_hist":[0,0,2,0,0,0,0,0,0,0,0,0],"restart_timeline":[],
+        "conflict_depth_sum":20,"conflict_depth_max":4,"hot_signals":[["k",1000]],
+        "blame":["st"],"sketch":[1,2],"depth":4}],
+        "affinity":[[1000]],"mean_adjacent_affinity_milli":0}}"#;
+
+    #[test]
+    fn pre_change_status_loads_and_bad_solver_sections_are_reported() {
+        let status = check_status(PRE_CHANGE_STATUS).expect("v1 heartbeat validates");
+        let block = status_solver_profile(&status).unwrap().unwrap();
+        let i = block.goals[0]
+            .introspection
+            .as_ref()
+            .expect("joined by goal");
+        assert_eq!((i.learned, block.goals[0].conflicts), (11, 12));
+        let dash = render_dashboard(&status, &[], 5);
+        assert!(dash.contains("st==2"), "{dash}");
+        let prom = render_prometheus(&status);
+        assert!(
+            prom.contains("symbfuzz_goal_attempts{register=\"st\",value=\"2\"} 1"),
+            "{prom}"
+        );
+        // A section that fails to read is named by the check and shown
+        // by both renderers instead of silently dropped.
+        let broken: Value =
+            serde_json::from_str(&PRE_CHANGE_STATUS.replace("\"total_attempts\":1,", "")).unwrap();
+        let err = check_status(&serde_json::to_string(&broken).unwrap()).unwrap_err();
+        assert!(err.starts_with("solver_profile: "), "{err}");
+        assert!(err.contains("total_attempts"), "{err}");
+        let dash = render_dashboard(&broken, &[], 5);
+        assert!(dash.contains("solver profile unreadable"), "{dash}");
+        let prom = render_prometheus(&broken);
+        assert!(prom.contains("# solver_profile unreadable"), "{prom}");
+        assert!(parse_prometheus(&prom).is_ok(), "{prom}");
     }
 
     #[test]

@@ -11,10 +11,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use symbfuzz_core::{
-    CovMap, FlightRow, SolverCacheBlock, SolverProfileBlock, SolverScopeBlock, TelemetryBlock,
-    VmProfileBlock, SOLVERSCOPE_VERSION,
-};
+use symbfuzz_core::{CovMap, FlightRow, SolverCacheBlock, TelemetryBlock, VmProfileBlock};
 use symbfuzz_telemetry::{merge_flight, FlightSample, Mechanism, MetricsSnapshot};
 
 /// Number of workers to use when `--jobs` is not given: all available
@@ -203,87 +200,6 @@ where
     acc
 }
 
-/// Merges per-task solver-profiler blocks: goal rows fold by
-/// `(register, value)` — cumulative tallies sum, `deepest_unroll`
-/// keeps the maximum, escalation histories concatenate in task order —
-/// then re-sort hardest-first (cumulative conflicts, then decisions,
-/// then first-seen order, matching
-/// [`symbfuzz_symexec::SolveProfiler::sorted_rows`]). A task that
-/// never solved contributes an empty block and vanishes in the merge.
-pub fn merge_solver_profiles<'a, I>(blocks: I) -> SolverProfileBlock
-where
-    I: IntoIterator<Item = &'a SolverProfileBlock>,
-{
-    let mut acc = SolverProfileBlock::default();
-    for b in blocks {
-        for g in &b.goals {
-            match acc
-                .goals
-                .iter_mut()
-                .find(|r| r.register == g.register && r.value == g.value)
-            {
-                Some(r) => {
-                    r.attempts += g.attempts;
-                    r.sat += g.sat;
-                    r.unsat += g.unsat;
-                    r.exhausted += g.exhausted;
-                    r.neg_cache_hits += g.neg_cache_hits;
-                    r.conflicts += g.conflicts;
-                    r.decisions += g.decisions;
-                    r.propagations += g.propagations;
-                    r.solver_calls += g.solver_calls;
-                    r.deepest_unroll = r.deepest_unroll.max(g.deepest_unroll);
-                    r.escalations.extend_from_slice(&g.escalations);
-                }
-                None => acc.goals.push(g.clone()),
-            }
-        }
-        acc.total_attempts += b.total_attempts;
-        acc.total_neg_cache_hits += b.total_neg_cache_hits;
-    }
-    acc.goals.sort_by_key(|g| {
-        (
-            std::cmp::Reverse(g.conflicts),
-            std::cmp::Reverse(g.decisions),
-        )
-    });
-    acc
-}
-
-/// Merges per-task solver-introspection blocks: goal rows fold by
-/// `(register, value)` in first-seen task order (see
-/// [`symbfuzz_core::ScopeGoalRow::merge`] for the per-field rules),
-/// then the affinity matrix and adjacent-affinity mean are recomputed
-/// from the merged sketches — so the result describes the merged goal
-/// order and is byte-identical at any `--jobs N`. Returns `None` when
-/// every input is `None` (introspection was off).
-pub fn merge_solver_scopes<'a, I>(blocks: I) -> Option<SolverScopeBlock>
-where
-    I: IntoIterator<Item = Option<&'a SolverScopeBlock>>,
-{
-    let mut acc: Option<SolverScopeBlock> = None;
-    for b in blocks.into_iter().flatten() {
-        let acc = acc.get_or_insert_with(|| SolverScopeBlock {
-            version: SOLVERSCOPE_VERSION,
-            ..SolverScopeBlock::default()
-        });
-        for g in &b.goals {
-            match acc
-                .goals
-                .iter_mut()
-                .find(|r| r.register == g.register && r.value == g.value)
-            {
-                Some(r) => r.merge(g),
-                None => acc.goals.push(g.clone()),
-            }
-        }
-    }
-    if let Some(acc) = &mut acc {
-        acc.recompute_affinity();
-    }
-    acc
-}
-
 /// Merges per-task bitblast-cache blocks: all tallies sum, then the
 /// session-reuse rate is recomputed from the merged totals (a mean of
 /// per-task permille rates would weight idle campaigns equally with
@@ -313,7 +229,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symbfuzz_core::GoalRow;
 
     #[test]
     fn pool_preserves_item_order() {
@@ -528,106 +443,6 @@ mod tests {
         assert_eq!(merged.total_execs, 50);
         assert!((merged.hit_rate() - 48.0 / 50.0).abs() < 1e-12);
         assert!(merge_vm_profiles([None, None]).is_none());
-    }
-
-    #[test]
-    fn solver_profiles_merge_hardest_first() {
-        let goal = |register: &str, conflicts: u64, escalations: Vec<u32>| GoalRow {
-            register: register.into(),
-            value: 1,
-            attempts: escalations.len() as u64,
-            sat: 1,
-            unsat: 0,
-            exhausted: 0,
-            neg_cache_hits: 2,
-            conflicts,
-            decisions: conflicts * 2,
-            propagations: conflicts * 10,
-            solver_calls: 3,
-            deepest_unroll: escalations.len() as u32,
-            escalations,
-        };
-        let a = SolverProfileBlock {
-            goals: vec![goal("easy", 5, vec![0]), goal("hard", 100, vec![0, 1])],
-            total_attempts: 3,
-            total_neg_cache_hits: 4,
-        };
-        let b = SolverProfileBlock {
-            goals: vec![goal("hard", 50, vec![2])],
-            total_attempts: 1,
-            total_neg_cache_hits: 2,
-        };
-        // A task that never solved contributes an empty default block.
-        let merged = merge_solver_profiles([&a, &b, &SolverProfileBlock::default()]);
-        assert_eq!(merged.goals.len(), 2);
-        assert_eq!(merged.goals[0].register, "hard", "hardest goal first");
-        assert_eq!(merged.goals[0].conflicts, 150);
-        assert_eq!(merged.goals[0].attempts, 3);
-        assert_eq!(merged.goals[0].deepest_unroll, 2);
-        assert_eq!(
-            merged.goals[0].escalations,
-            vec![0, 1, 2],
-            "escalation history concatenates in task order"
-        );
-        assert_eq!(merged.goals[1].register, "easy");
-        assert_eq!(merged.total_attempts, 4);
-        assert_eq!(merged.total_neg_cache_hits, 6);
-    }
-
-    #[test]
-    fn solver_scopes_merge_and_recompute_affinity() {
-        use symbfuzz_core::ScopeGoalRow;
-        let row = |register: &str, value: u64, sketch: Vec<u64>, blame: Vec<&str>| ScopeGoalRow {
-            register: register.into(),
-            value,
-            attempts: 1,
-            conflicts: 10,
-            learned: 5,
-            restarts: 1,
-            learned_size_hist: vec![0; 12],
-            lbd_hist: vec![0; 12],
-            call_conflict_hist: vec![1; 12],
-            restart_timeline: vec![4],
-            conflict_depth_sum: 30,
-            conflict_depth_max: 6,
-            hot_signals: vec![("k".into(), 700)],
-            blame: blame.into_iter().map(String::from).collect(),
-            sketch,
-            depth: 2,
-        };
-        let a = SolverScopeBlock {
-            version: SOLVERSCOPE_VERSION,
-            goals: vec![
-                row("st", 1, (0..100).collect(), vec!["st"]),
-                row("st", 2, (50..150).collect(), vec![]),
-            ],
-            affinity: Vec::new(),
-            mean_adjacent_affinity_milli: 0,
-        };
-        let b = SolverScopeBlock {
-            version: SOLVERSCOPE_VERSION,
-            goals: vec![row("st", 1, (0..100).collect(), vec!["lock"])],
-            affinity: Vec::new(),
-            mean_adjacent_affinity_milli: 0,
-        };
-        // A task with introspection off contributes None and vanishes.
-        let merged = merge_solver_scopes([Some(&a), None, Some(&b)]).unwrap();
-        assert_eq!(merged.goals.len(), 2);
-        assert_eq!(merged.goals[0].attempts, 2, "same goal folds");
-        assert_eq!(merged.goals[0].conflicts, 20);
-        assert_eq!(
-            merged.goals[0].blame,
-            vec!["lock".to_string(), "st".to_string()],
-            "blame sets union in name order"
-        );
-        assert_eq!(merged.affinity.len(), 2);
-        assert_eq!(merged.affinity[0][0], 1000);
-        assert!(merged.mean_adjacent_affinity_milli > 0);
-        // Task order alone decides row order; merging is associative
-        // over the same task sequence, so jobs-splits agree.
-        let again = merge_solver_scopes([Some(&a), Some(&b), None]).unwrap();
-        assert_eq!(again, merged);
-        assert!(merge_solver_scopes([None, None]).is_none());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Markdown rendering and JSON persistence for experiment results.
 
 use crate::experiments::*;
-use crate::pool::{merge_flight_rows, merge_solver_profiles, merge_telemetry, merge_vm_profiles};
+use crate::pool::{merge_flight_rows, merge_telemetry, merge_vm_profiles};
 use serde::Serialize;
 use std::fs;
 use std::path::Path;
-use symbfuzz_core::CampaignResult;
+use symbfuzz_core::{CampaignResult, SolverProfileBlock};
 use symbfuzz_telemetry::{flight_line, status_json, write_atomic};
 
 /// Writes `value` as pretty JSON under `results/<name>.json` (relative
@@ -65,7 +65,10 @@ pub fn write_flight_artifacts(
                 serde_json::to_string(&vm).expect("serializable"),
             ));
         }
-        let solver = merge_solver_profiles(results.iter().map(|r| &r.solver_profile));
+        let mut solver = SolverProfileBlock::default();
+        for r in results {
+            solver.merge(&r.solver_profile);
+        }
         extra.push((
             "solver_profile".to_string(),
             serde_json::to_string(&solver).expect("serializable"),

@@ -1,7 +1,7 @@
-//! Solver-introspection report: joins the merged per-goal CDCL scope
-//! blocks and solver profiles of introspected campaigns into one
-//! self-contained explainability artifact (JSON + HTML) — the engine
-//! behind the `solverscope` binary.
+//! Solver-introspection report: renders the merged per-goal solver
+//! blocks of introspected campaigns as one self-contained
+//! explainability artifact (JSON + HTML) — the engine behind the
+//! `solverscope` binary.
 //!
 //! The report answers *where the solver budget went* (a cost ranking
 //! with p50/p90/p99 per-call conflict quantiles), *why failed goals
@@ -15,14 +15,14 @@
 
 use crate::experiments::ScopeProfileResult;
 use serde::{Deserialize, Serialize, Value};
-use symbfuzz_core::{FuzzConfigBuilder, ScopeGoalRow, SOLVERSCOPE_VERSION};
+use symbfuzz_core::{FuzzConfigBuilder, GoalIntrospection, GoalRow};
 use symbfuzz_smt::{trace_hist_quantile, TRACE_HIST_BUCKETS};
 
 /// Version stamp of the report schema (v2 added the per-design
-/// `solver_cache` block).
-pub const SCOPEREPORT_VERSION: u32 = 2;
+/// `solver_cache` block; v3 folded the scope block into `profile`).
+pub const SCOPEREPORT_VERSION: u32 = 3;
 
-/// The joined solver-introspection report (versioned JSON).
+/// The solver-introspection report (versioned JSON).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScopeReport {
     /// Schema version ([`SCOPEREPORT_VERSION`]).
@@ -54,8 +54,9 @@ pub fn build_scope_report(
 }
 
 /// `(p50, p90, p99)` of the per exact-depth-call conflict counts, read
-/// off the row's log₄ histogram (upper bucket edges, so conservative).
-pub fn conflict_quantiles(row: &ScopeGoalRow) -> (u64, u64, u64) {
+/// off the record's log₄ histogram (upper bucket edges, so
+/// conservative).
+pub fn conflict_quantiles(row: &GoalIntrospection) -> (u64, u64, u64) {
     (
         trace_hist_quantile(&row.call_conflict_hist, 0.50),
         trace_hist_quantile(&row.call_conflict_hist, 0.90),
@@ -63,20 +64,9 @@ pub fn conflict_quantiles(row: &ScopeGoalRow) -> (u64, u64, u64) {
     )
 }
 
-fn check_hist(h: &[u64], what: &str) -> Result<(), String> {
-    if h.len() != TRACE_HIST_BUCKETS {
-        return Err(format!(
-            "{what}: {} histogram buckets (expected {TRACE_HIST_BUCKETS})",
-            h.len()
-        ));
-    }
-    Ok(())
-}
-
-/// Parses and schema-checks a report JSON document: version stamps,
-/// square symmetric affinity matrices with a 1000-milli diagonal,
-/// fixed histogram widths, sorted blame sets, and attribution tallies
-/// that stay within their totals.
+/// Parses and schema-checks a report JSON document: the version stamp,
+/// every design's per-goal block ([`symbfuzz_core::SolverProfileBlock::check`]),
+/// and attribution and cache tallies that stay within their totals.
 ///
 /// # Errors
 ///
@@ -90,13 +80,9 @@ pub fn validate_scope_report(text: &str) -> Result<ScopeReport, String> {
         ));
     }
     for d in &r.designs {
-        let scope = &d.scope;
-        if scope.version != SOLVERSCOPE_VERSION {
-            return Err(format!(
-                "design `{}`: scope version {} (expected {SOLVERSCOPE_VERSION})",
-                d.design, scope.version
-            ));
-        }
+        d.profile
+            .check()
+            .map_err(|e| format!("design `{}`: {e}", d.design))?;
         if d.campaigns == 0 {
             return Err(format!("design `{}`: zero campaigns", d.design));
         }
@@ -105,64 +91,6 @@ pub fn validate_scope_report(text: &str) -> Result<ScopeReport, String> {
                 "design `{}`: {} blamed of {} exhausted goals",
                 d.design, d.exhausted_blamed, d.exhausted_goals
             ));
-        }
-        if d.mean_adjacent_affinity_milli != scope.mean_adjacent_affinity_milli {
-            return Err(format!(
-                "design `{}`: affinity summary {} disagrees with scope block {}",
-                d.design, d.mean_adjacent_affinity_milli, scope.mean_adjacent_affinity_milli
-            ));
-        }
-        let n = scope.affinity.len();
-        if n > scope.goals.len() {
-            return Err(format!(
-                "design `{}`: {n}-row affinity over {} goals",
-                d.design,
-                scope.goals.len()
-            ));
-        }
-        for (i, row) in scope.affinity.iter().enumerate() {
-            if row.len() != n {
-                return Err(format!(
-                    "design `{}`: affinity row {i} has {} cells (expected {n})",
-                    d.design,
-                    row.len()
-                ));
-            }
-            for (j, &a) in row.iter().enumerate() {
-                if a > 1000 {
-                    return Err(format!(
-                        "design `{}`: affinity[{i}][{j}] = {a} exceeds 1000 milli",
-                        d.design
-                    ));
-                }
-                if i == j && a != 1000 {
-                    return Err(format!(
-                        "design `{}`: affinity diagonal [{i}] = {a} (expected 1000)",
-                        d.design
-                    ));
-                }
-                if scope.affinity[j][i] != a {
-                    return Err(format!(
-                        "design `{}`: affinity[{i}][{j}] asymmetric",
-                        d.design
-                    ));
-                }
-            }
-        }
-        for g in &scope.goals {
-            let what = format!("design `{}` goal `{}`={}", d.design, g.register, g.value);
-            check_hist(&g.learned_size_hist, &format!("{what} learned-size"))?;
-            check_hist(&g.lbd_hist, &format!("{what} lbd"))?;
-            check_hist(&g.call_conflict_hist, &format!("{what} call-conflict"))?;
-            if g.blame.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("{what}: blame set not strictly sorted"));
-            }
-            if g.hot_signals.iter().any(|(_, p)| *p > 1000) {
-                return Err(format!("{what}: hot-signal permille exceeds 1000"));
-            }
-            if g.conflict_depth_sum > 0 && g.conflicts == 0 {
-                return Err(format!("{what}: conflict depth without conflicts"));
-            }
         }
         if let Some(c) = &d.solver_cache {
             if c.reused_goals > c.goals {
@@ -313,7 +241,8 @@ fn heat_color(milli: u64) -> String {
 
 /// The affinity heatmap as one inline SVG grid.
 fn render_heatmap(d: &ScopeProfileResult) -> String {
-    let n = d.scope.affinity.len();
+    let goals: Vec<&GoalRow> = d.profile.introspected().map(|(g, _)| g).collect();
+    let n = d.profile.affinity.len();
     if n == 0 {
         return "<p>No affinity matrix (no introspected goals).</p>\n".to_string();
     }
@@ -324,8 +253,8 @@ fn render_heatmap(d: &ScopeProfileResult) -> String {
     let h = MT + CELL * n as f64 + 8.0;
     let mut out =
         format!("<svg viewBox=\"0 0 {w} {h}\" width=\"{w}\" height=\"{h}\" role=\"img\">\n");
-    for (i, row) in d.scope.affinity.iter().enumerate() {
-        let g = &d.scope.goals[i];
+    for (i, row) in d.profile.affinity.iter().enumerate() {
+        let g = goals[i];
         out.push_str(&format!(
             "<text x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"end\" class=\"axis\">{}={}</text>\n",
             ML - 4.0,
@@ -342,8 +271,8 @@ fn render_heatmap(d: &ScopeProfileResult) -> String {
                 heat_color(a),
                 esc(&g.register),
                 g.value,
-                esc(&d.scope.goals[j].register),
-                d.scope.goals[j].value
+                esc(&goals[j].register),
+                goals[j].value
             ));
         }
     }
@@ -353,10 +282,10 @@ fn render_heatmap(d: &ScopeProfileResult) -> String {
 
 /// Restart timelines of the costliest goals as one inline SVG: one
 /// polyline per goal, x = restart index, y = conflicts at restart.
-fn render_restart_curves(goals: &[&ScopeGoalRow]) -> String {
-    let curves: Vec<&&ScopeGoalRow> = goals
+fn render_restart_curves(goals: &[(&GoalRow, &GoalIntrospection)]) -> String {
+    let curves: Vec<&(&GoalRow, &GoalIntrospection)> = goals
         .iter()
-        .filter(|g| g.restart_timeline.len() >= 2)
+        .filter(|(_, i)| i.restart_timeline.len() >= 2)
         .take(PALETTE.len())
         .collect();
     if curves.is_empty() {
@@ -368,13 +297,13 @@ fn render_restart_curves(goals: &[&ScopeGoalRow]) -> String {
     const MB: f64 = 24.0;
     let max_x = curves
         .iter()
-        .map(|g| g.restart_timeline.len() - 1)
+        .map(|(_, i)| i.restart_timeline.len() - 1)
         .max()
         .unwrap_or(1)
         .max(1);
     let max_y = curves
         .iter()
-        .flat_map(|g| g.restart_timeline.iter().copied())
+        .flat_map(|(_, i)| i.restart_timeline.iter().copied())
         .max()
         .unwrap_or(1)
         .max(1);
@@ -393,9 +322,9 @@ fn render_restart_curves(goals: &[&ScopeGoalRow]) -> String {
         W - 110.0,
         H - 8.0,
     );
-    for (i, g) in curves.iter().enumerate() {
+    for (i, (g, intro)) in curves.iter().enumerate() {
         let color = PALETTE[i % PALETTE.len()];
-        let points: Vec<String> = g
+        let points: Vec<String> = intro
             .restart_timeline
             .iter()
             .enumerate()
@@ -426,19 +355,19 @@ fn bucket_edge(i: usize) -> u64 {
     }
 }
 
-fn render_learning_table(goals: &[&ScopeGoalRow]) -> String {
+fn render_learning_table(goals: &[(&GoalRow, &GoalIntrospection)]) -> String {
     let mut out = String::from("<table><tr><th>goal</th><th>learned</th><th>histogram</th>");
     for i in 0..TRACE_HIST_BUCKETS {
         out.push_str(&format!("<th>≤{}</th>", bucket_edge(i)));
     }
     out.push_str("</tr>\n");
-    for g in goals.iter().filter(|g| g.learned > 0) {
-        for (label, hist) in [("clause size", &g.learned_size_hist), ("LBD", &g.lbd_hist)] {
+    for (g, i) in goals.iter().filter(|(_, i)| i.learned > 0) {
+        for (label, hist) in [("clause size", &i.learned_size_hist), ("LBD", &i.lbd_hist)] {
             out.push_str(&format!(
                 "<tr><td><code>{}</code> = {}</td><td>{}</td><td>{label}</td>",
                 esc(&g.register),
                 g.value,
-                g.learned
+                i.learned
             ));
             for b in hist {
                 out.push_str(&format!("<td>{b}</td>"));
@@ -485,7 +414,7 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
             d.campaigns,
             d.exhausted_blamed,
             d.exhausted_goals,
-            d.mean_adjacent_affinity_milli as f64 / 1000.0
+            d.profile.mean_adjacent_affinity_milli as f64 / 1000.0
         ));
         if let Some(c) = &d.solver_cache {
             out.push_str(&format!(
@@ -501,8 +430,9 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
             ));
         }
 
-        // Cost ranking: profile rows are already hardest-first; join
-        // each with its scope row for quantiles and depth stats.
+        // Cost ranking, hardest first, with each goal's quantiles and
+        // depth stats.
+        let ranked = d.profile.hardest_first();
         out.push_str(
             "<h3>Cost ranking</h3>\n\
              <table><tr><th>goal</th><th>attempts</th><th>sat</th><th>unsat</th>\
@@ -510,13 +440,8 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
              <th>p50</th><th>p90</th><th>p99</th><th>depth μ/max</th>\
              <th>hottest signal</th></tr>\n",
         );
-        for p in &d.profile.goals {
-            let scope = d
-                .scope
-                .goals
-                .iter()
-                .find(|g| g.register == p.register && g.value == p.value);
-            let (q, depth, restarts, learned, hot) = match scope {
+        for p in &ranked {
+            let (q, depth, restarts, learned, hot) = match &p.introspection {
                 Some(g) => (
                     conflict_quantiles(g),
                     format!("{}/{}", g.mean_conflict_depth(), g.conflict_depth_max),
@@ -548,11 +473,10 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
         out.push_str("</table>\n");
 
         out.push_str("<h3>Exhaustion blame sets</h3>\n");
-        let blamed: Vec<&ScopeGoalRow> = d
-            .scope
-            .goals
-            .iter()
-            .filter(|g| !g.blame.is_empty())
+        let blamed: Vec<(&GoalRow, &GoalIntrospection)> = d
+            .profile
+            .introspected()
+            .filter(|(_, i)| !i.blame.is_empty())
             .collect();
         if blamed.is_empty() {
             out.push_str("<p>No failed goals — nothing to blame.</p>\n");
@@ -561,8 +485,8 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
                 "<table><tr><th>goal</th><th>attempts</th>\
                  <th>blamed state registers</th></tr>\n",
             );
-            for g in &blamed {
-                let blame = g
+            for (g, i) in &blamed {
+                let blame = i
                     .blame
                     .iter()
                     .map(|b| format!("<code>{}</code>", esc(b)))
@@ -581,17 +505,10 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
         out.push_str("<h3>Cross-goal affinity</h3>\n");
         out.push_str(&render_heatmap(d));
 
-        // Costliest goals drive the curves, profile order (hardest first).
-        let ranked: Vec<&ScopeGoalRow> = d
-            .profile
-            .goals
-            .iter()
-            .filter_map(|p| {
-                d.scope
-                    .goals
-                    .iter()
-                    .find(|g| g.register == p.register && g.value == p.value)
-            })
+        // Costliest goals drive the curves (hardest first).
+        let ranked: Vec<(&GoalRow, &GoalIntrospection)> = ranked
+            .into_iter()
+            .filter_map(|g| g.introspection.as_ref().map(|i| (g, i)))
             .collect();
         out.push_str("<h3>Restart timelines</h3>\n");
         out.push_str(&render_restart_curves(&ranked));
@@ -624,21 +541,19 @@ pub fn render_scope_markdown(r: &ScopeReport) -> String {
             "| {} | {} | {} | {} | {} | {:.3} | {hit} | {reuse} |\n",
             d.design,
             d.campaigns,
-            d.scope.goals.len(),
+            d.profile.introspected().count(),
             d.exhausted_goals,
             d.exhausted_blamed,
-            d.mean_adjacent_affinity_milli as f64 / 1000.0
+            d.profile.mean_adjacent_affinity_milli as f64 / 1000.0
         ));
     }
     out.push('\n');
     for d in &r.designs {
-        for p in d.profile.goals.iter().take(3) {
-            let blame = d
-                .scope
-                .goals
-                .iter()
-                .find(|g| g.register == p.register && g.value == p.value)
-                .map(|g| g.blame.join(", "))
+        for p in d.profile.hardest_first().into_iter().take(3) {
+            let blame = p
+                .introspection
+                .as_ref()
+                .map(|i| i.blame.join(", "))
                 .unwrap_or_default();
             out.push_str(&format!(
                 "* {}: `{}` = {} — {} conflicts over {} attempts{}\n",
@@ -661,62 +576,50 @@ pub fn render_scope_markdown(r: &ScopeReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symbfuzz_core::{GoalRow, SolverProfileBlock, SolverScopeBlock};
+    use symbfuzz_core::SolverProfileBlock;
 
-    fn row(register: &str, value: u64, blame: &[&str]) -> ScopeGoalRow {
-        ScopeGoalRow {
+    fn row(register: &str, value: u64, blame: &[&str]) -> GoalRow {
+        GoalRow {
             register: register.into(),
             value,
             attempts: 2,
+            exhausted: 2,
             conflicts: 40,
-            learned: 30,
-            restarts: 3,
-            learned_size_hist: vec![0; TRACE_HIST_BUCKETS],
-            lbd_hist: vec![0; TRACE_HIST_BUCKETS],
-            call_conflict_hist: {
-                let mut h = vec![0; TRACE_HIST_BUCKETS];
-                h[1] = 8; // eight calls with ≤3 conflicts
-                h[3] = 2; // two calls with ≤63 conflicts
-                h
-            },
-            restart_timeline: vec![16, 40, 90],
-            conflict_depth_sum: 200,
-            conflict_depth_max: 9,
-            hot_signals: vec![("st".into(), 1000), ("lock".into(), 420)],
-            blame: blame.iter().map(|s| s.to_string()).collect(),
-            sketch: vec![1, 2, 3],
-            depth: 4,
+            decisions: 80,
+            propagations: 400,
+            solver_calls: 10,
+            deepest_unroll: 4,
+            escalations: vec![0, 0],
+            introspection: Some(GoalIntrospection {
+                learned: 30,
+                restarts: 3,
+                learned_size_hist: vec![0; TRACE_HIST_BUCKETS],
+                lbd_hist: vec![0; TRACE_HIST_BUCKETS],
+                call_conflict_hist: {
+                    let mut h = vec![0; TRACE_HIST_BUCKETS];
+                    h[1] = 8; // eight calls with ≤3 conflicts
+                    h[3] = 2; // two calls with ≤63 conflicts
+                    h
+                },
+                restart_timeline: vec![16, 40, 90],
+                conflict_depth_sum: 200,
+                conflict_depth_max: 9,
+                hot_signals: vec![("st".into(), 1000), ("lock".into(), 420)],
+                blame: blame.iter().map(|s| s.to_string()).collect(),
+                sketch: vec![1, 2, 3],
+                depth: 4,
+            }),
+            ..GoalRow::default()
         }
     }
 
     fn tiny_report() -> ScopeReport {
-        let mut scope = SolverScopeBlock {
-            version: SOLVERSCOPE_VERSION,
+        let mut profile = SolverProfileBlock {
             goals: vec![row("st", 3, &["lock", "st"]), row("st", 5, &[])],
-            affinity: Vec::new(),
-            mean_adjacent_affinity_milli: 0,
+            total_attempts: 4,
+            ..SolverProfileBlock::default()
         };
-        scope.recompute_affinity();
-        let mean = scope.mean_adjacent_affinity_milli;
-        let profile = SolverProfileBlock {
-            goals: vec![GoalRow {
-                register: "st".into(),
-                value: 3,
-                attempts: 2,
-                sat: 0,
-                unsat: 0,
-                exhausted: 2,
-                neg_cache_hits: 0,
-                conflicts: 40,
-                decisions: 80,
-                propagations: 400,
-                solver_calls: 10,
-                deepest_unroll: 4,
-                escalations: vec![0, 0],
-            }],
-            total_attempts: 2,
-            total_neg_cache_hits: 0,
-        };
+        profile.recompute_affinity();
         ScopeReport {
             version: SCOPEREPORT_VERSION,
             max_vectors: 1_000,
@@ -725,10 +628,8 @@ mod tests {
                 design: "hard_factor".into(),
                 solver_budget: 500,
                 campaigns: 2,
-                exhausted_goals: 1,
+                exhausted_goals: 2,
                 exhausted_blamed: 1,
-                mean_adjacent_affinity_milli: mean,
-                scope,
                 profile,
                 solver_cache: Some(symbfuzz_core::SolverCacheBlock {
                     frame_hits: 6,
@@ -762,14 +663,18 @@ mod tests {
             .contains("version"));
 
         let mut r = tiny_report();
-        r.designs[0].scope.affinity[0][1] = 1; // breaks symmetry
+        r.designs[0].profile.affinity[0][1] = 1; // breaks symmetry
         let json = serde_json::to_string(&r).unwrap();
         assert!(validate_scope_report(&json)
             .unwrap_err()
             .contains("asymmetric"));
 
         let mut r = tiny_report();
-        r.designs[0].scope.goals[0].blame = vec!["st".into(), "lock".into()];
+        let intro = r.designs[0].profile.goals[0]
+            .introspection
+            .as_mut()
+            .unwrap();
+        intro.blame = vec!["st".into(), "lock".into()];
         let json = serde_json::to_string(&r).unwrap();
         assert!(validate_scope_report(&json).unwrap_err().contains("sorted"));
 
@@ -779,7 +684,11 @@ mod tests {
         assert!(validate_scope_report(&json).unwrap_err().contains("blamed"));
 
         let mut r = tiny_report();
-        r.designs[0].scope.goals[0].lbd_hist.pop();
+        let intro = r.designs[0].profile.goals[0]
+            .introspection
+            .as_mut()
+            .unwrap();
+        intro.lbd_hist.pop();
         let json = serde_json::to_string(&r).unwrap();
         assert!(validate_scope_report(&json)
             .unwrap_err()
@@ -794,7 +703,7 @@ mod tests {
 
     #[test]
     fn quantiles_read_log4_bucket_edges() {
-        let g = row("st", 3, &[]);
+        let g = row("st", 3, &[]).introspection.unwrap();
         // 8 calls in bucket 1 (≤3), 2 in bucket 3 (≤63): p50 lands in
         // bucket 1; p90 (9th of 10) and p99 cross into bucket 3.
         assert_eq!(conflict_quantiles(&g), (3, 63, 63));
@@ -803,7 +712,11 @@ mod tests {
     #[test]
     fn html_is_self_contained_and_escaped() {
         let mut r = tiny_report();
-        r.designs[0].scope.goals[0].hot_signals[0].0 = "a<b".into();
+        let intro = r.designs[0].profile.goals[0]
+            .introspection
+            .as_mut()
+            .unwrap();
+        intro.hot_signals[0].0 = "a<b".into();
         let html = render_scope_html(&r);
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("<svg"), "heatmap and curves are inline SVG");
@@ -818,7 +731,7 @@ mod tests {
         let md = render_scope_markdown(&tiny_report());
         // 6/8 frame hits = 75.0 %, 800 milli reuse.
         assert!(
-            md.contains("| hard_factor | 2 | 2 | 1 | 1 | 1.000 | 75.0% | 0.800 |"),
+            md.contains("| hard_factor | 2 | 2 | 2 | 1 | 1.000 | 75.0% | 0.800 |"),
             "{md}"
         );
         assert!(md.contains("blames lock, st"));

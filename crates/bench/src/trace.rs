@@ -7,6 +7,7 @@
 //! collector emits), and the renderers behind the `tracedump` binary —
 //! a per-phase time table and a coverage/stagnation timeline.
 
+use std::collections::BTreeMap;
 use symbfuzz_smt::trace_hist_quantile;
 use symbfuzz_telemetry::{
     bucket_of, escape_json_into, hist_quantile, Event, Mechanism, Phase, SolveStatus,
@@ -665,29 +666,20 @@ pub fn goal_cost_table(records: &[TraceRecord]) -> String {
         hist: Vec<u64>,
         last_status: String,
     }
-    let mut rows: Vec<Row> = Vec::new();
+    let mut by_goal: BTreeMap<(&str, u64), Row> = BTreeMap::new();
     for r in records.iter().filter(|r| r.kind == "GoalSolveCost") {
         let (register, value) = (r.str("register"), r.num("value"));
-        let row = match rows
-            .iter_mut()
-            .find(|g| g.register == register && g.value == value)
-        {
-            Some(g) => g,
-            None => {
-                rows.push(Row {
-                    register: register.to_string(),
-                    value,
-                    attempts: 0,
-                    calls: 0,
-                    conflicts: 0,
-                    learned: 0,
-                    restarts: 0,
-                    hist: Vec::new(),
-                    last_status: String::new(),
-                });
-                rows.last_mut().unwrap()
-            }
-        };
+        let row = by_goal.entry((register, value)).or_insert_with(|| Row {
+            register: register.to_string(),
+            value,
+            attempts: 0,
+            calls: 0,
+            conflicts: 0,
+            learned: 0,
+            restarts: 0,
+            hist: Vec::new(),
+            last_status: String::new(),
+        });
         row.attempts += 1;
         row.calls += r.num("calls");
         row.conflicts += r.num("conflicts");
@@ -702,9 +694,10 @@ pub fn goal_cost_table(records: &[TraceRecord]) -> String {
         }
         row.last_status = r.str("status").to_string();
     }
-    if rows.is_empty() {
+    if by_goal.is_empty() {
         return String::new();
     }
+    let mut rows: Vec<Row> = by_goal.into_values().collect();
     rows.sort_by(|a, b| {
         (b.conflicts, b.calls, &a.register, a.value).cmp(&(
             a.conflicts,

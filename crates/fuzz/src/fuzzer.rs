@@ -4,8 +4,8 @@ use crate::config::{FuzzConfig, Strategy};
 use crate::mutate::{Granularity, Mutator};
 use crate::report::{
     BugRecord, CampaignResult, CovMap, CoverageSample, EdgeCov, FlightRow, FrontierRow, GoalCov,
-    NodeCov, PropertySpec, ProvenanceRecord, ResourceStats, ScopeCollector, SolverCacheBlock,
-    SolverProfileBlock, SolverScopeBlock, TelemetryBlock, VmProfileBlock, COVMAP_VERSION,
+    NodeCov, PropertySpec, ProvenanceRecord, ResourceStats, SolverCacheBlock, SolverProfileBlock,
+    TelemetryBlock, VmProfileBlock, COVMAP_VERSION,
 };
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -18,7 +18,7 @@ use symbfuzz_props::{PropError, Property, PropertyChecker};
 use symbfuzz_ruvm::{Driver, SequenceItem, Sequencer};
 use symbfuzz_sim::{Reentry, Simulator, SnapshotId, SnapshotStore};
 use symbfuzz_smt::Budget;
-use symbfuzz_symexec::{GoalScope, ReachOutcome, ReachStats, SolveProfiler, SymbolicEngine};
+use symbfuzz_symexec::{GoalScope, ReachOutcome, ReachStats, SymbolicEngine};
 use symbfuzz_telemetry::{
     Collector, Counter, Event, Gauge, Mechanism, Phase, SampleState, Sampler, SolveStatus,
 };
@@ -110,12 +110,11 @@ pub struct SymbFuzz {
     /// Flight recorder sampling the collector every
     /// `config.sample_every` vectors (`None` = recorder off).
     sampler: Option<Sampler>,
-    /// Per-goal solver work attribution (always collected; the rows
-    /// are a deterministic function of the campaign seed).
-    solve_profiler: SolveProfiler,
-    /// Per-goal CDCL introspection scopes (collected only when
-    /// `config.solver_introspection` is on).
-    scope_collector: ScopeCollector,
+    /// Per-goal solver record (always collected; the rows are a
+    /// deterministic function of the campaign seed, and carry
+    /// introspection sub-records when `config.solver_introspection`
+    /// is on).
+    solver_profile: SolverProfileBlock,
 }
 
 impl SymbFuzz {
@@ -209,8 +208,7 @@ impl SymbFuzz {
             sampler: config.sample_every.map(Sampler::new),
             config,
             telemetry,
-            solve_profiler: SolveProfiler::new(),
-            scope_collector: ScopeCollector::new(),
+            solver_profile: SolverProfileBlock::default(),
         })
     }
 
@@ -283,10 +281,9 @@ impl SymbFuzz {
         }
     }
 
-    /// The profiler sections appended to the `status.json` heartbeat
-    /// and attached to the campaign report: the per-cone VM profile
-    /// (when the compiled settle mode ran) and the per-goal solver
-    /// profile.
+    /// The profiler sections appended to the `status.json` heartbeat:
+    /// the per-cone VM profile (when the compiled settle mode ran) and
+    /// the per-goal solver record.
     fn profile_sections(&self) -> Vec<(String, String)> {
         let mut extra = Vec::new();
         if let Some(p) = self.sim.vm_profile(HOT_CONE_TOP_K) {
@@ -295,17 +292,18 @@ impl SymbFuzz {
                 extra.push(("vm_profile".to_string(), json));
             }
         }
-        let block = SolverProfileBlock::from(&self.solve_profiler);
-        if let Ok(json) = serde_json::to_string(&block) {
+        if let Ok(json) = serde_json::to_string(&self.solver_profile()) {
             extra.push(("solver_profile".to_string(), json));
         }
-        if !self.scope_collector.is_empty() {
-            let block = SolverScopeBlock::from(&self.scope_collector);
-            if let Ok(json) = serde_json::to_string(&block) {
-                extra.push(("solver_scope".to_string(), json));
-            }
-        }
         extra
+    }
+
+    /// The per-goal solver record with its affinity matrix computed
+    /// over the goals so far.
+    fn solver_profile(&self) -> SolverProfileBlock {
+        let mut block = self.solver_profile.clone();
+        block.recompute_affinity();
+        block
     }
 
     /// Current coverage points.
@@ -424,14 +422,13 @@ impl SymbFuzz {
             + self.mutator.case_corpus_len() as u64 * self.config.testcase_len as u64)
             * word_bytes;
         resources.peak_state_bytes = state_bytes + resources.peak_snapshot_bytes + corpus_bytes;
-        let solver_scope = if self.scope_collector.is_empty() {
-            None
-        } else {
-            let block = SolverScopeBlock::from(&self.scope_collector);
-            self.telemetry
-                .set_gauge(Gauge::MeanAffinity, block.mean_adjacent_affinity_milli);
-            Some(block)
-        };
+        let solver_profile = self.solver_profile();
+        if solver_profile.introspected().next().is_some() {
+            self.telemetry.set_gauge(
+                Gauge::MeanAffinity,
+                solver_profile.mean_adjacent_affinity_milli,
+            );
+        }
         CampaignResult {
             fuzzer: self.strategy.name().to_string(),
             design: self.design.name.clone(),
@@ -460,8 +457,7 @@ impl SymbFuzz {
                 .sim
                 .vm_profile(HOT_CONE_TOP_K)
                 .map(VmProfileBlock::from),
-            solver_profile: SolverProfileBlock::from(&self.solve_profiler),
-            solver_scope,
+            solver_profile,
             solver_cache: self.config.incremental_solving.then(|| {
                 let stats = self.engine.as_ref().map(|e| e.cache_stats());
                 SolverCacheBlock::from(stats.unwrap_or_default())
@@ -867,7 +863,7 @@ impl SymbFuzz {
             if self.neg_cache.contains(&key) {
                 self.telemetry.add(Counter::NegCacheHits, 1);
                 let name = self.design.signal(reg).name.clone();
-                self.solve_profiler.note_neg_cache_hit(&name, target_value);
+                self.solver_profile.note_neg_cache_hit(&name, target_value);
                 continue;
             }
             tried += 1;
@@ -898,12 +894,13 @@ impl SymbFuzz {
             let outcome = match result {
                 Ok((outcome, stats, scope)) => {
                     let name = self.design.signal(reg).name.clone();
-                    self.solve_profiler.note_outcome(
+                    self.solver_profile.note_attempt(
                         &name,
                         target_value,
                         self.escalation,
                         &outcome,
                         stats,
+                        scope.as_ref(),
                     );
                     if let Some(scope) = scope {
                         self.note_goal_scope(&name, target_value, &outcome, stats, &scope);
@@ -958,8 +955,7 @@ impl SymbFuzz {
         SolveStatus::Unsat
     }
 
-    /// Folds one introspected reachability query into the scope
-    /// collector and emits the corresponding telemetry: a
+    /// Emits the telemetry of one introspected reachability query: a
     /// [`Event::GoalSolveCost`] receipt per query, a
     /// [`Event::CoreExtracted`] attribution record for failed goals
     /// that carry a blame set, and the learned-clause work counter.
@@ -971,7 +967,6 @@ impl SymbFuzz {
         stats: ReachStats,
         scope: &GoalScope,
     ) {
-        self.scope_collector.note(register, value, scope);
         self.telemetry
             .add(Counter::LearnedClauses, scope.trace.learned);
         self.telemetry.record(Event::GoalSolveCost {
@@ -980,7 +975,7 @@ impl SymbFuzz {
             status: outcome.status(),
             depth: stats.deepest_unroll as u64,
             calls: stats.solver_calls as u64,
-            conflicts: scope.trace.conflicts,
+            conflicts: scope.trace.learned,
             learned: scope.trace.learned,
             restarts: scope.trace.restarts,
             hist: scope.call_conflict_hist.clone(),
@@ -1428,7 +1423,7 @@ mod tests {
     }
 
     #[test]
-    fn introspection_attaches_a_solver_scope_block() {
+    fn introspection_attaches_per_goal_records() {
         let d = lock_design();
         let cfg = FuzzConfig {
             solver_introspection: true,
@@ -1437,21 +1432,24 @@ mod tests {
         let mut f = SymbFuzz::new(Arc::clone(&d), Strategy::SymbFuzz, cfg, &lock_props()).unwrap();
         let r = f.run();
         assert!(r.detected("never_open"));
-        let scope = r.solver_scope.as_ref().expect("introspection was on");
-        assert_eq!(scope.version, crate::report::SOLVERSCOPE_VERSION);
-        assert!(!scope.goals.is_empty());
-        // Every row recorded its structural sketch and conflict shape.
-        for g in &scope.goals {
+        let scope = &r.solver_profile;
+        assert_eq!(scope.version, crate::report::SOLVER_PROFILE_VERSION);
+        // Every attempted row recorded its structural sketch and
+        // conflict shape.
+        let mut traced = 0;
+        for g in scope.goals.iter().filter(|g| g.attempts > 0) {
+            let i = g.introspection.as_ref().expect("attempted goal is traced");
             assert!(
-                !g.sketch.is_empty(),
+                !i.sketch.is_empty(),
                 "goal {}={} has no sketch",
                 g.register,
                 g.value
             );
-            assert!(g.attempts >= 1);
+            traced += 1;
         }
+        assert!(traced > 0);
         // Affinity matrix covers the (capped) goal list symmetrically.
-        let n = scope.goals.len().min(crate::report::AFFINITY_MAX_GOALS);
+        let n = traced.min(crate::report::AFFINITY_MAX_GOALS);
         assert_eq!(scope.affinity.len(), n);
         for i in 0..n {
             assert_eq!(scope.affinity[i][i], 1000);
@@ -1489,7 +1487,8 @@ mod tests {
         )
         .unwrap();
         let r = f.run();
-        assert!(r.solver_scope.is_none());
+        assert!(r.solver_profile.introspected().next().is_none());
+        assert!(r.solver_profile.affinity.is_empty());
         assert!(!r
             .telemetry
             .events
@@ -1553,12 +1552,13 @@ mod tests {
         let mut f = SymbFuzz::new(Arc::clone(&d), Strategy::SymbFuzz, cfg, &props).unwrap();
         let r = f.run();
         assert!(!r.detected("never_unlocked"));
-        let scope = r.solver_scope.as_ref().expect("introspection was on");
         // Every goal here fails (the semiprime gate is hopeless under a
         // 500-conflict budget), so every row must carry a blame set.
-        let (blamed, total) = scope.blame_counts();
-        assert!(total >= 1);
-        assert_eq!(blamed, total, "unattributed rows: {:?}", scope.goals);
+        let rows: Vec<_> = r.solver_profile.introspected().collect();
+        assert!(!rows.is_empty());
+        for (g, i) in rows {
+            assert!(!i.blame.is_empty(), "unattributed goal {g:?}");
+        }
         // Attribution records surfaced as events too.
         let cores = r
             .telemetry
@@ -1774,7 +1774,11 @@ mod tests {
         .unwrap();
         let r = f.run();
         assert!(r.solver_cache.is_none());
-        assert!(r.solver_scope.is_none());
+        assert!(r
+            .solver_profile
+            .goals
+            .iter()
+            .all(|g| g.introspection.is_none()));
     }
 
     #[test]
@@ -1836,7 +1840,7 @@ mod tests {
         let r = f.run();
         assert!(r.detected("never_open"), "coverage {}", r.coverage_points);
         assert!(r.solver_cache.is_some());
-        assert!(r.solver_scope.is_some());
+        assert!(r.solver_profile.introspected().next().is_some());
         let mut g = SymbFuzz::new(Arc::clone(&d), Strategy::SymbFuzz, cfg, &lock_props()).unwrap();
         assert_eq!(r, g.run());
     }

@@ -52,7 +52,7 @@ pub use fuzzer::SymbFuzz;
 pub use mutate::Mutator;
 pub use report::{
     BugRecord, CampaignResult, ConeRow, CovMap, CoverageSample, EdgeCov, FlightRow, FrontierRow,
-    GoalCov, GoalRow, NodeCov, PhaseBlock, PropertySpec, ProvenanceRecord, ResourceStats,
-    ScopeCollector, ScopeGoalRow, SolverCacheBlock, SolverProfileBlock, SolverScopeBlock,
-    TelemetryBlock, VmProfileBlock, AFFINITY_MAX_GOALS, COVMAP_VERSION, SOLVERSCOPE_VERSION,
+    GoalCov, GoalIntrospection, GoalRow, NodeCov, PhaseBlock, PropertySpec, ProvenanceRecord,
+    ResourceStats, SolverCacheBlock, SolverProfileBlock, TelemetryBlock, VmProfileBlock,
+    AFFINITY_MAX_GOALS, COVMAP_VERSION, SOLVER_PROFILE_VERSION,
 };

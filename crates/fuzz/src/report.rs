@@ -1,9 +1,12 @@
 //! Campaign results, bug records and property specifications.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 use symbfuzz_sim::VmProfile;
-use symbfuzz_symexec::{sketch_jaccard_milli, GoalScope, SolveProfiler, SolverCacheStats};
+use symbfuzz_smt::TRACE_HIST_BUCKETS;
+use symbfuzz_symexec::{
+    sketch_jaccard_milli, GoalScope, ReachOutcome, ReachStats, SolverCacheStats,
+};
 use symbfuzz_telemetry::{FlightSample, MetricsSnapshot, PhaseStat};
 
 /// A security property plus its *oracle visibility*: which detection
@@ -551,13 +554,23 @@ impl VmProfileBlock {
     }
 }
 
-/// One per-goal solver row (serialisable mirror of
-/// [`symbfuzz_symexec::GoalProfile`]).
+/// Version stamp of the [`SolverProfileBlock`] schema. v2 folded the
+/// introspection rows and the affinity matrix into the profile.
+pub const SOLVER_PROFILE_VERSION: u32 = 2;
+
+/// Goal count included in the [`SolverProfileBlock::affinity`] matrix.
+/// Rows beyond this still carry their sketches, so a merged block can
+/// recompute the matrix over the merged goal order.
+pub const AFFINITY_MAX_GOALS: usize = 32;
+
+/// The solver work spent on one `(register, value)` reachability goal:
+/// outcome tallies and CDCL counters over every attempt, plus the
+/// introspection analytics when the campaign recorded them.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct GoalRow {
     /// Target register name.
     pub register: String,
-    /// Target value.
+    /// Target value (goals are ≤ 64 bits in the campaign loop).
     pub value: u64,
     /// Reachability queries issued (cache hits excluded).
     pub attempts: u64,
@@ -569,83 +582,34 @@ pub struct GoalRow {
     pub exhausted: u64,
     /// Times the negative cache short-circuited this goal.
     pub neg_cache_hits: u64,
-    /// Cumulative CDCL conflicts across all attempts.
+    /// Cumulative CDCL conflicts across all attempts (the budget's
+    /// count, so it includes conflicts that learned nothing).
     pub conflicts: u64,
     /// Cumulative CDCL decisions across all attempts.
     pub decisions: u64,
     /// Cumulative unit propagations across all attempts.
     pub propagations: u64,
-    /// Cumulative exact-depth solver calls.
+    /// Cumulative exact-depth solver calls (depth-schedule fan-out).
     pub solver_calls: u64,
     /// Deepest unroll ever attempted for this goal.
     pub deepest_unroll: u32,
-    /// Escalation level of each attempt, in attempt order.
+    /// Escalation level of each attempt, in attempt order — the goal's
+    /// budget-climbing history.
     pub escalations: Vec<u32>,
+    /// Introspection analytics (`None` unless
+    /// [`FuzzConfig::solver_introspection`](crate::FuzzConfig) was on).
+    pub introspection: Option<GoalIntrospection>,
 }
 
-/// The per-goal solver-profiler section of a campaign report: goals
-/// sorted hardest-first by cumulative conflicts, plus campaign totals
-/// quantifying negative-cache effectiveness.
+/// The part of a [`GoalRow`] only solver introspection produces: the
+/// merged CDCL trace of every attempt, hot signals, blame set and
+/// structural sketch (see [`symbfuzz_symexec::GoalScope`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SolverProfileBlock {
-    /// Goal rows, hardest first (cumulative conflicts, then decisions).
-    pub goals: Vec<GoalRow>,
-    /// Total queries issued across all goals.
-    pub total_attempts: u64,
-    /// Total negative-cache short-circuits across all goals.
-    pub total_neg_cache_hits: u64,
-}
-
-impl From<&SolveProfiler> for SolverProfileBlock {
-    fn from(p: &SolveProfiler) -> SolverProfileBlock {
-        SolverProfileBlock {
-            goals: p
-                .sorted_rows()
-                .into_iter()
-                .map(|r| GoalRow {
-                    register: r.register.clone(),
-                    value: r.value,
-                    attempts: r.attempts,
-                    sat: r.sat,
-                    unsat: r.unsat,
-                    exhausted: r.exhausted,
-                    neg_cache_hits: r.neg_cache_hits,
-                    conflicts: r.conflicts,
-                    decisions: r.decisions,
-                    propagations: r.propagations,
-                    solver_calls: r.solver_calls,
-                    deepest_unroll: r.deepest_unroll,
-                    escalations: r.escalations.clone(),
-                })
-                .collect(),
-            total_attempts: p.total_attempts(),
-            total_neg_cache_hits: p.total_neg_cache_hits(),
-        }
-    }
-}
-
-/// Version stamp of the [`SolverScopeBlock`] artifact schema.
-pub const SOLVERSCOPE_VERSION: u32 = 1;
-
-/// Goal count included in the [`SolverScopeBlock::affinity`] matrix.
-/// Rows beyond this still carry their sketches, so a merged block can
-/// recompute the matrix over the merged goal order.
-pub const AFFINITY_MAX_GOALS: usize = 32;
-
-/// One goal's solver-introspection row: the merged CDCL analytics of
-/// every reachability query that targeted this `(register, value)`
-/// pair (serialisable mirror of [`symbfuzz_symexec::GoalScope`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ScopeGoalRow {
-    /// Target register name.
-    pub register: String,
-    /// Target value.
-    pub value: u64,
-    /// Introspected reachability queries folded into this row.
-    pub attempts: u64,
-    /// CDCL conflicts observed while tracing.
-    pub conflicts: u64,
-    /// Learned clauses recorded.
+pub struct GoalIntrospection {
+    /// Learned clauses recorded. Every traced conflict learns one
+    /// clause, so this is also the trace's conflict count. It can sit
+    /// below [`GoalRow::conflicts`]: a conflict at decision level 0 (or
+    /// at the assumption level) ends an Unsat proof without learning.
     pub learned: u64,
     /// Restarts performed.
     pub restarts: u64,
@@ -657,9 +621,9 @@ pub struct ScopeGoalRow {
     pub call_conflict_hist: Vec<u64>,
     /// Conflict count at each restart (capped timeline).
     pub restart_timeline: Vec<u64>,
-    /// Sum of decision levels at conflict sites.
+    /// Sum of decision levels at learned-clause conflicts.
     pub conflict_depth_sum: u64,
-    /// Deepest decision level at a conflict site.
+    /// Deepest decision level at a learned-clause conflict.
     pub conflict_depth_max: u64,
     /// Hottest netlist signals `(name, permille)`, hottest first.
     pub hot_signals: Vec<(String, u64)>,
@@ -672,51 +636,36 @@ pub struct ScopeGoalRow {
     pub depth: u64,
 }
 
-impl ScopeGoalRow {
-    /// Mean decision level at conflict sites (0 when no conflicts).
+impl GoalIntrospection {
+    /// Mean decision level at learned-clause conflicts (0 when none).
     pub fn mean_conflict_depth(&self) -> u64 {
         self.conflict_depth_sum
-            .checked_div(self.conflicts)
+            .checked_div(self.learned)
             .unwrap_or(0)
     }
 
-    /// Folds another row for the same goal into this one: tallies and
-    /// histograms sum, the restart timeline concatenates up to the
+    /// Folds another record for the same goal into this one: tallies
+    /// and histograms sum, the restart timeline concatenates up to the
     /// trace cap, hot signals fold by max permille, sketches union
     /// (sorted, truncated back to the bottom-K), blame sets union in
-    /// name order, and depth keeps the maximum. Mirrors
-    /// [`GoalScope::merge`] so pool-merged blocks match what a single
-    /// campaign would have collected.
-    pub fn merge(&mut self, other: &ScopeGoalRow) {
+    /// name order, and depth keeps the maximum.
+    fn merge(&mut self, other: &GoalIntrospection) {
         use symbfuzz_smt::RESTART_TIMELINE_CAP;
         use symbfuzz_symexec::{HOT_SIGNALS_K, SKETCH_K};
-        self.attempts += other.attempts;
-        self.conflicts += other.conflicts;
         self.learned += other.learned;
         self.restarts += other.restarts;
-        for (a, b) in self
-            .learned_size_hist
-            .iter_mut()
-            .zip(&other.learned_size_hist)
-        {
-            *a += b;
-        }
-        for (a, b) in self.lbd_hist.iter_mut().zip(&other.lbd_hist) {
-            *a += b;
-        }
-        for (a, b) in self
-            .call_conflict_hist
-            .iter_mut()
-            .zip(&other.call_conflict_hist)
-        {
-            *a += b;
-        }
-        for &t in &other.restart_timeline {
-            if self.restart_timeline.len() >= RESTART_TIMELINE_CAP {
-                break;
+        for (mine, theirs) in [
+            (&mut self.learned_size_hist, &other.learned_size_hist),
+            (&mut self.lbd_hist, &other.lbd_hist),
+            (&mut self.call_conflict_hist, &other.call_conflict_hist),
+        ] {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
             }
-            self.restart_timeline.push(t);
         }
+        let room = RESTART_TIMELINE_CAP.saturating_sub(self.restart_timeline.len());
+        self.restart_timeline
+            .extend(other.restart_timeline.iter().take(room));
         self.conflict_depth_sum += other.conflict_depth_sum;
         self.conflict_depth_max = self.conflict_depth_max.max(other.conflict_depth_max);
         for (name, permille) in &other.hot_signals {
@@ -728,12 +677,9 @@ impl ScopeGoalRow {
         self.hot_signals
             .sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         self.hot_signals.truncate(HOT_SIGNALS_K);
-        for b in &other.blame {
-            if !self.blame.contains(b) {
-                self.blame.push(b.clone());
-            }
-        }
+        self.blame.extend_from_slice(&other.blame);
         self.blame.sort();
+        self.blame.dedup();
         self.sketch.extend_from_slice(&other.sketch);
         self.sketch.sort_unstable();
         self.sketch.dedup();
@@ -741,12 +687,38 @@ impl ScopeGoalRow {
         self.depth = self.depth.max(other.depth);
     }
 
-    fn from_scope(register: &str, value: u64, attempts: u64, s: &GoalScope) -> ScopeGoalRow {
-        ScopeGoalRow {
-            register: register.to_string(),
-            value,
-            attempts,
-            conflicts: s.trace.conflicts,
+    /// Checks the record's internal consistency: fixed histogram
+    /// widths, a strictly sorted blame set, hot-signal permille within
+    /// 1000, and no conflict depth without learned clauses.
+    fn check(&self) -> Result<(), String> {
+        for (what, h) in [
+            ("learned-size", &self.learned_size_hist),
+            ("lbd", &self.lbd_hist),
+            ("call-conflict", &self.call_conflict_hist),
+        ] {
+            if h.len() != TRACE_HIST_BUCKETS {
+                return Err(format!(
+                    "{what}: {} histogram buckets (expected {TRACE_HIST_BUCKETS})",
+                    h.len()
+                ));
+            }
+        }
+        if self.blame.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("blame set not strictly sorted".into());
+        }
+        if self.hot_signals.iter().any(|(_, p)| *p > 1000) {
+            return Err("hot-signal permille exceeds 1000".into());
+        }
+        if self.conflict_depth_sum > 0 && self.learned == 0 {
+            return Err("conflict depth without conflicts".into());
+        }
+        Ok(())
+    }
+}
+
+impl From<&GoalScope> for GoalIntrospection {
+    fn from(s: &GoalScope) -> GoalIntrospection {
+        GoalIntrospection {
             learned: s.trace.learned,
             restarts: s.trace.restarts,
             learned_size_hist: s.trace.learned_size_hist.to_vec(),
@@ -754,143 +726,299 @@ impl ScopeGoalRow {
             call_conflict_hist: s.call_conflict_hist.clone(),
             restart_timeline: s.trace.restart_timeline.clone(),
             conflict_depth_sum: s.trace.conflict_depth_sum,
-            conflict_depth_max: s.trace.conflict_depth_max as u64,
+            conflict_depth_max: u64::from(s.trace.conflict_depth_max),
             hot_signals: s.hot_signals.clone(),
             blame: s.blame.clone(),
             sketch: s.sketch.clone(),
-            depth: s.depth as u64,
+            depth: u64::from(s.depth),
         }
     }
 }
 
-/// The solver-introspection section of a campaign report (versioned):
-/// per-goal CDCL analytics rows in first-attempt order, plus the
-/// cross-goal structural-affinity matrix their sketches induce.
+impl GoalRow {
+    /// Folds another row for the same goal into this one — the one
+    /// merge rule, used both to charge a query to its goal during a
+    /// campaign and to pool-merge campaigns. Tallies sum,
+    /// `deepest_unroll` keeps the maximum, escalation histories
+    /// concatenate, and introspection records merge field by field.
+    pub fn merge(&mut self, other: &GoalRow) {
+        self.attempts += other.attempts;
+        self.sat += other.sat;
+        self.unsat += other.unsat;
+        self.exhausted += other.exhausted;
+        self.neg_cache_hits += other.neg_cache_hits;
+        self.conflicts += other.conflicts;
+        self.decisions += other.decisions;
+        self.propagations += other.propagations;
+        self.solver_calls += other.solver_calls;
+        self.deepest_unroll = self.deepest_unroll.max(other.deepest_unroll);
+        self.escalations.extend_from_slice(&other.escalations);
+        match (&mut self.introspection, &other.introspection) {
+            (Some(mine), Some(theirs)) => mine.merge(theirs),
+            (None, Some(theirs)) => self.introspection = Some(theirs.clone()),
+            _ => {}
+        }
+    }
+
+    /// Checks the row's internal consistency: outcome tallies sum to
+    /// the attempt count, and the introspection record (if any) passes
+    /// its own checks. Errors name the goal.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation.
+    pub fn check(&self) -> Result<(), String> {
+        let what = format!("goal `{}`={}", self.register, self.value);
+        if self.sat + self.unsat + self.exhausted != self.attempts {
+            return Err(format!(
+                "{what}: {} sat + {} unsat + {} exhausted != {} attempts",
+                self.sat, self.unsat, self.exhausted, self.attempts
+            ));
+        }
+        match &self.introspection {
+            Some(i) => i.check().map_err(|e| format!("{what}: {e}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The per-goal solver section of a campaign report (versioned): one
+/// [`GoalRow`] per goal in first-attempt order, campaign totals that
+/// quantify negative-cache effectiveness, and — for introspected goals
+/// — the cross-goal structural-affinity matrix their sketches induce.
+/// The block is also the campaign's collector: the fuzzer charges each
+/// query to it with [`note_attempt`](Self::note_attempt).
 ///
 /// Determinism contract: rows keep first-attempt order (the same order
 /// at any `--jobs` count once pool-merged in task order), every field
 /// is a pure function of the campaign seed, and the affinity matrix is
 /// recomputed from the sketches after any merge — so merged blocks are
 /// byte-identical across job counts.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SolverScopeBlock {
-    /// Schema version ([`SOLVERSCOPE_VERSION`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SolverProfileBlock {
+    /// Schema version ([`SOLVER_PROFILE_VERSION`]).
     pub version: u32,
-    /// Per-goal rows, first-attempt order.
-    pub goals: Vec<ScopeGoalRow>,
+    /// Goal rows, first-attempt order.
+    pub goals: Vec<GoalRow>,
+    /// Total queries issued across all goals.
+    pub total_attempts: u64,
+    /// Total negative-cache short-circuits across all goals.
+    pub total_neg_cache_hits: u64,
     /// Pairwise sketch-Jaccard affinity in milli (0–1000) over the
-    /// first [`AFFINITY_MAX_GOALS`] goals; `affinity[i][j]` compares
-    /// `goals[i]` to `goals[j]`, diagonal pinned to 1000.
+    /// first [`AFFINITY_MAX_GOALS`] introspected goals, in row order;
+    /// diagonal pinned to 1000.
     pub affinity: Vec<Vec<u64>>,
-    /// Mean affinity of consecutive equal-depth goal pairs, in milli
-    /// (falls back to all consecutive pairs when no two neighbours
-    /// share a depth).
+    /// Mean affinity of consecutive equal-depth introspected goals, in
+    /// milli (falls back to all consecutive pairs when no two
+    /// neighbours share a depth).
     pub mean_adjacent_affinity_milli: u64,
 }
 
-impl SolverScopeBlock {
+impl Default for SolverProfileBlock {
+    fn default() -> SolverProfileBlock {
+        SolverProfileBlock {
+            version: SOLVER_PROFILE_VERSION,
+            goals: Vec::new(),
+            total_attempts: 0,
+            total_neg_cache_hits: 0,
+            affinity: Vec::new(),
+            mean_adjacent_affinity_milli: 0,
+        }
+    }
+}
+
+impl SolverProfileBlock {
+    fn row_mut(&mut self, register: &str, value: u64) -> &mut GoalRow {
+        let i = match self
+            .goals
+            .iter()
+            .position(|g| g.value == value && g.register == register)
+        {
+            Some(i) => i,
+            None => {
+                self.goals.push(GoalRow {
+                    register: register.to_string(),
+                    value,
+                    ..GoalRow::default()
+                });
+                self.goals.len() - 1
+            }
+        };
+        &mut self.goals[i]
+    }
+
+    /// Charges one completed reachability query to its goal through
+    /// [`GoalRow::merge`], with the query's introspection record when
+    /// the campaign traced it.
+    pub fn note_attempt(
+        &mut self,
+        register: &str,
+        value: u64,
+        escalation: u32,
+        outcome: &ReachOutcome,
+        stats: ReachStats,
+        scope: Option<&GoalScope>,
+    ) {
+        let mut attempt = GoalRow {
+            register: register.to_string(),
+            value,
+            attempts: 1,
+            sat: u64::from(matches!(outcome, ReachOutcome::Reached(_))),
+            unsat: u64::from(matches!(outcome, ReachOutcome::Unreachable)),
+            exhausted: u64::from(matches!(outcome, ReachOutcome::Exhausted { .. })),
+            neg_cache_hits: 0,
+            conflicts: stats.spent.conflicts,
+            decisions: stats.spent.decisions,
+            propagations: stats.spent.propagations,
+            solver_calls: u64::from(stats.solver_calls),
+            deepest_unroll: stats.deepest_unroll,
+            escalations: vec![escalation],
+            introspection: scope.map(GoalIntrospection::from),
+        };
+        self.total_attempts += 1;
+        let row = self.row_mut(register, value);
+        // Within a campaign the sketch describes the deepest formula
+        // queried (the later query on equal depth), the rule
+        // `GoalScope::note_structure` applies to the calls of one
+        // query: the other sketch is dropped before the merge, so only
+        // merges across campaigns take the union.
+        if let (Some(kept), Some(query)) = (&mut row.introspection, &mut attempt.introspection) {
+            if query.depth >= kept.depth && !query.sketch.is_empty() {
+                kept.sketch.clear();
+            } else {
+                query.sketch.clear();
+            }
+        }
+        row.merge(&attempt);
+    }
+
+    /// Records a negative-cache short-circuit for a goal (no query was
+    /// issued; the cache remembered a prior failure).
+    pub fn note_neg_cache_hit(&mut self, register: &str, value: u64) {
+        self.total_neg_cache_hits += 1;
+        self.row_mut(register, value).neg_cache_hits += 1;
+    }
+
+    /// Folds another block into this one: rows merge by
+    /// `(register, value)` through [`GoalRow::merge`] in the other
+    /// block's order, totals sum, and the affinity matrix is
+    /// recomputed over the merged rows.
+    pub fn merge(&mut self, other: &SolverProfileBlock) {
+        for g in &other.goals {
+            self.row_mut(&g.register, g.value).merge(g);
+        }
+        self.total_attempts += other.total_attempts;
+        self.total_neg_cache_hits += other.total_neg_cache_hits;
+        self.recompute_affinity();
+    }
+
+    /// Rows with an introspection record, in row order.
+    pub fn introspected(&self) -> impl Iterator<Item = (&GoalRow, &GoalIntrospection)> {
+        self.goals
+            .iter()
+            .filter_map(|g| g.introspection.as_ref().map(|i| (g, i)))
+    }
+
+    /// Rows hardest first: cumulative conflicts, then decisions, then
+    /// first-attempt order. The order is total, so it is stable across
+    /// runs.
+    pub fn hardest_first(&self) -> Vec<&GoalRow> {
+        let mut rows: Vec<&GoalRow> = self.goals.iter().collect();
+        rows.sort_by_key(|g| (Reverse(g.conflicts), Reverse(g.decisions)));
+        rows
+    }
+
     /// Recomputes the affinity matrix and the adjacent-affinity mean
-    /// from the rows' sketches. Call after any row merge so the matrix
-    /// always describes the final goal order.
+    /// from the introspected rows' sketches. Call after any row merge
+    /// so the matrix always describes the final goal order.
     pub fn recompute_affinity(&mut self) {
-        let n = self.goals.len().min(AFFINITY_MAX_GOALS);
-        self.affinity = (0..n)
+        let rows: Vec<&GoalIntrospection> = self.introspected().map(|(_, i)| i).collect();
+        let n = rows.len().min(AFFINITY_MAX_GOALS);
+        let affinity = (0..n)
             .map(|i| {
                 (0..n)
                     .map(|j| {
                         if i == j {
                             1000
                         } else {
-                            sketch_jaccard_milli(&self.goals[i].sketch, &self.goals[j].sketch)
+                            sketch_jaccard_milli(&rows[i].sketch, &rows[j].sketch)
                         }
                     })
                     .collect()
             })
             .collect();
-        let pairs: Vec<u64> = self
-            .goals
+        let jaccard = |w: &[&GoalIntrospection]| sketch_jaccard_milli(&w[0].sketch, &w[1].sketch);
+        let mut pairs: Vec<u64> = rows
             .windows(2)
             .filter(|w| w[0].depth == w[1].depth)
-            .map(|w| sketch_jaccard_milli(&w[0].sketch, &w[1].sketch))
+            .map(jaccard)
             .collect();
-        let pairs = if pairs.is_empty() {
-            self.goals
-                .windows(2)
-                .map(|w| sketch_jaccard_milli(&w[0].sketch, &w[1].sketch))
-                .collect()
-        } else {
-            pairs
-        };
-        self.mean_adjacent_affinity_milli = if pairs.is_empty() {
-            0
-        } else {
-            pairs.iter().sum::<u64>() / pairs.len() as u64
-        };
+        if pairs.is_empty() {
+            pairs = rows.windows(2).map(jaccard).collect();
+        }
+        self.affinity = affinity;
+        self.mean_adjacent_affinity_milli = pairs
+            .iter()
+            .sum::<u64>()
+            .checked_div(pairs.len() as u64)
+            .unwrap_or(0);
     }
 
-    /// `(rows with a non-empty blame set, total rows)` — the raw
-    /// counts behind the exhaustion-attribution rate. Blame sets are
-    /// only extracted for failed (`Unreachable`/`Exhausted`) goals, so
-    /// joining against the solver profile's status tallies gives the
-    /// per-status rate.
-    pub fn blame_counts(&self) -> (u64, u64) {
-        let blamed = self.goals.iter().filter(|g| !g.blame.is_empty()).count() as u64;
-        (blamed, self.goals.len() as u64)
-    }
-}
-
-/// Accumulates per-goal [`GoalScope`] records during a campaign,
-/// keyed by `(register, value)` in first-seen order — the same
-/// ordering discipline as [`SolveProfiler`], which is what keeps
-/// pool-merged reports byte-identical at any `--jobs` count.
-#[derive(Debug, Default)]
-pub struct ScopeCollector {
-    rows: Vec<(String, u64, u64, GoalScope)>,
-    index: HashMap<(String, u64), usize>,
-}
-
-impl ScopeCollector {
-    /// An empty collector.
-    pub fn new() -> ScopeCollector {
-        ScopeCollector::default()
-    }
-
-    /// Folds one reachability query's scope into its goal row.
-    pub fn note(&mut self, register: &str, value: u64, scope: &GoalScope) {
-        let key = (register.to_string(), value);
-        match self.index.get(&key) {
-            Some(&i) => {
-                self.rows[i].2 += 1;
-                self.rows[i].3.merge(scope);
-            }
-            None => {
-                self.index.insert(key, self.rows.len());
-                self.rows
-                    .push((register.to_string(), value, 1, scope.clone()));
+    /// Checks the block: schema version, every row
+    /// ([`GoalRow::check`]), totals that match the rows, and a square
+    /// symmetric affinity matrix with a 1000-milli diagonal over at
+    /// most the introspected rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation.
+    pub fn check(&self) -> Result<(), String> {
+        if self.version != SOLVER_PROFILE_VERSION {
+            return Err(format!(
+                "solver profile version {} (expected {SOLVER_PROFILE_VERSION})",
+                self.version
+            ));
+        }
+        for g in &self.goals {
+            g.check()?;
+        }
+        let attempts: u64 = self.goals.iter().map(|g| g.attempts).sum();
+        let hits: u64 = self.goals.iter().map(|g| g.neg_cache_hits).sum();
+        if (attempts, hits) != (self.total_attempts, self.total_neg_cache_hits) {
+            return Err(format!(
+                "totals ({} attempts, {} neg-cache hits) disagree with the rows ({attempts}, {hits})",
+                self.total_attempts, self.total_neg_cache_hits
+            ));
+        }
+        let n = self.affinity.len();
+        let introspected = self.introspected().count();
+        if n > introspected {
+            return Err(format!(
+                "{n}-row affinity over {introspected} introspected goals"
+            ));
+        }
+        // Every row's width first, so the symmetry probe below cannot
+        // index past a short row of a malformed file.
+        if let Some((i, row)) = self.affinity.iter().enumerate().find(|(_, r)| r.len() != n) {
+            return Err(format!(
+                "affinity row {i} has {} cells (expected {n})",
+                row.len()
+            ));
+        }
+        for (i, row) in self.affinity.iter().enumerate() {
+            for (j, &a) in row.iter().enumerate() {
+                if a > 1000 {
+                    return Err(format!("affinity[{i}][{j}] = {a} exceeds 1000 milli"));
+                }
+                if i == j && a != 1000 {
+                    return Err(format!("affinity diagonal [{i}] = {a} (expected 1000)"));
+                }
+                if self.affinity[j][i] != a {
+                    return Err(format!("affinity[{i}][{j}] asymmetric"));
+                }
             }
         }
-    }
-
-    /// Whether any query was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
-impl From<&ScopeCollector> for SolverScopeBlock {
-    fn from(c: &ScopeCollector) -> SolverScopeBlock {
-        let mut block = SolverScopeBlock {
-            version: SOLVERSCOPE_VERSION,
-            goals: c
-                .rows
-                .iter()
-                .map(|(r, v, attempts, s)| ScopeGoalRow::from_scope(r, *v, *attempts, s))
-                .collect(),
-            affinity: Vec::new(),
-            mean_adjacent_affinity_milli: 0,
-        };
-        block.recompute_affinity();
-        block
+        Ok(())
     }
 }
 
@@ -937,7 +1065,9 @@ impl From<SolverCacheStats> for SolverCacheBlock {
 ///
 /// `Deserialize` is hand-written so reports serialized before the
 /// incremental-solver release (no `solver_cache` key) still load,
-/// taking `None`. Keys of retired sections are ignored.
+/// taking `None`, and so v1 solver sections (a profile plus a separate
+/// `solver_scope` block) upgrade to one v2 [`SolverProfileBlock`].
+/// Keys of retired sections are ignored.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignResult {
     /// Strategy name.
@@ -976,12 +1106,10 @@ pub struct CampaignResult {
     /// Per-cone VM profile (present when the flight recorder enabled
     /// the profiler and the compiled settle mode ran).
     pub vm_profile: Option<VmProfileBlock>,
-    /// Per-goal solver profile (empty rows for solver-free campaigns).
+    /// Per-goal solver record (empty rows for solver-free campaigns;
+    /// introspection sub-records and affinity when
+    /// [`FuzzConfig::solver_introspection`](crate::FuzzConfig) was on).
     pub solver_profile: SolverProfileBlock,
-    /// Solver-introspection section (present only when
-    /// [`FuzzConfig::solver_introspection`](crate::FuzzConfig) was on
-    /// and at least one reachability query ran).
-    pub solver_scope: Option<SolverScopeBlock>,
     /// Incremental-solver cache section (present only when
     /// `incremental_solving` was on).
     pub solver_cache: Option<SolverCacheBlock>,
@@ -1006,14 +1134,89 @@ impl Deserialize for CampaignResult {
             covmap: Deserialize::from_value(v.field("covmap")?)?,
             flight: Deserialize::from_value(v.field("flight")?)?,
             vm_profile: Deserialize::from_value(v.field("vm_profile")?)?,
-            solver_profile: Deserialize::from_value(v.field("solver_profile")?)?,
-            solver_scope: Deserialize::from_value(v.field("solver_scope")?)?,
+            solver_profile: SolverProfileBlock::from_sections(
+                v.field("solver_profile")?,
+                v.field("solver_scope").ok(),
+            )?,
             solver_cache: match v.field("solver_cache") {
                 Ok(f) => Deserialize::from_value(f)?,
                 Err(_) => None,
             },
         })
     }
+}
+
+impl SolverProfileBlock {
+    /// Reads a `solver_profile` section, as found in campaign reports
+    /// and `status.json` heartbeats, together with the sibling
+    /// `solver_scope` section, if any. A versioned section reads as is.
+    /// A v1 section (no `version`) upgrades to this block. The v1 format
+    /// held profile rows sorted hardest first, plus an optional
+    /// `solver_scope` block of introspection rows. The upgraded rows
+    /// join the two by `(register, value)`. They follow the scope
+    /// block's first-attempt order, followed by the rows it never
+    /// traced.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first missing or mistyped field.
+    pub fn from_sections(
+        profile: &serde::Value,
+        scope: Option<&serde::Value>,
+    ) -> Result<SolverProfileBlock, serde::DeError> {
+        if profile.field("version").is_ok() {
+            return SolverProfileBlock::from_value(profile);
+        }
+        upgrade_v1_solver_profile(profile, scope.filter(|s| **s != serde::Value::Null))
+    }
+}
+
+fn upgrade_v1_solver_profile(
+    profile: &serde::Value,
+    scope: Option<&serde::Value>,
+) -> Result<SolverProfileBlock, serde::DeError> {
+    use serde::Value;
+    let key = |row: &Value| -> Result<(String, u64), serde::DeError> {
+        Ok((
+            Deserialize::from_value(row.field("register")?)?,
+            Deserialize::from_value(row.field("value")?)?,
+        ))
+    };
+    let mut rows = Vec::new();
+    for r in Vec::<Value>::from_value(profile.field("goals")?)? {
+        rows.push((key(&r)?, r));
+    }
+    let traced: Vec<Value> = match scope {
+        Some(s) => Deserialize::from_value(s.field("goals")?)?,
+        None => Vec::new(),
+    };
+    // A v1 row plus its introspection record (the scope row's extra
+    // keys are ignored) reads as a v2 row.
+    let v2_row = |row: Value, introspection: Value| match row {
+        Value::Object(mut fields) => {
+            fields.push(("introspection".to_string(), introspection));
+            GoalRow::from_value(&Value::Object(fields))
+        }
+        _ => Err(serde::DeError::new("solver_profile row: expected object")),
+    };
+    let mut goals = Vec::with_capacity(rows.len());
+    for t in traced {
+        let k = key(&t)?;
+        if let Some(i) = rows.iter().position(|(rk, _)| *rk == k) {
+            goals.push(v2_row(rows.remove(i).1, t)?);
+        }
+    }
+    for (_, r) in rows {
+        goals.push(v2_row(r, Value::Null)?);
+    }
+    let mut block = SolverProfileBlock {
+        goals,
+        total_attempts: Deserialize::from_value(profile.field("total_attempts")?)?,
+        total_neg_cache_hits: Deserialize::from_value(profile.field("total_neg_cache_hits")?)?,
+        ..SolverProfileBlock::default()
+    };
+    block.recompute_affinity();
+    Ok(block)
 }
 
 impl CampaignResult {
@@ -1078,7 +1281,6 @@ mod tests {
             flight: vec![],
             vm_profile: None,
             solver_profile: SolverProfileBlock::default(),
-            solver_scope: None,
             solver_cache: None,
         };
         assert_eq!(r.vectors_to_reach(30), Some(50));
@@ -1123,7 +1325,6 @@ mod tests {
             flight: vec![],
             vm_profile: None,
             solver_profile: SolverProfileBlock::default(),
-            solver_scope: None,
             solver_cache: None,
         };
         r.solver_cache = Some(SolverCacheBlock {
@@ -1188,87 +1389,268 @@ mod tests {
         assert_eq!(serde_json::from_str::<FlightRow>(&j).unwrap(), row);
     }
 
-    #[test]
-    fn solver_profile_block_sorts_hardest_first() {
-        use symbfuzz_symexec::{ReachOutcome, ReachStats};
-        let mut p = SolveProfiler::new();
-        let stats = |conflicts: u64| ReachStats {
+    fn stats(conflicts: u64) -> ReachStats {
+        stats_at(conflicts, 1, 2)
+    }
+
+    fn stats_at(conflicts: u64, solver_calls: u32, deepest_unroll: u32) -> ReachStats {
+        ReachStats {
             spent: symbfuzz_smt::BudgetSpent {
                 conflicts,
                 decisions: conflicts,
                 propagations: conflicts,
             },
-            solver_calls: 1,
-            deepest_unroll: 2,
-        };
-        p.note_outcome("easy", 1, 0, &ReachOutcome::Unreachable, stats(1));
-        p.note_outcome("hard", 2, 0, &ReachOutcome::Unreachable, stats(50));
-        p.note_outcome("hard", 2, 1, &ReachOutcome::Reached(vec![]), stats(10));
-        p.note_neg_cache_hit("easy", 1);
-        let block = SolverProfileBlock::from(&p);
-        assert_eq!(block.goals[0].register, "hard");
-        assert_eq!(block.goals[0].escalations, vec![0, 1]);
-        assert_eq!(block.goals[0].conflicts, 60);
-        assert_eq!(block.total_attempts, 3);
-        assert_eq!(block.total_neg_cache_hits, 1);
-        let j = serde_json::to_string(&block).unwrap();
-        assert_eq!(
-            serde_json::from_str::<SolverProfileBlock>(&j).unwrap(),
-            block
-        );
+            solver_calls,
+            deepest_unroll,
+        }
     }
 
     #[test]
-    fn scope_collector_folds_and_block_round_trips() {
-        let mut a = GoalScope::new();
-        a.sketch = (0..100).collect();
-        a.depth = 2;
-        a.blame = vec!["state".into()];
-        a.hot_signals = vec![("k".into(), 1000)];
-        let mut b = GoalScope::new();
-        b.sketch = (50..150).collect();
-        b.depth = 2;
+    fn goals_accumulate_in_first_attempt_order() {
+        let mut b = SolverProfileBlock::default();
+        let exhausted = ReachOutcome::Exhausted {
+            reason: symbfuzz_telemetry::UnknownReason::Conflicts,
+            spent: symbfuzz_smt::BudgetSpent::default(),
+        };
+        b.note_attempt("easy", 1, 0, &ReachOutcome::Unreachable, stats(1), None);
+        b.note_attempt("hard", 2, 0, &exhausted, stats_at(50, 4, 4), None);
+        b.note_attempt(
+            "hard",
+            2,
+            1,
+            &ReachOutcome::Reached(vec![]),
+            stats_at(10, 2, 3),
+            None,
+        );
+        b.note_neg_cache_hit("easy", 1);
+        assert_eq!(b.goals[0].register, "easy", "first-attempt order");
+        let hard = &b.goals[1];
+        assert_eq!((hard.sat, hard.unsat, hard.exhausted), (1, 0, 1));
+        assert_eq!(hard.escalations, vec![0, 1]);
+        assert_eq!(hard.conflicts, 60);
+        assert_eq!(hard.solver_calls, 6, "solver calls sum");
+        assert_eq!(hard.deepest_unroll, 4, "the deepest unroll is kept");
+        assert!(hard.introspection.is_none(), "untraced queries stay lean");
+        assert_eq!((b.total_attempts, b.total_neg_cache_hits), (3, 1));
+        assert_eq!(b.hardest_first()[0].register, "hard");
+        assert_eq!(b.check(), Ok(()));
+        let j = serde_json::to_string(&b).unwrap();
+        assert_eq!(serde_json::from_str::<SolverProfileBlock>(&j).unwrap(), b);
+    }
 
-        let mut c = ScopeCollector::new();
-        assert!(c.is_empty());
-        c.note("st", 7, &a);
-        c.note("st", 9, &b);
-        c.note("st", 7, &a); // re-attempt folds into the first row
-        let block = SolverScopeBlock::from(&c);
-        assert_eq!(block.version, SOLVERSCOPE_VERSION);
-        assert_eq!(block.goals.len(), 2);
-        assert_eq!(block.goals[0].register, "st");
-        assert_eq!(block.goals[0].attempts, 2);
-        assert_eq!(block.goals[0].blame, vec!["state".to_string()]);
-        assert_eq!(block.affinity.len(), 2);
-        assert_eq!(block.affinity[0][0], 1000);
-        assert_eq!(block.affinity[0][1], block.affinity[1][0]);
+    fn scope(sketch: Vec<u64>, blame: &[&str]) -> GoalScope {
+        let mut s = GoalScope::new();
+        s.sketch = sketch;
+        s.depth = 2;
+        s.blame = blame.iter().map(|b| b.to_string()).collect();
+        s.hot_signals = vec![("k".into(), 1000)];
+        s
+    }
+
+    #[test]
+    fn introspected_rows_fold_and_induce_affinity() {
+        let mut b = SolverProfileBlock::default();
+        let (a, c) = (
+            scope((0..100).collect(), &["state"]),
+            scope((50..150).collect(), &[]),
+        );
+        let un = ReachOutcome::Unreachable;
+        b.note_attempt("st", 7, 0, &un, stats(4), Some(&a));
+        b.note_attempt("st", 9, 0, &un, stats(4), Some(&c));
+        b.note_attempt("st", 7, 0, &un, stats(4), Some(&a)); // re-attempt folds
+        b.recompute_affinity();
+        assert_eq!(b.goals.len(), 2);
+        assert_eq!(b.goals[0].attempts, 2);
+        let i = b.goals[0].introspection.as_ref().unwrap();
+        assert_eq!(i.blame, vec!["state".to_string()]);
+        assert_eq!(b.affinity.len(), 2);
+        assert_eq!(b.affinity[0][0], 1000);
+        assert_eq!(b.affinity[0][1], b.affinity[1][0]);
         // Half-overlapping sketches at equal depth: mean adjacent
         // affinity reflects the shared structure.
-        assert!(block.mean_adjacent_affinity_milli > 0);
-        assert_eq!(block.blame_counts(), (1, 2));
-        let j = serde_json::to_string(&block).unwrap();
-        assert_eq!(serde_json::from_str::<SolverScopeBlock>(&j).unwrap(), block);
+        assert!(b.mean_adjacent_affinity_milli > 0);
+        assert!(b.goals[1].introspection.as_ref().unwrap().blame.is_empty());
+        assert_eq!(b.check(), Ok(()));
+        let j = serde_json::to_string(&b).unwrap();
+        assert_eq!(serde_json::from_str::<SolverProfileBlock>(&j).unwrap(), b);
+    }
+
+    #[test]
+    fn sketches_keep_the_deepest_query_and_union_across_campaigns() {
+        let query = |sketch: Vec<u64>, depth: u32| {
+            let mut s = scope(sketch, &[]);
+            s.depth = depth;
+            s.call_conflict_hist[1] = 1;
+            s
+        };
+        let un = ReachOutcome::Unreachable;
+        let mut a = SolverProfileBlock::default();
+        a.note_attempt("st", 1, 0, &un, stats(1), Some(&query(vec![1, 2], 4)));
+        a.note_attempt("st", 1, 0, &un, stats(1), Some(&query(vec![3], 2)));
+        let i = a.goals[0].introspection.as_ref().unwrap();
+        assert_eq!(
+            (i.sketch.as_slice(), i.depth),
+            (&[1, 2][..], 4),
+            "shallower query"
+        );
+        assert_eq!(i.call_conflict_hist[1], 2, "histograms still sum");
+        a.note_attempt("st", 1, 0, &un, stats(1), Some(&query(vec![5], 4)));
+        let sketch =
+            |b: &SolverProfileBlock| b.goals[0].introspection.as_ref().unwrap().sketch.clone();
+        assert_eq!(sketch(&a), vec![5], "the later query wins on equal depth");
+        let mut other = SolverProfileBlock::default();
+        other.note_attempt("st", 1, 0, &un, stats(1), Some(&query(vec![4], 1)));
+        a.merge(&other);
+        assert_eq!(sketch(&a), vec![4, 5], "campaigns merge by union");
+    }
+
+    #[test]
+    fn blocks_merge_by_goal_and_recompute_affinity() {
+        let un = ReachOutcome::Unreachable;
+        let mut a = SolverProfileBlock::default();
+        a.note_attempt(
+            "st",
+            1,
+            0,
+            &un,
+            stats_at(10, 1, 2),
+            Some(&scope((0..100).collect(), &["st"])),
+        );
+        a.note_attempt(
+            "st",
+            2,
+            1,
+            &un,
+            stats(5),
+            Some(&scope((50..150).collect(), &[])),
+        );
+        let mut b = SolverProfileBlock::default();
+        b.note_attempt(
+            "st",
+            1,
+            2,
+            &un,
+            stats_at(10, 3, 5),
+            Some(&scope((0..100).collect(), &["lock"])),
+        );
+        b.note_attempt(
+            "st",
+            1,
+            3,
+            &un,
+            stats_at(10, 2, 4),
+            Some(&scope((0..100).collect(), &["lock"])),
+        );
+        b.note_neg_cache_hit("st", 1);
+        assert_eq!(
+            (b.goals[0].solver_calls, b.goals[0].deepest_unroll),
+            (5, 5),
+            "calls sum and the deepest unroll is kept within a campaign"
+        );
+        // A task that never solved contributes an empty default block.
+        let mut merged = a.clone();
+        for other in [&b, &SolverProfileBlock::default()] {
+            merged.merge(other);
+        }
+        assert_eq!(merged.goals.len(), 2);
+        let st1 = &merged.goals[0];
+        assert_eq!(
+            (st1.attempts, st1.conflicts, st1.neg_cache_hits),
+            (3, 30, 1)
+        );
+        assert_eq!(
+            (st1.solver_calls, st1.deepest_unroll),
+            (6, 5),
+            "calls sum and the deepest unroll is kept across campaigns"
+        );
+        assert_eq!(
+            st1.escalations,
+            vec![0, 2, 3],
+            "histories concatenate in task order"
+        );
+        assert_eq!(
+            st1.introspection.as_ref().unwrap().blame,
+            vec!["lock".to_string(), "st".to_string()],
+            "blame sets union in name order"
+        );
+        assert_eq!((merged.total_attempts, merged.total_neg_cache_hits), (4, 1));
+        assert_eq!(merged.affinity.len(), 2);
+        assert!(merged.mean_adjacent_affinity_milli > 0);
+        assert_eq!(merged.check(), Ok(()));
     }
 
     #[test]
     fn affinity_matrix_is_capped_and_recomputable() {
-        let mut c = ScopeCollector::new();
+        let mut b = SolverProfileBlock::default();
         for i in 0..(AFFINITY_MAX_GOALS + 3) {
             let mut s = GoalScope::new();
             s.sketch = vec![i as u64];
             s.depth = 1;
-            c.note("r", i as u64, &s);
+            b.note_attempt(
+                "r",
+                i as u64,
+                0,
+                &ReachOutcome::Unreachable,
+                stats(1),
+                Some(&s),
+            );
         }
-        let mut block = SolverScopeBlock::from(&c);
-        assert_eq!(block.goals.len(), AFFINITY_MAX_GOALS + 3);
-        assert_eq!(block.affinity.len(), AFFINITY_MAX_GOALS);
+        // An untraced row does not take a matrix slot.
+        b.note_neg_cache_hit("q", 0);
+        b.recompute_affinity();
+        assert_eq!(b.goals.len(), AFFINITY_MAX_GOALS + 4);
+        assert_eq!(b.affinity.len(), AFFINITY_MAX_GOALS);
         // Reordering rows and recomputing keeps the matrix consistent
         // with the new order (the pool-merge contract).
-        block.goals.reverse();
-        block.recompute_affinity();
-        assert_eq!(block.affinity.len(), AFFINITY_MAX_GOALS);
-        assert_eq!(block.affinity[0][0], 1000);
+        b.goals.reverse();
+        b.recompute_affinity();
+        assert_eq!(b.affinity.len(), AFFINITY_MAX_GOALS);
+        assert_eq!(b.affinity[0][0], 1000);
+        assert_eq!(b.check(), Ok(()));
+    }
+
+    #[test]
+    fn row_checks_name_the_goal() {
+        let mut b = SolverProfileBlock::default();
+        b.note_attempt(
+            "st",
+            3,
+            0,
+            &ReachOutcome::Unreachable,
+            stats(1),
+            Some(&scope(vec![1], &[])),
+        );
+        b.goals[0].sat = 1;
+        assert!(b
+            .check()
+            .unwrap_err()
+            .contains("goal `st`=3: 1 sat + 1 unsat"));
+        b.goals[0].sat = 0;
+        let i = b.goals[0].introspection.as_mut().unwrap();
+        i.blame = vec!["st".into(), "lock".into()];
+        assert!(b
+            .check()
+            .unwrap_err()
+            .contains("goal `st`=3: blame set not strictly sorted"));
+        let i = b.goals[0].introspection.as_mut().unwrap();
+        i.blame.clear();
+        i.lbd_hist.pop();
+        assert!(b.check().unwrap_err().contains("lbd: 11 histogram buckets"));
+        b.goals[0].introspection = None;
+        b.total_attempts = 5;
+        assert!(b.check().unwrap_err().contains("totals"));
+        // A malformed matrix with a short later row is an error, not a
+        // panic.
+        let mut b = SolverProfileBlock::default();
+        for v in 0..2 {
+            let s = scope(vec![v], &[]);
+            b.note_attempt("st", v, 0, &ReachOutcome::Unreachable, stats(1), Some(&s));
+        }
+        b.affinity = vec![vec![1000, 0], vec![]];
+        assert!(b
+            .check()
+            .unwrap_err()
+            .contains("affinity row 1 has 0 cells"));
     }
 
     #[test]

@@ -69,10 +69,9 @@ pub struct SolveTrace {
     /// Conflict count at each restart, in order (first
     /// [`RESTART_TIMELINE_CAP`] only) — the learning-curve x-axis.
     pub restart_timeline: Vec<u64>,
-    /// Conflicts observed while tracing.
-    pub conflicts: u64,
-    /// Sum of decision levels at conflict sites (mean depth =
-    /// `conflict_depth_sum / conflicts`).
+    /// Sum of decision levels at conflict sites. Every traced conflict
+    /// learns a clause, so the mean depth is
+    /// `conflict_depth_sum / learned`.
     pub conflict_depth_sum: u64,
     /// Deepest decision level at a conflict site.
     pub conflict_depth_max: u32,
@@ -90,7 +89,6 @@ impl SolveTrace {
         self.learned += 1;
         self.learned_size_hist[trace_bucket(size as u64)] += 1;
         self.lbd_hist[trace_bucket(lbd as u64)] += 1;
-        self.conflicts += 1;
         self.conflict_depth_sum += depth as u64;
         self.conflict_depth_max = self.conflict_depth_max.max(depth);
     }
@@ -125,19 +123,11 @@ impl SolveTrace {
             }
             self.restart_timeline.push(t);
         }
-        self.conflicts += other.conflicts;
         self.conflict_depth_sum += other.conflict_depth_sum;
         self.conflict_depth_max = self.conflict_depth_max.max(other.conflict_depth_max);
         if !other.hot_vars.is_empty() {
             self.hot_vars = other.hot_vars.clone();
         }
-    }
-
-    /// Mean decision level at conflict sites (0 when no conflicts).
-    pub fn mean_conflict_depth(&self) -> u64 {
-        self.conflict_depth_sum
-            .checked_div(self.conflicts)
-            .unwrap_or(0)
     }
 }
 
@@ -173,9 +163,8 @@ mod tests {
         a.note_learned(20, 4, 9);
         a.note_restart(2);
         assert_eq!(a.learned, 2);
-        assert_eq!(a.conflicts, 2);
+        assert_eq!(a.conflict_depth_sum, 14);
         assert_eq!(a.conflict_depth_max, 9);
-        assert_eq!(a.mean_conflict_depth(), 7);
         assert_eq!(a.restart_timeline, vec![2]);
 
         let mut b = SolveTrace::default();

@@ -4,7 +4,7 @@ use crate::scope::{
     signal_of_term_name, GoalScope, BLAME_MAX_ASSUMPTIONS, HOT_SIGNALS_K, SKETCH_K,
 };
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use symbfuzz_hdl::{BinaryOp, Edge, UnaryOp};
 use symbfuzz_logic::{Bit, LogicVec};
@@ -221,10 +221,12 @@ pub struct SymbolicEngine {
     pool: TermPool,
     /// Canonical next-state term per register.
     eqs: HashMap<SignalId, TermId>,
-    /// Input symbol per top-level input (clocks excluded).
-    input_vars: HashMap<SignalId, TermId>,
+    /// Input symbol per top-level input (clocks excluded). Ordered
+    /// maps: every unroll walks signals in id order, so the formula a
+    /// query builds never depends on hash-map iteration order.
+    input_vars: BTreeMap<SignalId, TermId>,
     /// Current-state symbol per register.
-    cur_vars: HashMap<SignalId, TermId>,
+    cur_vars: BTreeMap<SignalId, TermId>,
     /// Optional telemetry collector (SMT solve events + CDCL counters).
     telemetry: Option<Arc<Collector>>,
     /// Opt-in incremental frame cache (`None` = fresh solver per
@@ -239,8 +241,8 @@ impl SymbolicEngine {
         let rtree = reset_tree(&design);
         let mut pool = TermPool::new();
         let mut store: HashMap<SignalId, TermId> = HashMap::new();
-        let mut input_vars = HashMap::new();
-        let mut cur_vars = HashMap::new();
+        let mut input_vars = BTreeMap::new();
+        let mut cur_vars = BTreeMap::new();
 
         for sig in design.inputs() {
             let s = design.signal(sig);
@@ -376,10 +378,8 @@ impl SymbolicEngine {
     /// register's concrete (or partially-X) value, folded over the
     /// design fingerprint in sorted-register order.
     fn state_key(&self, fingerprint: u64, current: &[LogicVec]) -> u64 {
-        let mut regs: Vec<SignalId> = self.cur_vars.keys().copied().collect();
-        regs.sort_unstable();
         let mut d = fingerprint;
-        for reg in regs {
+        for &reg in self.cur_vars.keys() {
             let v = &current[reg.index()];
             d = fnv_fold(d, reg.index() as u64);
             for i in 0..v.width() {
@@ -619,6 +619,39 @@ impl SymbolicEngine {
         }
     }
 
+    /// Seeds the step-0 state of an unroll in `pool`: each register's
+    /// current-state symbol maps to a constant where its value is fully
+    /// defined, else to a fresh `x0.*` symbol left free except for its
+    /// defined bits, whose pins come back for the caller to assert.
+    /// Registers are visited in signal order, so the terms and the pin
+    /// order are a pure function of `current`.
+    fn seed_start_state(
+        &self,
+        pool: &mut TermPool,
+        current: &[LogicVec],
+    ) -> (HashMap<TermId, TermId>, Vec<TermId>) {
+        let mut state = HashMap::new();
+        let mut pins = Vec::new();
+        for (&reg, &var) in &self.cur_vars {
+            let v = &current[reg.index()];
+            if !v.has_unknown() {
+                state.insert(var, pool.constant(v.clone()));
+                continue;
+            }
+            let fresh = pool.var(format!("x0.{}", self.design.signal(reg).name), v.width());
+            for i in 0..v.width() {
+                let b = v.bit(i);
+                if !b.is_unknown() {
+                    let bitterm = pool.extract(fresh, i, 1);
+                    let cb = pool.const_u64(1, (b == Bit::One) as u64);
+                    pins.push(pool.eq(bitterm, cb));
+                }
+            }
+            state.insert(var, fresh);
+        }
+        (state, pins)
+    }
+
     fn solve_exact_budgeted(
         &self,
         current: &[LogicVec],
@@ -643,27 +676,9 @@ impl SymbolicEngine {
         let mut frame_digests: Vec<u64> = Vec::new();
         let mut hash_memo: HashMap<TermId, u64> = HashMap::new();
 
-        // State terms at step 0: constants where defined; X bits free.
-        let mut state: HashMap<TermId, TermId> = HashMap::new(); // cur var -> term
-        for (&reg, &var) in &self.cur_vars {
-            let v = &current[reg.index()];
-            if !v.has_unknown() {
-                let c = pool.constant(v.clone());
-                state.insert(var, c);
-            } else {
-                // Fresh symbol; bind the defined bits only.
-                let fresh = pool.var(format!("x0.{}", self.design.signal(reg).name), v.width());
-                for i in 0..v.width() {
-                    let b = v.bit(i);
-                    if !b.is_unknown() {
-                        let bitterm = pool.extract(fresh, i, 1);
-                        let cb = pool.const_u64(1, (b == Bit::One) as u64);
-                        let eqt = pool.eq(bitterm, cb);
-                        blaster.assert_true(&pool, eqt);
-                    }
-                }
-                state.insert(var, fresh);
-            }
+        let (mut state, pins) = self.seed_start_state(&mut pool, current);
+        for pin in pins {
+            blaster.assert_true(&pool, pin);
         }
 
         if over_cap(&pool) {
@@ -836,42 +851,19 @@ impl SymbolicEngine {
         let key = self.state_key(cache.fingerprint, current);
         let FrameCache { session, stats, .. } = cache;
 
-        let mut sorted_regs: Vec<SignalId> = self.cur_vars.keys().copied().collect();
-        sorted_regs.sort_unstable();
-
         let fs = match session {
             Some(fs) if fs.key == key && fs.traced == traced => fs,
             _ => {
                 // Miss: seed a fresh session at step 0, replacing the
-                // previous one. Constants where the state is defined; X
-                // bits free with defined bits pinned by permanent
+                // previous one; the X-bit pins become permanent
                 // assertions.
                 let mut sess = SolverSession::from_pool(self.pool.clone());
                 if traced {
                     sess.enable_trace();
                 }
-                let mut state0: HashMap<TermId, TermId> = HashMap::new();
-                for &reg in &sorted_regs {
-                    let var = self.cur_vars[&reg];
-                    let v = &current[reg.index()];
-                    if !v.has_unknown() {
-                        let c = sess.pool_mut().constant(v.clone());
-                        state0.insert(var, c);
-                    } else {
-                        let name = self.design.signal(reg).name.clone();
-                        let fresh = sess.pool_mut().var(format!("x0.{name}"), v.width());
-                        for i in 0..v.width() {
-                            let b = v.bit(i);
-                            if !b.is_unknown() {
-                                let p = sess.pool_mut();
-                                let bitterm = p.extract(fresh, i, 1);
-                                let cb = p.const_u64(1, (b == Bit::One) as u64);
-                                let eqt = p.eq(bitterm, cb);
-                                sess.assert_term(eqt);
-                            }
-                        }
-                        state0.insert(var, fresh);
-                    }
+                let (state0, pins) = self.seed_start_state(sess.pool_mut(), current);
+                for pin in pins {
+                    sess.assert_term(pin);
                 }
                 session.insert(FrameSession {
                     key,
@@ -906,14 +898,11 @@ impl SymbolicEngine {
         stats.goals += 1;
         stats.reused_goals += u64::from(warm);
 
-        let mut sorted_inputs: Vec<SignalId> = self.input_vars.keys().copied().collect();
-        sorted_inputs.sort_unstable();
         while (fs.states.len() as u32) <= steps {
             let t = fs.states.len() as u32 - 1;
             let mut subst_map = fs.states.last().unwrap().clone();
             let mut these = Vec::new();
-            for &sig in &sorted_inputs {
-                let var = self.input_vars[&sig];
+            for (&sig, &var) in &self.input_vars {
                 let s = self.design.signal(sig);
                 let fresh = fs
                     .sess
@@ -931,8 +920,7 @@ impl SymbolicEngine {
             }
             let mut memo = HashMap::new();
             let mut new_state = HashMap::new();
-            for &reg in &sorted_regs {
-                let var = self.cur_vars[&reg];
+            for (&reg, &var) in &self.cur_vars {
                 let substituted = subst(fs.sess.pool_mut(), self.eqs[&reg], &subst_map, &mut memo);
                 new_state.insert(var, substituted);
             }
@@ -1589,6 +1577,49 @@ mod tests {
             end
           end
         endmodule";
+
+    /// Two never-reset registers whose product must hit a semiprime:
+    /// from a partially-X start state the solver factors it, so the
+    /// CDCL work depends on how the X symbols and their bit pins enter
+    /// the formula.
+    const XFACTOR: &str = "
+        module xf(input clk, input rst_n, input [7:0] a, input [7:0] b,
+                  output logic hit);
+          logic [7:0] x, y;
+          always_ff @(posedge clk) begin x <= x ^ a; y <= y ^ b; end
+          always_ff @(posedge clk or negedge rst_n)
+            if (!rst_n) hit <= 1'b0;
+            else hit <= ({8'd0, x} * {8'd0, y}) == 16'd60491 && x != 8'd1 && y != 8'd1;
+        endmodule";
+
+    #[test]
+    fn fresh_solves_from_x_states_repeat_across_engines() {
+        let d = Arc::new(elaborate_src(XFACTOR, "xf").unwrap());
+        let mut state = zero_state(&d);
+        for name in ["x", "y"] {
+            let sig = d.signal_by_name(name).unwrap();
+            // Low bit defined (odd factors), the rest unknown.
+            let mut v = LogicVec::xes(8);
+            v.set_bit(0, Bit::One);
+            state[sig.index()] = v;
+        }
+        let hit = d.signal_by_name("hit").unwrap();
+        let targets = [(hit, LogicVec::from_u64(1, 1))];
+        let runs: Vec<ReachStats> = (0..8)
+            .map(|_| {
+                let e = SymbolicEngine::new(Arc::clone(&d));
+                let (outcome, stats) = e
+                    .solve_reach_profiled(&state, &targets, 1, &Budget::unlimited())
+                    .unwrap();
+                assert!(matches!(outcome, ReachOutcome::Reached(_)));
+                stats
+            })
+            .collect();
+        assert!(runs[0].spent.conflicts > 0, "{:?}", runs[0]);
+        for r in &runs[1..] {
+            assert_eq!(*r, runs[0], "engine instances disagree: {runs:?}");
+        }
+    }
 
     #[test]
     fn equations_generated_for_all_registers() {

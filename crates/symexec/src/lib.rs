@@ -49,13 +49,11 @@
 //! ```
 
 mod engine;
-mod profiler;
 mod scope;
 
 pub use engine::{
     InputAssignment, ReachError, ReachOutcome, ReachStats, SolverCacheStats, SymbolicEngine,
 };
-pub use profiler::{GoalProfile, SolveProfiler};
 pub use scope::{
     signal_of_term_name, sketch_jaccard_milli, GoalScope, BLAME_MAX_ASSUMPTIONS, HOT_SIGNALS_K,
     SKETCH_K,

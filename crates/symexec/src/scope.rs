@@ -74,7 +74,7 @@ impl GoalScope {
         if self.call_conflict_hist.len() != TRACE_HIST_BUCKETS {
             self.call_conflict_hist = vec![0; TRACE_HIST_BUCKETS];
         }
-        self.call_conflict_hist[trace_bucket(trace.conflicts)] += 1;
+        self.call_conflict_hist[trace_bucket(trace.learned)] += 1;
         self.trace.merge(trace);
     }
 
@@ -101,34 +101,6 @@ impl GoalScope {
             self.sketch = sketch;
             self.frame_digests = frame_digests;
         }
-    }
-
-    /// Merges another scope (e.g. re-attempts of the same goal):
-    /// traces and histograms sum, hot signals fold by max, the deeper
-    /// structure wins, and blame sets union in sorted order.
-    pub fn merge(&mut self, other: &GoalScope) {
-        self.trace.merge(&other.trace);
-        if self.call_conflict_hist.len() != TRACE_HIST_BUCKETS {
-            self.call_conflict_hist = vec![0; TRACE_HIST_BUCKETS];
-        }
-        for (i, n) in other.call_conflict_hist.iter().enumerate() {
-            if i < self.call_conflict_hist.len() {
-                self.call_conflict_hist[i] += n;
-            }
-        }
-        self.note_hot_signals(&other.hot_signals);
-        if other.depth >= self.depth && !other.sketch.is_empty() {
-            self.depth = other.depth;
-            self.sketch = other.sketch.clone();
-            self.frame_digests = other.frame_digests.clone();
-        }
-        for b in &other.blame {
-            if !self.blame.contains(b) {
-                self.blame.push(b.clone());
-            }
-        }
-        self.blame.sort();
-        self.blame_is_core |= other.blame_is_core;
     }
 }
 
@@ -239,22 +211,5 @@ mod tests {
         let j = sketch_jaccard_milli(&a, &c);
         assert!((250..=450).contains(&j), "got {j}");
         assert_eq!(sketch_jaccard_milli(&a, &[]), 0);
-    }
-
-    #[test]
-    fn merge_unions_blame_and_sums_histograms() {
-        let mut a = GoalScope::new();
-        a.blame = vec!["lock".into()];
-        a.call_conflict_hist[0] = 1;
-        a.note_structure(1, vec![7], vec![70]);
-        let mut b = GoalScope::new();
-        b.blame = vec!["counter".into(), "lock".into()];
-        b.call_conflict_hist[0] = 2;
-        b.note_structure(3, vec![8, 9], vec![80, 90, 91]);
-        a.merge(&b);
-        assert_eq!(a.blame, vec!["counter".to_string(), "lock".to_string()]);
-        assert_eq!(a.call_conflict_hist[0], 3);
-        assert_eq!(a.depth, 3);
-        assert_eq!(a.sketch, vec![8, 9]);
     }
 }
