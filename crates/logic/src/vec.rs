@@ -20,6 +20,10 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 /// `X` compares equal to `X`. Use [`logic_eq`](Self::logic_eq) for the
 /// Verilog `==` operator which yields `X` in the presence of unknowns.
 ///
+/// [`clone_from`](Clone::clone_from) overwrites the destination's word
+/// buffers in place, so a slot that is refreshed every cycle (a
+/// property-history ring, a snapshot write-back) allocates only when it grows.
+///
 /// # Examples
 ///
 /// ```
@@ -28,11 +32,27 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 /// let b = LogicVec::from_u64(8, 100);
 /// assert_eq!(a.add(&b).to_u64(), Some(44)); // wraps at 8 bits
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct LogicVec {
     width: u32,
     val: Vec<u64>,
     unk: Vec<u64>,
+}
+
+impl Clone for LogicVec {
+    fn clone(&self) -> LogicVec {
+        LogicVec {
+            width: self.width,
+            val: self.val.clone(),
+            unk: self.unk.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &LogicVec) {
+        self.width = source.width;
+        self.val.clone_from(&source.val);
+        self.unk.clone_from(&source.unk);
+    }
 }
 
 fn nwords(width: u32) -> usize {
@@ -384,22 +404,34 @@ impl LogicVec {
         out
     }
 
+    /// Plane words `i` of both operands, zero past either one's top word:
+    /// the zero-extension to the wider width that comparisons apply,
+    /// without materialising the extended copies.
+    fn word_pairs<'a>(
+        a: &'a LogicVec,
+        b: &'a LogicVec,
+    ) -> impl DoubleEndedIterator<Item = ((u64, u64), (u64, u64))> + 'a {
+        let word = |v: &LogicVec, i: usize| {
+            (
+                v.val.get(i).copied().unwrap_or(0),
+                v.unk.get(i).copied().unwrap_or(0),
+            )
+        };
+        (0..a.val.len().max(b.val.len())).map(move |i| (word(a, i), word(b, i)))
+    }
+
     /// Logical equality (`==`): `X` if either operand has unknown bits.
     pub fn logic_eq(&self, rhs: &LogicVec) -> Bit {
         if self.has_unknown() || rhs.has_unknown() {
             return Bit::X;
         }
-        let w = Self::binary_widths(self, rhs);
-        Bit::from_bool(self.resized(w).val == rhs.resized(w).val)
+        Bit::from_bool(self.case_eq(rhs))
     }
 
     /// Case equality (`===`): exact four-state comparison after
     /// zero-extension to the wider width.
     pub fn case_eq(&self, rhs: &LogicVec) -> bool {
-        let w = Self::binary_widths(self, rhs);
-        let a = self.resized(w);
-        let b = rhs.resized(w);
-        a.val == b.val && a.unk == b.unk
+        Self::word_pairs(self, rhs).all(|(a, b)| a == b)
     }
 
     /// Unsigned less-than: `X` if either operand has unknown bits.
@@ -407,15 +439,10 @@ impl LogicVec {
         if self.has_unknown() || rhs.has_unknown() {
             return Bit::X;
         }
-        let w = Self::binary_widths(self, rhs);
-        let a = self.resized(w);
-        let b = rhs.resized(w);
-        for i in (0..a.val.len()).rev() {
-            if a.val[i] != b.val[i] {
-                return Bit::from_bool(a.val[i] < b.val[i]);
-            }
-        }
-        Bit::Zero
+        Self::word_pairs(self, rhs)
+            .rev()
+            .find(|(a, b)| a.0 != b.0)
+            .map_or(Bit::Zero, |(a, b)| Bit::from_bool(a.0 < b.0))
     }
 
     /// Unsigned less-than-or-equal.
@@ -740,6 +767,58 @@ mod tests {
     }
 
     #[test]
+    fn comparisons_match_explicit_zero_extension() {
+        fn pick(next: &mut impl FnMut() -> u64, width: u32, unknowns: bool) -> LogicVec {
+            let bits = [Bit::Zero, Bit::One, Bit::X, Bit::Z];
+            let mut v = LogicVec::zeros(width);
+            for i in 0..width {
+                v.set_bit(i, bits[(next() % if unknowns { 4 } else { 2 }) as usize]);
+            }
+            v
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let widths = [1u32, 3, 8, 63, 64, 65, 130];
+        for _ in 0..2000 {
+            let wa = widths[(next() % 7) as usize];
+            let wb = widths[(next() % 7) as usize];
+            let unknowns = next() % 4 == 0;
+            let a = pick(&mut next, wa, unknowns);
+            // Often an equal value at another width, so `==` sees both outcomes.
+            let b = if next() % 2 == 0 {
+                a.resized(wb)
+            } else {
+                pick(&mut next, wb, unknowns)
+            };
+            // Reference: both operands materialised at the wider width.
+            let w = wa.max(wb);
+            let (ea, eb) = (a.resized(w), b.resized(w));
+            let defined = !a.has_unknown() && !b.has_unknown();
+            assert_eq!(
+                a.case_eq(&b),
+                ea.val == eb.val && ea.unk == eb.unk,
+                "{a} === {b}"
+            );
+            let eq = Bit::from_bool(ea.val == eb.val);
+            assert_eq!(
+                a.logic_eq(&b),
+                if defined { eq } else { Bit::X },
+                "{a} == {b}"
+            );
+            let lt = (0..ea.val.len())
+                .rev()
+                .find(|&i| ea.val[i] != eb.val[i])
+                .map_or(Bit::Zero, |i| Bit::from_bool(ea.val[i] < eb.val[i]));
+            assert_eq!(a.ult(&b), if defined { lt } else { Bit::X }, "{a} < {b}");
+        }
+    }
+
+    #[test]
     fn reductions() {
         assert_eq!(LogicVec::from_u64(4, 0b1111).reduce_and(), Bit::One);
         assert_eq!(LogicVec::from_u64(4, 0b1101).reduce_and(), Bit::Zero);
@@ -840,6 +919,45 @@ mod tests {
     fn display_format() {
         let v = LogicVec::parse_literal("4'b10xz").unwrap();
         assert_eq!(format!("{v}"), "4'b10xz");
+    }
+
+    #[test]
+    fn clone_from_matches_clone_and_reuses_buffers() {
+        let patterned = |width: u32| {
+            let mut v = LogicVec::zeros(width);
+            for i in 0..width {
+                v.set_bit(
+                    i,
+                    [Bit::One, Bit::X, Bit::Zero, Bit::Z, Bit::One][i as usize % 5],
+                );
+            }
+            v
+        };
+        // Same, growing and shrinking word counts, X/Z bits throughout,
+        // and widths that end mid-word so the top mask matters.
+        let widths = [1u32, 7, 64, 65, 100, 130, 3];
+        for &from in &widths {
+            for &to in &widths {
+                let src = patterned(to);
+                let mut dst = LogicVec::ones(from);
+                dst.clone_from(&src);
+                assert_eq!(dst, src.clone(), "{from} -> {to}");
+                assert_eq!(dst.width(), to);
+                assert_eq!(dst.to_bin_string(), src.to_bin_string());
+                // `normalize`'s invariant: no stray bits above the width.
+                let mask = top_mask(to);
+                assert_eq!(dst.val.last().map_or(0, |w| w & !mask), 0);
+                assert_eq!(dst.unk.last().map_or(0, |w| w & !mask), 0);
+            }
+        }
+        // Equal word counts: the destination keeps its allocations.
+        let mut dst = LogicVec::ones(100);
+        let (val, unk) = (dst.val.as_ptr(), dst.unk.as_ptr());
+        for src in [patterned(70), LogicVec::xes(128), LogicVec::zeros(65)] {
+            dst.clone_from(&src);
+            assert_eq!(dst, src);
+            assert_eq!((dst.val.as_ptr(), dst.unk.as_ptr()), (val, unk));
+        }
     }
 
     #[test]

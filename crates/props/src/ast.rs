@@ -1,5 +1,6 @@
 //! Property AST and per-cycle evaluation.
 
+use std::borrow::Cow;
 use symbfuzz_hdl::{BinaryOp, UnaryOp};
 use symbfuzz_logic::{Bit, LogicVec};
 use symbfuzz_netlist::SignalId;
@@ -124,20 +125,85 @@ impl Property {
     /// Evaluates the property at the newest frame of `frames`
     /// (`frames[len-1]` is "now", `frames[len-1-n]` is `$past` by `n`).
     /// Returns `true` when the property holds or is vacuous.
+    ///
+    /// This is the full-frame reference form; [`PropertyChecker`]
+    /// evaluates the same way against its sampled history.
+    ///
+    /// [`PropertyChecker`]: crate::PropertyChecker
     pub fn holds(&self, frames: &[Vec<LogicVec>]) -> bool {
-        let t = frames.len() - 1;
+        self.holds_in(frames)
+    }
+
+    /// Evaluates the property at "now" of `frames`.
+    pub(crate) fn holds_in<F: Frames + ?Sized>(&self, frames: &F) -> bool {
         if let Some(a) = &self.antecedent {
-            match eval(a, frames, t) {
+            match eval(a, frames, 0) {
                 Some(v) if v.to_condition() == Bit::One => {}
                 // Antecedent false, X, or out of history: vacuous pass.
                 _ => return true,
             }
         }
-        match eval(&self.consequent, frames, t) {
+        match eval(&self.consequent, frames, 0) {
             // Out-of-history $past in the consequent: vacuous pass.
             None => true,
             Some(v) => v.to_condition() == Bit::One,
         }
+    }
+
+    /// Calls `f` on every signal this property may read from a past
+    /// cycle (under `$past`, `$stable`, `$rose` or `$fell`).
+    pub(crate) fn for_each_past_signal(&self, f: &mut impl FnMut(SignalId)) {
+        if let Some(a) = &self.antecedent {
+            past_signals(a, false, f);
+        }
+        past_signals(&self.consequent, false, f);
+    }
+}
+
+/// Read access to sampled signal values: "now" and the cycles before.
+pub(crate) trait Frames {
+    /// How many cycles before "now" are available.
+    fn past_len(&self) -> usize;
+    /// The value of `sig` `back` cycles before "now" (`back <=
+    /// past_len()`; `0` is "now").
+    fn value(&self, sig: SignalId, back: usize) -> &LogicVec;
+}
+
+impl Frames for [Vec<LogicVec>] {
+    fn past_len(&self) -> usize {
+        self.len() - 1
+    }
+
+    fn value(&self, sig: SignalId, back: usize) -> &LogicVec {
+        &self[self.len() - 1 - back][sig.index()]
+    }
+}
+
+fn past_signals(e: &PExpr, past: bool, f: &mut impl FnMut(SignalId)) {
+    match e {
+        PExpr::Const(_) => {}
+        PExpr::Sig(s) => {
+            if past {
+                f(*s)
+            }
+        }
+        PExpr::Past { expr: a, .. } | PExpr::Stable(a) | PExpr::Rose(a) | PExpr::Fell(a) => {
+            past_signals(a, true, f)
+        }
+        PExpr::IsUnknown(a)
+        | PExpr::Unary { operand: a, .. }
+        | PExpr::Index { base: a, .. }
+        | PExpr::Slice { base: a, .. } => past_signals(a, past, f),
+        PExpr::Binary { lhs, rhs, .. } => {
+            past_signals(lhs, past, f);
+            past_signals(rhs, past, f);
+        }
+        PExpr::Ternary { cond, then, els } => {
+            past_signals(cond, past, f);
+            past_signals(then, past, f);
+            past_signals(els, past, f);
+        }
+        PExpr::Concat(parts) => parts.iter().for_each(|p| past_signals(p, past, f)),
     }
 }
 
@@ -156,58 +222,49 @@ fn max_depth(e: &PExpr) -> u32 {
     }
 }
 
-/// Evaluates at frame index `t`; `None` when `$past` reaches before the
-/// first frame (vacuous).
-fn eval(e: &PExpr, frames: &[Vec<LogicVec>], t: usize) -> Option<LogicVec> {
-    match e {
-        PExpr::Const(v) => Some(v.clone()),
-        PExpr::Sig(s) => Some(frames[t][s.index()].clone()),
+fn bit(b: bool) -> Cow<'static, LogicVec> {
+    Cow::Owned(LogicVec::from_u64(1, b as u64))
+}
+
+/// Evaluates `back` cycles before "now"; `None` when `$past` reaches
+/// before the first available frame (vacuous). Constants and signal
+/// values are borrowed, only computed values are allocated.
+fn eval<'a, F: Frames + ?Sized>(e: &'a PExpr, f: &'a F, back: usize) -> Option<Cow<'a, LogicVec>> {
+    // The value of `a` now and one cycle earlier, for the edge functions.
+    let edge = |a: &'a PExpr| -> Option<(Cow<'a, LogicVec>, Cow<'a, LogicVec>)> {
+        if back + 1 > f.past_len() {
+            return None;
+        }
+        Some((eval(a, f, back)?, eval(a, f, back + 1)?))
+    };
+    Some(match e {
+        PExpr::Const(v) => Cow::Borrowed(v),
+        PExpr::Sig(s) => Cow::Borrowed(f.value(*s, back)),
         PExpr::Past { expr, depth } => {
-            let d = *depth as usize;
-            if t < d {
+            let back = back + *depth as usize;
+            if back > f.past_len() {
                 return None;
             }
-            eval(expr, frames, t - d)
+            return eval(expr, f, back);
         }
-        PExpr::IsUnknown(a) => {
-            let v = eval(a, frames, t)?;
-            Some(LogicVec::from_u64(1, v.has_unknown() as u64))
-        }
+        PExpr::IsUnknown(a) => bit(eval(a, f, back)?.has_unknown()),
         PExpr::Stable(a) => {
-            if t < 1 {
-                return None;
-            }
-            let now = eval(a, frames, t)?;
-            let before = eval(a, frames, t - 1)?;
-            Some(LogicVec::from_u64(1, now.case_eq(&before) as u64))
+            let (now, before) = edge(a)?;
+            bit(now.case_eq(&before))
         }
         PExpr::Rose(a) => {
-            if t < 1 {
-                return None;
-            }
-            let now = eval(a, frames, t)?;
-            let before = eval(a, frames, t - 1)?;
-            Some(LogicVec::from_u64(
-                1,
-                (before.bit(0) == Bit::Zero && now.bit(0) == Bit::One) as u64,
-            ))
+            let (now, before) = edge(a)?;
+            bit(before.bit(0) == Bit::Zero && now.bit(0) == Bit::One)
         }
         PExpr::Fell(a) => {
-            if t < 1 {
-                return None;
-            }
-            let now = eval(a, frames, t)?;
-            let before = eval(a, frames, t - 1)?;
-            Some(LogicVec::from_u64(
-                1,
-                (before.bit(0) == Bit::One && now.bit(0) == Bit::Zero) as u64,
-            ))
+            let (now, before) = edge(a)?;
+            bit(before.bit(0) == Bit::One && now.bit(0) == Bit::Zero)
         }
         PExpr::Unary { op, operand } => {
-            let v = eval(operand, frames, t)?;
-            Some(match op {
+            let v = eval(operand, f, back)?;
+            Cow::Owned(match op {
                 UnaryOp::LogNot => LogicVec::from_bit(!v.to_condition()),
-                UnaryOp::BitNot => !&v,
+                UnaryOp::BitNot => !&*v,
                 UnaryOp::RedAnd => LogicVec::from_bit(v.reduce_and()),
                 UnaryOp::RedOr => LogicVec::from_bit(v.reduce_or()),
                 UnaryOp::RedXor => LogicVec::from_bit(v.reduce_xor()),
@@ -217,60 +274,60 @@ fn eval(e: &PExpr, frames: &[Vec<LogicVec>], t: usize) -> Option<LogicVec> {
             })
         }
         PExpr::Binary { op, lhs, rhs } => {
-            let a = eval(lhs, frames, t)?;
-            let b = eval(rhs, frames, t)?;
-            Some(match op {
-                BinaryOp::Add => a.add(&b),
-                BinaryOp::Sub => a.sub(&b),
-                BinaryOp::Mul => a.mul(&b),
-                BinaryOp::And => &a & &b,
-                BinaryOp::Or => &a | &b,
-                BinaryOp::Xor => &a ^ &b,
+            let a = eval(lhs, f, back)?;
+            let b = eval(rhs, f, back)?;
+            let (a, b) = (&*a, &*b);
+            Cow::Owned(match op {
+                BinaryOp::Add => a.add(b),
+                BinaryOp::Sub => a.sub(b),
+                BinaryOp::Mul => a.mul(b),
+                BinaryOp::And => a & b,
+                BinaryOp::Or => a | b,
+                BinaryOp::Xor => a ^ b,
                 BinaryOp::LogAnd => LogicVec::from_bit(a.to_condition() & b.to_condition()),
                 BinaryOp::LogOr => LogicVec::from_bit(a.to_condition() | b.to_condition()),
-                BinaryOp::Eq => LogicVec::from_bit(a.logic_eq(&b)),
-                BinaryOp::Ne => LogicVec::from_bit(!a.logic_eq(&b)),
-                BinaryOp::CaseEq => LogicVec::from_u64(1, a.case_eq(&b) as u64),
-                BinaryOp::CaseNe => LogicVec::from_u64(1, !a.case_eq(&b) as u64),
-                BinaryOp::Lt => LogicVec::from_bit(a.ult(&b)),
-                BinaryOp::Le => LogicVec::from_bit(a.ule(&b)),
-                BinaryOp::Gt => LogicVec::from_bit(b.ult(&a)),
-                BinaryOp::Ge => LogicVec::from_bit(b.ule(&a)),
-                BinaryOp::Shl => a.shl_vec(&b),
-                BinaryOp::Shr => a.lshr_vec(&b),
+                BinaryOp::Eq => LogicVec::from_bit(a.logic_eq(b)),
+                BinaryOp::Ne => LogicVec::from_bit(!a.logic_eq(b)),
+                BinaryOp::CaseEq => LogicVec::from_u64(1, a.case_eq(b) as u64),
+                BinaryOp::CaseNe => LogicVec::from_u64(1, !a.case_eq(b) as u64),
+                BinaryOp::Lt => LogicVec::from_bit(a.ult(b)),
+                BinaryOp::Le => LogicVec::from_bit(a.ule(b)),
+                BinaryOp::Gt => LogicVec::from_bit(b.ult(a)),
+                BinaryOp::Ge => LogicVec::from_bit(b.ule(a)),
+                BinaryOp::Shl => a.shl_vec(b),
+                BinaryOp::Shr => a.lshr_vec(b),
             })
         }
         PExpr::Ternary { cond, then, els } => {
-            let c = eval(cond, frames, t)?;
-            match c.to_condition() {
-                Bit::One => eval(then, frames, t),
-                Bit::Zero => eval(els, frames, t),
-                _ => Some(LogicVec::xes(1)),
-            }
+            return match eval(cond, f, back)?.to_condition() {
+                Bit::One => eval(then, f, back),
+                Bit::Zero => eval(els, f, back),
+                _ => Some(Cow::Owned(LogicVec::xes(1))),
+            };
         }
         PExpr::Index { base, bit } => {
-            let v = eval(base, frames, t)?;
-            if *bit < v.width() {
-                Some(LogicVec::from_bit(v.bit(*bit)))
+            let v = eval(base, f, back)?;
+            Cow::Owned(LogicVec::from_bit(if *bit < v.width() {
+                v.bit(*bit)
             } else {
-                Some(LogicVec::from_bit(Bit::X))
-            }
+                Bit::X
+            }))
         }
         PExpr::Slice { base, msb, lsb } => {
-            let v = eval(base, frames, t)?;
-            if *msb < v.width() && lsb <= msb {
-                Some(v.slice(*lsb, msb - lsb + 1))
+            let v = eval(base, f, back)?;
+            Cow::Owned(if *msb < v.width() && lsb <= msb {
+                v.slice(*lsb, msb - lsb + 1)
             } else {
-                Some(LogicVec::xes(msb - lsb + 1))
-            }
+                LogicVec::xes(msb - lsb + 1)
+            })
         }
         PExpr::Concat(parts) => {
             let mut out = LogicVec::zeros(0);
             for p in parts {
-                let v = eval(p, frames, t)?;
+                let v = eval(p, f, back)?;
                 out = LogicVec::concat(&out, &v);
             }
-            Some(out)
+            Cow::Owned(out)
         }
-    }
+    })
 }

@@ -1,8 +1,8 @@
-//! Rolling-history property checker (the UVM-monitor-side scoreboard).
+//! Sampled-history property checker (the UVM-monitor-side scoreboard).
 
-use crate::ast::Property;
-use std::collections::VecDeque;
+use crate::ast::{Frames, Property};
 use symbfuzz_logic::LogicVec;
+use symbfuzz_netlist::SignalId;
 
 /// A recorded property violation (paper §4.9: "the simulator logs the
 /// property name \[and\] simulation timestamp").
@@ -17,8 +17,10 @@ pub struct Violation {
 /// Checks a set of properties against every sampled cycle.
 ///
 /// Feed one full value frame per clock cycle via
-/// [`on_cycle`](Self::on_cycle); the checker keeps just enough history
-/// for the deepest `$past` among its properties.
+/// [`on_cycle`](Self::on_cycle). "Now" is read straight from that
+/// frame; the checker keeps history only for the signals its properties
+/// read in past cycles (under `$past`, `$stable`, `$rose`, `$fell`),
+/// in a ring as deep as the deepest of them, overwritten in place.
 ///
 /// # Examples
 ///
@@ -50,8 +52,9 @@ pub struct Violation {
 #[derive(Debug, Clone, Default)]
 pub struct PropertyChecker {
     properties: Vec<Property>,
-    history: VecDeque<Vec<LogicVec>>,
-    max_depth: usize,
+    history: History,
+    /// Whether each property (by index) has fired yet.
+    fired: Vec<bool>,
     violations: Vec<Violation>,
     checked_cycles: u64,
 }
@@ -59,15 +62,23 @@ pub struct PropertyChecker {
 impl PropertyChecker {
     /// Builds a checker for the given properties.
     pub fn new(properties: Vec<Property>) -> PropertyChecker {
-        let max_depth = properties
+        let depth = properties
             .iter()
             .map(|p| p.history_depth() as usize)
             .max()
             .unwrap_or(0);
+        let mut history = History {
+            depth,
+            ..History::default()
+        };
+        for p in &properties {
+            p.for_each_past_signal(&mut |s| history.track(s));
+        }
+        history.frames = vec![LogicVec::zeros(0); depth * history.signals.len()];
         PropertyChecker {
+            fired: vec![false; properties.len()],
             properties,
-            history: VecDeque::new(),
-            max_depth,
+            history,
             violations: Vec::new(),
             checked_cycles: 0,
         }
@@ -78,7 +89,9 @@ impl PropertyChecker {
         &self.properties
     }
 
-    /// Violations recorded so far, in detection order.
+    /// The first violation of each property that has fired, in
+    /// detection order. Later failures of the same property are only
+    /// returned by the [`on_cycle`](Self::on_cycle) call that saw them.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
@@ -103,30 +116,98 @@ impl PropertyChecker {
     /// Clears history (use after a checkpoint restore so `$past` does
     /// not see across the discontinuity) while keeping violations.
     pub fn reset_history(&mut self) {
-        self.history.clear();
+        self.history.len = 0;
     }
 
     /// Ingests one sampled frame and evaluates every property at this
     /// cycle. Returns the violations detected *this* cycle.
     pub fn on_cycle(&mut self, cycle: u64, values: &[LogicVec]) -> Vec<Violation> {
-        self.history.push_back(values.to_vec());
-        while self.history.len() > self.max_depth + 1 {
-            self.history.pop_front();
-        }
         self.checked_cycles += 1;
-        let frames: Vec<Vec<LogicVec>> = self.history.iter().cloned().collect();
+        let window = Window {
+            now: values,
+            history: &self.history,
+        };
         let mut new = Vec::new();
-        for p in &self.properties {
-            if !p.holds(&frames) {
+        for (p, fired) in self.properties.iter().zip(&mut self.fired) {
+            if !p.holds_in(&window) {
                 let v = Violation {
                     property: p.name().to_string(),
                     cycle,
                 };
-                new.push(v.clone());
-                self.violations.push(v);
+                if !*fired {
+                    *fired = true;
+                    self.violations.push(v.clone());
+                }
+                new.push(v);
             }
         }
+        self.history.push(values);
         new
+    }
+}
+
+/// Past values of the signals the properties read from past cycles: a
+/// ring of `depth` frames of one value per tracked signal.
+#[derive(Debug, Clone, Default)]
+struct History {
+    /// Slot of each tracked signal, indexed by [`SignalId::index`]
+    /// (`u32::MAX` for an untracked signal).
+    slot: Vec<u32>,
+    /// Tracked signals in slot order.
+    signals: Vec<SignalId>,
+    /// `depth` frames of `signals.len()` values each, frame-major.
+    frames: Vec<LogicVec>,
+    depth: usize,
+    /// The frame the next cycle overwrites.
+    head: usize,
+    /// Frames written since the last rewind (at most `depth`).
+    len: usize,
+}
+
+impl History {
+    fn track(&mut self, s: SignalId) {
+        if self.slot.len() <= s.index() {
+            self.slot.resize(s.index() + 1, u32::MAX);
+        }
+        if self.slot[s.index()] == u32::MAX {
+            self.slot[s.index()] = self.signals.len() as u32;
+            self.signals.push(s);
+        }
+    }
+
+    /// Records `values` as the newest past frame, overwriting the oldest.
+    fn push(&mut self, values: &[LogicVec]) {
+        if self.depth == 0 {
+            return;
+        }
+        let n = self.signals.len();
+        let frame = &mut self.frames[self.head * n..(self.head + 1) * n];
+        for (dst, s) in frame.iter_mut().zip(&self.signals) {
+            dst.clone_from(&values[s.index()]);
+        }
+        self.head = (self.head + 1) % self.depth;
+        self.len = (self.len + 1).min(self.depth);
+    }
+}
+
+/// "Now" from the caller's value table, the past from the ring.
+struct Window<'a> {
+    now: &'a [LogicVec],
+    history: &'a History,
+}
+
+impl Frames for Window<'_> {
+    fn past_len(&self) -> usize {
+        self.history.len
+    }
+
+    fn value(&self, sig: SignalId, back: usize) -> &LogicVec {
+        if back == 0 {
+            return &self.now[sig.index()];
+        }
+        let h = self.history;
+        let frame = (h.head + h.depth - back) % h.depth;
+        &h.frames[frame * h.signals.len() + h.slot[sig.index()] as usize]
     }
 }
 
@@ -286,5 +367,45 @@ mod tests {
         sim.step();
         checker.on_cycle(sim.cycle(), sim.values());
         assert_eq!(checker.violated_names(), vec!["parity"]);
+    }
+
+    #[test]
+    fn violation_log_keeps_each_propertys_first_firing() {
+        let (d, sim) = uart();
+        let never = Property::parse("never", "1'b0", &d).unwrap();
+        let parity = Property::parse("parity", "rx_parity_err |-> parity_enable", &d).unwrap();
+        let mut checker = PropertyChecker::new(vec![never, parity]);
+        for cycle in 0..10_000 {
+            let now = checker.on_cycle(cycle, sim.values());
+            assert_eq!(now.len(), 1, "every failing cycle is still returned");
+            assert_eq!(now[0].cycle, cycle);
+        }
+        assert_eq!(
+            checker.violations(),
+            &[Violation {
+                property: "never".into(),
+                cycle: 0
+            }]
+        );
+        assert_eq!(checker.checked_cycles(), 10_000);
+    }
+
+    #[test]
+    fn history_holds_only_signals_read_in_the_past() {
+        let (d, _) = uart();
+        let sig = |n: &str| d.signal_by_name(n).unwrap();
+        let props = [
+            ("now_only", "rx_parity_err |-> parity_enable"),
+            ("edge", "$rose(valid) |-> $past(rx_data, 2) != 8'd0"),
+            ("again", "$stable(valid) || parity_bit"),
+        ]
+        .map(|(n, t)| Property::parse(n, t, &d).unwrap());
+        let checker = PropertyChecker::new(props.to_vec());
+        assert_eq!(checker.history.signals, vec![sig("valid"), sig("rx_data")]);
+        assert_eq!(checker.history.depth, 2);
+        assert_eq!(checker.history.frames.len(), 4);
+        // No property looks back: no history at all.
+        let checker = PropertyChecker::new(props[..1].to_vec());
+        assert!(checker.history.signals.is_empty() && checker.history.frames.is_empty());
     }
 }

@@ -12,8 +12,9 @@
 //!   `$rose(expr)`, `$fell(expr)`;
 //! * design constants (enum variants, parameters) by name.
 //!
-//! A property is checked every clock cycle against a rolling history of
-//! sampled signal values; a failure produces a [`Violation`] with the
+//! A property is checked every clock cycle against the simulator's
+//! current values and a ring of past values of just the signals it
+//! reads in earlier cycles; a failure produces a [`Violation`] with the
 //! cycle number, which the fuzzer logs into its bug report
 //! (Algorithm 1, lines 23–25).
 //!

@@ -871,7 +871,7 @@ impl Simulator {
             if self.values[range.clone()] != *page {
                 for (i, v) in range.zip(page) {
                     if self.values[i] != *v {
-                        self.values[i] = v.clone();
+                        self.values[i].clone_from(v);
                         self.dirty[i] = true;
                     }
                 }
