@@ -18,7 +18,7 @@ use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_logic::LogicVec;
 use symbfuzz_netlist::{comb_schedule, compile, CompileOpts};
 use symbfuzz_sim::{Reentry, SettleMode, Simulator};
-use symbfuzz_smt::{BvSolver, SatOutcome};
+use symbfuzz_smt::{Budget, BvSolver, SatOutcome};
 use symbfuzz_symexec::SymbolicEngine;
 
 fn sim_throughput(c: &mut Criterion) {
@@ -197,8 +197,9 @@ fn symbolic_solving(c: &mut Criterion) {
         .collect();
     let target = design.signal_by_name("if_state").unwrap();
     let mut group = c.benchmark_group("symbolic_guidance");
-    group.bench_function("solve_step_ibex_state", |bench| {
-        bench.iter(|| engine.solve_step(&state, &[(target, LogicVec::from_u64(3, 1))]))
+    let goal = [(target, LogicVec::from_u64(3, 1))];
+    group.bench_function("reach_one_cycle_ibex_state", |bench| {
+        bench.iter(|| engine.solve_reach_profiled(&state, &goal, 1, &Budget::unlimited()))
     });
     group.bench_function("build_engine_ibex", |bench| {
         bench.iter(|| SymbolicEngine::new(Arc::clone(&design)).num_equations())

@@ -92,11 +92,11 @@ fn assert_same_verdict(
     what: &str,
 ) {
     let name = &fresh.design().signal(goal.0).name;
-    let f = fresh
-        .solve_reach_budgeted(state, &[(goal.0, goal.1.clone())], max_steps, budget)
+    let (f, _) = fresh
+        .solve_reach_profiled(state, &[(goal.0, goal.1.clone())], max_steps, budget)
         .unwrap_or_else(|e| panic!("{what}: fresh solve of {name} failed: {e}"));
-    let w = warm
-        .solve_reach_budgeted(state, &[(goal.0, goal.1.clone())], max_steps, budget)
+    let (w, _) = warm
+        .solve_reach_profiled(state, &[(goal.0, goal.1.clone())], max_steps, budget)
         .unwrap_or_else(|e| panic!("{what}: warm solve of {name} failed: {e}"));
     assert_eq!(
         f.status(),
@@ -204,8 +204,8 @@ fn incremental_matches_fresh_when_start_states_alternate() {
             let goal = [(reg, LogicVec::from_u64(w, v))];
             for (si, state) in states.iter().enumerate() {
                 let misses = warm.cache_stats().frame_misses;
-                let f = fresh
-                    .solve_reach_budgeted(state, &goal, 3, &budget)
+                let (f, _) = fresh
+                    .solve_reach_profiled(state, &goal, 3, &budget)
                     .unwrap();
                 let (w_out, stats) = warm.solve_reach_profiled(state, &goal, 3, &budget).unwrap();
                 assert_eq!(f.status(), w_out.status(), "state {si}, goal {v}");

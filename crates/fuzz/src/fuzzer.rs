@@ -18,7 +18,7 @@ use symbfuzz_props::{PropError, Property, PropertyChecker};
 use symbfuzz_ruvm::{Driver, SequenceItem, Sequencer};
 use symbfuzz_sim::{Reentry, Simulator, SnapshotId, SnapshotStore};
 use symbfuzz_smt::Budget;
-use symbfuzz_symexec::{GoalScope, ReachOutcome, ReachStats, SymbolicEngine};
+use symbfuzz_symexec::{ReachOutcome, ReachStats, SymbolicEngine};
 use symbfuzz_telemetry::{
     Collector, Counter, Event, Gauge, Mechanism, Phase, SampleState, Sampler, SolveStatus,
 };
@@ -744,9 +744,8 @@ impl SymbFuzz {
         if self.engine.is_none() {
             let mut engine = SymbolicEngine::new(Arc::clone(&self.design));
             engine.set_collector(Some(Arc::clone(&self.telemetry)));
-            if self.config.incremental_solving {
-                engine.set_solver_cache(true);
-            }
+            engine.set_solver_cache(self.config.incremental_solving);
+            engine.set_introspection(self.config.solver_introspection);
             self.engine = Some(engine);
         }
         let eqns = self.engine.as_ref().map_or(0, |e| e.num_equations() as u64);
@@ -870,41 +869,27 @@ impl SymbFuzz {
             self.resources.solver_calls += 1;
             let result = {
                 let _span = self.telemetry.phase_owned(Phase::Solve);
-                let engine = self.engine.as_ref().expect("checked above");
-                if self.config.solver_introspection {
-                    engine
-                        .solve_reach_introspected(
-                            self.sim.values(),
-                            &[(reg, value)],
-                            self.config.solve_depth,
-                            &budget,
-                        )
-                        .map(|(outcome, stats, scope)| (outcome, stats, Some(scope)))
-                } else {
-                    engine
-                        .solve_reach_profiled(
-                            self.sim.values(),
-                            &[(reg, value)],
-                            self.config.solve_depth,
-                            &budget,
-                        )
-                        .map(|(outcome, stats)| (outcome, stats, None))
-                }
+                self.engine
+                    .as_ref()
+                    .expect("checked above")
+                    .solve_reach_profiled(
+                        self.sim.values(),
+                        &[(reg, value)],
+                        self.config.solve_depth,
+                        &budget,
+                    )
             };
             let outcome = match result {
-                Ok((outcome, stats, scope)) => {
+                Ok((outcome, stats)) => {
                     let name = self.design.signal(reg).name.clone();
                     self.solver_profile.note_attempt(
                         &name,
                         target_value,
                         self.escalation,
                         &outcome,
-                        stats,
-                        scope.as_ref(),
+                        &stats,
                     );
-                    if let Some(scope) = scope {
-                        self.note_goal_scope(&name, target_value, &outcome, stats, &scope);
-                    }
+                    self.note_goal_scope(&name, target_value, &outcome, &stats);
                     Some(outcome)
                 }
                 // An unposable goal never reached the solver; it is
@@ -959,14 +944,17 @@ impl SymbFuzz {
     /// [`Event::GoalSolveCost`] receipt per query, a
     /// [`Event::CoreExtracted`] attribution record for failed goals
     /// that carry a blame set, and the learned-clause work counter.
+    /// Queries without a [`ReachStats::scope`] emit nothing.
     fn note_goal_scope(
         &mut self,
         register: &str,
         value: u64,
         outcome: &ReachOutcome,
-        stats: ReachStats,
-        scope: &GoalScope,
+        stats: &ReachStats,
     ) {
+        let Some(scope) = &stats.scope else {
+            return;
+        };
         self.telemetry
             .add(Counter::LearnedClauses, scope.trace.learned);
         self.telemetry.record(Event::GoalSolveCost {

@@ -848,16 +848,15 @@ impl SolverProfileBlock {
     }
 
     /// Charges one completed reachability query to its goal through
-    /// [`GoalRow::merge`], with the query's introspection record when
-    /// the campaign traced it.
+    /// [`GoalRow::merge`], with the query's introspection record
+    /// ([`ReachStats::scope`]) when the campaign traced it.
     pub fn note_attempt(
         &mut self,
         register: &str,
         value: u64,
         escalation: u32,
         outcome: &ReachOutcome,
-        stats: ReachStats,
-        scope: Option<&GoalScope>,
+        stats: &ReachStats,
     ) {
         let mut attempt = GoalRow {
             register: register.to_string(),
@@ -873,7 +872,7 @@ impl SolverProfileBlock {
             solver_calls: u64::from(stats.solver_calls),
             deepest_unroll: stats.deepest_unroll,
             escalations: vec![escalation],
-            introspection: scope.map(GoalIntrospection::from),
+            introspection: stats.scope.as_ref().map(GoalIntrospection::from),
         };
         self.total_attempts += 1;
         let row = self.row_mut(register, value);
@@ -1402,6 +1401,15 @@ mod tests {
             },
             solver_calls,
             deepest_unroll,
+            scope: None,
+        }
+    }
+
+    /// `stats` carrying an introspection record.
+    fn traced(stats: ReachStats, scope: &GoalScope) -> ReachStats {
+        ReachStats {
+            scope: Some(scope.clone()),
+            ..stats
         }
     }
 
@@ -1412,15 +1420,14 @@ mod tests {
             reason: symbfuzz_telemetry::UnknownReason::Conflicts,
             spent: symbfuzz_smt::BudgetSpent::default(),
         };
-        b.note_attempt("easy", 1, 0, &ReachOutcome::Unreachable, stats(1), None);
-        b.note_attempt("hard", 2, 0, &exhausted, stats_at(50, 4, 4), None);
+        b.note_attempt("easy", 1, 0, &ReachOutcome::Unreachable, &stats(1));
+        b.note_attempt("hard", 2, 0, &exhausted, &stats_at(50, 4, 4));
         b.note_attempt(
             "hard",
             2,
             1,
             &ReachOutcome::Reached(vec![]),
-            stats_at(10, 2, 3),
-            None,
+            &stats_at(10, 2, 3),
         );
         b.note_neg_cache_hit("easy", 1);
         assert_eq!(b.goals[0].register, "easy", "first-attempt order");
@@ -1455,9 +1462,9 @@ mod tests {
             scope((50..150).collect(), &[]),
         );
         let un = ReachOutcome::Unreachable;
-        b.note_attempt("st", 7, 0, &un, stats(4), Some(&a));
-        b.note_attempt("st", 9, 0, &un, stats(4), Some(&c));
-        b.note_attempt("st", 7, 0, &un, stats(4), Some(&a)); // re-attempt folds
+        b.note_attempt("st", 7, 0, &un, &traced(stats(4), &a));
+        b.note_attempt("st", 9, 0, &un, &traced(stats(4), &c));
+        b.note_attempt("st", 7, 0, &un, &traced(stats(4), &a)); // re-attempt folds
         b.recompute_affinity();
         assert_eq!(b.goals.len(), 2);
         assert_eq!(b.goals[0].attempts, 2);
@@ -1485,8 +1492,8 @@ mod tests {
         };
         let un = ReachOutcome::Unreachable;
         let mut a = SolverProfileBlock::default();
-        a.note_attempt("st", 1, 0, &un, stats(1), Some(&query(vec![1, 2], 4)));
-        a.note_attempt("st", 1, 0, &un, stats(1), Some(&query(vec![3], 2)));
+        a.note_attempt("st", 1, 0, &un, &traced(stats(1), &query(vec![1, 2], 4)));
+        a.note_attempt("st", 1, 0, &un, &traced(stats(1), &query(vec![3], 2)));
         let i = a.goals[0].introspection.as_ref().unwrap();
         assert_eq!(
             (i.sketch.as_slice(), i.depth),
@@ -1494,12 +1501,12 @@ mod tests {
             "shallower query"
         );
         assert_eq!(i.call_conflict_hist[1], 2, "histograms still sum");
-        a.note_attempt("st", 1, 0, &un, stats(1), Some(&query(vec![5], 4)));
+        a.note_attempt("st", 1, 0, &un, &traced(stats(1), &query(vec![5], 4)));
         let sketch =
             |b: &SolverProfileBlock| b.goals[0].introspection.as_ref().unwrap().sketch.clone();
         assert_eq!(sketch(&a), vec![5], "the later query wins on equal depth");
         let mut other = SolverProfileBlock::default();
-        other.note_attempt("st", 1, 0, &un, stats(1), Some(&query(vec![4], 1)));
+        other.note_attempt("st", 1, 0, &un, &traced(stats(1), &query(vec![4], 1)));
         a.merge(&other);
         assert_eq!(sketch(&a), vec![4, 5], "campaigns merge by union");
     }
@@ -1513,16 +1520,14 @@ mod tests {
             1,
             0,
             &un,
-            stats_at(10, 1, 2),
-            Some(&scope((0..100).collect(), &["st"])),
+            &traced(stats_at(10, 1, 2), &scope((0..100).collect(), &["st"])),
         );
         a.note_attempt(
             "st",
             2,
             1,
             &un,
-            stats(5),
-            Some(&scope((50..150).collect(), &[])),
+            &traced(stats(5), &scope((50..150).collect(), &[])),
         );
         let mut b = SolverProfileBlock::default();
         b.note_attempt(
@@ -1530,16 +1535,14 @@ mod tests {
             1,
             2,
             &un,
-            stats_at(10, 3, 5),
-            Some(&scope((0..100).collect(), &["lock"])),
+            &traced(stats_at(10, 3, 5), &scope((0..100).collect(), &["lock"])),
         );
         b.note_attempt(
             "st",
             1,
             3,
             &un,
-            stats_at(10, 2, 4),
-            Some(&scope((0..100).collect(), &["lock"])),
+            &traced(stats_at(10, 2, 4), &scope((0..100).collect(), &["lock"])),
         );
         b.note_neg_cache_hit("st", 1);
         assert_eq!(
@@ -1591,8 +1594,7 @@ mod tests {
                 i as u64,
                 0,
                 &ReachOutcome::Unreachable,
-                stats(1),
-                Some(&s),
+                &traced(stats(1), &s),
             );
         }
         // An untraced row does not take a matrix slot.
@@ -1617,8 +1619,7 @@ mod tests {
             3,
             0,
             &ReachOutcome::Unreachable,
-            stats(1),
-            Some(&scope(vec![1], &[])),
+            &traced(stats(1), &scope(vec![1], &[])),
         );
         b.goals[0].sat = 1;
         assert!(b
@@ -1644,7 +1645,13 @@ mod tests {
         let mut b = SolverProfileBlock::default();
         for v in 0..2 {
             let s = scope(vec![v], &[]);
-            b.note_attempt("st", v, 0, &ReachOutcome::Unreachable, stats(1), Some(&s));
+            b.note_attempt(
+                "st",
+                v,
+                0,
+                &ReachOutcome::Unreachable,
+                &traced(stats(1), &s),
+            );
         }
         b.affinity = vec![vec![1000, 0], vec![]];
         assert!(b

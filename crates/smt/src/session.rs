@@ -61,7 +61,6 @@ pub struct SolverSession {
     pool: TermPool,
     blaster: BitBlaster,
     goals_checked: u64,
-    reused_checks: u64,
 }
 
 impl SolverSession {
@@ -71,7 +70,6 @@ impl SolverSession {
             pool: TermPool::new(),
             blaster: BitBlaster::new(),
             goals_checked: 0,
-            reused_checks: 0,
         }
     }
 
@@ -82,7 +80,6 @@ impl SolverSession {
             pool,
             blaster: BitBlaster::new(),
             goals_checked: 0,
-            reused_checks: 0,
         }
     }
 
@@ -159,9 +156,6 @@ impl SolverSession {
             decisions: s.decisions() - d0,
             propagations: s.propagations() - p0,
         };
-        if self.goals_checked > 0 {
-            self.reused_checks += 1;
-        }
         self.goals_checked += 1;
         (result, spent)
     }
@@ -169,13 +163,6 @@ impl SolverSession {
     /// Total `check_assuming` calls on this session.
     pub fn goals_checked(&self) -> u64 {
         self.goals_checked
-    }
-
-    /// `check_assuming` calls that ran on a warm solver (every call
-    /// after the first). `reused / checked` is the session-reuse rate
-    /// reported as the `solver_session_reuse_milli` gauge.
-    pub fn reused_checks(&self) -> u64 {
-        self.reused_checks
     }
 
     /// CNF size statistics of the embedded blaster.
@@ -229,7 +216,6 @@ mod tests {
             );
         }
         assert_eq!(sess.goals_checked(), products.len() as u64);
-        assert_eq!(sess.reused_checks(), products.len() as u64 - 1);
     }
 
     #[test]

@@ -302,24 +302,6 @@ impl BvSolver {
         })
     }
 
-    /// Number of variables declared in the pool.
-    pub fn var_count(&self) -> usize {
-        self.pool.vars().len()
-    }
-
-    /// Cumulative CDCL work this solver instance has performed, as a
-    /// [`BudgetSpent`] receipt (conflicts, decisions, propagations
-    /// since construction). Profilers diff two readings around a check
-    /// to charge that check's work to a goal.
-    pub fn spent(&self) -> BudgetSpent {
-        let s = self.blaster.solver();
-        BudgetSpent {
-            conflicts: s.conflicts(),
-            decisions: s.decisions(),
-            propagations: s.propagations(),
-        }
-    }
-
     /// CNF statistics from the blaster (vars, clauses).
     pub fn cnf_stats(&self) -> (usize, usize) {
         let s = self.blaster.stats();
@@ -339,70 +321,6 @@ impl BvSolver {
     /// introspection was never enabled.
     pub fn take_trace(&mut self, k: usize) -> Option<SolveTrace> {
         self.blaster.solver_mut().take_trace(k)
-    }
-
-    /// The `k` hottest *named* signals of the current search,
-    /// `(variable name, activity_permille)` hottest first: VSIDS-hot
-    /// SAT variables mapped back through the bit-blast map to the
-    /// pool variables whose bit vectors contain them. Gate-internal
-    /// variables (Tseitin outputs) are skipped.
-    pub fn hot_signals(&self, k: usize) -> Vec<(String, u64)> {
-        let hot = self.blaster.solver().hot_vars(k.saturating_mul(8));
-        let vars: Vec<u32> = hot.iter().map(|&(v, _)| v).collect();
-        let heat: HashMap<u32, u64> = hot.into_iter().collect();
-        let mut by_name: Vec<(String, u64)> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
-        for (v, t, _) in self.blaster.attribute_vars(&vars) {
-            if let TermKind::Var(name, _) = self.pool.kind(t) {
-                let h = heat[&v];
-                match index.get(name) {
-                    Some(&i) => by_name[i].1 = by_name[i].1.max(h),
-                    None => {
-                        index.insert(name.clone(), by_name.len());
-                        by_name.push((name.clone(), h));
-                    }
-                }
-            }
-        }
-        by_name.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        by_name.truncate(k);
-        by_name
-    }
-
-    /// Assumption-core-lite: given `assumptions` under which the
-    /// instance is UNSAT, greedily minimizes them by drop-one probes,
-    /// each bounded by `budget`. Returns `Ok(Some(core))` — a subset
-    /// in the original order that still forces UNSAT — or `Ok(None)`
-    /// when the instance is not UNSAT under the full assumption set
-    /// (including budget exhaustion on the initial check). A probe
-    /// that exhausts its budget keeps its assumption, so the result
-    /// is an over-approximation of a minimal core, never an under-
-    /// approximation.
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::WidthMismatch`] if an assumption is not one bit
-    /// wide.
-    pub fn assumption_core(
-        &mut self,
-        assumptions: &[TermId],
-        budget: &Budget,
-    ) -> Result<Option<Vec<TermId>>, SolverError> {
-        if !matches!(self.check_budgeted(assumptions, budget)?, SatOutcome::Unsat) {
-            return Ok(None);
-        }
-        let mut core = assumptions.to_vec();
-        let mut i = 0;
-        while i < core.len() {
-            let mut probe = core.clone();
-            probe.remove(i);
-            if matches!(self.check_budgeted(&probe, budget)?, SatOutcome::Unsat) {
-                core = probe;
-            } else {
-                i += 1;
-            }
-        }
-        Ok(Some(core))
     }
 }
 
@@ -646,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn introspection_traces_and_names_hot_signals() {
+    fn introspection_traces_the_search() {
         let mut s = BvSolver::new();
         let x = s.pool_mut().var("x", 16);
         let y = s.pool_mut().var("y", 16);
@@ -670,35 +588,6 @@ mod tests {
         let _ = s.check_budgeted(&[], &tiny).unwrap();
         let t = s.take_trace(8).expect("trace armed");
         assert!(t.learned >= 1, "search learned no clauses: {t:?}");
-        let hot = s.hot_signals(4);
-        assert!(!hot.is_empty(), "no hot signals attributed");
-        for (name, permille) in &hot {
-            assert!(name == "x" || name == "y", "unexpected signal {name}");
-            assert!(*permille <= 1000);
-        }
-    }
-
-    #[test]
-    fn assumption_core_minimizes_to_the_conflicting_pair() {
-        let mut s = BvSolver::new();
-        let a = s.pool_mut().var("a", 4);
-        let (a3, a7, t) = {
-            let p = s.pool_mut();
-            let three = p.const_u64(4, 3);
-            let seven = p.const_u64(4, 7);
-            (p.eq(a, three), p.eq(a, seven), p.tru())
-        };
-        let unlimited = Budget::unlimited();
-        // Satisfiable assumption set: no core.
-        assert_eq!(s.assumption_core(&[a3, t], &unlimited).unwrap(), None);
-        // a==3 ∧ a==7 conflicts; `true` is dropped from the core.
-        let core = s
-            .assumption_core(&[a3, a7, t], &unlimited)
-            .unwrap()
-            .expect("unsat under assumptions");
-        assert_eq!(core, vec![a3, a7]);
-        // The solver stays usable afterwards.
-        assert!(s.check().unwrap().is_sat());
     }
 
     #[test]

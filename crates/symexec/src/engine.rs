@@ -11,9 +11,7 @@ use symbfuzz_logic::{Bit, LogicVec};
 use symbfuzz_netlist::{
     reset_tree, Design, NExpr, NLValue, NStmt, ProcKind, ResetTree, SignalId, SignalKind,
 };
-use symbfuzz_smt::{
-    BitBlaster, Budget, BudgetSpent, Lit, SatResult, SolverSession, TermId, TermKind, TermPool,
-};
+use symbfuzz_smt::{Budget, BudgetSpent, SatResult, SolverSession, TermId, TermKind, TermPool};
 use symbfuzz_telemetry::{Collector, Counter, Event, Gauge, SolveStatus, UnknownReason};
 
 /// Conflict ceiling for each blame-extraction solve (the initial
@@ -124,7 +122,7 @@ impl ReachOutcome {
 /// Work receipt for one whole reachability query, aggregated across
 /// the geometric depth schedule — the raw material for the per-goal
 /// solver profiler.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReachStats {
     /// CDCL work consumed across every exact-depth solve, including
     /// the one that decided the query.
@@ -133,6 +131,10 @@ pub struct ReachStats {
     pub solver_calls: u32,
     /// Deepest unroll attempted (0 if the depth ceiling was 0).
     pub deepest_unroll: u32,
+    /// The query's introspection record: present exactly when the
+    /// engine's introspection switch is on (see
+    /// [`SymbolicEngine::set_introspection`]).
+    pub scope: Option<GoalScope>,
 }
 
 /// Cumulative statistics of the engine's frame cache (see
@@ -162,53 +164,59 @@ impl SolverCacheStats {
     }
 }
 
-/// One warm incremental session: an unrolled frame chain over a fixed
-/// start state, shared by every goal posed from that state.
+/// An unrolled frame chain over one start state: a solver session
+/// holding the chain's terms and CNF, plus per frame the state map,
+/// the input symbols and, when traced, a structural digest. A fresh
+/// query builds one and drops it, the frame cache keeps one warm and
+/// the blame probe seeds its own; [`SymbolicEngine::extend`] is the
+/// only code that adds frames to any of them.
 #[derive(Debug, Clone)]
-struct FrameSession {
-    /// Cache key: design fingerprint folded with the start state.
-    key: u64,
-    /// Whether CDCL tracing is armed (traced and untraced sessions are
-    /// cached separately so introspection stays opt-in).
-    traced: bool,
+struct Chain {
     sess: SolverSession,
+    /// Whether CDCL tracing and frame digests are armed.
+    traced: bool,
     /// `states[k]` maps each current-state var to its term after `k`
     /// unroll steps (`states[0]` is the seeded start state).
     states: Vec<HashMap<TermId, TermId>>,
-    /// Per-step input symbols, for model extraction.
+    /// Per-step input symbols in signal order, for model extraction.
     step_inputs: Vec<Vec<(SignalId, TermId)>>,
-    /// Structural digest per frame (traced sessions only).
+    /// Structural digest per frame (traced chains only).
     frame_digests: Vec<u64>,
     /// Shared structural-hash memo for digests and sketches.
     hash_memo: HashMap<TermId, u64>,
-    /// CNF size at the previous telemetry report, so warm calls record
-    /// only the *newly blasted* vars/clauses.
-    last_vars: usize,
-    last_clauses: usize,
+    /// CNF size `(vars, clauses)` at the previous telemetry report, so
+    /// a kept chain records only what each check newly blasted.
+    reported: (usize, usize),
 }
 
-/// The engine's term/bitblast cache: one warm session for the current
+impl Chain {
+    fn new(sess: SolverSession, traced: bool, start: HashMap<TermId, TermId>) -> Chain {
+        Chain {
+            sess,
+            traced,
+            states: vec![start],
+            step_inputs: Vec::new(),
+            frame_digests: Vec::new(),
+            hash_memo: HashMap::new(),
+            reported: (0, 0),
+        }
+    }
+}
+
+/// The engine's frame cache: one warm chain for the current
 /// `(design fingerprint, start state, traced)` key, replaced whenever a
 /// query arrives from a different start state.
 #[derive(Debug, Clone)]
 struct FrameCache {
     fingerprint: u64,
-    session: Option<FrameSession>,
+    /// The warm chain and its key: the design fingerprint folded with
+    /// the start state.
+    warm: Option<(u64, Chain)>,
     stats: SolverCacheStats,
 }
 
 fn fnv_fold(d: u64, x: u64) -> u64 {
     (d ^ x).wrapping_mul(0x100_0000_01b3)
-}
-
-/// Outcome of one exact-depth budgeted solve (internal).
-enum ExactOutcome {
-    Sat(Vec<InputAssignment>, BudgetSpent),
-    Unsat(BudgetSpent),
-    Exhausted {
-        reason: UnknownReason,
-        spent: BudgetSpent,
-    },
 }
 
 /// Builds and solves dependency equations for one design.
@@ -229,8 +237,10 @@ pub struct SymbolicEngine {
     cur_vars: BTreeMap<SignalId, TermId>,
     /// Optional telemetry collector (SMT solve events + CDCL counters).
     telemetry: Option<Arc<Collector>>,
-    /// Opt-in incremental frame cache (`None` = fresh solver per
-    /// exact-depth query, the pre-cache behaviour).
+    /// Whether queries record a [`GoalScope`].
+    introspect: bool,
+    /// Opt-in incremental frame cache (`None` = a fresh chain per
+    /// exact-depth solve).
     cache: RefCell<Option<FrameCache>>,
 }
 
@@ -268,6 +278,7 @@ impl SymbolicEngine {
             input_vars,
             cur_vars,
             telemetry: None,
+            introspect: false,
             cache: RefCell::new(None),
         };
 
@@ -329,23 +340,34 @@ impl SymbolicEngine {
 
     /// Arms (or disarms) the incremental frame cache.
     ///
-    /// When armed, exact-depth queries run on one warm
-    /// [`SolverSession`] keyed by `(design fingerprint, start state)`:
-    /// the unrolled transition relation is substituted and bit-blasted
-    /// once per frame, goals sharing a start state reuse it as
-    /// assumption checks, and learned clauses carry across sibling
-    /// goals. A query from another start state replaces the session.
+    /// When armed, exact-depth solves run on one warm frame chain keyed
+    /// by `(design fingerprint, start state)`: the unrolled transition
+    /// relation is substituted and bit-blasted once per frame, goals
+    /// sharing a start state are posed on it as assumption checks, and
+    /// learned clauses carry across sibling goals. A query from another
+    /// start state replaces the chain.
     ///
     /// Verdicts (Sat / Unsat / Unknown-reason) match the fresh-solver
     /// path exactly for unlimited budgets and for the unroll-depth and
     /// conflicts-0 ceilings; only the *work to reach them* changes.
-    /// Disarmed (the default), every query builds a fresh solver.
+    /// Disarmed (the default), every solve builds a chain and drops it.
     pub fn set_solver_cache(&mut self, armed: bool) {
         *self.cache.borrow_mut() = armed.then(|| FrameCache {
             fingerprint: self.design_fingerprint(),
-            session: None,
+            warm: None,
             stats: SolverCacheStats::default(),
         });
+    }
+
+    /// Switches per-goal introspection on or off (off by default).
+    /// When on, every query's [`ReachStats::scope`] carries a
+    /// [`GoalScope`]: the merged CDCL trace, hot signals, structural
+    /// sketch and, for goals that were solved without being reached, a
+    /// blame set (see [`solve_reach_profiled`](Self::solve_reach_profiled)).
+    /// Tracing changes nothing about the search, so outcomes and work
+    /// receipts match an engine with introspection off.
+    pub fn set_introspection(&mut self, on: bool) {
+        self.introspect = on;
     }
 
     /// Cumulative cache statistics (zeros when the cache is disarmed).
@@ -412,80 +434,34 @@ impl SymbolicEngine {
         &self.pool
     }
 
-    /// Solves for inputs that drive `targets` (register, value) pairs on
-    /// the *next* clock edge, starting from the concrete state in
-    /// `current` (the simulator's full value table). Returns `None` if
-    /// the SMT query is unsatisfiable.
+    /// The engine's one query: unrolls the dependency equations up to
+    /// `max_steps` cycles from `current` (the simulator's full value
+    /// table; `X` bits are left for the solver to choose) and returns
+    /// the shortest input sequence that drives every `(register,
+    /// value)` pair of `targets`, plus a [`ReachStats`] work receipt
+    /// filled on every path, Sat included.
     ///
-    /// # Panics
-    ///
-    /// Panics if a target value contains `X` bits or a target is not a
-    /// register.
-    pub fn solve_step(
-        &self,
-        current: &[LogicVec],
-        targets: &[(SignalId, LogicVec)],
-    ) -> Option<InputAssignment> {
-        self.solve_reach(current, targets, 1).map(|mut seq| {
-            debug_assert_eq!(seq.len(), 1);
-            seq.pop().unwrap()
-        })
-    }
-
-    /// Unrolls the dependency equations up to `max_steps` cycles and
-    /// returns the shortest input sequence that reaches `targets`, if
-    /// one exists within the bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a target value contains `X` bits or a target is not a
-    /// register.
-    pub fn solve_reach(
-        &self,
-        current: &[LogicVec],
-        targets: &[(SignalId, LogicVec)],
-        max_steps: u32,
-    ) -> Option<Vec<InputAssignment>> {
-        match self.solve_reach_budgeted(current, targets, max_steps, &Budget::unlimited()) {
-            Ok(ReachOutcome::Reached(seq)) => Some(seq),
-            Ok(ReachOutcome::Unreachable) => None,
-            Ok(ReachOutcome::Exhausted { .. }) => {
-                unreachable!("an unlimited budget cannot be exhausted")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Budget-aware variant of [`solve_reach`](Self::solve_reach):
-    /// never panics and never runs away. Invalid requests surface as
-    /// [`ReachError`]; an exhausted [`Budget`] yields
-    /// [`ReachOutcome::Exhausted`] with the tripped ceiling and the
-    /// work spent across the whole depth schedule.
-    ///
-    /// One budget covers the *entire* query: counter ceilings
+    /// Exact-depth solves run at depths 1, 2, 4, … and finally the
+    /// bound. One `budget` covers the *entire* query: counter ceilings
     /// (conflicts, decisions, propagations) deplete across the
-    /// geometric depth schedule's exact-depth solves, the term-node
-    /// ceiling bounds the working pool during each unroll, and the
-    /// unroll-depth ceiling truncates `max_steps` (reporting
+    /// schedule, the term-node ceiling bounds each unrolled chain, and
+    /// the unroll-depth ceiling truncates `max_steps`, reporting
     /// `Exhausted` rather than `Unreachable` if nothing was found
-    /// within the truncated bound).
-    pub fn solve_reach_budgeted(
-        &self,
-        current: &[LogicVec],
-        targets: &[(SignalId, LogicVec)],
-        max_steps: u32,
-        budget: &Budget,
-    ) -> Result<ReachOutcome, ReachError> {
-        self.solve_reach_profiled(current, targets, max_steps, budget)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// [`solve_reach_budgeted`](Self::solve_reach_budgeted) plus a
-    /// [`ReachStats`] work receipt, accumulated on every path — Sat
-    /// included, unlike the spend carried inside
-    /// [`ReachOutcome::Exhausted`]. This is the entry point the
-    /// per-goal solver profiler uses; the plain budgeted variant is a
-    /// thin wrapper, so the two always solve identically.
+    /// within the truncated bound.
+    ///
+    /// With introspection on, a goal that was solved at least once
+    /// without being reached also gets a blame set: the deepest depth
+    /// is re-posed with up to [`BLAME_MAX_ASSUMPTIONS`] fully-defined
+    /// registers, taken in name order, bound by assumptions and
+    /// greedily minimized under 2 000 conflicts (`BLAME_CONFLICT_CAP`)
+    /// per probe. When that core is undecided or empty, the hottest
+    /// signals stand in. The probe runs on its own solver and spends
+    /// none of `budget`.
+    ///
+    /// # Errors
+    ///
+    /// [`ReachError`] when a target value contains `X` bits or a target
+    /// is not a register; nothing is solved then.
     pub fn solve_reach_profiled(
         &self,
         current: &[LogicVec],
@@ -493,61 +469,9 @@ impl SymbolicEngine {
         max_steps: u32,
         budget: &Budget,
     ) -> Result<(ReachOutcome, ReachStats), ReachError> {
-        self.solve_reach_inner(current, targets, max_steps, budget, None)
-    }
-
-    /// [`solve_reach_profiled`](Self::solve_reach_profiled) plus a
-    /// [`GoalScope`] introspection record: merged CDCL trace, hot
-    /// signals, structural sketch, and — for `Unreachable`/`Exhausted`
-    /// outcomes — a blame set of state registers (assumption-core-lite
-    /// under `BLAME_CONFLICT_CAP` conflicts per probe, falling back
-    /// to the hottest signals when the core query is itself undecided).
-    ///
-    /// Tracing changes nothing about the search, so the outcome and
-    /// stats match the uninstrumented path exactly; the extra blame
-    /// query runs on a separate solver and spends none of `budget`.
-    pub fn solve_reach_introspected(
-        &self,
-        current: &[LogicVec],
-        targets: &[(SignalId, LogicVec)],
-        max_steps: u32,
-        budget: &Budget,
-    ) -> Result<(ReachOutcome, ReachStats, GoalScope), ReachError> {
-        let mut scope = GoalScope::new();
-        let (outcome, stats) =
-            self.solve_reach_inner(current, targets, max_steps, budget, Some(&mut scope))?;
-        if !matches!(outcome, ReachOutcome::Reached(_)) {
-            let depth = stats.deepest_unroll.max(1);
-            if let Some(core) = self.blame_targets(current, targets, depth, budget) {
-                scope.blame = core;
-                scope.blame_is_core = true;
-                if let Some(t) = &self.telemetry {
-                    t.add(Counter::CoreExtractions, 1);
-                }
-            }
-            if scope.blame.is_empty() {
-                // Core extraction was undecided (or vacuous): blame the
-                // hottest signals so exhausted goals still point at
-                // *something* actionable.
-                scope.blame = scope.hot_signals.iter().map(|(n, _)| n.clone()).collect();
-                scope.blame.sort();
-                scope.blame.dedup();
-            }
-        }
-        Ok((outcome, stats, scope))
-    }
-
-    fn solve_reach_inner(
-        &self,
-        current: &[LogicVec],
-        targets: &[(SignalId, LogicVec)],
-        max_steps: u32,
-        budget: &Budget,
-        mut scope: Option<&mut GoalScope>,
-    ) -> Result<(ReachOutcome, ReachStats), ReachError> {
-        for t in targets {
-            let s = self.design.signal(t.0);
-            if t.1.has_unknown() {
+        for (sig, value) in targets {
+            let s = self.design.signal(*sig);
+            if value.has_unknown() {
                 return Err(ReachError::XTarget {
                     signal: s.name.clone(),
                 });
@@ -558,435 +482,176 @@ impl SymbolicEngine {
                 });
             }
         }
-        let mut stats = ReachStats::default();
+        let mut stats = ReachStats {
+            scope: self.introspect.then(GoalScope::new),
+            ..ReachStats::default()
+        };
         let bound = budget
             .unroll_depth()
             .map_or(max_steps, |c| max_steps.min(c));
-        let truncated = bound < max_steps;
-        if bound == 0 {
-            return Ok((
-                ReachOutcome::Exhausted {
-                    reason: UnknownReason::UnrollDepth,
-                    spent: BudgetSpent::default(),
-                },
-                stats,
-            ));
-        }
+        let mut outcome = ReachOutcome::Unreachable;
         // Geometric depth schedule: deep plans pad with idle cycles, so
         // exact-k solving at 1, 2, 4, … plus the bound itself finds any
         // plan within the bound at a fraction of the solver calls.
-        let mut spent_total = BudgetSpent::default();
-        let mut k = 1;
-        loop {
-            let steps = k.min(bound);
+        while stats.deepest_unroll < bound {
+            let steps = stats.deepest_unroll.saturating_mul(2).clamp(1, bound);
             stats.solver_calls += 1;
-            stats.deepest_unroll = stats.deepest_unroll.max(steps);
-            let remaining = budget.remaining_after(spent_total);
-            match self.solve_exact_budgeted(
-                current,
-                targets,
-                steps,
-                &remaining,
-                scope.as_deref_mut(),
-            ) {
-                ExactOutcome::Sat(seq, spent) => {
-                    stats.spent = spent_total.saturating_add(spent);
-                    return Ok((ReachOutcome::Reached(seq), stats));
+            stats.deepest_unroll = steps;
+            let remaining = budget.remaining_after(stats.spent);
+            let (verdict, spent) =
+                self.solve_at_depth(current, targets, steps, &remaining, stats.scope.as_mut());
+            stats.spent = stats.spent.saturating_add(spent);
+            match verdict {
+                ReachOutcome::Unreachable => {}
+                ReachOutcome::Exhausted { reason, .. } => {
+                    outcome = ReachOutcome::Exhausted {
+                        reason,
+                        spent: stats.spent,
+                    };
+                    break;
                 }
-                ExactOutcome::Unsat(spent) => spent_total = spent_total.saturating_add(spent),
-                ExactOutcome::Exhausted { reason, spent } => {
-                    let spent = spent_total.saturating_add(spent);
-                    stats.spent = spent;
-                    return Ok((ReachOutcome::Exhausted { reason, spent }, stats));
-                }
-            }
-            if steps == bound {
-                break;
-            }
-            k *= 2;
-        }
-        stats.spent = spent_total;
-        if truncated {
-            Ok((
-                ReachOutcome::Exhausted {
-                    reason: UnknownReason::UnrollDepth,
-                    spent: spent_total,
-                },
-                stats,
-            ))
-        } else {
-            Ok((ReachOutcome::Unreachable, stats))
-        }
-    }
-
-    /// Seeds the step-0 state of an unroll in `pool`: each register's
-    /// current-state symbol maps to a constant where its value is fully
-    /// defined, else to a fresh `x0.*` symbol left free except for its
-    /// defined bits, whose pins come back for the caller to assert.
-    /// Registers are visited in signal order, so the terms and the pin
-    /// order are a pure function of `current`.
-    fn seed_start_state(
-        &self,
-        pool: &mut TermPool,
-        current: &[LogicVec],
-    ) -> (HashMap<TermId, TermId>, Vec<TermId>) {
-        let mut state = HashMap::new();
-        let mut pins = Vec::new();
-        for (&reg, &var) in &self.cur_vars {
-            let v = &current[reg.index()];
-            if !v.has_unknown() {
-                state.insert(var, pool.constant(v.clone()));
-                continue;
-            }
-            let fresh = pool.var(format!("x0.{}", self.design.signal(reg).name), v.width());
-            for i in 0..v.width() {
-                let b = v.bit(i);
-                if !b.is_unknown() {
-                    let bitterm = pool.extract(fresh, i, 1);
-                    let cb = pool.const_u64(1, (b == Bit::One) as u64);
-                    pins.push(pool.eq(bitterm, cb));
+                reached => {
+                    outcome = reached;
+                    break;
                 }
             }
-            state.insert(var, fresh);
         }
-        (state, pins)
-    }
-
-    fn solve_exact_budgeted(
-        &self,
-        current: &[LogicVec],
-        targets: &[(SignalId, LogicVec)],
-        steps: u32,
-        budget: &Budget,
-        scope: Option<&mut GoalScope>,
-    ) -> ExactOutcome {
-        if self.cache.borrow().is_some() {
-            return self.solve_exact_cached(current, targets, steps, budget, scope);
-        }
-        let node_cap = budget.term_nodes();
-        let over_cap = |pool: &TermPool| node_cap.is_some_and(|cap| pool.len() > cap);
-        let mut pool = self.pool.clone();
-        let mut blaster = BitBlaster::new();
-        if scope.is_some() {
-            blaster.solver_mut().enable_trace();
-        }
-        // Introspection-only bookkeeping (empty/no-op when `scope` is
-        // off): per-frame structural digests plus a shared hash memo
-        // reused for the final subterm sketch.
-        let mut frame_digests: Vec<u64> = Vec::new();
-        let mut hash_memo: HashMap<TermId, u64> = HashMap::new();
-
-        let (mut state, pins) = self.seed_start_state(&mut pool, current);
-        for pin in pins {
-            blaster.assert_true(&pool, pin);
-        }
-
-        if over_cap(&pool) {
-            return ExactOutcome::Exhausted {
-                reason: UnknownReason::TermNodes,
-                spent: BudgetSpent::default(),
+        if matches!(outcome, ReachOutcome::Unreachable) && (bound < max_steps || bound == 0) {
+            outcome = ReachOutcome::Exhausted {
+                reason: UnknownReason::UnrollDepth,
+                spent: stats.spent,
             };
         }
-
-        // Per-step input variables; resets pinned inactive.
-        let mut step_inputs: Vec<Vec<(SignalId, TermId)>> = Vec::new();
-        for t in 0..steps {
-            let mut subst_map = state.clone();
-            let mut these = Vec::new();
-            for (&sig, &var) in &self.input_vars {
-                let s = self.design.signal(sig);
-                let fresh = pool.var(format!("in@{t}.{}", s.name), s.width);
-                subst_map.insert(var, fresh);
-                these.push((sig, fresh));
-                if s.is_reset {
-                    let inactive = self.reset_inactive_level(sig);
-                    let c = pool.const_u64(s.width, inactive);
-                    let eqt = pool.eq(fresh, c);
-                    blaster.assert_true(&pool, eqt);
-                }
-            }
-            // next state = eqs substituted with current state + inputs.
-            let mut memo = HashMap::new();
-            let mut new_state = HashMap::new();
-            for (&reg, &var) in &self.cur_vars {
-                let eq = self.eqs[&reg];
-                let substituted = subst(&mut pool, eq, &subst_map, &mut memo);
-                new_state.insert(var, substituted);
-            }
-            state = new_state;
-            step_inputs.push(these);
-            if scope.is_some() {
-                let mut hs: Vec<u64> = state
-                    .values()
-                    .map(|&t| pool.structural_hash(t, &mut hash_memo))
-                    .collect();
-                hs.sort_unstable();
-                let mut d = 0xcbf2_9ce4_8422_2325u64;
-                for h in hs {
-                    d = (d ^ h).wrapping_mul(0x100_0000_01b3);
-                }
-                frame_digests.push(d);
-            }
-            // The working pool grows monotonically with depth; stop
-            // before blasting a formula the budget says is too big.
-            if over_cap(&pool) {
-                return ExactOutcome::Exhausted {
-                    reason: UnknownReason::TermNodes,
-                    spent: BudgetSpent::default(),
-                };
-            }
-        }
-
-        // Assert the targets on the final state.
-        for (reg, value) in targets {
-            let var = self.cur_vars[reg];
-            let term = state[&var];
-            let c = pool.constant(value.clone());
-            let eqt = pool.eq(term, c);
-            blaster.assert_true(&pool, eqt);
-        }
-
-        let t0 = self.telemetry.as_ref().map(|t| t.now_micros());
-        let result = blaster.solver_mut().solve_budgeted(&[], budget);
-        // The blaster's solver is fresh, so its counters are exactly
-        // this call's spend.
-        let spent = {
-            let solver = blaster.solver();
-            BudgetSpent {
-                conflicts: solver.conflicts(),
-                decisions: solver.decisions(),
-                propagations: solver.propagations(),
-            }
-        };
-        if let (Some(t), Some(t0)) = (&self.telemetry, t0) {
-            let stats = blaster.stats();
-            let solver = blaster.solver();
-            t.add(Counter::SolverCalls, 1);
-            t.add(Counter::SatVars, stats.num_vars as u64);
-            t.add(Counter::SatClauses, stats.num_clauses as u64);
-            t.add(Counter::SatDecisions, solver.decisions());
-            t.add(Counter::SatConflicts, solver.conflicts());
-            t.record(Event::SmtSolve {
-                vars: stats.num_vars as u64,
-                clauses: stats.num_clauses as u64,
-                sat: matches!(result, SatResult::Sat(_)),
-                micros: t.now_micros().saturating_sub(t0),
-            });
-        }
-        if let Some(scope) = scope {
-            if let Some(trace) = blaster.solver_mut().take_trace(HOT_SIGNALS_K * 4) {
-                let vars: Vec<u32> = trace.hot_vars.iter().map(|(v, _)| *v).collect();
-                let mut named: Vec<(String, u64)> = Vec::new();
-                for (v, t, _bit) in blaster.attribute_vars(&vars) {
-                    if let TermKind::Var(name, _) = pool.kind(t) {
-                        if let Some(sig) = signal_of_term_name(name) {
-                            let permille = trace
-                                .hot_vars
-                                .iter()
-                                .find(|(hv, _)| *hv == v)
-                                .map_or(0, |(_, p)| *p);
-                            named.push((sig.to_string(), permille));
-                        }
+        if let Some(scope) = &mut stats.scope {
+            // A goal never posed to the solver has nothing to blame.
+            if stats.solver_calls > 0 && !matches!(outcome, ReachOutcome::Reached(_)) {
+                if let Some(core) = self.blame_core(current, targets, stats.deepest_unroll, budget)
+                {
+                    scope.blame = core;
+                    scope.blame_is_core = true;
+                    if let Some(t) = &self.telemetry {
+                        t.add(Counter::CoreExtractions, 1);
                     }
                 }
-                scope.note_hot_signals(&named);
-                scope.note_call(&trace);
-            }
-            let mut roots: Vec<TermId> = state.values().copied().collect();
-            roots.sort_unstable();
-            let mut digests = pool.subterm_digests(&roots, &mut hash_memo);
-            digests.truncate(SKETCH_K);
-            scope.note_structure(steps, digests, frame_digests);
-        }
-        match result {
-            SatResult::Unsat => ExactOutcome::Unsat(spent),
-            SatResult::Unknown { reason, spent } => ExactOutcome::Exhausted { reason, spent },
-            SatResult::Sat(raw) => {
-                let mut out = Vec::new();
-                for these in &step_inputs {
-                    let mut values = Vec::new();
-                    for (sig, var) in these {
-                        let s = self.design.signal(*sig);
-                        if s.is_reset || s.is_clock {
-                            continue;
-                        }
-                        let mut v = LogicVec::zeros(s.width);
-                        if let Some(lits) = blaster.lits_of(*var) {
-                            for (i, l) in lits.iter().enumerate() {
-                                let b = raw[l.var() as usize] == l.is_pos();
-                                v.set_bit(i as u32, Bit::from_bool(b));
-                            }
-                        }
-                        values.push((*sig, v));
-                    }
-                    values.sort_by_key(|(s, _)| *s);
-                    out.push(InputAssignment { values });
+                if scope.blame.is_empty() {
+                    scope.blame = scope.hot_signals.iter().map(|(n, _)| n.clone()).collect();
+                    scope.blame.sort();
+                    scope.blame.dedup();
                 }
-                ExactOutcome::Sat(out, spent)
             }
         }
+        Ok((outcome, stats))
     }
 
-    /// The warm-session variant of
-    /// [`solve_exact_budgeted`](Self::solve_exact_budgeted): looks up
-    /// (or seeds) the [`FrameSession`] for the current start state,
-    /// extends its frame chain to `steps` if needed, and poses the
-    /// targets as an assumption check on the shared solver. Iteration
-    /// is in sorted signal order throughout, so the session's CNF is a
-    /// pure function of the query sequence.
-    fn solve_exact_cached(
+    /// One exact-depth solve: on the cache's warm chain when the frame
+    /// cache is armed (reseeded if the start state differs), else on a
+    /// chain seeded for this solve and dropped after it.
+    fn solve_at_depth(
         &self,
         current: &[LogicVec],
         targets: &[(SignalId, LogicVec)],
         steps: u32,
         budget: &Budget,
         scope: Option<&mut GoalScope>,
-    ) -> ExactOutcome {
-        let node_cap = budget.term_nodes();
+    ) -> (ReachOutcome, BudgetSpent) {
         let traced = scope.is_some();
-        let mut borrow = self.cache.borrow_mut();
-        let cache = borrow
-            .as_mut()
-            .expect("cached path requires an armed cache");
-        let key = self.state_key(cache.fingerprint, current);
-        let FrameCache { session, stats, .. } = cache;
-
-        let fs = match session {
-            Some(fs) if fs.key == key && fs.traced == traced => fs,
-            _ => {
-                // Miss: seed a fresh session at step 0, replacing the
-                // previous one; the X-bit pins become permanent
-                // assertions.
-                let mut sess = SolverSession::from_pool(self.pool.clone());
-                if traced {
-                    sess.enable_trace();
-                }
-                let (state0, pins) = self.seed_start_state(sess.pool_mut(), current);
-                for pin in pins {
-                    sess.assert_term(pin);
-                }
-                session.insert(FrameSession {
-                    key,
-                    traced,
-                    sess,
-                    states: vec![state0],
-                    step_inputs: Vec::new(),
-                    frame_digests: Vec::new(),
-                    hash_memo: HashMap::new(),
-                    last_vars: 0,
-                    last_clauses: 0,
-                })
-            }
+        let mut cache = self.cache.borrow_mut();
+        let Some(FrameCache {
+            fingerprint,
+            warm,
+            stats,
+        }) = cache.as_mut()
+        else {
+            let mut chain = self.seed_chain(current, traced);
+            return self.check(&mut chain, None, targets, steps, budget, scope);
         };
-        let warm = fs.sess.goals_checked() > 0;
+        let key = self.state_key(*fingerprint, current);
+        let chain = match warm {
+            Some((k, chain)) if *k == key && chain.traced == traced => chain,
+            _ => &mut warm.insert((key, self.seed_chain(current, traced))).1,
+        };
+        self.check(chain, Some(stats), targets, steps, budget, scope)
+    }
 
-        let over_cap = |pool: &TermPool| node_cap.is_some_and(|cap| pool.len() > cap);
-        if over_cap(fs.sess.pool()) {
-            return ExactOutcome::Exhausted {
-                reason: UnknownReason::TermNodes,
-                spent: BudgetSpent::default(),
-            };
+    /// Extends `chain` to `steps` frames and checks `targets` on its
+    /// last state. A dropped chain (`kept` is `None`) *asserts* the
+    /// targets and checks with no assumptions, so its CNF and search
+    /// are exactly a one-shot solver's. A kept chain poses them as
+    /// assumptions, so the next goal inherits its clauses, and charges
+    /// its frame hits and misses to the cache statistics `kept`.
+    fn check(
+        &self,
+        chain: &mut Chain,
+        kept: Option<&mut SolverCacheStats>,
+        targets: &[(SignalId, LogicVec)],
+        steps: u32,
+        budget: &Budget,
+        scope: Option<&mut GoalScope>,
+    ) -> (ReachOutcome, BudgetSpent) {
+        let have = chain.states.len() as u32 - 1;
+        if !self.extend(chain, steps, budget.term_nodes()) {
+            let spent = BudgetSpent::default();
+            let reason = UnknownReason::TermNodes;
+            return (ReachOutcome::Exhausted { reason, spent }, spent);
         }
-
-        // Frame accounting: frames 1..=steps are needed; whatever the
-        // session already unrolled is a hit, the rest are misses.
-        let have = (fs.states.len() - 1) as u32;
         let hits = u64::from(have.min(steps));
-        let misses = u64::from(steps - have.min(steps));
-        stats.frame_hits += hits;
-        stats.frame_misses += misses;
-        stats.goals += 1;
-        stats.reused_goals += u64::from(warm);
-
-        while (fs.states.len() as u32) <= steps {
-            let t = fs.states.len() as u32 - 1;
-            let mut subst_map = fs.states.last().unwrap().clone();
-            let mut these = Vec::new();
-            for (&sig, &var) in &self.input_vars {
-                let s = self.design.signal(sig);
-                let fresh = fs
-                    .sess
-                    .pool_mut()
-                    .var(format!("in@{t}.{}", s.name), s.width);
-                subst_map.insert(var, fresh);
-                these.push((sig, fresh));
-                if s.is_reset {
-                    let inactive = self.reset_inactive_level(sig);
-                    let p = fs.sess.pool_mut();
-                    let c = p.const_u64(s.width, inactive);
-                    let eqt = p.eq(fresh, c);
-                    fs.sess.assert_term(eqt);
-                }
+        let misses = u64::from(steps) - hits;
+        let dropped = kept.is_none();
+        let reuse_milli = kept.map(|stats| {
+            stats.frame_hits += hits;
+            stats.frame_misses += misses;
+            stats.goals += 1;
+            stats.reused_goals += u64::from(chain.sess.goals_checked() > 0);
+            stats.reuse_milli()
+        });
+        let mut goals = self.goal_terms(chain, targets, steps);
+        if dropped {
+            for goal in goals.drain(..) {
+                chain.sess.assert_term(goal);
             }
-            let mut memo = HashMap::new();
-            let mut new_state = HashMap::new();
-            for (&reg, &var) in &self.cur_vars {
-                let substituted = subst(fs.sess.pool_mut(), self.eqs[&reg], &subst_map, &mut memo);
-                new_state.insert(var, substituted);
-            }
-            if traced {
-                let mut hs: Vec<u64> = new_state
-                    .values()
-                    .map(|&t| fs.sess.pool().structural_hash(t, &mut fs.hash_memo))
-                    .collect();
-                hs.sort_unstable();
-                let mut d = 0xcbf2_9ce4_8422_2325u64;
-                for h in hs {
-                    d = fnv_fold(d, h);
-                }
-                fs.frame_digests.push(d);
-            }
-            fs.states.push(new_state);
-            fs.step_inputs.push(these);
-            if over_cap(fs.sess.pool()) {
-                return ExactOutcome::Exhausted {
-                    reason: UnknownReason::TermNodes,
-                    spent: BudgetSpent::default(),
-                };
-            }
-        }
-
-        // Targets on the state after `steps` cycles, as assumptions.
-        let mut target_terms = Vec::new();
-        for (reg, value) in targets {
-            let var = self.cur_vars[reg];
-            let term = fs.states[steps as usize][&var];
-            let p = fs.sess.pool_mut();
-            let c = p.constant(value.clone());
-            target_terms.push(p.eq(term, c));
         }
 
         let t0 = self.telemetry.as_ref().map(|t| t.now_micros());
-        let (result, spent) = fs.sess.check_assuming(&target_terms, budget);
+        let (result, mut spent) = chain.sess.check_assuming(&goals, budget);
+        if dropped && !matches!(result, SatResult::Unknown { .. }) {
+            // A decided one-shot solve is charged everything its solver
+            // did, propagation of unit clauses while blasting included.
+            let s = chain.sess.blaster().solver();
+            spent = BudgetSpent {
+                conflicts: s.conflicts(),
+                decisions: s.decisions(),
+                propagations: s.propagations(),
+            };
+        }
         if let (Some(tel), Some(t0)) = (&self.telemetry, t0) {
-            let cnf = fs.sess.cnf_stats();
-            let (dv, dc) = (
-                cnf.num_vars - fs.last_vars,
-                cnf.num_clauses - fs.last_clauses,
-            );
-            fs.last_vars = cnf.num_vars;
-            fs.last_clauses = cnf.num_clauses;
+            let cnf = chain.sess.cnf_stats();
+            let vars = (cnf.num_vars - chain.reported.0) as u64;
+            let clauses = (cnf.num_clauses - chain.reported.1) as u64;
+            chain.reported = (cnf.num_vars, cnf.num_clauses);
             tel.add(Counter::SolverCalls, 1);
-            tel.add(Counter::SatVars, dv as u64);
-            tel.add(Counter::SatClauses, dc as u64);
+            tel.add(Counter::SatVars, vars);
+            tel.add(Counter::SatClauses, clauses);
             tel.add(Counter::SatDecisions, spent.decisions);
             tel.add(Counter::SatConflicts, spent.conflicts);
-            tel.add(Counter::BitblastCacheHits, hits);
-            tel.add(Counter::BitblastCacheMisses, misses);
-            tel.set_gauge(Gauge::SolverSessionReuse, stats.reuse_milli());
+            if let Some(reuse) = reuse_milli {
+                tel.add(Counter::BitblastCacheHits, hits);
+                tel.add(Counter::BitblastCacheMisses, misses);
+                tel.set_gauge(Gauge::SolverSessionReuse, reuse);
+            }
             tel.record(Event::SmtSolve {
-                vars: dv as u64,
-                clauses: dc as u64,
-                sat: matches!(result, SatResult::Sat(_)),
+                vars,
+                clauses,
+                sat: result.is_sat(),
                 micros: tel.now_micros().saturating_sub(t0),
             });
         }
+        let steps = steps as usize;
         if let Some(scope) = scope {
-            if let Some(trace) = fs.sess.take_trace(HOT_SIGNALS_K * 4) {
+            if let Some(trace) = chain.sess.take_trace(HOT_SIGNALS_K * 4) {
                 let vars: Vec<u32> = trace.hot_vars.iter().map(|(v, _)| *v).collect();
                 let mut named: Vec<(String, u64)> = Vec::new();
-                for (v, t, _bit) in fs.sess.blaster().attribute_vars(&vars) {
-                    if let TermKind::Var(name, _) = fs.sess.pool().kind(t) {
+                for (v, t, _bit) in chain.sess.blaster().attribute_vars(&vars) {
+                    if let TermKind::Var(name, _) = chain.sess.pool().kind(t) {
                         if let Some(sig) = signal_of_term_name(name) {
                             let permille = trace
                                 .hot_vars
@@ -1000,69 +665,187 @@ impl SymbolicEngine {
                 scope.note_hot_signals(&named);
                 scope.note_call(&trace);
             }
-            let mut roots: Vec<TermId> = fs.states[steps as usize].values().copied().collect();
+            let mut roots: Vec<TermId> = chain.states[steps].values().copied().collect();
             roots.sort_unstable();
-            let mut digests = fs.sess.pool().subterm_digests(&roots, &mut fs.hash_memo);
+            let mut digests = chain
+                .sess
+                .pool()
+                .subterm_digests(&roots, &mut chain.hash_memo);
             digests.truncate(SKETCH_K);
-            scope.note_structure(steps, digests, fs.frame_digests[..steps as usize].to_vec());
+            let frames = chain.frame_digests[..steps].to_vec();
+            scope.note_structure(steps as u32, digests, frames);
         }
 
-        match result {
-            SatResult::Unsat => ExactOutcome::Unsat(spent),
-            SatResult::Unknown { reason, .. } => ExactOutcome::Exhausted { reason, spent },
+        let verdict = match result {
+            SatResult::Unsat => ReachOutcome::Unreachable,
+            SatResult::Unknown { reason, .. } => ReachOutcome::Exhausted { reason, spent },
             SatResult::Sat(raw) => {
-                let mut out = Vec::new();
-                for these in &fs.step_inputs[..steps as usize] {
-                    let mut values = Vec::new();
-                    for (sig, var) in these {
-                        let s = self.design.signal(*sig);
-                        if s.is_reset || s.is_clock {
-                            continue;
-                        }
-                        let mut v = LogicVec::zeros(s.width);
-                        if let Some(lits) = fs.sess.blaster().lits_of(*var) {
-                            for (i, l) in lits.iter().enumerate() {
-                                let b = raw[l.var() as usize] == l.is_pos();
-                                v.set_bit(i as u32, Bit::from_bool(b));
-                            }
-                        }
-                        values.push((*sig, v));
+                let blaster = chain.sess.blaster();
+                let read = |sig: SignalId, var: TermId| {
+                    let mut v = LogicVec::zeros(self.design.signal(sig).width);
+                    for (i, l) in blaster.lits_of(var).unwrap_or_default().iter().enumerate() {
+                        v.set_bit(
+                            i as u32,
+                            Bit::from_bool(raw[l.var() as usize] == l.is_pos()),
+                        );
                     }
-                    values.sort_by_key(|(s, _)| *s);
-                    out.push(InputAssignment { values });
-                }
-                ExactOutcome::Sat(out, spent)
+                    v
+                };
+                let plan = chain.step_inputs[..steps]
+                    .iter()
+                    .map(|inputs| InputAssignment {
+                        values: inputs
+                            .iter()
+                            .filter(|(sig, _)| !self.design.signal(*sig).is_reset)
+                            .map(|&(sig, var)| (sig, read(sig, var)))
+                            .collect(),
+                    })
+                    .collect();
+                ReachOutcome::Reached(plan)
             }
-        }
+        };
+        (verdict, spent)
     }
 
-    /// Attempts to attribute an `Unreachable`/`Exhausted` outcome to a
-    /// set of state registers: re-poses the exact-depth query with up
-    /// to [`BLAME_MAX_ASSUMPTIONS`] fully-defined registers bound via
-    /// *assumptions* rather than assertions, then greedily minimizes
-    /// the assumption set while the query stays Unsat.
+    /// Unrolls `chain` to `steps` frames: the only code that adds
+    /// frames, for fresh, warm and blame queries alike. Each new frame
+    /// gets fresh per-step input symbols (resets pinned inactive) and
+    /// every register's equation substituted over the previous frame.
+    /// Returns `false` as soon as the chain's pool exceeds `node_cap`
+    /// terms, before any further frame is built.
+    fn extend(&self, chain: &mut Chain, steps: u32, node_cap: Option<usize>) -> bool {
+        let over_cap = |c: &Chain| node_cap.is_some_and(|cap| c.sess.pool().len() > cap);
+        if over_cap(chain) {
+            return false;
+        }
+        while chain.states.len() <= steps as usize {
+            let t = chain.states.len() - 1;
+            let mut subst_map = chain.states[t].clone();
+            let mut inputs = Vec::new();
+            for (&sig, &var) in &self.input_vars {
+                let s = self.design.signal(sig);
+                let pool = chain.sess.pool_mut();
+                let fresh = pool.var(format!("in@{t}.{}", s.name), s.width);
+                subst_map.insert(var, fresh);
+                inputs.push((sig, fresh));
+                if s.is_reset {
+                    let inactive = pool.const_u64(s.width, self.reset_inactive_level(sig));
+                    let pin = pool.eq(fresh, inactive);
+                    chain.sess.assert_term(pin);
+                }
+            }
+            let mut memo = HashMap::new();
+            let mut state = HashMap::new();
+            for (&reg, &var) in &self.cur_vars {
+                let pool = chain.sess.pool_mut();
+                state.insert(var, subst(pool, self.eqs[&reg], &subst_map, &mut memo));
+            }
+            if chain.traced {
+                let mut hs: Vec<u64> = state
+                    .values()
+                    .map(|&t| chain.sess.pool().structural_hash(t, &mut chain.hash_memo))
+                    .collect();
+                hs.sort_unstable();
+                let digest = hs.into_iter().fold(0xcbf2_9ce4_8422_2325u64, fnv_fold);
+                chain.frame_digests.push(digest);
+            }
+            chain.states.push(state);
+            chain.step_inputs.push(inputs);
+            if over_cap(chain) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// `register == value` terms for `targets` on the chain's state
+    /// after `steps` cycles.
+    fn goal_terms(
+        &self,
+        chain: &mut Chain,
+        targets: &[(SignalId, LogicVec)],
+        steps: u32,
+    ) -> Vec<TermId> {
+        let state = &chain.states[steps as usize];
+        targets
+            .iter()
+            .map(|(reg, value)| {
+                let pool = chain.sess.pool_mut();
+                let c = pool.constant(value.clone());
+                pool.eq(state[&self.cur_vars[reg]], c)
+            })
+            .collect()
+    }
+
+    /// Seeds a chain for a fresh or warm query at step 0: each
+    /// register's current-state symbol maps to a constant where its
+    /// value is fully defined, else to an [`x_symbol`](Self::x_symbol)
+    /// whose pins are asserted once every register is seeded. Registers
+    /// are visited in signal order, so the chain is a pure function of
+    /// `current`.
+    fn seed_chain(&self, current: &[LogicVec], traced: bool) -> Chain {
+        let mut sess = SolverSession::from_pool(self.pool.clone());
+        if traced {
+            sess.enable_trace();
+        }
+        let mut start = HashMap::new();
+        let mut pins = Vec::new();
+        for (&reg, &var) in &self.cur_vars {
+            let v = &current[reg.index()];
+            let term = if v.has_unknown() {
+                self.x_symbol(sess.pool_mut(), reg, v, &mut pins)
+            } else {
+                sess.pool_mut().constant(v.clone())
+            };
+            start.insert(var, term);
+        }
+        for pin in pins {
+            sess.assert_term(pin);
+        }
+        Chain::new(sess, traced, start)
+    }
+
+    /// A fresh `x0.*` symbol for a partially-`X` register value, free
+    /// except for its defined bits, whose pins are pushed onto `pins`
+    /// for the caller to assert.
+    fn x_symbol(
+        &self,
+        pool: &mut TermPool,
+        reg: SignalId,
+        v: &LogicVec,
+        pins: &mut Vec<TermId>,
+    ) -> TermId {
+        let fresh = pool.var(format!("x0.{}", self.design.signal(reg).name), v.width());
+        for i in 0..v.width() {
+            let b = v.bit(i);
+            if !b.is_unknown() {
+                let bit = pool.extract(fresh, i, 1);
+                let c = pool.const_u64(1, (b == Bit::One) as u64);
+                pins.push(pool.eq(bit, c));
+            }
+        }
+        fresh
+    }
+
+    /// The blame probe: re-poses the query at depth `steps` on a chain
+    /// of its own, seeded with up to [`BLAME_MAX_ASSUMPTIONS`]
+    /// fully-defined registers (in name order) bound to their values by
+    /// *assumptions* rather than constants, then greedily minimizes the
+    /// assumption set while the query stays Unsat.
     ///
-    /// Returns `None` when the blame query is satisfiable (the target
-    /// only fails at other depths), undecided within
-    /// [`BLAME_CONFLICT_CAP`] conflicts, or too large to rebuild under
-    /// the budget's term-node ceiling. Candidate registers are taken in
-    /// name order and the core preserves that order, so the result is
-    /// deterministic.
-    fn blame_targets(
+    /// Returns `None` when the query is satisfiable (the target only
+    /// fails at other depths), undecided within [`BLAME_CONFLICT_CAP`]
+    /// conflicts, too large for the budget's term-node ceiling, or has
+    /// no register to assume. The core keeps name order, so the result
+    /// is deterministic.
+    fn blame_core(
         &self,
         current: &[LogicVec],
         targets: &[(SignalId, LogicVec)],
         steps: u32,
         budget: &Budget,
     ) -> Option<Vec<String>> {
-        let node_cap = budget.term_nodes();
-        let over_cap = |pool: &TermPool| node_cap.is_some_and(|cap| pool.len() > cap);
-        let mut pool = self.pool.clone();
-        let mut blaster = BitBlaster::new();
-
-        // State at step 0: candidate registers get a fresh symbol plus
-        // an assumption literal pinning it to its concrete value; the
-        // rest are seeded exactly as the plain exact solve does.
+        let mut sess = SolverSession::from_pool(self.pool.clone());
         let mut regs: Vec<(SignalId, TermId)> =
             self.cur_vars.iter().map(|(&r, &v)| (r, v)).collect();
         regs.sort_by(|a, b| {
@@ -1071,77 +854,51 @@ impl SymbolicEngine {
                 .name
                 .cmp(&self.design.signal(b.0).name)
         });
-        let mut state: HashMap<TermId, TermId> = HashMap::new();
-        let mut assumptions: Vec<(String, Lit)> = Vec::new();
+        let mut start = HashMap::new();
+        let mut assumptions: Vec<(String, TermId)> = Vec::new();
         for (reg, var) in regs {
             let v = &current[reg.index()];
-            let name = self.design.signal(reg).name.clone();
-            if !v.has_unknown() && assumptions.len() < BLAME_MAX_ASSUMPTIONS {
-                let fresh = pool.var(format!("x0.{name}"), v.width());
-                let c = pool.constant(v.clone());
-                let eqt = pool.eq(fresh, c);
-                let lit = blaster.lits(&pool, eqt)[0];
-                assumptions.push((name, lit));
-                state.insert(var, fresh);
-            } else if !v.has_unknown() {
-                let c = pool.constant(v.clone());
-                state.insert(var, c);
-            } else {
-                let fresh = pool.var(format!("x0.{name}"), v.width());
-                for i in 0..v.width() {
-                    let b = v.bit(i);
-                    if !b.is_unknown() {
-                        let bitterm = pool.extract(fresh, i, 1);
-                        let cb = pool.const_u64(1, (b == Bit::One) as u64);
-                        let eqt = pool.eq(bitterm, cb);
-                        blaster.assert_true(&pool, eqt);
-                    }
+            let name = &self.design.signal(reg).name;
+            let term = if v.has_unknown() {
+                let mut pins = Vec::new();
+                let fresh = self.x_symbol(sess.pool_mut(), reg, v, &mut pins);
+                for pin in pins {
+                    sess.assert_term(pin);
                 }
-                state.insert(var, fresh);
-            }
+                fresh
+            } else if assumptions.len() < BLAME_MAX_ASSUMPTIONS {
+                let pool = sess.pool_mut();
+                let fresh = pool.var(format!("x0.{name}"), v.width());
+                let c = pool.constant(v.clone());
+                let pin = pool.eq(fresh, c);
+                // Blasted now, in name order: the probe's CNF numbering
+                // follows the seeding order.
+                sess.lit_of(pin);
+                assumptions.push((name.clone(), pin));
+                fresh
+            } else {
+                sess.pool_mut().constant(v.clone())
+            };
+            start.insert(var, term);
         }
         if assumptions.is_empty() {
             return None;
         }
-
-        // Unroll to the requested depth, resets pinned inactive.
-        for t in 0..steps {
-            let mut subst_map = state.clone();
-            for (&sig, &var) in &self.input_vars {
-                let s = self.design.signal(sig);
-                let fresh = pool.var(format!("in@{t}.{}", s.name), s.width);
-                subst_map.insert(var, fresh);
-                if s.is_reset {
-                    let inactive = self.reset_inactive_level(sig);
-                    let c = pool.const_u64(s.width, inactive);
-                    let eqt = pool.eq(fresh, c);
-                    blaster.assert_true(&pool, eqt);
-                }
-            }
-            let mut memo = HashMap::new();
-            let mut new_state = HashMap::new();
-            for (&reg, &var) in &self.cur_vars {
-                let substituted = subst(&mut pool, self.eqs[&reg], &subst_map, &mut memo);
-                new_state.insert(var, substituted);
-            }
-            state = new_state;
-            if over_cap(&pool) {
-                return None;
-            }
+        let mut chain = Chain::new(sess, false, start);
+        if !self.extend(&mut chain, steps, budget.term_nodes()) {
+            return None;
         }
-        for (reg, value) in targets {
-            let var = self.cur_vars[reg];
-            let term = state[&var];
-            let c = pool.constant(value.clone());
-            let eqt = pool.eq(term, c);
-            blaster.assert_true(&pool, eqt);
+        for goal in self.goal_terms(&mut chain, targets, steps) {
+            chain.sess.assert_term(goal);
         }
 
         let probe_budget = Budget::unlimited().with_conflicts(BLAME_CONFLICT_CAP);
-        let lits: Vec<Lit> = assumptions.iter().map(|(_, l)| *l).collect();
-        match blaster.solver_mut().solve_budgeted(&lits, &probe_budget) {
-            SatResult::Unsat => {}
-            SatResult::Sat(_) | SatResult::Unknown { .. } => return None,
+        let mut unsat = |assumed: Vec<TermId>| {
+            let (result, _) = chain.sess.check_assuming(&assumed, &probe_budget);
+            result == SatResult::Unsat
+        };
+        if !unsat(assumptions.iter().map(|(_, t)| *t).collect()) {
+            return None;
         }
         // Greedy drop-one minimization: remove an assumption whenever
         // the rest stay Unsat. Probes that come back Sat or undecided
@@ -1149,17 +906,16 @@ impl SymbolicEngine {
         // minimal core but never under-blames.
         let mut i = 0;
         while assumptions.len() > 1 && i < assumptions.len() {
-            let probe: Vec<Lit> = assumptions
+            let probe = assumptions
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .map(|(_, (_, l))| *l)
+                .map(|(_, (_, t))| *t)
                 .collect();
-            match blaster.solver_mut().solve_budgeted(&probe, &probe_budget) {
-                SatResult::Unsat => {
-                    assumptions.remove(i);
-                }
-                SatResult::Sat(_) | SatResult::Unknown { .. } => i += 1,
+            if unsat(probe) {
+                assumptions.remove(i);
+            } else {
+                i += 1;
             }
         }
         Some(assumptions.into_iter().map(|(n, _)| n).collect())
@@ -1562,6 +1318,33 @@ mod tests {
         d.signals.iter().map(|s| LogicVec::zeros(s.width)).collect()
     }
 
+    /// The outcome of one query, its receipt dropped.
+    fn reach(
+        e: &SymbolicEngine,
+        state: &[LogicVec],
+        targets: &[(SignalId, LogicVec)],
+        max_steps: u32,
+        budget: &Budget,
+    ) -> ReachOutcome {
+        let (outcome, _) = e
+            .solve_reach_profiled(state, targets, max_steps, budget)
+            .unwrap();
+        outcome
+    }
+
+    /// The one-cycle plan under an unlimited budget, `None` when the
+    /// targets are unreachable in one cycle.
+    fn step(
+        e: &SymbolicEngine,
+        state: &[LogicVec],
+        targets: &[(SignalId, LogicVec)],
+    ) -> Option<InputAssignment> {
+        match reach(e, state, targets, 1, &Budget::unlimited()) {
+            ReachOutcome::Reached(mut plan) => plan.pop(),
+            _ => None,
+        }
+    }
+
     const FSM: &str = "
         module fsm(input clk, input rst_n, input [3:0] cmd,
                    output logic [2:0] state);
@@ -1630,37 +1413,36 @@ mod tests {
     }
 
     #[test]
-    fn solve_step_finds_magic_command() {
+    fn one_step_query_finds_magic_command() {
         let e = engine(FSM, "fsm");
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
         let cmd = d.signal_by_name("cmd").unwrap();
         // From state 0, reaching state 1 requires cmd == 7.
-        let sol = e
-            .solve_step(&zero_state(&d), &[(st, LogicVec::from_u64(3, 1))])
-            .expect("reachable");
+        let sol = step(&e, &zero_state(&d), &[(st, LogicVec::from_u64(3, 1))]).expect("reachable");
         assert_eq!(sol.value(cmd).unwrap().to_u64(), Some(7));
     }
 
     #[test]
-    fn solve_step_detects_unreachable_one_step_target() {
+    fn one_step_query_detects_unreachable_target() {
         let e = engine(FSM, "fsm");
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
         // state 3 needs two hops from state 0 — unreachable in one.
-        assert!(e
-            .solve_step(&zero_state(&d), &[(st, LogicVec::from_u64(3, 3))])
-            .is_none());
+        assert!(step(&e, &zero_state(&d), &[(st, LogicVec::from_u64(3, 3))]).is_none());
     }
 
     #[test]
-    fn solve_reach_unrolls_multi_cycle_paths() {
+    fn multi_cycle_queries_unroll_and_replay() {
         let e = engine(FSM, "fsm");
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
-        let seq = e
-            .solve_reach(&zero_state(&d), &[(st, LogicVec::from_u64(3, 3))], 4)
-            .expect("reachable in ≤4 steps");
+        let targets = [(st, LogicVec::from_u64(3, 3))];
+        let ReachOutcome::Reached(seq) =
+            reach(&e, &zero_state(&d), &targets, 4, &Budget::unlimited())
+        else {
+            panic!("reachable in ≤4 steps");
+        };
         // The geometric depth schedule may pad the 3-cycle plan to 4.
         assert!(seq.len() == 3 || seq.len() == 4, "got {} steps", seq.len());
         // Replaying the solved sequence on the real simulator must land
@@ -1683,7 +1465,7 @@ mod tests {
         state[st.index()] = LogicVec::xes(3);
         // With the register unconstrained the solver may choose state 2,
         // from which state 3 is reachable in one step.
-        let sol = e.solve_step(&state, &[(st, LogicVec::from_u64(3, 3))]);
+        let sol = step(&e, &state, &[(st, LogicVec::from_u64(3, 3))]);
         assert!(sol.is_some());
     }
 
@@ -1697,9 +1479,7 @@ mod tests {
         let st = d.signal_by_name("state").unwrap();
         let mut state = zero_state(&d);
         state[st.index()] = LogicVec::from_u64(3, 2);
-        assert!(e
-            .solve_step(&state, &[(st, LogicVec::from_u64(3, 0))])
-            .is_none());
+        assert!(step(&e, &state, &[(st, LogicVec::from_u64(3, 0))]).is_none());
     }
 
     #[test]
@@ -1718,9 +1498,8 @@ mod tests {
         let acc = d.signal_by_name("acc").unwrap();
         let a = d.signal_by_name("a").unwrap();
         let b = d.signal_by_name("b").unwrap();
-        let sol = e
-            .solve_step(&zero_state(&d), &[(acc, LogicVec::from_u64(8, 0xFF))])
-            .expect("reachable");
+        let sol =
+            step(&e, &zero_state(&d), &[(acc, LogicVec::from_u64(8, 0xFF))]).expect("reachable");
         let va = sol.value(a).unwrap().to_u64().unwrap();
         let vb = sol.value(b).unwrap().to_u64().unwrap();
         assert_eq!(va ^ vb, 0xFF);
@@ -1743,9 +1522,8 @@ mod tests {
         let d_arc = Arc::clone(e.design());
         let q = d_arc.signal_by_name("q").unwrap();
         let din = d_arc.signal_by_name("d").unwrap();
-        let sol = e
-            .solve_step(&zero_state(&d_arc), &[(q, LogicVec::from_u64(4, 9))])
-            .expect("reachable");
+        let sol =
+            step(&e, &zero_state(&d_arc), &[(q, LogicVec::from_u64(4, 9))]).expect("reachable");
         // q' = d + 2, so d must be 7.
         assert_eq!(sol.value(din).unwrap().to_u64(), Some(7));
     }
@@ -1755,22 +1533,20 @@ mod tests {
         let e = engine(FSM, "fsm");
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
-        let sol = e
-            .solve_step(&zero_state(&d), &[(st, LogicVec::from_u64(3, 1))])
-            .unwrap();
+        let sol = step(&e, &zero_state(&d), &[(st, LogicVec::from_u64(3, 1))]).unwrap();
         let word = sol.to_word(&d);
         assert_eq!(word.width(), d.fuzz_width());
         assert_eq!(word.to_u64(), Some(7));
     }
 
     #[test]
-    fn budgeted_reach_rejects_invalid_targets_without_panicking() {
+    fn invalid_targets_are_errors_not_panics() {
         let e = engine(FSM, "fsm");
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
         let cmd = d.signal_by_name("cmd").unwrap();
         let err = e
-            .solve_reach_budgeted(
+            .solve_reach_profiled(
                 &zero_state(&d),
                 &[(st, LogicVec::xes(3))],
                 1,
@@ -1780,7 +1556,7 @@ mod tests {
         assert!(matches!(err, ReachError::XTarget { .. }));
         assert!(err.to_string().contains("state"));
         let err = e
-            .solve_reach_budgeted(
+            .solve_reach_profiled(
                 &zero_state(&d),
                 &[(cmd, LogicVec::from_u64(4, 1))],
                 1,
@@ -1792,32 +1568,16 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_matches_solve_reach() {
+    fn unlimited_budget_decides_sat_and_unsat() {
         let e = engine(FSM, "fsm");
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
-        let expected = e
-            .solve_reach(&zero_state(&d), &[(st, LogicVec::from_u64(3, 3))], 4)
-            .unwrap();
-        let out = e
-            .solve_reach_budgeted(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 3))],
-                4,
-                &Budget::unlimited(),
-            )
-            .unwrap();
-        assert_eq!(out, ReachOutcome::Reached(expected));
+        let targets = [(st, LogicVec::from_u64(3, 3))];
+        let out = reach(&e, &zero_state(&d), &targets, 4, &Budget::unlimited());
+        assert!(matches!(out, ReachOutcome::Reached(_)));
         assert_eq!(out.status(), SolveStatus::Sat);
         // A genuinely unreachable one-step target stays `Unreachable`.
-        let out = e
-            .solve_reach_budgeted(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 3))],
-                1,
-                &Budget::unlimited(),
-            )
-            .unwrap();
+        let out = reach(&e, &zero_state(&d), &targets, 1, &Budget::unlimited());
         assert_eq!(out, ReachOutcome::Unreachable);
         assert_eq!(out.status(), SolveStatus::Unsat);
     }
@@ -1829,14 +1589,13 @@ mod tests {
         let st = d.signal_by_name("state").unwrap();
         // State 3 needs three hops, but the budget caps unrolling at 1.
         let budget = Budget::unlimited().with_unroll_depth(1);
-        let out = e
-            .solve_reach_budgeted(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 3))],
-                4,
-                &budget,
-            )
-            .unwrap();
+        let out = reach(
+            &e,
+            &zero_state(&d),
+            &[(st, LogicVec::from_u64(3, 3))],
+            4,
+            &budget,
+        );
         assert!(matches!(
             out,
             ReachOutcome::Exhausted {
@@ -1849,14 +1608,13 @@ mod tests {
             SolveStatus::Unknown(UnknownReason::UnrollDepth)
         );
         // A one-hop target is still found under the same ceiling.
-        let out = e
-            .solve_reach_budgeted(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 1))],
-                4,
-                &budget,
-            )
-            .unwrap();
+        let out = reach(
+            &e,
+            &zero_state(&d),
+            &[(st, LogicVec::from_u64(3, 1))],
+            4,
+            &budget,
+        );
         assert!(matches!(out, ReachOutcome::Reached(_)));
     }
 
@@ -1866,14 +1624,13 @@ mod tests {
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
         let budget = Budget::unlimited().with_term_nodes(1);
-        let out = e
-            .solve_reach_budgeted(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 1))],
-                4,
-                &budget,
-            )
-            .unwrap();
+        let out = reach(
+            &e,
+            &zero_state(&d),
+            &[(st, LogicVec::from_u64(3, 1))],
+            4,
+            &budget,
+        );
         assert!(matches!(
             out,
             ReachOutcome::Exhausted {
@@ -1889,14 +1646,13 @@ mod tests {
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
         let budget = Budget::unlimited().with_conflicts(0);
-        let out = e
-            .solve_reach_budgeted(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 1))],
-                4,
-                &budget,
-            )
-            .unwrap();
+        let out = reach(
+            &e,
+            &zero_state(&d),
+            &[(st, LogicVec::from_u64(3, 1))],
+            4,
+            &budget,
+        );
         assert!(matches!(
             out,
             ReachOutcome::Exhausted {
@@ -1907,21 +1663,34 @@ mod tests {
     }
 
     #[test]
-    fn introspected_reach_matches_profiled_and_records_structure() {
-        let e = engine(FSM, "fsm");
+    fn introspection_is_search_neutral_and_records_structure() {
+        let plain = engine(FSM, "fsm");
+        let mut e = engine(FSM, "fsm");
+        e.set_introspection(true);
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
         let targets = [(st, LogicVec::from_u64(3, 3))];
         let budget = Budget::unlimited();
-        let (plain, plain_stats) = e
+        let (plain_out, plain_stats) = plain
             .solve_reach_profiled(&zero_state(&d), &targets, 4, &budget)
             .unwrap();
-        let (traced, stats, scope) = e
-            .solve_reach_introspected(&zero_state(&d), &targets, 4, &budget)
+        let (traced, stats) = e
+            .solve_reach_profiled(&zero_state(&d), &targets, 4, &budget)
             .unwrap();
+        assert!(
+            plain_stats.scope.is_none(),
+            "introspection is off by default"
+        );
+        let scope = stats.scope.clone().expect("introspection is on");
         // Tracing must not change the search.
-        assert_eq!(plain, traced);
-        assert_eq!(plain_stats, stats);
+        assert_eq!(plain_out, traced);
+        assert_eq!(
+            ReachStats {
+                scope: None,
+                ..stats.clone()
+            },
+            plain_stats
+        );
         // Structure was recorded for the deepest call.
         assert!(scope.depth >= 1);
         assert!(!scope.sketch.is_empty());
@@ -1938,13 +1707,14 @@ mod tests {
         // From state 2 the FSM forcibly moves to 3, so state 0 is
         // unreachable in one step — and the blame is the current value
         // of `state` itself.
-        let e = engine(FSM, "fsm");
+        let mut e = engine(FSM, "fsm");
+        e.set_introspection(true);
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
         let mut state = zero_state(&d);
         state[st.index()] = LogicVec::from_u64(3, 2);
-        let (outcome, _, scope) = e
-            .solve_reach_introspected(
+        let (outcome, stats) = e
+            .solve_reach_profiled(
                 &state,
                 &[(st, LogicVec::from_u64(3, 0))],
                 1,
@@ -1952,34 +1722,60 @@ mod tests {
             )
             .unwrap();
         assert_eq!(outcome, ReachOutcome::Unreachable);
+        let scope = stats.scope.expect("introspection is on");
         assert_eq!(scope.blame, vec!["state".to_string()]);
+        assert!(scope.blame_is_core);
+    }
+
+    #[test]
+    fn goals_never_solved_carry_no_blame() {
+        // A depth ceiling of 0 stops the query before any solve: there
+        // is no failing formula, so no probe may run and no register
+        // may be blamed (one unroll step would blame `state`).
+        let mut e = engine(FSM, "fsm");
+        e.set_introspection(true);
+        let d = Arc::clone(e.design());
+        let st = d.signal_by_name("state").unwrap();
+        let budget = Budget::unlimited().with_unroll_depth(0);
+        let (outcome, stats) = e
+            .solve_reach_profiled(
+                &zero_state(&d),
+                &[(st, LogicVec::from_u64(3, 3))],
+                4,
+                &budget,
+            )
+            .unwrap();
+        assert_eq!(
+            outcome.status(),
+            SolveStatus::Unknown(UnknownReason::UnrollDepth)
+        );
+        assert_eq!(stats.solver_calls, 0);
+        let scope = stats.scope.expect("introspection is on");
+        assert!(scope.blame.is_empty(), "blamed {:?}", scope.blame);
+        assert!(!scope.blame_is_core);
     }
 
     #[test]
     fn neighbouring_goals_share_sketch_structure() {
-        let e = engine(FSM, "fsm");
+        let mut e = engine(FSM, "fsm");
+        e.set_introspection(true);
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
-        let budget = Budget::unlimited();
-        let (_, _, a) = e
-            .solve_reach_introspected(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 1))],
-                1,
-                &budget,
-            )
-            .unwrap();
-        let (_, _, b) = e
-            .solve_reach_introspected(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 2))],
-                1,
-                &budget,
-            )
-            .unwrap();
+        let sketch = |value| {
+            let (_, stats) = e
+                .solve_reach_profiled(
+                    &zero_state(&d),
+                    &[(st, LogicVec::from_u64(3, value))],
+                    1,
+                    &Budget::unlimited(),
+                )
+                .unwrap();
+            stats.scope.expect("introspection is on").sketch
+        };
+        let (a, b) = (sketch(1), sketch(2));
         // Same register, same depth, different value: the unrolled
         // formulas share almost all their structure.
-        let j = crate::scope::sketch_jaccard_milli(&a.sketch, &b.sketch);
+        let j = crate::scope::sketch_jaccard_milli(&a, &b);
         assert!(j >= 500, "affinity {j} unexpectedly low");
     }
 
@@ -1995,12 +1791,9 @@ mod tests {
         for bound in [1u32, 4] {
             for val in 0..8u64 {
                 let targets = [(st, LogicVec::from_u64(3, val))];
-                let f = fresh
-                    .solve_reach_budgeted(&zero_state(&d), &targets, bound, &Budget::unlimited())
-                    .unwrap();
-                let c = cached
-                    .solve_reach_budgeted(&zero_state(&d), &targets, bound, &Budget::unlimited())
-                    .unwrap();
+                let unlimited = Budget::unlimited();
+                let f = reach(&fresh, &zero_state(&d), &targets, bound, &unlimited);
+                let c = reach(&cached, &zero_state(&d), &targets, bound, &unlimited);
                 assert_eq!(
                     f.status(),
                     c.status(),
@@ -2040,18 +1833,12 @@ mod tests {
         // Unroll-depth ceiling: truncation happens before solving, so
         // the outcomes agree exactly.
         let budget = Budget::unlimited().with_unroll_depth(1);
-        let f = fresh
-            .solve_reach_budgeted(&zero_state(&d), &targets, 4, &budget)
-            .unwrap();
-        let c = cached
-            .solve_reach_budgeted(&zero_state(&d), &targets, 4, &budget)
-            .unwrap();
+        let f = reach(&fresh, &zero_state(&d), &targets, 4, &budget);
+        let c = reach(&cached, &zero_state(&d), &targets, 4, &budget);
         assert_eq!(f.status(), c.status());
         // Conflicts-0: trips on the very first check either way.
         let budget = Budget::unlimited().with_conflicts(0);
-        let c = cached
-            .solve_reach_budgeted(&zero_state(&d), &targets, 4, &budget)
-            .unwrap();
+        let c = reach(&cached, &zero_state(&d), &targets, 4, &budget);
         assert_eq!(c.status(), SolveStatus::Unknown(UnknownReason::Conflicts));
     }
 
@@ -2075,9 +1862,7 @@ mod tests {
                 other.clone()
             };
             let targets = [(st, LogicVec::from_u64(3, val))];
-            let f = fresh
-                .solve_reach_budgeted(&start, &targets, 4, &Budget::unlimited())
-                .unwrap();
+            let f = reach(&fresh, &start, &targets, 4, &Budget::unlimited());
             let (c, stats) = cached
                 .solve_reach_profiled(&start, &targets, 4, &Budget::unlimited())
                 .unwrap();
@@ -2092,10 +1877,11 @@ mod tests {
     fn cached_introspection_still_records_structure() {
         let mut e = engine(FSM, "fsm");
         e.set_solver_cache(true);
+        e.set_introspection(true);
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
-        let (outcome, stats, scope) = e
-            .solve_reach_introspected(
+        let (outcome, stats) = e
+            .solve_reach_profiled(
                 &zero_state(&d),
                 &[(st, LogicVec::from_u64(3, 3))],
                 4,
@@ -2103,10 +1889,11 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(outcome, ReachOutcome::Reached(_)));
+        assert!(stats.solver_calls >= 1);
+        let scope = stats.scope.expect("introspection is on");
         assert!(scope.depth >= 1);
         assert!(!scope.sketch.is_empty());
         assert_eq!(scope.frame_digests.len() as u32, scope.depth);
-        assert!(stats.solver_calls >= 1);
     }
 
     #[test]
@@ -2140,13 +1927,10 @@ mod tests {
         let d_arc = Arc::clone(e.design());
         let q = d_arc.signal_by_name("q").unwrap();
         let din = d_arc.signal_by_name("d").unwrap();
-        let sol = e
-            .solve_step(&zero_state(&d_arc), &[(q, LogicVec::from_u64(8, 0xA5))])
-            .expect("reachable");
+        let sol =
+            step(&e, &zero_state(&d_arc), &[(q, LogicVec::from_u64(8, 0xA5))]).expect("reachable");
         assert_eq!(sol.value(din).unwrap().to_u64(), Some(5));
         // And 0x55 is unreachable because the high nibble is forced to A.
-        assert!(e
-            .solve_step(&zero_state(&d_arc), &[(q, LogicVec::from_u64(8, 0x55))])
-            .is_none());
+        assert!(step(&e, &zero_state(&d_arc), &[(q, LogicVec::from_u64(8, 0x55))]).is_none());
     }
 }

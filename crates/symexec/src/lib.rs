@@ -14,10 +14,22 @@
 //! values, asserts `next(reg) == target`, and hands the system to the
 //! bit-blasting SMT solver. A model is translated back into an
 //! [`InputAssignment`] — the constraint the UVM sequencer applies on
-//! the next cycle (Fig. 2, blocks 9–11).
-//! [`solve_reach`](SymbolicEngine::solve_reach) unrolls the equations
-//! over several cycles for targets that need a multi-cycle input
-//! sequence.
+//! the next cycle (Fig. 2, blocks 9–11). Targets that need a
+//! multi-cycle input sequence are reached by unrolling the equations
+//! over several cycles.
+//!
+//! [`solve_reach_profiled`](SymbolicEngine::solve_reach_profiled) is
+//! the one query entry point. Every unroll it solves is a *frame
+//! chain* — a solver session plus, per cycle, the substituted state
+//! terms and fresh input symbols — grown by a single internal
+//! `extend` step. A plain query builds a chain per exact-depth solve
+//! and drops it; with the frame cache armed
+//! ([`set_solver_cache`](SymbolicEngine::set_solver_cache)) one chain
+//! stays warm per start state and goals become assumption checks on
+//! it; with introspection on
+//! ([`set_introspection`](SymbolicEngine::set_introspection)) each
+//! query also returns a [`GoalScope`], whose blame probe seeds a chain
+//! of its own.
 //!
 //! Undefined (`X`) bits in the current state are left unconstrained —
 //! the paper's "constrains solving undefined pin values" (§3): the
@@ -28,7 +40,8 @@
 //! ```
 //! use std::sync::Arc;
 //! use symbfuzz_logic::LogicVec;
-//! use symbfuzz_symexec::SymbolicEngine;
+//! use symbfuzz_smt::Budget;
+//! use symbfuzz_symexec::{ReachOutcome, SymbolicEngine};
 //!
 //! let d = Arc::new(symbfuzz_netlist::elaborate_src(
 //!     "module m(input clk, input rst_n, input [3:0] k, output logic [3:0] st);
@@ -41,10 +54,13 @@
 //! // Current state: everything zero (as after reset).
 //! let state: Vec<LogicVec> =
 //!     d.signals.iter().map(|s| LogicVec::zeros(s.width)).collect();
-//! let sol = engine.solve_step(&state, &[(st, LogicVec::from_u64(4, 7))]).unwrap();
-//! // The solver found the magic value k = 9.
+//! let target = [(st, LogicVec::from_u64(4, 7))];
+//! let (outcome, stats) = engine.solve_reach_profiled(&state, &target, 1, &Budget::unlimited())?;
+//! let ReachOutcome::Reached(plan) = outcome else { panic!("st = 7 is one cycle away") };
+//! // The solver found the magic value k = 9, in one exact-depth solve.
 //! let k = d.signal_by_name("k").unwrap();
-//! assert_eq!(sol.value(k).unwrap().to_u64(), Some(9));
+//! assert_eq!(plan[0].value(k).unwrap().to_u64(), Some(9));
+//! assert_eq!(stats.solver_calls, 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -14,7 +14,8 @@ use std::sync::Arc;
 use symbfuzz_core::{FuzzConfig, PropertySpec, Strategy, SymbFuzz};
 use symbfuzz_logic::LogicVec;
 use symbfuzz_netlist::elaborate_src;
-use symbfuzz_symexec::SymbolicEngine;
+use symbfuzz_smt::Budget;
+use symbfuzz_symexec::{ReachOutcome, SymbolicEngine};
 
 const RTL: &str = "
 module wp_regfile(
@@ -48,11 +49,15 @@ fn main() {
         .iter()
         .map(|s| LogicVec::zeros(s.width))
         .collect();
-    let sol = engine
-        .solve_step(&state, &[(locked, LogicVec::from_u64(1, 1))])
-        .expect("locked state is reachable");
+    let target = [(locked, LogicVec::from_u64(1, 1))];
+    let (outcome, _) = engine
+        .solve_reach_profiled(&state, &target, 1, &Budget::unlimited())
+        .expect("`locked` is a register with a defined target");
+    let ReachOutcome::Reached(plan) = outcome else {
+        panic!("the locked state is one cycle away");
+    };
     println!("inputs that lock the regfile in one cycle:");
-    for (sig, value) in sol.iter() {
+    for (sig, value) in plan[0].iter() {
         println!("  {} = {}", design.signal(sig).name, value);
     }
 

@@ -5,8 +5,8 @@
 //! For random designs drawn from a small design-space grammar and
 //! random defined stimulus, the next-state value predicted by
 //! evaluating the dependency equations must equal what the simulator
-//! computes, and every input sequence produced by `solve_reach` must
-//! actually reach its target when replayed.
+//! computes, and every input sequence produced by `solve_reach_profiled`
+//! must actually reach its target when replayed.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -14,7 +14,8 @@ use std::sync::Arc;
 use symbfuzz_logic::LogicVec;
 use symbfuzz_netlist::{elaborate_src, Design};
 use symbfuzz_sim::{Reentry, Simulator};
-use symbfuzz_symexec::SymbolicEngine;
+use symbfuzz_smt::Budget;
+use symbfuzz_symexec::{ReachOutcome, SymbolicEngine};
 
 /// A small parameterised design family: an FSM + datapath whose exact
 /// shape is controlled by the proptest inputs.
@@ -149,8 +150,11 @@ proptest! {
         sim.reenter(Reentry::FullReset { cycles: 2 });
         let st = design.signal_by_name("st").unwrap();
         let goal = LogicVec::from_u64(3, target as u64);
-        match engine.solve_reach(sim.values(), &[(st, goal.clone())], 8) {
-            None => {
+        let (outcome, _) = engine
+            .solve_reach_profiled(sim.values(), &[(st, goal.clone())], 8, &Budget::unlimited())
+            .unwrap();
+        match outcome {
+            ReachOutcome::Unreachable | ReachOutcome::Exhausted { .. } => {
                 // The ring FSM makes every arm index reachable within
                 // `arms` steps; only target 0 (already there) may be
                 // "unreachable" as a *change*... but reaching the
@@ -158,7 +162,7 @@ proptest! {
                 // an UNSAT here is a real failure.
                 prop_assert!(false, "solver claims state {target} of {arms} unreachable");
             }
-            Some(seq) => {
+            ReachOutcome::Reached(seq) => {
                 prop_assert!(seq.len() <= 8);
                 for step in &seq {
                     sim.apply_input_word(&step.to_word(&design));
