@@ -3,7 +3,7 @@
 //! Every binary accepts, besides its positional arguments:
 //!
 //! * `--jobs N` / `-j N` / `-jN` / `--jobs=N` — worker threads
-//!   (see [`crate::pool::split_jobs`]);
+//!   (default [`crate::pool::default_jobs`], floored at 1);
 //! * `--log-level LEVEL` — stderr logging verbosity (`off`, `warn`,
 //!   `info`, `debug`; default `info`);
 //! * `--trace-out PATH` — stream a wall-clock JSONL campaign trace to
@@ -22,8 +22,6 @@
 //! * `--solve-wall-ms N` — wall-clock ceiling per symbolic solve in
 //!   milliseconds (non-deterministic: reports may vary between runs and
 //!   job counts);
-//! * `--settle-mode MODE` — combinational settling engine (`fixpoint`,
-//!   `levelized` or `compiled`; default `compiled`);
 //! * `--snapshot-budget N` — byte budget for the copy-on-write snapshot
 //!   store; unique bytes beyond it trigger oldest-first eviction;
 //! * `--introspect` — solver introspection: per-goal CDCL analytics,
@@ -39,12 +37,14 @@
 //! a missing or malformed value, or a combination
 //! [`FuzzConfig::validate`](symbfuzz_core::FuzzConfig::validate)
 //! rejects is an [`ArgError`]; [`parse_bench_args`] prints it and exits
-//! with status 2.
+//! with status 2. Positional arguments parse the same way through the
+//! [`BenchArgs`] accessors, before any campaign starts.
 
-use crate::pool::split_jobs;
+use crate::pool::default_jobs;
 use std::path::PathBuf;
 use std::str::FromStr;
-use symbfuzz_core::{ConfigError, FuzzConfig, FuzzConfigBuilder, SettlePolicy};
+use symbfuzz_core::{ConfigError, FuzzConfig, FuzzConfigBuilder};
+use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_telemetry::{set_log_level, Level};
 
 /// Parsed common bench arguments.
@@ -121,11 +121,45 @@ pub fn exit_usage(e: &ArgError) -> ! {
 
 impl BenchArgs {
     /// The `n`-th positional argument parsed as `T`, else `default`.
-    pub fn pos<T: std::str::FromStr>(&self, n: usize, default: T) -> T {
-        self.rest
-            .get(n)
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(default)
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::BadValue`] naming `what` when it does not parse.
+    pub fn try_pos<T: FromStr>(&self, n: usize, what: &str, default: T) -> Result<T, ArgError> {
+        self.rest.get(n).map_or(Ok(default), |v| parse(what, v))
+    }
+
+    /// [`try_pos`](Self::try_pos), exiting with status 2 on a bad value.
+    pub fn pos<T: FromStr>(&self, n: usize, what: &str, default: T) -> T {
+        self.try_pos(n, what, default)
+            .unwrap_or_else(|e| exit_usage(&e))
+    }
+
+    /// The `n`-th positional argument as an index into
+    /// [`processor_benchmarks`], else `default`.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::BadValue`] when it is not a number or names no
+    /// benchmark.
+    pub fn try_bench_index(&self, n: usize, default: usize) -> Result<usize, ArgError> {
+        let count = processor_benchmarks().len();
+        let what = format!("the benchmark index (0 to {})", count - 1);
+        let index = self.try_pos(n, &what, default)?;
+        if index >= count {
+            return Err(ArgError::BadValue {
+                what,
+                value: index.to_string(),
+            });
+        }
+        Ok(index)
+    }
+
+    /// [`try_bench_index`](Self::try_bench_index), exiting with status 2
+    /// on a bad index.
+    pub fn bench_index(&self, n: usize, default: usize) -> usize {
+        self.try_bench_index(n, default)
+            .unwrap_or_else(|e| exit_usage(&e))
     }
 
     /// The `n`-th positional argument as a campaign vector budget (else
@@ -136,10 +170,7 @@ impl BenchArgs {
     /// [`ArgError::BadValue`] when it is not a number,
     /// [`ArgError::Config`] when the budget is zero.
     pub fn try_vectors(&self, n: usize, default: u64) -> Result<u64, ArgError> {
-        let vectors = match self.rest.get(n) {
-            Some(v) => parse("the vector budget", v)?,
-            None => default,
-        };
+        let vectors = self.try_pos(n, "the vector budget", default)?;
         self.config.clone().max_vectors(vectors).build()?;
         Ok(vectors)
     }
@@ -148,6 +179,27 @@ impl BenchArgs {
     /// bad budget.
     pub fn vectors(&self, n: usize, default: u64) -> u64 {
         self.try_vectors(n, default)
+            .unwrap_or_else(|e| exit_usage(&e))
+    }
+
+    /// The `n`-th positional argument as a per-solve conflict ceiling
+    /// (else `default`), checked against the command line's campaign
+    /// knobs.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::BadValue`] when it is not a number,
+    /// [`ArgError::Config`] when the ceiling is zero.
+    pub fn try_solver_budget(&self, n: usize, default: u64) -> Result<u64, ArgError> {
+        let budget = self.try_pos(n, "the solver budget", default)?;
+        self.config.clone().solver_budget(budget).build()?;
+        Ok(budget)
+    }
+
+    /// [`try_solver_budget`](Self::try_solver_budget), exiting with
+    /// status 2 on a bad ceiling.
+    pub fn solver_budget(&self, n: usize, default: u64) -> u64 {
+        self.try_solver_budget(n, default)
             .unwrap_or_else(|e| exit_usage(&e))
     }
 
@@ -184,33 +236,37 @@ impl BenchArgs {
 }
 
 /// Splits the shared bench flags out of `args`, folds the campaign
-/// knobs into `base` (the binary's defaults, usually
-/// [`FuzzConfig::builder`]) and validates the result, then delegates
-/// the remainder to [`split_jobs`]. Flags named in `bin_flags` belong
-/// to the calling binary and stay in [`BenchArgs::rest`] (with their
-/// values) for it to take; any other unknown `--flag` is an error.
+/// knobs into a [`FuzzConfig::builder`] and validates the result.
+/// Positional arguments and the flags named in `bin_flags`, which
+/// belong to the calling binary, stay in [`BenchArgs::rest`] (with
+/// their values) for it to take; any other unknown `--flag` is an
+/// error.
 ///
 /// # Errors
 ///
 /// See [`ArgError`].
 pub fn split_bench_args<A: Iterator<Item = String>>(
     mut args: A,
-    base: FuzzConfigBuilder,
     bin_flags: &[&str],
 ) -> Result<BenchArgs, ArgError> {
+    let mut jobs = default_jobs();
     let mut log_level = Level::Info;
     let mut trace_out = None;
     let mut flight_out = None;
     let mut status_out = None;
-    let mut config = base;
-    let mut passthrough = Vec::new();
+    let mut config = FuzzConfig::builder();
+    let mut rest = Vec::new();
     while let Some(a) = args.next() {
         let (flag, inline) = match a.split_once('=') {
             Some((f, v)) => (f, Some(v.to_string())),
-            None => (a.as_str(), None),
+            // `-jN` packs the value into the flag.
+            None => match a.strip_prefix("-j").filter(|v| !v.is_empty()) {
+                Some(v) => ("-j", Some(v.to_string())),
+                None => (a.as_str(), None),
+            },
         };
-        if !flag.starts_with("--") || flag == "--jobs" || bin_flags.contains(&flag) {
-            passthrough.push(a);
+        if !(flag.starts_with("--") || flag == "-j") || bin_flags.contains(&flag) {
+            rest.push(a);
             continue;
         }
         let mut value = || {
@@ -220,6 +276,7 @@ pub fn split_bench_args<A: Iterator<Item = String>>(
                 .ok_or_else(|| ArgError::MissingValue(flag.to_string()))
         };
         match flag {
+            "--jobs" | "-j" => jobs = parse(flag, &value()?)?,
             "--introspect" => config = config.solver_introspection(true),
             "--incremental" => config = config.incremental_solving(true),
             "--log-level" => log_level = parse(flag, &value()?)?,
@@ -230,22 +287,13 @@ pub fn split_bench_args<A: Iterator<Item = String>>(
             "--solve-wall-ms" => config = config.solve_wall_ms(parse(flag, &value()?)?),
             "--snapshot-budget" => config = config.snapshot_mem_budget(parse(flag, &value()?)?),
             "--sample-every" => config = config.sample_every(parse(flag, &value()?)?),
-            "--settle-mode" => {
-                let value = value()?;
-                let policy = SettlePolicy::parse(&value).ok_or(ArgError::BadValue {
-                    what: flag.to_string(),
-                    value,
-                })?;
-                config = config.settle_policy(policy);
-            }
             _ => return Err(ArgError::UnknownFlag(flag.to_string())),
         }
     }
     config.clone().build()?;
-    let (rest, jobs) = split_jobs(passthrough.into_iter());
     Ok(BenchArgs {
         rest,
-        jobs,
+        jobs: jobs.max(1),
         log_level,
         trace_out,
         flight_out,
@@ -259,8 +307,8 @@ pub fn split_bench_args<A: Iterator<Item = String>>(
 /// side effects: sets the global log level and opens the `--trace-out`
 /// and flight-recorder destinations.
 pub fn parse_bench_args(bin_flags: &[&str]) -> BenchArgs {
-    let parsed = split_bench_args(std::env::args().skip(1), FuzzConfig::builder(), bin_flags)
-        .unwrap_or_else(|e| exit_usage(&e));
+    let parsed =
+        split_bench_args(std::env::args().skip(1), bin_flags).unwrap_or_else(|e| exit_usage(&e));
     set_log_level(parsed.log_level);
     if let Some(path) = &parsed.trace_out {
         if let Err(e) = crate::experiments::enable_tracing(path) {
@@ -285,15 +333,18 @@ mod tests {
     }
 
     fn try_split(s: &str) -> Result<BenchArgs, ArgError> {
-        split_bench_args(
-            s.split_whitespace().map(String::from),
-            FuzzConfig::builder(),
-            &[],
-        )
+        split_bench_args(s.split_whitespace().map(String::from), &[])
     }
 
     fn knobs(s: &str) -> FuzzConfig {
         split(s).config.build().unwrap()
+    }
+
+    fn bad_value_for(e: Result<impl std::fmt::Debug, ArgError>) -> String {
+        match e {
+            Err(ArgError::BadValue { what, .. }) => what,
+            other => panic!("not a bad value: {other:?}"),
+        }
     }
 
     #[test]
@@ -320,28 +371,61 @@ mod tests {
         let b = split("1000");
         assert_eq!(b.log_level, Level::Info);
         assert!(b.trace_out.is_none());
-        assert_eq!(b.pos(0, 0u64), 1000);
-        assert_eq!(b.pos(1, 7u64), 7);
+        assert_eq!(b.try_pos(0, "n", 0u64), Ok(1000));
+        assert_eq!(b.try_pos(1, "n", 7u64), Ok(7));
         assert_eq!(b.config.build().unwrap(), FuzzConfig::default());
+    }
+
+    #[test]
+    fn jobs_accept_all_spellings() {
+        let jobs = |s: &str| {
+            let a = split(s);
+            (a.rest, a.jobs)
+        };
+        assert_eq!(jobs("5000 --jobs 4"), (vec!["5000".into()], 4));
+        assert_eq!(
+            jobs("--jobs=2 5000 1"),
+            (vec!["5000".into(), "1".into()], 2)
+        );
+        assert_eq!(jobs("-j 8"), (Vec::<String>::new(), 8));
+        assert_eq!(jobs("-j3 42"), (vec!["42".into()], 3));
+        assert_eq!(jobs("--jobs 0").1, 1);
+        let (rest, n) = jobs("1000 2000");
+        assert_eq!(rest, vec!["1000".to_string(), "2000".to_string()]);
+        assert!(n >= 1);
+    }
+
+    #[test]
+    fn malformed_jobs_are_errors() {
+        // `solverscope --check --jobs lots FILE`, `solverscope --check -jfoo FILE`
+        for (line, flag) in [
+            ("--jobs lots 600", "--jobs"),
+            ("--jobs=-1", "--jobs"),
+            ("-jfoo 600", "-j"),
+            ("-j two", "-j"),
+        ] {
+            assert_eq!(bad_value_for(try_split(line)), flag, "{line}");
+        }
+        for flag in ["-j", "--jobs"] {
+            assert_eq!(
+                try_split(&format!("600 {flag}")).unwrap_err(),
+                ArgError::MissingValue(flag.into())
+            );
+        }
     }
 
     #[test]
     fn folds_campaign_knobs_into_the_builder() {
         let c = knobs(
-            "2000 --solver-budget 10000 --solve-wall-ms=250 --settle-mode levelized \
+            "2000 --solver-budget 10000 --solve-wall-ms=250 \
              --snapshot-budget=65536 --introspect --sample-every 250 --incremental -j 2",
         );
         assert_eq!(c.solver_budget, Some(10_000));
         assert_eq!(c.solve_wall_ms, Some(250));
-        assert_eq!(c.settle_policy, SettlePolicy::Levelized);
         assert_eq!(c.snapshot_mem_budget, 65_536);
         assert!(c.solver_introspection);
         assert_eq!(c.sample_every, Some(250));
         assert!(c.incremental_solving);
-        assert_eq!(
-            knobs("--settle-mode=fixpoint").settle_policy,
-            SettlePolicy::Fixpoint
-        );
         let d = knobs("42");
         assert!(!d.solver_introspection && !d.incremental_solving);
         assert_eq!(d.solver_budget, None);
@@ -398,13 +482,63 @@ mod tests {
     }
 
     #[test]
+    fn positional_values_parse_like_flags() {
+        // `fig4a 100 x`, `fig4b 100 often`
+        assert_eq!(bad_value_for(split("100 x").try_bench_index(1, 0)), {
+            let n = processor_benchmarks().len();
+            format!("the benchmark index (0 to {})", n - 1)
+        });
+        assert_eq!(
+            bad_value_for(split("100 often").try_pos::<u64>(1, "the run count", 4)),
+            "the run count"
+        );
+        assert_eq!(split("100 3").try_pos(1, "the run count", 4u64), Ok(3));
+    }
+
+    #[test]
+    fn bench_indexes_are_range_checked() {
+        let last = processor_benchmarks().len() - 1;
+        assert_eq!(split("100").try_bench_index(1, 0), Ok(0));
+        assert_eq!(
+            split(&format!("100 {last}")).try_bench_index(1, 0),
+            Ok(last)
+        );
+        // `resources 200 9`, `fig4a 200 7`
+        for line in ["200 9", "200 7", "200 4", "200 -1"] {
+            let e = split(line).try_bench_index(1, 0).unwrap_err();
+            assert!(e.to_string().starts_with("bad value `"), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn solver_budgets_are_validated_through_the_builder() {
+        // `solverscope 50 0`, `budgetbench 50 0`
+        assert_eq!(
+            split("50 0").try_solver_budget(1, 500),
+            Err(ArgError::Config(ConfigError::ZeroSolverBudget))
+        );
+        // `budgetbench 50 lots`
+        assert_eq!(
+            bad_value_for(split("50 lots").try_solver_budget(1, 500)),
+            "the solver budget"
+        );
+        assert_eq!(split("50 2000").try_solver_budget(1, 500), Ok(2_000));
+        assert_eq!(split("50").try_solver_budget(1, 500), Ok(500));
+    }
+
+    #[test]
     fn unknown_and_retired_flags_are_errors() {
         // A retired flag must not shift the budget argument.
         assert_eq!(
             try_split("--portfolio 2 2000").unwrap_err(),
             ArgError::UnknownFlag("--portfolio".into())
         );
-        for flag in ["--affinity", "--solver-cache-budget=4096", "--smoke"] {
+        for flag in [
+            "--affinity",
+            "--solver-cache-budget=4096",
+            "--settle-mode compiled",
+            "--smoke",
+        ] {
             assert!(
                 matches!(try_split(flag), Err(ArgError::UnknownFlag(_))),
                 "{flag}"
@@ -419,15 +553,11 @@ mod tests {
         for (line, flag) in [
             ("--solver-budget lots", "--solver-budget"),
             ("--solve-wall-ms=soon", "--solve-wall-ms"),
-            ("--settle-mode warp", "--settle-mode"),
             ("--snapshot-budget plenty", "--snapshot-budget"),
             ("--sample-every often", "--sample-every"),
             ("--log-level chatty 42", "--log-level"),
         ] {
-            match try_split(line) {
-                Err(ArgError::BadValue { what, .. }) => assert_eq!(what, flag, "{line}"),
-                other => panic!("{line}: {other:?}"),
-            }
+            assert_eq!(bad_value_for(try_split(line)), flag, "{line}");
         }
         assert_eq!(
             try_split("2000 --trace-out").unwrap_err(),
@@ -436,22 +566,11 @@ mod tests {
     }
 
     #[test]
-    fn flags_override_the_binary_defaults() {
-        let base = || FuzzConfig::builder().snapshot_mem_budget(4096);
-        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
-        let a = split_bench_args(args("2000").into_iter(), base(), &[]).unwrap();
-        assert_eq!(a.config.current().snapshot_mem_budget, 4096);
-        let b = split_bench_args(args("--snapshot-budget 8192").into_iter(), base(), &[]).unwrap();
-        assert_eq!(b.config.current().snapshot_mem_budget, 8192);
-    }
-
-    #[test]
     fn bin_flags_pass_through_for_the_binary_to_take() {
         let mut a = split_bench_args(
             "--check-bench results --smoke 600 --check-bench=r2 -j 2"
                 .split_whitespace()
                 .map(String::from),
-            FuzzConfig::builder(),
             &["--check-bench", "--smoke"],
         )
         .unwrap();

@@ -19,7 +19,7 @@ use symbfuzz_designs::processor_benchmarks;
 fn main() {
     let args = parse_bench_args(&[]);
     let budget = args.vectors(0, 30_000);
-    let bench: usize = args.pos(1, 0);
+    let bench = args.bench_index(1, 0);
     let b = &processor_benchmarks()[bench];
     let design = b.design().expect("benchmark elaborates");
     let props = b.property_specs();

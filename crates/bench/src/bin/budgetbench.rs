@@ -32,9 +32,8 @@ fn main() {
     }
     let max_vectors = args.vectors(0, 1_000);
     let budgets: Vec<u64> = if args.rest.len() > 1 {
-        args.rest[1..]
-            .iter()
-            .filter_map(|a| a.parse().ok())
+        (1..args.rest.len())
+            .map(|n| args.solver_budget(n, 0))
             .collect()
     } else {
         vec![500, 2_000, 10_000]

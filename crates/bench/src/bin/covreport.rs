@@ -68,15 +68,8 @@ fn main() -> ExitCode {
         return check_files(&args.rest);
     }
     let budget = args.vectors(0, 5_000);
-    let bench: usize = args.pos(1, 0);
-    let benches = processor_benchmarks();
-    let Some(name) = benches.get(bench).map(|b| b.name) else {
-        eprintln!(
-            "covreport: bench_index {bench} out of range (0..{})",
-            benches.len()
-        );
-        return ExitCode::FAILURE;
-    };
+    let bench = args.bench_index(1, 0);
+    let name = processor_benchmarks()[bench].name;
     let results = resource_profile(&args.config, bench, budget, args.jobs);
     let mut report = build_report(name, budget, &results);
     if let Some(path) = trace_path {

@@ -10,7 +10,7 @@ use symbfuzz_telemetry::info;
 fn main() {
     let args = parse_bench_args(&[]);
     let budget = args.vectors(0, 40_000);
-    let bench: usize = args.pos(1, 0);
+    let bench = args.bench_index(1, 0);
     let race = coverage_race(&args.config, bench, budget, 0x46A, args.jobs);
     println!(
         "# Figure 4a — coverage vs input vectors on `{}`\n",

@@ -9,8 +9,8 @@ use symbfuzz_bench::{flush_trace, parse_bench_args};
 fn main() {
     let args = parse_bench_args(&[]);
     let budget = args.vectors(0, 10_000);
-    let runs: u64 = args.pos(1, 4);
-    let bench: usize = args.pos(2, 0);
+    let runs: u64 = args.pos(1, "the run count", 4);
+    let bench = args.bench_index(2, 0);
     let pts = variance_profile(&args.config, bench, budget, runs, args.jobs);
     println!("# Figure 4b — coverage variance over {runs} runs\n");
     print!("{}", render_fig4b_csv(&pts));

@@ -7,13 +7,14 @@
 //! [--flight-out PATH] [--status-out PATH]`.
 //!
 //! The overhead benchmark runs the same SymbFuzz campaign per
-//! processor benchmark twice under the compiled settle engine —
-//! recorder off, then recorder on — and reports vectors/sec for each
-//! plus the on/off throughput ratio (acceptance: geomean ≥ 0.95, i.e.
-//! ≤ 5 % overhead). A second A/B pass measures solver introspection
-//! the same way (off vs `solver_introspection(true)`, same acceptance
-//! bar) and lands as `introspection_rows` /
-//! `geomean_introspection_ratio`. Earlier contents of
+//! processor benchmark twice — recorder off, then recorder on — and
+//! reports vectors/sec for each plus the on/off throughput ratio
+//! (acceptance: geomean ≥ 0.95, i.e. ≤ 5 % overhead). A second A/B
+//! pass measures solver introspection the same way (off vs
+//! `solver_introspection(true)`, same acceptance bar) and lands as
+//! `introspection_rows` / `geomean_introspection_ratio`. perfbench
+//! never turns the recorder or introspection on, so these two passes
+//! are the only measurement of their cost. Earlier contents of
 //! `BENCH_telemetry.json` are preserved under the `history` key. With
 //! `--sample-every` the resource-profile campaigns also record flight
 //! samples, merged after the pool into the canonical `--flight-out` /
@@ -23,10 +24,9 @@ use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
 use symbfuzz_bench::experiments::resource_profile;
-use symbfuzz_bench::pool::merge_telemetry;
 use symbfuzz_bench::render::{render_resources, save_json, write_flight_artifacts};
 use symbfuzz_bench::{flush_trace, parse_bench_args};
-use symbfuzz_core::{FuzzConfig, SettlePolicy, Strategy, SymbFuzz};
+use symbfuzz_core::{FuzzConfig, Strategy, SymbFuzz, TelemetryBlock};
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_telemetry::info;
 
@@ -50,11 +50,8 @@ struct SamplingRow {
 
 /// Wall-clock vectors/sec of one campaign; `sample_every` arms the
 /// recorder and both profilers, `introspect` arms the solver-scope
-/// tracing. Every arm runs the same settle engine (`--settle-mode`,
-/// compiled by default) so each A/B isolates one instrument, not engine
-/// choice.
+/// tracing.
 fn throughput(
-    settle: SettlePolicy,
     bench_index: usize,
     budget: u64,
     sample_every: Option<u64>,
@@ -67,8 +64,7 @@ fn throughput(
         .interval(100)
         .threshold(2)
         .max_vectors(budget)
-        .seed(0xCAB)
-        .settle_policy(settle);
+        .seed(0xCAB);
     if let Some(every) = sample_every {
         cfg = cfg.sample_every(every);
     }
@@ -87,7 +83,7 @@ fn throughput(
 /// Prior contents of `results/BENCH_telemetry.json`, flattened into a
 /// chronological list: a legacy bare telemetry block, or the `rows` +
 /// `geomean` head of this format, with any nested history carried
-/// forward (same pattern as `simbench`).
+/// forward.
 fn load_history() -> Vec<Value> {
     let mut history = Vec::new();
     if let Ok(text) = std::fs::read_to_string("results/BENCH_telemetry.json") {
@@ -113,11 +109,14 @@ fn load_history() -> Vec<Value> {
 fn main() {
     let args = parse_bench_args(&[]);
     let budget = args.vectors(0, 20_000);
-    let bench: usize = args.pos(1, 0);
+    let bench = args.bench_index(1, 0);
     let rows = resource_profile(&args.config, bench, budget, args.jobs);
     println!("# §5.2 — resource profile\n");
     println!("{}", render_resources(&rows));
-    let merged = merge_telemetry(rows.iter().map(|(_, r)| &r.telemetry));
+    let mut merged = TelemetryBlock::default();
+    for (_, r) in &rows {
+        merged.merge(&r.telemetry);
+    }
     let snap = merged.to_snapshot();
     info!(
         "telemetry: {} vectors, {} solver calls, {} event kinds observed",
@@ -138,15 +137,14 @@ fn main() {
     .expect("write flight artifacts");
 
     // Recorder overhead A/B: same campaign, recorder off vs on.
-    let knobs = args.config.current();
-    let (settle, every) = (knobs.settle_policy, knobs.sample_every.unwrap_or(100));
+    let every = args.config.current().sample_every.unwrap_or(100);
     let mut sampling_rows = Vec::new();
     println!("## Flight-recorder overhead ({budget} vectors per campaign)\n");
     println!("| Design | off vec/s | on vec/s | ratio | samples |");
     println!("|---|---|---|---|---|");
     for (i, b) in processor_benchmarks().iter().enumerate() {
-        let (off, _) = throughput(settle, i, budget, None, false);
-        let (on, samples) = throughput(settle, i, budget, Some(every), false);
+        let (off, _) = throughput(i, budget, None, false);
+        let (on, samples) = throughput(i, budget, Some(every), false);
         let row = SamplingRow {
             design: b.name.to_string(),
             budget,
@@ -179,8 +177,8 @@ fn main() {
     println!("| Design | off vec/s | on vec/s | ratio |");
     println!("|---|---|---|---|");
     for (i, b) in processor_benchmarks().iter().enumerate() {
-        let (off, _) = throughput(settle, i, budget, None, false);
-        let (on, _) = throughput(settle, i, budget, None, true);
+        let (off, _) = throughput(i, budget, None, false);
+        let (on, _) = throughput(i, budget, None, true);
         let row = SamplingRow {
             design: b.name.to_string(),
             budget,

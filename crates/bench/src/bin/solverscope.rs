@@ -104,7 +104,7 @@ fn main() -> ExitCode {
         return check_files(&args.rest);
     }
     let max_vectors = args.vectors(0, 1_000);
-    let solver_budget: u64 = args.pos(1, 500);
+    let solver_budget = args.solver_budget(1, 500);
     let report = build_scope_report(&args.config, max_vectors, solver_budget, args.jobs);
     save_json("solverscope", &report).expect("write results/solverscope.json");
     std::fs::write("results/solverscope.html", render_scope_html(&report))

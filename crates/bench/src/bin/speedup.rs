@@ -10,7 +10,7 @@ use symbfuzz_bench::{flush_trace, parse_bench_args};
 fn main() {
     let args = parse_bench_args(&[]);
     let budget = args.vectors(0, 40_000);
-    let bench: usize = args.pos(1, 0);
+    let bench = args.bench_index(1, 0);
     let s = speedup(&args.config, bench, budget, args.jobs);
     println!("# §5.3 — time-to-coverage speed-up\n");
     println!("{}", render_speedup(&s));

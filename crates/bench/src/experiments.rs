@@ -724,8 +724,12 @@ pub fn solverscope_profile(
             for r in slice {
                 profile.merge(&r.solver_profile);
             }
-            let solver_cache =
-                crate::pool::merge_solver_caches(slice.iter().map(|r| r.solver_cache.as_ref()));
+            let mut solver_cache: Option<SolverCacheBlock> = None;
+            for cache in slice.iter().filter_map(|r| r.solver_cache.as_ref()) {
+                solver_cache
+                    .get_or_insert_with(SolverCacheBlock::default)
+                    .merge(cache);
+            }
             // A goal counts as exhausted when any attempt hit the
             // budget ceiling, and as attributed when its introspection
             // record carries a non-empty blame set.

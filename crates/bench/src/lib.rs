@@ -16,6 +16,7 @@
 //! | `fig4b` | Figure 4b — coverage variance across repeated runs |
 //! | `speedup` | §5.3 — time-to-coverage speed-up vs UVM random |
 //! | `resources` | §5.2 — relative memory/CPU profile + merged telemetry |
+//! | `ablation` | §5.5.1 — mechanism ablation (checkpoints, solver depth, solver) |
 //! | `budgetbench` | coverage vs per-solve conflict budget on the factoring lock |
 //! | `tracedump` | renders / validates / re-emits (`--json`) a `--trace-out` JSONL campaign trace |
 //! | `covreport` | coverage-provenance report: covmaps + joined JSON + self-contained HTML |
@@ -32,12 +33,18 @@
 //! graceful degradation to random mutation), `--solve-wall-ms N`
 //! (per-solve wall-clock ceiling; non-deterministic), the flight
 //! recorder's `--sample-every N` / `--flight-out PATH` /
-//! `--status-out PATH` (see [`monitor`]), `--settle-mode MODE`,
-//! `--snapshot-budget BYTES`, `--introspect` and `--incremental`; all
-//! are handled by [`args::parse_bench_args`], which folds the campaign
-//! knobs into one validated
-//! [`FuzzConfigBuilder`](symbfuzz_core::FuzzConfigBuilder) and exits
-//! with status 2 on a bad command line.
+//! `--status-out PATH` (see [`monitor`]), `--snapshot-budget BYTES`,
+//! `--introspect` and `--incremental`; all are handled by
+//! [`args::parse_bench_args`], which folds the campaign knobs into one
+//! validated [`FuzzConfigBuilder`](symbfuzz_core::FuzzConfigBuilder)
+//! and exits with status 2 on a bad command line. Positional arguments
+//! (budgets, benchmark indexes) are checked the same way through the
+//! [`BenchArgs`] accessors before any campaign starts.
+//!
+//! Apart from Table 3's latency column and the flight-recorder and
+//! introspection on-vs-off A/B in `resources`, this crate times
+//! nothing: performance is measured by the repository's `perfbench/`
+//! package, with repeated runs, spreads and per-layer costs.
 //!
 //! # Examples
 //!
@@ -74,10 +81,7 @@ pub use experiments::{
 pub use monitor::{
     check_flight, check_status, parse_prometheus, render_dashboard, render_prometheus,
 };
-pub use pool::{
-    default_jobs, merge_covmap_counts, merge_flight_rows, merge_solver_caches, merge_telemetry,
-    merge_vm_profiles, parse_jobs, run_pool,
-};
+pub use pool::{default_jobs, run_pool};
 pub use solverscope::{
     build_scope_report, conflict_quantiles, render_scope_html, render_scope_markdown,
     validate_bench_artifact, validate_scope_report, ScopeReport, SCOPEREPORT_VERSION,

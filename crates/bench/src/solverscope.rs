@@ -200,12 +200,6 @@ pub fn validate_bench_artifact(stem: &str, text: &str) -> Result<(), String> {
                 }
             }
         }
-        "BENCH_sim" => {
-            check_rows(field(&v, "rows", stem)?, stem)?;
-        }
-        "BENCH_snapshot" => {
-            check_rows(field(&v, "micro", stem)?, stem)?;
-        }
         _ => {
             if matches!(v, Value::Null) {
                 return Err(format!("{stem}: null artifact"));
@@ -772,8 +766,6 @@ mod tests {
             .unwrap_err()
             .contains("non-positive goal ratio"));
 
-        assert!(validate_bench_artifact("BENCH_sim", r#"{"rows":[{"design":"a"}]}"#).is_ok());
-        assert!(validate_bench_artifact("BENCH_snapshot", r#"{"micro":[{"x":1}]}"#).is_ok());
         assert!(validate_bench_artifact("BENCH_future", r#"{"anything":true}"#).is_ok());
         assert!(validate_bench_artifact("BENCH_future", "null").is_err());
     }

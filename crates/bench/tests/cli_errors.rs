@@ -47,8 +47,59 @@ fn unknown_and_malformed_flags_exit_2() {
         "bad value `lots` for --solver-budget",
     );
     assert_usage_error(
-        &run(env!("CARGO_BIN_EXE_simbench"), &["--settle-mode", "warp"]),
-        "bad value `warp` for --settle-mode",
+        &run(table1, &["--settle-mode", "compiled"]),
+        "unknown flag `--settle-mode`",
+    );
+}
+
+#[test]
+fn bad_positional_arguments_exit_2() {
+    let index = "for the benchmark index (0 to 3)";
+    for (bin, args, message) in [
+        (env!("CARGO_BIN_EXE_resources"), &["200", "9"][..], "`9`"),
+        (env!("CARGO_BIN_EXE_fig4a"), &["200", "7"], "`7`"),
+        (env!("CARGO_BIN_EXE_fig4a"), &["100", "x"], "`x`"),
+        (env!("CARGO_BIN_EXE_fig4b"), &["100", "3", "4"], "`4`"),
+        (env!("CARGO_BIN_EXE_speedup"), &["200", "9"], "`9`"),
+        (env!("CARGO_BIN_EXE_covreport"), &["200", "9"], "`9`"),
+        (env!("CARGO_BIN_EXE_ablation"), &["200", "9"], "`9`"),
+    ] {
+        assert_usage_error(&run(bin, args), &format!("bad value {message} {index}"));
+    }
+    assert_usage_error(
+        &run(env!("CARGO_BIN_EXE_fig4b"), &["100", "often"]),
+        "bad value `often` for the run count",
+    );
+    for bin in [
+        env!("CARGO_BIN_EXE_solverscope"),
+        env!("CARGO_BIN_EXE_budgetbench"),
+    ] {
+        assert_usage_error(&run(bin, &["50", "0"]), "solver budget must be nonzero");
+    }
+    assert_usage_error(
+        &run(env!("CARGO_BIN_EXE_budgetbench"), &["50", "lots"]),
+        "bad value `lots` for the solver budget",
+    );
+}
+
+#[test]
+fn malformed_jobs_exit_2() {
+    let solverscope = env!("CARGO_BIN_EXE_solverscope");
+    let report = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/solverscope.json"
+    );
+    assert_usage_error(
+        &run(solverscope, &["--check", "--jobs", "lots", report]),
+        "bad value `lots` for --jobs",
+    );
+    assert_usage_error(
+        &run(solverscope, &["--check", "-jfoo", report]),
+        "bad value `foo` for -j",
+    );
+    assert_usage_error(
+        &run(solverscope, &["--check", report, "-j"]),
+        "`-j` needs a value",
     );
 }
 

@@ -5,9 +5,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 use symbfuzz_bench::experiments::resource_profile;
-use symbfuzz_bench::pool::merge_telemetry;
 use symbfuzz_bench::trace::{parse_line, phase_table, PHASE_KIND};
-use symbfuzz_core::{FuzzConfig, PropertySpec, Strategy, SymbFuzz};
+use symbfuzz_core::{CampaignResult, FuzzConfig, PropertySpec, Strategy, SymbFuzz, TelemetryBlock};
 use symbfuzz_netlist::elaborate_src;
 use symbfuzz_telemetry::{BufferSink, Collector, Phase};
 
@@ -48,8 +47,15 @@ fn lock_fuzzer(max_vectors: u64) -> SymbFuzz {
 fn merged_telemetry_is_byte_identical_across_job_counts() {
     let serial = resource_profile(&FuzzConfig::builder(), 1, 2_000, 1);
     let wide = resource_profile(&FuzzConfig::builder(), 1, 2_000, 4);
-    let merged_serial = merge_telemetry(serial.iter().map(|(_, r)| &r.telemetry));
-    let merged_wide = merge_telemetry(wide.iter().map(|(_, r)| &r.telemetry));
+    let merge = |rows: &[(String, CampaignResult)]| {
+        let mut merged = TelemetryBlock::default();
+        for (_, r) in rows {
+            merged.merge(&r.telemetry);
+        }
+        merged
+    };
+    let merged_serial = merge(&serial);
+    let merged_wide = merge(&wide);
     assert_eq!(
         serde_json::to_string(&merged_serial).unwrap(),
         serde_json::to_string(&merged_wide).unwrap()

@@ -4,9 +4,9 @@ use serde::{Deserialize, Serialize};
 use symbfuzz_sim::SettleMode;
 
 /// Which combinational-settle engine a campaign simulates with. All
-/// three produce bit-identical values, toggles and campaign reports —
-/// this is a performance knob and the A/B control for the
-/// scheduler-equivalence experiments.
+/// three produce bit-identical values, toggles and campaign reports.
+/// Campaigns run the compiled default; the other two exist as the
+/// references the settle-engine equivalence tests compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SettlePolicy {
     /// Global fixpoint over every combinational process (original).
@@ -27,34 +27,6 @@ impl SettlePolicy {
             SettlePolicy::Levelized => SettleMode::Levelized,
             SettlePolicy::Compiled => SettleMode::Compiled,
         }
-    }
-
-    /// Stable lowercase name (CLI flag values, report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            SettlePolicy::Fixpoint => "fixpoint",
-            SettlePolicy::Levelized => "levelized",
-            SettlePolicy::Compiled => "compiled",
-        }
-    }
-
-    /// Parses a CLI flag value.
-    pub fn parse(s: &str) -> Option<SettlePolicy> {
-        match s {
-            "fixpoint" => Some(SettlePolicy::Fixpoint),
-            "levelized" => Some(SettlePolicy::Levelized),
-            "compiled" => Some(SettlePolicy::Compiled),
-            _ => None,
-        }
-    }
-
-    /// All policies in benchmark-table order.
-    pub fn all() -> [SettlePolicy; 3] {
-        [
-            SettlePolicy::Fixpoint,
-            SettlePolicy::Levelized,
-            SettlePolicy::Compiled,
-        ]
     }
 }
 
@@ -150,7 +122,8 @@ pub struct FuzzConfig {
     /// is ignored; exploration stays purely random).
     pub use_solver: bool,
     /// Which combinational-settle engine to simulate with (defaults to
-    /// the compiled bytecode VM; all policies are value-equivalent).
+    /// the compiled bytecode VM; all policies are value-equivalent, and
+    /// only the settle-engine equivalence tests set another).
     pub settle_policy: SettlePolicy,
     /// Conflict budget per symbolic solve (`None` = unlimited). When
     /// set, exhausted solves degrade to random mutation instead of
@@ -427,10 +400,6 @@ impl FuzzConfigBuilder {
     setter!(
         /// Enable SMT-guided mutation.
         use_solver: bool
-    );
-    setter!(
-        /// Select the combinational-settle engine.
-        settle_policy: SettlePolicy
     );
     setter!(
         /// Budget-escalation cap (levels of doubling).

@@ -375,6 +375,17 @@ impl From<MetricsSnapshot> for TelemetryBlock {
 }
 
 impl TelemetryBlock {
+    /// Folds another campaign's block into this one through
+    /// [`MetricsSnapshot::merge`]: counters, event counts and phase
+    /// statistics sum; gauges keep the high-water mark. Every block is
+    /// deterministic under the default manual clock, so a fold in task
+    /// order is byte-identical at any `--jobs N`.
+    pub fn merge(&mut self, other: &TelemetryBlock) {
+        let mut merged = self.to_snapshot();
+        merged.merge(&other.to_snapshot());
+        *self = TelemetryBlock::from(merged);
+    }
+
     /// Converts back to the telemetry-layer snapshot (for merging).
     pub fn to_snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -544,6 +555,51 @@ impl From<VmProfile> for VmProfileBlock {
 }
 
 impl VmProfileBlock {
+    /// Folds another campaign's block into this one. Cone rows merge by
+    /// `(proc_index, label)` with every tally summed, new rows append,
+    /// and the rows re-sort hottest first (op units descending, process
+    /// index breaking ties) with a stable sort. Op-class histograms fold
+    /// by class name in first-seen order, and the design totals sum.
+    ///
+    /// Sorting after each fold orders rows exactly as one sort after a
+    /// whole fold would, unless two rows share a process index under
+    /// different labels. Within one design a process index names one
+    /// cone, so that happens only when blocks of different designs
+    /// merge.
+    pub fn merge(&mut self, other: &VmProfileBlock) {
+        for row in &other.rows {
+            match self
+                .rows
+                .iter_mut()
+                .find(|r| r.proc_index == row.proc_index && r.label == row.label)
+            {
+                Some(r) => {
+                    r.execs += row.execs;
+                    r.fast += row.fast;
+                    r.escaped_x += row.escaped_x;
+                    r.escaped_uncompiled += row.escaped_uncompiled;
+                    r.escaped_cyclic += row.escaped_cyclic;
+                    r.op_units += row.op_units;
+                }
+                None => self.rows.push(row.clone()),
+            }
+        }
+        self.rows.sort_by(|a, b| {
+            b.op_units
+                .cmp(&a.op_units)
+                .then(a.proc_index.cmp(&b.proc_index))
+        });
+        for (class, n) in &other.op_classes {
+            match self.op_classes.iter_mut().find(|(c, _)| c == class) {
+                Some((_, m)) => *m += n,
+                None => self.op_classes.push((class.clone(), *n)),
+            }
+        }
+        self.total_execs += other.total_execs;
+        self.total_fast += other.total_fast;
+        self.total_escaped += other.total_escaped;
+    }
+
     /// Design-wide fast-path hit rate, `0.0 ..= 1.0`.
     pub fn hit_rate(&self) -> f64 {
         if self.total_execs == 0 {
@@ -1040,6 +1096,20 @@ pub struct SolverCacheBlock {
 }
 
 impl SolverCacheBlock {
+    /// Folds another campaign's block into this one: the tallies sum and
+    /// the session-reuse rate is recomputed from the merged totals (a
+    /// mean of per-campaign rates would weight idle campaigns equally
+    /// with busy ones).
+    pub fn merge(&mut self, other: &SolverCacheBlock) {
+        self.frame_hits += other.frame_hits;
+        self.frame_misses += other.frame_misses;
+        self.goals += other.goals;
+        self.reused_goals += other.reused_goals;
+        self.reuse_milli = (self.reused_goals * 1000)
+            .checked_div(self.goals)
+            .unwrap_or(0);
+    }
+
     /// Frame-level cache hit rate in permille
     /// (`frame_hits / (frame_hits + frame_misses)`, 0 when idle).
     pub fn hit_rate_milli(&self) -> u64 {
@@ -1386,6 +1456,139 @@ mod tests {
         assert_eq!(row.to_sample(), s);
         let j = serde_json::to_string(&row).unwrap();
         assert_eq!(serde_json::from_str::<FlightRow>(&j).unwrap(), row);
+    }
+
+    #[test]
+    fn solver_caches_merge_and_recompute_reuse() {
+        let mut merged = SolverCacheBlock {
+            frame_hits: 6,
+            frame_misses: 2,
+            goals: 10,
+            reused_goals: 8,
+            reuse_milli: 800,
+        };
+        merged.merge(&SolverCacheBlock {
+            frame_hits: 0,
+            frame_misses: 2,
+            goals: 10,
+            reused_goals: 0,
+            reuse_milli: 0,
+        });
+        assert_eq!(merged.frame_hits, 6);
+        assert_eq!(merged.frame_misses, 4);
+        assert_eq!(merged.goals, 20);
+        // Recomputed from the merged totals (8/20), not averaged
+        // per-campaign (which would read 400 here too — but only by
+        // luck; an idle campaign must not drag the pooled rate down).
+        assert_eq!(merged.reuse_milli, 400);
+    }
+
+    #[test]
+    fn telemetry_blocks_merge_across_uneven_campaigns() {
+        // A full campaign, a never-solved one whose mutate row is
+        // missing its histogram, and a zero-vector one that serialised
+        // an entirely empty block.
+        let full = TelemetryBlock {
+            counters: vec![("vectors".into(), 100), ("solver_calls".into(), 3)],
+            gauges: vec![("escalation_level".into(), 2)],
+            events: vec![("BugFound".into(), 1)],
+            phases: vec![PhaseBlock {
+                phase: "mutate".into(),
+                count: 4,
+                self_micros: 40,
+                buckets: vec![1, 2, 0],
+            }],
+        };
+        let never_solved = TelemetryBlock {
+            counters: vec![("vectors".into(), 50), ("solver_calls".into(), 0)],
+            gauges: vec![("escalation_level".into(), 0)],
+            events: vec![("BugFound".into(), 0)],
+            phases: vec![PhaseBlock {
+                phase: "mutate".into(),
+                count: 2,
+                self_micros: 10,
+                buckets: Vec::new(),
+            }],
+        };
+        let zero_vectors = TelemetryBlock::default();
+        let fold = |blocks: [&TelemetryBlock; 3]| {
+            let mut acc = TelemetryBlock::default();
+            for b in blocks {
+                acc.merge(b);
+            }
+            acc
+        };
+        let merged = fold([&full, &never_solved, &zero_vectors]);
+        assert_eq!(merged.counters[0], ("vectors".to_string(), 150));
+        assert_eq!(merged.counters[1], ("solver_calls".to_string(), 3));
+        assert_eq!(merged.gauges[0].1, 2, "gauges keep the high-water mark");
+        assert_eq!(merged.events[0].1, 1);
+        assert_eq!(merged.phases.len(), 1);
+        assert_eq!(merged.phases[0].count, 6);
+        assert_eq!(merged.phases[0].self_micros, 50);
+        assert_eq!(merged.phases[0].buckets, vec![1, 2, 0]);
+        // Merging in the opposite order widens the short histogram
+        // instead of truncating the long one.
+        let flipped = fold([&zero_vectors, &never_solved, &full]);
+        assert_eq!(flipped.phases[0].buckets, vec![1, 2, 0]);
+        assert_eq!(flipped, merged, "merge is order-insensitive here");
+    }
+
+    #[test]
+    fn vm_profiles_merge_and_resort() {
+        let cone = |proc_index: u64, label: &str, execs: u64, fast: u64, op_units: u64| ConeRow {
+            proc_index,
+            label: label.into(),
+            execs,
+            fast,
+            escaped_x: execs - fast,
+            escaped_uncompiled: 0,
+            escaped_cyclic: 0,
+            op_units,
+        };
+        let a = VmProfileBlock {
+            rows: vec![cone(0, "alu", 10, 8, 100), cone(1, "pc", 10, 10, 50)],
+            op_classes: vec![("binary".into(), 40), ("store".into(), 10)],
+            total_execs: 20,
+            total_fast: 18,
+            total_escaped: 2,
+        };
+        let b = VmProfileBlock {
+            rows: vec![cone(1, "pc", 30, 30, 300)],
+            op_classes: vec![("binary".into(), 60)],
+            total_execs: 30,
+            total_fast: 30,
+            total_escaped: 0,
+        };
+        let mut merged = VmProfileBlock::default();
+        merged.merge(&a);
+        assert_eq!(merged, a, "merging into an empty block copies");
+        merged.merge(&b);
+        assert_eq!(merged.rows.len(), 2);
+        assert_eq!(merged.rows[0].label, "pc", "resorted hottest-first");
+        assert_eq!(merged.rows[0].execs, 40);
+        assert_eq!(merged.rows[0].op_units, 350);
+        assert_eq!(merged.rows[1].label, "alu");
+        assert_eq!(
+            merged.op_classes,
+            vec![("binary".into(), 100), ("store".into(), 10)]
+        );
+        assert_eq!(merged.total_execs, 50);
+        assert!((merged.hit_rate() - 48.0 / 50.0).abs() < 1e-12);
+        // A third block that ties the two rows on op units: the process
+        // index breaks the tie, as one sort after the whole fold would.
+        merged.merge(&VmProfileBlock {
+            rows: vec![cone(0, "alu", 5, 5, 250)],
+            ..VmProfileBlock::default()
+        });
+        assert_eq!(
+            merged
+                .rows
+                .iter()
+                .map(|r| (r.proc_index, r.op_units))
+                .collect::<Vec<_>>(),
+            vec![(0, 350), (1, 350)]
+        );
     }
 
     fn stats(conflicts: u64) -> ReachStats {
