@@ -33,6 +33,9 @@
 //!   from the same start state (assumption-based incremental solving
 //!   plus the bitblast cache).
 //!
+//! The read-only viewers `monitor` and `tracedump` run no campaign and
+//! take none of these ([`parse_viewer_args`]).
+//!
 //! Value flags also take the `--flag=VALUE` spelling. An unknown flag,
 //! a missing or malformed value, or a combination
 //! [`FuzzConfig::validate`](symbfuzz_core::FuzzConfig::validate)
@@ -75,6 +78,8 @@ pub enum ArgError {
     UnknownFlag(String),
     /// A value flag at the end of the command line.
     MissingValue(String),
+    /// A required argument is absent.
+    Missing(String),
     /// A value that does not parse for its flag or position.
     BadValue {
         /// The flag, or a name for the positional argument.
@@ -91,6 +96,7 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
             ArgError::MissingValue(flag) => write!(f, "`{flag}` needs a value"),
+            ArgError::Missing(what) => write!(f, "missing {what}"),
             ArgError::BadValue { what, value } => write!(f, "bad value `{value}` for {what}"),
             ArgError::Config(e) => write!(f, "{e}"),
         }
@@ -233,14 +239,25 @@ impl BenchArgs {
         self.rest = kept;
         Ok(value)
     }
+
+    /// The bin-specific `flag`'s value ([`take_value`](Self::take_value))
+    /// parsed as `T`, else `default`; a missing or malformed value exits
+    /// with status 2.
+    pub fn flag<T: FromStr>(&mut self, flag: &str, default: T) -> T {
+        let value = self.take_value(flag).and_then(|v| match v {
+            Some(v) => parse(flag, &v),
+            None => Ok(default),
+        });
+        value.unwrap_or_else(|e| exit_usage(&e))
+    }
 }
 
-/// Splits the shared bench flags out of `args`, folds the campaign
-/// knobs into a [`FuzzConfig::builder`] and validates the result.
-/// Positional arguments and the flags named in `bin_flags`, which
-/// belong to the calling binary, stay in [`BenchArgs::rest`] (with
-/// their values) for it to take; any other unknown `--flag` is an
-/// error.
+/// Splits the shared bench flags out of `args` (when `shared` is set;
+/// otherwise they are unknown flags), folds the campaign knobs into a
+/// [`FuzzConfig::builder`] and validates the result. Positional
+/// arguments and the flags named in `bin_flags`, which belong to the
+/// calling binary, stay in [`BenchArgs::rest`] (with their values) for
+/// it to take; any other unknown `--flag` is an error.
 ///
 /// # Errors
 ///
@@ -248,6 +265,7 @@ impl BenchArgs {
 pub fn split_bench_args<A: Iterator<Item = String>>(
     mut args: A,
     bin_flags: &[&str],
+    shared: bool,
 ) -> Result<BenchArgs, ArgError> {
     let mut jobs = default_jobs();
     let mut log_level = Level::Info;
@@ -276,6 +294,7 @@ pub fn split_bench_args<A: Iterator<Item = String>>(
                 .ok_or_else(|| ArgError::MissingValue(flag.to_string()))
         };
         match flag {
+            _ if !shared => return Err(ArgError::UnknownFlag(flag.to_string())),
             "--jobs" | "-j" => jobs = parse(flag, &value()?)?,
             "--introspect" => config = config.solver_introspection(true),
             "--incremental" => config = config.incremental_solving(true),
@@ -307,8 +326,8 @@ pub fn split_bench_args<A: Iterator<Item = String>>(
 /// side effects: sets the global log level and opens the `--trace-out`
 /// and flight-recorder destinations.
 pub fn parse_bench_args(bin_flags: &[&str]) -> BenchArgs {
-    let parsed =
-        split_bench_args(std::env::args().skip(1), bin_flags).unwrap_or_else(|e| exit_usage(&e));
+    let parsed = split_bench_args(std::env::args().skip(1), bin_flags, true)
+        .unwrap_or_else(|e| exit_usage(&e));
     set_log_level(parsed.log_level);
     if let Some(path) = &parsed.trace_out {
         if let Err(e) = crate::experiments::enable_tracing(path) {
@@ -324,6 +343,15 @@ pub fn parse_bench_args(bin_flags: &[&str]) -> BenchArgs {
     parsed
 }
 
+/// The process arguments of a read-only viewer (`monitor`,
+/// `tracedump`): positional arguments and the flags in `bin_flags`
+/// only. A viewer runs no campaign, so the shared bench flags are
+/// unknown flags here, and nothing is set or opened. A bad command line
+/// exits with status 2.
+pub fn parse_viewer_args(bin_flags: &[&str]) -> BenchArgs {
+    split_bench_args(std::env::args().skip(1), bin_flags, false).unwrap_or_else(|e| exit_usage(&e))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +361,7 @@ mod tests {
     }
 
     fn try_split(s: &str) -> Result<BenchArgs, ArgError> {
-        split_bench_args(s.split_whitespace().map(String::from), &[])
+        split_bench_args(s.split_whitespace().map(String::from), &[], true)
     }
 
     fn knobs(s: &str) -> FuzzConfig {
@@ -568,21 +596,49 @@ mod tests {
     #[test]
     fn bin_flags_pass_through_for_the_binary_to_take() {
         let mut a = split_bench_args(
-            "--check-bench results --smoke 600 --check-bench=r2 -j 2"
+            "--trace t1.jsonl --smoke 600 --trace=t2.jsonl -j 2"
                 .split_whitespace()
                 .map(String::from),
-            &["--check-bench", "--smoke"],
+            &["--trace", "--smoke"],
+            true,
         )
         .unwrap();
         assert!(a.take_switch("--smoke"));
         assert!(!a.take_switch("--smoke"));
-        assert_eq!(a.take_value("--check-bench"), Ok(Some("r2".into())));
+        assert_eq!(a.take_value("--trace"), Ok(Some("t2.jsonl".into())));
         assert_eq!(a.rest, vec!["600".to_string()]);
         assert_eq!(a.jobs, 2);
-        a.rest.push("--check-bench".into());
+        a.rest.extend(["--top".into(), "7".into()]);
+        assert_eq!(a.flag("--top", 10usize), 7);
+        assert_eq!(a.flag("--top", 10usize), 10);
+        a.rest.push("--trace".into());
         assert_eq!(
-            a.take_value("--check-bench"),
-            Err(ArgError::MissingValue("--check-bench".into()))
+            a.take_value("--trace"),
+            Err(ArgError::MissingValue("--trace".into()))
         );
+    }
+
+    #[test]
+    fn viewers_take_only_their_own_flags() {
+        let viewer =
+            |s: &str| split_bench_args(s.split_whitespace().map(String::from), &["--json"], false);
+        // `tracedump --trace-out T` must not reach `enable_tracing`,
+        // which would truncate T.
+        for (line, flag) in [
+            ("--trace-out t.jsonl", "--trace-out"),
+            ("t.jsonl --jobs 2", "--jobs"),
+            ("-j2 t.jsonl", "-j"),
+            ("--solver-budget=5", "--solver-budget"),
+            ("--incremental", "--incremental"),
+        ] {
+            assert_eq!(
+                viewer(line).unwrap_err(),
+                ArgError::UnknownFlag(flag.into()),
+                "{line}"
+            );
+        }
+        let mut a = viewer("t.jsonl --json").unwrap();
+        assert!(a.take_switch("--json"));
+        assert_eq!(a.rest, vec!["t.jsonl".to_string()]);
     }
 }

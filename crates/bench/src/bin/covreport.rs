@@ -10,53 +10,22 @@
 //!   [--log-level LEVEL] [--trace-out PATH]` — generate. `--trace`
 //!   joins an existing JSONL campaign trace (schema-checked) into the
 //!   report's cross-check section; `--trace-out` records this run.
-//! * `covreport --check FILE...` — validate existing report / covmap
-//!   JSON artifacts against their schemas; exits non-zero on the first
-//!   violation.
+//! * `covreport --check FILE...` — validate existing artifacts (report,
+//!   covmap or any other `results/` file) through
+//!   [`symbfuzz_bench::schema::check_file`]; exits non-zero when one
+//!   fails.
 
+use std::path::Path;
 use std::process::ExitCode;
 use symbfuzz_bench::covreport::{
-    build_report, render_html, render_markdown, trace_mechanism_counts, validate_covmap,
-    validate_report,
+    build_report, render_html, render_markdown, trace_mechanism_counts,
 };
 use symbfuzz_bench::experiments::resource_profile;
 use symbfuzz_bench::render::save_json;
-use symbfuzz_bench::trace::parse_trace;
+use symbfuzz_bench::schema::{check_files, parse_trace, read_checked};
 use symbfuzz_bench::{exit_usage, flush_trace, parse_bench_args};
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_telemetry::info;
-
-fn check_files(paths: &[String]) -> ExitCode {
-    let mut ok = true;
-    for p in paths {
-        let text = match std::fs::read_to_string(p) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("covreport: cannot read {p}: {e}");
-                ok = false;
-                continue;
-            }
-        };
-        // Reports carry a `strategies` list; covmaps a `fuzzer` stamp.
-        let res = if text.contains("\"strategies\"") {
-            validate_report(&text).map(|_| "report")
-        } else {
-            validate_covmap(&text).map(|_| "covmap")
-        };
-        match res {
-            Ok(kind) => println!("{p}: {kind} schema OK"),
-            Err(e) => {
-                eprintln!("covreport: {p}: {e}");
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
 
 fn main() -> ExitCode {
     let mut args = parse_bench_args(&["--check", "--trace"]);
@@ -65,7 +34,7 @@ fn main() -> ExitCode {
         .take_value("--trace")
         .unwrap_or_else(|e| exit_usage(&e));
     if check {
-        return check_files(&args.rest);
+        return check_files("covreport", &args.rest);
     }
     let budget = args.vectors(0, 5_000);
     let bench = args.bench_index(1, 0);
@@ -73,17 +42,10 @@ fn main() -> ExitCode {
     let results = resource_profile(&args.config, bench, budget, args.jobs);
     let mut report = build_report(name, budget, &results);
     if let Some(path) = trace_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("covreport: cannot read trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match parse_trace(&text) {
+        match read_checked(Path::new(&path), parse_trace) {
             Ok(records) => report.trace = trace_mechanism_counts(&records),
             Err(e) => {
-                eprintln!("covreport: {path}: {e}");
+                eprintln!("covreport: {e}");
                 return ExitCode::FAILURE;
             }
         }

@@ -14,116 +14,77 @@
 //!   every `--interval-ms`, default 1000);
 //! * `--json` — with `--once`, emit the validated status heartbeat
 //!   plus a flight-stream summary as one JSON object;
-//! * `--check` — validate both artifacts against the flight schema and
-//!   exit; any violation (including an empty or truncated stream)
+//! * `--check` — validate both artifacts with the checkers the
+//!   dashboard reads them through ([`check_status`], [`check_flight`])
+//!   and exit; any violation (including an empty or truncated stream)
 //!   exits non-zero naming the first bad line;
 //! * `--prom-out PATH` — additionally write a Prometheus-style text
 //!   exposition of the heartbeat each refresh;
 //! * `--top K` — rows in the hot-cone / hardest-goal tables (default
 //!   10).
+//!
+//! Flags parse through the shared bench parser: an unknown flag
+//! (including any of the campaign binaries' shared flags) or a
+//! malformed value exits 2 with an `error:` line.
 
 use serde::Value;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use symbfuzz_bench::monitor::{check_flight, check_status, render_dashboard, render_prometheus};
+use symbfuzz_bench::monitor::{render_dashboard, render_prometheus};
+use symbfuzz_bench::schema::{check_flight, check_status, read_checked};
+use symbfuzz_bench::{exit_usage, parse_viewer_args, ArgError};
 
-struct MonitorArgs {
-    status: PathBuf,
-    flight: PathBuf,
-    once: bool,
-    json: bool,
-    check: bool,
-    prom_out: Option<PathBuf>,
-    interval_ms: u64,
-    top: usize,
-}
-
-fn parse_args() -> Option<MonitorArgs> {
-    let mut out = MonitorArgs {
-        status: PathBuf::from("results/status.json"),
-        flight: PathBuf::from("results/flight.jsonl"),
-        once: false,
-        json: false,
-        check: false,
-        prom_out: None,
-        interval_ms: 1000,
-        top: 10,
-    };
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(a) = args.next() {
-        let mut value = |inline: Option<&str>| -> Option<String> {
-            inline.map(String::from).or_else(|| args.next())
-        };
-        if a == "--once" {
-            out.once = true;
-        } else if a == "--json" {
-            out.json = true;
-        } else if a == "--check" {
-            out.check = true;
-        } else if a == "--status" || a.starts_with("--status=") {
-            out.status = PathBuf::from(value(a.strip_prefix("--status="))?);
-        } else if a == "--flight" || a.starts_with("--flight=") {
-            out.flight = PathBuf::from(value(a.strip_prefix("--flight="))?);
-        } else if a == "--prom-out" || a.starts_with("--prom-out=") {
-            out.prom_out = Some(PathBuf::from(value(a.strip_prefix("--prom-out="))?));
-        } else if a == "--interval-ms" || a.starts_with("--interval-ms=") {
-            out.interval_ms = value(a.strip_prefix("--interval-ms="))?.parse().ok()?;
-        } else if a == "--top" || a.starts_with("--top=") {
-            out.top = value(a.strip_prefix("--top="))?.parse().ok()?;
-        } else {
-            return None;
-        }
-    }
-    Some(out)
-}
-
-fn read_artifacts(args: &MonitorArgs) -> Result<(Value, Vec<Value>), String> {
-    let status_text = std::fs::read_to_string(&args.status)
-        .map_err(|e| format!("{}: {e}", args.status.display()))?;
-    let status =
-        check_status(&status_text).map_err(|e| format!("{}: {e}", args.status.display()))?;
-    let flight_text = std::fs::read_to_string(&args.flight)
-        .map_err(|e| format!("{}: {e}", args.flight.display()))?;
-    let flight =
-        check_flight(&flight_text).map_err(|e| format!("{}: {e}", args.flight.display()))?;
-    Ok((status, flight))
+fn read_artifacts(status: &Path, flight: &Path) -> Result<(Value, Vec<Value>), String> {
+    Ok((
+        read_checked(status, check_status)?,
+        read_checked(flight, check_flight)?,
+    ))
 }
 
 fn main() -> ExitCode {
-    let Some(args) = parse_args() else {
-        eprintln!(
-            "usage: monitor [--status PATH] [--flight PATH] [--once] [--json] [--check] \
-             [--prom-out PATH] [--interval-ms N] [--top K]"
-        );
-        return ExitCode::FAILURE;
-    };
-    if args.check {
-        return match read_artifacts(&args) {
-            Ok((_, flight)) => {
-                println!(
-                    "{}: schema OK; {}: {} samples, schema OK",
-                    args.status.display(),
-                    args.flight.display(),
-                    flight.len()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("monitor: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    let mut args = parse_viewer_args(&[
+        "--status",
+        "--flight",
+        "--once",
+        "--json",
+        "--check",
+        "--prom-out",
+        "--interval-ms",
+        "--top",
+    ]);
+    let status: PathBuf = args.flag("--status", "results/status.json".into());
+    let flight: PathBuf = args.flag("--flight", "results/flight.jsonl".into());
+    let prom_out: Option<PathBuf> = args
+        .take_value("--prom-out")
+        .unwrap_or_else(|e| exit_usage(&e))
+        .map(PathBuf::from);
+    let interval_ms: u64 = args.flag("--interval-ms", 1000);
+    let top: usize = args.flag("--top", 10);
+    let (check, json) = (args.take_switch("--check"), args.take_switch("--json"));
+    // `--check` is one read that prints the verdict.
+    let once = args.take_switch("--once") || check;
+    if let Some(extra) = args.rest.first() {
+        exit_usage(&ArgError::BadValue {
+            what: "monitor, which takes no positional arguments".into(),
+            value: extra.clone(),
+        });
     }
     loop {
-        match read_artifacts(&args) {
+        match read_artifacts(&status, &flight) {
+            Ok((_, samples)) if check => println!(
+                "{}: schema OK; {}: {} samples, schema OK",
+                status.display(),
+                flight.display(),
+                samples.len()
+            ),
             Ok((status, flight)) => {
-                if let Some(path) = &args.prom_out {
+                if let Some(path) = &prom_out {
                     if let Err(e) = std::fs::write(path, render_prometheus(&status)) {
                         eprintln!("monitor: cannot write {}: {e}", path.display());
                         return ExitCode::FAILURE;
                     }
                 }
-                if args.json {
+                if json {
                     let last = flight.last().cloned().unwrap_or(Value::Null);
                     let summary = Value::Object(vec![
                         ("status".into(), status),
@@ -137,15 +98,15 @@ fn main() -> ExitCode {
                     ]);
                     println!("{}", serde_json::to_string(&summary).expect("serializable"));
                 } else {
-                    if !args.once {
+                    if !once {
                         // Clear the terminal between refreshes.
                         print!("\x1b[2J\x1b[H");
                     }
-                    print!("{}", render_dashboard(&status, &flight, args.top));
+                    print!("{}", render_dashboard(&status, &flight, top));
                 }
             }
             Err(e) => {
-                if args.once {
+                if once {
                     eprintln!("monitor: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -153,9 +114,9 @@ fn main() -> ExitCode {
                 println!("monitor: waiting — {e}");
             }
         }
-        if args.once {
+        if once {
             return ExitCode::SUCCESS;
         }
-        std::thread::sleep(std::time::Duration::from_millis(args.interval_ms.max(50)));
+        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(50)));
     }
 }

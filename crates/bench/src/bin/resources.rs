@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use symbfuzz_bench::experiments::resource_profile;
 use symbfuzz_bench::render::{render_resources, save_json, write_flight_artifacts};
+use symbfuzz_bench::schema::bench_telemetry_history;
 use symbfuzz_bench::{flush_trace, parse_bench_args};
 use symbfuzz_core::{FuzzConfig, Strategy, SymbFuzz, TelemetryBlock};
 use symbfuzz_designs::processor_benchmarks;
@@ -78,32 +79,6 @@ fn throughput(
     let result = fuzzer.run();
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     (result.vectors as f64 / secs, result.flight.len() as u64)
-}
-
-/// Prior contents of `results/BENCH_telemetry.json`, flattened into a
-/// chronological list: a legacy bare telemetry block, or the `rows` +
-/// `geomean` head of this format, with any nested history carried
-/// forward.
-fn load_history() -> Vec<Value> {
-    let mut history = Vec::new();
-    if let Ok(text) = std::fs::read_to_string("results/BENCH_telemetry.json") {
-        if let Ok(v) = serde_json::from_str::<Value>(&text) {
-            if let Ok(Value::Array(h)) = v.field("history") {
-                history.extend(h.iter().cloned());
-            }
-            match v {
-                Value::Object(fields) => {
-                    let head: Vec<(String, Value)> =
-                        fields.into_iter().filter(|(k, _)| k != "history").collect();
-                    if !head.is_empty() {
-                        history.push(Value::Object(head));
-                    }
-                }
-                other => history.push(other),
-            }
-        }
-    }
-    history
 }
 
 fn main() {
@@ -206,7 +181,9 @@ fn main() {
     // Zero-cost-when-off check: this build's introspection-off
     // throughput against the newest recorded rows (acceptance: geomean
     // ≥ 0.95, i.e. the dormant instrumentation costs nothing).
-    let history = load_history();
+    let history = std::fs::read_to_string("results/BENCH_telemetry.json")
+        .map(|text| bench_telemetry_history(&text))
+        .unwrap_or_default();
     let off_vs_history = history.iter().rev().find_map(|h| {
         let Ok(Value::Array(rows)) = h.field("rows") else {
             return None;

@@ -5,57 +5,46 @@
 //! per-call conflict quantiles (when the trace has `GoalSolveCost`
 //! records from an introspected campaign), the bitblast-cache hit
 //! rate (when the trace has `SolverCache` records from an incremental
-//! campaign) and the
-//! coverage/stagnation/bug timeline.
+//! campaign) and the coverage/stagnation/bug timeline.
 //!
-//! Usage: `tracedump <trace.jsonl> [--check] [--json]`
+//! Usage: `tracedump <trace.jsonl> [--json]` or
+//! `tracedump --check FILE...`
 //!
-//! With `--check` the trace is only validated (no rendering); with
-//! `--json` the validated records are re-emitted as canonical JSONL
-//! (machine-readable, schema-identical to the input). A schema or
-//! syntax violation exits non-zero in every mode.
+//! With `--json` the validated records are re-emitted as canonical
+//! JSONL: a trace the campaign wrote comes back byte for byte. With
+//! `--check` each file, trace or any other `results/` artifact, is
+//! only validated ([`symbfuzz_bench::schema::check_file`]). A schema or
+//! syntax violation exits non-zero in every mode; a bad command line,
+//! including any of the campaign binaries' shared flags, exits 2.
 
+use std::path::Path;
 use std::process::ExitCode;
+use symbfuzz_bench::schema::{check_files, parse_trace, read_checked};
 use symbfuzz_bench::trace::{
-    goal_cost_table, parse_trace, phase_table, settle_mix_table, solver_cache_table, timeline,
-    to_json_lines,
+    goal_cost_table, phase_table, settle_mix_table, solver_cache_table, timeline,
 };
+use symbfuzz_bench::{exit_usage, parse_viewer_args, ArgError};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_only = args.iter().any(|a| a == "--check");
-    let json_mode = args.iter().any(|a| a == "--json");
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
-        eprintln!("usage: tracedump <trace.jsonl> [--check] [--json]");
-        return ExitCode::FAILURE;
+    let mut args = parse_viewer_args(&["--check", "--json"]);
+    if args.take_switch("--check") {
+        return check_files("tracedump", &args.rest);
+    }
+    let json_mode = args.take_switch("--json");
+    let Some(path) = args.rest.first() else {
+        exit_usage(&ArgError::Missing("the trace file".into()));
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let records = match read_checked(Path::new(path), parse_trace) {
+        Ok(records) => records,
         Err(e) => {
-            eprintln!("tracedump: cannot read {path}: {e}");
+            eprintln!("tracedump: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let records = match parse_trace(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("tracedump: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if records.is_empty() {
-        // An empty (or whitespace-only) trace is evidence of a broken
-        // producer — a campaign that wrote nothing, or a truncated
-        // copy — never a healthy run, so `--check` must not bless it.
-        eprintln!("tracedump: {path}: no records (empty or truncated trace)");
-        return ExitCode::FAILURE;
-    }
-    if check_only {
-        println!("{path}: {} records, schema OK", records.len());
-        return ExitCode::SUCCESS;
-    }
     if json_mode {
-        print!("{}", to_json_lines(&records));
+        for r in &records {
+            println!("{}", r.to_json());
+        }
         return ExitCode::SUCCESS;
     }
     let tasks = records.iter().map(|r| r.task).max().map_or(0, |m| m + 1);

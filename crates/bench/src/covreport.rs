@@ -13,10 +13,10 @@
 //! campaign state, so the JSON and HTML bytes are identical at any
 //! `--jobs` count.
 
-use crate::trace::TraceRecord;
+use crate::schema::TraceRecord;
 use serde::{Deserialize, Serialize};
-use symbfuzz_core::{CampaignResult, CovMap, CoverageSample, FrontierRow, COVMAP_VERSION};
-use symbfuzz_telemetry::{Mechanism, SolveStatus};
+use symbfuzz_core::{CampaignResult, CovMap, CoverageSample, FrontierRow};
+use symbfuzz_telemetry::Mechanism;
 
 /// Version stamp of the report schema.
 pub const COVREPORT_VERSION: u32 = 1;
@@ -248,116 +248,6 @@ pub fn trace_mechanism_counts(records: &[TraceRecord]) -> Vec<MechanismCount> {
                 .count() as u64,
         })
         .collect()
-}
-
-// --- schema validation ---------------------------------------------------
-
-fn check_mechanism(name: &str, what: &str) -> Result<(), String> {
-    if Mechanism::parse(name).is_none() {
-        return Err(format!("{what}: unknown mechanism `{name}`"));
-    }
-    Ok(())
-}
-
-fn check_status(name: &str, what: &str) -> Result<(), String> {
-    if name != "unattempted" && SolveStatus::parse(name).is_none() {
-        return Err(format!("{what}: unknown solve status `{name}`"));
-    }
-    Ok(())
-}
-
-/// Parses and schema-checks a report JSON document: version stamp,
-/// closed mechanism / solve-status vocabularies, per-strategy
-/// mechanism lists in [`Mechanism::ALL`] order, and monotone coverage
-/// series.
-///
-/// # Errors
-///
-/// Returns a description of the first violation.
-pub fn validate_report(text: &str) -> Result<CovReport, String> {
-    let r: CovReport = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    if r.version != COVREPORT_VERSION {
-        return Err(format!(
-            "report version {} (expected {COVREPORT_VERSION})",
-            r.version
-        ));
-    }
-    for s in &r.strategies {
-        let want: Vec<&str> = Mechanism::ALL.iter().map(|m| m.name()).collect();
-        let got: Vec<&str> = s.mechanisms.iter().map(|m| m.mechanism.as_str()).collect();
-        if got != want {
-            return Err(format!(
-                "strategy `{}`: mechanisms {got:?} (expected {want:?})",
-                s.strategy
-            ));
-        }
-        let attributed: u64 = s.mechanisms.iter().map(|m| m.nodes).sum();
-        if attributed != s.nodes {
-            return Err(format!(
-                "strategy `{}`: {attributed} attributed nodes of {}",
-                s.strategy, s.nodes
-            ));
-        }
-        if s.series.windows(2).any(|w| w[0].coverage > w[1].coverage) {
-            return Err(format!(
-                "strategy `{}`: coverage series regresses",
-                s.strategy
-            ));
-        }
-    }
-    for b in &r.bugs {
-        check_mechanism(&b.mechanism, &format!("bug `{}`", b.property))?;
-        for l in &b.chain {
-            check_mechanism(&l.mechanism, &format!("bug `{}` chain", b.property))?;
-        }
-        if let Some(status) = &b.goal_status {
-            check_status(status, &format!("bug `{}` goal", b.property))?;
-        }
-    }
-    for f in &r.frontier {
-        check_status(&f.last_status, &format!("frontier `{}`", f.register))?;
-    }
-    for t in &r.trace {
-        check_mechanism(&t.mechanism, "trace join")?;
-    }
-    Ok(r)
-}
-
-/// Parses and schema-checks a standalone covmap JSON artifact: version
-/// stamp, closed vocabularies, in-range goal ids and edge endpoints.
-///
-/// # Errors
-///
-/// Returns a description of the first violation.
-pub fn validate_covmap(text: &str) -> Result<CovMap, String> {
-    let m: CovMap = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    if m.version != COVMAP_VERSION {
-        return Err(format!(
-            "covmap version {} (expected {COVMAP_VERSION})",
-            m.version
-        ));
-    }
-    let ngoals = m.goals.len() as u64;
-    let nnodes = m.nodes.len() as u64;
-    for n in &m.nodes {
-        check_mechanism(&n.provenance.mechanism, &format!("node {}", n.id))?;
-        if n.provenance.goal.is_some_and(|g| g >= ngoals) {
-            return Err(format!("node {}: goal id out of range", n.id));
-        }
-    }
-    for e in &m.edges {
-        check_mechanism(&e.provenance.mechanism, &format!("edge {}", e.id))?;
-        if e.src >= nnodes || e.dst >= nnodes {
-            return Err(format!("edge {}: endpoint out of range", e.id));
-        }
-    }
-    for g in &m.goals {
-        check_status(&g.status, &format!("goal {}", g.id))?;
-    }
-    for f in &m.frontier {
-        check_status(&f.last_status, &format!("frontier `{}`", f.register))?;
-    }
-    Ok(m)
 }
 
 // --- rendering -----------------------------------------------------------
@@ -631,10 +521,10 @@ pub fn render_markdown(r: &CovReport) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn tiny_report() -> CovReport {
+    pub(crate) fn tiny_report() -> CovReport {
         CovReport {
             version: COVREPORT_VERSION,
             design: "d".into(),
@@ -709,38 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn valid_report_round_trips() {
-        let r = tiny_report();
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back = validate_report(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn validation_rejects_bad_vocabulary() {
-        let mut r = tiny_report();
-        r.bugs[0].mechanism = "luck".into();
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_report(&json).unwrap_err().contains("luck"));
-
-        let mut r = tiny_report();
-        r.frontier[0].last_status = "pending".into();
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_report(&json).is_err());
-
-        let mut r = tiny_report();
-        r.version = 99;
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_report(&json).unwrap_err().contains("version"));
-
-        // Attribution must account for every covered node.
-        let mut r = tiny_report();
-        r.strategies[0].mechanisms[0].nodes = 5;
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_report(&json).unwrap_err().contains("attributed"));
-    }
-
-    #[test]
     fn html_is_self_contained_and_escaped() {
         let html = render_html(&tiny_report());
         assert!(html.starts_with("<!DOCTYPE html>"));
@@ -770,7 +628,7 @@ mod tests {
 {\"t\":3,\"task\":0,\"kind\":\"EdgeCovered\",\"edge\":0,\"src\":0,\"dst\":1,\
 \"vector\":2,\"mechanism\":\"solver\"}
 ";
-        let recs = crate::trace::parse_trace(text).unwrap();
+        let recs = crate::schema::parse_trace(text).unwrap();
         let counts = trace_mechanism_counts(&recs);
         assert_eq!(counts.len(), 3);
         assert_eq!((counts[0].nodes, counts[0].edges), (1, 0));

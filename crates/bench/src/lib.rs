@@ -18,13 +18,23 @@
 //! | `resources` | §5.2 — relative memory/CPU profile + merged telemetry |
 //! | `ablation` | §5.5.1 — mechanism ablation (checkpoints, solver depth, solver) |
 //! | `budgetbench` | coverage vs per-solve conflict budget on the factoring lock |
-//! | `tracedump` | renders / validates / re-emits (`--json`) a `--trace-out` JSONL campaign trace |
+//! | `tracedump` | renders / re-emits (`--json`, byte for byte) a `--trace-out` JSONL campaign trace |
 //! | `covreport` | coverage-provenance report: covmaps + joined JSON + self-contained HTML |
-//! | `monitor` | live dashboard / `--check` / Prometheus export over `status.json` + `flight.jsonl` |
+//! | `monitor` | live dashboard / Prometheus export over `status.json` + `flight.jsonl` |
 //! | `solverscope` | solver introspection: CDCL cost ranking, exhaustion blame sets, goal-affinity heatmap |
 //!
-//! Every binary accepts a `--jobs N` (or `-j N`) flag that fans
-//! independent campaigns across a scoped-thread pool; reports are
+//! Every `results/` artifact is read and checked in one place,
+//! [`schema`]: one `serde_json` reader, every checker and every
+//! back-compat rule for old files. `tracedump --check`,
+//! `covreport --check` and `solverscope --check` take any artifact
+//! (traces, flight streams, heartbeats, reports, covmaps,
+//! `BENCH_*.json`) through [`schema::check_file`]; `monitor --check`
+//! runs the heartbeat and flight checkers on its `--status`/`--flight`
+//! pair.
+//!
+//! Every binary but the read-only viewers `tracedump` and `monitor`
+//! accepts a `--jobs N` (or `-j N`) flag that fans independent
+//! campaigns across a scoped-thread pool; reports are
 //! byte-identical for any job count (Table 3's wall-clock `latency_s`
 //! excepted), so parallelism is purely a wall-clock optimisation.
 //! They also accept `--log-level LEVEL` (stderr verbosity),
@@ -63,14 +73,16 @@ pub mod experiments;
 pub mod monitor;
 pub mod pool;
 pub mod render;
+pub mod schema;
 pub mod solverscope;
 pub mod trace;
 
-pub use args::{exit_usage, parse_bench_args, split_bench_args, ArgError, BenchArgs};
+pub use args::{
+    exit_usage, parse_bench_args, parse_viewer_args, split_bench_args, ArgError, BenchArgs,
+};
 pub use covreport::{
-    build_report, render_html, render_markdown, trace_mechanism_counts, validate_covmap,
-    validate_report, BugReport, ChainLink, CovReport, MechanismCount, StrategyReport,
-    COVREPORT_VERSION,
+    build_report, render_html, render_markdown, trace_mechanism_counts, BugReport, ChainLink,
+    CovReport, MechanismCount, StrategyReport, COVREPORT_VERSION,
 };
 pub use experiments::{
     budget_profile, coverage_race, detection_matrix, enable_tracing, flush_trace,
@@ -78,15 +90,10 @@ pub use experiments::{
     variance_profile, BudgetProfileRow, DetectionRow, RaceResult, ScopeProfileResult,
     SolverCacheResult, SolverCacheRow, Table1Row, Table3Row, VariancePoint,
 };
-pub use monitor::{
-    check_flight, check_status, parse_prometheus, render_dashboard, render_prometheus,
-};
+pub use monitor::{parse_prometheus, render_dashboard, render_prometheus};
 pub use pool::{default_jobs, run_pool};
 pub use solverscope::{
-    build_scope_report, conflict_quantiles, render_scope_html, render_scope_markdown,
-    validate_bench_artifact, validate_scope_report, ScopeReport, SCOPEREPORT_VERSION,
+    build_scope_report, conflict_quantiles, render_scope_html, render_scope_markdown, ScopeReport,
+    SCOPEREPORT_VERSION,
 };
-pub use trace::{
-    goal_cost_table, parse_line, parse_trace, phase_table, solver_cache_table, timeline,
-    to_json_lines, TraceRecord,
-};
+pub use trace::{goal_cost_table, phase_table, solver_cache_table, timeline};

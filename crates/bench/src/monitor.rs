@@ -1,198 +1,23 @@
-//! Flight-recorder artifact validation and rendering for the
-//! `monitor` binary.
+//! Flight-recorder artifact rendering for the `monitor` binary.
 //!
 //! The fuzzer's [`symbfuzz_telemetry::Sampler`] leaves two artifacts
 //! behind: an append-only `flight.jsonl` stream (one delta-compressed
 //! sample per interval) and an atomically-rewritten `status.json`
-//! heartbeat that is safe to poll mid-run. This module is their
-//! consumer: schema checks that hard-error with the first offending
-//! line, a terminal dashboard, and a Prometheus-style text exposition
-//! for scraping. Everything here is pure text-in/text-out so the
-//! binary stays a thin shell.
+//! heartbeat that is safe to poll mid-run. This module renders them,
+//! once [`crate::schema`] has checked them: a terminal dashboard and a
+//! Prometheus-style text exposition for scraping. Everything here is
+//! pure text-in/text-out so the binary stays a thin shell.
 
+use crate::schema::{num, status_solver_profile, status_vm_profile, uint};
 use serde::Value;
 use std::fmt::Write as _;
-use symbfuzz_core::SolverProfileBlock;
-use symbfuzz_telemetry::FLIGHT_VERSION;
-
-/// The scalar header fields every `status.json` and every
-/// `flight.jsonl` record carries.
-pub const STATUS_SCALARS: [&str; 7] = [
-    "interval", "t", "vectors", "coverage", "nodes", "edges", "stagnant",
-];
-
-/// The cumulative-metrics sections of `status.json`, each an object of
-/// `name → number` pairs.
-pub const STATUS_SECTIONS: [&str; 4] = ["counters", "gauges", "events", "phase_self_micros"];
-
-/// The per-sample delta/gauge vectors of a `flight.jsonl` record.
-pub const FLIGHT_VECTORS: [&str; 4] = ["d_counters", "gauges", "d_events", "d_phase_micros"];
-
-fn field_num(v: &Value, name: &str) -> Result<u64, String> {
-    match v.field(name) {
-        Ok(Value::Num(n)) => Ok(*n as u64),
-        Ok(other) => Err(format!("`{name}` must be a number, got {other:?}")),
-        Err(_) => Err(format!("missing `{name}`")),
-    }
-}
-
-fn check_version(v: &Value) -> Result<(), String> {
-    let got = field_num(v, "v")?;
-    if got != FLIGHT_VERSION {
-        return Err(format!(
-            "unsupported flight schema v{got} (this monitor speaks v{FLIGHT_VERSION})"
-        ));
-    }
-    Ok(())
-}
-
-fn check_pairs_object(v: &Value, name: &str) -> Result<(), String> {
-    match v.field(name) {
-        Ok(Value::Object(fields)) => {
-            for (k, val) in fields {
-                if !matches!(val, Value::Num(_)) {
-                    return Err(format!("`{name}.{k}` must be a number, got {val:?}"));
-                }
-            }
-            Ok(())
-        }
-        Ok(other) => Err(format!("`{name}` must be an object, got {other:?}")),
-        Err(_) => Err(format!("missing `{name}`")),
-    }
-}
-
-fn check_num_array(v: &Value, name: &str) -> Result<(), String> {
-    match v.field(name) {
-        Ok(Value::Array(items)) => {
-            if items.iter().all(|i| matches!(i, Value::Num(_))) {
-                Ok(())
-            } else {
-                Err(format!("`{name}` must contain only numbers"))
-            }
-        }
-        Ok(other) => Err(format!("`{name}` must be an array, got {other:?}")),
-        Err(_) => Err(format!("missing `{name}`")),
-    }
-}
-
-/// Validates a `status.json` heartbeat: schema version, the scalar
-/// header, every cumulative-metrics section, and — when the profiler
-/// sections are present — their internal row shapes.
-///
-/// # Errors
-///
-/// Returns a description of the first violation.
-pub fn check_status(text: &str) -> Result<Value, String> {
-    let v: Value = serde_json::from_str(text.trim()).map_err(|e| format!("not valid JSON: {e}"))?;
-    check_version(&v)?;
-    for name in STATUS_SCALARS {
-        field_num(&v, name)?;
-    }
-    for name in STATUS_SECTIONS {
-        check_pairs_object(&v, name)?;
-    }
-    if let Ok(p) = v.field("vm_profile") {
-        check_vm_profile(p).map_err(|e| format!("vm_profile: {e}"))?;
-    }
-    if let Some(p) = status_solver_profile(&v) {
-        p.map_err(|e| format!("solver_profile: {e}"))?;
-    }
-    Ok(v)
-}
-
-fn check_vm_profile(p: &Value) -> Result<(), String> {
-    for total in ["total_execs", "total_fast", "total_escaped"] {
-        field_num(p, total)?;
-    }
-    match p.field("rows") {
-        Ok(Value::Array(rows)) => {
-            for (i, row) in rows.iter().enumerate() {
-                for f in [
-                    "proc_index",
-                    "execs",
-                    "fast",
-                    "escaped_x",
-                    "escaped_uncompiled",
-                    "escaped_cyclic",
-                    "op_units",
-                ] {
-                    field_num(row, f).map_err(|e| format!("rows[{i}]: {e}"))?;
-                }
-                if !matches!(row.field("label"), Ok(Value::Str(_))) {
-                    return Err(format!("rows[{i}]: `label` must be a string"));
-                }
-            }
-            Ok(())
-        }
-        _ => Err("missing `rows` array".into()),
-    }
-}
-
-/// The heartbeat's per-goal solver section, when present: read
-/// through [`SolverProfileBlock::from_sections`] (so heartbeats with a
-/// v1 section and a `solver_scope` block still load), then checked with
-/// [`SolverProfileBlock::check`].
-fn status_solver_profile(status: &Value) -> Option<Result<SolverProfileBlock, String>> {
-    let p = status.field("solver_profile").ok()?;
-    Some(
-        SolverProfileBlock::from_sections(p, status.field("solver_scope").ok())
-            .map_err(|e| e.to_string())
-            .and_then(|block| block.check().map(|()| block)),
-    )
-}
-
-/// Validates a whole `flight.jsonl` stream: at least one record, every
-/// line schema-clean, interval indexes strictly increasing.
-///
-/// # Errors
-///
-/// Returns `"line N: <why>"` for the first bad line, or a description
-/// of an empty/truncated stream.
-pub fn check_flight(text: &str) -> Result<Vec<Value>, String> {
-    let mut samples = Vec::new();
-    let mut last_interval = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let at = |e: String| format!("line {}: {e}", i + 1);
-        let v: Value =
-            serde_json::from_str(line).map_err(|e| at(format!("not valid JSON: {e}")))?;
-        check_version(&v).map_err(at)?;
-        for name in STATUS_SCALARS {
-            field_num(&v, name).map_err(at)?;
-        }
-        field_num(&v, "task").map_err(at)?;
-        for name in FLIGHT_VECTORS {
-            check_num_array(&v, name).map_err(at)?;
-        }
-        let interval = field_num(&v, "interval").map_err(at)?;
-        if let Some(prev) = last_interval {
-            if interval <= prev {
-                return Err(format!(
-                    "line {}: interval {interval} not above previous {prev} \
-                     (stream must be strictly increasing)",
-                    i + 1
-                ));
-            }
-        }
-        last_interval = Some(interval);
-        samples.push(v);
-    }
-    if samples.is_empty() {
-        return Err("no samples (empty or truncated flight stream)".into());
-    }
-    Ok(samples)
-}
+use symbfuzz_telemetry::STATUS_SCALARS;
 
 fn pairs_of<'v>(v: &'v Value, name: &str) -> Vec<(&'v str, u64)> {
     match v.field(name) {
         Ok(Value::Object(fields)) => fields
             .iter()
-            .filter_map(|(k, val)| match val {
-                Value::Num(n) => Some((k.as_str(), *n as u64)),
-                _ => None,
-            })
+            .filter_map(|(k, val)| Some((k.as_str(), uint(val)?)))
             .collect(),
         _ => Vec::new(),
     }
@@ -204,7 +29,7 @@ fn pairs_of<'v>(v: &'v Value, name: &str) -> Vec<(&'v str, u64)> {
 /// their fast-path hit rates, and the `top` hardest solver goals with
 /// their escalation histories.
 pub fn render_dashboard(status: &Value, flight: &[Value], top: usize) -> String {
-    let n = |name: &str| field_num(status, name).unwrap_or(0);
+    let n = |name: &str| num(status, name).unwrap_or(0);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -244,34 +69,23 @@ pub fn render_dashboard(status: &Value, flight: &[Value], top: usize) -> String 
             );
         }
     }
-    if let Ok(p) = status.field("vm_profile") {
+    if let Some(Ok(p)) = status_vm_profile(status) {
         let _ = writeln!(out, "\nhot cones (by op units):");
-        if let Ok(Value::Array(rows)) = p.field("rows") {
-            for row in rows.iter().take(top) {
-                let label = match row.field("label") {
-                    Ok(Value::Str(s)) => s.as_str(),
-                    _ => "?",
-                };
-                let (execs, fast) = (
-                    field_num(row, "execs").unwrap_or(0),
-                    field_num(row, "fast").unwrap_or(0),
-                );
-                let _ = writeln!(
-                    out,
-                    "  {label:<20} {:>12} op units  {execs:>10} execs  {:>5.1}% fast path",
-                    field_num(row, "op_units").unwrap_or(0),
-                    100.0 * fast as f64 / execs.max(1) as f64
-                );
-            }
+        for row in p.rows.iter().take(top) {
+            let _ = writeln!(
+                out,
+                "  {:<20} {:>12} op units  {:>10} execs  {:>5.1}% fast path",
+                row.label,
+                row.op_units,
+                row.execs,
+                100.0 * row.hit_rate()
+            );
         }
-        let (te, tf) = (
-            field_num(p, "total_execs").unwrap_or(0),
-            field_num(p, "total_fast").unwrap_or(0),
-        );
         let _ = writeln!(
             out,
-            "  design-wide fast-path hit rate: {:.1}% of {te} dispatches",
-            100.0 * tf as f64 / te.max(1) as f64
+            "  design-wide fast-path hit rate: {:.1}% of {} dispatches",
+            100.0 * p.hit_rate(),
+            p.total_execs
         );
     }
     match status_solver_profile(status) {
@@ -323,7 +137,7 @@ fn prom_name(name: &str) -> String {
 pub fn render_prometheus(status: &Value) -> String {
     let mut out = String::new();
     for name in STATUS_SCALARS {
-        if let Ok(v) = field_num(status, name) {
+        if let Ok(v) = num(status, name) {
             let _ = writeln!(out, "# TYPE symbfuzz_{name} gauge");
             let _ = writeln!(out, "symbfuzz_{name} {v}");
         }
@@ -344,29 +158,22 @@ pub fn render_prometheus(status: &Value) -> String {
             prom_name(name)
         );
     }
-    if let Ok(p) = status.field("vm_profile") {
-        for total in ["total_execs", "total_fast", "total_escaped"] {
-            if let Ok(v) = field_num(p, total) {
-                let _ = writeln!(out, "symbfuzz_vm_{total} {v}");
-            }
-        }
-        if let Ok(Value::Array(rows)) = p.field("rows") {
-            for row in rows {
-                if let Ok(Value::Str(label)) = row.field("label") {
-                    let _ = writeln!(
-                        out,
-                        "symbfuzz_cone_op_units{{cone=\"{}\"}} {}",
-                        prom_name(label),
-                        field_num(row, "op_units").unwrap_or(0)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "symbfuzz_cone_fast_total{{cone=\"{}\"}} {}",
-                        prom_name(label),
-                        field_num(row, "fast").unwrap_or(0)
-                    );
-                }
-            }
+    if let Some(Ok(p)) = status_vm_profile(status) {
+        let _ = writeln!(out, "symbfuzz_vm_total_execs {}", p.total_execs);
+        let _ = writeln!(out, "symbfuzz_vm_total_fast {}", p.total_fast);
+        let _ = writeln!(out, "symbfuzz_vm_total_escaped {}", p.total_escaped);
+        for row in &p.rows {
+            let cone = prom_name(&row.label);
+            let _ = writeln!(
+                out,
+                "symbfuzz_cone_op_units{{cone=\"{cone}\"}} {}",
+                row.op_units
+            );
+            let _ = writeln!(
+                out,
+                "symbfuzz_cone_fast_total{{cone=\"{cone}\"}} {}",
+                row.fast
+            );
         }
     }
     match status_solver_profile(status) {
@@ -444,15 +251,15 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<(String, u64)>, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use serde::Deserialize;
+    use crate::schema::{check_flight, check_status};
     use std::sync::Arc;
     use symbfuzz_core::{FuzzConfig, Strategy, SymbFuzz};
 
     /// Drives a real traced campaign so the artifacts under test are
     /// exactly what the fuzzer writes, not hand-rolled fixtures.
-    fn campaign_artifacts() -> (String, String) {
+    pub(crate) fn campaign_artifacts() -> (String, String) {
         // One directory per call: tests run concurrently in-process.
         static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -516,84 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_introspected_status_names_the_goal() {
-        let (status_text, _) = campaign_artifacts();
-        let Value::Object(mut fields) = check_status(&status_text).unwrap() else {
-            panic!("status is an object")
-        };
-        let (_, section) = fields
-            .iter_mut()
-            .find(|(k, _)| k == "solver_profile")
-            .expect("heartbeat carries the solver section");
-        let mut block = SolverProfileBlock::from_value(section).unwrap();
-        let goal = block
-            .goals
-            .iter_mut()
-            .find(|g| g.introspection.is_some())
-            .expect("introspected campaign traces its goals");
-        let name = format!("goal `{}`={}", goal.register, goal.value);
-        goal.introspection
-            .as_mut()
-            .unwrap()
-            .call_conflict_hist
-            .push(0);
-        *section = serde::Serialize::to_value(&block);
-        let corrupted = serde_json::to_string(&Value::Object(fields)).unwrap();
-        let err = check_status(&corrupted).unwrap_err();
-        assert!(err.starts_with("solver_profile: "), "{err}");
-        assert!(err.contains(&name), "{err}");
-        assert!(err.contains("call-conflict"), "{err}");
-    }
-
-    /// A heartbeat as written before the per-goal record was unified:
-    /// an unversioned `solver_profile` plus a `solver_scope` block.
-    const PRE_CHANGE_STATUS: &str = r#"{"v":1,"interval":2,"t":200,"vectors":200,
-      "coverage":3,"nodes":2,"edges":1,"stagnant":0,"counters":{"vectors":200},
-      "gauges":{},"events":{},"phase_self_micros":{},
-      "solver_profile":{"goals":[{"register":"st","value":2,"attempts":1,"sat":0,
-        "unsat":1,"exhausted":0,"neg_cache_hits":3,"conflicts":12,"decisions":30,
-        "propagations":99,"solver_calls":2,"deepest_unroll":4,"escalations":[0]}],
-        "total_attempts":1,"total_neg_cache_hits":3},
-      "solver_scope":{"version":1,"goals":[{"register":"st","value":2,"attempts":1,
-        "conflicts":12,"learned":11,"restarts":0,
-        "learned_size_hist":[0,11,0,0,0,0,0,0,0,0,0,0],
-        "lbd_hist":[0,11,0,0,0,0,0,0,0,0,0,0],
-        "call_conflict_hist":[0,0,2,0,0,0,0,0,0,0,0,0],"restart_timeline":[],
-        "conflict_depth_sum":20,"conflict_depth_max":4,"hot_signals":[["k",1000]],
-        "blame":["st"],"sketch":[1,2],"depth":4}],
-        "affinity":[[1000]],"mean_adjacent_affinity_milli":0}}"#;
-
-    #[test]
-    fn pre_change_status_loads_and_bad_solver_sections_are_reported() {
-        let status = check_status(PRE_CHANGE_STATUS).expect("v1 heartbeat validates");
-        let block = status_solver_profile(&status).unwrap().unwrap();
-        let i = block.goals[0]
-            .introspection
-            .as_ref()
-            .expect("joined by goal");
-        assert_eq!((i.learned, block.goals[0].conflicts), (11, 12));
-        let dash = render_dashboard(&status, &[], 5);
-        assert!(dash.contains("st==2"), "{dash}");
-        let prom = render_prometheus(&status);
-        assert!(
-            prom.contains("symbfuzz_goal_attempts{register=\"st\",value=\"2\"} 1"),
-            "{prom}"
-        );
-        // A section that fails to read is named by the check and shown
-        // by both renderers instead of silently dropped.
-        let broken: Value =
-            serde_json::from_str(&PRE_CHANGE_STATUS.replace("\"total_attempts\":1,", "")).unwrap();
-        let err = check_status(&serde_json::to_string(&broken).unwrap()).unwrap_err();
-        assert!(err.starts_with("solver_profile: "), "{err}");
-        assert!(err.contains("total_attempts"), "{err}");
-        let dash = render_dashboard(&broken, &[], 5);
-        assert!(dash.contains("solver profile unreadable"), "{dash}");
-        let prom = render_prometheus(&broken);
-        assert!(prom.contains("# solver_profile unreadable"), "{prom}");
-        assert!(parse_prometheus(&prom).is_ok(), "{prom}");
-    }
-
-    #[test]
     fn prometheus_exposition_round_trips_through_its_parser() {
         let (status_text, _) = campaign_artifacts();
         let status = check_status(&status_text).unwrap();
@@ -645,38 +374,5 @@ mod tests {
         assert!(parse_prometheus("symbfuzz_x 1\nsymbfuzz_x 2\n")
             .unwrap_err()
             .contains("duplicate"));
-    }
-
-    #[test]
-    fn status_violations_are_named() {
-        assert!(check_status("").unwrap_err().contains("not valid JSON"));
-        assert!(check_status("{\"v\":2}").unwrap_err().contains("v2"));
-        let err = check_status("{\"v\":1,\"interval\":0}").unwrap_err();
-        assert!(err.contains("missing `t`"), "{err}");
-        // A scalar of the wrong type is rejected.
-        let err = check_status(
-            "{\"v\":1,\"interval\":0,\"t\":0,\"vectors\":\"many\",\"coverage\":0,\
-             \"nodes\":0,\"edges\":0,\"stagnant\":0}",
-        )
-        .unwrap_err();
-        assert!(err.contains("`vectors`"), "{err}");
-    }
-
-    #[test]
-    fn flight_violations_carry_line_numbers() {
-        let good = "{\"v\":1,\"interval\":1,\"t\":5,\"task\":0,\"vectors\":100,\
-                    \"coverage\":3,\"nodes\":2,\"edges\":1,\"stagnant\":0,\
-                    \"d_counters\":[100],\"gauges\":[1],\"d_events\":[0],\"d_phase_micros\":[9]}";
-        assert_eq!(check_flight(&format!("{good}\n")).unwrap().len(), 1);
-        // Empty streams hard-error instead of passing vacuously.
-        let err = check_flight("").unwrap_err();
-        assert!(err.contains("empty or truncated"), "{err}");
-        // Truncated tail line.
-        let err = check_flight(&format!("{good}\n{{\"v\":1,\"interval\":2")).unwrap_err();
-        assert!(err.starts_with("line 2:"), "{err}");
-        // Interval regression (e.g. two raw task streams concatenated
-        // instead of merged): a repeated interval index is rejected.
-        let err = check_flight(&format!("{good}\n{good}\n")).unwrap_err();
-        assert!(err.contains("not above previous"), "{err}");
     }
 }

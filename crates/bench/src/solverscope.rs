@@ -14,7 +14,7 @@
 //! identical at any `--jobs` count.
 
 use crate::experiments::ScopeProfileResult;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use symbfuzz_core::{FuzzConfigBuilder, GoalIntrospection, GoalRow};
 use symbfuzz_smt::{trace_hist_quantile, TRACE_HIST_BUCKETS};
 
@@ -62,151 +62,6 @@ pub fn conflict_quantiles(row: &GoalIntrospection) -> (u64, u64, u64) {
         trace_hist_quantile(&row.call_conflict_hist, 0.90),
         trace_hist_quantile(&row.call_conflict_hist, 0.99),
     )
-}
-
-/// Parses and schema-checks a report JSON document: the version stamp,
-/// every design's per-goal block ([`symbfuzz_core::SolverProfileBlock::check`]),
-/// and attribution and cache tallies that stay within their totals.
-///
-/// # Errors
-///
-/// Returns a description of the first violation.
-pub fn validate_scope_report(text: &str) -> Result<ScopeReport, String> {
-    let r: ScopeReport = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    if r.version != SCOPEREPORT_VERSION {
-        return Err(format!(
-            "report version {} (expected {SCOPEREPORT_VERSION})",
-            r.version
-        ));
-    }
-    for d in &r.designs {
-        d.profile
-            .check()
-            .map_err(|e| format!("design `{}`: {e}", d.design))?;
-        if d.campaigns == 0 {
-            return Err(format!("design `{}`: zero campaigns", d.design));
-        }
-        if d.exhausted_blamed > d.exhausted_goals {
-            return Err(format!(
-                "design `{}`: {} blamed of {} exhausted goals",
-                d.design, d.exhausted_blamed, d.exhausted_goals
-            ));
-        }
-        if let Some(c) = &d.solver_cache {
-            if c.reused_goals > c.goals {
-                return Err(format!(
-                    "design `{}`: {} reused of {} cached goals",
-                    d.design, c.reused_goals, c.goals
-                ));
-            }
-            if c.reuse_milli > 1000 {
-                return Err(format!(
-                    "design `{}`: session reuse {} exceeds 1000 milli",
-                    d.design, c.reuse_milli
-                ));
-            }
-        }
-    }
-    Ok(r)
-}
-
-// --- results/ bench-artifact schema checks -------------------------------
-
-fn field<'a>(v: &'a Value, name: &str, what: &str) -> Result<&'a Value, String> {
-    match v {
-        Value::Object(fields) => fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("{what}: missing field `{name}`")),
-        _ => Err(format!("{what}: not a JSON object")),
-    }
-}
-
-fn finite_num(v: &Value, what: &str) -> Result<f64, String> {
-    match v {
-        Value::Num(n) if n.is_finite() => Ok(*n),
-        _ => Err(format!("{what}: not a finite number")),
-    }
-}
-
-fn check_rows<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], String> {
-    match v {
-        Value::Array(rows) if !rows.is_empty() => Ok(rows),
-        Value::Array(_) => Err(format!("{what}: empty row list")),
-        _ => Err(format!("{what}: not a JSON array")),
-    }
-}
-
-/// Schema-checks one `results/BENCH_*.json` artifact by file stem:
-/// each known benchmark family must carry its headline rows and
-/// finite-positive throughput ratios; unknown `BENCH_` stems must at
-/// least parse as non-null JSON.
-///
-/// # Errors
-///
-/// Returns a description of the first violation.
-pub fn validate_bench_artifact(stem: &str, text: &str) -> Result<(), String> {
-    let v: Value = serde_json::from_str(text).map_err(|e| format!("{stem}: {e}"))?;
-    match stem {
-        "BENCH_telemetry" => {
-            for row in check_rows(field(&v, "rows", stem)?, stem)? {
-                let ratio = finite_num(field(row, "ratio", stem)?, stem)?;
-                if ratio <= 0.0 {
-                    return Err(format!("{stem}: non-positive sampling ratio {ratio}"));
-                }
-            }
-            let g = finite_num(field(&v, "geomean_sampling_ratio", stem)?, stem)?;
-            if g <= 0.0 {
-                return Err(format!("{stem}: non-positive geomean {g}"));
-            }
-            // Introspection A/B rows are optional (older artifacts),
-            // but when present they obey the same shape.
-            if let Ok(rows) = field(&v, "introspection_rows", stem) {
-                for row in check_rows(rows, stem)? {
-                    let ratio = finite_num(field(row, "ratio", stem)?, stem)?;
-                    if ratio <= 0.0 {
-                        return Err(format!("{stem}: non-positive introspection ratio {ratio}"));
-                    }
-                }
-                let g = finite_num(field(&v, "geomean_introspection_ratio", stem)?, stem)?;
-                if g <= 0.0 {
-                    return Err(format!("{stem}: non-positive introspection geomean {g}"));
-                }
-            }
-        }
-        "BENCH_budget" => {
-            for row in check_rows(&v, stem)? {
-                field(row, "design", stem)?;
-                finite_num(field(row, "solver_budget", stem)?, stem)?;
-            }
-        }
-        "BENCH_solvercache" => {
-            for row in check_rows(&v, stem)? {
-                field(row, "design", stem)?;
-                let g = finite_num(field(row, "geomean_conflict_ratio_milli", stem)?, stem)?;
-                if g <= 0.0 {
-                    return Err(format!("{stem}: non-positive geomean ratio {g}"));
-                }
-                for goal in match field(row, "goals", stem)? {
-                    Value::Array(goals) => goals.as_slice(),
-                    _ => return Err(format!("{stem}: `goals` is not an array")),
-                } {
-                    field(goal, "register", stem)?;
-                    let r = finite_num(field(goal, "ratio_milli", stem)?, stem)?;
-                    if r <= 0.0 {
-                        return Err(format!("{stem}: non-positive goal ratio {r}"));
-                    }
-                }
-            }
-        }
-        _ => {
-            if matches!(v, Value::Null) {
-                return Err(format!("{stem}: null artifact"));
-            }
-        }
-    }
-    Ok(())
 }
 
 // --- rendering -----------------------------------------------------------
@@ -568,7 +423,7 @@ pub fn render_scope_markdown(r: &ScopeReport) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use symbfuzz_core::SolverProfileBlock;
 
@@ -607,7 +462,7 @@ mod tests {
         }
     }
 
-    fn tiny_report() -> ScopeReport {
+    pub(crate) fn tiny_report() -> ScopeReport {
         let mut profile = SolverProfileBlock {
             goals: vec![row("st", 3, &["lock", "st"]), row("st", 5, &[])],
             total_attempts: 4,
@@ -634,65 +489,6 @@ mod tests {
                 }),
             }],
         }
-    }
-
-    #[test]
-    fn valid_report_round_trips() {
-        let r = tiny_report();
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back = validate_scope_report(&json).unwrap();
-        assert_eq!(
-            serde_json::to_string(&back).unwrap(),
-            serde_json::to_string(&r).unwrap()
-        );
-    }
-
-    #[test]
-    fn validation_rejects_schema_violations() {
-        let mut r = tiny_report();
-        r.version = 99;
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_scope_report(&json)
-            .unwrap_err()
-            .contains("version"));
-
-        let mut r = tiny_report();
-        r.designs[0].profile.affinity[0][1] = 1; // breaks symmetry
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_scope_report(&json)
-            .unwrap_err()
-            .contains("asymmetric"));
-
-        let mut r = tiny_report();
-        let intro = r.designs[0].profile.goals[0]
-            .introspection
-            .as_mut()
-            .unwrap();
-        intro.blame = vec!["st".into(), "lock".into()];
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_scope_report(&json).unwrap_err().contains("sorted"));
-
-        let mut r = tiny_report();
-        r.designs[0].exhausted_blamed = 7;
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_scope_report(&json).unwrap_err().contains("blamed"));
-
-        let mut r = tiny_report();
-        let intro = r.designs[0].profile.goals[0]
-            .introspection
-            .as_mut()
-            .unwrap();
-        intro.lbd_hist.pop();
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_scope_report(&json)
-            .unwrap_err()
-            .contains("buckets"));
-
-        // v2 addition: cache reuse must be internally consistent.
-        let mut r = tiny_report();
-        r.designs[0].solver_cache.as_mut().unwrap().reused_goals = 99;
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_scope_report(&json).unwrap_err().contains("reused"));
     }
 
     #[test]
@@ -729,44 +525,5 @@ mod tests {
             "{md}"
         );
         assert!(md.contains("blames lock, st"));
-    }
-
-    #[test]
-    fn bench_artifact_checks_cover_known_families() {
-        let ok = r#"{"rows":[{"ratio":0.98}],"geomean_sampling_ratio":0.99}"#;
-        assert!(validate_bench_artifact("BENCH_telemetry", ok).is_ok());
-        let bad = r#"{"rows":[{"ratio":-1.0}],"geomean_sampling_ratio":0.99}"#;
-        assert!(validate_bench_artifact("BENCH_telemetry", bad)
-            .unwrap_err()
-            .contains("non-positive"));
-        let with_ab = r#"{"rows":[{"ratio":1.0}],"geomean_sampling_ratio":1.0,
-            "introspection_rows":[{"ratio":0.97}],"geomean_introspection_ratio":0.97}"#;
-        assert!(validate_bench_artifact("BENCH_telemetry", with_ab).is_ok());
-
-        assert!(validate_bench_artifact(
-            "BENCH_budget",
-            r#"[{"design":"hard_factor","solver_budget":500}]"#
-        )
-        .is_ok());
-        assert!(
-            validate_bench_artifact("BENCH_budget", r#"[{"design":"x"}]"#)
-                .unwrap_err()
-                .contains("solver_budget")
-        );
-        let sc = r#"[{"design":"goalfabric","geomean_conflict_ratio_milli":2400,
-            "goals":[{"register":"l0","ratio_milli":3100}]}]"#;
-        assert!(validate_bench_artifact("BENCH_solvercache", sc).is_ok());
-        let sc_bad = r#"[{"design":"goalfabric","geomean_conflict_ratio_milli":0,"goals":[]}]"#;
-        assert!(validate_bench_artifact("BENCH_solvercache", sc_bad)
-            .unwrap_err()
-            .contains("non-positive geomean"));
-        let sc_goal = r#"[{"design":"goalfabric","geomean_conflict_ratio_milli":1200,
-            "goals":[{"register":"l0","ratio_milli":0}]}]"#;
-        assert!(validate_bench_artifact("BENCH_solvercache", sc_goal)
-            .unwrap_err()
-            .contains("non-positive goal ratio"));
-
-        assert!(validate_bench_artifact("BENCH_future", r#"{"anything":true}"#).is_ok());
-        assert!(validate_bench_artifact("BENCH_future", "null").is_err());
     }
 }

@@ -1,494 +1,15 @@
-//! JSONL trace parsing, schema validation and rendering.
-//!
-//! The telemetry layer hand-rolls its JSONL records (it is
-//! dependency-free), so this module is the matching consumer: a small
-//! flat-object JSON parser, a per-kind schema check against the closed
-//! [`Event::KINDS`] taxonomy (plus the synthetic `Phase` spans the
-//! collector emits), and the renderers behind the `tracedump` binary —
-//! a per-phase time table and a coverage/stagnation timeline.
+//! Renderers behind the `tracedump` binary: a per-phase time table,
+//! the settle fast-path and solver-cache tables, the per-goal solver
+//! cost table and a coverage/stagnation timeline, all over records
+//! [`crate::schema::parse_trace`] has checked.
 
+use crate::schema::{uint, TraceRecord};
 use std::collections::BTreeMap;
 use symbfuzz_smt::trace_hist_quantile;
 use symbfuzz_telemetry::{
-    bucket_of, escape_json_into, hist_quantile, Event, Mechanism, Phase, SolveStatus,
-    UnknownReason, HIST_BUCKETS,
+    bucket_of, hist_quantile, Phase, HIST_BUCKETS, METRICS_RECORD, PHASE_RECORD,
+    SOLVER_CACHE_RECORD,
 };
-
-/// One scalar value in a flat trace record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonVal {
-    /// Unsigned integer (every numeric trace field is one).
-    Num(u64),
-    /// String.
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-    /// `null` (only `checkpoint` uses it).
-    Null,
-    /// Array of unsigned integers (only the solver-cost `hist` field
-    /// uses it — the one non-scalar in the trace schema).
-    Arr(Vec<u64>),
-}
-
-impl JsonVal {
-    fn type_name(&self) -> &'static str {
-        match self {
-            JsonVal::Num(_) => "number",
-            JsonVal::Str(_) => "string",
-            JsonVal::Bool(_) => "bool",
-            JsonVal::Null => "null",
-            JsonVal::Arr(_) => "array",
-        }
-    }
-}
-
-/// One parsed and schema-validated trace record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecord {
-    /// Timestamp (clock units; wall-clock micros under `--trace-out`).
-    pub t: u64,
-    /// Pool task index the record came from.
-    pub task: u64,
-    /// Record kind: an [`Event::KINDS`] entry or `"Phase"`.
-    pub kind: String,
-    /// The kind-specific fields, in record order.
-    pub fields: Vec<(String, JsonVal)>,
-}
-
-impl TraceRecord {
-    /// Looks up a field by name.
-    pub fn field(&self, name: &str) -> Option<&JsonVal> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-
-    /// A numeric field, or 0 when absent / non-numeric.
-    pub fn num(&self, name: &str) -> u64 {
-        match self.field(name) {
-            Some(JsonVal::Num(n)) => *n,
-            _ => 0,
-        }
-    }
-
-    /// A string field, or "" when absent / non-string.
-    pub fn str(&self, name: &str) -> &str {
-        match self.field(name) {
-            Some(JsonVal::Str(s)) => s,
-            _ => "",
-        }
-    }
-
-    /// A numeric-array field, or the empty slice when absent.
-    pub fn arr(&self, name: &str) -> &[u64] {
-        match self.field(name) {
-            Some(JsonVal::Arr(a)) => a,
-            _ => &[],
-        }
-    }
-}
-
-// --- flat JSON parsing ---------------------------------------------------
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&b) = self.bytes.get(self.pos) {
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or("unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape".to_string())?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("bad escape `\\{}`", other as char)),
-                    }
-                }
-                b => {
-                    // Multi-byte UTF-8 continuation bytes pass through.
-                    out.push(b as char);
-                    if b >= 0x80 {
-                        // Re-decode from the original slice for non-ASCII.
-                        out.pop();
-                        let start = self.pos - 1;
-                        let s =
-                            std::str::from_utf8(&self.bytes[start..]).map_err(|e| e.to_string())?;
-                        let c = s.chars().next().unwrap();
-                        out.push(c);
-                        self.pos = start + c.len_utf8();
-                    }
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn value(&mut self) -> Result<JsonVal, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonVal::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonVal::Bool(true)),
-            Some(b'f') => self.literal("false", JsonVal::Bool(false)),
-            Some(b'n') => self.literal("null", JsonVal::Null),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonVal::Arr(items));
-                }
-                loop {
-                    match self.value()? {
-                        JsonVal::Num(n) => items.push(n),
-                        v => {
-                            return Err(format!("arrays hold numbers only, got {}", v.type_name()))
-                        }
-                    }
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonVal::Arr(items));
-                        }
-                        other => return Err(format!("expected `,` or `]`, got {other:?}")),
-                    }
-                }
-            }
-            Some(b) if b.is_ascii_digit() => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .unwrap()
-                    .parse()
-                    .map(JsonVal::Num)
-                    .map_err(|e| e.to_string())
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, val: JsonVal) -> Result<JsonVal, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(val)
-        } else {
-            Err(format!("expected `{lit}` at byte {}", self.pos))
-        }
-    }
-}
-
-/// Parses one flat JSON object (`{"k": scalar, ...}` — the entire
-/// trace schema; nested containers are rejected).
-///
-/// # Errors
-///
-/// Returns a description of the first syntax error.
-pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
-    let mut c = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    c.expect(b'{')?;
-    let mut fields = Vec::new();
-    if c.peek() == Some(b'}') {
-        c.pos += 1;
-    } else {
-        loop {
-            let key = c.string()?;
-            c.expect(b':')?;
-            let val = c.value()?;
-            if fields.iter().any(|(k, _): &(String, _)| *k == key) {
-                return Err(format!("duplicate key `{key}`"));
-            }
-            fields.push((key, val));
-            match c.peek() {
-                Some(b',') => c.pos += 1,
-                Some(b'}') => {
-                    c.pos += 1;
-                    break;
-                }
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-            }
-        }
-    }
-    c.skip_ws();
-    if c.pos != c.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", c.pos));
-    }
-    Ok(fields)
-}
-
-// --- schema validation ---------------------------------------------------
-
-/// Kind of the synthetic per-span records the collector emits.
-pub const PHASE_KIND: &str = "Phase";
-
-/// Kind of the once-per-campaign settle-engine summary record
-/// (`Collector::emit_settle_metrics`).
-pub const METRICS_KIND: &str = "Metrics";
-
-/// Kind of the flight-recorder heartbeat records the sampler mirrors
-/// into the trace stream (`Sampler::maybe_sample`).
-pub const FLIGHT_KIND: &str = "Flight";
-
-/// Kind of the once-per-campaign incremental-solver summary record
-/// (`Collector::emit_solver_cache_metrics`): bitblast-cache counters
-/// and the session-reuse gauge.
-pub const SOLVER_CACHE_KIND: &str = "SolverCache";
-
-/// `(kind, field)` pairs earlier releases wrote that are no longer part
-/// of the kind's schema (the portfolio race tallies): accepted on input
-/// and dropped, so old traces still check.
-const RETIRED_FIELDS: [(&str, &str); 2] = [
-    (SOLVER_CACHE_KIND, "portfolio_races"),
-    (SOLVER_CACHE_KIND, "portfolio_wins"),
-];
-
-/// The `(field, expected type)` schema of each record kind, beyond the
-/// common `t`/`task`/`kind` header. A `checkpoint` may be number or
-/// null; `solve_result` and `phase` are closed string enums checked
-/// separately.
-fn kind_schema(kind: &str) -> Option<&'static [(&'static str, &'static str)]> {
-    match kind {
-        "CoverageDelta" => Some(&[
-            ("vectors", "number"),
-            ("coverage", "number"),
-            ("delta", "number"),
-        ]),
-        "StagnationEnter" => Some(&[("vectors", "number"), ("intervals", "number")]),
-        "SymbolicEpisode" => Some(&[
-            ("checkpoint", "number|null"),
-            ("eqns", "number"),
-            ("solve_result", "string"),
-        ]),
-        "SmtSolve" => Some(&[
-            ("vars", "number"),
-            ("clauses", "number"),
-            ("sat", "bool"),
-            ("micros", "number"),
-        ]),
-        "PartialReset" => Some(&[("prefix_len", "number")]),
-        "FullReset" => Some(&[]),
-        "BugFired" => Some(&[("property", "string"), ("vector", "number")]),
-        "NodeCovered" => Some(&[
-            ("node", "number"),
-            ("vector", "number"),
-            ("mechanism", "string"),
-            ("goal", "number|null"),
-            ("checkpoint", "number|null"),
-        ]),
-        "EdgeCovered" => Some(&[
-            ("edge", "number"),
-            ("src", "number"),
-            ("dst", "number"),
-            ("vector", "number"),
-            ("mechanism", "string"),
-        ]),
-        "BudgetExhausted" => Some(&[
-            ("reason", "string"),
-            ("level", "number"),
-            ("conflicts", "number"),
-            ("decisions", "number"),
-            ("propagations", "number"),
-        ]),
-        "GoalSolveCost" => Some(&[
-            ("register", "string"),
-            ("value", "number"),
-            ("status", "string"),
-            ("depth", "number"),
-            ("calls", "number"),
-            ("conflicts", "number"),
-            ("learned", "number"),
-            ("restarts", "number"),
-            ("hist", "array"),
-        ]),
-        "CoreExtracted" => Some(&[
-            ("register", "string"),
-            ("value", "number"),
-            ("core", "number"),
-            ("blamed", "number"),
-        ]),
-        PHASE_KIND => Some(&[("phase", "string"), ("micros", "number")]),
-        METRICS_KIND => Some(&[
-            ("settle_fast_path", "number"),
-            ("settle_escapes", "number"),
-            ("x_island_cones", "number"),
-            ("settle_sweeps", "number"),
-        ]),
-        FLIGHT_KIND => Some(&[
-            ("interval", "number"),
-            ("vectors", "number"),
-            ("coverage", "number"),
-            ("stagnant", "number"),
-            ("d_vectors", "number"),
-            ("d_solver_calls", "number"),
-            ("d_settle_fast_path", "number"),
-            ("d_settle_escapes", "number"),
-        ]),
-        SOLVER_CACHE_KIND => Some(&[
-            ("bitblast_cache_hits", "number"),
-            ("bitblast_cache_misses", "number"),
-            ("session_reuse_milli", "number"),
-        ]),
-        _ => None,
-    }
-}
-
-fn type_matches(val: &JsonVal, expected: &str) -> bool {
-    expected.split('|').any(|t| t == val.type_name())
-}
-
-/// Parses and schema-checks one trace line.
-///
-/// # Errors
-///
-/// Returns a description of the first syntax or schema violation.
-pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
-    let mut fields = parse_flat_object(line)?;
-    let take_num = |fields: &mut Vec<(String, JsonVal)>, name: &str| -> Result<u64, String> {
-        let i = fields
-            .iter()
-            .position(|(n, _)| n == name)
-            .ok_or(format!("missing `{name}`"))?;
-        match fields.remove(i).1 {
-            JsonVal::Num(n) => Ok(n),
-            v => Err(format!("`{name}` must be a number, got {}", v.type_name())),
-        }
-    };
-    let t = take_num(&mut fields, "t")?;
-    let task = take_num(&mut fields, "task")?;
-    let i = fields
-        .iter()
-        .position(|(n, _)| n == "kind")
-        .ok_or("missing `kind`".to_string())?;
-    let kind = match fields.remove(i).1 {
-        JsonVal::Str(s) => s,
-        v => return Err(format!("`kind` must be a string, got {}", v.type_name())),
-    };
-    let schema = kind_schema(&kind).ok_or(format!(
-        "unknown kind `{kind}` (expected one of {:?}, `{PHASE_KIND}`, `{METRICS_KIND}`, \
-         `{FLIGHT_KIND}` or `{SOLVER_CACHE_KIND}`)",
-        Event::KINDS
-    ))?;
-    fields.retain(|(n, _)| !RETIRED_FIELDS.contains(&(kind.as_str(), n.as_str())));
-    if fields.len() != schema.len() {
-        return Err(format!(
-            "`{kind}` expects fields {:?}, got {:?}",
-            schema.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
-            fields.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>()
-        ));
-    }
-    for (name, expected) in schema {
-        let val = fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-            .ok_or(format!("`{kind}` is missing `{name}`"))?;
-        if !type_matches(val, expected) {
-            return Err(format!(
-                "`{kind}.{name}` must be {expected}, got {}",
-                val.type_name()
-            ));
-        }
-    }
-    let rec = TraceRecord {
-        t,
-        task,
-        kind,
-        fields,
-    };
-    if rec.kind == "SymbolicEpisode" && SolveStatus::parse(rec.str("solve_result")).is_none() {
-        return Err(format!(
-            "unknown solve_result `{}` (expected one of {:?})",
-            rec.str("solve_result"),
-            SolveStatus::SERIALS
-        ));
-    }
-    if rec.kind == "GoalSolveCost" && SolveStatus::parse(rec.str("status")).is_none() {
-        return Err(format!(
-            "unknown status `{}` (expected one of {:?})",
-            rec.str("status"),
-            SolveStatus::SERIALS
-        ));
-    }
-    if rec.kind == "BudgetExhausted" && UnknownReason::parse(rec.str("reason")).is_none() {
-        return Err(format!("unknown budget reason `{}`", rec.str("reason")));
-    }
-    if rec.kind == PHASE_KIND && Phase::parse(rec.str("phase")).is_none() {
-        return Err(format!("unknown phase `{}`", rec.str("phase")));
-    }
-    if matches!(rec.kind.as_str(), "NodeCovered" | "EdgeCovered")
-        && Mechanism::parse(rec.str("mechanism")).is_none()
-    {
-        return Err(format!(
-            "unknown mechanism `{}` (expected one of {:?})",
-            rec.str("mechanism"),
-            Mechanism::ALL.map(|m| m.name())
-        ));
-    }
-    Ok(rec)
-}
-
-/// Parses a whole JSONL trace, reporting the first bad line by number.
-///
-/// # Errors
-///
-/// Returns `"line N: <why>"` for the first syntax or schema violation.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, String> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| parse_line(l).map_err(|e| format!("line {}: {e}", i + 1)))
-        .collect()
-}
 
 // --- rendering -----------------------------------------------------------
 
@@ -512,9 +33,9 @@ pub fn phase_table(records: &[TraceRecord]) -> String {
     let mut count = [0u64; Phase::COUNT];
     let mut micros = [0u64; Phase::COUNT];
     let mut buckets = [[0u64; HIST_BUCKETS]; Phase::COUNT];
-    for r in records.iter().filter(|r| r.kind == PHASE_KIND) {
+    for r in records.iter().filter(|r| r.kind == PHASE_RECORD.kind) {
         if let Some(p) = Phase::parse(r.str("phase")) {
-            let i = Phase::ALL.iter().position(|q| *q == p).unwrap();
+            let i = p as usize;
             count[i] += 1;
             micros[i] += r.num("micros");
             buckets[i][bucket_of(r.num("micros"))] += 1;
@@ -563,7 +84,10 @@ pub fn phase_table(records: &[TraceRecord]) -> String {
 /// row. Empty when the trace predates the compiled kernel (no
 /// `Metrics` records).
 pub fn settle_mix_table(records: &[TraceRecord]) -> String {
-    let metrics: Vec<&TraceRecord> = records.iter().filter(|r| r.kind == METRICS_KIND).collect();
+    let metrics: Vec<&TraceRecord> = records
+        .iter()
+        .filter(|r| r.kind == METRICS_RECORD.kind)
+        .collect();
     if metrics.is_empty() {
         return String::new();
     }
@@ -611,7 +135,7 @@ pub fn settle_mix_table(records: &[TraceRecord]) -> String {
 pub fn solver_cache_table(records: &[TraceRecord]) -> String {
     let rows: Vec<&TraceRecord> = records
         .iter()
-        .filter(|r| r.kind == SOLVER_CACHE_KIND)
+        .filter(|r| r.kind == SOLVER_CACHE_RECORD.kind)
         .collect();
     if rows.is_empty() {
         return String::new();
@@ -689,7 +213,7 @@ pub fn goal_cost_table(records: &[TraceRecord]) -> String {
         if row.hist.len() < hist.len() {
             row.hist.resize(hist.len(), 0);
         }
-        for (dst, src) in row.hist.iter_mut().zip(hist) {
+        for (dst, src) in row.hist.iter_mut().zip(&hist) {
             *dst += src;
         }
         row.last_status = r.str("status").to_string();
@@ -747,9 +271,9 @@ pub fn timeline(records: &[TraceRecord]) -> String {
                 r.num("vectors")
             ),
             "SymbolicEpisode" => {
-                let cp = match r.field("checkpoint") {
-                    Some(JsonVal::Num(n)) => format!("checkpoint {n}"),
-                    _ => "reset state".into(),
+                let cp = match r.field("checkpoint").and_then(uint) {
+                    Some(n) => format!("checkpoint {n}"),
+                    None => "reset state".into(),
                 };
                 format!(
                     "symbolic episode from {cp}: {} ({} eqns)",
@@ -773,9 +297,9 @@ pub fn timeline(records: &[TraceRecord]) -> String {
                 r.num("vector")
             ),
             "NodeCovered" => {
-                let goal = match r.field("goal") {
-                    Some(JsonVal::Num(g)) => format!(" (goal {g})"),
-                    _ => String::new(),
+                let goal = match r.field("goal").and_then(uint) {
+                    Some(g) => format!(" (goal {g})"),
+                    None => String::new(),
                 };
                 format!(
                     "node {} covered via {}{goal} at vector {}",
@@ -814,220 +338,14 @@ pub fn timeline(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Re-serializes one validated record as a canonical flat JSON line:
-/// `t`, `task`, `kind`, then the kind-specific fields in record order.
-/// The output parses back through [`parse_line`] unchanged, so it can
-/// be piped into any consumer of the trace schema.
-pub fn record_to_json(r: &TraceRecord) -> String {
-    let mut out = format!(
-        "{{\"t\":{},\"task\":{},\"kind\":\"{}\"",
-        r.t, r.task, r.kind
-    );
-    for (name, val) in &r.fields {
-        out.push_str(",\"");
-        out.push_str(name);
-        out.push_str("\":");
-        match val {
-            JsonVal::Num(n) => out.push_str(&n.to_string()),
-            JsonVal::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonVal::Null => out.push_str("null"),
-            JsonVal::Str(s) => {
-                out.push('"');
-                escape_json_into(s, &mut out);
-                out.push('"');
-            }
-            JsonVal::Arr(items) => {
-                out.push('[');
-                for (i, n) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&n.to_string());
-                }
-                out.push(']');
-            }
-        }
-    }
-    out.push('}');
-    out
-}
-
-/// Renders a whole trace back to canonical JSONL (one
-/// [`record_to_json`] line per record, newline-terminated).
-pub fn to_json_lines(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&record_to_json(r));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symbfuzz_telemetry::Event;
+    use crate::schema::{parse_line, parse_trace};
+    use symbfuzz_telemetry::{Event, SolveStatus, UnknownReason, FLIGHT_RECORD};
 
-    #[test]
-    fn event_lines_round_trip_through_parser() {
-        let events = [
-            Event::CoverageDelta {
-                vectors: 100,
-                coverage: 20,
-                delta: 3,
-            },
-            Event::StagnationEnter {
-                vectors: 400,
-                intervals: 2,
-            },
-            Event::SymbolicEpisode {
-                checkpoint: Some(5),
-                eqns: 12,
-                solve_result: SolveStatus::Sat,
-            },
-            Event::SymbolicEpisode {
-                checkpoint: None,
-                eqns: 12,
-                solve_result: SolveStatus::Unknown(UnknownReason::Conflicts),
-            },
-            Event::BudgetExhausted {
-                reason: UnknownReason::Conflicts,
-                level: 2,
-                conflicts: 10_000,
-                decisions: 31_407,
-                propagations: 918_222,
-            },
-            Event::SmtSolve {
-                vars: 40,
-                clauses: 90,
-                sat: true,
-                micros: 17,
-            },
-            Event::PartialReset { prefix_len: 9 },
-            Event::FullReset,
-            Event::BugFired {
-                property: "a\"b".into(),
-                vector: 999,
-            },
-            Event::NodeCovered {
-                node: 4,
-                vector: 120,
-                mechanism: Mechanism::SolverGuided,
-                goal: Some(2),
-                checkpoint: None,
-            },
-            Event::NodeCovered {
-                node: 5,
-                vector: 121,
-                mechanism: Mechanism::ReplayPrefix,
-                goal: None,
-                checkpoint: Some(3),
-            },
-            Event::EdgeCovered {
-                edge: 9,
-                src: 4,
-                dst: 5,
-                vector: 121,
-                mechanism: Mechanism::ConstrainedRandom,
-            },
-        ];
-        for (i, e) in events.iter().enumerate() {
-            let line = e.to_json_line(i as u64, 3);
-            let rec = parse_line(&line).expect("valid line");
-            assert_eq!(rec.t, i as u64);
-            assert_eq!(rec.task, 3);
-            assert_eq!(rec.kind, e.kind());
-        }
-        let rec = parse_line(&events[8].to_json_line(0, 0)).unwrap();
-        assert_eq!(rec.str("property"), "a\"b");
-    }
-
-    #[test]
-    fn schema_violations_are_rejected() {
-        // Missing field.
-        assert!(parse_line("{\"t\":1,\"task\":0,\"kind\":\"PartialReset\"}").is_err());
-        // Wrong type.
-        assert!(
-            parse_line("{\"t\":1,\"task\":0,\"kind\":\"PartialReset\",\"prefix_len\":\"x\"}")
-                .is_err()
-        );
-        // Unknown kind.
-        assert!(parse_line("{\"t\":1,\"task\":0,\"kind\":\"Nope\"}").is_err());
-        // Extra field.
-        assert!(parse_line("{\"t\":1,\"task\":0,\"kind\":\"FullReset\",\"x\":1}").is_err());
-        // Unknown solve outcome.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"SymbolicEpisode\",\"checkpoint\":null,\
-             \"eqns\":1,\"solve_result\":\"maybe\"}"
-        )
-        .is_err());
-        // A structured unknown round-trips; an unknown ceiling name does not.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"SymbolicEpisode\",\"checkpoint\":null,\
-             \"eqns\":1,\"solve_result\":\"unknown:conflicts\"}"
-        )
-        .is_ok());
-        // Unknown budget ceiling name.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"BudgetExhausted\",\"reason\":\"patience\",\
-             \"level\":0,\"conflicts\":1,\"decisions\":1,\"propagations\":1}"
-        )
-        .is_err());
-        // Unknown phase name.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"Phase\",\"phase\":\"nap\",\"micros\":4}"
-        )
-        .is_err());
-        // Unknown coverage mechanism.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"NodeCovered\",\"node\":1,\"vector\":2,\
-             \"mechanism\":\"telepathy\",\"goal\":null,\"checkpoint\":null}"
-        )
-        .is_err());
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"EdgeCovered\",\"edge\":0,\"src\":1,\"dst\":2,\
-             \"vector\":3,\"mechanism\":\"osmosis\"}"
-        )
-        .is_err());
-        // Syntax errors.
-        assert!(parse_flat_object("{\"a\":1").is_err());
-        assert!(parse_flat_object("{\"a\":1} x").is_err());
-        assert!(parse_flat_object("{\"a\":1,\"a\":2}").is_err());
-    }
-
-    #[test]
-    fn canonical_json_round_trips_through_the_schema_checker() {
-        let events = [
-            Event::NodeCovered {
-                node: 7,
-                vector: 42,
-                mechanism: Mechanism::SolverGuided,
-                goal: Some(1),
-                checkpoint: Some(2),
-            },
-            Event::BugFired {
-                property: "needs \"escaping\"".into(),
-                vector: 9,
-            },
-            Event::FullReset,
-        ];
-        let text: String = events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| e.to_json_line(i as u64, 0) + "\n")
-            .collect();
-        let records = parse_trace(&text).unwrap();
-        // The canonical re-serialization is byte-identical to what the
-        // telemetry layer emitted, and re-validates cleanly.
-        assert_eq!(to_json_lines(&records), text);
-        assert_eq!(parse_trace(&to_json_lines(&records)).unwrap(), records);
-    }
-
-    #[test]
-    fn trace_errors_carry_line_numbers() {
-        let text = "{\"t\":0,\"task\":0,\"kind\":\"FullReset\"}\n\nnot json\n";
-        let err = parse_trace(text).unwrap_err();
-        assert!(err.starts_with("line 3:"), "{err}");
+    fn json_lines(records: &[TraceRecord]) -> String {
+        records.iter().map(|r| r.to_json() + "\n").collect()
     }
 
     #[test]
@@ -1068,11 +386,11 @@ mod tests {
 ";
         let recs = parse_trace(text).unwrap();
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].kind, FLIGHT_KIND);
+        assert_eq!(recs[0].kind, FLIGHT_RECORD.kind);
         assert_eq!(recs[0].num("interval"), 1);
         assert_eq!(recs[0].num("d_vectors"), 1000);
         // Canonical re-serialization is byte-identical.
-        assert_eq!(to_json_lines(&recs), text);
+        assert_eq!(json_lines(&recs), text);
         // Flight records are heartbeat summaries, not timeline events.
         assert_eq!(timeline(&recs), "");
         // A truncated flight record is a schema violation.
@@ -1103,7 +421,7 @@ mod tests {
             "{table}"
         );
         // Canonical re-serialization round-trips.
-        assert_eq!(to_json_lines(&recs), text);
+        assert_eq!(json_lines(&recs), text);
         // Missing fields are a schema violation.
         assert!(
             parse_line("{\"t\":1,\"task\":0,\"kind\":\"Metrics\",\"settle_fast_path\":1}").is_err()
@@ -1131,7 +449,7 @@ mod tests {
             "{table}"
         );
         // Canonical re-serialization round-trips.
-        assert_eq!(to_json_lines(&recs), text);
+        assert_eq!(json_lines(&recs), text);
         // Missing fields are a schema violation.
         assert!(parse_line(
             "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":1}"
@@ -1139,28 +457,6 @@ mod tests {
         .is_err());
         // Traces without SolverCache records render nothing.
         assert_eq!(solver_cache_table(&[]), "");
-    }
-
-    #[test]
-    fn pre_change_solver_cache_lines_still_check() {
-        // Written while portfolio racing existed: the race tallies are
-        // accepted and dropped.
-        let old = "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
-\"bitblast_cache_misses\":10,\"session_reuse_milli\":800,\"portfolio_races\":5,\
-\"portfolio_wins\":[3,2]}";
-        let rec = parse_line(old).unwrap();
-        assert_eq!(rec.num("bitblast_cache_hits"), 30);
-        assert_eq!(
-            to_json_lines(&[rec]),
-            "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
-\"bitblast_cache_misses\":10,\"session_reuse_milli\":800}\n"
-        );
-        // Retired names are only forgiven on the kind that carried them.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"Metrics\",\"settle_fast_path\":1,\
-\"settle_escapes\":0,\"x_island_cones\":0,\"settle_sweeps\":1,\"portfolio_races\":0}"
-        )
-        .is_err());
     }
 
     #[test]
@@ -1224,7 +520,7 @@ mod tests {
         let records = parse_trace(&text).unwrap();
         // Canonical re-serialization (array field included) is
         // byte-identical and re-validates.
-        assert_eq!(to_json_lines(&records), text);
+        assert_eq!(json_lines(&records), text);
         assert_eq!(records[0].arr("hist").len(), TRACE_HIST_BUCKETS);
 
         // Both attempts of the `st`=3 goal fold into one hardest-first
@@ -1257,33 +553,6 @@ mod tests {
 
         // Traces without solver-cost records render nothing.
         assert_eq!(goal_cost_table(&[]), "");
-    }
-
-    #[test]
-    fn solver_cost_schema_violations_are_rejected() {
-        // Unknown solve status.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"GoalSolveCost\",\"register\":\"st\",\"value\":3,\
-             \"status\":\"maybe\",\"depth\":1,\"calls\":1,\"conflicts\":0,\"learned\":0,\
-             \"restarts\":0,\"hist\":[]}"
-        )
-        .is_err());
-        // `hist` must be an array.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"GoalSolveCost\",\"register\":\"st\",\"value\":3,\
-             \"status\":\"sat\",\"depth\":1,\"calls\":1,\"conflicts\":0,\"learned\":0,\
-             \"restarts\":0,\"hist\":7}"
-        )
-        .is_err());
-        // Arrays hold numbers only.
-        assert!(parse_flat_object("{\"hist\":[\"x\"]}").is_err());
-        assert!(parse_flat_object("{\"hist\":[1,]}").is_err());
-        // Missing field.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"CoreExtracted\",\"register\":\"st\",\"value\":3,\
-             \"core\":2}"
-        )
-        .is_err());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! validates against its schema checker, and the attribution joins
 //! line up with the underlying covmaps.
 
-use symbfuzz_bench::covreport::{build_report, render_html, validate_covmap, validate_report};
+use symbfuzz_bench::covreport::{build_report, render_html};
 use symbfuzz_bench::experiments::resource_profile;
+use symbfuzz_bench::schema::{validate_covmap, validate_report};
 use symbfuzz_core::FuzzConfig;
 
 const BENCH: usize = 0; // ibex_like

@@ -5,10 +5,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 use symbfuzz_bench::experiments::resource_profile;
-use symbfuzz_bench::trace::{parse_line, phase_table, PHASE_KIND};
+use symbfuzz_bench::schema::parse_line;
+use symbfuzz_bench::trace::phase_table;
 use symbfuzz_core::{CampaignResult, FuzzConfig, PropertySpec, Strategy, SymbFuzz, TelemetryBlock};
 use symbfuzz_netlist::elaborate_src;
-use symbfuzz_telemetry::{BufferSink, Collector, Phase};
+use symbfuzz_telemetry::{BufferSink, Collector, Phase, PHASE_RECORD};
 
 /// A two-step combination lock: random fuzzing stalls in state 0, so a
 /// short campaign exercises stagnation, symbolic episodes, SMT solves,
@@ -85,7 +86,7 @@ fn traced_campaign_round_trips_through_schema_parser() {
     let mut kinds = std::collections::BTreeSet::new();
     for line in &lines {
         let rec = parse_line(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
-        if rec.kind != PHASE_KIND {
+        if rec.kind != PHASE_RECORD.kind {
             kinds.insert(rec.kind.clone());
         }
     }
@@ -93,7 +94,7 @@ fn traced_campaign_round_trips_through_schema_parser() {
         kinds.len() >= 6,
         "expected >= 6 distinct event kinds, got {kinds:?}"
     );
-    // The ring-derived report agrees with what streamed out.
+    // The report's bug list agrees with what streamed out.
     let streamed_bugs = lines
         .iter()
         .filter(|l| l.contains("\"kind\":\"BugFired\""))

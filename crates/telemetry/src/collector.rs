@@ -1,10 +1,12 @@
-//! The collector: counters, gauges, phase timers and the event ring.
+//! The collector: counters, gauges, phase timers and event counts.
 
 use crate::clock::{Clock, ManualClock, MonotonicClock};
-use crate::event::{Event, TimedEvent};
+use crate::event::Event;
+use crate::record::{
+    FieldValue, RecordSchema, METRICS_RECORD, PHASE_RECORD, RECORDS, SOLVER_CACHE_RECORD,
+};
 use crate::sink::{NullSink, TraceSink};
 use crate::snapshot::{MetricsSnapshot, PhaseStat};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,8 +40,6 @@ pub enum Counter {
     SatDecisions,
     /// CDCL conflicts across all solves.
     SatConflicts,
-    /// Events evicted from the bounded ring.
-    RingDropped,
     /// Budgeted solves that stopped at a resource ceiling.
     BudgetExhaustions,
     /// Solve goals skipped because the negative cache held them.
@@ -73,7 +73,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 24;
+    pub const COUNT: usize = 23;
 
     /// All counters in index order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -89,7 +89,6 @@ impl Counter {
         Counter::SatClauses,
         Counter::SatDecisions,
         Counter::SatConflicts,
-        Counter::RingDropped,
         Counter::BudgetExhaustions,
         Counter::NegCacheHits,
         Counter::SettleFastPath,
@@ -118,7 +117,6 @@ impl Counter {
             Counter::SatClauses => "sat_clauses",
             Counter::SatDecisions => "sat_decisions",
             Counter::SatConflicts => "sat_conflicts",
-            Counter::RingDropped => "ring_dropped",
             Counter::BudgetExhaustions => "budget_exhaustions",
             Counter::NegCacheHits => "neg_cache_hits",
             Counter::SettleFastPath => "settle_fast_path",
@@ -131,10 +129,6 @@ impl Counter {
             Counter::BitblastCacheHits => "bitblast_cache_hits",
             Counter::BitblastCacheMisses => "bitblast_cache_misses",
         }
-    }
-
-    fn index(self) -> usize {
-        Counter::ALL.iter().position(|c| *c == self).unwrap()
     }
 }
 
@@ -202,10 +196,6 @@ impl Gauge {
             Gauge::SolverSessionReuse => "solver_session_reuse_milli",
         }
     }
-
-    fn index(self) -> usize {
-        Gauge::ALL.iter().position(|g| *g == self).unwrap()
-    }
 }
 
 /// The fixed phase taxonomy the campaign wall-time decomposes into.
@@ -257,10 +247,6 @@ impl Phase {
     pub fn parse(s: &str) -> Option<Phase> {
         Phase::ALL.iter().copied().find(|p| p.name() == s)
     }
-
-    fn index(self) -> usize {
-        Phase::ALL.iter().position(|p| *p == self).unwrap()
-    }
 }
 
 /// Number of duration-histogram buckets per phase (log₄ microseconds:
@@ -276,9 +262,6 @@ pub fn bucket_of(micros: u64) -> usize {
     let bits = 64 - micros.leading_zeros() as usize;
     (bits.saturating_sub(1) / 2).min(HIST_BUCKETS - 1)
 }
-
-/// Default bound on the in-memory event ring.
-pub const DEFAULT_RING_CAP: usize = 4096;
 
 struct Frame {
     phase: Phase,
@@ -301,8 +284,7 @@ pub struct Collector {
     phase_count: [AtomicU64; Phase::COUNT],
     phase_self_micros: [AtomicU64; Phase::COUNT],
     phase_hist: [[AtomicU64; HIST_BUCKETS]; Phase::COUNT],
-    ring: Mutex<VecDeque<TimedEvent>>,
-    ring_cap: usize,
+    events: [AtomicU64; Event::KIND_COUNT],
     spans: Mutex<Vec<Frame>>,
     sink: Mutex<Box<dyn TraceSink>>,
 }
@@ -312,7 +294,7 @@ impl fmt::Debug for Collector {
         f.debug_struct("Collector")
             .field("task", &self.task.load(Ordering::Relaxed))
             .field("vectors", &self.get(Counter::Vectors))
-            .field("events", &self.ring.lock().map(|r| r.len()).unwrap_or(0))
+            .field("events", &self.event_counts().iter().sum::<u64>())
             .finish()
     }
 }
@@ -334,8 +316,7 @@ impl Collector {
             phase_count: std::array::from_fn(|_| AtomicU64::new(0)),
             phase_self_micros: std::array::from_fn(|_| AtomicU64::new(0)),
             phase_hist: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            ring: Mutex::new(VecDeque::new()),
-            ring_cap: DEFAULT_RING_CAP,
+            events: std::array::from_fn(|_| AtomicU64::new(0)),
             spans: Mutex::new(Vec::new()),
             sink: Mutex::new(Box::new(NullSink)),
         }
@@ -363,14 +344,13 @@ impl Collector {
         self.task.load(Ordering::Relaxed)
     }
 
-    /// Streams one pre-formatted JSONL record to the sink, if a sink is
-    /// attached. The synthetic-record seam for layers (the flight
-    /// recorder) that format their own lines; like every record path
-    /// this is a no-op on a disabled sink.
-    pub fn trace_line(&self, line: &str) {
+    /// Streams one record of a synthetic kind (`schema`), stamped `t`
+    /// and this collector's task label, to the sink. Nothing is
+    /// formatted when the sink is disabled.
+    pub fn trace_record(&self, t: u64, schema: &RecordSchema, values: &[FieldValue<'_>]) {
         let mut sink = self.sink.lock().unwrap();
         if sink.enabled() {
-            sink.write_line(line);
+            sink.write_line(&schema.line(t, self.task(), values));
         }
     }
 
@@ -407,23 +387,23 @@ impl Collector {
     /// Adds to a counter.
     #[inline]
     pub fn add(&self, c: Counter, n: u64) {
-        self.counters[c.index()].fetch_add(n, Ordering::Relaxed);
+        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Reads a counter.
     pub fn get(&self, c: Counter) -> u64 {
-        self.counters[c.index()].load(Ordering::Relaxed)
+        self.counters[c as usize].load(Ordering::Relaxed)
     }
 
     /// Sets a gauge level.
     #[inline]
     pub fn set_gauge(&self, g: Gauge, v: u64) {
-        self.gauges[g.index()].store(v, Ordering::Relaxed);
+        self.gauges[g as usize].store(v, Ordering::Relaxed);
     }
 
     /// Reads a gauge.
     pub fn gauge(&self, g: Gauge) -> u64 {
-        self.gauges[g.index()].load(Ordering::Relaxed)
+        self.gauges[g as usize].load(Ordering::Relaxed)
     }
 
     /// Streams one `Metrics` summary record to the sink: the
@@ -431,20 +411,16 @@ impl Collector {
     /// total, so `tracedump` can show the fast-path hit rate per
     /// campaign. Call once at campaign end.
     pub fn emit_settle_metrics(&self) {
-        let mut sink = self.sink.lock().unwrap();
-        if !sink.enabled() {
-            return;
-        }
-        let t = self.clock.now_micros();
-        let line = format!(
-            "{{\"t\":{t},\"task\":{},\"kind\":\"Metrics\",\"settle_fast_path\":{},\"settle_escapes\":{},\"x_island_cones\":{},\"settle_sweeps\":{}}}",
-            self.task.load(Ordering::Relaxed),
-            self.get(Counter::SettleFastPath),
-            self.get(Counter::SettleEscapes),
-            self.gauge(Gauge::XIslandCones),
-            self.get(Counter::SettleSweeps),
+        self.trace_record(
+            self.now_micros(),
+            METRICS_RECORD,
+            &[
+                FieldValue::Num(self.get(Counter::SettleFastPath)),
+                FieldValue::Num(self.get(Counter::SettleEscapes)),
+                FieldValue::Num(self.gauge(Gauge::XIslandCones)),
+                FieldValue::Num(self.get(Counter::SettleSweeps)),
+            ],
         );
-        sink.write_line(&line);
     }
 
     /// Streams one `SolverCache` summary record to the sink: the
@@ -452,63 +428,30 @@ impl Collector {
     /// so `tracedump` can report the cache hit rate. Call once at
     /// campaign end; no-op when no sink is attached.
     pub fn emit_solver_cache_metrics(&self) {
-        let mut sink = self.sink.lock().unwrap();
-        if !sink.enabled() {
-            return;
-        }
-        let t = self.clock.now_micros();
-        let line = format!(
-            "{{\"t\":{t},\"task\":{},\"kind\":\"SolverCache\",\"bitblast_cache_hits\":{},\"bitblast_cache_misses\":{},\"session_reuse_milli\":{}}}",
-            self.task.load(Ordering::Relaxed),
-            self.get(Counter::BitblastCacheHits),
-            self.get(Counter::BitblastCacheMisses),
-            self.gauge(Gauge::SolverSessionReuse),
+        self.trace_record(
+            self.now_micros(),
+            SOLVER_CACHE_RECORD,
+            &[
+                FieldValue::Num(self.get(Counter::BitblastCacheHits)),
+                FieldValue::Num(self.get(Counter::BitblastCacheMisses)),
+                FieldValue::Num(self.gauge(Gauge::SolverSessionReuse)),
+            ],
         );
-        sink.write_line(&line);
     }
 
-    /// Records an event: counts it, appends it to the bounded ring and
-    /// streams it to the sink when one is attached.
+    /// Records an event: counts its kind and streams it to the sink
+    /// when one is attached.
     pub fn record(&self, event: Event) {
-        let t = self.clock.now_micros();
-        {
-            let mut sink = self.sink.lock().unwrap();
-            if sink.enabled() {
-                let line = event.to_json_line(t, self.task.load(Ordering::Relaxed));
-                sink.write_line(&line);
-            }
-        }
-        let dropped = {
-            let mut ring = self.ring.lock().unwrap();
-            let dropped = ring.len() >= self.ring_cap;
-            if dropped {
-                ring.pop_front();
-            }
-            ring.push_back(TimedEvent { micros: t, event });
-            dropped
-        };
-        if dropped {
-            self.add(Counter::RingDropped, 1);
+        self.events[event.kind_index()].fetch_add(1, Ordering::Relaxed);
+        let mut sink = self.sink.lock().unwrap();
+        if sink.enabled() {
+            sink.write_line(&event.to_json_line(self.now_micros(), self.task()));
         }
     }
 
-    /// Count of recorded events per kind, in [`Event::KINDS`] order.
+    /// Count of recorded events per kind, in [`Event::kind_index`] order.
     pub fn event_counts(&self) -> [u64; Event::KIND_COUNT] {
-        let mut out = [0u64; Event::KIND_COUNT];
-        if let Ok(ring) = self.ring.lock() {
-            for e in ring.iter() {
-                out[e.event.kind_index()] += 1;
-            }
-        }
-        out
-    }
-
-    /// Copies the event ring out (oldest first).
-    pub fn events(&self) -> Vec<TimedEvent> {
-        self.ring
-            .lock()
-            .map(|r| r.iter().cloned().collect())
-            .unwrap_or_default()
+        std::array::from_fn(|i| self.events[i].load(Ordering::Relaxed))
     }
 
     /// Opens an RAII phase span. Spans nest: a parent's accumulated
@@ -563,29 +506,25 @@ impl Collector {
             }
             (inclusive.saturating_sub(f.child_micros), inclusive)
         };
-        let i = phase.index();
+        let i = phase as usize;
         self.phase_count[i].fetch_add(1, Ordering::Relaxed);
         self.phase_self_micros[i].fetch_add(self_micros, Ordering::Relaxed);
         self.phase_hist[i][bucket_of(inclusive)].fetch_add(1, Ordering::Relaxed);
-        let mut sink = self.sink.lock().unwrap();
-        if sink.enabled() {
-            let line = format!(
-                "{{\"t\":{end},\"task\":{},\"kind\":\"Phase\",\"phase\":\"{}\",\"micros\":{self_micros}}}",
-                self.task.load(Ordering::Relaxed),
-                phase.name()
-            );
-            sink.write_line(&line);
-        }
+        self.trace_record(
+            end,
+            PHASE_RECORD,
+            &[FieldValue::Str(phase.name()), FieldValue::Num(self_micros)],
+        );
     }
 
     /// Total self-time recorded for a phase.
     pub fn phase_self_micros(&self, phase: Phase) -> u64 {
-        self.phase_self_micros[phase.index()].load(Ordering::Relaxed)
+        self.phase_self_micros[phase as usize].load(Ordering::Relaxed)
     }
 
     /// Completed span count for a phase.
     pub fn phase_count(&self, phase: Phase) -> u64 {
-        self.phase_count[phase.index()].load(Ordering::Relaxed)
+        self.phase_count[phase as usize].load(Ordering::Relaxed)
     }
 
     /// Snapshots every counter, gauge, event count and phase statistic
@@ -601,10 +540,10 @@ impl Collector {
                 .iter()
                 .map(|g| (g.name().to_string(), self.gauge(*g)))
                 .collect(),
-            events: Event::KINDS
+            events: RECORDS
                 .iter()
-                .enumerate()
-                .map(|(i, k)| (k.to_string(), events[i]))
+                .zip(events)
+                .map(|(r, n)| (r.kind.to_string(), n))
                 .collect(),
             phases: Phase::ALL
                 .iter()
@@ -612,7 +551,7 @@ impl Collector {
                     phase: p.name().to_string(),
                     count: self.phase_count(*p),
                     self_micros: self.phase_self_micros(*p),
-                    buckets: self.phase_hist[p.index()]
+                    buckets: self.phase_hist[*p as usize]
                         .iter()
                         .map(|b| b.load(Ordering::Relaxed))
                         .collect(),
@@ -666,13 +605,39 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_and_counts_drops() {
+    fn every_recorded_event_is_counted() {
         let c = Collector::deterministic();
-        for _ in 0..(DEFAULT_RING_CAP + 10) {
-            c.record(Event::FullReset);
+        for i in 0..5_000 {
+            c.record(if i % 2 == 0 {
+                Event::FullReset
+            } else {
+                Event::PartialReset { prefix_len: i }
+            });
         }
-        assert_eq!(c.events().len(), DEFAULT_RING_CAP);
-        assert_eq!(c.get(Counter::RingDropped), 10);
+        let counts = c.event_counts();
+        assert_eq!(counts.iter().sum::<u64>(), 5_000);
+        assert_eq!(counts[Event::FullReset.kind_index()], 2_500);
+        let snap = c.snapshot();
+        assert_eq!(snap.events.iter().map(|(_, n)| n).sum::<u64>(), 5_000);
+    }
+
+    #[test]
+    fn all_arrays_are_in_discriminant_order() {
+        use crate::event::{Mechanism, UnknownReason};
+        assert!(Counter::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, c)| *c as usize == i));
+        assert!(Gauge::ALL.iter().enumerate().all(|(i, g)| *g as usize == i));
+        assert!(Phase::ALL.iter().enumerate().all(|(i, p)| *p as usize == i));
+        assert!(UnknownReason::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, r)| *r as usize == i));
+        assert!(Mechanism::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, m)| *m as usize == i));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The campaign event taxonomy and its JSONL encoding.
+//! The campaign event taxonomy. Its JSONL layout is declared in
+//! [`crate::RECORDS`].
 
-use std::fmt::Write as _;
+use crate::record::{FieldValue, RECORDS};
 
 /// Why a budgeted analysis stopped before reaching a verdict.
 ///
@@ -108,7 +109,7 @@ impl SolveStatus {
             SolveStatus::Sat => 0,
             SolveStatus::Unsat => 1,
             SolveStatus::Skipped => 2,
-            SolveStatus::Unknown(r) => 3 + UnknownReason::ALL.iter().position(|x| *x == r).unwrap(),
+            SolveStatus::Unknown(r) => 3 + r as usize,
         }
     }
 
@@ -187,9 +188,8 @@ impl std::fmt::Display for Mechanism {
 /// One structured trace event from the fuzz loop.
 ///
 /// Each variant maps to one JSONL record kind; [`Event::kind`] is the
-/// schema discriminator and [`Event::KINDS`] the closed set a trace
-/// validator checks against (plus the synthetic `Phase` records the
-/// collector emits when a [`crate::PhaseTimer`] span ends).
+/// schema discriminator, and the leading entries of [`RECORDS`] declare
+/// each kind's fields (the synthetic records follow them).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// An interval ended with more coverage than the previous one.
@@ -327,29 +327,13 @@ impl Event {
     /// Number of event kinds.
     pub const KIND_COUNT: usize = 12;
 
-    /// Every event kind, in `kind_index` order (append-only: indices
-    /// are part of the trace schema).
-    pub const KINDS: [&'static str; Event::KIND_COUNT] = [
-        "CoverageDelta",
-        "StagnationEnter",
-        "SymbolicEpisode",
-        "SmtSolve",
-        "PartialReset",
-        "FullReset",
-        "BugFired",
-        "BudgetExhausted",
-        "NodeCovered",
-        "EdgeCovered",
-        "GoalSolveCost",
-        "CoreExtracted",
-    ];
-
     /// The schema discriminator for this event.
     pub fn kind(&self) -> &'static str {
-        Event::KINDS[self.kind_index()]
+        RECORDS[self.kind_index()].kind
     }
 
-    /// Index into [`Event::KINDS`].
+    /// Index into [`RECORDS`] (append-only: indices are part of the
+    /// trace schema).
     pub fn kind_index(&self) -> usize {
         match self {
             Event::CoverageDelta { .. } => 0,
@@ -368,118 +352,77 @@ impl Event {
     }
 
     /// Renders one JSONL record (no trailing newline): timestamp,
-    /// task label, kind, then the variant's fields.
+    /// task label, kind, then the variant's fields, as [`RECORDS`]
+    /// declares them.
     pub fn to_json_line(&self, t: u64, task: u64) -> String {
-        let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "{{\"t\":{t},\"task\":{task},\"kind\":\"{}\"",
-            self.kind()
-        );
+        use FieldValue::{Bool, Num, NumArray, NumOrNull, Str};
+        let line = |values: &[FieldValue<'_>]| RECORDS[self.kind_index()].line(t, task, values);
         match self {
             Event::CoverageDelta {
                 vectors,
                 coverage,
                 delta,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"vectors\":{vectors},\"coverage\":{coverage},\"delta\":{delta}"
-                );
-            }
+            } => line(&[Num(*vectors), Num(*coverage), Num(*delta)]),
             Event::StagnationEnter { vectors, intervals } => {
-                let _ = write!(s, ",\"vectors\":{vectors},\"intervals\":{intervals}");
+                line(&[Num(*vectors), Num(*intervals)])
             }
             Event::SymbolicEpisode {
                 checkpoint,
                 eqns,
                 solve_result,
-            } => {
-                match checkpoint {
-                    Some(cp) => {
-                        let _ = write!(s, ",\"checkpoint\":{cp}");
-                    }
-                    None => s.push_str(",\"checkpoint\":null"),
-                }
-                let _ = write!(
-                    s,
-                    ",\"eqns\":{eqns},\"solve_result\":\"{}\"",
-                    solve_result.serial()
-                );
-            }
+            } => line(&[
+                NumOrNull(*checkpoint),
+                Num(*eqns),
+                Str(solve_result.serial()),
+            ]),
             Event::SmtSolve {
                 vars,
                 clauses,
                 sat,
                 micros,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"vars\":{vars},\"clauses\":{clauses},\"sat\":{sat},\"micros\":{micros}"
-                );
-            }
-            Event::PartialReset { prefix_len } => {
-                let _ = write!(s, ",\"prefix_len\":{prefix_len}");
-            }
-            Event::FullReset => {}
-            Event::BugFired { property, vector } => {
-                s.push_str(",\"property\":\"");
-                escape_json_into(property, &mut s);
-                let _ = write!(s, "\",\"vector\":{vector}");
-            }
+            } => line(&[Num(*vars), Num(*clauses), Bool(*sat), Num(*micros)]),
+            Event::PartialReset { prefix_len } => line(&[Num(*prefix_len)]),
+            Event::FullReset => line(&[]),
+            Event::BugFired { property, vector } => line(&[Str(property), Num(*vector)]),
             Event::BudgetExhausted {
                 reason,
                 level,
                 conflicts,
                 decisions,
                 propagations,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"reason\":\"{}\",\"level\":{level},\"conflicts\":{conflicts},\
-                     \"decisions\":{decisions},\"propagations\":{propagations}",
-                    reason.name()
-                );
-            }
+            } => line(&[
+                Str(reason.name()),
+                Num(*level),
+                Num(*conflicts),
+                Num(*decisions),
+                Num(*propagations),
+            ]),
             Event::NodeCovered {
                 node,
                 vector,
                 mechanism,
                 goal,
                 checkpoint,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{node},\"vector\":{vector},\"mechanism\":\"{}\"",
-                    mechanism.name()
-                );
-                match goal {
-                    Some(g) => {
-                        let _ = write!(s, ",\"goal\":{g}");
-                    }
-                    None => s.push_str(",\"goal\":null"),
-                }
-                match checkpoint {
-                    Some(cp) => {
-                        let _ = write!(s, ",\"checkpoint\":{cp}");
-                    }
-                    None => s.push_str(",\"checkpoint\":null"),
-                }
-            }
+            } => line(&[
+                Num(*node),
+                Num(*vector),
+                Str(mechanism.name()),
+                NumOrNull(*goal),
+                NumOrNull(*checkpoint),
+            ]),
             Event::EdgeCovered {
                 edge,
                 src,
                 dst,
                 vector,
                 mechanism,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"edge\":{edge},\"src\":{src},\"dst\":{dst},\
-                     \"vector\":{vector},\"mechanism\":\"{}\"",
-                    mechanism.name()
-                );
-            }
+            } => line(&[
+                Num(*edge),
+                Num(*src),
+                Num(*dst),
+                Num(*vector),
+                Str(mechanism.name()),
+            ]),
             Event::GoalSolveCost {
                 register,
                 value,
@@ -490,65 +433,23 @@ impl Event {
                 learned,
                 restarts,
                 hist,
-            } => {
-                s.push_str(",\"register\":\"");
-                escape_json_into(register, &mut s);
-                let _ = write!(
-                    s,
-                    "\",\"value\":{value},\"status\":\"{}\",\"depth\":{depth},\
-                     \"calls\":{calls},\"conflicts\":{conflicts},\"learned\":{learned},\
-                     \"restarts\":{restarts},\"hist\":[",
-                    status.serial()
-                );
-                for (i, b) in hist.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{b}");
-                }
-                s.push(']');
-            }
+            } => line(&[
+                Str(register),
+                Num(*value),
+                Str(status.serial()),
+                Num(*depth),
+                Num(*calls),
+                Num(*conflicts),
+                Num(*learned),
+                Num(*restarts),
+                NumArray(hist),
+            ]),
             Event::CoreExtracted {
                 register,
                 value,
                 core,
                 blamed,
-            } => {
-                s.push_str(",\"register\":\"");
-                escape_json_into(register, &mut s);
-                let _ = write!(
-                    s,
-                    "\",\"value\":{value},\"core\":{core},\"blamed\":{blamed}"
-                );
-            }
-        }
-        s.push('}');
-        s
-    }
-}
-
-/// An event plus the timestamp it was recorded at (ring-buffer entry).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimedEvent {
-    /// Clock reading at record time.
-    pub micros: u64,
-    /// The event.
-    pub event: Event,
-}
-
-/// Appends `s` to `out` with JSON string escaping.
-pub fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            } => line(&[Str(register), Num(*value), Num(*core), Num(*blamed)]),
         }
     }
 }
@@ -628,95 +529,8 @@ mod tests {
         assert_eq!(all.len(), Event::KIND_COUNT);
         for (i, e) in all.iter().enumerate() {
             assert_eq!(e.kind_index(), i);
-            assert_eq!(e.kind(), Event::KINDS[i]);
+            assert_eq!(e.kind(), RECORDS[i].kind);
         }
-    }
-
-    #[test]
-    fn json_lines_are_well_formed() {
-        let e = Event::SymbolicEpisode {
-            checkpoint: Some(5),
-            eqns: 12,
-            solve_result: SolveStatus::Sat,
-        };
-        assert_eq!(
-            e.to_json_line(42, 1),
-            "{\"t\":42,\"task\":1,\"kind\":\"SymbolicEpisode\",\"checkpoint\":5,\
-             \"eqns\":12,\"solve_result\":\"sat\"}"
-        );
-        let e = Event::FullReset;
-        assert_eq!(
-            e.to_json_line(0, 0),
-            "{\"t\":0,\"task\":0,\"kind\":\"FullReset\"}"
-        );
-        let e = Event::BudgetExhausted {
-            reason: UnknownReason::WallClock,
-            level: 2,
-            conflicts: 7,
-            decisions: 9,
-            propagations: 11,
-        };
-        assert_eq!(
-            e.to_json_line(3, 0),
-            "{\"t\":3,\"task\":0,\"kind\":\"BudgetExhausted\",\"reason\":\"wall_clock\",\
-             \"level\":2,\"conflicts\":7,\"decisions\":9,\"propagations\":11}"
-        );
-        let e = Event::NodeCovered {
-            node: 5,
-            vector: 17,
-            mechanism: Mechanism::ConstrainedRandom,
-            goal: None,
-            checkpoint: None,
-        };
-        assert_eq!(
-            e.to_json_line(17, 2),
-            "{\"t\":17,\"task\":2,\"kind\":\"NodeCovered\",\"node\":5,\"vector\":17,\
-             \"mechanism\":\"random\",\"goal\":null,\"checkpoint\":null}"
-        );
-        let e = Event::EdgeCovered {
-            edge: 2,
-            src: 0,
-            dst: 5,
-            vector: 17,
-            mechanism: Mechanism::SolverGuided,
-        };
-        assert_eq!(
-            e.to_json_line(17, 2),
-            "{\"t\":17,\"task\":2,\"kind\":\"EdgeCovered\",\"edge\":2,\"src\":0,\"dst\":5,\
-             \"vector\":17,\"mechanism\":\"solver\"}"
-        );
-    }
-
-    #[test]
-    fn solver_introspection_lines_are_well_formed() {
-        let e = Event::GoalSolveCost {
-            register: "state".into(),
-            value: 3,
-            status: SolveStatus::Unknown(UnknownReason::Conflicts),
-            depth: 4,
-            calls: 3,
-            conflicts: 120,
-            learned: 100,
-            restarts: 1,
-            hist: vec![0, 1, 2],
-        };
-        assert_eq!(
-            e.to_json_line(9, 1),
-            "{\"t\":9,\"task\":1,\"kind\":\"GoalSolveCost\",\"register\":\"state\",\
-             \"value\":3,\"status\":\"unknown:conflicts\",\"depth\":4,\"calls\":3,\
-             \"conflicts\":120,\"learned\":100,\"restarts\":1,\"hist\":[0,1,2]}"
-        );
-        let e = Event::CoreExtracted {
-            register: "lock\"r".into(),
-            value: 7,
-            core: 2,
-            blamed: 2,
-        };
-        assert_eq!(
-            e.to_json_line(1, 0),
-            "{\"t\":1,\"task\":0,\"kind\":\"CoreExtracted\",\"register\":\"lock\\\"r\",\
-             \"value\":7,\"core\":2,\"blamed\":2}"
-        );
     }
 
     #[test]
@@ -727,16 +541,6 @@ mod tests {
         }
         assert!(Mechanism::parse("telepathy").is_none());
         assert_eq!(Mechanism::ALL.len(), Mechanism::COUNT);
-    }
-
-    #[test]
-    fn property_names_are_escaped() {
-        let e = Event::BugFired {
-            property: "a\"b\\c\n".into(),
-            vector: 1,
-        };
-        let line = e.to_json_line(0, 0);
-        assert!(line.contains("a\\\"b\\\\c\\n"));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! ever observing a torn write.
 
 use crate::collector::{Collector, Counter};
+use crate::record::{escape_json_into, push_nums, FieldValue, FLIGHT_RECORD};
 use crate::snapshot::MetricsSnapshot;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -32,6 +33,19 @@ pub const FLIGHT_VERSION: u64 = 1;
 
 /// Default bound on the in-memory sample ring.
 pub const DEFAULT_SAMPLE_RING_CAP: usize = 1024;
+
+/// The scalar header fields every `status.json` ([`status_json`]) and
+/// every `flight.jsonl` record ([`flight_line`]) carries.
+pub const STATUS_SCALARS: [&str; 7] = [
+    "interval", "t", "vectors", "coverage", "nodes", "edges", "stagnant",
+];
+
+/// The cumulative-metrics sections of `status.json`, each an object of
+/// `name → number` pairs.
+pub const STATUS_SECTIONS: [&str; 4] = ["counters", "gauges", "events", "phase_self_micros"];
+
+/// The per-sample delta/gauge vectors of a `flight.jsonl` record.
+pub const FLIGHT_VECTORS: [&str; 4] = ["d_counters", "gauges", "d_events", "d_phase_micros"];
 
 /// Campaign state the driver passes into each sampling opportunity —
 /// the scalars the collector itself does not own.
@@ -52,7 +66,7 @@ pub struct SampleState {
 /// One delta-compressed flight-recorder sample.
 ///
 /// Vector fields are positional in the fixed schema orders
-/// ([`Counter::ALL`], [`crate::Gauge::ALL`], [`crate::Event::KINDS`],
+/// ([`Counter::ALL`], [`crate::Gauge::ALL`], [`crate::Event::kind_index`],
 /// [`crate::Phase::ALL`]); the names are not repeated per sample —
 /// that is the delta stream's compression. [`flight_line`] renders
 /// the canonical JSONL encoding.
@@ -80,23 +94,11 @@ pub struct FlightSample {
     /// Absolute gauge levels, [`crate::Gauge::ALL`] order.
     pub gauges: Vec<u64>,
     /// Event-count deltas since the previous sample,
-    /// [`crate::Event::KINDS`] order. Saturating: ring eviction can
-    /// shrink a raw count, which clamps to 0 rather than wrapping.
+    /// [`crate::Event::kind_index`] order.
     pub d_events: Vec<u64>,
     /// Phase self-time deltas since the previous sample,
     /// [`crate::Phase::ALL`] order.
     pub d_phase_micros: Vec<u64>,
-}
-
-fn push_nums(out: &mut String, vals: &[u64]) {
-    out.push('[');
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
 }
 
 /// Renders one flight record as canonical flat-array JSONL (no
@@ -127,7 +129,7 @@ fn push_pairs(out: &mut String, pairs: &[(String, u64)]) {
             out.push(',');
         }
         out.push('"');
-        crate::event::escape_json_into(name, out);
+        escape_json_into(name, out);
         out.push_str("\":");
         out.push_str(&v.to_string());
     }
@@ -169,7 +171,7 @@ pub fn status_json(
     push_pairs(&mut out, &phases);
     for (name, json) in extra {
         out.push_str(",\"");
-        crate::event::escape_json_into(name, &mut out);
+        escape_json_into(name, &mut out);
         out.push_str("\":");
         out.push_str(json);
     }
@@ -196,11 +198,9 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 /// `flight.jsonl` appender and a `status.json` heartbeat.
 pub struct Sampler {
     every: u64,
-    cap: usize,
     last_interval: Option<u64>,
     prev: Option<MetricsSnapshot>,
     ring: VecDeque<FlightSample>,
-    dropped: u64,
     flight: Option<BufWriter<File>>,
     status_path: Option<PathBuf>,
 }
@@ -210,7 +210,6 @@ impl std::fmt::Debug for Sampler {
         f.debug_struct("Sampler")
             .field("every", &self.every)
             .field("samples", &self.ring.len())
-            .field("dropped", &self.dropped)
             .finish()
     }
 }
@@ -221,20 +220,12 @@ impl Sampler {
     pub fn new(every: u64) -> Sampler {
         Sampler {
             every: every.max(1),
-            cap: DEFAULT_SAMPLE_RING_CAP,
             last_interval: None,
             prev: None,
             ring: VecDeque::new(),
-            dropped: 0,
             flight: None,
             status_path: None,
         }
-    }
-
-    /// Replaces the ring bound (floored at 1).
-    pub fn with_ring_cap(mut self, cap: usize) -> Sampler {
-        self.cap = cap.max(1);
-        self
     }
 
     /// The sampling interval in input vectors.
@@ -271,11 +262,6 @@ impl Sampler {
     /// The samples currently held (oldest first).
     pub fn samples(&self) -> impl Iterator<Item = &FlightSample> {
         self.ring.iter()
-    }
-
-    /// Samples evicted from the bounded ring.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Takes a sample if `state.vectors` has crossed into a new
@@ -333,24 +319,23 @@ impl Sampler {
         // Mirror the headline numbers into the trace stream so a
         // `--trace-out` file narrates the flight without a second
         // artifact (no-op when the collector's sink is disabled).
-        c.trace_line(&format!(
-            "{{\"t\":{},\"task\":{},\"kind\":\"Flight\",\"interval\":{},\"vectors\":{},\
-             \"coverage\":{},\"stagnant\":{},\"d_vectors\":{},\"d_solver_calls\":{},\
-             \"d_settle_fast_path\":{},\"d_settle_escapes\":{}}}",
+        let d = |k: Counter| FieldValue::Num(sample.d_counters[k as usize]);
+        c.trace_record(
             sample.t,
-            sample.task,
-            sample.interval,
-            sample.vectors,
-            sample.coverage,
-            sample.stagnant,
-            sample.d_counters[counter_index(Counter::Vectors)],
-            sample.d_counters[counter_index(Counter::SolverCalls)],
-            sample.d_counters[counter_index(Counter::SettleFastPath)],
-            sample.d_counters[counter_index(Counter::SettleEscapes)],
-        ));
-        if self.ring.len() >= self.cap {
+            FLIGHT_RECORD,
+            &[
+                FieldValue::Num(sample.interval),
+                FieldValue::Num(sample.vectors),
+                FieldValue::Num(sample.coverage),
+                FieldValue::Num(sample.stagnant),
+                d(Counter::Vectors),
+                d(Counter::SolverCalls),
+                d(Counter::SettleFastPath),
+                d(Counter::SettleEscapes),
+            ],
+        );
+        if self.ring.len() >= DEFAULT_SAMPLE_RING_CAP {
             self.ring.pop_front();
-            self.dropped += 1;
         }
         self.ring.push_back(sample);
         self.ring.back()
@@ -368,15 +353,6 @@ impl Sampler {
         };
         let _ = write_atomic(path, &status_json(latest, snap, extra));
     }
-
-    /// The cumulative snapshot frozen at the latest sample, if any.
-    pub fn latest_snapshot(&self) -> Option<&MetricsSnapshot> {
-        self.prev.as_ref()
-    }
-}
-
-fn counter_index(c: Counter) -> usize {
-    Counter::ALL.iter().position(|x| *x == c).unwrap()
 }
 
 /// Merges per-task flight streams into one campaign-wide stream, by
@@ -474,30 +450,22 @@ mod tests {
         let second = s.maybe_sample(&c, &state(200, 9)).unwrap().clone();
         assert_eq!(second.interval, 2);
         assert_eq!(second.d_counters[0], 100, "delta, not cumulative");
-        let solver = Counter::ALL
-            .iter()
-            .position(|x| *x == Counter::SolverCalls)
-            .unwrap();
-        assert_eq!(second.d_counters[solver], 7);
+        assert_eq!(second.d_counters[Counter::SolverCalls as usize], 7);
         // Gauges stay absolute.
-        let seeds = Gauge::ALL
-            .iter()
-            .position(|g| *g == Gauge::CorpusSeeds)
-            .unwrap();
-        assert_eq!(second.gauges[seeds], 5);
+        assert_eq!(second.gauges[Gauge::CorpusSeeds as usize], 5);
         assert_eq!(s.samples().count(), 2);
     }
 
     #[test]
     fn sample_ring_is_bounded() {
         let c = Collector::deterministic();
-        let mut s = Sampler::new(1).with_ring_cap(4);
-        for v in 1..=10 {
+        let mut s = Sampler::new(1);
+        let taken = DEFAULT_SAMPLE_RING_CAP as u64 + 6;
+        for v in 1..=taken {
             c.set_time(v);
             assert!(s.maybe_sample(&c, &state(v, 0)).is_some());
         }
-        assert_eq!(s.samples().count(), 4);
-        assert_eq!(s.dropped(), 6);
+        assert_eq!(s.samples().count(), DEFAULT_SAMPLE_RING_CAP);
         assert_eq!(s.samples().next().unwrap().interval, 7);
     }
 
@@ -553,7 +521,7 @@ mod tests {
         let latest = s.samples().last().unwrap();
         let json = status_json(
             latest,
-            s.latest_snapshot().unwrap(),
+            &c.snapshot(),
             &[("vm_profile".to_string(), "{\"cones\":[]}".to_string())],
         );
         assert!(json.starts_with("{\"v\":1,"), "{json}");

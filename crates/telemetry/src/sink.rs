@@ -1,8 +1,6 @@
 //! Trace sinks: where JSONL records stream while a campaign runs.
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 /// Receives complete JSONL records (no trailing newline).
@@ -33,51 +31,6 @@ impl TraceSink for NullSink {
     }
 
     fn write_line(&mut self, _line: &str) {}
-}
-
-/// Streams records to stderr, one per line.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StderrSink;
-
-impl TraceSink for StderrSink {
-    fn write_line(&mut self, line: &str) {
-        eprintln!("{line}");
-    }
-}
-
-/// Buffered file sink. Flushed on drop and on [`TraceSink::flush`].
-#[derive(Debug)]
-pub struct FileSink {
-    out: BufWriter<File>,
-}
-
-impl FileSink {
-    /// Creates (truncates) the trace file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn create(path: &Path) -> io::Result<FileSink> {
-        Ok(FileSink {
-            out: BufWriter::new(File::create(path)?),
-        })
-    }
-}
-
-impl TraceSink for FileSink {
-    fn write_line(&mut self, line: &str) {
-        let _ = writeln!(self.out, "{line}");
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-impl Drop for FileSink {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
-    }
 }
 
 /// A sink over a shared writer, for fanning several collectors (one
@@ -157,7 +110,7 @@ mod tests {
     #[test]
     fn null_sink_reports_disabled() {
         assert!(!NullSink.enabled());
-        assert!(StderrSink.enabled());
+        assert!(BufferSink::new().enabled());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` per [`crate::Gauge`], in `Gauge::ALL` order.
     pub gauges: Vec<(String, u64)>,
-    /// `(kind, count)` per [`crate::Event`] kind, in `Event::KINDS` order.
+    /// `(kind, count)` per [`crate::Event`] kind, in `Event::kind_index` order.
     pub events: Vec<(String, u64)>,
     /// Per-phase stats, in `Phase::ALL` order.
     pub phases: Vec<PhaseStat>,
