@@ -25,8 +25,8 @@
 //! * `--snapshot-budget N` — byte budget for the copy-on-write snapshot
 //!   store; unique bytes beyond it trigger oldest-first eviction;
 //! * `--introspect` — solver introspection: per-goal CDCL analytics,
-//!   blame sets for failed goals, and the cross-goal affinity matrix in
-//!   the report's `solver_profile` block;
+//!   hot signals and blame sets for failed goals in the report's
+//!   `solver_profile` block;
 //! * `--sample-every N` — flight-recorder sampling interval in vectors;
 //!   enables the sampler and the per-cone/per-goal profilers;
 //! * `--incremental` — keep one warm solver session across goals posed

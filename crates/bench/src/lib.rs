@@ -21,7 +21,7 @@
 //! | `tracedump` | renders / re-emits (`--json`, byte for byte) a `--trace-out` JSONL campaign trace |
 //! | `covreport` | coverage-provenance report: covmaps + joined JSON + self-contained HTML |
 //! | `monitor` | live dashboard / Prometheus export over `status.json` + `flight.jsonl` |
-//! | `solverscope` | solver introspection: CDCL cost ranking, exhaustion blame sets, goal-affinity heatmap |
+//! | `solverscope` | solver introspection: CDCL cost ranking, exhaustion blame sets, restart timelines |
 //!
 //! Every `results/` artifact is read and checked in one place,
 //! [`schema`]: one `serde_json` reader, every checker and every

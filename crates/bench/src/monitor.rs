@@ -335,11 +335,10 @@ pub(crate) mod tests {
                 .map(|(_, v)| *v)
                 .unwrap_or_else(|| panic!("series `{name}` missing from:\n{prom}"))
         };
-        // The introspection taxonomy's counters and gauge are exported
-        // under the standard naming scheme.
+        // The introspection taxonomy's counters are exported under the
+        // standard naming scheme.
         value("symbfuzz_learned_clauses_total");
         value("symbfuzz_core_extractions_total");
-        value("symbfuzz_gauge_mean_affinity_milli");
         // So are the incremental-solver taxonomy additions (the
         // campaign above runs with `incremental_solving` on).
         value("symbfuzz_bitblast_cache_hits_total");

@@ -979,13 +979,6 @@ mod tests {
             .contains("version"));
 
         let mut r = tiny_scope_report();
-        r.designs[0].profile.affinity[0][1] = 1; // breaks symmetry
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(validate_scope_report(&json)
-            .unwrap_err()
-            .contains("asymmetric"));
-
-        let mut r = tiny_scope_report();
         let intro = r.designs[0].profile.goals[0]
             .introspection
             .as_mut()
@@ -1072,6 +1065,36 @@ mod tests {
         "conflict_depth_sum":20,"conflict_depth_max":4,"hot_signals":[["k",1000]],
         "blame":["st"],"sketch":[1,2],"depth":4}],
         "affinity":[[1000]],"mean_adjacent_affinity_milli":0}}"#;
+
+    /// A heartbeat whose v2 `solver_profile` was written while
+    /// structural sketches existed: per-row `sketch`/`depth`, the
+    /// `affinity` matrix, its adjacent mean and the retired gauge.
+    const SKETCH_ERA_STATUS: &str = r#"{"v":1,"interval":2,"t":200,"vectors":200,
+      "coverage":3,"nodes":2,"edges":1,"stagnant":0,"counters":{"vectors":200},
+      "gauges":{"mean_affinity_milli":812},"events":{},"phase_self_micros":{},
+      "solver_profile":{"version":2,"goals":[{"register":"st","value":2,"attempts":1,
+        "sat":0,"unsat":1,"exhausted":0,"neg_cache_hits":0,"conflicts":12,"decisions":30,
+        "propagations":99,"solver_calls":2,"deepest_unroll":4,"escalations":[0],
+        "introspection":{"learned":11,"restarts":0,
+          "learned_size_hist":[0,11,0,0,0,0,0,0,0,0,0,0],
+          "lbd_hist":[0,11,0,0,0,0,0,0,0,0,0,0],
+          "call_conflict_hist":[0,0,2,0,0,0,0,0,0,0,0,0],"restart_timeline":[],
+          "conflict_depth_sum":20,"conflict_depth_max":4,"hot_signals":[["k",1000]],
+          "blame":["st"],"sketch":[780051993405796900,12],"depth":4}}],
+        "total_attempts":1,"total_neg_cache_hits":0,
+        "affinity":[[1000]],"mean_adjacent_affinity_milli":0}}"#;
+
+    #[test]
+    fn sketch_era_status_loads_and_checks() {
+        let status = check_status(SKETCH_ERA_STATUS).expect("v2 heartbeat validates");
+        let block = status_solver_profile(&status).unwrap().unwrap();
+        let i = block.goals[0].introspection.as_ref().unwrap();
+        assert_eq!(
+            (i.learned, i.blame.as_slice()),
+            (11, &["st".to_string()][..])
+        );
+        assert_eq!(block.total_attempts, 1);
+    }
 
     #[test]
     fn corrupted_introspected_status_names_the_goal() {

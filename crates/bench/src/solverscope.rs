@@ -6,12 +6,11 @@
 //! The report answers *where the solver budget went* (a cost ranking
 //! with p50/p90/p99 per-call conflict quantiles), *why failed goals
 //! failed* (assumption-core blame sets attributing `Unreachable` /
-//! `Exhausted` outcomes to concrete state registers), *which goals
-//! share structure* (the pairwise sketch-affinity heatmap), and *how
-//! the search behaved over time* (restart timelines plus learned
-//! clause size / LBD histograms). Everything derives from
-//! deterministic campaign state, so the JSON and HTML bytes are
-//! identical at any `--jobs` count.
+//! `Exhausted` outcomes to concrete state registers), and *how the
+//! search behaved over time* (restart timelines plus learned clause
+//! size / LBD histograms). Everything derives from deterministic
+//! campaign state, so the JSON and HTML bytes are identical at any
+//! `--jobs` count.
 
 use crate::experiments::ScopeProfileResult;
 use serde::{Deserialize, Serialize};
@@ -74,60 +73,6 @@ fn esc(s: &str) -> String {
 }
 
 const PALETTE: [&str; 5] = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd"];
-
-/// White→blue fill for one affinity cell, interpolated by milli.
-fn heat_color(milli: u64) -> String {
-    let t = milli.min(1000) as f64 / 1000.0;
-    let lerp = |a: f64, b: f64| (a + (b - a) * t).round() as u8;
-    // White (255,255,255) → the palette blue (31,119,180).
-    format!(
-        "#{:02x}{:02x}{:02x}",
-        lerp(255.0, 31.0),
-        lerp(255.0, 119.0),
-        lerp(255.0, 180.0)
-    )
-}
-
-/// The affinity heatmap as one inline SVG grid.
-fn render_heatmap(d: &ScopeProfileResult) -> String {
-    let goals: Vec<&GoalRow> = d.profile.introspected().map(|(g, _)| g).collect();
-    let n = d.profile.affinity.len();
-    if n == 0 {
-        return "<p>No affinity matrix (no introspected goals).</p>\n".to_string();
-    }
-    const CELL: f64 = 18.0;
-    const ML: f64 = 120.0; // left margin (goal labels)
-    const MT: f64 = 8.0;
-    let w = ML + CELL * n as f64 + 8.0;
-    let h = MT + CELL * n as f64 + 8.0;
-    let mut out =
-        format!("<svg viewBox=\"0 0 {w} {h}\" width=\"{w}\" height=\"{h}\" role=\"img\">\n");
-    for (i, row) in d.profile.affinity.iter().enumerate() {
-        let g = goals[i];
-        out.push_str(&format!(
-            "<text x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"end\" class=\"axis\">{}={}</text>\n",
-            ML - 4.0,
-            MT + CELL * i as f64 + CELL * 0.7,
-            esc(&g.register),
-            g.value
-        ));
-        for (j, &a) in row.iter().enumerate() {
-            out.push_str(&format!(
-                "<rect x=\"{:.1}\" y=\"{:.1}\" width=\"{CELL}\" height=\"{CELL}\" \
-                 fill=\"{}\" stroke=\"#ddd\"><title>{}={} vs {}={}: {a}‰</title></rect>\n",
-                ML + CELL * j as f64,
-                MT + CELL * i as f64,
-                heat_color(a),
-                esc(&g.register),
-                g.value,
-                esc(&goals[j].register),
-                goals[j].value
-            ));
-        }
-    }
-    out.push_str("</svg>\n");
-    out
-}
 
 /// Restart timelines of the costliest goals as one inline SVG: one
 /// polyline per goal, x = restart index, y = conflicts at restart.
@@ -258,12 +203,11 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
         out.push_str(&format!(
             "<h2><code>{}</code></h2>\n\
              <p>{} campaigns merged; {} of {} exhausted goals attributed to a \
-             blame set ({pct}%); mean adjacent-goal affinity {:.3}.</p>\n",
+             blame set ({pct}%).</p>\n",
             esc(&d.design),
             d.campaigns,
             d.exhausted_blamed,
             d.exhausted_goals,
-            d.profile.mean_adjacent_affinity_milli as f64 / 1000.0
         ));
         if let Some(c) = &d.solver_cache {
             out.push_str(&format!(
@@ -351,9 +295,6 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
             out.push_str("</table>\n");
         }
 
-        out.push_str("<h3>Cross-goal affinity</h3>\n");
-        out.push_str(&render_heatmap(d));
-
         // Costliest goals drive the curves (hardest first).
         let ranked: Vec<(&GoalRow, &GoalIntrospection)> = ranked
             .into_iter()
@@ -374,8 +315,8 @@ pub fn render_scope_html(r: &ScopeReport) -> String {
 pub fn render_scope_markdown(r: &ScopeReport) -> String {
     let mut out = format!(
         "# Solver introspection — {} vectors, conflict ceiling {}\n\n\
-         | design | campaigns | goals | exhausted | blamed | affinity | cache hit | reuse |\n\
-         |---|---|---|---|---|---|---|---|\n",
+         | design | campaigns | goals | exhausted | blamed | cache hit | reuse |\n\
+         |---|---|---|---|---|---|---|\n",
         r.max_vectors, r.solver_budget
     );
     for d in &r.designs {
@@ -387,13 +328,12 @@ pub fn render_scope_markdown(r: &ScopeReport) -> String {
             None => ("-".to_string(), "-".to_string()),
         };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {:.3} | {hit} | {reuse} |\n",
+            "| {} | {} | {} | {} | {} | {hit} | {reuse} |\n",
             d.design,
             d.campaigns,
             d.profile.introspected().count(),
             d.exhausted_goals,
             d.exhausted_blamed,
-            d.profile.mean_adjacent_affinity_milli as f64 / 1000.0
         ));
     }
     out.push('\n');
@@ -455,20 +395,17 @@ pub(crate) mod tests {
                 conflict_depth_max: 9,
                 hot_signals: vec![("st".into(), 1000), ("lock".into(), 420)],
                 blame: blame.iter().map(|s| s.to_string()).collect(),
-                sketch: vec![1, 2, 3],
-                depth: 4,
             }),
             ..GoalRow::default()
         }
     }
 
     pub(crate) fn tiny_report() -> ScopeReport {
-        let mut profile = SolverProfileBlock {
+        let profile = SolverProfileBlock {
             goals: vec![row("st", 3, &["lock", "st"]), row("st", 5, &[])],
             total_attempts: 4,
             ..SolverProfileBlock::default()
         };
-        profile.recompute_affinity();
         ScopeReport {
             version: SCOPEREPORT_VERSION,
             max_vectors: 1_000,
@@ -509,7 +446,7 @@ pub(crate) mod tests {
         intro.hot_signals[0].0 = "a<b".into();
         let html = render_scope_html(&r);
         assert!(html.starts_with("<!DOCTYPE html>"));
-        assert!(html.contains("<svg"), "heatmap and curves are inline SVG");
+        assert!(html.contains("<svg"), "restart curves are inline SVG");
         assert!(html.contains("a&lt;b"), "signal names must be escaped");
         assert!(html.contains("Exhaustion blame sets"));
         assert!(!html.contains("<script"));
@@ -521,7 +458,7 @@ pub(crate) mod tests {
         let md = render_scope_markdown(&tiny_report());
         // 6/8 frame hits = 75.0 %, 800 milli reuse.
         assert!(
-            md.contains("| hard_factor | 2 | 2 | 2 | 1 | 1.000 | 75.0% | 0.800 |"),
+            md.contains("| hard_factor | 2 | 2 | 2 | 1 | 75.0% | 0.800 |"),
             "{md}"
         );
         assert!(md.contains("blames lock, st"));

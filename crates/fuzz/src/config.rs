@@ -110,11 +110,6 @@ pub struct FuzzConfig {
     /// behaviour (exact-hit restore, else full reset + full replay) —
     /// the A/B control for the re-entry savings experiments.
     pub use_ancestor_reentry: bool,
-    /// Testcase length (cycles per reset-to-reset test) for the
-    /// baseline fuzzers and UVM random testing. SymbFuzz itself runs
-    /// continuously, using checkpoints instead of per-test resets
-    /// (§4.5).
-    pub testcase_len: usize,
     /// Ablation: disable checkpoint rollback (guidance restarts from a
     /// full reset instead, §4.5's alternative).
     pub use_checkpoints: bool,
@@ -143,8 +138,8 @@ pub struct FuzzConfig {
     pub sample_every: Option<u64>,
     /// Solver introspection: every symbolic solve additionally records
     /// CDCL analytics (learned-clause/LBD histograms, restart timeline,
-    /// hot signals), a structural sketch for cross-goal affinity, and a
-    /// blame set on `Unreachable`/`Exhausted` outcomes. Off by default;
+    /// hot signals) and a blame set on `Unreachable`/`Exhausted`
+    /// outcomes. Off by default;
     /// when off the solver's trace hooks cost one pointer test per
     /// conflict and nothing is allocated.
     pub solver_introspection: bool,
@@ -182,7 +177,6 @@ impl Deserialize for FuzzConfig {
                 Ok(f) => Deserialize::from_value(f)?,
                 Err(_) => defaults.use_ancestor_reentry,
             },
-            testcase_len: Deserialize::from_value(v.field("testcase_len")?)?,
             use_checkpoints: Deserialize::from_value(v.field("use_checkpoints")?)?,
             use_solver: Deserialize::from_value(v.field("use_solver")?)?,
             settle_policy: Deserialize::from_value(v.field("settle_policy")?)?,
@@ -215,7 +209,6 @@ impl Default for FuzzConfig {
             targets_per_round: 8,
             snapshot_mem_budget: default_snapshot_mem_budget(),
             use_ancestor_reentry: true,
-            testcase_len: 32,
             use_checkpoints: true,
             use_solver: true,
             settle_policy: SettlePolicy::default(),
@@ -390,10 +383,6 @@ impl FuzzConfigBuilder {
         use_ancestor_reentry: bool
     );
     setter!(
-        /// Baseline testcase length in cycles.
-        testcase_len: usize
-    );
-    setter!(
         /// Enable checkpoint rollback.
         use_checkpoints: bool
     );
@@ -430,8 +419,8 @@ impl FuzzConfigBuilder {
     }
 
     setter!(
-        /// Enable per-goal solver introspection (CDCL analytics, blame
-        /// sets, affinity sketches).
+        /// Enable per-goal solver introspection (CDCL analytics, hot
+        /// signals, blame sets).
         solver_introspection: bool
     );
     setter!(
@@ -490,10 +479,12 @@ mod tests {
     #[test]
     fn configs_with_the_retired_snapshot_cap_key_still_load() {
         // snapshot_cap was removed with the deprecated count-bound
-        // shims, and portfolio / affinity_ordering / solver_cache_budget
+        // shims, portfolio / affinity_ordering / solver_cache_budget
         // with portfolio racing, affinity ordering and the session byte
-        // budget; configs serialized while they existed carry the keys
-        // and must still deserialize (the fields are simply ignored).
+        // budget, and testcase_len when the baseline testcase length
+        // became a constant; configs serialized while they existed
+        // carry the keys and must still deserialize (the fields are
+        // simply ignored).
         let v = Serialize::to_value(&FuzzConfig::default());
         let serde::Value::Object(mut fields) = v else {
             panic!("config serializes to an object")
@@ -503,6 +494,7 @@ mod tests {
             ("portfolio", serde::Value::Num(2.0)),
             ("affinity_ordering", serde::Value::Bool(true)),
             ("solver_cache_budget", serde::Value::Num(16_777_216.0)),
+            ("testcase_len", serde::Value::Num(32.0)),
         ] {
             fields.push((key.to_string(), value));
         }

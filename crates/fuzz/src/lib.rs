@@ -54,5 +54,5 @@ pub use report::{
     BugRecord, CampaignResult, ConeRow, CovMap, CoverageSample, EdgeCov, FlightRow, FrontierRow,
     GoalCov, GoalIntrospection, GoalRow, NodeCov, PhaseBlock, PropertySpec, ProvenanceRecord,
     ResourceStats, SolverCacheBlock, SolverProfileBlock, TelemetryBlock, VmProfileBlock,
-    AFFINITY_MAX_GOALS, COVMAP_VERSION, SOLVER_PROFILE_VERSION,
+    COVMAP_VERSION, SOLVER_PROFILE_VERSION,
 };

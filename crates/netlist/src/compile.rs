@@ -35,11 +35,8 @@
 //!   arm only. The `Record` op is kept, so branch-coverage counters
 //!   stay identical to the interpreter's.
 //!
-//! Cone-level dead-code elimination is available behind
-//! [`Observability::Outputs`]: combinational cones that cannot reach an
-//! output or a register are not executed at all. The default
-//! ([`Observability::Full`]) eliminates nothing, preserving the
-//! simulator's bit-identical `values()` contract.
+//! No cone is eliminated, so every signal stays exact and the
+//! simulator keeps its bit-identical `values()` contract.
 
 use crate::ir::{BranchId, Design, NExpr, NLValue, NStmt, ProcKind, SignalId};
 use crate::sched::CombSchedule;
@@ -299,26 +296,6 @@ impl WordCode {
     }
 }
 
-/// What the compiled kernel must keep observable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Observability {
-    /// Every signal stays bit-identical to the interpreter — nothing
-    /// is eliminated. This is what [`Simulator`](../../symbfuzz_sim)
-    /// uses, preserving the `values()` equivalence contract.
-    #[default]
-    Full,
-    /// Only outputs and register state must stay exact: combinational
-    /// cones that reach neither are pruned (their signals go stale).
-    Outputs,
-}
-
-/// Options for [`compile`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompileOpts {
-    /// Dead-cone elimination contract.
-    pub observability: Observability,
-}
-
 /// Aggregate statistics from one [`compile`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompileStats {
@@ -335,23 +312,17 @@ pub struct CompileStats {
     pub folded_consts: usize,
     /// Branches reduced to a recorded outcome plus the taken arm.
     pub pruned_branches: usize,
-    /// Combinational processes eliminated as unobservable dead cones
-    /// (only under [`Observability::Outputs`]).
-    pub pruned_cones: usize,
     /// Total instructions across all compiled processes.
     pub total_ops: usize,
 }
 
 /// The compiled form of a design: per-process bytecode where lowering
-/// succeeded, plus the dead-cone map and compile statistics.
+/// succeeded, plus compile statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledDesign {
     /// Bytecode per process (indexed like `design.processes`); `None`
     /// where the process stays interpreted.
     pub procs: Vec<Option<WordCode>>,
-    /// `true` for processes pruned as dead cones — the compiled
-    /// dispatcher skips them entirely.
-    pub dead: Vec<bool>,
     /// Lowering statistics.
     pub stats: CompileStats,
 }
@@ -363,7 +334,7 @@ pub struct CompiledDesign {
 /// the interpreter. Rejected processes simply keep `None` — the
 /// simulator falls back per process, so partial compilability degrades
 /// throughput, never correctness.
-pub fn compile(design: &Design, sched: &CombSchedule, opts: CompileOpts) -> CompiledDesign {
+pub fn compile(design: &Design, sched: &CombSchedule) -> CompiledDesign {
     let mut in_cycle = vec![false; design.processes.len()];
     for unit in sched.units.iter().filter(|u| u.cyclic) {
         for &p in &unit.procs {
@@ -396,58 +367,7 @@ pub fn compile(design: &Design, sched: &CombSchedule, opts: CompileOpts) -> Comp
             }
         }
     }
-    let mut dead = vec![false; design.processes.len()];
-    if opts.observability == Observability::Outputs {
-        prune_dead_cones(design, &mut dead);
-        stats.pruned_cones = dead.iter().filter(|d| **d).count();
-    }
-    CompiledDesign { procs, dead, stats }
-}
-
-/// Marks combinational processes whose write cones reach neither an
-/// output nor any sequential process input as dead.
-fn prune_dead_cones(design: &Design, dead: &mut [bool]) {
-    let mut live = vec![false; design.signals.len()];
-    for s in design.outputs() {
-        live[s.index()] = true;
-    }
-    for p in &design.processes {
-        if let ProcKind::Seq { clock, reset, .. } = &p.kind {
-            live[clock.index()] = true;
-            if let Some((r, _)) = reset {
-                live[r.index()] = true;
-            }
-            for s in p.reads.iter().chain(&p.writes) {
-                live[s.index()] = true;
-            }
-        }
-    }
-    // Backward closure: a comb process is live if it writes a live
-    // signal; its reads then become live.
-    loop {
-        let mut changed = false;
-        for p in &design.processes {
-            if !matches!(p.kind, ProcKind::Comb) {
-                continue;
-            }
-            if p.writes.iter().any(|w| live[w.index()]) {
-                for r in &p.reads {
-                    if !live[r.index()] {
-                        live[r.index()] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for (i, p) in design.processes.iter().enumerate() {
-        if matches!(p.kind, ProcKind::Comb) && !p.writes.iter().any(|w| live[w.index()]) {
-            dead[i] = true;
-        }
-    }
+    CompiledDesign { procs, stats }
 }
 
 /// Why a process could not be lowered (internal; collapses to `None`).
@@ -1392,10 +1312,10 @@ mod tests {
     use crate::elab::elaborate_src;
     use crate::sched::comb_schedule;
 
-    fn compiled(src: &str, top: &str, opts: CompileOpts) -> (Design, CompiledDesign) {
+    fn compiled(src: &str, top: &str) -> (Design, CompiledDesign) {
         let d = elaborate_src(src, top).unwrap();
         let sched = comb_schedule(&d);
-        let c = compile(&d, &sched, opts);
+        let c = compile(&d, &sched);
         (d, c)
     }
 
@@ -1408,7 +1328,6 @@ mod tests {
                  if (!rst_n) q <= 8'd0; else q <= q + 8'd1;
              endmodule",
             "m",
-            CompileOpts::default(),
         );
         assert_eq!(c.stats.processes, 2);
         assert_eq!(c.stats.compiled, 2);
@@ -1432,7 +1351,6 @@ mod tests {
                  if (!rst_n) q <= 8'd0; else q <= q + 8'd1;
              endmodule",
             "m",
-            CompileOpts::default(),
         );
         for wc in c.procs.iter().flatten() {
             let hist = wc.class_histogram();
@@ -1465,7 +1383,6 @@ mod tests {
                assign z = 4'd3;
              endmodule",
             "m",
-            CompileOpts::default(),
         );
         assert_eq!(c.stats.rejected, 1);
         assert_eq!(c.stats.compiled, 1);
@@ -1478,7 +1395,6 @@ mod tests {
                assign y = 8'd2 + 8'd3 * 8'd4;
              endmodule",
             "m",
-            CompileOpts::default(),
         );
         assert!(c.stats.folded_consts >= 2);
         let wc = c.procs[0].as_ref().unwrap();
@@ -1498,7 +1414,6 @@ mod tests {
                  if (1'b1) y = d; else y = 4'd0;
              endmodule",
             "m",
-            CompileOpts::default(),
         );
         assert_eq!(c.stats.pruned_branches, 1);
         let wc = c.procs[0].as_ref().unwrap();
@@ -1517,7 +1432,6 @@ mod tests {
                always_comb o = d[i];
              endmodule",
             "m",
-            CompileOpts::default(),
         );
         assert_eq!(c.stats.rejected, 1);
         // A 4-bit index into a 16-bit vector is always in range.
@@ -1526,7 +1440,6 @@ mod tests {
                always_comb o = d[i];
              endmodule",
             "m",
-            CompileOpts::default(),
         );
         assert_eq!(c.stats.compiled, 1);
         let wc = c.procs[0].as_ref().unwrap();
@@ -1540,33 +1453,11 @@ mod tests {
                assign y = (a + b) ^ (a - b) ^ (d & a) ^ (d | b);
              endmodule",
             "m",
-            CompileOpts::default(),
         );
         let wc = c.procs[0].as_ref().unwrap();
         // Free-list allocation keeps the register file small even for
         // a chain of eight operand loads.
         assert!(wc.nregs <= 4, "nregs = {}", wc.nregs);
-    }
-
-    #[test]
-    fn dead_cones_pruned_only_under_outputs_observability() {
-        let src = "module m(input [7:0] a, output [7:0] y);
-                     wire [7:0] unused;
-                     assign unused = a * 8'd3;
-                     assign y = a + 8'd1;
-                   endmodule";
-        let (_, full) = compiled(src, "m", CompileOpts::default());
-        assert_eq!(full.stats.pruned_cones, 0);
-        assert!(full.dead.iter().all(|d| !d));
-        let (_, outs) = compiled(
-            src,
-            "m",
-            CompileOpts {
-                observability: Observability::Outputs,
-            },
-        );
-        assert_eq!(outs.stats.pruned_cones, 1);
-        assert_eq!(outs.dead.iter().filter(|d| **d).count(), 1);
     }
 
     #[test]
@@ -1581,7 +1472,6 @@ mod tests {
                  endcase
              endmodule",
             "m",
-            CompileOpts::default(),
         );
         assert_eq!(c.stats.compiled, 1);
         let wc = c.procs[0].as_ref().unwrap();
@@ -1604,7 +1494,6 @@ mod tests {
                assign y = t;
              endmodule",
             "m",
-            CompileOpts::default(),
         );
         assert!(c.stats.cyclic >= 2);
         assert!(c.procs.iter().all(|p| p.is_none()));

@@ -34,10 +34,7 @@ mod ir;
 mod sched;
 
 pub use analysis::{classify_registers, reset_tree, DesignStats, RegClass, ResetTree};
-pub use compile::{
-    compile, word_mask, CompileOpts, CompileStats, CompiledDesign, Observability, Op, OpClass,
-    WordCode,
-};
+pub use compile::{compile, word_mask, CompileStats, CompiledDesign, Op, OpClass, WordCode};
 pub use elab::{elaborate, elaborate_src, ElabError};
 pub use ir::*;
 pub use sched::{comb_schedule, CombSchedule, SchedUnit};

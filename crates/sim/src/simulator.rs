@@ -5,9 +5,9 @@ use std::sync::Arc;
 use symbfuzz_hdl::{BinaryOp, Edge, UnaryOp};
 use symbfuzz_logic::{Bit, LogicVec};
 use symbfuzz_netlist::{
-    comb_schedule, compile, reset_tree, word_mask, BranchId, CombSchedule, CompileOpts,
-    CompileStats, CompiledDesign, Design, NExpr, NLValue, NStmt, ProcKind, ResetTree, SignalId,
-    SignalKind, WordCode,
+    comb_schedule, compile, reset_tree, word_mask, BranchId, CombSchedule, CompileStats,
+    CompiledDesign, Design, NExpr, NLValue, NStmt, ProcKind, ResetTree, SignalId, SignalKind,
+    WordCode,
 };
 use symbfuzz_telemetry::{Collector, Counter, Gauge};
 
@@ -210,12 +210,6 @@ impl Simulator {
     /// (registers stay `X` until reset; combinational nets settle at the
     /// first evaluation).
     pub fn new(design: Arc<Design>) -> Simulator {
-        Simulator::with_compile_opts(design, CompileOpts::default())
-    }
-
-    /// Like [`new`](Self::new), with explicit bytecode-compilation
-    /// options (observability contract for dead-cone elimination).
-    pub fn with_compile_opts(design: Arc<Design>, opts: CompileOpts) -> Simulator {
         let values: Vec<LogicVec> = design
             .signals
             .iter()
@@ -228,7 +222,7 @@ impl Simulator {
             .collect();
         let rtree = reset_tree(&design);
         let sched = Arc::new(comb_schedule(&design));
-        let compiled = Arc::new(compile(&design, &sched, opts));
+        let compiled = Arc::new(compile(&design, &sched));
         let comb_procs = design
             .processes
             .iter()
@@ -575,9 +569,6 @@ impl Simulator {
                 continue;
             }
             let pi = unit.procs[0] as usize;
-            if compiled.dead[pi] {
-                continue;
-            }
             let mut nba = std::mem::take(&mut self.scratch_nba);
             match &compiled.procs[pi] {
                 Some(code) if self.cone_is_two_state(code) => {

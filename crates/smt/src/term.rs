@@ -1,43 +1,7 @@
 //! Hash-consed QF_BV terms with constant folding.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use symbfuzz_logic::LogicVec;
-
-/// One FNV-1a step folding `x` into hash state `h`.
-fn fnv(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for i in 0..8 {
-        h ^= (x >> (8 * i)) & 0xff;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// A stable discriminant per [`TermKind`] for structural hashing
-/// (independent of Rust's derived discriminants).
-fn kind_tag(k: &TermKind) -> u8 {
-    match k {
-        TermKind::Const(_) => 0,
-        TermKind::Var(..) => 1,
-        TermKind::Not(_) => 2,
-        TermKind::And(..) => 3,
-        TermKind::Or(..) => 4,
-        TermKind::Xor(..) => 5,
-        TermKind::Add(..) => 6,
-        TermKind::Sub(..) => 7,
-        TermKind::Mul(..) => 8,
-        TermKind::Eq(..) => 9,
-        TermKind::Ult(..) => 10,
-        TermKind::Ite(..) => 11,
-        TermKind::Extract { .. } => 12,
-        TermKind::ConcatPair(..) => 13,
-        TermKind::ShlConst(..) => 14,
-        TermKind::LshrConst(..) => 15,
-        TermKind::RedAnd(_) => 16,
-        TermKind::RedOr(_) => 17,
-        TermKind::RedXor(_) => 18,
-    }
-}
 
 /// Index of a term in a [`TermPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -576,121 +540,6 @@ impl TermPool {
         self.and(a, b)
     }
 
-    /// The direct children of a term, in operand order.
-    pub fn children(&self, t: TermId) -> Vec<TermId> {
-        match self.kind(t) {
-            TermKind::Const(_) | TermKind::Var(..) => Vec::new(),
-            TermKind::Not(a)
-            | TermKind::ShlConst(a, _)
-            | TermKind::LshrConst(a, _)
-            | TermKind::RedAnd(a)
-            | TermKind::RedOr(a)
-            | TermKind::RedXor(a)
-            | TermKind::Extract { arg: a, .. } => vec![*a],
-            TermKind::And(a, b)
-            | TermKind::Or(a, b)
-            | TermKind::Xor(a, b)
-            | TermKind::Add(a, b)
-            | TermKind::Sub(a, b)
-            | TermKind::Mul(a, b)
-            | TermKind::Eq(a, b)
-            | TermKind::Ult(a, b)
-            | TermKind::ConcatPair(a, b) => vec![*a, *b],
-            TermKind::Ite(c, a, b) => vec![*c, *a, *b],
-        }
-    }
-
-    /// Pool-independent structural digest of `t`: a post-order FNV-1a
-    /// hash over operator tags, widths, constant bits and variable
-    /// names. Structurally equal terms hash equally even when they
-    /// live in different pools, which is what the cross-goal affinity
-    /// analysis compares. `memo` caches per-term digests across calls
-    /// against the same pool.
-    pub fn structural_hash(&self, t: TermId, memo: &mut HashMap<TermId, u64>) -> u64 {
-        if let Some(&h) = memo.get(&t) {
-            return h;
-        }
-        // Explicit post-order stack: unrolled terms nest thousands
-        // deep and must not overflow the call stack.
-        let mut stack = vec![(t, false)];
-        while let Some((n, expanded)) = stack.pop() {
-            if memo.contains_key(&n) {
-                continue;
-            }
-            if !expanded {
-                stack.push((n, true));
-                for c in self.children(n) {
-                    if !memo.contains_key(&c) {
-                        stack.push((c, false));
-                    }
-                }
-                continue;
-            }
-            let mut h = fnv(0xcbf2_9ce4_8422_2325, kind_tag(self.kind(n)) as u64);
-            h = fnv(h, self.width(n) as u64);
-            match self.kind(n) {
-                TermKind::Const(v) => {
-                    for b in v.iter_bits() {
-                        h = fnv(h, (b == symbfuzz_logic::Bit::One) as u64);
-                    }
-                }
-                TermKind::Var(name, _) => {
-                    for byte in name.bytes() {
-                        h = fnv(h, byte as u64);
-                    }
-                }
-                TermKind::Extract { lo, width, .. } => {
-                    h = fnv(h, *lo as u64);
-                    h = fnv(h, *width as u64);
-                }
-                TermKind::ShlConst(_, sh) | TermKind::LshrConst(_, sh) => {
-                    h = fnv(h, *sh as u64);
-                }
-                _ => {}
-            }
-            let mut child_hashes: Vec<u64> = self.children(n).iter().map(|c| memo[c]).collect();
-            // Commutative operators are normalised by pool-local id
-            // order, which is not pool-independent — hash their
-            // children order-insensitively instead.
-            if matches!(
-                self.kind(n),
-                TermKind::And(..)
-                    | TermKind::Or(..)
-                    | TermKind::Xor(..)
-                    | TermKind::Add(..)
-                    | TermKind::Mul(..)
-                    | TermKind::Eq(..)
-            ) {
-                child_hashes.sort_unstable();
-            }
-            for ch in child_hashes {
-                h = fnv(h, ch);
-            }
-            memo.insert(n, h);
-        }
-        memo[&t]
-    }
-
-    /// Structural digests of every subterm reachable from `roots`,
-    /// deduplicated. Feeds the affinity sketches of the solver
-    /// introspection layer.
-    pub fn subterm_digests(&self, roots: &[TermId], memo: &mut HashMap<TermId, u64>) -> Vec<u64> {
-        let mut seen: HashSet<TermId> = HashSet::new();
-        let mut stack: Vec<TermId> = roots.to_vec();
-        while let Some(t) = stack.pop() {
-            if seen.insert(t) {
-                stack.extend(self.children(t));
-            }
-        }
-        let mut out: Vec<u64> = seen
-            .into_iter()
-            .map(|t| self.structural_hash(t, memo))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Evaluates a term under an assignment of variables to values.
     /// Used for model validation and tests.
     ///
@@ -753,75 +602,6 @@ mod tests {
         let t2 = p.and(b, a); // commutative normalisation
         assert_eq!(t1, t2);
         assert_eq!(p.var("a", 8), a);
-    }
-
-    #[test]
-    fn structural_hash_is_pool_independent() {
-        // Same structure built in two pools (in different construction
-        // orders, so the TermIds differ) hashes identically.
-        let mut p1 = TermPool::new();
-        let mut p2 = TermPool::new();
-        let t1 = {
-            let a = p1.var("a", 8);
-            let b = p1.var("b", 8);
-            let s = p1.add(a, b);
-            p1.red_or(s)
-        };
-        let t2 = {
-            let _pad = p2.var("z", 3); // shift the id space
-            let b = p2.var("b", 8);
-            let a = p2.var("a", 8);
-            let s = p2.add(a, b);
-            p2.red_or(s)
-        };
-        assert_ne!(t1, t2);
-        let mut m1 = HashMap::new();
-        let mut m2 = HashMap::new();
-        assert_eq!(
-            p1.structural_hash(t1, &mut m1),
-            p2.structural_hash(t2, &mut m2)
-        );
-        // Different structure hashes differently.
-        let t3 = {
-            let a = p1.var("a", 8);
-            let b = p1.var("b", 8);
-            let s = p1.sub(a, b);
-            p1.red_or(s)
-        };
-        assert_ne!(
-            p1.structural_hash(t1, &mut m1),
-            p1.structural_hash(t3, &mut m1)
-        );
-    }
-
-    #[test]
-    fn subterm_digests_are_shared_between_overlapping_terms() {
-        let mut p = TermPool::new();
-        let a = p.var("a", 8);
-        let b = p.var("b", 8);
-        let shared = p.add(a, b);
-        let t1 = p.red_or(shared);
-        let t2 = p.red_xor(shared);
-        let mut memo = HashMap::new();
-        let d1 = p.subterm_digests(&[t1], &mut memo);
-        let d2 = p.subterm_digests(&[t2], &mut memo);
-        let common: Vec<_> = d1.iter().filter(|h| d2.contains(h)).collect();
-        // a, b and a+b are shared; the reduction roots are not.
-        assert!(common.len() >= 3, "shared subterms not detected");
-        assert!(d1.len() > common.len());
-    }
-
-    #[test]
-    fn deep_terms_hash_without_stack_overflow() {
-        let mut p = TermPool::new();
-        let mut t = p.var("x", 4);
-        for _ in 0..50_000 {
-            let one = p.const_u64(4, 1);
-            t = p.add(t, one);
-        }
-        let mut memo = HashMap::new();
-        let h = p.structural_hash(t, &mut memo);
-        assert_ne!(h, 0);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! semantics.
 
 use proptest::prelude::*;
-use symbfuzz_smt::{BvSolver, Lit, SatOutcome, SatResult, SatSolver};
+use std::collections::HashMap;
+use symbfuzz_logic::{Bit, LogicVec};
+use symbfuzz_smt::{Budget, Lit, SatResult, SatSolver, SolverSession, TermId, TermKind};
 
 /// Brute-force satisfiability for ≤ 16 variables.
 fn brute_force(num_vars: u32, clauses: &[Vec<(u32, bool)>]) -> bool {
@@ -16,6 +18,38 @@ fn brute_force(num_vars: u32, clauses: &[Vec<(u32, bool)>]) -> bool {
         }
     }
     false
+}
+
+/// Asserts `goal` on the session and solves it. A model comes back as
+/// an evaluation environment over `vars`, each variable read off its
+/// bit literals, for checking with `TermPool::eval`.
+fn solve(
+    s: &mut SolverSession,
+    goal: TermId,
+    vars: &[TermId],
+) -> Option<HashMap<String, LogicVec>> {
+    s.assert_term(goal);
+    let (SatResult::Sat(model), _) = s.check_assuming(&[], &Budget::unlimited()) else {
+        return None;
+    };
+    let env = vars
+        .iter()
+        .map(|&t| {
+            let TermKind::Var(name, _) = s.pool().kind(t) else {
+                panic!("{t:?} is not a variable")
+            };
+            let lits = s.blaster().lits_of(t).expect("variable was blasted");
+            let mut v = LogicVec::zeros(lits.len() as u32);
+            for (i, l) in lits.iter().enumerate() {
+                v.set_bit(
+                    i as u32,
+                    Bit::from_bool(model[l.var() as usize] == l.is_pos()),
+                );
+            }
+            (name.clone(), v)
+        })
+        .collect();
+    Some(env)
 }
 
 proptest! {
@@ -59,7 +93,7 @@ proptest! {
         let m = if width >= 64 { u64::MAX } else { (1u64 << width) - 1 };
         let (a, b) = (a & m, b & m);
         for op in 0..3 {
-            let mut s = BvSolver::new();
+            let mut s = SolverSession::new();
             let va = s.pool_mut().var("a", width);
             let vb = s.pool_mut().var("b", width);
             let expected = match op {
@@ -83,8 +117,9 @@ proptest! {
                 let both = p.and(ea, eb);
                 p.and(both, er)
             };
-            s.assert(goal).unwrap();
-            prop_assert!(s.check().unwrap().is_sat(), "op {op}: {a} ? {b} != {expected} at width {width}");
+            let env = solve(&mut s, goal, &[va, vb]);
+            prop_assert!(env.is_some(), "op {op}: {a} ? {b} != {expected} at width {width}");
+            prop_assert_eq!(s.pool().eval(goal, &env.unwrap()).to_u64(), Some(1));
         }
     }
 
@@ -92,7 +127,7 @@ proptest! {
     fn blasted_comparison_matches_u64(a: u64, b: u64, width in 1u32..=12) {
         let m = (1u64 << width) - 1;
         let (a, b) = (a & m, b & m);
-        let mut s = BvSolver::new();
+        let mut s = SolverSession::new();
         let va = s.pool_mut().var("a", width);
         let goal = {
             let p = s.pool_mut();
@@ -104,8 +139,9 @@ proptest! {
             let e = p.eq(lt, expect);
             p.and(ea, e)
         };
-        s.assert(goal).unwrap();
-        prop_assert!(s.check().unwrap().is_sat());
+        let env = solve(&mut s, goal, &[va]);
+        prop_assert!(env.is_some());
+        prop_assert_eq!(s.pool().eval(goal, &env.unwrap()).to_u64(), Some(1));
     }
 
     #[test]
@@ -113,7 +149,7 @@ proptest! {
         // Find inputs with (a ^ b) + (a & b) == target (mod 2^w); such
         // inputs always exist (a = target, b = 0).
         let t = target as u64 & ((1u64 << width) - 1);
-        let mut s = BvSolver::new();
+        let mut s = SolverSession::new();
         let a = s.pool_mut().var("a", width);
         let b = s.pool_mut().var("b", width);
         let goal = {
@@ -124,13 +160,12 @@ proptest! {
             let c = p.const_u64(width, t);
             p.eq(sum, c)
         };
-        s.assert(goal).unwrap();
-        let SatOutcome::Sat(model) = s.check().unwrap() else {
+        let Some(env) = solve(&mut s, goal, &[a, b]) else {
             return Err(TestCaseError::fail("expected SAT"));
         };
-        prop_assert!(s.validate(&model));
-        let va = model.value("a").unwrap().to_u64().unwrap();
-        let vb = model.value("b").unwrap().to_u64().unwrap();
+        prop_assert_eq!(s.pool().eval(goal, &env).to_u64(), Some(1));
+        let va = env["a"].to_u64().unwrap();
+        let vb = env["b"].to_u64().unwrap();
         let m = (1u64 << width) - 1;
         prop_assert_eq!(((va ^ vb) + (va & vb)) & m, t);
     }

@@ -1,8 +1,6 @@
 //! Dependency-equation construction and SMT-backed input search.
 
-use crate::scope::{
-    signal_of_term_name, GoalScope, BLAME_MAX_ASSUMPTIONS, HOT_SIGNALS_K, SKETCH_K,
-};
+use crate::scope::{signal_of_term_name, GoalScope, BLAME_MAX_ASSUMPTIONS, HOT_SIGNALS_K};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -165,25 +163,21 @@ impl SolverCacheStats {
 }
 
 /// An unrolled frame chain over one start state: a solver session
-/// holding the chain's terms and CNF, plus per frame the state map,
-/// the input symbols and, when traced, a structural digest. A fresh
-/// query builds one and drops it, the frame cache keeps one warm and
-/// the blame probe seeds its own; [`SymbolicEngine::extend`] is the
-/// only code that adds frames to any of them.
+/// holding the chain's terms and CNF, plus per frame the state map and
+/// the input symbols. A fresh query builds one and drops it, the frame
+/// cache keeps one warm and the blame probe seeds its own;
+/// [`SymbolicEngine::extend`] is the only code that adds frames to any
+/// of them.
 #[derive(Debug, Clone)]
 struct Chain {
     sess: SolverSession,
-    /// Whether CDCL tracing and frame digests are armed.
+    /// Whether CDCL tracing is armed.
     traced: bool,
     /// `states[k]` maps each current-state var to its term after `k`
     /// unroll steps (`states[0]` is the seeded start state).
     states: Vec<HashMap<TermId, TermId>>,
     /// Per-step input symbols in signal order, for model extraction.
     step_inputs: Vec<Vec<(SignalId, TermId)>>,
-    /// Structural digest per frame (traced chains only).
-    frame_digests: Vec<u64>,
-    /// Shared structural-hash memo for digests and sketches.
-    hash_memo: HashMap<TermId, u64>,
     /// CNF size `(vars, clauses)` at the previous telemetry report, so
     /// a kept chain records only what each check newly blasted.
     reported: (usize, usize),
@@ -196,27 +190,19 @@ impl Chain {
             traced,
             states: vec![start],
             step_inputs: Vec::new(),
-            frame_digests: Vec::new(),
-            hash_memo: HashMap::new(),
             reported: (0, 0),
         }
     }
 }
 
-/// The engine's frame cache: one warm chain for the current
-/// `(design fingerprint, start state, traced)` key, replaced whenever a
-/// query arrives from a different start state.
+/// The engine's frame cache: one warm chain, keyed on its start state
+/// and on whether it is traced, replaced whenever a query arrives from
+/// a different start state.
 #[derive(Debug, Clone)]
 struct FrameCache {
-    fingerprint: u64,
-    /// The warm chain and its key: the design fingerprint folded with
-    /// the start state.
-    warm: Option<(u64, Chain)>,
+    /// The warm chain and its [`start_key`](SymbolicEngine::start_key).
+    warm: Option<(Vec<(u64, u64)>, Chain)>,
     stats: SolverCacheStats,
-}
-
-fn fnv_fold(d: u64, x: u64) -> u64 {
-    (d ^ x).wrapping_mul(0x100_0000_01b3)
 }
 
 /// Builds and solves dependency equations for one design.
@@ -341,11 +327,11 @@ impl SymbolicEngine {
     /// Arms (or disarms) the incremental frame cache.
     ///
     /// When armed, exact-depth solves run on one warm frame chain keyed
-    /// by `(design fingerprint, start state)`: the unrolled transition
-    /// relation is substituted and bit-blasted once per frame, goals
-    /// sharing a start state are posed on it as assumption checks, and
-    /// learned clauses carry across sibling goals. A query from another
-    /// start state replaces the chain.
+    /// by its start state: the unrolled transition relation is
+    /// substituted and bit-blasted once per frame, goals sharing a start
+    /// state are posed on it as assumption checks, and learned clauses
+    /// carry across sibling goals. A query from another start state
+    /// replaces the chain.
     ///
     /// Verdicts (Sat / Unsat / Unknown-reason) match the fresh-solver
     /// path exactly for unlimited budgets and for the unroll-depth and
@@ -353,7 +339,6 @@ impl SymbolicEngine {
     /// Disarmed (the default), every solve builds a chain and drops it.
     pub fn set_solver_cache(&mut self, armed: bool) {
         *self.cache.borrow_mut() = armed.then(|| FrameCache {
-            fingerprint: self.design_fingerprint(),
             warm: None,
             stats: SolverCacheStats::default(),
         });
@@ -361,11 +346,11 @@ impl SymbolicEngine {
 
     /// Switches per-goal introspection on or off (off by default).
     /// When on, every query's [`ReachStats::scope`] carries a
-    /// [`GoalScope`]: the merged CDCL trace, hot signals, structural
-    /// sketch and, for goals that were solved without being reached, a
-    /// blame set (see [`solve_reach_profiled`](Self::solve_reach_profiled)).
-    /// Tracing changes nothing about the search, so outcomes and work
-    /// receipts match an engine with introspection off.
+    /// [`GoalScope`]: the merged CDCL trace, hot signals and, for goals
+    /// that were solved without being reached, a blame set (see
+    /// [`solve_reach_profiled`](Self::solve_reach_profiled)). Tracing
+    /// changes nothing about the search, so outcomes and work receipts
+    /// match an engine with introspection off.
     pub fn set_introspection(&mut self, on: bool) {
         self.introspect = on;
     }
@@ -379,44 +364,21 @@ impl SymbolicEngine {
             .unwrap_or_default()
     }
 
-    /// A structural digest of the design's dependency equations: the
-    /// design half of the frame-cache key. Two engines over the same
-    /// elaborated design agree; any change to an equation changes it.
-    pub fn design_fingerprint(&self) -> u64 {
-        let mut memo = HashMap::new();
-        let mut regs: Vec<SignalId> = self.eqs.keys().copied().collect();
-        regs.sort_unstable();
-        let mut d = 0xcbf2_9ce4_8422_2325u64;
-        for reg in regs {
-            for b in self.design.signal(reg).name.bytes() {
-                d = fnv_fold(d, u64::from(b));
-            }
-            d = fnv_fold(d, self.pool.structural_hash(self.eqs[&reg], &mut memo));
-        }
-        d
-    }
-
-    /// The state half of the frame-cache key: a digest of every
-    /// register's concrete (or partially-X) value, folded over the
-    /// design fingerprint in sorted-register order.
-    fn state_key(&self, fingerprint: u64, current: &[LogicVec]) -> u64 {
-        let mut d = fingerprint;
-        for &reg in self.cur_vars.keys() {
+    /// The frame-cache key of a start state: each register's defined
+    /// bits and unknown mask, 64 bits at a time, in signal order. X and
+    /// Z read alike, as [`seed_chain`](Self::seed_chain) gives both a
+    /// free symbol, so two states share a key exactly when they seed
+    /// the same chain.
+    fn start_key(&self, current: &[LogicVec]) -> Vec<(u64, u64)> {
+        let mut key = Vec::with_capacity(self.cur_vars.len());
+        for reg in self.cur_vars.keys() {
             let v = &current[reg.index()];
-            d = fnv_fold(d, reg.index() as u64);
-            for i in 0..v.width() {
-                let b = v.bit(i);
-                let code = if b.is_unknown() {
-                    3
-                } else if b == Bit::One {
-                    2
-                } else {
-                    1
-                };
-                d = fnv_fold(d, code);
+            for lo in (0..v.width()).step_by(64) {
+                let (val, unk) = v.extract_word(lo, (v.width() - lo).min(64));
+                key.push((val & !unk, unk));
             }
         }
-        d
+        key
     }
 
     /// The dependency equation (next-state term) for a register.
@@ -556,16 +518,11 @@ impl SymbolicEngine {
     ) -> (ReachOutcome, BudgetSpent) {
         let traced = scope.is_some();
         let mut cache = self.cache.borrow_mut();
-        let Some(FrameCache {
-            fingerprint,
-            warm,
-            stats,
-        }) = cache.as_mut()
-        else {
+        let Some(FrameCache { warm, stats }) = cache.as_mut() else {
             let mut chain = self.seed_chain(current, traced);
             return self.check(&mut chain, None, targets, steps, budget, scope);
         };
-        let key = self.state_key(*fingerprint, current);
+        let key = self.start_key(current);
         let chain = match warm {
             Some((k, chain)) if *k == key && chain.traced == traced => chain,
             _ => &mut warm.insert((key, self.seed_chain(current, traced))).1,
@@ -645,7 +602,6 @@ impl SymbolicEngine {
                 micros: tel.now_micros().saturating_sub(t0),
             });
         }
-        let steps = steps as usize;
         if let Some(scope) = scope {
             if let Some(trace) = chain.sess.take_trace(HOT_SIGNALS_K * 4) {
                 let vars: Vec<u32> = trace.hot_vars.iter().map(|(v, _)| *v).collect();
@@ -665,15 +621,6 @@ impl SymbolicEngine {
                 scope.note_hot_signals(&named);
                 scope.note_call(&trace);
             }
-            let mut roots: Vec<TermId> = chain.states[steps].values().copied().collect();
-            roots.sort_unstable();
-            let mut digests = chain
-                .sess
-                .pool()
-                .subterm_digests(&roots, &mut chain.hash_memo);
-            digests.truncate(SKETCH_K);
-            let frames = chain.frame_digests[..steps].to_vec();
-            scope.note_structure(steps as u32, digests, frames);
         }
 
         let verdict = match result {
@@ -691,7 +638,7 @@ impl SymbolicEngine {
                     }
                     v
                 };
-                let plan = chain.step_inputs[..steps]
+                let plan = chain.step_inputs[..steps as usize]
                     .iter()
                     .map(|inputs| InputAssignment {
                         values: inputs
@@ -739,15 +686,6 @@ impl SymbolicEngine {
             for (&reg, &var) in &self.cur_vars {
                 let pool = chain.sess.pool_mut();
                 state.insert(var, subst(pool, self.eqs[&reg], &subst_map, &mut memo));
-            }
-            if chain.traced {
-                let mut hs: Vec<u64> = state
-                    .values()
-                    .map(|&t| chain.sess.pool().structural_hash(t, &mut chain.hash_memo))
-                    .collect();
-                hs.sort_unstable();
-                let digest = hs.into_iter().fold(0xcbf2_9ce4_8422_2325u64, fnv_fold);
-                chain.frame_digests.push(digest);
             }
             chain.states.push(state);
             chain.step_inputs.push(inputs);
@@ -1663,7 +1601,7 @@ mod tests {
     }
 
     #[test]
-    fn introspection_is_search_neutral_and_records_structure() {
+    fn introspection_is_search_neutral_and_traces_every_call() {
         let plain = engine(FSM, "fsm");
         let mut e = engine(FSM, "fsm");
         e.set_introspection(true);
@@ -1691,10 +1629,6 @@ mod tests {
             },
             plain_stats
         );
-        // Structure was recorded for the deepest call.
-        assert!(scope.depth >= 1);
-        assert!(!scope.sketch.is_empty());
-        assert_eq!(scope.frame_digests.len() as u32, scope.depth);
         // Every exact-depth call landed in the per-call histogram.
         let calls: u64 = scope.call_conflict_hist.iter().sum();
         assert_eq!(calls, u64::from(stats.solver_calls));
@@ -1753,30 +1687,6 @@ mod tests {
         let scope = stats.scope.expect("introspection is on");
         assert!(scope.blame.is_empty(), "blamed {:?}", scope.blame);
         assert!(!scope.blame_is_core);
-    }
-
-    #[test]
-    fn neighbouring_goals_share_sketch_structure() {
-        let mut e = engine(FSM, "fsm");
-        e.set_introspection(true);
-        let d = Arc::clone(e.design());
-        let st = d.signal_by_name("state").unwrap();
-        let sketch = |value| {
-            let (_, stats) = e
-                .solve_reach_profiled(
-                    &zero_state(&d),
-                    &[(st, LogicVec::from_u64(3, value))],
-                    1,
-                    &Budget::unlimited(),
-                )
-                .unwrap();
-            stats.scope.expect("introspection is on").sketch
-        };
-        let (a, b) = (sketch(1), sketch(2));
-        // Same register, same depth, different value: the unrolled
-        // formulas share almost all their structure.
-        let j = crate::scope::sketch_jaccard_milli(&a, &b);
-        assert!(j >= 500, "affinity {j} unexpectedly low");
     }
 
     #[test]
@@ -1874,7 +1784,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_introspection_still_records_structure() {
+    fn cached_introspection_still_traces_every_call() {
         let mut e = engine(FSM, "fsm");
         e.set_solver_cache(true);
         e.set_introspection(true);
@@ -1891,24 +1801,40 @@ mod tests {
         assert!(matches!(outcome, ReachOutcome::Reached(_)));
         assert!(stats.solver_calls >= 1);
         let scope = stats.scope.expect("introspection is on");
-        assert!(scope.depth >= 1);
-        assert!(!scope.sketch.is_empty());
-        assert_eq!(scope.frame_digests.len() as u32, scope.depth);
+        let calls: u64 = scope.call_conflict_hist.iter().sum();
+        assert_eq!(calls, u64::from(stats.solver_calls));
     }
 
     #[test]
-    fn design_fingerprint_is_stable_and_design_sensitive() {
-        let a = engine(FSM, "fsm");
-        let b = engine(FSM, "fsm");
-        assert_eq!(a.design_fingerprint(), b.design_fingerprint());
-        let c = engine(
-            "module m(input clk, input rst_n, input [3:0] d, output logic [3:0] q);
-               always_ff @(posedge clk or negedge rst_n)
-                 if (!rst_n) q <= 4'd0; else q <= d;
-             endmodule",
-            "m",
-        );
-        assert_ne!(a.design_fingerprint(), c.design_fingerprint());
+    fn start_states_differing_only_in_x_versus_z_share_the_warm_chain() {
+        // The key is the start state itself: X and Z seed the same free
+        // symbol, so they share a chain; a defined bit that differs
+        // does not.
+        let d = Arc::new(elaborate_src(XFACTOR, "xf").unwrap());
+        let mut cached = SymbolicEngine::new(Arc::clone(&d));
+        cached.set_solver_cache(true);
+        let hit = d.signal_by_name("hit").unwrap();
+        let targets = [(hit, LogicVec::from_u64(1, 1))];
+        let start = |unknown: Bit, low: Bit| {
+            let mut state = zero_state(&d);
+            for name in ["x", "y"] {
+                let mut v = LogicVec::filled(8, unknown);
+                v.set_bit(0, low);
+                state[d.signal_by_name(name).unwrap().index()] = v;
+            }
+            state
+        };
+        let mut seen = Vec::new();
+        for state in [
+            start(Bit::X, Bit::One),
+            start(Bit::Z, Bit::One),
+            start(Bit::Z, Bit::Zero), // even factors of an odd product
+        ] {
+            let c = reach(&cached, &state, &targets, 1, &Budget::unlimited());
+            seen.push((c.status(), cached.cache_stats().frame_misses));
+        }
+        let (sat, unsat) = (SolveStatus::Sat, SolveStatus::Unsat);
+        assert_eq!(seen, vec![(sat, 1), (sat, 1), (unsat, 2)]);
     }
 
     #[test]

@@ -70,7 +70,4 @@ mod scope;
 pub use engine::{
     InputAssignment, ReachError, ReachOutcome, ReachStats, SolverCacheStats, SymbolicEngine,
 };
-pub use scope::{
-    signal_of_term_name, sketch_jaccard_milli, GoalScope, BLAME_MAX_ASSUMPTIONS, HOT_SIGNALS_K,
-    SKETCH_K,
-};
+pub use scope::{signal_of_term_name, GoalScope, BLAME_MAX_ASSUMPTIONS, HOT_SIGNALS_K};

@@ -1,27 +1,19 @@
-//! Per-goal solver introspection: merged CDCL traces, structural
-//! sketches, and blame sets.
+//! Per-goal solver introspection: merged CDCL traces, hot signals and
+//! blame sets.
 //!
 //! When introspection is enabled, every reachability query carries a
 //! [`GoalScope`] alongside its [`ReachStats`](crate::ReachStats)
 //! receipt: the merged [`SolveTrace`] across the geometric depth
 //! schedule, a histogram of per-call conflict counts, the hottest
-//! VSIDS variables mapped back to netlist signal names, a bottom-K
-//! sketch of the unrolled formula's subterm digests (the raw material
-//! for cross-goal affinity), and — for `Unreachable`/`Exhausted`
-//! outcomes — a *blame set* of state registers whose concrete values
-//! make the target unreachable.
+//! VSIDS variables mapped back to netlist signal names, and — for
+//! `Unreachable`/`Exhausted` outcomes — a *blame set* of state
+//! registers whose concrete values make the target unreachable.
 //!
-//! Everything here is deterministic: sketches are sorted digest sets,
-//! hot signals sort by (permille desc, name asc), and blame sets keep
-//! register-name order, so merged reports are byte-identical at any
-//! `--jobs` count.
+//! Everything here is deterministic: hot signals sort by (permille
+//! desc, name asc) and blame sets keep register-name order, so merged
+//! reports are byte-identical at any `--jobs` count.
 
 use symbfuzz_smt::{trace_bucket, SolveTrace, TRACE_HIST_BUCKETS};
-
-/// Bottom-K sketch size for subterm digests. 128 digests estimate the
-/// Jaccard similarity of two formulas to within a few percent while
-/// keeping `CampaignResult` blocks small.
-pub const SKETCH_K: usize = 128;
 
 /// Hot-signal list length carried per goal.
 pub const HOT_SIGNALS_K: usize = 8;
@@ -50,14 +42,6 @@ pub struct GoalScope {
     /// Whether [`blame`](Self::blame) came from a real assumption-core
     /// extraction (`true`) or the hot-signal fallback (`false`).
     pub blame_is_core: bool,
-    /// Bottom-[`SKETCH_K`] of the sorted subterm structural digests of
-    /// the deepest unrolled formula.
-    pub sketch: Vec<u64>,
-    /// Structural digest of each unrolled frame's state (deepest call),
-    /// frame 1 first.
-    pub frame_digests: Vec<u64>,
-    /// Deepest unroll the sketch and frame digests describe.
-    pub depth: u32,
 }
 
 impl GoalScope {
@@ -92,52 +76,6 @@ impl GoalScope {
             .sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         self.hot_signals.truncate(HOT_SIGNALS_K);
     }
-
-    /// Installs the sketch and frame digests for a call at `depth`,
-    /// keeping only the deepest call's view of the formula.
-    pub fn note_structure(&mut self, depth: u32, sketch: Vec<u64>, frame_digests: Vec<u64>) {
-        if depth >= self.depth {
-            self.depth = depth;
-            self.sketch = sketch;
-            self.frame_digests = frame_digests;
-        }
-    }
-}
-
-/// Estimates the Jaccard similarity of the digest sets behind two
-/// bottom-K sketches, in milli (0–1000).
-///
-/// Both inputs must be sorted, deduplicated bottom-K sets (as
-/// [`GoalScope::sketch`] stores them). The estimator is the classic
-/// KMV one: take the K smallest digests of the union and count how
-/// many appear in both sketches. Returns 0 when either sketch is
-/// empty.
-pub fn sketch_jaccard_milli(a: &[u64], b: &[u64]) -> u64 {
-    if a.is_empty() || b.is_empty() {
-        return 0;
-    }
-    let k = SKETCH_K.min(a.len() + b.len());
-    // Merge the two sorted sets, keeping the k smallest distinct
-    // digests and counting those present in both.
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut taken = 0usize;
-    let mut both = 0usize;
-    while taken < k && (i < a.len() || j < b.len()) {
-        if i < a.len() && j < b.len() && a[i] == b[j] {
-            both += 1;
-            i += 1;
-            j += 1;
-        } else if j >= b.len() || (i < a.len() && a[i] < b[j]) {
-            i += 1;
-        } else {
-            j += 1;
-        }
-        taken += 1;
-    }
-    if taken == 0 {
-        return 0;
-    }
-    (both as u64 * 1000) / taken as u64
 }
 
 /// Parses an engine term name back to the netlist signal it stands
@@ -185,31 +123,5 @@ mod tests {
         let many: Vec<(String, u64)> = (0..20).map(|i| (format!("s{i:02}"), 100 + i)).collect();
         s.note_hot_signals(&many);
         assert_eq!(s.hot_signals.len(), HOT_SIGNALS_K);
-    }
-
-    #[test]
-    fn structure_keeps_the_deepest_call() {
-        let mut s = GoalScope::new();
-        s.note_structure(2, vec![1, 2], vec![10, 20]);
-        s.note_structure(1, vec![9], vec![90]);
-        assert_eq!(s.depth, 2);
-        assert_eq!(s.sketch, vec![1, 2]);
-        s.note_structure(4, vec![3], vec![30, 40, 50, 60]);
-        assert_eq!(s.depth, 4);
-        assert_eq!(s.frame_digests.len(), 4);
-    }
-
-    #[test]
-    fn jaccard_estimates_overlap() {
-        let a: Vec<u64> = (0..100).collect();
-        assert_eq!(sketch_jaccard_milli(&a, &a), 1000);
-        let b: Vec<u64> = (100..200).collect();
-        assert_eq!(sketch_jaccard_milli(&a, &b), 0);
-        // Half-overlapping sets: 50 shared of 100 distinct → ~333 milli
-        // (J = 50/150), estimated over the union's bottom-k.
-        let c: Vec<u64> = (50..150).collect();
-        let j = sketch_jaccard_milli(&a, &c);
-        assert!((250..=450).contains(&j), "got {j}");
-        assert_eq!(sketch_jaccard_milli(&a, &[]), 0);
     }
 }

@@ -6,7 +6,9 @@
 //! event timestamps and phase durations are pure functions of the
 //! campaign seed and merge byte-identically at any parallelism. The
 //! bench binaries swap in a [`MonotonicClock`] only when the operator
-//! asks for a wall-clock trace (`--trace-out`).
+//! asks for a wall-clock trace (`--trace-out`). Solver wall-clock
+//! deadlines (`--solve-wall-ms`) never read the collector's clock: a
+//! campaign keeps a [`MonotonicClock`] of its own for them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

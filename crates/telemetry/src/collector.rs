@@ -154,11 +154,6 @@ pub enum Gauge {
     /// live snapshots over their unique page bytes (0 when no
     /// snapshots are held; 1000 means no page is shared).
     SnapshotSharing,
-    /// Mean adjacent-goal structural affinity ×1000 (shared-subterm
-    /// ratio between neighbouring CFG goals at equal unroll depth;
-    /// 0 when solver introspection is off or fewer than two goals
-    /// were profiled).
-    MeanAffinity,
     /// Solver-session reuse ratio ×1000: goals answered by a warm
     /// incremental session over all session-path goals (0 when
     /// incremental solving is off).
@@ -167,7 +162,7 @@ pub enum Gauge {
 
 impl Gauge {
     /// Number of gauges.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// All gauges in index order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -178,7 +173,6 @@ impl Gauge {
         Gauge::XIslandCones,
         Gauge::SnapshotBytes,
         Gauge::SnapshotSharing,
-        Gauge::MeanAffinity,
         Gauge::SolverSessionReuse,
     ];
 
@@ -192,7 +186,6 @@ impl Gauge {
             Gauge::XIslandCones => "x_island_cones",
             Gauge::SnapshotBytes => "snapshot_bytes",
             Gauge::SnapshotSharing => "snapshot_sharing_milli",
-            Gauge::MeanAffinity => "mean_affinity_milli",
             Gauge::SolverSessionReuse => "solver_session_reuse_milli",
         }
     }
@@ -371,12 +364,6 @@ impl Collector {
     /// Current clock reading.
     pub fn now_micros(&self) -> u64 {
         self.clock.now_micros()
-    }
-
-    /// A shared handle to the collector's clock, so other subsystems
-    /// (e.g. solver wall-clock deadlines) observe the same time base.
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        Arc::clone(&self.clock)
     }
 
     /// Drives a settable clock (no-op on wall clocks).
