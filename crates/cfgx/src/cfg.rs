@@ -6,6 +6,8 @@ use symbfuzz_logic::LogicVec;
 use symbfuzz_netlist::{Design, SignalId};
 use symbfuzz_telemetry::Mechanism;
 
+use crate::trie::InputTrie;
+
 /// Identifier of a CFG node (dense, in discovery order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
@@ -16,13 +18,6 @@ impl NodeId {
         self.0 as usize
     }
 }
-
-/// One CFG node key: the sampled values of every control register, in
-/// the CFG's fixed register order (the paper's `C_(i1,i2,…)`, Eqn. 5).
-/// `X`-containing values are legal keys — the all-X tuple is the
-/// power-up node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct StateTuple(pub Vec<LogicVec>);
 
 /// Attribution for one covered node or edge: which mechanism generated
 /// the input word that earned it, and under what circumstances.
@@ -80,11 +75,11 @@ pub struct ObserveOutcome {
 
 #[derive(Debug, Clone)]
 struct NodeInfo {
-    state: StateTuple,
     /// Outgoing edges: successor → edge id.
     out: HashMap<NodeId, u32>,
-    /// Input-word sequence that first reached this node from reset.
-    path: Vec<LogicVec>,
+    /// Input-trie position of the word sequence that first reached
+    /// this node from reset.
+    pos: u32,
     first_cycle: u64,
     /// Attribution of the first visit.
     prov: Provenance,
@@ -97,47 +92,67 @@ struct NodeInfo {
 pub struct Cfg {
     design: Arc<Design>,
     ctrl: Vec<SignalId>,
+    /// Words per plane of a packed node key.
+    key_words: usize,
     nodes: Vec<NodeInfo>,
-    index: HashMap<StateTuple, NodeId>,
+    /// Packed node key → node: every control register's value bits end
+    /// to end, then their unknown bits.
+    index: HashMap<Box<[u64]>, NodeId>,
+    /// Reused packing buffer for `index` lookups.
+    key: Vec<u64>,
     edges: Vec<EdgeRec>,
     /// Node the design was in at the previous observation.
     current: Option<NodeId>,
-    /// Input words driven since the last reset.
-    input_log: Vec<LogicVec>,
+    /// Every node's first-reach path; its cursor follows the words
+    /// driven since the last reset or rollback.
+    inputs: InputTrie,
     /// Values seen per control register (for target enumeration).
     seen_values: Vec<BTreeSet<u64>>,
 }
 
 impl Cfg {
     /// Creates a CFG over the given control registers (order fixes the
-    /// tuple layout).
+    /// node key layout).
     pub fn new(design: Arc<Design>, ctrl: Vec<SignalId>) -> Cfg {
         let n = ctrl.len();
+        let bits: usize = ctrl.iter().map(|s| design.signal(*s).width as usize).sum();
         Cfg {
             design,
             ctrl,
+            key_words: bits.div_ceil(64),
             nodes: Vec::new(),
             index: HashMap::new(),
+            key: Vec::new(),
             edges: Vec::new(),
             current: None,
-            input_log: Vec::new(),
+            inputs: InputTrie::new(),
             seen_values: vec![BTreeSet::new(); n],
         }
     }
 
-    /// The control registers in tuple order.
+    /// The control registers in key order.
     pub fn control_registers(&self) -> &[SignalId] {
         &self.ctrl
     }
 
-    /// Extracts the state tuple from a full simulator value table.
-    pub fn tuple_of(&self, values: &[LogicVec]) -> StateTuple {
-        StateTuple(
-            self.ctrl
-                .iter()
-                .map(|s| values[s.index()].clone())
-                .collect(),
-        )
+    /// Packs the control registers of a value table into `self.key`.
+    fn pack_key(&mut self, values: &[LogicVec]) {
+        self.key.clear();
+        self.key.resize(2 * self.key_words, 0);
+        let (val_plane, unk_plane) = self.key.split_at_mut(self.key_words);
+        let mut at = 0;
+        for s in &self.ctrl {
+            let v = &values[s.index()];
+            // Keys are laid out by declared width; a narrower or wider
+            // value would alias another key.
+            assert_eq!(v.width(), self.design.signal(*s).width, "{s:?} width");
+            let (val, unk) = v.planes();
+            for (i, (&vw, &uw)) in val.iter().zip(unk).enumerate() {
+                put_bits(val_plane, at + 64 * i, vw);
+                put_bits(unk_plane, at + 64 * i, uw);
+            }
+            at += v.width() as usize;
+        }
     }
 
     /// Ingests one post-cycle sample: the full value table, the input
@@ -150,25 +165,22 @@ impl Cfg {
         cycle: u64,
         prov: Provenance,
     ) -> ObserveOutcome {
-        self.input_log.push(input_word.clone());
-        let tuple = self.tuple_of(values);
-        let (node, new_node) = match self.index.get(&tuple) {
+        self.inputs.step(input_word);
+        self.pack_key(values);
+        let (node, new_node) = match self.index.get(&self.key[..]) {
             Some(id) => (*id, false),
             None => {
                 let id = NodeId(self.nodes.len() as u32);
                 self.nodes.push(NodeInfo {
-                    state: tuple.clone(),
                     out: HashMap::new(),
-                    path: self.input_log.clone(),
+                    pos: self.inputs.commit(),
                     first_cycle: cycle,
                     prov,
                 });
-                self.index.insert(tuple.clone(), id);
-                for (i, v) in tuple.0.iter().enumerate() {
-                    if !v.has_unknown() {
-                        if let Some(x) = v.to_u64() {
-                            self.seen_values[i].insert(x);
-                        }
+                self.index.insert(self.key.as_slice().into(), id);
+                for (i, s) in self.ctrl.iter().enumerate() {
+                    if let Some(x) = values[s.index()].to_u64() {
+                        self.seen_values[i].insert(x);
                     }
                 }
                 (id, true)
@@ -200,19 +212,19 @@ impl Cfg {
         }
     }
 
-    /// Tells the CFG a reset happened: the input log restarts and the
-    /// next observation starts a fresh path (no edge from the pre-reset
-    /// node).
+    /// Tells the CFG a reset happened: the driven path restarts empty
+    /// and the next observation starts a fresh path (no edge from the
+    /// pre-reset node).
     pub fn note_reset(&mut self) {
         self.current = None;
-        self.input_log.clear();
+        self.inputs.restart(0);
     }
 
     /// Tells the CFG the simulator was rolled back to `node` (snapshot
-    /// restore): subsequent edges originate there, and the input log
-    /// resumes from that node's recorded path.
+    /// restore): subsequent edges originate there, and the driven path
+    /// resumes from that node's recorded path (a cursor move).
     pub fn note_rollback(&mut self, node: NodeId) {
-        self.input_log = self.nodes[node.index()].path.clone();
+        self.inputs.restart(self.nodes[node.index()].pos);
         self.current = Some(node);
     }
 
@@ -254,11 +266,6 @@ impl Cfg {
         self.current
     }
 
-    /// The state tuple of a node.
-    pub fn state(&self, node: NodeId) -> &StateTuple {
-        &self.nodes[node.index()].state
-    }
-
     /// Cycle at which the node was first reached.
     pub fn first_cycle(&self, node: NodeId) -> u64 {
         self.nodes[node.index()].first_cycle
@@ -267,11 +274,6 @@ impl Cfg {
     /// Observed fanout of a node.
     pub fn fanout(&self, node: NodeId) -> usize {
         self.nodes[node.index()].out.len()
-    }
-
-    /// Successors of a node.
-    pub fn successors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes[node.index()].out.keys().copied()
     }
 
     /// Checkpoints: nodes whose fanout is at least `threshold`
@@ -287,22 +289,21 @@ impl Cfg {
 
     /// The input-word sequence that first reached `node` from reset —
     /// the checkpoint replay sequence of §4.5.
-    pub fn replay_sequence(&self, node: NodeId) -> &[LogicVec] {
-        &self.nodes[node.index()].path
+    pub fn replay_sequence(&self, node: NodeId) -> Vec<LogicVec> {
+        self.replay_suffix(node, 0)
     }
 
     /// Length of a node's first-reach path from reset, in input words.
     pub fn path_len(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].path.len()
+        self.inputs.depth(self.nodes[node.index()].pos)
     }
 
     /// Whether `anc`'s first-reach path is a (possibly equal) prefix of
     /// `node`'s: replaying `node`'s residual suffix from `anc`'s state
     /// lands exactly on `node`.
     pub fn is_ancestor(&self, anc: NodeId, node: NodeId) -> bool {
-        let a = &self.nodes[anc.index()].path;
-        let n = &self.nodes[node.index()].path;
-        a.len() <= n.len() && *a == n[..a.len()]
+        self.inputs
+            .is_prefix(self.nodes[anc.index()].pos, self.nodes[node.index()].pos)
     }
 
     /// Among `candidates`, the one whose path is the longest prefix of
@@ -316,19 +317,35 @@ impl Cfg {
     where
         I: IntoIterator<Item = NodeId>,
     {
-        candidates
-            .into_iter()
-            .filter(|&c| self.is_ancestor(c, node))
-            .fold(None, |best: Option<NodeId>, c| match best {
-                Some(b) if self.path_len(b) >= self.path_len(c) => Some(b),
-                _ => Some(c),
-            })
+        // The node-owned positions on `node`'s path, deepest first: a
+        // candidate is an ancestor exactly when its position is one of
+        // them, found by depth.
+        let owners = self.inputs.owners(self.nodes[node.index()].pos);
+        let mut best: Option<(NodeId, usize)> = None;
+        for c in candidates {
+            let pos = self.nodes[c.index()].pos;
+            let depth = self.inputs.depth(pos);
+            if best.is_some_and(|(_, d)| d >= depth) {
+                continue;
+            }
+            let hit = owners
+                .binary_search_by(|&(d, _)| depth.cmp(&d))
+                .is_ok_and(|i| owners[i].1 == pos);
+            if hit {
+                best = Some((c, depth));
+            }
+        }
+        best.map(|(c, _)| c)
     }
 
     /// The residual input suffix that walks from a state `from_len`
     /// words along `node`'s first-reach path to `node` itself.
-    pub fn replay_suffix(&self, node: NodeId, from_len: usize) -> &[LogicVec] {
-        &self.nodes[node.index()].path[from_len..]
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from_len` exceeds the node's path length.
+    pub fn replay_suffix(&self, node: NodeId, from_len: usize) -> Vec<LogicVec> {
+        self.inputs.path(self.nodes[node.index()].pos, from_len)
     }
 
     /// Values of control register `i` (tuple position) never observed,
@@ -387,6 +404,16 @@ impl Cfg {
             return 1.0;
         }
         (self.edge_count() as f64 / pairs).min(1.0)
+    }
+}
+
+/// ORs `word` into `plane` starting at bit `at`, spilling its high
+/// bits into the next word (bits past the plane's end must be zero).
+fn put_bits(plane: &mut [u64], at: usize, word: u64) {
+    let (i, sh) = (at / 64, at % 64);
+    plane[i] |= word << sh;
+    if sh != 0 && word >> (64 - sh) != 0 {
+        plane[i + 1] |= word >> (64 - sh);
     }
 }
 

@@ -11,6 +11,13 @@
 //! first reached it from reset, so the fuzzer can replay its way back
 //! to a checkpoint instead of re-randomising from scratch.
 //!
+//! Those paths are stored once: every input word on some node's path
+//! is one position in a trie the nodes share, and a node records only
+//! the position where its path ends. A rollback moves the trie's
+//! cursor, a path's length is a depth, and ancestry is a walk up the
+//! few node-owned positions above a node. Node keys are the control
+//! registers' bit planes packed into 64-bit words.
+//!
 //! The same structure powers the stagnation detector of Algorithm 1
 //! (lines 13–22): [`Cfg::observe`] reports whether anything new was
 //! covered, and the caller counts quiet intervals against the
@@ -57,5 +64,6 @@
 //! ```
 
 mod cfg;
+mod trie;
 
-pub use cfg::{Cfg, EdgeRec, NodeId, ObserveOutcome, Provenance, StateTuple};
+pub use cfg::{Cfg, EdgeRec, NodeId, ObserveOutcome, Provenance};

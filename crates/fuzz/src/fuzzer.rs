@@ -1036,10 +1036,7 @@ impl SymbFuzz {
                     id,
                 });
                 self.cfg.note_rollback(anc);
-                let suffix: Vec<LogicVec> = self
-                    .cfg
-                    .replay_suffix(node, self.cfg.path_len(anc))
-                    .to_vec();
+                let suffix = self.cfg.replay_suffix(node, self.cfg.path_len(anc));
                 self.replay_words(node, suffix)
             }
             None => {
@@ -1049,7 +1046,7 @@ impl SymbFuzz {
                 });
                 self.cfg.note_reset();
                 self.resources.full_resets += 1;
-                let path: Vec<LogicVec> = self.cfg.replay_sequence(node).to_vec();
+                let path = self.cfg.replay_sequence(node);
                 self.replay_words(node, path)
             }
         };

@@ -65,54 +65,67 @@ impl std::error::Error for LexError {}
 
 /// Tokenises `src`, skipping whitespace and `//`/`/* */` comments.
 ///
+/// Scans bytes: every token is ASCII, so only whitespace and the
+/// offending character of an error are ever decoded as `char`s.
+///
 /// # Errors
 ///
 /// Returns [`LexError`] on a character that cannot start any token.
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let chars: Vec<char> = src.chars().collect();
+    let bytes = src.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
     let mut line = 1u32;
 
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '\n' {
+    while i < bytes.len() {
+        let c = bytes[i];
+        if c == b'\n' {
             line += 1;
             i += 1;
             continue;
         }
-        if c.is_whitespace() {
+        if !c.is_ascii() {
+            // Every branch stops on a char boundary (comments end at an
+            // ASCII byte), so a char starts at `i`.
+            let ch = src[i..].chars().next().expect("non-empty tail");
+            if !ch.is_whitespace() {
+                return Err(LexError { ch, line });
+            }
+            i += ch.len_utf8();
+            continue;
+        }
+        if (c as char).is_whitespace() {
             i += 1;
             continue;
         }
         // Line comment.
-        if c == '/' && chars.get(i + 1) == Some(&'/') {
-            while i < chars.len() && chars[i] != '\n' {
+        if c == b'/' && bytes.get(i + 1) == Some(&b'/') {
+            while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
             continue;
         }
         // Block comment.
-        if c == '/' && chars.get(i + 1) == Some(&'*') {
+        if c == b'/' && bytes.get(i + 1) == Some(&b'*') {
             i += 2;
-            while i + 1 < chars.len() && !(chars[i] == '*' && chars[i + 1] == '/') {
-                if chars[i] == '\n' {
+            while i + 1 < bytes.len() && !(bytes[i] == b'*' && bytes[i + 1] == b'/') {
+                if bytes[i] == b'\n' {
                     line += 1;
                 }
                 i += 1;
             }
-            i = (i + 2).min(chars.len());
+            i = (i + 2).min(bytes.len());
             continue;
         }
         // Identifier / keyword / system identifier ($past etc.).
-        if c.is_ascii_alphabetic() || c == '_' || c == '$' {
+        if c.is_ascii_alphabetic() || c == b'_' || c == b'$' {
             let start = i;
             i += 1;
-            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
+            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
             tokens.push(Token {
-                kind: TokenKind::Ident(chars[start..i].iter().collect()),
+                kind: TokenKind::Ident(src[start..i].to_string()),
                 line,
             });
             continue;
@@ -120,53 +133,52 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
         // Number: digits, optionally followed by 'b/'h/'d/'o and digits.
         if c.is_ascii_digit() {
             let start = i;
-            while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '_') {
+            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
                 i += 1;
             }
-            if chars.get(i) == Some(&'\'') {
+            if bytes.get(i) == Some(&b'\'') {
                 i += 1; // tick
-                if i < chars.len() && chars[i].is_ascii_alphabetic() {
+                if i < bytes.len() && bytes[i].is_ascii_alphabetic() {
                     i += 1; // base
-                    while i < chars.len()
-                        && (chars[i].is_ascii_alphanumeric() || chars[i] == '_' || chars[i] == '?')
+                    while i < bytes.len()
+                        && (bytes[i].is_ascii_alphanumeric()
+                            || bytes[i] == b'_'
+                            || bytes[i] == b'?')
                     {
                         i += 1;
                     }
                 }
             }
             tokens.push(Token {
-                kind: TokenKind::Number(chars[start..i].iter().collect()),
+                kind: TokenKind::Number(src[start..i].to_string()),
                 line,
             });
             continue;
         }
         // Unsized fill literal: '0 '1 'x 'z
-        if c == '\'' && chars.get(i + 1).is_some_and(|n| n.is_ascii_alphanumeric()) {
-            let text: String = chars[i..i + 2].iter().collect();
+        if c == b'\'' && bytes.get(i + 1).is_some_and(|n| n.is_ascii_alphanumeric()) {
             tokens.push(Token {
-                kind: TokenKind::Number(text),
+                kind: TokenKind::Number(src[i..i + 2].to_string()),
                 line,
             });
             i += 2;
             continue;
         }
         // Operator / punctuation.
-        let mut matched = false;
-        for sym in SYMBOLS {
-            let sym_chars: Vec<char> = sym.chars().collect();
-            if chars[i..].starts_with(&sym_chars) {
-                tokens.push(Token {
-                    kind: TokenKind::Symbol(sym),
-                    line,
-                });
-                i += sym_chars.len();
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
-            return Err(LexError { ch: c, line });
-        }
+        let Some(sym) = SYMBOLS
+            .iter()
+            .find(|s| bytes[i..].starts_with(s.as_bytes()))
+        else {
+            return Err(LexError {
+                ch: c as char,
+                line,
+            });
+        };
+        tokens.push(Token {
+            kind: TokenKind::Symbol(sym),
+            line,
+        });
+        i += sym.len();
     }
     tokens.push(Token {
         kind: TokenKind::Eof,

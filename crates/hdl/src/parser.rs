@@ -129,12 +129,10 @@ impl Parser {
         matches!(self.peek(), TokenKind::Eof)
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {

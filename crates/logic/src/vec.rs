@@ -127,6 +127,37 @@ impl LogicVec {
         LogicVec::from_bits(&[b])
     }
 
+    /// Rebuilds a vector from plane words laid out as
+    /// [`planes`](Self::planes) returns them, masking bits at or above
+    /// `width`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either plane is not `width.div_ceil(64)` words long.
+    pub fn from_planes(width: u32, val: &[u64], unk: &[u64]) -> LogicVec {
+        let n = nwords(width);
+        assert!(
+            val.len() == n && unk.len() == n,
+            "{width}-bit vector from {}/{} plane words",
+            val.len(),
+            unk.len()
+        );
+        let mut out = LogicVec {
+            width,
+            val: val.to_vec(),
+            unk: unk.to_vec(),
+        };
+        out.normalize();
+        out
+    }
+
+    /// The `(val, unk)` plane words, least significant word first
+    /// (`width.div_ceil(64)` words each; bits at or above the width
+    /// are zero).
+    pub fn planes(&self) -> (&[u64], &[u64]) {
+        (&self.val, &self.unk)
+    }
+
     /// The number of bits in the vector.
     pub fn width(&self) -> u32 {
         self.width
@@ -746,6 +777,24 @@ mod tests {
         assert_eq!(a.logic_eq(&x), Bit::X);
         assert!(x.case_eq(&x));
         assert!(!x.case_eq(&a));
+    }
+
+    #[test]
+    fn planes_round_trip_at_any_width() {
+        let wide = LogicVec::parse_literal("70'h2_0000_0000_0000_x001").unwrap();
+        for v in [
+            LogicVec::parse_literal("3'b1z0").unwrap(),
+            wide,
+            LogicVec::zeros(0),
+        ] {
+            let (val, unk) = v.planes();
+            assert_eq!(LogicVec::from_planes(v.width(), val, unk), v);
+        }
+        // Bits above the width are masked off.
+        assert_eq!(
+            LogicVec::from_planes(2, &[0b111], &[0b100]),
+            LogicVec::from_u64(2, 3)
+        );
     }
 
     #[test]
