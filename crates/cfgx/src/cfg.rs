@@ -1,5 +1,6 @@
 //! The dynamic CFG over control-register tuples.
 
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use symbfuzz_logic::LogicVec;
@@ -85,6 +86,24 @@ struct NodeInfo {
     prov: Provenance,
 }
 
+/// The owner list [`Cfg::nearest_ancestor`] reuses from call to call,
+/// taken out of its `Cell` for the call and put back after. A clone
+/// starts empty.
+#[derive(Default)]
+struct OwnersBuf(Cell<Vec<(usize, u32)>>);
+
+impl Clone for OwnersBuf {
+    fn clone(&self) -> OwnersBuf {
+        OwnersBuf::default()
+    }
+}
+
+impl std::fmt::Debug for OwnersBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("OwnersBuf")
+    }
+}
+
 /// Dynamic CFG, coverage map, checkpoint table and replay recorder.
 ///
 /// See the [crate docs](crate) for the model.
@@ -108,6 +127,7 @@ pub struct Cfg {
     inputs: InputTrie,
     /// Values seen per control register (for target enumeration).
     seen_values: Vec<BTreeSet<u64>>,
+    owners: OwnersBuf,
 }
 
 impl Cfg {
@@ -127,6 +147,7 @@ impl Cfg {
             current: None,
             inputs: InputTrie::new(),
             seen_values: vec![BTreeSet::new(); n],
+            owners: OwnersBuf::default(),
         }
     }
 
@@ -320,7 +341,9 @@ impl Cfg {
         // The node-owned positions on `node`'s path, deepest first: a
         // candidate is an ancestor exactly when its position is one of
         // them, found by depth.
-        let owners = self.inputs.owners(self.nodes[node.index()].pos);
+        let mut owners = self.owners.0.take();
+        self.inputs
+            .owners(self.nodes[node.index()].pos, &mut owners);
         let mut best: Option<(NodeId, usize)> = None;
         for c in candidates {
             let pos = self.nodes[c.index()].pos;
@@ -335,6 +358,7 @@ impl Cfg {
                 best = Some((c, depth));
             }
         }
+        self.owners.0.set(owners);
         best.map(|(c, _)| c)
     }
 

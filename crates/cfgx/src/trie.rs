@@ -164,16 +164,16 @@ impl InputTrie {
         v == anc
     }
 
-    /// The owned positions on the path to owned position `pos` as
-    /// `(depth, position)` pairs, `pos` first, in strictly falling depth.
-    pub(crate) fn owners(&self, pos: u32) -> Vec<(usize, u32)> {
-        let mut out = Vec::new();
+    /// Fills `out` with the owned positions on the path to owned
+    /// position `pos` as `(depth, position)` pairs, `pos` first, in
+    /// strictly falling depth.
+    pub(crate) fn owners(&self, pos: u32, out: &mut Vec<(usize, u32)>) {
+        out.clear();
         let mut v = pos;
         while v != 0 {
             out.push((self.depth(v), v));
             v = self.nodes[v as usize].up;
         }
-        out
     }
 
     /// The words from depth `from` down to `pos`, in driving order.

@@ -35,12 +35,34 @@ pub struct Token {
     pub line: u32,
 }
 
-/// Multi-character symbols, longest first so greedy matching is correct.
-const SYMBOLS: &[&str] = &[
-    "===", "!==", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "~&", "~|", "~^", "->", "(", ")",
-    "[", "]", "{", "}", ";", ",", ":", ".", "#", "?", "=", "+", "-", "*", "/", "%", "!", "~", "&",
-    "|", "^", "<", ">", "@",
+/// One-character punctuation and operator symbols.
+const SINGLE: &[&str] = &[
+    "(", ")", "[", "]", "{", "}", ";", ",", ":", ".", "#", "?", "=", "+", "-", "*", "/", "%", "!",
+    "~", "&", "|", "^", "<", ">", "@",
 ];
+
+/// The longest symbol `rest` starts with: a two- or three-character
+/// operator, picked by its leading bytes, else a [`SINGLE`] one.
+fn symbol_at(rest: &[u8]) -> Option<&'static str> {
+    let next = |n: usize| rest.get(n).copied();
+    Some(match (rest[0], next(1), next(2)) {
+        (b'=', Some(b'='), Some(b'=')) => "===",
+        (b'!', Some(b'='), Some(b'=')) => "!==",
+        (b'<', Some(b'<'), _) => "<<",
+        (b'>', Some(b'>'), _) => ">>",
+        (b'<', Some(b'='), _) => "<=",
+        (b'>', Some(b'='), _) => ">=",
+        (b'=', Some(b'='), _) => "==",
+        (b'!', Some(b'='), _) => "!=",
+        (b'&', Some(b'&'), _) => "&&",
+        (b'|', Some(b'|'), _) => "||",
+        (b'~', Some(b'&'), _) => "~&",
+        (b'~', Some(b'|'), _) => "~|",
+        (b'~', Some(b'^'), _) => "~^",
+        (b'-', Some(b'>'), _) => "->",
+        (c, _, _) => return SINGLE.iter().find(|s| s.as_bytes() == [c]).copied(),
+    })
+}
 
 /// Error produced when the input contains a character that starts no token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,11 +186,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             i += 2;
             continue;
         }
-        // Operator / punctuation.
-        let Some(sym) = SYMBOLS
-            .iter()
-            .find(|s| bytes[i..].starts_with(s.as_bytes()))
-        else {
+        // Operator / punctuation: the longest symbol starting here.
+        let Some(sym) = symbol_at(&bytes[i..]) else {
             return Err(LexError {
                 ch: c as char,
                 line,

@@ -697,7 +697,7 @@ impl<'a> Elab<'a> {
             ),
             Stmt::If { cond, then, els } => {
                 let c = self.expr(cond, scope)?;
-                let branch = self.add_branch(BranchKind::If, 2, &c, scope, format!("if({cond:?})"));
+                let branch = self.add_branch(BranchKind::If, 2, &c, scope);
                 NStmt::If {
                     branch,
                     cond: c,
@@ -716,13 +716,7 @@ impl<'a> Elab<'a> {
             } => {
                 let subj = self.expr(subject, scope)?;
                 let outcomes = arms.len() as u32 + default.is_some() as u32;
-                let branch = self.add_branch(
-                    BranchKind::Case,
-                    outcomes,
-                    &subj,
-                    scope,
-                    format!("case({subject:?})"),
-                );
+                let branch = self.add_branch(BranchKind::Case, outcomes, &subj, scope);
                 let mut narms = Vec::new();
                 for arm in arms {
                     let labels = arm
@@ -792,7 +786,6 @@ impl<'a> Elab<'a> {
         outcomes: u32,
         cond: &NExpr,
         scope: &Scope,
-        label: String,
     ) -> BranchId {
         let mut cond_signals = Vec::new();
         cond.collect_reads(&mut cond_signals);
@@ -804,7 +797,6 @@ impl<'a> Elab<'a> {
             outcomes,
             cond_signals,
             scope: scope.prefix.clone(),
-            label,
         });
         id
     }

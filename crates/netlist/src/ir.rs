@@ -375,8 +375,6 @@ pub struct BranchInfo {
     pub cond_signals: Vec<SignalId>,
     /// Hierarchical scope the branch belongs to.
     pub scope: String,
-    /// Human-readable label, e.g. `if(!rst_ni)` or `case(state)`.
-    pub label: String,
 }
 
 /// A flattened, elaborated design.

@@ -42,12 +42,7 @@
 //!     panic!("must be satisfiable")
 //! };
 //! // A variable's value is its bit literals as the model assigns them.
-//! let value = |v| {
-//!     let bits = s.blaster().lits_of(v).unwrap();
-//!     bits.iter().enumerate().fold(0u64, |acc, (i, l)| {
-//!         acc | (u64::from(model[l.var() as usize] == l.is_pos()) << i)
-//!     })
-//! };
+//! let value = |v| s.value_of(v, &model).unwrap().to_u64().unwrap();
 //! assert_eq!(value(in3), 0);
 //! assert_ne!(value(in1) & value(in2), 0);
 //! ```

@@ -27,6 +27,7 @@ use crate::budget::{Budget, BudgetSpent};
 use crate::sat::{Lit, SatResult};
 use crate::term::{TermId, TermPool};
 use crate::trace::SolveTrace;
+use symbfuzz_logic::{Bit, LogicVec};
 
 /// One solving session: a term pool plus a warm blaster.
 ///
@@ -160,6 +161,20 @@ impl SolverSession {
         };
         self.goals_checked += 1;
         (result, spent)
+    }
+
+    /// The value `model` (a `Sat` result's) gives `var`, read off the
+    /// variable's bit literals; `None` if `var` was never blasted.
+    pub fn value_of(&self, var: TermId, model: &[bool]) -> Option<LogicVec> {
+        let lits = self.blaster.lits_of(var)?;
+        let mut v = LogicVec::zeros(lits.len() as u32);
+        for (i, l) in lits.iter().enumerate() {
+            v.set_bit(
+                i as u32,
+                Bit::from_bool(model[l.var() as usize] == l.is_pos()),
+            );
+        }
+        Some(v)
     }
 
     /// Total `check_assuming` calls on this session.
@@ -368,11 +383,7 @@ mod tests {
             match sess.check_assuming(&[goal], &Budget::unlimited()).0 {
                 SatResult::Sat(model) => {
                     assert!(v < 8, "a == {v} violates a < 8");
-                    let bits = sess.blaster().lits_of(a).unwrap();
-                    let read = bits.iter().enumerate().fold(0u64, |acc, (i, l)| {
-                        acc | (u64::from(model[l.var() as usize] == l.is_pos()) << i)
-                    });
-                    assert_eq!(read, v);
+                    assert_eq!(sess.value_of(a, &model).unwrap().to_u64(), Some(v));
                 }
                 other => assert!(v >= 8 && other == SatResult::Unsat, "a == {v}: {other:?}"),
             }

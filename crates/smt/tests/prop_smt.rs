@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use symbfuzz_logic::{Bit, LogicVec};
+use symbfuzz_logic::LogicVec;
 use symbfuzz_smt::{Budget, Lit, SatResult, SatSolver, SolverSession, TermId, TermKind};
 
 /// Brute-force satisfiability for ≤ 16 variables.
@@ -38,14 +38,7 @@ fn solve(
             let TermKind::Var(name, _) = s.pool().kind(t) else {
                 panic!("{t:?} is not a variable")
             };
-            let lits = s.blaster().lits_of(t).expect("variable was blasted");
-            let mut v = LogicVec::zeros(lits.len() as u32);
-            for (i, l) in lits.iter().enumerate() {
-                v.set_bit(
-                    i as u32,
-                    Bit::from_bool(model[l.var() as usize] == l.is_pos()),
-                );
-            }
+            let v = s.value_of(t, &model).expect("variable was blasted");
             (name.clone(), v)
         })
         .collect();

@@ -18,6 +18,12 @@ use symbfuzz_telemetry::{Collector, Counter, Event, Gauge, SolveStatus, UnknownR
 /// campaign's own solving budget.
 const BLAME_CONFLICT_CAP: u64 = 2_000;
 
+/// Conflict ceiling for each one-step image probe, which also never
+/// spends more than its query has left. From a free start state a goal
+/// that folds to a constant from a concrete state can become a
+/// factoring instance; an undecided probe only leaves the value live.
+const IMAGE_CONFLICT_CAP: u64 = 2_000;
+
 /// A concrete input stimulus produced by the solver: one value per
 /// top-level input (clocks excluded, resets held inactive).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,9 +129,10 @@ impl ReachOutcome {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReachStats {
     /// CDCL work consumed across every exact-depth solve, including
-    /// the one that decided the query.
+    /// the one that decided the query and any one-step image probe.
     pub spent: BudgetSpent,
-    /// Exact-depth SMT solves issued.
+    /// Exact-depth SMT solves issued, an image probe included; 0 for a
+    /// goal answered from the image memo.
     pub solver_calls: u32,
     /// Deepest unroll attempted (0 if the depth ceiling was 0).
     pub deepest_unroll: u32,
@@ -228,6 +235,10 @@ pub struct SymbolicEngine {
     /// Opt-in incremental frame cache (`None` = a fresh chain per
     /// exact-depth solve).
     cache: RefCell<Option<FrameCache>>,
+    /// One-step image verdicts per `(register, value)`: `true` when no
+    /// state and input, resets inactive, produce the value in one
+    /// clock edge, so it is dead at every depth from every start state.
+    image_memo: RefCell<HashMap<(SignalId, LogicVec), bool>>,
 }
 
 impl SymbolicEngine {
@@ -266,6 +277,7 @@ impl SymbolicEngine {
             telemetry: None,
             introspect: false,
             cache: RefCell::new(None),
+            image_memo: RefCell::new(HashMap::new()),
         };
 
         // Settle combinational logic symbolically (bounded fixpoint —
@@ -411,6 +423,20 @@ impl SymbolicEngine {
     /// `Exhausted` rather than `Unreachable` if nothing was found
     /// within the truncated bound.
     ///
+    /// The first time the schedule proves a single-target goal
+    /// `Unreachable`, the engine also probes once whether any state
+    /// and input, resets inactive, produce that value in one clock
+    /// edge. The probe is one more exact-depth call on this query's
+    /// receipt, capped at 2 000 conflicts (`IMAGE_CONFLICT_CAP`) within
+    /// what `budget` has left, and it never changes this query's
+    /// outcome. If no state can, the value is dead at every depth from
+    /// every start state: a later query with a dead target runs no
+    /// solve and answers `Unreachable` with a zero receipt (the
+    /// truncated-bound and zero-bound rules above still apply). The
+    /// memo is exact for unlimited budgets and the unroll-depth
+    /// ceiling; under counter, wall-clock or term-node ceilings it can
+    /// answer `Unreachable` where the schedule would have run out.
+    ///
     /// With introspection on, a goal that was solved at least once
     /// without being reached also gets a blame set: the deepest depth
     /// is re-posed with up to [`BLAME_MAX_ASSUMPTIONS`] fully-defined
@@ -452,10 +478,15 @@ impl SymbolicEngine {
             .unroll_depth()
             .map_or(max_steps, |c| max_steps.min(c));
         let mut outcome = ReachOutcome::Unreachable;
+        let dead = {
+            let memo = self.image_memo.borrow();
+            targets.iter().any(|t| memo.get(t) == Some(&true))
+        };
         // Geometric depth schedule: deep plans pad with idle cycles, so
         // exact-k solving at 1, 2, 4, … plus the bound itself finds any
-        // plan within the bound at a fraction of the solver calls.
-        while stats.deepest_unroll < bound {
+        // plan within the bound at a fraction of the solver calls. A
+        // dead target needs none of them.
+        while !dead && stats.deepest_unroll < bound {
             let steps = stats.deepest_unroll.saturating_mul(2).clamp(1, bound);
             stats.solver_calls += 1;
             stats.deepest_unroll = steps;
@@ -502,7 +533,52 @@ impl SymbolicEngine {
                 }
             }
         }
+        if let [target] = targets {
+            if outcome == ReachOutcome::Unreachable
+                && !self.image_memo.borrow().contains_key(target)
+            {
+                self.probe_image(target, budget, &mut stats);
+            }
+        }
         Ok((outcome, stats))
+    }
+
+    /// The one-step image probe, run once per `(register, value)` after
+    /// the depth schedule first proves it unreachable: a depth-1 check
+    /// on a dropped chain seeded from the all-X start state, so every
+    /// register is a free symbol and only the resets are pinned. Unsat
+    /// records the value dead, which later queries answer without a
+    /// solve; Sat or an undecided probe records it live.
+    ///
+    /// The probe counts as one of the query's exact-depth calls: it
+    /// spends from what the query left of `budget`, at most
+    /// [`IMAGE_CONFLICT_CAP`] conflicts, and is traced into the query's
+    /// scope. It never touches the frame cache's warm chain.
+    fn probe_image(&self, target: &(SignalId, LogicVec), budget: &Budget, stats: &mut ReachStats) {
+        let free: Vec<LogicVec> = self
+            .design
+            .signals
+            .iter()
+            .map(|s| LogicVec::xes(s.width))
+            .collect();
+        let mut chain = self.seed_chain(&free, stats.scope.is_some());
+        let remaining = budget.remaining_after(stats.spent);
+        let cap = remaining
+            .conflicts()
+            .map_or(IMAGE_CONFLICT_CAP, |c| c.min(IMAGE_CONFLICT_CAP));
+        let (verdict, spent) = self.check(
+            &mut chain,
+            None,
+            std::slice::from_ref(target),
+            1,
+            &remaining.with_conflicts(cap),
+            stats.scope.as_mut(),
+        );
+        stats.solver_calls += 1;
+        stats.spent = stats.spent.saturating_add(spent);
+        self.image_memo
+            .borrow_mut()
+            .insert(target.clone(), verdict == ReachOutcome::Unreachable);
     }
 
     /// One exact-depth solve: on the cache's warm chain when the frame
@@ -626,17 +702,13 @@ impl SymbolicEngine {
         let verdict = match result {
             SatResult::Unsat => ReachOutcome::Unreachable,
             SatResult::Unknown { reason, .. } => ReachOutcome::Exhausted { reason, spent },
-            SatResult::Sat(raw) => {
-                let blaster = chain.sess.blaster();
+            SatResult::Sat(model) => {
+                // An input outside the goal's cone was never blasted.
                 let read = |sig: SignalId, var: TermId| {
-                    let mut v = LogicVec::zeros(self.design.signal(sig).width);
-                    for (i, l) in blaster.lits_of(var).unwrap_or_default().iter().enumerate() {
-                        v.set_bit(
-                            i as u32,
-                            Bit::from_bool(raw[l.var() as usize] == l.is_pos()),
-                        );
-                    }
-                    v
+                    chain
+                        .sess
+                        .value_of(var, &model)
+                        .unwrap_or_else(|| LogicVec::zeros(self.design.signal(sig).width))
                 };
                 let plan = chain.step_inputs[..steps as usize]
                     .iter()
@@ -1835,6 +1907,182 @@ mod tests {
         }
         let (sat, unsat) = (SolveStatus::Sat, SolveStatus::Unsat);
         assert_eq!(seen, vec![(sat, 1), (sat, 1), (unsat, 2)]);
+    }
+
+    /// `q` holds 3 only under reset; otherwise it copies one input bit.
+    const RESET_ONLY: &str = "
+        module r(input clk, input rst_n, input [1:0] d, output logic [1:0] q);
+          always_ff @(posedge clk or negedge rst_n)
+            if (!rst_n) q <= 2'd3;
+            else q <= {1'b0, d[0]};
+        endmodule";
+
+    /// `state` with the given value, every other signal zero.
+    fn fsm_state(d: &Design, value: u64) -> Vec<LogicVec> {
+        let mut state = zero_state(d);
+        state[d.signal_by_name("state").unwrap().index()] = LogicVec::from_u64(3, value);
+        state
+    }
+
+    /// The receipt of an answer from the image memo: no solve at all.
+    fn assert_memo_answer(what: &str, outcome: &ReachOutcome, stats: &ReachStats) {
+        assert_eq!(*outcome, ReachOutcome::Unreachable, "{what}");
+        assert_eq!(
+            (stats.solver_calls, stats.deepest_unroll, stats.spent),
+            (0, 0, BudgetSpent::default()),
+            "{what}: a dead value ran a solve"
+        );
+    }
+
+    #[test]
+    fn dead_values_skip_the_schedule_from_every_start() {
+        // No FSM transition writes 4..7: the first query proves 5
+        // unreachable through the 1, 2, 4 schedule, then probes once.
+        let e = engine(FSM, "fsm");
+        let d = Arc::clone(e.design());
+        let st = d.signal_by_name("state").unwrap();
+        let five = [(st, LogicVec::from_u64(3, 5))];
+        let unlimited = Budget::unlimited();
+        let (outcome, stats) = e
+            .solve_reach_profiled(&fsm_state(&d, 0), &five, 4, &unlimited)
+            .unwrap();
+        assert_eq!(outcome, ReachOutcome::Unreachable);
+        assert_eq!((stats.solver_calls, stats.deepest_unroll), (4, 4));
+        for start in [1, 2, 6] {
+            let (outcome, stats) = e
+                .solve_reach_profiled(&fsm_state(&d, start), &five, 4, &unlimited)
+                .unwrap();
+            assert_memo_answer(&format!("from state {start}"), &outcome, &stats);
+        }
+        // 3 fails from state 0 in one step but follows state 2: the
+        // probe finds it live, and the next query runs the schedule
+        // again without probing.
+        let three = [(st, LogicVec::from_u64(3, 3))];
+        for calls in [2, 1] {
+            let (outcome, stats) = e
+                .solve_reach_profiled(&fsm_state(&d, 0), &three, 1, &unlimited)
+                .unwrap();
+            assert_eq!(outcome, ReachOutcome::Unreachable);
+            assert_eq!(stats.solver_calls, calls);
+        }
+        // A conjunction with a dead member is dead too.
+        let both = [(st, LogicVec::from_u64(3, 1)), five[0].clone()];
+        let (outcome, stats) = e
+            .solve_reach_profiled(&fsm_state(&d, 0), &both, 4, &unlimited)
+            .unwrap();
+        assert_memo_answer("conjunction", &outcome, &stats);
+    }
+
+    #[test]
+    fn memo_answers_keep_the_bound_rules() {
+        let e = engine(FSM, "fsm");
+        let d = Arc::clone(e.design());
+        let st = d.signal_by_name("state").unwrap();
+        let seven = [(st, LogicVec::from_u64(3, 7))];
+        let out = reach(&e, &zero_state(&d), &seven, 2, &Budget::unlimited());
+        assert_eq!(out, ReachOutcome::Unreachable);
+        // Dead now, but a truncated bound still reports the truncation
+        // and a bound of 0 still reports that nothing was tried.
+        let truncated = Budget::unlimited().with_unroll_depth(1);
+        for (max_steps, budget) in [(4, &truncated), (0, &Budget::unlimited())] {
+            let (out, stats) = e
+                .solve_reach_profiled(&fsm_state(&d, 1), &seven, max_steps, budget)
+                .unwrap();
+            assert_eq!(
+                out.status(),
+                SolveStatus::Unknown(UnknownReason::UnrollDepth),
+                "max_steps {max_steps}"
+            );
+            assert_eq!(stats.solver_calls, 0);
+        }
+    }
+
+    #[test]
+    fn values_produced_only_under_reset_are_dead() {
+        let e = engine(RESET_ONLY, "r");
+        let d = Arc::clone(e.design());
+        let q = d.signal_by_name("q").unwrap();
+        let three = [(q, LogicVec::from_u64(2, 3))];
+        // From the post-reset state q = 3: resets are held inactive in
+        // plans, so q can never return to 3.
+        let mut after_reset = zero_state(&d);
+        after_reset[q.index()] = LogicVec::from_u64(2, 3);
+        let (outcome, stats) = e
+            .solve_reach_profiled(&after_reset, &three, 1, &Budget::unlimited())
+            .unwrap();
+        assert_eq!(outcome, ReachOutcome::Unreachable);
+        assert_eq!(stats.solver_calls, 2, "one schedule solve and the probe");
+        let (outcome, stats) = e
+            .solve_reach_profiled(&zero_state(&d), &three, 3, &Budget::unlimited())
+            .unwrap();
+        assert_memo_answer("q = 3 after the probe", &outcome, &stats);
+    }
+
+    #[test]
+    fn image_probe_leaves_the_warm_chain_alone() {
+        let mut e = engine(FSM, "fsm");
+        e.set_solver_cache(true);
+        let d = Arc::clone(e.design());
+        let st = d.signal_by_name("state").unwrap();
+        let start = fsm_state(&d, 0);
+        let (outcome, stats) = e
+            .solve_reach_profiled(
+                &start,
+                &[(st, LogicVec::from_u64(3, 6))],
+                4,
+                &Budget::unlimited(),
+            )
+            .unwrap();
+        assert_eq!(outcome, ReachOutcome::Unreachable);
+        assert_eq!(stats.solver_calls, 4, "three schedule checks and the probe");
+        // Only the schedule's checks ran on the warm chain, and the
+        // chain still holds the start state's frames.
+        let schedule = SolverCacheStats {
+            frame_hits: 3,
+            frame_misses: 4,
+            goals: 3,
+            reused_goals: 2,
+        };
+        assert_eq!(e.cache_stats(), schedule);
+        let out = reach(
+            &e,
+            &start,
+            &[(st, LogicVec::from_u64(3, 1))],
+            1,
+            &Budget::unlimited(),
+        );
+        assert!(matches!(out, ReachOutcome::Reached(_)));
+        let after = e.cache_stats();
+        assert_eq!(
+            (after.frame_hits, after.frame_misses, after.reused_goals),
+            (4, 4, 3),
+            "the probe replaced the warm chain: {after:?}"
+        );
+    }
+
+    #[test]
+    fn memo_answers_carry_no_blame() {
+        let mut e = engine(FSM, "fsm");
+        e.set_introspection(true);
+        let d = Arc::clone(e.design());
+        let st = d.signal_by_name("state").unwrap();
+        let four = [(st, LogicVec::from_u64(3, 4))];
+        let (_, first) = e
+            .solve_reach_profiled(&fsm_state(&d, 2), &four, 1, &Budget::unlimited())
+            .unwrap();
+        // The probing query traces its probe like any other call.
+        let scope = first.scope.expect("introspection is on");
+        let calls: u64 = scope.call_conflict_hist.iter().sum();
+        assert_eq!((first.solver_calls, calls), (2, 2));
+        assert!(!scope.blame.is_empty(), "a solved failure is blamed");
+        let (outcome, stats) = e
+            .solve_reach_profiled(&fsm_state(&d, 1), &four, 1, &Budget::unlimited())
+            .unwrap();
+        assert_memo_answer("introspected", &outcome, &stats);
+        let scope = stats.scope.expect("introspection is on");
+        assert!(scope.blame.is_empty(), "blamed {:?}", scope.blame);
+        assert!(!scope.blame_is_core);
+        assert_eq!(scope.call_conflict_hist.iter().sum::<u64>(), 0);
     }
 
     #[test]

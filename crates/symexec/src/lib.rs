@@ -31,6 +31,17 @@
 //! query also returns a [`GoalScope`], whose blame probe seeds a chain
 //! of its own.
 //!
+//! The engine also remembers which goals no state can reach. The first
+//! time the depth schedule proves a single `(register, value)` target
+//! unreachable, a one-step *image probe* asks, on a dropped chain
+//! seeded from the all-`X` state, whether any state and input (resets
+//! inactive) produce the value in one clock edge. If none can, the
+//! value is dead at every depth from every start state, and later
+//! queries for it are answered `Unreachable` without a solve. The
+//! probe spends from the query's own budget, capped at 2 000 conflicts;
+//! an undecided probe leaves the value live. This is the
+//! implication-based untestability test of ATPG, applied per goal.
+//!
 //! Undefined (`X`) bits in the current state are left unconstrained —
 //! the paper's "constrains solving undefined pin values" (§3): the
 //! solver optimistically picks the value that reaches the target.

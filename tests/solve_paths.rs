@@ -17,13 +17,20 @@
 //! - every `Reached` plan from every engine, replayed in the simulator
 //!   from the post-reset state it was solved from, lands the target.
 //!   As in perfbench's model check, an `X` result is counted and a
-//!   wrong known value fails.
+//!   wrong known value fails;
+//! - under the same budgets, from every start after the first, each
+//!   engine's verdict equals a fresh engine's. A fresh engine's first
+//!   query is exactly the depth schedule's verdict, so it checks the
+//!   engines' image memo: a memo answer (`Unreachable` with no solver
+//!   call) must be the fresh verdict too, and no goal that any engine
+//!   reached from any start may ever be memo-answered.
 //!
 //! A never-reset start state, whose registers are `X`, is used for
 //! verdict agreement only: its plans assume values the simulator does
 //! not hold. The exhaustive fresh-versus-warm sweep lives in
 //! `crates/bench/tests/solver_equiv.rs`.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use symbfuzz_designs::{bug_benchmarks, goal_fabric, processor_benchmarks, toy_alu};
 use symbfuzz_logic::LogicVec;
@@ -60,11 +67,19 @@ impl Engines {
     }
 }
 
-/// What the replays saw, summed over a design.
+/// What the replays saw and how many queries the image memo
+/// answered, summed over a design.
 #[derive(Default)]
 struct Tally {
     replays: u32,
     x_results: u32,
+    memo_answers: u32,
+}
+
+/// Whether the engine answered from its image memo: a dead goal runs
+/// no solve.
+fn memo_answer((outcome, stats): &(ReachOutcome, ReachStats)) -> bool {
+    *outcome == ReachOutcome::Unreachable && stats.solver_calls == 0
 }
 
 /// 64-bit LCG step.
@@ -214,6 +229,9 @@ fn check_case(case: Case, seed: u64) -> Tally {
         extra,
     } = case;
     let engines = Engines::new(&design);
+    // Never queried: each clone is a fresh engine.
+    let pristine = SymbolicEngine::new(Arc::clone(&design));
+    let (mut reached, mut memo_goals) = (HashSet::new(), HashSet::new());
     let goals = goals(&design, registers, seed);
     assert!(!goals.is_empty(), "{label}: no control register to target");
     let mut starts: Vec<(Vec<LogicVec>, Option<Simulator>)> = reset_starts(&design, seed)
@@ -236,16 +254,35 @@ fn check_case(case: Case, seed: u64) -> Tally {
                 );
                 let plain = query(&engines.plain, state, goal, budget);
                 let cached = query(&engines.cached, state, goal, budget);
-                assert_twins(
-                    &what,
-                    &plain,
-                    &query(&engines.plain_traced, state, goal, budget),
-                );
-                assert_twins(
-                    &what,
-                    &cached,
-                    &query(&engines.cached_traced, state, goal, budget),
-                );
+                let plain_traced = query(&engines.plain_traced, state, goal, budget);
+                let cached_traced = query(&engines.cached_traced, state, goal, budget);
+                assert_twins(&what, &plain, &plain_traced);
+                assert_twins(&what, &cached, &cached_traced);
+                let answers = [&plain, &cached, &plain_traced, &cached_traced];
+                let memo = answers.iter().filter(|a| memo_answer(a)).count() as u32;
+                if verdicts_agree && s > 0 || memo > 0 {
+                    let fresh = query(&pristine.clone(), state, goal, budget).0;
+                    for (name, answer) in ["plain", "cached", "plain traced", "cached traced"]
+                        .into_iter()
+                        .zip(answers)
+                    {
+                        assert_eq!(
+                            answer.0.status(),
+                            fresh.status(),
+                            "{what}: the {name} engine and a fresh one disagree"
+                        );
+                    }
+                }
+                tally.memo_answers += memo;
+                if memo > 0 {
+                    memo_goals.insert(goal.clone());
+                }
+                if answers
+                    .iter()
+                    .any(|a| matches!(a.0, ReachOutcome::Reached(_)))
+                {
+                    reached.insert(goal.clone());
+                }
                 if verdicts_agree {
                     assert_eq!(
                         plain.0.status(),
@@ -260,6 +297,11 @@ fn check_case(case: Case, seed: u64) -> Tally {
             }
         }
     }
+    let wrongly_dead: Vec<_> = reached.intersection(&memo_goals).collect();
+    assert!(
+        wrongly_dead.is_empty(),
+        "{label}: reached goals were memo-answered: {wrongly_dead:?}"
+    );
     tally
 }
 
@@ -307,14 +349,19 @@ fn solve_paths_agree_and_plans_replay() {
             extra: vec![Budget::unlimited().with_unroll_depth(1).with_conflicts(300)],
         },
     ];
-    let (mut replays, mut x_results) = (0, 0);
+    let (mut replays, mut x_results, mut memo_answers) = (0, 0, 0);
     for (i, case) in slice.into_iter().enumerate() {
         let t = check_case(case, 0x501E ^ i as u64);
         replays += t.replays;
         x_results += t.x_results;
+        memo_answers += t.memo_answers;
     }
     assert!(
         replays > x_results,
         "no plan replayed to a known value ({replays} replays, {x_results} X)"
+    );
+    assert!(
+        memo_answers > 0,
+        "no query was answered from the image memo"
     );
 }
