@@ -28,10 +28,7 @@
 //!   hot signals and blame sets for failed goals in the report's
 //!   `solver_profile` block;
 //! * `--sample-every N` — flight-recorder sampling interval in vectors;
-//!   enables the sampler and the per-cone/per-goal profilers;
-//! * `--incremental` — keep one warm solver session across goals posed
-//!   from the same start state (assumption-based incremental solving
-//!   plus the bitblast cache).
+//!   enables the sampler and the per-cone/per-goal profilers.
 //!
 //! The read-only viewers `monitor` and `tracedump` run no campaign and
 //! take none of these ([`parse_viewer_args`]).
@@ -297,7 +294,6 @@ pub fn split_bench_args<A: Iterator<Item = String>>(
             _ if !shared => return Err(ArgError::UnknownFlag(flag.to_string())),
             "--jobs" | "-j" => jobs = parse(flag, &value()?)?,
             "--introspect" => config = config.solver_introspection(true),
-            "--incremental" => config = config.incremental_solving(true),
             "--log-level" => log_level = parse(flag, &value()?)?,
             "--trace-out" => trace_out = Some(PathBuf::from(value()?)),
             "--flight-out" => flight_out = Some(PathBuf::from(value()?)),
@@ -446,16 +442,15 @@ mod tests {
     fn folds_campaign_knobs_into_the_builder() {
         let c = knobs(
             "2000 --solver-budget 10000 --solve-wall-ms=250 \
-             --snapshot-budget=65536 --introspect --sample-every 250 --incremental -j 2",
+             --snapshot-budget=65536 --introspect --sample-every 250 -j 2",
         );
         assert_eq!(c.solver_budget, Some(10_000));
         assert_eq!(c.solve_wall_ms, Some(250));
         assert_eq!(c.snapshot_mem_budget, 65_536);
         assert!(c.solver_introspection);
         assert_eq!(c.sample_every, Some(250));
-        assert!(c.incremental_solving);
         let d = knobs("42");
-        assert!(!d.solver_introspection && !d.incremental_solving);
+        assert!(!d.solver_introspection);
         assert_eq!(d.solver_budget, None);
     }
 
@@ -629,7 +624,7 @@ mod tests {
             ("t.jsonl --jobs 2", "--jobs"),
             ("-j2 t.jsonl", "-j"),
             ("--solver-budget=5", "--solver-budget"),
-            ("--incremental", "--incremental"),
+            ("--introspect", "--introspect"),
         ] {
             assert_eq!(
                 viewer(line).unwrap_err(),

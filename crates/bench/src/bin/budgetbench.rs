@@ -1,17 +1,14 @@
-//! Coverage vs per-solve conflict budget on the factoring lock, plus
-//! the incremental-solver A/B on the goal-dense fabric
-//! (`EXPERIMENTS.md`, "Coverage vs solver budget" and "Incremental
-//! solver A/B").
+//! Coverage vs per-solve conflict budget on the factoring lock, the
+//! `ibex_like` control and the goal-dense fabric (`EXPERIMENTS.md`,
+//! "Coverage vs solver budget").
 //!
 //! Usage: `budgetbench [max_vectors] [budget...] [--jobs N]
-//! [--log-level LEVEL] [--trace-out PATH] [--incremental]` — default
-//! 1 000 vectors at 500 / 2 000 / 10 000 conflicts. `budgetbench
-//! --smoke` runs one tiny ceiling (CI: proves a budget-exhausted
-//! campaign terminates cleanly and the A/B artifact stays
-//! schema-valid).
+//! [--log-level LEVEL] [--trace-out PATH]` — default 1 000 vectors at
+//! 500 / 2 000 / 10 000 conflicts. `budgetbench --smoke` runs one tiny
+//! ceiling (CI: proves a budget-exhausted campaign terminates cleanly).
 
-use symbfuzz_bench::experiments::{budget_profile, solvercache_profile};
-use symbfuzz_bench::render::{render_budget_profile, render_solvercache_profile, save_json};
+use symbfuzz_bench::experiments::budget_profile;
+use symbfuzz_bench::render::{render_budget_profile, save_json};
 use symbfuzz_bench::{flush_trace, parse_bench_args};
 
 fn main() {
@@ -24,9 +21,6 @@ fn main() {
                 .any(|r| r.design == "hard_factor" && r.budget_exhaustions >= 1),
             "smoke run never exhausted its solver budget: {rows:?}"
         );
-        let ab = solvercache_profile(300, 20_000, args.jobs);
-        println!("{}", render_solvercache_profile(&ab));
-        save_json("BENCH_solvercache", &ab).expect("write results/BENCH_solvercache.json");
         println!("budget smoke OK: campaign degraded gracefully and terminated");
         return;
     }
@@ -42,10 +36,5 @@ fn main() {
     println!("# Coverage vs solver budget ({max_vectors} vectors)\n");
     println!("{}", render_budget_profile(&rows));
     save_json("BENCH_budget", &rows).expect("write results/BENCH_budget.json");
-    let ceiling = budgets.iter().copied().max().unwrap_or(10_000);
-    let ab = solvercache_profile(max_vectors, ceiling, args.jobs);
-    println!("# Incremental solver A/B (conflict ceiling {ceiling})\n");
-    println!("{}", render_solvercache_profile(&ab));
-    save_json("BENCH_solvercache", &ab).expect("write results/BENCH_solvercache.json");
     flush_trace();
 }

@@ -4,8 +4,9 @@
 //! `Metrics` records), the per-goal solver cost table with p50/p90/p99
 //! per-call conflict quantiles (when the trace has `GoalSolveCost`
 //! records from an introspected campaign), the bitblast-cache hit
-//! rate (when the trace has `SolverCache` records from an incremental
-//! campaign) and the coverage/stagnation/bug timeline.
+//! rate (when the trace has `SolverCache` records, written by every
+//! campaign that built its symbolic engine) and the
+//! coverage/stagnation/bug timeline.
 //!
 //! Usage: `tracedump <trace.jsonl> [--json]` or
 //! `tracedump --check FILE...`

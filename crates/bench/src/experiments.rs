@@ -18,12 +18,9 @@ use symbfuzz_core::{
     SolverCacheBlock, SolverProfileBlock, Strategy, SymbFuzz,
 };
 use symbfuzz_designs::{bug_benchmarks, processor_benchmarks, Benchmark};
-use symbfuzz_logic::LogicVec;
-use symbfuzz_netlist::{classify_registers, Design, DesignStats, SignalId};
-use symbfuzz_sim::{Reentry, Simulator};
-use symbfuzz_smt::Budget;
+use symbfuzz_netlist::{classify_registers, Design, DesignStats};
 use symbfuzz_symexec::SymbolicEngine;
-use symbfuzz_telemetry::{Collector, SharedSink, SolveStatus};
+use symbfuzz_telemetry::{Collector, SharedSink};
 
 /// The process-global trace writer, set once by `--trace-out`. All
 /// pool tasks fan into it through [`SharedSink`] (whole lines under a
@@ -150,7 +147,7 @@ fn run(
     // One summary record per campaign with the settle-engine mix so
     // `tracedump` can report the fast-path hit rate (no-op when the
     // collector has no sink, i.e. tracing is off), plus the solver
-    // cache summary when incremental solving is armed.
+    // cache summary when the campaign built its symbolic engine.
     fuzzer.telemetry().emit_settle_metrics();
     fuzzer.emit_solver_metrics();
     fuzzer.telemetry().flush();
@@ -543,8 +540,7 @@ pub struct BudgetProfileRow {
     pub budget_exhaustions: u64,
     /// Goals skipped because a prior attempt already failed.
     pub neg_cache_hits: u64,
-    /// Transition-relation frames reused from the bitblast cache
-    /// (zero unless `--incremental`).
+    /// Transition-relation frames reused from the warm frame chain.
     pub bitblast_cache_hits: u64,
     /// Frames substituted and bitblasted fresh.
     pub bitblast_cache_misses: u64,
@@ -557,7 +553,7 @@ pub struct BudgetProfileRow {
 /// The three budget-profile DUVs: the solver-hostile factoring lock,
 /// the benign `ibex_like` control, and the goal-dense
 /// [`symbfuzz_designs::goal_fabric`] (many shallow sibling goals off
-/// one shared multiplier — the incremental-solver A/B fixture).
+/// one shared multiplier, where warm frame chains pay off).
 fn profile_duvs() -> [(&'static str, Arc<Design>, Vec<PropertySpec>); 3] {
     let hard_props = {
         let (prop, expr) = symbfuzz_designs::HARD_FACTOR_PROPERTY;
@@ -590,8 +586,8 @@ fn profile_duvs() -> [(&'static str, Arc<Design>, Vec<PropertySpec>); 3] {
 /// dependency equations solve well inside even the smallest ceiling,
 /// showing budgets cost nothing when the solver succeeds. `goalfabric`
 /// is the goal-dense fixture whose many sibling goals share one
-/// unrolled frame — the design the incremental-solver knobs are
-/// measured on. Each campaign runs the command line's knobs (`base`)
+/// unrolled frame — the design the frame cache is measured on. Each
+/// campaign runs the command line's knobs (`base`)
 /// with the ceiling under test. Seeds are fixed per campaign, so rows
 /// are byte-identical at any `jobs` value.
 pub fn budget_profile(
@@ -669,8 +665,8 @@ pub struct ScopeProfileResult {
     pub exhausted_blamed: u64,
     /// The merged per-goal solver block.
     pub profile: SolverProfileBlock,
-    /// The merged bitblast-cache block (`None` unless `--incremental`
-    /// armed incremental solving for these campaigns).
+    /// The merged bitblast-cache block (`None` when no campaign built
+    /// its symbolic engine).
     pub solver_cache: Option<SolverCacheBlock>,
 }
 
@@ -754,223 +750,6 @@ pub fn solverscope_profile(
             }
         })
         .collect()
-}
-
-/// One per-goal A/B row of the incremental-solver experiment: the
-/// CDCL conflicts a goal cost per verdict under a cold solver versus
-/// the warm cached session, joined on `(register, value)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SolverCacheRow {
-    /// Target register name.
-    pub register: String,
-    /// Target value.
-    pub value: u64,
-    /// Cumulative conflicts in the baseline (cold-solver) arm.
-    pub cold_conflicts: u64,
-    /// Cumulative conflicts in the incremental arm.
-    pub warm_conflicts: u64,
-    /// Verdicts (sat + unsat) the baseline arm reached.
-    pub cold_verdicts: u64,
-    /// Verdicts the incremental arm reached.
-    pub warm_verdicts: u64,
-    /// Smoothed cold/warm conflicts-per-verdict ratio in milli
-    /// (`(cold_cpv + 1) / (warm_cpv + 1) × 1000`; > 1000 means the
-    /// warm session was cheaper).
-    pub ratio_milli: u64,
-}
-
-/// One design's incremental-solver A/B result: the same deterministic
-/// goal sweep solved twice — cold solver per query versus warm
-/// incremental sessions + bitblast cache — per-goal conflict ratios,
-/// and the geomean headline the PR's acceptance bar keys on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SolverCacheResult {
-    /// DUV name (`goalfabric` or `ibex_like`).
-    pub design: String,
-    /// Per-query conflict ceiling both arms ran under.
-    pub solver_budget: u64,
-    /// Per-goal A/B rows (goals with a verdict in both arms), in
-    /// sweep order.
-    pub goals: Vec<SolverCacheRow>,
-    /// Baseline conflicts per verdict across all joined goals, milli.
-    pub cold_conflicts_per_verdict_milli: u64,
-    /// Incremental conflicts per verdict across all joined goals, milli.
-    pub warm_conflicts_per_verdict_milli: u64,
-    /// Geometric mean of the per-goal smoothed ratios, in milli
-    /// (≥ 2000 = the ≥ 2× reduction the acceptance bar requires).
-    pub geomean_conflict_ratio_milli: u64,
-    /// The warm arm's bitblast-cache block.
-    pub cache: SolverCacheBlock,
-}
-
-/// Runs one design's cold-vs-warm sweep: the identical query sequence
-/// against a fresh-per-query engine and a cache-armed engine.
-fn sweep_solver_ab(
-    name: &str,
-    design: &Arc<Design>,
-    stimulus_cycles: u64,
-    ceiling: u64,
-) -> SolverCacheResult {
-    /// Depth ceiling of every query's geometric unroll schedule.
-    const SWEEP_DEPTH: u32 = 4;
-    // Start states: post-reset, plus a snapshot after a burst of
-    // deterministic pseudo-random stimulus — deduped on the *register
-    // projection* (the only part of a state the solver sees), because
-    // random words never advance the fabric's lanes, and re-posing a
-    // query from a register-identical state would hand the warm arm a
-    // free assumption re-check for a goal no campaign would re-pose
-    // (a reached value is no longer unseen).
-    let reg_projection = |state: &[LogicVec]| -> Vec<LogicVec> {
-        design
-            .signals
-            .iter()
-            .zip(state.iter())
-            .filter(|(s, _)| s.is_register)
-            .map(|(_, v)| v.clone())
-            .collect()
-    };
-    let mut sim = Simulator::new(Arc::clone(design));
-    sim.reenter(Reentry::FullReset { cycles: 1 });
-    let mut states: Vec<Vec<LogicVec>> = vec![sim.values().to_vec()];
-    let width = design.fuzz_width();
-    let mut lcg = 0xCAC4E5EEDu64;
-    for _ in 0..stimulus_cycles.min(32) {
-        let mut word = LogicVec::zeros(0);
-        let mut remaining = width;
-        while remaining > 0 {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let take = remaining.min(64);
-            word = LogicVec::concat(&LogicVec::from_u64(take, lcg), &word);
-            remaining -= take;
-        }
-        sim.apply_input_word(&word);
-        sim.step();
-    }
-    let advanced = sim.values().to_vec();
-    if reg_projection(&advanced) != reg_projection(&states[0]) {
-        states.push(advanced);
-    }
-    // Goals: every control register × the values 1..=3 that fit its
-    // width, register-major — sibling values of one register batch
-    // consecutively, exactly how a guidance round poses them.
-    let rc = classify_registers(design);
-    let mut goals: Vec<(SignalId, u64)> = Vec::new();
-    for &reg in &rc.control {
-        let w = design.signal(reg).width;
-        for v in 1..=3u64 {
-            if w >= 64 || v < (1u64 << w) {
-                goals.push((reg, v));
-            }
-        }
-    }
-    let budget = Budget::unlimited().with_conflicts(ceiling);
-    let cold = SymbolicEngine::new(Arc::clone(design));
-    let mut warm = SymbolicEngine::new(Arc::clone(design));
-    warm.set_solver_cache(true);
-
-    let mut tallies: Vec<(u64, u64, u64, u64)> = vec![(0, 0, 0, 0); goals.len()];
-    for state in &states {
-        for (k, &(reg, value)) in goals.iter().enumerate() {
-            let w = design.signal(reg).width;
-            let tgt = [(reg, LogicVec::from_u64(w, value))];
-            let Ok((oc, sc)) = cold.solve_reach_profiled(state, &tgt, SWEEP_DEPTH, &budget) else {
-                continue;
-            };
-            let Ok((ow, sw)) = warm.solve_reach_profiled(state, &tgt, SWEEP_DEPTH, &budget) else {
-                continue;
-            };
-            let t = &mut tallies[k];
-            t.0 += sc.spent.conflicts;
-            t.1 += sw.spent.conflicts;
-            t.2 += u64::from(matches!(oc.status(), SolveStatus::Sat | SolveStatus::Unsat));
-            t.3 += u64::from(matches!(ow.status(), SolveStatus::Sat | SolveStatus::Unsat));
-        }
-    }
-
-    let mut rows = Vec::new();
-    for (k, &(reg, value)) in goals.iter().enumerate() {
-        let (cold_conflicts, warm_conflicts, cold_verdicts, warm_verdicts) = tallies[k];
-        if cold_verdicts == 0 || warm_verdicts == 0 {
-            continue;
-        }
-        let cold_cpv = cold_conflicts as f64 / cold_verdicts as f64;
-        let warm_cpv = warm_conflicts as f64 / warm_verdicts as f64;
-        let ratio = (cold_cpv + 1.0) / (warm_cpv + 1.0);
-        rows.push(SolverCacheRow {
-            register: design.signal(reg).name.clone(),
-            value,
-            cold_conflicts,
-            warm_conflicts,
-            cold_verdicts,
-            warm_verdicts,
-            ratio_milli: (ratio * 1000.0).round() as u64,
-        });
-    }
-    let cpv_milli = |pick: fn(&SolverCacheRow) -> (u64, u64)| {
-        let (conflicts, verdicts) = rows.iter().fold((0u64, 0u64), |(c, v), g| {
-            let (gc, gv) = pick(g);
-            (c + gc, v + gv)
-        });
-        (conflicts * 1000).checked_div(verdicts).unwrap_or(0)
-    };
-    let geomean = if rows.is_empty() {
-        1000
-    } else {
-        let sum_ln: f64 = rows
-            .iter()
-            .map(|g| (g.ratio_milli.max(1) as f64 / 1000.0).ln())
-            .sum();
-        ((sum_ln / rows.len() as f64).exp() * 1000.0).round() as u64
-    };
-    SolverCacheResult {
-        design: name.to_string(),
-        solver_budget: ceiling,
-        cold_conflicts_per_verdict_milli: cpv_milli(|g| (g.cold_conflicts, g.cold_verdicts)),
-        warm_conflicts_per_verdict_milli: cpv_milli(|g| (g.warm_conflicts, g.warm_verdicts)),
-        geomean_conflict_ratio_milli: geomean,
-        goals: rows,
-        cache: SolverCacheBlock::from(warm.cache_stats()),
-    }
-}
-
-/// Incremental-solver A/B: poses the *identical* deterministic query
-/// sequence twice per DUV — once against a baseline engine that
-/// bit-blasts every exact-depth check from scratch, once against an
-/// engine with an incremental [`SolverSession`](symbfuzz_smt::SolverSession)
-/// and the bitblast cache armed — and reports per-goal
-/// conflicts-to-verdict ratios joined on `(register, value)`.
-///
-/// A campaign-level A/B cannot isolate the solver layer: warm sessions
-/// legitimately return *different models* (same verdicts), so the two
-/// campaigns inject different stimulus and diverge onto incomparable
-/// goal sequences after the first solve. Holding the query script
-/// fixed makes the solver the only variable. The script itself is
-/// shaped like a guidance round — all sibling values of each control
-/// register, batched register-major from a reachable state — and
-/// never repeats an exact `(state, goal)` query, since the fuzzer's
-/// negative cache would deduplicate those (a repeat would hand the
-/// warm arm a free assumption re-check).
-///
-/// The DUVs are the goal-dense `goalfabric` (nested per-lane goals off
-/// one shared multiplier — where warm sessions pay off) and the benign
-/// `ibex_like` control (near-propagation goals — where session
-/// overhead shows up honestly). `max_vectors` bounds the stimulus
-/// burst that samples the second start state. Everything is
-/// deterministic, so results are byte-identical at any `jobs` value.
-pub fn solvercache_profile(
-    max_vectors: u64,
-    solver_budget_ceiling: u64,
-    jobs: usize,
-) -> Vec<SolverCacheResult> {
-    let duvs = profile_duvs();
-    // duvs[2] = goalfabric, duvs[1] = ibex_like.
-    let picks = [2usize, 1];
-    run_pool(&picks, jobs, |_task, &i| {
-        let (name, design, _) = &duvs[i];
-        sweep_solver_ab(name, design, max_vectors, solver_budget_ceiling)
-    })
 }
 
 /// §5.2 resource profile: per-strategy resource stats on one
@@ -1145,35 +924,6 @@ mod tests {
         for (g, i) in ibex.profile.introspected() {
             let calls: u64 = i.call_conflict_hist.iter().sum();
             assert_eq!(calls, g.solver_calls, "goal {}", g.register);
-        }
-    }
-
-    /// The incremental-solver acceptance scenario: the A/B joins at
-    /// least one verdict-reaching goal per DUV, the warm arm reuses
-    /// sessions on the goal-dense fabric, and the report is
-    /// byte-identical at any `--jobs`.
-    #[test]
-    fn solvercache_profile_joins_goals_and_is_deterministic_across_jobs() {
-        let serial = serde_json::to_string(&solvercache_profile(400, 20_000, 1)).unwrap();
-        let wide = serde_json::to_string(&solvercache_profile(400, 20_000, 4)).unwrap();
-        assert_eq!(serial, wide);
-        let rows: Vec<SolverCacheResult> = serde_json::from_str(&serial).unwrap();
-        assert_eq!(rows.len(), 2);
-        let fabric = rows.iter().find(|r| r.design == "goalfabric").unwrap();
-        assert!(!fabric.goals.is_empty(), "no joined goals: {fabric:?}");
-        assert!(
-            fabric.cache.goals > 0,
-            "warm arm issued no cached checks: {:?}",
-            fabric.cache
-        );
-        assert!(
-            fabric.cache.reused_goals > 0,
-            "warm arm never reused a session: {:?}",
-            fabric.cache
-        );
-        for g in &fabric.goals {
-            assert!(g.cold_verdicts > 0 && g.warm_verdicts > 0, "{g:?}");
-            assert!(g.ratio_milli > 0, "{g:?}");
         }
     }
 

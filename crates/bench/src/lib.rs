@@ -43,8 +43,8 @@
 //! graceful degradation to random mutation), `--solve-wall-ms N`
 //! (per-solve wall-clock ceiling; non-deterministic), the flight
 //! recorder's `--sample-every N` / `--flight-out PATH` /
-//! `--status-out PATH` (see [`monitor`]), `--snapshot-budget BYTES`,
-//! `--introspect` and `--incremental`; all are handled by
+//! `--status-out PATH` (see [`monitor`]), `--snapshot-budget BYTES`
+//! and `--introspect`; all are handled by
 //! [`args::parse_bench_args`], which folds the campaign knobs into one
 //! validated [`FuzzConfigBuilder`](symbfuzz_core::FuzzConfigBuilder)
 //! and exits with status 2 on a bad command line. Positional arguments
@@ -86,9 +86,9 @@ pub use covreport::{
 };
 pub use experiments::{
     budget_profile, coverage_race, detection_matrix, enable_tracing, flush_trace,
-    solvercache_profile, solverscope_profile, table1_rows, table3_rows, tracing_enabled,
-    variance_profile, BudgetProfileRow, DetectionRow, RaceResult, ScopeProfileResult,
-    SolverCacheResult, SolverCacheRow, Table1Row, Table3Row, VariancePoint,
+    solverscope_profile, table1_rows, table3_rows, tracing_enabled, variance_profile,
+    BudgetProfileRow, DetectionRow, RaceResult, ScopeProfileResult, Table1Row, Table3Row,
+    VariancePoint,
 };
 pub use monitor::{parse_prometheus, render_dashboard, render_prometheus};
 pub use pool::{default_jobs, run_pool};

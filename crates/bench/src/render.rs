@@ -174,47 +174,6 @@ pub fn render_budget_profile(rows: &[BudgetProfileRow]) -> String {
     out
 }
 
-/// Renders the incremental-solver A/B as Markdown: the geomean
-/// conflicts-to-verdict headline per design plus the hardest joined
-/// goals.
-pub fn render_solvercache_profile(rows: &[SolverCacheResult]) -> String {
-    let mut out = String::from(
-        "| design | goals | cold confl/verdict | warm confl/verdict | geomean ratio | \
-         cache h/m | reuse |\n|---|---|---|---|---|---|---|\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "| {} | {} | {:.3} | {:.3} | {:.3}× | {}/{} | {:.3} |\n",
-            r.design,
-            r.goals.len(),
-            r.cold_conflicts_per_verdict_milli as f64 / 1000.0,
-            r.warm_conflicts_per_verdict_milli as f64 / 1000.0,
-            r.geomean_conflict_ratio_milli as f64 / 1000.0,
-            r.cache.frame_hits,
-            r.cache.frame_misses,
-            r.cache.reuse_milli as f64 / 1000.0,
-        ));
-    }
-    out.push('\n');
-    for r in rows {
-        for g in r.goals.iter().take(3) {
-            out.push_str(&format!(
-                "* {}: `{}` = {} — {} conflicts over {} verdicts cold vs {} over {} warm \
-                 ({:.3}× cheaper)\n",
-                r.design,
-                g.register,
-                g.value,
-                g.cold_conflicts,
-                g.cold_verdicts,
-                g.warm_conflicts,
-                g.warm_verdicts,
-                g.ratio_milli as f64 / 1000.0,
-            ));
-        }
-    }
-    out
-}
-
 /// Renders Table 2 as Markdown, paper values in parentheses.
 pub fn render_table2(m: &DetectionMatrix) -> String {
     let mut out =
@@ -394,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_and_solvercache_renderers_show_cache_columns() {
+    fn budget_renderer_shows_cache_columns() {
         let row = BudgetProfileRow {
             design: "goalfabric".into(),
             solver_budget: 500,
@@ -409,36 +368,6 @@ mod tests {
         };
         let md = render_budget_profile(&[row]);
         assert!(md.contains("| 9/3 | 0.750 | sat:4 |"), "{md}");
-
-        let ab = SolverCacheResult {
-            design: "goalfabric".into(),
-            solver_budget: 500,
-            goals: vec![SolverCacheRow {
-                register: "l0".into(),
-                value: 1,
-                cold_conflicts: 60,
-                warm_conflicts: 10,
-                cold_verdicts: 2,
-                warm_verdicts: 2,
-                ratio_milli: 5167,
-            }],
-            cold_conflicts_per_verdict_milli: 30_000,
-            warm_conflicts_per_verdict_milli: 5_000,
-            geomean_conflict_ratio_milli: 5167,
-            cache: symbfuzz_core::SolverCacheBlock {
-                frame_hits: 9,
-                frame_misses: 3,
-                goals: 12,
-                reused_goals: 9,
-                reuse_milli: 750,
-            },
-        };
-        let md = render_solvercache_profile(&[ab]);
-        assert!(
-            md.contains("| 30.000 | 5.000 | 5.167× | 9/3 | 0.750 |"),
-            "{md}"
-        );
-        assert!(md.contains("`l0` = 1"), "{md}");
     }
 
     #[test]

@@ -521,19 +521,6 @@ fn bench_artifact(stem: &str, v: &Value) -> Result<(), String> {
                 }
             }
         }
-        "BENCH_solvercache" => {
-            for row in rows(v, stem)? {
-                field(row, "design")?;
-                positive(row, "geomean_conflict_ratio_milli", "geomean ratio")?;
-                let Value::Array(goals) = field(row, "goals")? else {
-                    return Err("`goals` is not an array".into());
-                };
-                for goal in goals {
-                    field(goal, "register")?;
-                    positive(goal, "ratio_milli", "goal ratio")?;
-                }
-            }
-        }
         _ if *v == Value::Null => return Err("null artifact".into()),
         _ => {}
     }
@@ -1032,19 +1019,6 @@ mod tests {
                 .unwrap_err()
                 .contains("solver_budget")
         );
-        let sc = r#"[{"design":"goalfabric","geomean_conflict_ratio_milli":2400,
-            "goals":[{"register":"l0","ratio_milli":3100}]}]"#;
-        assert!(validate_bench_artifact("BENCH_solvercache", sc).is_ok());
-        let sc_bad = r#"[{"design":"goalfabric","geomean_conflict_ratio_milli":0,"goals":[]}]"#;
-        assert!(validate_bench_artifact("BENCH_solvercache", sc_bad)
-            .unwrap_err()
-            .contains("non-positive geomean"));
-        let sc_goal = r#"[{"design":"goalfabric","geomean_conflict_ratio_milli":1200,
-            "goals":[{"register":"l0","ratio_milli":0}]}]"#;
-        assert!(validate_bench_artifact("BENCH_solvercache", sc_goal)
-            .unwrap_err()
-            .contains("non-positive goal ratio"));
-
         assert!(validate_bench_artifact("BENCH_future", r#"{"anything":true}"#).is_ok());
         assert!(validate_bench_artifact("BENCH_future", "null").is_err());
     }

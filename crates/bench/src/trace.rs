@@ -127,11 +127,11 @@ pub fn settle_mix_table(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Renders the incremental-solver summary from the once-per-campaign
+/// Renders the frame-cache summary from the once-per-campaign
 /// `SolverCache` records: per-task bitblast-cache hits/misses with the
 /// hit rate and the warm-session reuse ratio, plus a totals row. Empty
-/// when the trace predates the incremental solver (no `SolverCache`
-/// records).
+/// when no campaign in the trace built its symbolic engine, or the
+/// trace predates the record (no `SolverCache` records).
 pub fn solver_cache_table(records: &[TraceRecord]) -> String {
     let rows: Vec<&TraceRecord> = records
         .iter()

@@ -1,10 +1,10 @@
-//! Three-way A/B/C equivalence of the settle engines — compiled
-//! bytecode VM vs levelized sweep vs global fixpoint — exercised on
-//! every design shipped in `crates/designs`.
+//! Equivalence of the two settle engines — the compiled bytecode VM
+//! against the global fixpoint, the one four-state reference —
+//! exercised on every design shipped in `crates/designs`.
 //!
-//! The levelized sweep and the compiled word-level VM are only
-//! optimisations if they are *observably identical* to the fixpoint
-//! they replace: same signal values every cycle (including
+//! The compiled word-level VM (a levelized sweep with dirty-unit
+//! skipping) is only an optimisation if it is *observably identical*
+//! to the fixpoint it replaces: same signal values every cycle (including
 //! X-propagation from the all-X power-up state, with no reset
 //! applied — the compiled VM must escape to the four-state interpreter
 //! for exactly those cones), same set of exercised branch outcomes,
@@ -47,106 +47,77 @@ fn toggled_set(sim: &Simulator) -> BTreeSet<(usize, usize)> {
     set
 }
 
-/// Runs compiled, levelized and fixpoint simulators in lockstep on one
-/// design and asserts bit-identical signal values at every observation
-/// point.
+/// Runs compiled and fixpoint simulators in lockstep on one design and
+/// asserts bit-identical signal values at every observation point.
 fn assert_lockstep(design: &Arc<Design>, name: &str, cycles: u32) {
     let mut cmp = Simulator::new(Arc::clone(design));
     assert_eq!(cmp.settle_mode(), SettleMode::Compiled);
-    let mut lev = Simulator::new(Arc::clone(design));
-    lev.set_settle_mode(SettleMode::Levelized);
     let mut fix = Simulator::new(Arc::clone(design));
     fix.set_settle_mode(SettleMode::Fixpoint);
     fix.settle().expect("acyclic design settles under fixpoint");
-    lev.settle().expect("acyclic design settles levelized");
-    assert_eq!(
-        cmp.values(),
-        fix.values(),
-        "{name}: initial all-X settle differs (compiled vs fixpoint)"
-    );
-    assert_eq!(lev.values(), fix.values(), "{name}: initial all-X settle");
 
-    let check = |cmp: &Simulator, lev: &Simulator, fix: &Simulator, what: &str| {
+    let check = |cmp: &Simulator, fix: &Simulator, what: &str| {
         assert_eq!(
             cmp.values(),
             fix.values(),
             "{name}: {what} (compiled vs fixpoint)"
         );
-        assert_eq!(
-            lev.values(),
-            fix.values(),
-            "{name}: {what} (levelized vs fixpoint)"
-        );
     };
+    check(&cmp, &fix, "initial all-X settle");
 
     // X-propagation phase: clock the un-reset design so register Xes
-    // flow through the combinational logic in all three engines (the
+    // flow through the combinational logic in both engines (the
     // compiled VM escapes per cone here).
     for c in 0..4 {
         cmp.step();
-        lev.step();
         fix.step();
-        check(&cmp, &lev, &fix, &format!("un-reset cycle {c}"));
+        check(&cmp, &fix, &format!("un-reset cycle {c}"));
     }
 
     cmp.reenter(Reentry::FullReset { cycles: 2 });
-    lev.reenter(Reentry::FullReset { cycles: 2 });
     fix.reenter(Reentry::FullReset { cycles: 2 });
-    check(&cmp, &lev, &fix, "post-reset state");
+    check(&cmp, &fix, "post-reset state");
 
     let width = design.fuzz_width();
     let mut state = 0x5EED_0BAD ^ name.len() as u64;
     let mut store_cmp = cmp.snapshot_store(u64::MAX);
-    let mut store_lev = lev.snapshot_store(u64::MAX);
     let mut store_fix = fix.snapshot_store(u64::MAX);
     let mut snaps = None;
     for c in 0..cycles {
         let word = next_word(width, &mut state);
         cmp.apply_input_word(&word);
-        lev.apply_input_word(&word);
         fix.apply_input_word(&word);
         cmp.step();
-        lev.step();
         fix.step();
-        check(&cmp, &lev, &fix, &format!("cycle {c}"));
+        check(&cmp, &fix, &format!("cycle {c}"));
         if c == cycles / 2 {
             snaps = Some((
                 cmp.fork(&mut store_cmp, None).id,
-                lev.fork(&mut store_lev, None).id,
                 fix.fork(&mut store_fix, None).id,
             ));
         }
     }
 
     // Re-enter the mid-run checkpoints and diverge identically again.
-    let (cs, ls, fs) = snaps.expect("snapshot taken");
+    let (cs, fs) = snaps.expect("snapshot taken");
     cmp.enter(&store_cmp, cs);
-    lev.enter(&store_lev, ls);
     fix.enter(&store_fix, fs);
     for c in 0..8 {
         let word = next_word(width, &mut state);
         cmp.apply_input_word(&word);
-        lev.apply_input_word(&word);
         fix.apply_input_word(&word);
         cmp.step();
-        lev.step();
         fix.step();
-        check(&cmp, &lev, &fix, &format!("post-restore cycle {c}"));
+        check(&cmp, &fix, &format!("post-restore cycle {c}"));
     }
 
     // Branch-outcome parity: the fixpoint re-executes settled processes
     // while iterating, so raw hit *counters* legitimately differ, but
-    // every outcome any engine exercises must be exercised by all.
-    let toggled = toggled_set(&fix);
+    // every outcome either engine exercises must be exercised by both.
     assert_eq!(
         toggled_set(&cmp),
-        toggled,
+        toggled_set(&fix),
         "{name}: toggled sets differ (compiled vs fixpoint)"
-    );
-    assert_eq!(
-        toggled_set(&lev),
-        toggled,
-        "{name}: toggled sets differ (levelized vs fixpoint)"
     );
 }
 
@@ -184,11 +155,7 @@ fn comb_loop_reported_under_all_modes() {
         )
         .unwrap(),
     );
-    for mode in [
-        SettleMode::Compiled,
-        SettleMode::Levelized,
-        SettleMode::Fixpoint,
-    ] {
+    for mode in [SettleMode::Compiled, SettleMode::Fixpoint] {
         let mut s = Simulator::new(Arc::clone(&design));
         s.set_settle_mode(mode);
         let a = s.design().signal_by_name("a").unwrap();
@@ -200,9 +167,9 @@ fn comb_loop_reported_under_all_modes() {
     }
 }
 
-/// Full-campaign A/B/C: the fuzzer observes signal values and toggled
+/// Full-campaign A/B: the fuzzer observes signal values and toggled
 /// outcomes, so a whole campaign — coverage series included — must be
-/// identical under every settling strategy, for every fuzzing
+/// identical under both settling strategies, for every fuzzing
 /// strategy.
 ///
 /// The only sanctioned divergence is the settle-engine's own
@@ -246,17 +213,9 @@ fn campaign_coverage_series_match_across_modes() {
     let props = b.property_specs();
     for strategy in Strategy::all() {
         let cmp = run(SettlePolicy::Compiled, &design, &props, strategy);
-        let lev = run(SettlePolicy::Levelized, &design, &props, strategy);
         let fix = run(SettlePolicy::Fixpoint, &design, &props, strategy);
-        let cmp_json = serde_json::to_string(&cmp).unwrap();
         assert_eq!(
-            cmp_json,
-            serde_json::to_string(&lev).unwrap(),
-            "campaign diverged compiled vs levelized for {}",
-            strategy.name()
-        );
-        assert_eq!(
-            cmp_json,
+            serde_json::to_string(&cmp).unwrap(),
             serde_json::to_string(&fix).unwrap(),
             "campaign diverged compiled vs fixpoint for {}",
             strategy.name()

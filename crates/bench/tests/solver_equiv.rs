@@ -1,13 +1,15 @@
-//! Incremental-vs-fresh solver equivalence, goal by goal.
+//! History-independence of the warm frame chain, goal by goal.
 //!
-//! The frame cache ([`SymbolicEngine::set_solver_cache`]) is only an
-//! optimisation if it is *observably identical* to the fresh-solver
-//! path it replaces: the same Sat / Unsat / Unknown-reason verdict for
-//! every `(state, goal, depth)` query, with the same shortest plan
-//! length on Sat (models may legitimately differ — warm sessions carry
-//! learned clauses that steer CDCL to a different witness). That must
-//! hold across start-state switches too, each of which drops the one
-//! warm session and seeds a cold one.
+//! Every engine solves on one warm frame chain per start state (the
+//! frame cache, [`SymbolicEngine::cache_stats`]). The chain is only an
+//! optimisation if the engine's history is *unobservable* in its
+//! verdicts: a long-lived engine must give the same Sat / Unsat /
+//! Unknown-reason verdict for every `(state, goal, depth)` query as a
+//! never-queried clone of it — the same code with no history — and the
+//! same shortest plan length on Sat (models may legitimately differ:
+//! warm sessions carry learned clauses that steer CDCL to a different
+//! witness). That must hold across start-state switches too, each of
+//! which drops the one warm session and seeds a cold one.
 //!
 //! Swept deterministically over the toy ALU, the goal-dense fabric and
 //! a Table-1 bug benchmark, then property-tested on the toy ALU with
@@ -80,10 +82,11 @@ fn goal_registers(design: &Arc<Design>, max_width: u32, cap: usize) -> Vec<Signa
     regs
 }
 
-/// Poses one query against both engines and asserts verdict (and, on
+/// Poses one query to the long-lived `warm` engine and to a fresh clone
+/// of the never-queried `pristine` one, and asserts verdict (and, on
 /// Sat, shortest-plan-length) equality.
 fn assert_same_verdict(
-    fresh: &SymbolicEngine,
+    pristine: &SymbolicEngine,
     warm: &SymbolicEngine,
     state: &[LogicVec],
     goal: (SignalId, LogicVec),
@@ -91,10 +94,11 @@ fn assert_same_verdict(
     budget: &Budget,
     what: &str,
 ) {
-    let name = &fresh.design().signal(goal.0).name;
-    let (f, _) = fresh
+    let name = &pristine.design().signal(goal.0).name;
+    let (f, _) = pristine
+        .clone()
         .solve_reach_profiled(state, &[(goal.0, goal.1.clone())], max_steps, budget)
-        .unwrap_or_else(|e| panic!("{what}: fresh solve of {name} failed: {e}"));
+        .unwrap_or_else(|e| panic!("{what}: never-queried solve of {name} failed: {e}"));
     let (w, _) = warm
         .solve_reach_profiled(state, &[(goal.0, goal.1.clone())], max_steps, budget)
         .unwrap_or_else(|e| panic!("{what}: warm solve of {name} failed: {e}"));
@@ -117,9 +121,8 @@ fn assert_same_verdict(
 /// with every goal, under an unlimited budget and an unroll-depth
 /// ceiling.
 fn sweep_design(design: Arc<Design>, label: &str) -> SymbolicEngine {
-    let fresh = SymbolicEngine::new(Arc::clone(&design));
-    let mut warm = SymbolicEngine::new(Arc::clone(&design));
-    warm.set_solver_cache(true);
+    let pristine = SymbolicEngine::new(Arc::clone(&design));
+    let warm = pristine.clone();
     let states = sample_states(&design, 0x5EED ^ label.len() as u64);
     let regs = goal_registers(&design, 8, 5);
     assert!(!regs.is_empty(), "{label}: no narrow registers to target");
@@ -133,7 +136,7 @@ fn sweep_design(design: Arc<Design>, label: &str) -> SymbolicEngine {
             for v in values {
                 let goal = (reg, LogicVec::from_u64(w, v));
                 assert_same_verdict(
-                    &fresh,
+                    &pristine,
                     &warm,
                     state,
                     goal.clone(),
@@ -142,7 +145,7 @@ fn sweep_design(design: Arc<Design>, label: &str) -> SymbolicEngine {
                     &format!("{label} state {si} unlimited"),
                 );
                 assert_same_verdict(
-                    &fresh,
+                    &pristine,
                     &warm,
                     state,
                     goal,
@@ -157,7 +160,7 @@ fn sweep_design(design: Arc<Design>, label: &str) -> SymbolicEngine {
 }
 
 #[test]
-fn incremental_matches_fresh_on_toy_alu() {
+fn warm_matches_never_queried_on_toy_alu() {
     let warm = sweep_design(toy_alu(), "toy_alu");
     let stats = warm.cache_stats();
     assert!(stats.goals > 0, "cache never consulted: {stats:?}");
@@ -172,28 +175,27 @@ fn incremental_matches_fresh_on_toy_alu() {
 }
 
 #[test]
-fn incremental_matches_fresh_on_goal_fabric() {
+fn warm_matches_never_queried_on_goal_fabric() {
     let warm = sweep_design(goal_fabric(), "goalfabric");
     let stats = warm.cache_stats();
     assert!(stats.reused_goals > 0, "fabric sweep never warm: {stats:?}");
 }
 
 #[test]
-fn incremental_matches_fresh_on_bug_benchmark() {
+fn warm_matches_never_queried_on_bug_benchmark() {
     let bug = &bug_benchmarks()[0];
     let design = bug.design().expect("bug benchmark elaborates");
     sweep_design(design, bug.name);
 }
 
 #[test]
-fn incremental_matches_fresh_when_start_states_alternate() {
+fn warm_matches_never_queried_when_start_states_alternate() {
     // State-minor order: consecutive queries come from different start
     // states, so each switch drops the warm session and the next query
     // blasts its whole frame chain afresh. Verdicts must still match.
     let design = toy_alu();
-    let fresh = SymbolicEngine::new(Arc::clone(&design));
-    let mut warm = SymbolicEngine::new(Arc::clone(&design));
-    warm.set_solver_cache(true);
+    let pristine = SymbolicEngine::new(Arc::clone(&design));
+    let warm = pristine.clone();
     let states = sample_states(&design, 0x5EED);
     let budget = Budget::unlimited();
     let mut prev: Option<Vec<LogicVec>> = None;
@@ -204,7 +206,8 @@ fn incremental_matches_fresh_when_start_states_alternate() {
             let goal = [(reg, LogicVec::from_u64(w, v))];
             for (si, state) in states.iter().enumerate() {
                 let misses = warm.cache_stats().frame_misses;
-                let (f, _) = fresh
+                let (f, _) = pristine
+                    .clone()
                     .solve_reach_profiled(state, &goal, 3, &budget)
                     .unwrap();
                 let (w_out, stats) = warm.solve_reach_profiled(state, &goal, 3, &budget).unwrap();
@@ -233,13 +236,13 @@ mod prop {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Arbitrary stimulus seeds and goal values on the toy ALU:
-        /// the warm engine's verdict always matches the fresh one.
+        /// the warm engine's verdict always matches a never-queried
+        /// clone's.
         #[test]
         fn toy_alu_verdicts_match(seed in any::<u64>(), raw in any::<u64>(), depth in 1u32..4) {
             let design = toy_alu();
-            let fresh = SymbolicEngine::new(Arc::clone(&design));
-            let mut warm = SymbolicEngine::new(Arc::clone(&design));
-            warm.set_solver_cache(true);
+            let pristine = SymbolicEngine::new(Arc::clone(&design));
+            let warm = pristine.clone();
             let states = sample_states(&design, seed);
             let regs = goal_registers(&design, 8, 4);
             let budget = Budget::unlimited();
@@ -249,7 +252,7 @@ mod prop {
                     let v = raw & ((1u64 << w.min(63)) - 1);
                     let goal = (reg, LogicVec::from_u64(w, v));
                     assert_same_verdict(
-                        &fresh, &warm, state, goal, depth, &budget, "proptest",
+                        &pristine, &warm, state, goal, depth, &budget, "proptest",
                     );
                 }
             }

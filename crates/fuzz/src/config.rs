@@ -3,16 +3,15 @@
 use serde::{Deserialize, Serialize};
 use symbfuzz_sim::SettleMode;
 
-/// Which combinational-settle engine a campaign simulates with. All
-/// three produce bit-identical values, toggles and campaign reports.
-/// Campaigns run the compiled default; the other two exist as the
-/// references the settle-engine equivalence tests compare it against.
+/// Which combinational-settle engine a campaign simulates with. Both
+/// produce bit-identical values, toggles and campaign reports.
+/// Campaigns run the compiled default; the fixpoint exists as the
+/// four-state reference the settle-engine equivalence tests compare it
+/// against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SettlePolicy {
     /// Global fixpoint over every combinational process (original).
     Fixpoint,
-    /// Levelized single sweep with dirty-set unit skipping (PR 1).
-    Levelized,
     /// Word-level bytecode VM with the packed two-state fast path,
     /// escaping per cone on live X/Z (the default).
     #[default]
@@ -24,7 +23,6 @@ impl SettlePolicy {
     pub fn to_mode(self) -> SettleMode {
         match self {
             SettlePolicy::Fixpoint => SettleMode::Fixpoint,
-            SettlePolicy::Levelized => SettleMode::Levelized,
             SettlePolicy::Compiled => SettleMode::Compiled,
         }
     }
@@ -143,14 +141,6 @@ pub struct FuzzConfig {
     /// when off the solver's trace hooks cost one pointer test per
     /// conflict and nothing is allocated.
     pub solver_introspection: bool,
-    /// Incremental solving: keep one warm SAT solver for the current
-    /// start state alive across goals (assumption-based
-    /// `check_assuming`), memoizing the transition-relation CNF so the
-    /// geometric depth schedule only blasts the new frame; a goal from
-    /// another start state replaces the session. Verdict-equivalent to
-    /// fresh solving; off by default (the A/B control for the
-    /// solver-cache experiments).
-    pub incremental_solving: bool,
 }
 
 fn default_snapshot_mem_budget() -> u64 {
@@ -188,10 +178,6 @@ impl Deserialize for FuzzConfig {
                 Ok(f) => Deserialize::from_value(f)?,
                 Err(_) => defaults.solver_introspection,
             },
-            incremental_solving: match v.field("incremental_solving") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => defaults.incremental_solving,
-            },
         })
     }
 }
@@ -217,7 +203,6 @@ impl Default for FuzzConfig {
             escalation_cap: 3,
             sample_every: None,
             solver_introspection: false,
-            incremental_solving: false,
         }
     }
 }
@@ -423,12 +408,6 @@ impl FuzzConfigBuilder {
         /// signals, blame sets).
         solver_introspection: bool
     );
-    setter!(
-        /// Keep one warm solver session across goals posed from the
-        /// same start state (assumption-based incremental solving +
-        /// bitblast cache).
-        incremental_solving: bool
-    );
 
     /// Validates and produces the configuration.
     pub fn build(self) -> Result<FuzzConfig, ConfigError> {
@@ -466,14 +445,12 @@ mod tests {
                 k != "snapshot_mem_budget"
                     && k != "use_ancestor_reentry"
                     && k != "solver_introspection"
-                    && k != "incremental_solving"
             })
             .collect();
         let back = FuzzConfig::from_value(&serde::Value::Object(stripped)).unwrap();
         assert_eq!(back.snapshot_mem_budget, 64 * 1024 * 1024);
         assert!(back.use_ancestor_reentry);
         assert!(!back.solver_introspection);
-        assert!(!back.incremental_solving);
     }
 
     #[test]
@@ -481,10 +458,11 @@ mod tests {
         // snapshot_cap was removed with the deprecated count-bound
         // shims, portfolio / affinity_ordering / solver_cache_budget
         // with portfolio racing, affinity ordering and the session byte
-        // budget, and testcase_len when the baseline testcase length
-        // became a constant; configs serialized while they existed
-        // carry the keys and must still deserialize (the fields are
-        // simply ignored).
+        // budget, testcase_len when the baseline testcase length
+        // became a constant, and incremental_solving when the warm
+        // frame chain became the one solve path; configs serialized
+        // while they existed carry the keys and must still deserialize
+        // (the fields are simply ignored).
         let v = Serialize::to_value(&FuzzConfig::default());
         let serde::Value::Object(mut fields) = v else {
             panic!("config serializes to an object")
@@ -495,11 +473,21 @@ mod tests {
             ("affinity_ordering", serde::Value::Bool(true)),
             ("solver_cache_budget", serde::Value::Num(16_777_216.0)),
             ("testcase_len", serde::Value::Num(32.0)),
+            ("incremental_solving", serde::Value::Bool(true)),
         ] {
             fields.push((key.to_string(), value));
         }
-        let back = FuzzConfig::from_value(&serde::Value::Object(fields)).unwrap();
+        let back = FuzzConfig::from_value(&serde::Value::Object(fields.clone())).unwrap();
         assert_eq!(back, FuzzConfig::default());
+        // A retired value is not ignored: the levelized settle engine
+        // is gone, so a config that selects it fails with a typed error.
+        for (key, value) in &mut fields {
+            if key == "settle_policy" {
+                *value = serde::Value::Str("Levelized".to_string());
+            }
+        }
+        let err = FuzzConfig::from_value(&serde::Value::Object(fields)).unwrap_err();
+        assert!(err.to_string().contains("Levelized"), "{err}");
     }
 
     #[test]

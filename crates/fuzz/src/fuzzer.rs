@@ -279,10 +279,10 @@ impl SymbFuzz {
 
     /// Streams the once-per-campaign `SolverCache` trace record: the
     /// bitblast-cache hit/miss counters and the session-reuse gauge.
-    /// No-op when incremental solving is off or no trace sink is
-    /// attached.
+    /// No-op when the campaign never built its symbolic engine (no
+    /// stagnation, or a baseline) or no trace sink is attached.
     pub fn emit_solver_metrics(&self) {
-        if self.config.incremental_solving {
+        if self.engine.is_some() {
             self.telemetry.emit_solver_cache_metrics();
         }
     }
@@ -449,10 +449,10 @@ impl SymbFuzz {
                 .vm_profile(HOT_CONE_TOP_K)
                 .map(VmProfileBlock::from),
             solver_profile: self.solver_profile.clone(),
-            solver_cache: self.config.incremental_solving.then(|| {
-                let stats = self.engine.as_ref().map(|e| e.cache_stats());
-                SolverCacheBlock::from(stats.unwrap_or_default())
-            }),
+            solver_cache: self
+                .engine
+                .as_ref()
+                .map(|e| SolverCacheBlock::from(e.cache_stats())),
         }
     }
 
@@ -735,7 +735,6 @@ impl SymbFuzz {
         if self.engine.is_none() {
             let mut engine = SymbolicEngine::new(Arc::clone(&self.design));
             engine.set_collector(Some(Arc::clone(&self.telemetry)));
-            engine.set_solver_cache(self.config.incremental_solving);
             engine.set_introspection(self.config.solver_introspection);
             self.engine = Some(engine);
         }
@@ -1749,7 +1748,7 @@ mod tests {
     }
 
     #[test]
-    fn new_solver_knobs_default_off_and_absent_from_reports() {
+    fn introspection_defaults_off_and_is_absent_from_reports() {
         let d = lock_design();
         let mut f = SymbFuzz::new(
             Arc::clone(&d),
@@ -1759,7 +1758,6 @@ mod tests {
         )
         .unwrap();
         let r = f.run();
-        assert!(r.solver_cache.is_none());
         assert!(r
             .solver_profile
             .goals
@@ -1768,13 +1766,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_solving_cracks_the_lock_and_reports_cache_stats() {
+    fn warm_chain_cracks_the_lock_and_reports_cache_stats() {
         let d = lock_design();
         let cfg = FuzzConfig::builder()
             .interval(32)
             .threshold(1)
             .max_vectors(20_000)
-            .incremental_solving(true)
             .build()
             .unwrap();
         let mut f = SymbFuzz::new(
@@ -1786,8 +1783,9 @@ mod tests {
         .unwrap();
         let r = f.run();
         assert!(r.detected("never_open"), "coverage {}", r.coverage_points);
-        let cache = r.solver_cache.as_ref().expect("incremental was on");
+        let cache = r.solver_cache.as_ref().expect("the engine was built");
         assert!(cache.goals > 0, "cache block: {cache:?}");
+        assert!(cache.reused_goals > 0, "cache block: {cache:?}");
         assert!(cache.reused_goals <= cache.goals);
         assert_eq!(cache.reuse_milli, cache.reused_goals * 1000 / cache.goals);
         // The cache counters surfaced in telemetry too.
@@ -1812,7 +1810,6 @@ mod tests {
             .threshold(1)
             .max_vectors(20_000)
             .solver_budget(50_000)
-            .incremental_solving(true)
             .solver_introspection(true)
             .build()
             .unwrap();

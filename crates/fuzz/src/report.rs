@@ -968,10 +968,10 @@ impl SolverProfileBlock {
     }
 }
 
-/// The incremental-solver cache section of a campaign report
-/// (serialisable mirror of [`symbfuzz_symexec::SolverCacheStats`]):
-/// frame-level bitblast reuse and warm-session goal reuse. Present
-/// only when `incremental_solving` was on.
+/// The frame-cache section of a campaign report (serialisable mirror
+/// of [`symbfuzz_symexec::SolverCacheStats`]): frame-level bitblast
+/// reuse and warm-session goal reuse. Present only when the campaign
+/// built its symbolic engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SolverCacheBlock {
     /// Unrolled frames reused from a warm session.
@@ -1070,8 +1070,9 @@ pub struct CampaignResult {
     /// introspection sub-records when
     /// [`FuzzConfig::solver_introspection`](crate::FuzzConfig) was on).
     pub solver_profile: SolverProfileBlock,
-    /// Incremental-solver cache section (present only when
-    /// `incremental_solving` was on).
+    /// Frame-cache section (present only when the campaign built its
+    /// symbolic engine: baselines and campaigns that never stagnate
+    /// carry none).
     pub solver_cache: Option<SolverCacheBlock>,
 }
 

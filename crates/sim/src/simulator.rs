@@ -19,18 +19,18 @@ use crate::snapstore::{ForkOutcome, SnapshotId, SnapshotStore};
 pub enum SettleMode {
     /// Re-execute every combinational process until a global fixpoint
     /// (the original strategy; O(processes × iterations) per settle).
+    /// The four-state reference the compiled mode is checked against.
     Fixpoint,
-    /// Single level-order sweep over the precomputed
-    /// [`CombSchedule`], skipping units none of whose signals changed
-    /// since the last settle. Cyclic units fall back to a local
-    /// fixpoint, preserving [`SimError::CombLoop`] detection.
-    Levelized,
-    /// The levelized sweep, dispatching each process through its
-    /// compiled word-level bytecode ([`WordCode`]) whenever no X/Z bit
-    /// is live in the process's input cone — the packed two-state fast
-    /// path. Cones with live unknowns (X-islands), and processes the
-    /// lowering rejected, escape to the four-state interpreter per
-    /// process, so values stay bit-identical to the other modes.
+    /// Single level-order sweep over the precomputed [`CombSchedule`],
+    /// skipping units none of whose signals changed since the last
+    /// settle, and dispatching each process through its compiled
+    /// word-level bytecode ([`WordCode`]) whenever no X/Z bit is live
+    /// in the process's input cone — the packed two-state fast path.
+    /// Cones with live unknowns (X-islands), and processes the lowering
+    /// rejected, escape to the four-state interpreter per process, so
+    /// values stay bit-identical to [`Fixpoint`](Self::Fixpoint).
+    /// Cyclic units fall back to a local fixpoint, preserving
+    /// [`SimError::CombLoop`] detection.
     #[default]
     Compiled,
 }
@@ -154,7 +154,7 @@ pub struct Simulator {
     record_outcomes: bool,
     comb_unstable: bool,
     /// Per-signal "changed since last settle" flags driving the
-    /// levelized sweep's unit skipping.
+    /// compiled sweep's unit skipping.
     pub(crate) dirty: Vec<bool>,
     /// Combinational process indices in declaration order (the
     /// fixpoint fallback's iteration order).
@@ -358,7 +358,7 @@ impl Simulator {
     }
 
     /// Switches the settling strategy. All signals are conservatively
-    /// marked changed so the next levelized sweep runs every unit.
+    /// marked changed so the next compiled sweep runs every unit.
     pub fn set_settle_mode(&mut self, mode: SettleMode) {
         self.mode = mode;
         self.mark_all_dirty();
@@ -488,7 +488,6 @@ impl Simulator {
         self.count(Counter::SettleSweeps, 1);
         match self.mode {
             SettleMode::Fixpoint => self.comb_fixpoint(),
-            SettleMode::Levelized => self.comb_levelized(),
             SettleMode::Compiled => self.comb_compiled(),
         }
     }
@@ -511,43 +510,13 @@ impl Simulator {
         }
     }
 
-    /// Single level-order sweep over the schedule. Units none of whose
-    /// signals changed since the last settle are skipped; cyclic units
-    /// fall back to a local fixpoint with the same iteration cap as the
-    /// global strategy, so combinational loops are still reported.
-    fn comb_levelized(&mut self) -> Result<(), SimError> {
-        let design = Arc::clone(&self.design);
-        let sched = Arc::clone(&self.sched);
-        let mut failed = false;
-        for unit in &sched.units {
-            if !unit.triggers.iter().any(|s| self.dirty[s.index()]) {
-                continue;
-            }
-            if unit.cyclic {
-                failed |= self.run_local_fixpoint(&design, &unit.procs).is_err();
-            } else {
-                let p = &design.processes[unit.procs[0] as usize];
-                let mut nba = std::mem::take(&mut self.scratch_nba);
-                self.exec_stmt(&p.body, &mut nba, true);
-                self.commit_nbas(&mut nba);
-                self.scratch_nba = nba;
-            }
-        }
-        self.clear_dirty();
-        self.comb_unstable = failed;
-        if failed {
-            Err(SimError::CombLoop)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// The compiled sweep: identical unit walk (and skip rule) to
-    /// [`comb_levelized`](Self::comb_levelized), but each acyclic unit
-    /// dispatches through its word-level bytecode when its whole input
-    /// cone is two-state, escaping to the interpreter per cone
-    /// otherwise. Cyclic units always use the interpreter's local
-    /// fixpoint, preserving [`SimError::CombLoop`] detection.
+    /// The compiled sweep: one level-order walk over the schedule.
+    /// Units none of whose signals changed since the last settle are
+    /// skipped; each acyclic unit dispatches through its word-level
+    /// bytecode when its whole input cone is two-state, escaping to the
+    /// interpreter per cone otherwise. Cyclic units always use the
+    /// interpreter's local fixpoint, with the same iteration cap as the
+    /// global strategy, preserving [`SimError::CombLoop`] detection.
     fn comb_compiled(&mut self) -> Result<(), SimError> {
         let design = Arc::clone(&self.design);
         let sched = Arc::clone(&self.sched);

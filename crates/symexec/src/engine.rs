@@ -143,9 +143,9 @@ pub struct ReachStats {
 }
 
 /// Cumulative statistics of the engine's frame cache (see
-/// [`SymbolicEngine::set_solver_cache`]). All figures are pure
-/// functions of the query sequence, so they stay byte-identical at any
-/// `--jobs` value.
+/// [`SymbolicEngine::cache_stats`]). All figures are pure functions of
+/// the query sequence, so they stay byte-identical at any `--jobs`
+/// value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverCacheStats {
     /// Unrolled frames reused from a warm session instead of being
@@ -171,8 +171,8 @@ impl SolverCacheStats {
 
 /// An unrolled frame chain over one start state: a solver session
 /// holding the chain's terms and CNF, plus per frame the state map and
-/// the input symbols. A fresh query builds one and drops it, the frame
-/// cache keeps one warm and the blame probe seeds its own;
+/// the input symbols. The frame cache keeps one warm, and the image
+/// and blame probes each seed one of their own and drop it;
 /// [`SymbolicEngine::extend`] is the only code that adds frames to any
 /// of them.
 #[derive(Debug, Clone)]
@@ -205,7 +205,7 @@ impl Chain {
 /// The engine's frame cache: one warm chain, keyed on its start state
 /// and on whether it is traced, replaced whenever a query arrives from
 /// a different start state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FrameCache {
     /// The warm chain and its [`start_key`](SymbolicEngine::start_key).
     warm: Option<(Vec<(u64, u64)>, Chain)>,
@@ -232,9 +232,8 @@ pub struct SymbolicEngine {
     telemetry: Option<Arc<Collector>>,
     /// Whether queries record a [`GoalScope`].
     introspect: bool,
-    /// Opt-in incremental frame cache (`None` = a fresh chain per
-    /// exact-depth solve).
-    cache: RefCell<Option<FrameCache>>,
+    /// The frame cache every exact-depth solve of the schedule runs on.
+    cache: RefCell<FrameCache>,
     /// One-step image verdicts per `(register, value)`: `true` when no
     /// state and input, resets inactive, produce the value in one
     /// clock edge, so it is dead at every depth from every start state.
@@ -276,7 +275,7 @@ impl SymbolicEngine {
             cur_vars,
             telemetry: None,
             introspect: false,
-            cache: RefCell::new(None),
+            cache: RefCell::default(),
             image_memo: RefCell::new(HashMap::new()),
         };
 
@@ -336,26 +335,6 @@ impl SymbolicEngine {
         self.telemetry = telemetry;
     }
 
-    /// Arms (or disarms) the incremental frame cache.
-    ///
-    /// When armed, exact-depth solves run on one warm frame chain keyed
-    /// by its start state: the unrolled transition relation is
-    /// substituted and bit-blasted once per frame, goals sharing a start
-    /// state are posed on it as assumption checks, and learned clauses
-    /// carry across sibling goals. A query from another start state
-    /// replaces the chain.
-    ///
-    /// Verdicts (Sat / Unsat / Unknown-reason) match the fresh-solver
-    /// path exactly for unlimited budgets and for the unroll-depth and
-    /// conflicts-0 ceilings; only the *work to reach them* changes.
-    /// Disarmed (the default), every solve builds a chain and drops it.
-    pub fn set_solver_cache(&mut self, armed: bool) {
-        *self.cache.borrow_mut() = armed.then(|| FrameCache {
-            warm: None,
-            stats: SolverCacheStats::default(),
-        });
-    }
-
     /// Switches per-goal introspection on or off (off by default).
     /// When on, every query's [`ReachStats::scope`] carries a
     /// [`GoalScope`]: the merged CDCL trace, hot signals and, for goals
@@ -367,13 +346,15 @@ impl SymbolicEngine {
         self.introspect = on;
     }
 
-    /// Cumulative cache statistics (zeros when the cache is disarmed).
+    /// Cumulative statistics of the frame cache: every exact-depth
+    /// solve of the depth schedule runs on one warm frame chain keyed
+    /// by its start state. The unrolled transition relation is
+    /// substituted and bit-blasted once per frame, goals sharing a
+    /// start state are posed on it as assumption checks, and learned
+    /// clauses carry across sibling goals. A query from another start
+    /// state replaces the chain. Zeros until the first solve.
     pub fn cache_stats(&self) -> SolverCacheStats {
-        self.cache
-            .borrow()
-            .as_ref()
-            .map(|c| c.stats)
-            .unwrap_or_default()
+        self.cache.borrow().stats
     }
 
     /// The frame-cache key of a start state: each register's defined
@@ -422,6 +403,17 @@ impl SymbolicEngine {
     /// the unroll-depth ceiling truncates `max_steps`, reporting
     /// `Exhausted` rather than `Unreachable` if nothing was found
     /// within the truncated bound.
+    ///
+    /// Every solve of the schedule runs on the frame cache's warm chain
+    /// for `current` (see [`cache_stats`](Self::cache_stats)), with the
+    /// targets posed as assumptions. The verdict (Sat / Unsat / Unknown
+    /// reason) never depends on the engine's history under unlimited
+    /// budgets and the unroll-depth ceiling: a never-queried clone of
+    /// the engine answers the same. Only the work to reach it changes,
+    /// and a `Reached` plan may be another, equally valid model. The
+    /// term-node ceiling is judged against the whole kept chain, so
+    /// after a deep query a shallower one from the same start state can
+    /// report `Exhausted { TermNodes }`.
     ///
     /// The first time the schedule proves a single-target goal
     /// `Unreachable`, the engine also probes once whether any state
@@ -581,9 +573,8 @@ impl SymbolicEngine {
             .insert(target.clone(), verdict == ReachOutcome::Unreachable);
     }
 
-    /// One exact-depth solve: on the cache's warm chain when the frame
-    /// cache is armed (reseeded if the start state differs), else on a
-    /// chain seeded for this solve and dropped after it.
+    /// One exact-depth solve on the frame cache's warm chain, reseeded
+    /// first if the start state differs.
     fn solve_at_depth(
         &self,
         current: &[LogicVec],
@@ -594,10 +585,7 @@ impl SymbolicEngine {
     ) -> (ReachOutcome, BudgetSpent) {
         let traced = scope.is_some();
         let mut cache = self.cache.borrow_mut();
-        let Some(FrameCache { warm, stats }) = cache.as_mut() else {
-            let mut chain = self.seed_chain(current, traced);
-            return self.check(&mut chain, None, targets, steps, budget, scope);
-        };
+        let FrameCache { warm, stats } = &mut *cache;
         let key = self.start_key(current);
         let chain = match warm {
             Some((k, chain)) if *k == key && chain.traced == traced => chain,
@@ -607,11 +595,10 @@ impl SymbolicEngine {
     }
 
     /// Extends `chain` to `steps` frames and checks `targets` on its
-    /// last state. A dropped chain (`kept` is `None`) *asserts* the
-    /// targets and checks with no assumptions, so its CNF and search
-    /// are exactly a one-shot solver's. A kept chain poses them as
-    /// assumptions, so the next goal inherits its clauses, and charges
-    /// its frame hits and misses to the cache statistics `kept`.
+    /// last state, posed as assumptions so a later goal on the same
+    /// chain inherits its clauses. The warm chain charges its frame
+    /// hits and misses to the cache statistics `kept`; the image
+    /// probe's dropped chain passes `None` and stays out of them.
     fn check(
         &self,
         chain: &mut Chain,
@@ -629,7 +616,6 @@ impl SymbolicEngine {
         }
         let hits = u64::from(have.min(steps));
         let misses = u64::from(steps) - hits;
-        let dropped = kept.is_none();
         let reuse_milli = kept.map(|stats| {
             stats.frame_hits += hits;
             stats.frame_misses += misses;
@@ -637,25 +623,10 @@ impl SymbolicEngine {
             stats.reused_goals += u64::from(chain.sess.goals_checked() > 0);
             stats.reuse_milli()
         });
-        let mut goals = self.goal_terms(chain, targets, steps);
-        if dropped {
-            for goal in goals.drain(..) {
-                chain.sess.assert_term(goal);
-            }
-        }
+        let goals = self.goal_terms(chain, targets, steps);
 
         let t0 = self.telemetry.as_ref().map(|t| t.now_micros());
-        let (result, mut spent) = chain.sess.check_assuming(&goals, budget);
-        if dropped && !matches!(result, SatResult::Unknown { .. }) {
-            // A decided one-shot solve is charged everything its solver
-            // did, propagation of unit clauses while blasting included.
-            let s = chain.sess.blaster().solver();
-            spent = BudgetSpent {
-                conflicts: s.conflicts(),
-                decisions: s.decisions(),
-                propagations: s.propagations(),
-            };
-        }
+        let (result, spent) = chain.sess.check_assuming(&goals, budget);
         if let (Some(tel), Some(t0)) = (&self.telemetry, t0) {
             let cnf = chain.sess.cnf_stats();
             let vars = (cnf.num_vars - chain.reported.0) as u64;
@@ -727,7 +698,7 @@ impl SymbolicEngine {
     }
 
     /// Unrolls `chain` to `steps` frames: the only code that adds
-    /// frames, for fresh, warm and blame queries alike. Each new frame
+    /// frames, for warm, image and blame chains alike. Each new frame
     /// gets fresh per-step input symbols (resets pinned inactive) and
     /// every register's equation substituted over the previous frame.
     /// Returns `false` as soon as the chain's pool exceeds `node_cap`
@@ -787,7 +758,7 @@ impl SymbolicEngine {
             .collect()
     }
 
-    /// Seeds a chain for a fresh or warm query at step 0: each
+    /// Seeds a warm or image-probe chain at step 0: each
     /// register's current-state symbol maps to a constant where its
     /// value is fully defined, else to an [`x_symbol`](Self::x_symbol)
     /// whose pins are asserted once every register is seeded. Registers
@@ -1762,11 +1733,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_reach_matches_fresh_verdicts_and_replays() {
-        let fresh = engine(FSM, "fsm");
-        let mut cached = engine(FSM, "fsm");
-        cached.set_solver_cache(true);
-        let d = Arc::clone(fresh.design());
+    fn warm_reach_matches_never_queried_verdicts_and_replays() {
+        let pristine = engine(FSM, "fsm");
+        let warm = pristine.clone();
+        let d = Arc::clone(warm.design());
         let st = d.signal_by_name("state").unwrap();
         // Sibling goals from the same start state: every FSM state
         // value, reachable or not, at several bounds.
@@ -1774,8 +1744,14 @@ mod tests {
             for val in 0..8u64 {
                 let targets = [(st, LogicVec::from_u64(3, val))];
                 let unlimited = Budget::unlimited();
-                let f = reach(&fresh, &zero_state(&d), &targets, bound, &unlimited);
-                let c = reach(&cached, &zero_state(&d), &targets, bound, &unlimited);
+                let f = reach(
+                    &pristine.clone(),
+                    &zero_state(&d),
+                    &targets,
+                    bound,
+                    &unlimited,
+                );
+                let c = reach(&warm, &zero_state(&d), &targets, bound, &unlimited);
                 assert_eq!(
                     f.status(),
                     c.status(),
@@ -1794,7 +1770,7 @@ mod tests {
                 }
             }
         }
-        let stats = cached.cache_stats();
+        let stats = warm.cache_stats();
         assert!(stats.goals > 0);
         assert!(
             stats.reused_goals > 0,
@@ -1802,40 +1778,47 @@ mod tests {
         );
         assert!(stats.frame_hits > 0, "no frame reuse: {stats:?}");
         assert!(stats.reuse_milli() > 0);
+        assert_eq!(pristine.cache_stats(), SolverCacheStats::default());
     }
 
     #[test]
-    fn cached_reach_budget_ceilings_match_fresh() {
-        let fresh = engine(FSM, "fsm");
-        let mut cached = engine(FSM, "fsm");
-        cached.set_solver_cache(true);
-        let d = Arc::clone(fresh.design());
+    fn warm_reach_budget_ceilings_match_a_never_queried_clone() {
+        let pristine = engine(FSM, "fsm");
+        let warm = pristine.clone();
+        let d = Arc::clone(warm.design());
         let st = d.signal_by_name("state").unwrap();
         let targets = [(st, LogicVec::from_u64(3, 3))];
+        // Warm the chain with a sibling goal first.
+        reach(
+            &warm,
+            &zero_state(&d),
+            &[(st, LogicVec::from_u64(3, 1))],
+            4,
+            &Budget::unlimited(),
+        );
         // Unroll-depth ceiling: truncation happens before solving, so
         // the outcomes agree exactly.
         let budget = Budget::unlimited().with_unroll_depth(1);
-        let f = reach(&fresh, &zero_state(&d), &targets, 4, &budget);
-        let c = reach(&cached, &zero_state(&d), &targets, 4, &budget);
+        let f = reach(&pristine.clone(), &zero_state(&d), &targets, 4, &budget);
+        let c = reach(&warm, &zero_state(&d), &targets, 4, &budget);
         assert_eq!(f.status(), c.status());
         // Conflicts-0: trips on the very first check either way.
         let budget = Budget::unlimited().with_conflicts(0);
-        let c = reach(&cached, &zero_state(&d), &targets, 4, &budget);
+        let c = reach(&warm, &zero_state(&d), &targets, 4, &budget);
         assert_eq!(c.status(), SolveStatus::Unknown(UnknownReason::Conflicts));
     }
 
     #[test]
     fn switching_start_states_replaces_the_session() {
-        let fresh = engine(FSM, "fsm");
-        let mut cached = engine(FSM, "fsm");
-        cached.set_solver_cache(true);
-        let d = Arc::clone(fresh.design());
+        let pristine = engine(FSM, "fsm");
+        let warm = pristine.clone();
+        let d = Arc::clone(warm.design());
         let st = d.signal_by_name("state").unwrap();
         let mut other = zero_state(&d);
         other[st.index()] = LogicVec::from_u64(3, 1);
         // Alternating start states: every query drops the warm session
         // and seeds a cold one, so each query blasts its deepest frame
-        // chain afresh, and verdicts still match a fresh solver.
+        // chain afresh, and verdicts still match a never-queried engine.
         let mut cold_frames = 0;
         for (i, val) in [1u64, 2, 3, 7].into_iter().enumerate() {
             let start = if i % 2 == 0 {
@@ -1844,37 +1827,15 @@ mod tests {
                 other.clone()
             };
             let targets = [(st, LogicVec::from_u64(3, val))];
-            let f = reach(&fresh, &start, &targets, 4, &Budget::unlimited());
-            let (c, stats) = cached
+            let f = reach(&pristine.clone(), &start, &targets, 4, &Budget::unlimited());
+            let (c, stats) = warm
                 .solve_reach_profiled(&start, &targets, 4, &Budget::unlimited())
                 .unwrap();
             assert_eq!(f.status(), c.status(), "state {val} from start {i}");
             cold_frames += u64::from(stats.deepest_unroll);
         }
-        let stats = cached.cache_stats();
+        let stats = warm.cache_stats();
         assert_eq!(stats.frame_misses, cold_frames, "{stats:?}");
-    }
-
-    #[test]
-    fn cached_introspection_still_traces_every_call() {
-        let mut e = engine(FSM, "fsm");
-        e.set_solver_cache(true);
-        e.set_introspection(true);
-        let d = Arc::clone(e.design());
-        let st = d.signal_by_name("state").unwrap();
-        let (outcome, stats) = e
-            .solve_reach_profiled(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 3))],
-                4,
-                &Budget::unlimited(),
-            )
-            .unwrap();
-        assert!(matches!(outcome, ReachOutcome::Reached(_)));
-        assert!(stats.solver_calls >= 1);
-        let scope = stats.scope.expect("introspection is on");
-        let calls: u64 = scope.call_conflict_hist.iter().sum();
-        assert_eq!(calls, u64::from(stats.solver_calls));
     }
 
     #[test]
@@ -1883,8 +1844,7 @@ mod tests {
         // symbol, so they share a chain; a defined bit that differs
         // does not.
         let d = Arc::new(elaborate_src(XFACTOR, "xf").unwrap());
-        let mut cached = SymbolicEngine::new(Arc::clone(&d));
-        cached.set_solver_cache(true);
+        let warm = SymbolicEngine::new(Arc::clone(&d));
         let hit = d.signal_by_name("hit").unwrap();
         let targets = [(hit, LogicVec::from_u64(1, 1))];
         let start = |unknown: Bit, low: Bit| {
@@ -1902,8 +1862,8 @@ mod tests {
             start(Bit::Z, Bit::One),
             start(Bit::Z, Bit::Zero), // even factors of an odd product
         ] {
-            let c = reach(&cached, &state, &targets, 1, &Budget::unlimited());
-            seen.push((c.status(), cached.cache_stats().frame_misses));
+            let c = reach(&warm, &state, &targets, 1, &Budget::unlimited());
+            seen.push((c.status(), warm.cache_stats().frame_misses));
         }
         let (sat, unsat) = (SolveStatus::Sat, SolveStatus::Unsat);
         assert_eq!(seen, vec![(sat, 1), (sat, 1), (unsat, 2)]);
@@ -2020,8 +1980,7 @@ mod tests {
 
     #[test]
     fn image_probe_leaves_the_warm_chain_alone() {
-        let mut e = engine(FSM, "fsm");
-        e.set_solver_cache(true);
+        let e = engine(FSM, "fsm");
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
         let start = fsm_state(&d, 0);

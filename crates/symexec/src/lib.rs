@@ -11,7 +11,7 @@
 //! Given the simulator's current state and a target assignment of
 //! control-register values (a CFG node the fuzzer wants to reach), the
 //! [`SymbolicEngine`] binds the current-state symbols to their concrete
-//! values, asserts `next(reg) == target`, and hands the system to the
+//! values, poses `next(reg) == target`, and hands the system to the
 //! bit-blasting SMT solver. A model is translated back into an
 //! [`InputAssignment`] — the constraint the UVM sequencer applies on
 //! the next cycle (Fig. 2, blocks 9–11). Targets that need a
@@ -22,11 +22,12 @@
 //! the one query entry point. Every unroll it solves is a *frame
 //! chain* — a solver session plus, per cycle, the substituted state
 //! terms and fresh input symbols — grown by a single internal
-//! `extend` step. A plain query builds a chain per exact-depth solve
-//! and drops it; with the frame cache armed
-//! ([`set_solver_cache`](SymbolicEngine::set_solver_cache)) one chain
-//! stays warm per start state and goals become assumption checks on
-//! it; with introspection on
+//! `extend` step. One chain stays warm per start state (the frame
+//! cache, [`cache_stats`](SymbolicEngine::cache_stats)): each frame is
+//! built and blasted once, goals are assumption checks on it, and
+//! sibling goals inherit its learned clauses, as in MiniSat's
+//! incremental interface. History changes the work and may change the
+//! model, never the verdict. With introspection on
 //! ([`set_introspection`](SymbolicEngine::set_introspection)) each
 //! query also returns a [`GoalScope`], whose blame probe seeds a chain
 //! of its own.

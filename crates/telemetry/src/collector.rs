@@ -155,8 +155,8 @@ pub enum Gauge {
     /// snapshots are held; 1000 means no page is shared).
     SnapshotSharing,
     /// Solver-session reuse ratio ×1000: goals answered by a warm
-    /// incremental session over all session-path goals (0 when
-    /// incremental solving is off).
+    /// frame chain over all goals checked on it (0 before the first
+    /// solve).
     SolverSessionReuse,
 }
 

@@ -207,7 +207,7 @@ pub const PHASE_RECORD: &RecordSchema = &RECORDS[Event::KIND_COUNT];
 /// ([`crate::Collector::emit_settle_metrics`]).
 pub const METRICS_RECORD: &RecordSchema = &RECORDS[Event::KIND_COUNT + 1];
 
-/// The once-per-campaign incremental-solver summary
+/// The once-per-campaign frame-cache summary
 /// ([`crate::Collector::emit_solver_cache_metrics`]).
 pub const SOLVER_CACHE_RECORD: &RecordSchema = &RECORDS[Event::KIND_COUNT + 2];
 

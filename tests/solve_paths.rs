@@ -2,33 +2,34 @@
 //! reachability query must agree, and every plan it returns must work
 //! on the simulator.
 //!
-//! A plain engine builds a frame chain per exact-depth solve and drops
-//! it; a cache-armed engine keeps one chain warm per start state; an
-//! introspecting twin of each traces the search and probes failing
-//! goals for a blame set. Over a fixed-seed slice of the shipped
+//! Every engine keeps one frame chain warm per start state; an
+//! introspecting twin also traces the search and probes failing goals
+//! for a blame set. The reference is a *never-queried* engine: a clone
+//! of a fresh engine taken before its first query, which runs the same
+//! code with no history. Over a fixed-seed slice of the shipped
 //! designs:
 //!
-//! - under an unlimited budget and a depth-1 ceiling, the plain and
-//!   cache-armed engines reach the same verdict;
-//! - under every budget (goalfabric also under a conflict ceiling), an
+//! - under an unlimited budget and a depth-1 ceiling, from every start
+//!   state, both engines reach a never-queried clone's verdict, so
+//!   neither the warm chain's history nor the image memo changes one;
+//! - under every budget (goalfabric also under a conflict ceiling), the
 //!   introspecting engine returns its untraced twin's outcome, model
 //!   included, and the same `spent` / `solver_calls` /
 //!   `deepest_unroll`;
-//! - every `Reached` plan from every engine, replayed in the simulator
-//!   from the post-reset state it was solved from, lands the target.
-//!   As in perfbench's model check, an `X` result is counted and a
-//!   wrong known value fails;
-//! - under the same budgets, from every start after the first, each
-//!   engine's verdict equals a fresh engine's. A fresh engine's first
-//!   query is exactly the depth schedule's verdict, so it checks the
-//!   engines' image memo: a memo answer (`Unreachable` with no solver
-//!   call) must be the fresh verdict too, and no goal that any engine
+//! - every `Reached` plan, replayed in the simulator from the
+//!   post-reset state it was solved from, lands the target. As in
+//!   perfbench's model check, an `X` result is counted and a wrong
+//!   known value fails;
+//! - a never-queried engine's first query is exactly the depth
+//!   schedule's verdict, so it checks the image memo: a memo answer
+//!   (`Unreachable` with no solver call) must be the never-queried
+//!   verdict too, under every budget, and no goal that either engine
 //!   reached from any start may ever be memo-answered.
 //!
 //! A never-reset start state, whose registers are `X`, is used for
 //! verdict agreement only: its plans assume values the simulator does
-//! not hold. The exhaustive fresh-versus-warm sweep lives in
-//! `crates/bench/tests/solver_equiv.rs`.
+//! not hold. The exhaustive sweep of warm engines against never-queried
+//! clones lives in `crates/bench/tests/solver_equiv.rs`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -41,31 +42,6 @@ use symbfuzz_symexec::{ReachOutcome, ReachStats, SymbolicEngine};
 
 /// Deepest unroll any query may use.
 const MAX_STEPS: u32 = 3;
-
-/// The four engines: `{plain, cache-armed} x {untraced, introspecting}`.
-struct Engines {
-    plain: SymbolicEngine,
-    cached: SymbolicEngine,
-    plain_traced: SymbolicEngine,
-    cached_traced: SymbolicEngine,
-}
-
-impl Engines {
-    fn new(design: &Arc<Design>) -> Engines {
-        let engine = |cache: bool, introspect: bool| {
-            let mut e = SymbolicEngine::new(Arc::clone(design));
-            e.set_solver_cache(cache);
-            e.set_introspection(introspect);
-            e
-        };
-        Engines {
-            plain: engine(false, false),
-            cached: engine(true, false),
-            plain_traced: engine(false, true),
-            cached_traced: engine(true, true),
-        }
-    }
-}
 
 /// What the replays saw and how many queries the image memo
 /// answered, summed over a design.
@@ -212,14 +188,15 @@ struct Case {
     design: Arc<Design>,
     /// How many control registers to target.
     registers: usize,
-    /// Budgets under which the plain and cache-armed verdicts must agree.
+    /// Budgets under which every verdict must be a never-queried
+    /// engine's.
     contract: Vec<Budget>,
     /// Further budgets, checked for twins and replays only.
     extra: Vec<Budget>,
 }
 
 /// Poses every goal of `case` from every start state under every budget
-/// to all four engines.
+/// to both engines.
 fn check_case(case: Case, seed: u64) -> Tally {
     let Case {
         label,
@@ -228,9 +205,11 @@ fn check_case(case: Case, seed: u64) -> Tally {
         contract,
         extra,
     } = case;
-    let engines = Engines::new(&design);
-    // Never queried: each clone is a fresh engine.
+    // Never queried: each clone is the reference.
     let pristine = SymbolicEngine::new(Arc::clone(&design));
+    let warm = pristine.clone();
+    let mut traced = pristine.clone();
+    traced.set_introspection(true);
     let (mut reached, mut memo_goals) = (HashSet::new(), HashSet::new());
     let goals = goals(&design, registers, seed);
     assert!(!goals.is_empty(), "{label}: no control register to target");
@@ -252,26 +231,22 @@ fn check_case(case: Case, seed: u64) -> Tally {
                     design.signal(goal.0).name,
                     goal.1.to_u64()
                 );
-                let plain = query(&engines.plain, state, goal, budget);
-                let cached = query(&engines.cached, state, goal, budget);
-                let plain_traced = query(&engines.plain_traced, state, goal, budget);
-                let cached_traced = query(&engines.cached_traced, state, goal, budget);
-                assert_twins(&what, &plain, &plain_traced);
-                assert_twins(&what, &cached, &cached_traced);
-                let answers = [&plain, &cached, &plain_traced, &cached_traced];
+                let untraced = query(&warm, state, goal, budget);
+                let introspected = query(&traced, state, goal, budget);
+                assert_twins(&what, &untraced, &introspected);
+                let answers = [&untraced, &introspected];
                 let memo = answers.iter().filter(|a| memo_answer(a)).count() as u32;
-                if verdicts_agree && s > 0 || memo > 0 {
+                let mut reference = None;
+                if verdicts_agree || memo > 0 {
                     let fresh = query(&pristine.clone(), state, goal, budget).0;
-                    for (name, answer) in ["plain", "cached", "plain traced", "cached traced"]
-                        .into_iter()
-                        .zip(answers)
-                    {
+                    for (name, answer) in ["untraced", "introspecting"].into_iter().zip(answers) {
                         assert_eq!(
                             answer.0.status(),
                             fresh.status(),
-                            "{what}: the {name} engine and a fresh one disagree"
+                            "{what}: the {name} engine and a never-queried one disagree"
                         );
                     }
+                    reference = Some(fresh);
                 }
                 tally.memo_answers += memo;
                 if memo > 0 {
@@ -283,16 +258,11 @@ fn check_case(case: Case, seed: u64) -> Tally {
                 {
                     reached.insert(goal.clone());
                 }
-                if verdicts_agree {
-                    assert_eq!(
-                        plain.0.status(),
-                        cached.0.status(),
-                        "{what}: the warm chain changed the verdict"
-                    );
-                }
                 if let Some(sim) = sim {
-                    replay(&what, &design, sim, goal, &plain.0, &mut tally);
-                    replay(&what, &design, sim, goal, &cached.0, &mut tally);
+                    replay(&what, &design, sim, goal, &untraced.0, &mut tally);
+                    if let Some(fresh) = &reference {
+                        replay(&what, &design, sim, goal, fresh, &mut tally);
+                    }
                 }
             }
         }
@@ -340,7 +310,8 @@ fn solve_paths_agree_and_plans_replay() {
         },
         // Every fabric goal is a 24-bit factoring problem: unbudgeted
         // it would dominate the run, and under a conflict ceiling a
-        // warm chain may legitimately decide what a cold one cannot.
+        // warm chain may legitimately decide what a never-queried one
+        // cannot.
         Case {
             label: "goalfabric",
             design: goal_fabric(),
