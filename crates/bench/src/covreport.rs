@@ -252,14 +252,18 @@ pub fn trace_mechanism_counts(records: &[TraceRecord]) -> Vec<MechanismCount> {
 
 // --- rendering -----------------------------------------------------------
 
-fn esc(s: &str) -> String {
+/// Escapes text for HTML element content and attribute values; the
+/// solver-scope report renders through it too.
+pub(crate) fn esc(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")
         .replace('"', "&quot;")
 }
 
-const PALETTE: [&str; 5] = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd"];
+/// Series colours of the inline SVG charts, shared with the
+/// solver-scope report.
+pub(crate) const PALETTE: [&str; 5] = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd"];
 
 /// The coverage-over-time chart as one inline SVG: one polyline per
 /// strategy, Fig. 4/5-style.

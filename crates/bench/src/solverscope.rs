@@ -12,6 +12,7 @@
 //! campaign state, so the JSON and HTML bytes are identical at any
 //! `--jobs` count.
 
+use crate::covreport::{esc, PALETTE};
 use crate::experiments::ScopeProfileResult;
 use serde::{Deserialize, Serialize};
 use symbfuzz_core::{FuzzConfigBuilder, GoalIntrospection, GoalRow};
@@ -64,15 +65,6 @@ pub fn conflict_quantiles(row: &GoalIntrospection) -> (u64, u64, u64) {
 }
 
 // --- rendering -----------------------------------------------------------
-
-fn esc(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
-}
-
-const PALETTE: [&str; 5] = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd"];
 
 /// Restart timelines of the costliest goals as one inline SVG: one
 /// polyline per goal, x = restart index, y = conflicts at restart.

@@ -118,8 +118,7 @@ fn assert_same_verdict(
 }
 
 /// Full deterministic sweep of one design: every sampled state crossed
-/// with every goal, under an unlimited budget and an unroll-depth
-/// ceiling.
+/// with every goal, under an unlimited budget at bounds 3 and 1.
 fn sweep_design(design: Arc<Design>, label: &str) -> SymbolicEngine {
     let pristine = SymbolicEngine::new(Arc::clone(&design));
     let warm = pristine.clone();
@@ -127,7 +126,6 @@ fn sweep_design(design: Arc<Design>, label: &str) -> SymbolicEngine {
     let regs = goal_registers(&design, 8, 5);
     assert!(!regs.is_empty(), "{label}: no narrow registers to target");
     let unlimited = Budget::unlimited();
-    let shallow = Budget::unlimited().with_unroll_depth(1);
     for (si, state) in states.iter().enumerate() {
         for &reg in &regs {
             let w = design.signal(reg).width;
@@ -149,8 +147,8 @@ fn sweep_design(design: Arc<Design>, label: &str) -> SymbolicEngine {
                     &warm,
                     state,
                     goal,
-                    3,
-                    &shallow,
+                    1,
+                    &unlimited,
                     &format!("{label} state {si} depth-1"),
                 );
             }

@@ -9,7 +9,7 @@ use symbfuzz_bench::schema::parse_line;
 use symbfuzz_bench::trace::phase_table;
 use symbfuzz_core::{CampaignResult, FuzzConfig, PropertySpec, Strategy, SymbFuzz, TelemetryBlock};
 use symbfuzz_netlist::elaborate_src;
-use symbfuzz_telemetry::{BufferSink, Collector, Phase, PHASE_RECORD};
+use symbfuzz_telemetry::{BufferSink, Collector, Phase, SolveStatus, PHASE_RECORD};
 
 /// A two-step combination lock: random fuzzing stalls in state 0, so a
 /// short campaign exercises stagnation, symbolic episodes, SMT solves,
@@ -138,4 +138,33 @@ fn phase_self_times_sum_within_wall_time() {
             p.name()
         );
     }
+}
+
+/// The solve-status vocabulary is the conflict ceiling and the wall
+/// deadline on top of the three verdicts, and the trace checker
+/// rejects a record carrying any other ceiling.
+#[test]
+fn solve_status_serials_are_the_two_budget_ceilings() {
+    assert_eq!(
+        SolveStatus::SERIALS,
+        [
+            "sat",
+            "unsat",
+            "skipped",
+            "unknown:conflicts",
+            "unknown:wall_clock"
+        ]
+    );
+    let goal = |status: &str| {
+        format!(
+            r#"{{"t":1,"task":0,"kind":"GoalSolveCost","register":"st","value":3,"status":"{status}","depth":4,"calls":3,"conflicts":9,"learned":2,"restarts":0,"hist":[1,2]}}"#
+        )
+    };
+    for status in SolveStatus::SERIALS {
+        parse_line(&goal(status)).unwrap_or_else(|e| panic!("`{status}` rejected: {e}"));
+    }
+    let err = parse_line(&goal("unknown:term_nodes")).unwrap_err();
+    assert!(err.contains("status"), "{err}");
+    let exhausted = r#"{"t":1,"task":0,"kind":"BudgetExhausted","reason":"unroll_depth","level":0,"conflicts":0,"decisions":0,"propagations":0}"#;
+    assert!(parse_line(exhausted).is_err());
 }

@@ -255,8 +255,8 @@ pub enum ConfigError {
     /// A solver budget was set while `use_solver` is off: the budget
     /// could never apply, so the intent is contradictory.
     SolverBudgetWithoutSolver,
-    /// `use_solver` is on but `solve_depth` is zero — every query
-    /// would be vacuously unreachable.
+    /// `use_solver` is on but `solve_depth` is zero — the engine
+    /// refuses every such query (`ReachError::ZeroDepth`).
     ZeroSolveDepth,
     /// A solver budget of zero: every solve would exhaust immediately;
     /// use `use_solver: false` to disable guidance instead.

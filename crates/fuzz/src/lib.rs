@@ -10,8 +10,9 @@
 //!
 //! # Architecture (Fig. 1 of the paper)
 //!
-//! * simulation setup — [`symbfuzz_ruvm`] environment over
-//!   [`symbfuzz_sim`]: sequencer → driver → DUV → monitor;
+//! * simulation setup — [`symbfuzz_ruvm`] sequencer and driver over
+//!   [`symbfuzz_sim`], properties checked by [`symbfuzz_props`] on the
+//!   simulator's value table;
 //! * coverage measurement — [`symbfuzz_cfgx`]: control-register node
 //!   and edge coverage, checkpoints, replay sequences;
 //! * seed mutation — constrained randomization plus, on stagnation,

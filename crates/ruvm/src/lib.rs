@@ -2,7 +2,7 @@
 //!
 //! SymbFuzz's headline engineering claim is that it is "the first
 //! hardware fuzzing technique implemented on industry-standard UVM"
-//! (§1): the fuzzer does not talk to the simulator directly but through
+//! (§1): the paper's fuzzer does not talk to the simulator directly but through
 //! the standard sequencer → driver → DUV → monitor → scoreboard
 //! pipeline, and steers exploration purely by installing *constraints*
 //! into the sequencer (Fig. 2, blocks 8–11). This crate reproduces that
@@ -15,10 +15,13 @@
 //!   an exact multi-cycle sequence (checkpoint replay, §4.5, and
 //!   SMT-derived input sequences, §4.8);
 //! * [`Sequencer`] — constrained-random generation with a replay queue;
-//! * [`Driver`] / [`Monitor`] / [`AnalysisPort`] / `Scoreboard`
-//!   ([`Subscriber`]) — the classic UVM agent internals;
-//! * [`Agent`], [`Env`], [`Phase`], [`run_test`] — component tree and
-//!   phase machine (build → connect → run → report).
+//! * [`Driver`] / [`Monitor`] / [`AnalysisPort`] ([`Subscriber`]) —
+//!   the classic UVM agent internals;
+//! * [`Agent`], [`Env`], [`Phase`], [`run_test`] — the phase machine
+//!   (build → connect → run → report) for stand-alone UVM-style tests.
+//!
+//! The fuzzer itself drives only the [`Sequencer`] and the [`Driver`];
+//! its properties are checked by `symbfuzz-props` directly.
 //!
 //! # Examples
 //!

@@ -51,9 +51,7 @@ mod vcd_read;
 mod vm;
 
 pub use profiler::{ConeProfile, VmProfile, VmProfiler};
-pub use simulator::{
-    BranchOutcome, Reentry, ReentryMechanism, ReentryOutcome, SettleMode, SimError, Simulator,
-};
+pub use simulator::{BranchOutcome, Reentry, SettleMode, SimError, Simulator};
 pub use snapstore::{ForkOutcome, SnapshotId, SnapshotStore, PAGE_SIGNALS};
 pub use vcd::VcdWriter;
 pub use vcd_read::{read_vcd, VcdParseError, VcdTrace};

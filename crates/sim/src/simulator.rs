@@ -80,46 +80,6 @@ pub enum Reentry<'a> {
     },
 }
 
-/// Which re-entry mechanism actually ran (reported by
-/// [`Simulator::reenter`] and the fuzzer's node re-entry scheduler).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReentryMechanism {
-    /// All reset domains asserted.
-    FullReset,
-    /// One reset domain asserted.
-    DomainReset,
-    /// A stored snapshot entered directly (no replay).
-    SnapshotEnter,
-    /// A snapshotted ancestor entered, then the residual input suffix
-    /// replayed (the fuzzer's nearest-ancestor path).
-    ReplaySuffix,
-}
-
-impl ReentryMechanism {
-    /// Stable lowercase name for reports and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReentryMechanism::FullReset => "full_reset",
-            ReentryMechanism::DomainReset => "domain_reset",
-            ReentryMechanism::SnapshotEnter => "snapshot_enter",
-            ReentryMechanism::ReplaySuffix => "replay_suffix",
-        }
-    }
-}
-
-/// Mechanism and cost report of one re-entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReentryOutcome {
-    /// The mechanism that ran.
-    pub mechanism: ReentryMechanism,
-    /// Input cycles re-driven to reach the target (0 for direct
-    /// snapshot entry and for plain resets).
-    pub cycles_replayed: u64,
-    /// Pages written into the live value table (snapshot entry), or
-    /// copied at fork time — the memory-traffic side of the cost.
-    pub pages_copied: u64,
-}
-
 /// A recorded branch execution, for coverage instrumentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchOutcome {
@@ -747,11 +707,10 @@ impl Simulator {
     }
 
     /// Re-enters simulator state through the one typed entry point:
-    /// full reset, single-domain reset, or a stored snapshot. Returns
-    /// which mechanism ran and what it cost.
+    /// full reset, single-domain reset, or a stored snapshot.
     ///
     /// This is the API the fuzzer's checkpoint scheduler drives.
-    pub fn reenter(&mut self, target: Reentry<'_>) -> ReentryOutcome {
+    pub fn reenter(&mut self, target: Reentry<'_>) {
         match target {
             Reentry::FullReset { cycles } => {
                 let domains: Vec<(SignalId, Edge)> = self
@@ -761,30 +720,15 @@ impl Simulator {
                     .map(|d| (d.reset, d.active))
                     .collect();
                 self.apply_resets(&domains, cycles);
-                ReentryOutcome {
-                    mechanism: ReentryMechanism::FullReset,
-                    cycles_replayed: 0,
-                    pages_copied: 0,
-                }
             }
             Reentry::DomainReset { reset, cycles } => {
                 if let Some(d) = self.rtree.domains.iter().find(|d| d.reset == reset) {
                     let pair = (d.reset, d.active);
                     self.apply_resets(&[pair], cycles);
                 }
-                ReentryOutcome {
-                    mechanism: ReentryMechanism::DomainReset,
-                    cycles_replayed: 0,
-                    pages_copied: 0,
-                }
             }
             Reentry::Snapshot { store, id } => {
-                let pages = self.enter(store, id);
-                ReentryOutcome {
-                    mechanism: ReentryMechanism::SnapshotEnter,
-                    cycles_replayed: 0,
-                    pages_copied: pages,
-                }
+                self.enter(store, id);
             }
         }
     }
@@ -1316,12 +1260,10 @@ mod tests {
 
         // Entering the root restores the oracle state bit for bit, and
         // the resumed trajectory is deterministic.
-        let out = s.reenter(Reentry::Snapshot {
+        s.reenter(Reentry::Snapshot {
             store: &store,
             id: root.id,
         });
-        assert_eq!(out.mechanism, ReentryMechanism::SnapshotEnter);
-        assert_eq!(out.cycles_replayed, 0);
         assert_eq!(s.values(), &oracle[..]);
         assert_eq!(s.cycle(), oracle_cycle);
 
@@ -1363,8 +1305,7 @@ mod tests {
                    endmodule";
         let mut a = sim(src, "m");
         let mut b = sim(src, "m");
-        let out = a.reenter(Reentry::FullReset { cycles: 2 });
-        assert_eq!(out.mechanism, ReentryMechanism::FullReset);
+        a.reenter(Reentry::FullReset { cycles: 2 });
         let q = a.design().signal_by_name("q").unwrap();
         assert_eq!(a.get(q).to_u64(), Some(0));
         b.reenter(Reentry::FullReset { cycles: 2 });
@@ -1392,11 +1333,10 @@ mod tests {
         let qb = s.design().signal_by_name("qb").unwrap();
         assert_eq!(s.get(qa).to_u64(), Some(3));
         let rst_a = s.design().signal_by_name("rst_a_n").unwrap();
-        let out = s.reenter(Reentry::DomainReset {
+        s.reenter(Reentry::DomainReset {
             reset: rst_a,
             cycles: 1,
         });
-        assert_eq!(out.mechanism, ReentryMechanism::DomainReset);
         assert_eq!(s.get(qa).to_u64(), Some(0));
         // Domain B kept counting through the partial reset cycle.
         assert_eq!(s.get(qb).to_u64(), Some(4));

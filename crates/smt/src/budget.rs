@@ -1,15 +1,16 @@
-//! Resource budgets for SAT solving and symbolic unrolling.
+//! Resource budgets for SAT solving.
 //!
 //! A [`Budget`] bounds how much work a query may spend before giving
-//! up with an `Unknown` verdict. The ceilings fall in two groups:
+//! up with an `Unknown` verdict. It has two ceilings:
 //!
-//! * **Deterministic counters** — conflicts, decisions and
-//!   propagations for the CDCL core; term nodes and unroll depth for
-//!   the symbolic engine. These are pure functions of the search, so
-//!   budgeted campaigns stay byte-identical at any `--jobs` value.
+//! * **Conflicts** — a deterministic CDCL counter, so budgeted
+//!   campaigns stay byte-identical at any `--jobs` value.
 //! * **Wall clock** — an opt-in deadline against a telemetry
 //!   [`Clock`]. This is the only non-deterministic ceiling and is
 //!   reserved for operator-facing runs (`--solve-wall-ms`).
+//!
+//! The unroll depth is not a budget: it is the query's own bound
+//! (`max_steps` of the symbolic engine's one query).
 //!
 //! [`BudgetSpent`] is the matching receipt: how much each counter
 //! advanced during the attempt, carried inside `Unknown` results so
@@ -48,7 +49,7 @@ impl BudgetSpent {
 
 /// Resource ceilings for one solve or reachability attempt.
 ///
-/// All ceilings are optional; [`Budget::unlimited`] (also the
+/// Both ceilings are optional; [`Budget::unlimited`] (also the
 /// `Default`) never interrupts a search, so unbudgeted call sites
 /// keep their exact pre-budget behaviour.
 ///
@@ -57,17 +58,13 @@ impl BudgetSpent {
 /// ```
 /// use symbfuzz_smt::Budget;
 ///
-/// let b = Budget::unlimited().with_conflicts(10_000).with_unroll_depth(8);
-/// assert_eq!(b.conflicts(), Some(10_000));
+/// let b = Budget::unlimited().with_conflicts(10_000).escalate(4);
+/// assert_eq!(b.conflicts(), Some(40_000));
 /// assert!(!b.is_unlimited());
 /// ```
 #[derive(Clone, Default)]
 pub struct Budget {
     conflicts: Option<u64>,
-    decisions: Option<u64>,
-    propagations: Option<u64>,
-    term_nodes: Option<usize>,
-    unroll_depth: Option<u32>,
     wall: Option<(Arc<dyn Clock>, u64)>,
 }
 
@@ -75,10 +72,6 @@ impl std::fmt::Debug for Budget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Budget")
             .field("conflicts", &self.conflicts)
-            .field("decisions", &self.decisions)
-            .field("propagations", &self.propagations)
-            .field("term_nodes", &self.term_nodes)
-            .field("unroll_depth", &self.unroll_depth)
             .field("wall_deadline", &self.wall.as_ref().map(|(_, d)| *d))
             .finish()
     }
@@ -97,34 +90,6 @@ impl Budget {
         self
     }
 
-    /// Caps CDCL decisions.
-    #[must_use]
-    pub fn with_decisions(mut self, n: u64) -> Budget {
-        self.decisions = Some(n);
-        self
-    }
-
-    /// Caps unit propagations.
-    #[must_use]
-    pub fn with_propagations(mut self, n: u64) -> Budget {
-        self.propagations = Some(n);
-        self
-    }
-
-    /// Caps the working term-pool size during symbolic unrolling.
-    #[must_use]
-    pub fn with_term_nodes(mut self, n: usize) -> Budget {
-        self.term_nodes = Some(n);
-        self
-    }
-
-    /// Caps the unroll depth of reachability queries.
-    #[must_use]
-    pub fn with_unroll_depth(mut self, n: u32) -> Budget {
-        self.unroll_depth = Some(n);
-        self
-    }
-
     /// Sets a wall-clock deadline (clock units, usually microseconds).
     ///
     /// The only non-deterministic ceiling: checks read `clock` during
@@ -140,80 +105,35 @@ impl Budget {
         self.conflicts
     }
 
-    /// The decision ceiling, if any.
-    pub fn decisions(&self) -> Option<u64> {
-        self.decisions
-    }
-
-    /// The propagation ceiling, if any.
-    pub fn propagations(&self) -> Option<u64> {
-        self.propagations
-    }
-
-    /// The term-node ceiling, if any.
-    pub fn term_nodes(&self) -> Option<usize> {
-        self.term_nodes
-    }
-
-    /// The unroll-depth ceiling, if any.
-    pub fn unroll_depth(&self) -> Option<u32> {
-        self.unroll_depth
-    }
-
     /// `true` when no ceiling is set.
     pub fn is_unlimited(&self) -> bool {
-        self.conflicts.is_none()
-            && self.decisions.is_none()
-            && self.propagations.is_none()
-            && self.term_nodes.is_none()
-            && self.unroll_depth.is_none()
-            && self.wall.is_none()
+        self.conflicts.is_none() && self.wall.is_none()
     }
 
-    /// Multiplies every counter ceiling by `factor` (saturating). The
-    /// wall deadline and structural ceilings (term nodes, unroll
-    /// depth) are left unchanged — escalation buys more search, not a
-    /// bigger formula.
+    /// Multiplies the conflict ceiling by `factor` (saturating). The
+    /// wall deadline is left unchanged.
     #[must_use]
     pub fn escalate(mut self, factor: u64) -> Budget {
         self.conflicts = self.conflicts.map(|n| n.saturating_mul(factor));
-        self.decisions = self.decisions.map(|n| n.saturating_mul(factor));
-        self.propagations = self.propagations.map(|n| n.saturating_mul(factor));
         self
     }
 
-    /// The budget left after `spent` has been consumed. Counter
-    /// ceilings shrink (saturating at zero); structural ceilings and
-    /// the wall deadline are absolute and carry over unchanged.
+    /// The budget left after `spent` has been consumed: the conflict
+    /// ceiling shrinks (saturating at zero); the wall deadline is
+    /// absolute and carries over unchanged.
     #[must_use]
     pub fn remaining_after(&self, spent: BudgetSpent) -> Budget {
         Budget {
             conflicts: self.conflicts.map(|n| n.saturating_sub(spent.conflicts)),
-            decisions: self.decisions.map(|n| n.saturating_sub(spent.decisions)),
-            propagations: self
-                .propagations
-                .map(|n| n.saturating_sub(spent.propagations)),
-            term_nodes: self.term_nodes,
-            unroll_depth: self.unroll_depth,
             wall: self.wall.clone(),
         }
     }
 
-    /// Checks the counter and wall ceilings against `spent`, in a
-    /// fixed priority (conflicts, decisions, propagations, wall) so the
-    /// reported reason is deterministic.
+    /// Checks the ceilings against `spent`, conflicts before the wall
+    /// clock, so a deterministic reason wins whenever both have tripped.
     pub fn check(&self, spent: BudgetSpent) -> Option<UnknownReason> {
         if self.conflicts.is_some_and(|cap| spent.conflicts >= cap) {
             return Some(UnknownReason::Conflicts);
-        }
-        if self.decisions.is_some_and(|cap| spent.decisions >= cap) {
-            return Some(UnknownReason::Decisions);
-        }
-        if self
-            .propagations
-            .is_some_and(|cap| spent.propagations >= cap)
-        {
-            return Some(UnknownReason::Propagations);
         }
         if let Some((clock, deadline)) = &self.wall {
             if clock.now_micros() >= *deadline {
@@ -242,21 +162,21 @@ mod tests {
     }
 
     #[test]
-    fn check_priority_is_fixed() {
+    fn conflicts_are_checked_before_the_wall_clock() {
+        let clock = Arc::new(ManualClock::new());
+        clock.set(200);
         let b = Budget::unlimited()
-            .with_conflicts(1)
-            .with_decisions(1)
-            .with_propagations(1);
+            .with_wall_deadline(clock, 100)
+            .with_conflicts(1);
         let spent = BudgetSpent {
             conflicts: 1,
-            decisions: 1,
-            propagations: 1,
+            ..BudgetSpent::default()
         };
         assert_eq!(b.check(spent), Some(UnknownReason::Conflicts));
-        let b = Budget::unlimited().with_decisions(1).with_propagations(1);
-        assert_eq!(b.check(spent), Some(UnknownReason::Decisions));
-        let b = Budget::unlimited().with_propagations(1);
-        assert_eq!(b.check(spent), Some(UnknownReason::Propagations));
+        assert_eq!(
+            b.check(BudgetSpent::default()),
+            Some(UnknownReason::WallClock)
+        );
     }
 
     #[test]
@@ -273,15 +193,18 @@ mod tests {
     }
 
     #[test]
-    fn escalation_scales_counters_only() {
+    fn escalation_scales_conflicts_only() {
+        let clock = Arc::new(ManualClock::new());
         let b = Budget::unlimited()
             .with_conflicts(10)
-            .with_term_nodes(5)
-            .with_unroll_depth(2)
+            .with_wall_deadline(clock.clone(), 5)
             .escalate(4);
         assert_eq!(b.conflicts(), Some(40));
-        assert_eq!(b.term_nodes(), Some(5));
-        assert_eq!(b.unroll_depth(), Some(2));
+        clock.set(5);
+        assert_eq!(
+            b.check(BudgetSpent::default()),
+            Some(UnknownReason::WallClock)
+        );
         assert_eq!(
             Budget::unlimited()
                 .with_conflicts(u64::MAX)
@@ -289,22 +212,26 @@ mod tests {
                 .conflicts(),
             Some(u64::MAX)
         );
+        assert!(Budget::unlimited().escalate(8).is_unlimited());
     }
 
     #[test]
     fn remaining_subtracts_saturating() {
-        let b = Budget::unlimited().with_conflicts(10).with_decisions(3);
-        let rem = b.remaining_after(BudgetSpent {
-            conflicts: 4,
-            decisions: 7,
-            propagations: 0,
-        });
-        assert_eq!(rem.conflicts(), Some(6));
-        assert_eq!(rem.decisions(), Some(0));
+        let b = Budget::unlimited().with_conflicts(10);
+        let spent = |conflicts| BudgetSpent {
+            conflicts,
+            ..BudgetSpent::default()
+        };
+        assert_eq!(b.remaining_after(spent(4)).conflicts(), Some(6));
+        let rem = b.remaining_after(spent(17));
+        assert_eq!(rem.conflicts(), Some(0));
         // An exhausted remaining budget trips immediately.
         assert_eq!(
             rem.check(BudgetSpent::default()),
-            Some(UnknownReason::Decisions)
+            Some(UnknownReason::Conflicts)
         );
+        assert!(Budget::unlimited()
+            .remaining_after(spent(17))
+            .is_unlimited());
     }
 }

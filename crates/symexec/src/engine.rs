@@ -79,6 +79,8 @@ pub enum ReachError {
         /// Name of the offending target signal.
         signal: String,
     },
+    /// `max_steps` was 0: no unroll depth is left to search.
+    ZeroDepth,
 }
 
 impl std::fmt::Display for ReachError {
@@ -90,6 +92,7 @@ impl std::fmt::Display for ReachError {
             ReachError::NotARegister { signal } => {
                 write!(f, "target {signal} is not a register")
             }
+            ReachError::ZeroDepth => write!(f, "unroll bound is 0"),
         }
     }
 }
@@ -134,7 +137,8 @@ pub struct ReachStats {
     /// Exact-depth SMT solves issued, an image probe included; 0 for a
     /// goal answered from the image memo.
     pub solver_calls: u32,
-    /// Deepest unroll attempted (0 if the depth ceiling was 0).
+    /// Deepest unroll attempted (0 for a goal answered from the image
+    /// memo).
     pub deepest_unroll: u32,
     /// The query's introspection record: present exactly when the
     /// engine's introspection switch is on (see
@@ -396,24 +400,17 @@ impl SymbolicEngine {
     /// value)` pair of `targets`, plus a [`ReachStats`] work receipt
     /// filled on every path, Sat included.
     ///
-    /// Exact-depth solves run at depths 1, 2, 4, … and finally the
-    /// bound. One `budget` covers the *entire* query: counter ceilings
-    /// (conflicts, decisions, propagations) deplete across the
-    /// schedule, the term-node ceiling bounds each unrolled chain, and
-    /// the unroll-depth ceiling truncates `max_steps`, reporting
-    /// `Exhausted` rather than `Unreachable` if nothing was found
-    /// within the truncated bound.
+    /// Exact-depth solves run at depths 1, 2, 4, … and finally
+    /// `max_steps`. One `budget` covers the *entire* query: its
+    /// conflict ceiling depletes across the schedule.
     ///
     /// Every solve of the schedule runs on the frame cache's warm chain
     /// for `current` (see [`cache_stats`](Self::cache_stats)), with the
-    /// targets posed as assumptions. The verdict (Sat / Unsat / Unknown
-    /// reason) never depends on the engine's history under unlimited
-    /// budgets and the unroll-depth ceiling: a never-queried clone of
-    /// the engine answers the same. Only the work to reach it changes,
-    /// and a `Reached` plan may be another, equally valid model. The
-    /// term-node ceiling is judged against the whole kept chain, so
-    /// after a deep query a shallower one from the same start state can
-    /// report `Exhausted { TermNodes }`.
+    /// targets posed as assumptions. Under an unlimited budget the
+    /// verdict never depends on the engine's history: a never-queried
+    /// clone of the engine answers the same. Only the work to reach it
+    /// changes, and a `Reached` plan may be another, equally valid
+    /// model.
     ///
     /// The first time the schedule proves a single-target goal
     /// `Unreachable`, the engine also probes once whether any state
@@ -423,11 +420,10 @@ impl SymbolicEngine {
     /// what `budget` has left, and it never changes this query's
     /// outcome. If no state can, the value is dead at every depth from
     /// every start state: a later query with a dead target runs no
-    /// solve and answers `Unreachable` with a zero receipt (the
-    /// truncated-bound and zero-bound rules above still apply). The
-    /// memo is exact for unlimited budgets and the unroll-depth
-    /// ceiling; under counter, wall-clock or term-node ceilings it can
-    /// answer `Unreachable` where the schedule would have run out.
+    /// solve and answers `Unreachable` with a zero receipt. The memo
+    /// is exact under an unlimited budget; under a conflict or
+    /// wall-clock ceiling it can answer `Unreachable` where the
+    /// schedule would have run out.
     ///
     /// With introspection on, a goal that was solved at least once
     /// without being reached also gets a blame set: the deepest depth
@@ -440,8 +436,8 @@ impl SymbolicEngine {
     ///
     /// # Errors
     ///
-    /// [`ReachError`] when a target value contains `X` bits or a target
-    /// is not a register; nothing is solved then.
+    /// [`ReachError`] when `max_steps` is 0, a target value contains
+    /// `X` bits or a target is not a register; nothing is solved then.
     pub fn solve_reach_profiled(
         &self,
         current: &[LogicVec],
@@ -449,6 +445,9 @@ impl SymbolicEngine {
         max_steps: u32,
         budget: &Budget,
     ) -> Result<(ReachOutcome, ReachStats), ReachError> {
+        if max_steps == 0 {
+            return Err(ReachError::ZeroDepth);
+        }
         for (sig, value) in targets {
             let s = self.design.signal(*sig);
             if value.has_unknown() {
@@ -466,9 +465,6 @@ impl SymbolicEngine {
             scope: self.introspect.then(GoalScope::new),
             ..ReachStats::default()
         };
-        let bound = budget
-            .unroll_depth()
-            .map_or(max_steps, |c| max_steps.min(c));
         let mut outcome = ReachOutcome::Unreachable;
         let dead = {
             let memo = self.image_memo.borrow();
@@ -478,8 +474,8 @@ impl SymbolicEngine {
         // exact-k solving at 1, 2, 4, … plus the bound itself finds any
         // plan within the bound at a fraction of the solver calls. A
         // dead target needs none of them.
-        while !dead && stats.deepest_unroll < bound {
-            let steps = stats.deepest_unroll.saturating_mul(2).clamp(1, bound);
+        while !dead && stats.deepest_unroll < max_steps {
+            let steps = stats.deepest_unroll.saturating_mul(2).clamp(1, max_steps);
             stats.solver_calls += 1;
             stats.deepest_unroll = steps;
             let remaining = budget.remaining_after(stats.spent);
@@ -501,17 +497,10 @@ impl SymbolicEngine {
                 }
             }
         }
-        if matches!(outcome, ReachOutcome::Unreachable) && (bound < max_steps || bound == 0) {
-            outcome = ReachOutcome::Exhausted {
-                reason: UnknownReason::UnrollDepth,
-                spent: stats.spent,
-            };
-        }
         if let Some(scope) = &mut stats.scope {
             // A goal never posed to the solver has nothing to blame.
             if stats.solver_calls > 0 && !matches!(outcome, ReachOutcome::Reached(_)) {
-                if let Some(core) = self.blame_core(current, targets, stats.deepest_unroll, budget)
-                {
+                if let Some(core) = self.blame_core(current, targets, stats.deepest_unroll) {
                     scope.blame = core;
                     scope.blame_is_core = true;
                     if let Some(t) = &self.telemetry {
@@ -609,11 +598,7 @@ impl SymbolicEngine {
         scope: Option<&mut GoalScope>,
     ) -> (ReachOutcome, BudgetSpent) {
         let have = chain.states.len() as u32 - 1;
-        if !self.extend(chain, steps, budget.term_nodes()) {
-            let spent = BudgetSpent::default();
-            let reason = UnknownReason::TermNodes;
-            return (ReachOutcome::Exhausted { reason, spent }, spent);
-        }
+        self.extend(chain, steps);
         let hits = u64::from(have.min(steps));
         let misses = u64::from(steps) - hits;
         let reuse_milli = kept.map(|stats| {
@@ -701,13 +686,7 @@ impl SymbolicEngine {
     /// frames, for warm, image and blame chains alike. Each new frame
     /// gets fresh per-step input symbols (resets pinned inactive) and
     /// every register's equation substituted over the previous frame.
-    /// Returns `false` as soon as the chain's pool exceeds `node_cap`
-    /// terms, before any further frame is built.
-    fn extend(&self, chain: &mut Chain, steps: u32, node_cap: Option<usize>) -> bool {
-        let over_cap = |c: &Chain| node_cap.is_some_and(|cap| c.sess.pool().len() > cap);
-        if over_cap(chain) {
-            return false;
-        }
+    fn extend(&self, chain: &mut Chain, steps: u32) {
         while chain.states.len() <= steps as usize {
             let t = chain.states.len() - 1;
             let mut subst_map = chain.states[t].clone();
@@ -732,11 +711,7 @@ impl SymbolicEngine {
             }
             chain.states.push(state);
             chain.step_inputs.push(inputs);
-            if over_cap(chain) {
-                return false;
-            }
         }
-        true
     }
 
     /// `register == value` terms for `targets` on the chain's state
@@ -816,15 +791,13 @@ impl SymbolicEngine {
     ///
     /// Returns `None` when the query is satisfiable (the target only
     /// fails at other depths), undecided within [`BLAME_CONFLICT_CAP`]
-    /// conflicts, too large for the budget's term-node ceiling, or has
-    /// no register to assume. The core keeps name order, so the result
-    /// is deterministic.
+    /// conflicts, or has no register to assume. The core keeps name
+    /// order, so the result is deterministic.
     fn blame_core(
         &self,
         current: &[LogicVec],
         targets: &[(SignalId, LogicVec)],
         steps: u32,
-        budget: &Budget,
     ) -> Option<Vec<String>> {
         let mut sess = SolverSession::from_pool(self.pool.clone());
         let mut regs: Vec<(SignalId, TermId)> =
@@ -866,9 +839,7 @@ impl SymbolicEngine {
             return None;
         }
         let mut chain = Chain::new(sess, false, start);
-        if !self.extend(&mut chain, steps, budget.term_nodes()) {
-            return None;
-        }
+        self.extend(&mut chain, steps);
         for goal in self.goal_terms(&mut chain, targets, steps) {
             chain.sess.assert_term(goal);
         }
@@ -1564,64 +1535,6 @@ mod tests {
     }
 
     #[test]
-    fn unroll_depth_ceiling_reports_exhausted_not_unreachable() {
-        let e = engine(FSM, "fsm");
-        let d = Arc::clone(e.design());
-        let st = d.signal_by_name("state").unwrap();
-        // State 3 needs three hops, but the budget caps unrolling at 1.
-        let budget = Budget::unlimited().with_unroll_depth(1);
-        let out = reach(
-            &e,
-            &zero_state(&d),
-            &[(st, LogicVec::from_u64(3, 3))],
-            4,
-            &budget,
-        );
-        assert!(matches!(
-            out,
-            ReachOutcome::Exhausted {
-                reason: UnknownReason::UnrollDepth,
-                ..
-            }
-        ));
-        assert_eq!(
-            out.status(),
-            SolveStatus::Unknown(UnknownReason::UnrollDepth)
-        );
-        // A one-hop target is still found under the same ceiling.
-        let out = reach(
-            &e,
-            &zero_state(&d),
-            &[(st, LogicVec::from_u64(3, 1))],
-            4,
-            &budget,
-        );
-        assert!(matches!(out, ReachOutcome::Reached(_)));
-    }
-
-    #[test]
-    fn term_node_ceiling_reports_exhausted() {
-        let e = engine(FSM, "fsm");
-        let d = Arc::clone(e.design());
-        let st = d.signal_by_name("state").unwrap();
-        let budget = Budget::unlimited().with_term_nodes(1);
-        let out = reach(
-            &e,
-            &zero_state(&d),
-            &[(st, LogicVec::from_u64(3, 1))],
-            4,
-            &budget,
-        );
-        assert!(matches!(
-            out,
-            ReachOutcome::Exhausted {
-                reason: UnknownReason::TermNodes,
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn zero_conflict_budget_exhausts_immediately() {
         let e = engine(FSM, "fsm");
         let d = Arc::clone(e.design());
@@ -1705,31 +1618,26 @@ mod tests {
     }
 
     #[test]
-    fn goals_never_solved_carry_no_blame() {
-        // A depth ceiling of 0 stops the query before any solve: there
-        // is no failing formula, so no probe may run and no register
-        // may be blamed (one unroll step would blame `state`).
+    fn zero_depth_is_an_error() {
+        // A bound of 0 leaves no depth to search: the query is refused
+        // before any solve, for a fresh target and for one the image
+        // memo already holds dead.
         let mut e = engine(FSM, "fsm");
         e.set_introspection(true);
         let d = Arc::clone(e.design());
         let st = d.signal_by_name("state").unwrap();
-        let budget = Budget::unlimited().with_unroll_depth(0);
-        let (outcome, stats) = e
-            .solve_reach_profiled(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 3))],
-                4,
-                &budget,
-            )
-            .unwrap();
-        assert_eq!(
-            outcome.status(),
-            SolveStatus::Unknown(UnknownReason::UnrollDepth)
-        );
-        assert_eq!(stats.solver_calls, 0);
-        let scope = stats.scope.expect("introspection is on");
-        assert!(scope.blame.is_empty(), "blamed {:?}", scope.blame);
-        assert!(!scope.blame_is_core);
+        let three = [(st, LogicVec::from_u64(3, 3))];
+        let seven = [(st, LogicVec::from_u64(3, 7))];
+        let zero = |targets: &[(SignalId, LogicVec)]| {
+            e.solve_reach_profiled(&zero_state(&d), targets, 0, &Budget::unlimited())
+        };
+        assert_eq!(zero(&three), Err(ReachError::ZeroDepth));
+        assert_eq!(e.cache_stats(), SolverCacheStats::default());
+        let out = reach(&e, &zero_state(&d), &seven, 2, &Budget::unlimited());
+        assert_eq!(out, ReachOutcome::Unreachable);
+        let err = zero(&seven).unwrap_err();
+        assert_eq!(err, ReachError::ZeroDepth);
+        assert!(err.to_string().contains("0"), "{err}");
     }
 
     #[test]
@@ -1796,12 +1704,14 @@ mod tests {
             4,
             &Budget::unlimited(),
         );
-        // Unroll-depth ceiling: truncation happens before solving, so
-        // the outcomes agree exactly.
-        let budget = Budget::unlimited().with_unroll_depth(1);
-        let f = reach(&pristine.clone(), &zero_state(&d), &targets, 4, &budget);
-        let c = reach(&warm, &zero_state(&d), &targets, 4, &budget);
-        assert_eq!(f.status(), c.status());
+        // A depth-1 bound: both prove the three-hop target out of reach.
+        let unlimited = Budget::unlimited();
+        let f = reach(&pristine.clone(), &zero_state(&d), &targets, 1, &unlimited);
+        let c = reach(&warm, &zero_state(&d), &targets, 1, &unlimited);
+        assert_eq!(
+            (f.status(), c.status()),
+            (SolveStatus::Unsat, SolveStatus::Unsat)
+        );
         // Conflicts-0: trips on the very first check either way.
         let budget = Budget::unlimited().with_conflicts(0);
         let c = reach(&warm, &zero_state(&d), &targets, 4, &budget);
@@ -1931,30 +1841,6 @@ mod tests {
             .solve_reach_profiled(&fsm_state(&d, 0), &both, 4, &unlimited)
             .unwrap();
         assert_memo_answer("conjunction", &outcome, &stats);
-    }
-
-    #[test]
-    fn memo_answers_keep_the_bound_rules() {
-        let e = engine(FSM, "fsm");
-        let d = Arc::clone(e.design());
-        let st = d.signal_by_name("state").unwrap();
-        let seven = [(st, LogicVec::from_u64(3, 7))];
-        let out = reach(&e, &zero_state(&d), &seven, 2, &Budget::unlimited());
-        assert_eq!(out, ReachOutcome::Unreachable);
-        // Dead now, but a truncated bound still reports the truncation
-        // and a bound of 0 still reports that nothing was tried.
-        let truncated = Budget::unlimited().with_unroll_depth(1);
-        for (max_steps, budget) in [(4, &truncated), (0, &Budget::unlimited())] {
-            let (out, stats) = e
-                .solve_reach_profiled(&fsm_state(&d, 1), &seven, max_steps, budget)
-                .unwrap();
-            assert_eq!(
-                out.status(),
-                SolveStatus::Unknown(UnknownReason::UnrollDepth),
-                "max_steps {max_steps}"
-            );
-            assert_eq!(stats.solver_calls, 0);
-        }
     }
 
     #[test]

@@ -5,49 +5,30 @@ use crate::record::{FieldValue, RECORDS};
 
 /// Why a budgeted analysis stopped before reaching a verdict.
 ///
-/// Each variant names the ceiling that was hit. The first four are
-/// raised by the CDCL core, the last two by the symbolic engine's
-/// unroller. `WallClock` is the only non-deterministic reason and is
-/// opt-in (see the budget documentation in `symbfuzz-smt`).
+/// Each variant names the CDCL ceiling that was hit. `WallClock` is
+/// the only non-deterministic reason and is opt-in (see the budget
+/// documentation in `symbfuzz-smt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnknownReason {
     /// The conflict ceiling was reached.
     Conflicts,
-    /// The decision ceiling was reached.
-    Decisions,
-    /// The propagation ceiling was reached.
-    Propagations,
     /// The wall-clock deadline passed (opt-in, non-deterministic).
     WallClock,
-    /// The term-node ceiling was reached while unrolling.
-    TermNodes,
-    /// The unroll-depth ceiling truncated the search.
-    UnrollDepth,
 }
 
 impl UnknownReason {
     /// Number of reasons.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 2;
 
     /// Every reason, in a fixed order.
-    pub const ALL: [UnknownReason; UnknownReason::COUNT] = [
-        UnknownReason::Conflicts,
-        UnknownReason::Decisions,
-        UnknownReason::Propagations,
-        UnknownReason::WallClock,
-        UnknownReason::TermNodes,
-        UnknownReason::UnrollDepth,
-    ];
+    pub const ALL: [UnknownReason; UnknownReason::COUNT] =
+        [UnknownReason::Conflicts, UnknownReason::WallClock];
 
     /// Stable string used in the JSONL schema and campaign JSON.
     pub fn name(self) -> &'static str {
         match self {
             UnknownReason::Conflicts => "conflicts",
-            UnknownReason::Decisions => "decisions",
-            UnknownReason::Propagations => "propagations",
             UnknownReason::WallClock => "wall_clock",
-            UnknownReason::TermNodes => "term_nodes",
-            UnknownReason::UnrollDepth => "unroll_depth",
         }
     }
 
@@ -91,11 +72,7 @@ impl SolveStatus {
         "unsat",
         "skipped",
         "unknown:conflicts",
-        "unknown:decisions",
-        "unknown:propagations",
         "unknown:wall_clock",
-        "unknown:term_nodes",
-        "unknown:unroll_depth",
     ];
 
     /// Stable string used in the JSONL schema and campaign JSON.

@@ -342,7 +342,7 @@ mod tests {
             Event::GoalSolveCost {
                 register: "st".into(),
                 value: 3,
-                status: SolveStatus::Unknown(UnknownReason::TermNodes),
+                status: SolveStatus::Unknown(UnknownReason::Conflicts),
                 depth: 4,
                 calls: 10,
                 conflicts: 40,
@@ -417,7 +417,7 @@ mod tests {
             r#"{"t":7,"task":1,"kind":"BudgetExhausted","reason":"wall_clock","level":2,"conflicts":10000,"decisions":31407,"propagations":918222}"#,
             r#"{"t":8,"task":1,"kind":"NodeCovered","node":4,"vector":120,"mechanism":"solver","goal":2,"checkpoint":null}"#,
             r#"{"t":9,"task":1,"kind":"EdgeCovered","edge":9,"src":4,"dst":5,"vector":121,"mechanism":"replay"}"#,
-            r#"{"t":10,"task":1,"kind":"GoalSolveCost","register":"st","value":3,"status":"unknown:term_nodes","depth":4,"calls":10,"conflicts":40,"learned":30,"restarts":2,"hist":[0,8,0,2]}"#,
+            r#"{"t":10,"task":1,"kind":"GoalSolveCost","register":"st","value":3,"status":"unknown:conflicts","depth":4,"calls":10,"conflicts":40,"learned":30,"restarts":2,"hist":[0,8,0,2]}"#,
             r#"{"t":11,"task":1,"kind":"GoalSolveCost","register":"mode","value":1,"status":"sat","depth":2,"calls":2,"conflicts":0,"learned":0,"restarts":0,"hist":[]}"#,
             r#"{"t":12,"task":1,"kind":"CoreExtracted","register":"lock\"r","value":7,"core":0,"blamed":1}"#,
             r#"{"t":30,"task":3,"kind":"Phase","phase":"solve","micros":20}"#,

@@ -9,10 +9,11 @@
 //! code with no history. Over a fixed-seed slice of the shipped
 //! designs:
 //!
-//! - under an unlimited budget and a depth-1 ceiling, from every start
-//!   state, both engines reach a never-queried clone's verdict, so
-//!   neither the warm chain's history nor the image memo changes one;
-//! - under every budget (goalfabric also under a conflict ceiling), the
+//! - under an unlimited budget, at the full bound and at depth 1, from
+//!   every start state, both engines reach a never-queried clone's
+//!   verdict, so neither the warm chain's history nor the image memo
+//!   changes one;
+//! - under every limit (goalfabric also under a conflict ceiling), the
 //!   introspecting engine returns its untraced twin's outcome, model
 //!   included, and the same `spent` / `solver_calls` /
 //!   `deepest_unroll`;
@@ -23,7 +24,7 @@
 //! - a never-queried engine's first query is exactly the depth
 //!   schedule's verdict, so it checks the image memo: a memo answer
 //!   (`Unreachable` with no solver call) must be the never-queried
-//!   verdict too, under every budget, and no goal that either engine
+//!   verdict too, under every limit, and no goal that either engine
 //!   reached from any start may ever be memo-answered.
 //!
 //! A never-reset start state, whose registers are `X`, is used for
@@ -42,6 +43,9 @@ use symbfuzz_symexec::{ReachOutcome, ReachStats, SymbolicEngine};
 
 /// Deepest unroll any query may use.
 const MAX_STEPS: u32 = 3;
+
+/// One query's limits: its unroll bound and its budget.
+type Limit = (u32, Budget);
 
 /// What the replays saw and how many queries the image memo
 /// answered, summed over a design.
@@ -121,9 +125,9 @@ fn query(
     e: &SymbolicEngine,
     state: &[LogicVec],
     goal: &(SignalId, LogicVec),
-    budget: &Budget,
+    (max_steps, budget): &Limit,
 ) -> (ReachOutcome, ReachStats) {
-    e.solve_reach_profiled(state, std::slice::from_ref(goal), MAX_STEPS, budget)
+    e.solve_reach_profiled(state, std::slice::from_ref(goal), *max_steps, budget)
         .unwrap_or_else(|err| panic!("goal is posable: {err}"))
 }
 
@@ -182,20 +186,20 @@ fn replay(
     }
 }
 
-/// One design of the slice and the budgets its goals are posed under.
+/// One design of the slice and the limits its goals are posed under.
 struct Case {
     label: &'static str,
     design: Arc<Design>,
     /// How many control registers to target.
     registers: usize,
-    /// Budgets under which every verdict must be a never-queried
+    /// Limits under which every verdict must be a never-queried
     /// engine's.
-    contract: Vec<Budget>,
-    /// Further budgets, checked for twins and replays only.
-    extra: Vec<Budget>,
+    contract: Vec<Limit>,
+    /// Further limits, checked for twins and replays only.
+    extra: Vec<Limit>,
 }
 
-/// Poses every goal of `case` from every start state under every budget
+/// Poses every goal of `case` from every start state under every limit
 /// to both engines.
 fn check_case(case: Case, seed: u64) -> Tally {
     let Case {
@@ -218,27 +222,27 @@ fn check_case(case: Case, seed: u64) -> Tally {
         .map(|sim| (sim.values().to_vec(), Some(sim)))
         .collect();
     starts.push((Simulator::new(Arc::clone(&design)).values().to_vec(), None));
-    let budgets = contract
+    let limits = contract
         .iter()
-        .map(|b| (b, true))
-        .chain(extra.iter().map(|b| (b, false)));
+        .map(|l| (l, true))
+        .chain(extra.iter().map(|l| (l, false)));
     let mut tally = Tally::default();
-    for (b, (budget, verdicts_agree)) in budgets.enumerate() {
+    for (b, (limit, verdicts_agree)) in limits.enumerate() {
         for (s, (state, sim)) in starts.iter().enumerate() {
             for goal in &goals {
                 let what = format!(
-                    "{label} budget {b} start {s} goal {}={:?}",
+                    "{label} limit {b} start {s} goal {}={:?}",
                     design.signal(goal.0).name,
                     goal.1.to_u64()
                 );
-                let untraced = query(&warm, state, goal, budget);
-                let introspected = query(&traced, state, goal, budget);
+                let untraced = query(&warm, state, goal, limit);
+                let introspected = query(&traced, state, goal, limit);
                 assert_twins(&what, &untraced, &introspected);
                 let answers = [&untraced, &introspected];
                 let memo = answers.iter().filter(|a| memo_answer(a)).count() as u32;
                 let mut reference = None;
                 if verdicts_agree || memo > 0 {
-                    let fresh = query(&pristine.clone(), state, goal, budget).0;
+                    let fresh = query(&pristine.clone(), state, goal, limit).0;
                     for (name, answer) in ["untraced", "introspecting"].into_iter().zip(answers) {
                         assert_eq!(
                             answer.0.status(),
@@ -277,12 +281,7 @@ fn check_case(case: Case, seed: u64) -> Tally {
 
 #[test]
 fn solve_paths_agree_and_plans_replay() {
-    let contract = || {
-        vec![
-            Budget::unlimited(),
-            Budget::unlimited().with_unroll_depth(1),
-        ]
-    };
+    let contract = || vec![(MAX_STEPS, Budget::unlimited()), (1, Budget::unlimited())];
     let bug = &bug_benchmarks()[3];
     let slice = [
         Case {
@@ -317,7 +316,7 @@ fn solve_paths_agree_and_plans_replay() {
             design: goal_fabric(),
             registers: 1,
             contract: Vec::new(),
-            extra: vec![Budget::unlimited().with_unroll_depth(1).with_conflicts(300)],
+            extra: vec![(1, Budget::unlimited().with_conflicts(300))],
         },
     ];
     let (mut replays, mut x_results, mut memo_answers) = (0, 0, 0);
