@@ -7,7 +7,8 @@
 //! Usage:
 //!
 //! * `covreport [budget] [bench_index] [--jobs N] [--trace PATH]
-//!   [--log-level LEVEL] [--trace-out PATH]` — generate. `--trace`
+//!   [--log-level LEVEL] [--trace-out PATH] [--sample-every N]
+//!   [--flight-out PATH] [--status-out PATH]` — generate. `--trace`
 //!   joins an existing JSONL campaign trace (schema-checked) into the
 //!   report's cross-check section; `--trace-out` records this run.
 //! * `covreport --check FILE...` — validate existing artifacts (report,
@@ -23,7 +24,7 @@ use symbfuzz_bench::covreport::{
 use symbfuzz_bench::experiments::resource_profile;
 use symbfuzz_bench::render::save_json;
 use symbfuzz_bench::schema::{check_files, parse_trace, read_checked};
-use symbfuzz_bench::{exit_usage, flush_trace, parse_bench_args};
+use symbfuzz_bench::{exit_usage, parse_bench_args};
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_telemetry::info;
 
@@ -39,7 +40,10 @@ fn main() -> ExitCode {
     let budget = args.vectors(0, 5_000);
     let bench = args.bench_index(1, 0);
     let name = processor_benchmarks()[bench].name;
-    let results = resource_profile(&args.config, bench, budget, args.jobs);
+    let results = resource_profile(&args.config, &args.outputs, bench, budget, args.jobs);
+    args.outputs
+        .finish()
+        .expect("write the flight artifacts and the trace");
     let mut report = build_report(name, budget, &results);
     if let Some(path) = trace_path {
         match read_checked(Path::new(&path), parse_trace) {
@@ -74,6 +78,5 @@ fn main() -> ExitCode {
         "wrote results/covreport_{name}.json, results/covreport_{name}.html and {} covmaps",
         results.len()
     );
-    flush_trace();
     ExitCode::SUCCESS
 }

@@ -15,18 +15,20 @@
 //! `introspection_rows` / `geomean_introspection_ratio`. perfbench
 //! never turns the recorder or introspection on, so these two passes
 //! are the only measurement of their cost. Earlier contents of
-//! `BENCH_telemetry.json` are preserved under the `history` key. With
-//! `--sample-every` the resource-profile campaigns also record flight
-//! samples, merged after the pool into the canonical `--flight-out` /
-//! `--status-out` artifacts (byte-identical at any `--jobs`).
+//! `BENCH_telemetry.json` are preserved under the `history` key. The
+//! timed campaigns of both A/B passes run bare, outside the bench
+//! runner: no trace, no flight artifacts. With `--sample-every` the
+//! resource-profile campaigns record flight samples, merged after the
+//! pool into the canonical `--flight-out` / `--status-out` artifacts
+//! (byte-identical at any `--jobs`), as in every campaign binary.
 
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
 use symbfuzz_bench::experiments::resource_profile;
-use symbfuzz_bench::render::{render_resources, save_json, write_flight_artifacts};
+use symbfuzz_bench::parse_bench_args;
+use symbfuzz_bench::render::{render_resources, save_json};
 use symbfuzz_bench::schema::bench_telemetry_history;
-use symbfuzz_bench::{flush_trace, parse_bench_args};
 use symbfuzz_core::{FuzzConfig, Strategy, SymbFuzz, TelemetryBlock};
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_telemetry::info;
@@ -85,7 +87,10 @@ fn main() {
     let args = parse_bench_args(&[]);
     let budget = args.vectors(0, 20_000);
     let bench = args.bench_index(1, 0);
-    let rows = resource_profile(&args.config, bench, budget, args.jobs);
+    let rows = resource_profile(&args.config, &args.outputs, bench, budget, args.jobs);
+    args.outputs
+        .finish()
+        .expect("write the flight artifacts and the trace");
     println!("# §5.2 — resource profile\n");
     println!("{}", render_resources(&rows));
     let mut merged = TelemetryBlock::default();
@@ -100,16 +105,6 @@ fn main() {
         snap.distinct_event_kinds()
     );
     save_json("resources", &rows).expect("write results/resources.json");
-
-    // Canonical merged flight artifacts for this run's campaigns
-    // (no-op when `--sample-every` was not given, so nothing sampled).
-    let results: Vec<_> = rows.iter().map(|(_, r)| r).collect();
-    write_flight_artifacts(
-        &results,
-        args.flight_out.as_deref(),
-        args.status_out.as_deref(),
-    )
-    .expect("write flight artifacts");
 
     // Recorder overhead A/B: same campaign, recorder off vs on.
     let every = args.config.current().sample_every.unwrap_or(100);
@@ -230,5 +225,4 @@ fn main() {
         ("history".into(), Value::Array(history)),
     ]);
     save_json("BENCH_telemetry", &out).expect("write results/BENCH_telemetry.json");
-    flush_trace();
 }

@@ -7,18 +7,19 @@
 //! Usage:
 //!
 //! * `solverscope [max_vectors] [solver_budget] [--jobs N]
-//!   [--log-level LEVEL]` — generate `results/solverscope.json` and
-//!   `results/solverscope.html`.
+//!   [--log-level LEVEL] [--trace-out PATH] [--sample-every N]
+//!   [--flight-out PATH] [--status-out PATH]` — generate
+//!   `results/solverscope.json` and `results/solverscope.html`.
 //! * `solverscope --check FILE...` — validate existing artifacts (scope
 //!   reports, `results/BENCH_*.json` or any other `results/` file)
 //!   through [`symbfuzz_bench::schema::check_file`]; exits non-zero
 //!   when one fails.
 
 use std::process::ExitCode;
+use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::save_json;
 use symbfuzz_bench::schema::check_files;
 use symbfuzz_bench::solverscope::{build_scope_report, render_scope_html, render_scope_markdown};
-use symbfuzz_bench::{flush_trace, parse_bench_args};
 use symbfuzz_telemetry::info;
 
 fn main() -> ExitCode {
@@ -28,12 +29,20 @@ fn main() -> ExitCode {
     }
     let max_vectors = args.vectors(0, 1_000);
     let solver_budget = args.solver_budget(1, 500);
-    let report = build_scope_report(&args.config, max_vectors, solver_budget, args.jobs);
+    let report = build_scope_report(
+        &args.config,
+        &args.outputs,
+        max_vectors,
+        solver_budget,
+        args.jobs,
+    );
     save_json("solverscope", &report).expect("write results/solverscope.json");
     std::fs::write("results/solverscope.html", render_scope_html(&report))
         .expect("write results/solverscope.html");
     println!("{}", render_scope_markdown(&report));
     info!("wrote results/solverscope.json and results/solverscope.html");
-    flush_trace();
+    args.outputs
+        .finish()
+        .expect("write the flight artifacts and the trace");
     ExitCode::SUCCESS
 }

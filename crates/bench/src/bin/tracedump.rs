@@ -1,11 +1,10 @@
 //! Renders a `--trace-out` JSONL campaign trace: validates every
 //! record against the telemetry schema, then prints a per-phase time
-//! table, the compiled-settle fast-path hit rate (when the trace has
-//! `Metrics` records), the per-goal solver cost table with p50/p90/p99
-//! per-call conflict quantiles (when the trace has `GoalSolveCost`
-//! records from an introspected campaign), the bitblast-cache hit
-//! rate (when the trace has `SolverCache` records, written by every
-//! campaign that built its symbolic engine) and the
+//! table, the per-campaign summary table from the `Summary` record
+//! every campaign ends with (compiled-settle fast-path hit rate and
+//! frame-cache hit rate), the per-goal solver cost table with
+//! p50/p90/p99 per-call conflict quantiles (when the trace has
+//! `GoalSolveCost` records from an introspected campaign) and the
 //! coverage/stagnation/bug timeline.
 //!
 //! Usage: `tracedump <trace.jsonl> [--json]` or
@@ -21,9 +20,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 use symbfuzz_bench::schema::{check_files, parse_trace, read_checked};
-use symbfuzz_bench::trace::{
-    goal_cost_table, phase_table, settle_mix_table, solver_cache_table, timeline,
-};
+use symbfuzz_bench::trace::{goal_cost_table, phase_table, summary_table, timeline};
 use symbfuzz_bench::{exit_usage, parse_viewer_args, ArgError};
 
 fn main() -> ExitCode {
@@ -55,20 +52,15 @@ fn main() -> ExitCode {
     );
     println!("## Phase breakdown\n");
     println!("{}", phase_table(&records));
-    let mix = settle_mix_table(&records);
-    if !mix.is_empty() {
-        println!("## Compiled-settle fast path\n");
-        println!("{mix}");
+    let summary = summary_table(&records);
+    if !summary.is_empty() {
+        println!("## Campaign summaries\n");
+        println!("{summary}");
     }
     let costs = goal_cost_table(&records);
     if !costs.is_empty() {
         println!("## Per-goal solver cost\n");
         println!("{costs}");
-    }
-    let cache = solver_cache_table(&records);
-    if !cache.is_empty() {
-        println!("## Solver cache\n");
-        println!("{cache}");
     }
     println!("## Timeline\n");
     print!("{}", timeline(&records));

@@ -51,6 +51,15 @@
 //! (budgets, benchmark indexes) are checked the same way through the
 //! [`BenchArgs`] accessors before any campaign starts.
 //!
+//! Every campaign of every experiment runs through one runner,
+//! [`run_campaign`], with the run's [`Outputs`]: the opened
+//! `--trace-out` writer and the `--flight-out` / `--status-out` paths,
+//! carried on [`BenchArgs::outputs`]. Each campaign closes its trace
+//! with one `Summary` record, and once the pool has drained every
+//! campaign binary calls [`Outputs::finish`], which writes the merged
+//! `flight.jsonl` and `status.json` in task order, byte-identical at
+//! any `--jobs`. The crate keeps no process-global state.
+//!
 //! Apart from Table 3's latency column and the flight-recorder and
 //! introspection on-vs-off A/B in `resources`, this crate times
 //! nothing: performance is measured by the repository's `perfbench/`
@@ -59,10 +68,11 @@
 //! # Examples
 //!
 //! ```
-//! use symbfuzz_bench::experiments;
+//! use symbfuzz_bench::experiments::{self, Outputs};
 //! use symbfuzz_core::FuzzConfig;
-//! // A miniature Table 2 on the first two bugs only (fast), 2 workers.
-//! let m = experiments::detection_matrix(&FuzzConfig::builder(), 2, 4_000, 2);
+//! // A miniature Table 2 on the first two bugs only (fast), 2 workers,
+//! // writing no trace or flight artifacts.
+//! let m = experiments::detection_matrix(&FuzzConfig::builder(), &Outputs::default(), 2, 4_000, 2);
 //! assert_eq!(m.rows.len(), 2);
 //! assert!(m.rows.iter().all(|r| r.symbfuzz));
 //! ```
@@ -85,10 +95,9 @@ pub use covreport::{
     CovReport, MechanismCount, StrategyReport, COVREPORT_VERSION,
 };
 pub use experiments::{
-    budget_profile, coverage_race, detection_matrix, enable_tracing, flush_trace,
-    solverscope_profile, table1_rows, table3_rows, tracing_enabled, variance_profile,
-    BudgetProfileRow, DetectionRow, RaceResult, ScopeProfileResult, Table1Row, Table3Row,
-    VariancePoint,
+    ablation, budget_profile, coverage_race, detection_matrix, run_campaign, solverscope_profile,
+    table1_rows, table3_rows, variance_profile, BudgetProfileRow, DetectionRow, Outputs,
+    RaceResult, ScopeProfileResult, Table1Row, Table3Row, VariancePoint,
 };
 pub use monitor::{parse_prometheus, render_dashboard, render_prometheus};
 pub use pool::{default_jobs, run_pool};
@@ -96,4 +105,4 @@ pub use solverscope::{
     build_scope_report, conflict_quantiles, render_scope_html, render_scope_markdown, ScopeReport,
     SCOPEREPORT_VERSION,
 };
-pub use trace::{goal_cost_table, phase_table, solver_cache_table, timeline};
+pub use trace::{goal_cost_table, phase_table, summary_table, timeline};

@@ -4,10 +4,7 @@ use crate::experiments::*;
 use serde::Serialize;
 use std::fs;
 use std::path::Path;
-use symbfuzz_core::{
-    CampaignResult, FlightRow, SolverProfileBlock, TelemetryBlock, VmProfileBlock,
-};
-use symbfuzz_telemetry::{flight_line, merge_flight, status_json, write_atomic, FlightSample};
+use symbfuzz_core::CampaignResult;
 
 /// Writes `value` as pretty JSON under `results/<name>.json` (relative
 /// to the workspace root when run via `cargo run`).
@@ -23,89 +20,6 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<()> {
         path,
         serde_json::to_string_pretty(value).expect("serializable"),
     )
-}
-
-/// Merges per-task flight recordings into one canonical stream, sample
-/// by sample keyed on the interval index (see
-/// [`symbfuzz_telemetry::merge_flight`]): monotone fields sum, gauges
-/// keep the elementwise high-water mark, `task` collapses to 0. Uneven
-/// streams are fine — an interval present in only some tasks merges
-/// what exists. Because every per-task stream is deterministic under
-/// the vector-count clock and [`crate::pool::run_pool`] returns results
-/// in item order, the merged stream — and therefore the rendered
-/// `flight.jsonl` — is byte-identical at any `--jobs N`.
-fn merge_flight_rows<'a, I>(streams: I) -> Vec<FlightRow>
-where
-    I: IntoIterator<Item = &'a [FlightRow]>,
-{
-    let streams: Vec<Vec<FlightSample>> = streams
-        .into_iter()
-        .map(|rows| rows.iter().map(FlightRow::to_sample).collect())
-        .collect();
-    merge_flight(&streams).iter().map(FlightRow::from).collect()
-}
-
-/// Writes the canonical post-pool flight-recorder artifacts: every
-/// campaign's per-task sample stream merged by interval index
-/// (`merge_flight_rows`) into one `flight.jsonl`, and one
-/// `status.json` heartbeat built from the last merged sample, the
-/// merged telemetry block and the merged profiler sections. Because
-/// the merge folds deterministic per-task streams in item order, both
-/// artifacts are byte-identical at any `--jobs N` — this is the file
-/// CI `cmp`s across job counts. No-op when the recorder was off
-/// (nothing sampled) or when neither path is given; the `status.json`
-/// rewrite is atomic, so a concurrently polling `monitor` never sees a
-/// torn file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_flight_artifacts(
-    results: &[&CampaignResult],
-    flight_path: Option<&Path>,
-    status_path: Option<&Path>,
-) -> std::io::Result<()> {
-    let merged = merge_flight_rows(results.iter().map(|r| r.flight.as_slice()));
-    let Some(last) = merged.last() else {
-        return Ok(());
-    };
-    if let Some(path) = flight_path {
-        let mut text = String::new();
-        for row in &merged {
-            text.push_str(&flight_line(&row.to_sample()));
-            text.push('\n');
-        }
-        fs::write(path, text)?;
-    }
-    if let Some(path) = status_path {
-        let mut telemetry = TelemetryBlock::default();
-        let mut vm: Option<VmProfileBlock> = None;
-        let mut solver = SolverProfileBlock::default();
-        for r in results {
-            telemetry.merge(&r.telemetry);
-            if let Some(profile) = &r.vm_profile {
-                vm.get_or_insert_with(VmProfileBlock::default)
-                    .merge(profile);
-            }
-            solver.merge(&r.solver_profile);
-        }
-        let mut extra = Vec::new();
-        if let Some(vm) = vm {
-            extra.push((
-                "vm_profile".to_string(),
-                serde_json::to_string(&vm).expect("serializable"),
-            ));
-        }
-        extra.push((
-            "solver_profile".to_string(),
-            serde_json::to_string(&solver).expect("serializable"),
-        ));
-        write_atomic(
-            path,
-            &status_json(&last.to_sample(), &telemetry.to_snapshot(), &extra),
-        )?;
-    }
-    Ok(())
 }
 
 fn check(b: bool) -> &'static str {
@@ -368,47 +282,6 @@ mod tests {
         };
         let md = render_budget_profile(&[row]);
         assert!(md.contains("| 9/3 | 0.750 | sat:4 |"), "{md}");
-    }
-
-    #[test]
-    fn flight_rows_merge_by_interval_across_uneven_streams() {
-        let row = |interval: u64, task: u64, vectors: u64, gauge: u64| FlightRow {
-            interval,
-            t: interval * 10 + task,
-            task,
-            vectors,
-            coverage: vectors / 10,
-            nodes: 1,
-            edges: 1,
-            stagnant: task,
-            d_counters: vec![vectors, 1],
-            gauges: vec![gauge],
-            d_events: vec![1],
-            d_phase_micros: vec![5],
-        };
-        // Task 0 sampled intervals 1–3; task 1 started later and only
-        // has 2–4 (uneven streams are the norm: campaigns end at
-        // different vector counts).
-        let a = vec![row(1, 0, 100, 3), row(2, 0, 100, 4), row(3, 0, 100, 2)];
-        let b = vec![row(2, 1, 80, 9), row(3, 1, 80, 1), row(4, 1, 80, 1)];
-        let merged = merge_flight_rows([a.as_slice(), b.as_slice()]);
-        assert_eq!(
-            merged.iter().map(|r| r.interval).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4]
-        );
-        for r in &merged {
-            assert_eq!(r.task, 0, "merged stream is task-anonymous");
-        }
-        let at = |i: u64| merged.iter().find(|r| r.interval == i).unwrap();
-        assert_eq!(at(1).vectors, 100);
-        assert_eq!(at(2).vectors, 180, "overlapping intervals sum");
-        assert_eq!(at(2).d_counters, vec![180, 2]);
-        assert_eq!(at(2).gauges, vec![9], "gauges keep the elementwise max");
-        assert_eq!(at(2).stagnant, 1, "stagnation keeps the max");
-        assert_eq!(at(4).vectors, 80);
-        // Identical regardless of stream order.
-        let swapped = merge_flight_rows([b.as_slice(), a.as_slice()]);
-        assert_eq!(swapped, merged);
     }
 
     #[test]

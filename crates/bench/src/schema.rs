@@ -20,9 +20,9 @@
 //! | covmap | `.json` with `fuzzer` | [`validate_covmap`] |
 //!
 //! Trace records are checked against the telemetry crate's [`RECORDS`]
-//! table, the one its writer renders from. Old files load through three
-//! rules, all here: retired `SolverCache` trace fields
-//! ([`RETIRED_FIELDS`]), v1 heartbeat solver sections
+//! table, the one its writer renders from; a kind no longer in it
+//! (`Metrics`, `SolverCache`) is an unknown kind. Old files load
+//! through two rules, both here: v1 heartbeat solver sections
 //! ([`status_solver_profile`]) and `BENCH_telemetry` files without
 //! introspection rows; [`bench_telemetry_history`] reads legacy
 //! `BENCH_telemetry` heads forward.
@@ -36,7 +36,7 @@ use std::process::ExitCode;
 use symbfuzz_core::{CovMap, SolverProfileBlock, VmProfileBlock, COVMAP_VERSION};
 use symbfuzz_telemetry::{
     record_schema, FieldType, Mechanism, SolveStatus, FLIGHT_VECTORS, FLIGHT_VERSION, RECORDS,
-    SOLVER_CACHE_RECORD, STATUS_SCALARS, STATUS_SECTIONS,
+    STATUS_SCALARS, STATUS_SECTIONS,
 };
 
 // --- accessors -------------------------------------------------------------
@@ -109,14 +109,6 @@ fn check_version(v: &Value, key: &str, what: &str, want: u64) -> Result<(), Stri
 }
 
 // --- JSONL traces ----------------------------------------------------------
-
-/// `(kind, field)` pairs earlier releases wrote that are no longer part
-/// of the kind's schema (the portfolio race tallies): accepted on input
-/// and dropped, so old traces still check.
-pub const RETIRED_FIELDS: [(&str, &str); 2] = [
-    (SOLVER_CACHE_RECORD.kind, "portfolio_races"),
-    (SOLVER_CACHE_RECORD.kind, "portfolio_wins"),
-];
 
 /// One parsed and schema-checked trace record.
 #[derive(Debug, Clone, PartialEq)]
@@ -215,7 +207,6 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
     let fields: Vec<(String, Value)> = entries
         .iter()
         .filter(|(n, _)| !["t", "task", "kind"].contains(&n.as_str()))
-        .filter(|(n, _)| !RETIRED_FIELDS.contains(&(kind.as_str(), n.as_str())))
         .cloned()
         .collect();
     let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
@@ -855,28 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_change_solver_cache_lines_still_check() {
-        // Written while portfolio racing existed: the race tallies are
-        // accepted and dropped.
-        let old = "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
-\"bitblast_cache_misses\":10,\"session_reuse_milli\":800,\"portfolio_races\":5,\
-\"portfolio_wins\":[3,2]}";
-        let rec = parse_line(old).unwrap();
-        assert_eq!(rec.num("bitblast_cache_hits"), 30);
-        assert_eq!(
-            json_lines(&[rec]),
-            "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
-\"bitblast_cache_misses\":10,\"session_reuse_milli\":800}\n"
-        );
-        // Retired names are only forgiven on the kind that carried them.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"Metrics\",\"settle_fast_path\":1,\
-\"settle_escapes\":0,\"x_island_cones\":0,\"settle_sweeps\":1,\"portfolio_races\":0}"
-        )
-        .is_err());
-    }
-
-    #[test]
     fn solver_cost_schema_violations_are_rejected() {
         // Unknown solve status.
         assert!(parse_line(
@@ -1022,9 +991,10 @@ mod tests {
         assert!(validate_bench_artifact("BENCH_future", r#"{"anything":true}"#).is_ok());
         assert!(validate_bench_artifact("BENCH_future", "null").is_err());
     }
-    /// A heartbeat as written before the per-goal record was unified:
-    /// an unversioned `solver_profile` plus a `solver_scope` block.
-    const PRE_CHANGE_STATUS: &str = r#"{"v":1,"interval":2,"t":200,"vectors":200,
+    /// A heartbeat whose solver sections are as written before the
+    /// per-goal record was unified: an unversioned `solver_profile`
+    /// plus a `solver_scope` block.
+    const PRE_CHANGE_STATUS: &str = r#"{"v":2,"interval":2,"t":200,"vectors":200,
       "coverage":3,"nodes":2,"edges":1,"stagnant":0,"counters":{"vectors":200},
       "gauges":{},"events":{},"phase_self_micros":{},
       "solver_profile":{"goals":[{"register":"st","value":2,"attempts":1,"sat":0,
@@ -1043,7 +1013,7 @@ mod tests {
     /// A heartbeat whose v2 `solver_profile` was written while
     /// structural sketches existed: per-row `sketch`/`depth`, the
     /// `affinity` matrix, its adjacent mean and the retired gauge.
-    const SKETCH_ERA_STATUS: &str = r#"{"v":1,"interval":2,"t":200,"vectors":200,
+    const SKETCH_ERA_STATUS: &str = r#"{"v":2,"interval":2,"t":200,"vectors":200,
       "coverage":3,"nodes":2,"edges":1,"stagnant":0,"counters":{"vectors":200},
       "gauges":{"mean_affinity_milli":812},"events":{},"phase_self_micros":{},
       "solver_profile":{"version":2,"goals":[{"register":"st","value":2,"attempts":1,
@@ -1102,7 +1072,7 @@ mod tests {
 
     #[test]
     fn pre_change_status_loads_and_bad_solver_sections_are_reported() {
-        let status = check_status(PRE_CHANGE_STATUS).expect("v1 heartbeat validates");
+        let status = check_status(PRE_CHANGE_STATUS).expect("v1 solver sections validate");
         let block = status_solver_profile(&status).unwrap().unwrap();
         let i = block.goals[0]
             .introspection
@@ -1133,12 +1103,14 @@ mod tests {
     #[test]
     fn status_violations_are_named() {
         assert!(check_status("").unwrap_err().contains("not valid JSON"));
-        assert!(check_status("{\"v\":2}").unwrap_err().contains("v2"));
-        let err = check_status("{\"v\":1,\"interval\":0}").unwrap_err();
+        // Heartbeats share the flight stream's version, and v1 streams
+        // carry another counter and gauge layout.
+        assert!(check_status("{\"v\":1}").unwrap_err().contains("v1"));
+        let err = check_status("{\"v\":2,\"interval\":0}").unwrap_err();
         assert!(err.contains("missing `t`"), "{err}");
         // A scalar of the wrong type is rejected.
         let err = check_status(
-            "{\"v\":1,\"interval\":0,\"t\":0,\"vectors\":\"many\",\"coverage\":0,\
+            "{\"v\":2,\"interval\":0,\"t\":0,\"vectors\":\"many\",\"coverage\":0,\
              \"nodes\":0,\"edges\":0,\"stagnant\":0}",
         )
         .unwrap_err();
@@ -1147,7 +1119,7 @@ mod tests {
 
     #[test]
     fn flight_violations_carry_line_numbers() {
-        let good = "{\"v\":1,\"interval\":1,\"t\":5,\"task\":0,\"vectors\":100,\
+        let good = "{\"v\":2,\"interval\":1,\"t\":5,\"task\":0,\"vectors\":100,\
                     \"coverage\":3,\"nodes\":2,\"edges\":1,\"stagnant\":0,\
                     \"d_counters\":[100],\"gauges\":[1],\"d_events\":[0],\"d_phase_micros\":[9]}";
         assert_eq!(check_flight(&format!("{good}\n")).unwrap().len(), 1);
@@ -1155,7 +1127,7 @@ mod tests {
         let err = check_flight("").unwrap_err();
         assert!(err.contains("empty or truncated"), "{err}");
         // Truncated tail line.
-        let err = check_flight(&format!("{good}\n{{\"v\":1,\"interval\":2")).unwrap_err();
+        let err = check_flight(&format!("{good}\n{{\"v\":2,\"interval\":2")).unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
         // Interval regression (e.g. two raw task streams concatenated
         // instead of merged): a repeated interval index is rejected.

@@ -13,7 +13,7 @@
 //! `--jobs` count.
 
 use crate::covreport::{esc, PALETTE};
-use crate::experiments::ScopeProfileResult;
+use crate::experiments::{solverscope_profile, Outputs, ScopeProfileResult};
 use serde::{Deserialize, Serialize};
 use symbfuzz_core::{FuzzConfigBuilder, GoalIntrospection, GoalRow};
 use symbfuzz_smt::{trace_hist_quantile, TRACE_HIST_BUCKETS};
@@ -38,9 +38,10 @@ pub struct ScopeReport {
 }
 
 /// Builds the report by running the introspected campaign profile
-/// under the command line's campaign knobs (`base`).
+/// under the command line's campaign knobs (`base`), through `out`.
 pub fn build_scope_report(
     base: &FuzzConfigBuilder,
+    out: &Outputs,
     max_vectors: u64,
     solver_budget: u64,
     jobs: usize,
@@ -49,7 +50,7 @@ pub fn build_scope_report(
         version: SCOPEREPORT_VERSION,
         max_vectors,
         solver_budget,
-        designs: crate::experiments::solverscope_profile(base, max_vectors, solver_budget, jobs),
+        designs: solverscope_profile(base, out, max_vectors, solver_budget, jobs),
     }
 }
 

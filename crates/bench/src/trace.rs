@@ -1,14 +1,13 @@
 //! Renderers behind the `tracedump` binary: a per-phase time table,
-//! the settle fast-path and solver-cache tables, the per-goal solver
-//! cost table and a coverage/stagnation timeline, all over records
+//! the per-campaign summary table, the per-goal solver cost table and
+//! a coverage/stagnation timeline, all over records
 //! [`crate::schema::parse_trace`] has checked.
 
 use crate::schema::{uint, TraceRecord};
 use std::collections::BTreeMap;
 use symbfuzz_smt::trace_hist_quantile;
 use symbfuzz_telemetry::{
-    bucket_of, hist_quantile, Phase, HIST_BUCKETS, METRICS_RECORD, PHASE_RECORD,
-    SOLVER_CACHE_RECORD,
+    bucket_of, hist_quantile, Phase, HIST_BUCKETS, PHASE_RECORD, SUMMARY_RECORD,
 };
 
 // --- rendering -----------------------------------------------------------
@@ -78,96 +77,68 @@ pub fn phase_table(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Renders the compiled-settle engine mix: per-task fast-path vs
-/// escaped process executions from the once-per-campaign `Metrics`
-/// records, with the hit rate the fast path achieved, plus a totals
-/// row. Empty when the trace predates the compiled kernel (no
-/// `Metrics` records).
-pub fn settle_mix_table(records: &[TraceRecord]) -> String {
-    let metrics: Vec<&TraceRecord> = records
-        .iter()
-        .filter(|r| r.kind == METRICS_RECORD.kind)
-        .collect();
-    if metrics.is_empty() {
-        return String::new();
-    }
-    let rate = |fast: u64, escapes: u64| -> String {
-        let total = fast + escapes;
-        if total == 0 {
-            "-".into()
-        } else {
-            format!("{:.1}%", 100.0 * fast as f64 / total as f64)
-        }
+/// Renders the end-of-campaign `Summary` records, one row per
+/// campaign in trace order: the compiled-settle mix with the fast
+/// path's hit rate, and the frame cache's hits, misses, hit rate and
+/// warm-session reuse (`-` for a campaign that never built its
+/// symbolic engine), plus a totals row. Empty when the trace has no
+/// `Summary` record.
+pub fn summary_table(records: &[TraceRecord]) -> String {
+    const CACHE: [&str; 4] = ["frame_hits", "frame_misses", "goals", "reused_goals"];
+    let rate = |part: u64, whole: u64| match whole {
+        0 => "-".to_string(),
+        _ => format!("{:.1}%", 100.0 * part as f64 / whole as f64),
     };
-    let mut out = String::from(
-        "| task | fast path | escapes | hit rate | max X-island | sweeps |\n\
-         |---|---|---|---|---|---|\n",
-    );
-    let (mut tf, mut te, mut ti, mut ts) = (0u64, 0u64, 0u64, 0u64);
-    for r in &metrics {
-        let (fast, escapes) = (r.num("settle_fast_path"), r.num("settle_escapes"));
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} |\n",
-            r.task,
-            fast,
-            escapes,
-            rate(fast, escapes),
-            r.num("x_island_cones"),
-            r.num("settle_sweeps"),
-        ));
-        tf += fast;
-        te += escapes;
-        ti = ti.max(r.num("x_island_cones"));
-        ts += r.num("settle_sweeps");
-    }
-    out.push_str(&format!(
-        "| **all** | {tf} | {te} | {} | {ti} | {ts} |\n",
-        rate(tf, te)
-    ));
-    out
-}
-
-/// Renders the frame-cache summary from the once-per-campaign
-/// `SolverCache` records: per-task bitblast-cache hits/misses with the
-/// hit rate and the warm-session reuse ratio, plus a totals row. Empty
-/// when no campaign in the trace built its symbolic engine, or the
-/// trace predates the record (no `SolverCache` records).
-pub fn solver_cache_table(records: &[TraceRecord]) -> String {
-    let rows: Vec<&TraceRecord> = records
-        .iter()
-        .filter(|r| r.kind == SOLVER_CACHE_RECORD.kind)
-        .collect();
-    if rows.is_empty() {
-        return String::new();
-    }
-    let rate = |hits: u64, misses: u64| -> String {
-        let total = hits + misses;
-        if total == 0 {
-            "-".into()
-        } else {
-            format!("{:.1}%", 100.0 * hits as f64 / total as f64)
-        }
+    let row = |task: &str, [fast, escapes, island, sweeps]: [u64; 4], cache: Option<[u64; 4]>| {
+        let cache = match cache {
+            Some([hits, misses, goals, reused]) => format!(
+                "{hits} | {misses} | {} | {}",
+                rate(hits, hits + misses),
+                rate(reused, goals)
+            ),
+            None => "- | - | - | -".to_string(),
+        };
+        let hit = rate(fast, fast + escapes);
+        format!("| {task} | {fast} | {escapes} | {hit} | {island} | {sweeps} | {cache} |\n")
     };
-    let mut out = String::from(
-        "| task | cache hits | misses | hit rate | session reuse |\n|---|---|---|---|---|\n",
-    );
-    let (mut th, mut tm) = (0u64, 0u64);
-    for r in &rows {
-        let (hits, misses) = (r.num("bitblast_cache_hits"), r.num("bitblast_cache_misses"));
-        out.push_str(&format!(
-            "| {} | {hits} | {misses} | {} | {:.3} |\n",
-            r.task,
-            rate(hits, misses),
-            r.num("session_reuse_milli") as f64 / 1000.0,
-        ));
-        th += hits;
-        tm += misses;
+    let mut out = String::new();
+    let (mut settle, mut cache) = ([0u64; 4], None::<[u64; 4]>);
+    for r in records.iter().filter(|r| r.kind == SUMMARY_RECORD.kind) {
+        let s = [
+            "settle_fast_path",
+            "settle_escapes",
+            "x_island_cones",
+            "settle_sweeps",
+        ]
+        .map(|f| r.num(f));
+        let c = r
+            .field(CACHE[0])
+            .and_then(uint)
+            .map(|_| CACHE.map(|f| r.num(f)));
+        out.push_str(&row(&r.task.to_string(), s, c));
+        // Counts sum; the X-island extent is a high-water mark.
+        settle = [
+            settle[0] + s[0],
+            settle[1] + s[1],
+            settle[2].max(s[2]),
+            settle[3] + s[3],
+        ];
+        if let Some(c) = c {
+            let all = cache.get_or_insert([0; 4]);
+            for (sum, v) in all.iter_mut().zip(c) {
+                *sum += v;
+            }
+        }
     }
-    out.push_str(&format!(
-        "| **all** | {th} | {tm} | {} | — |\n",
-        rate(th, tm)
-    ));
-    out
+    if out.is_empty() {
+        return out;
+    }
+    format!(
+        "| task | fast path | escapes | hit rate | max X-island | sweeps \
+         | frame hits | misses | cache hit rate | session reuse |\n\
+         |---|---|---|---|---|---|---|---|---|---|\n{out}{}",
+        row("**all**", settle, cache)
+    )
 }
 
 /// Renders the per-goal solver cost table from `GoalSolveCost`
@@ -401,62 +372,50 @@ mod tests {
     }
 
     #[test]
-    fn metrics_records_validate_and_render_hit_rate() {
-        // The exact shape `Collector::emit_settle_metrics` writes.
+    fn summary_records_validate_and_tabulate() {
+        // The shape `SymbFuzz` writes when `run` returns: with the
+        // frame-cache figures, and `null` for a campaign that never
+        // built its symbolic engine.
         let text = "\
-{\"t\":1,\"task\":0,\"kind\":\"Metrics\",\"settle_fast_path\":75,\"settle_escapes\":25,\
-\"x_island_cones\":3,\"settle_sweeps\":100}
-{\"t\":2,\"task\":1,\"kind\":\"Metrics\",\"settle_fast_path\":0,\"settle_escapes\":0,\
-\"x_island_cones\":0,\"settle_sweeps\":0}
+{\"t\":1,\"task\":0,\"kind\":\"Summary\",\"settle_fast_path\":75,\"settle_escapes\":25,\
+\"x_island_cones\":3,\"settle_sweeps\":100,\"frame_hits\":30,\"frame_misses\":10,\"goals\":5,\
+\"reused_goals\":4}
+{\"t\":2,\"task\":1,\"kind\":\"Summary\",\"settle_fast_path\":0,\"settle_escapes\":0,\
+\"x_island_cones\":0,\"settle_sweeps\":0,\"frame_hits\":null,\"frame_misses\":null,\
+\"goals\":null,\"reused_goals\":null}
 ";
         let recs = parse_trace(text).unwrap();
-        let table = settle_mix_table(&recs);
+        let table = summary_table(&recs);
         assert!(
-            table.contains("| 0 | 75 | 25 | 75.0% | 3 | 100 |"),
+            table.contains("| 0 | 75 | 25 | 75.0% | 3 | 100 | 30 | 10 | 75.0% | 80.0% |"),
             "{table}"
         );
-        assert!(table.contains("| 1 | 0 | 0 | - | 0 | 0 |"), "{table}");
         assert!(
-            table.contains("| **all** | 75 | 25 | 75.0% | 3 | 100 |"),
+            table.contains("| 1 | 0 | 0 | - | 0 | 0 | - | - | - | - |"),
+            "{table}"
+        );
+        assert!(
+            table.contains("| **all** | 75 | 25 | 75.0% | 3 | 100 | 30 | 10 | 75.0% | 80.0% |"),
             "{table}"
         );
         // Canonical re-serialization round-trips.
         assert_eq!(json_lines(&recs), text);
         // Missing fields are a schema violation.
         assert!(
-            parse_line("{\"t\":1,\"task\":0,\"kind\":\"Metrics\",\"settle_fast_path\":1}").is_err()
+            parse_line("{\"t\":1,\"task\":0,\"kind\":\"Summary\",\"settle_fast_path\":1}").is_err()
         );
-        // Traces without Metrics records render nothing.
-        assert_eq!(settle_mix_table(&[]), "");
-    }
-
-    #[test]
-    fn solver_cache_records_validate_and_tabulate() {
-        // The exact shape `Collector::emit_solver_cache_metrics` writes.
-        let text = "\
-{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
-\"bitblast_cache_misses\":10,\"session_reuse_milli\":800}
-{\"t\":2,\"task\":1,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":0,\
-\"bitblast_cache_misses\":0,\"session_reuse_milli\":0}
-";
-        let recs = parse_trace(text).unwrap();
-        let table = solver_cache_table(&recs);
-        assert!(table.contains("| 0 | 30 | 10 | 75.0% | 0.800 |"), "{table}");
-        assert!(table.contains("| 1 | 0 | 0 | - | 0.000 |"), "{table}");
-        // Totals sum counters across tasks.
-        assert!(
-            table.contains("| **all** | 30 | 10 | 75.0% | — |"),
-            "{table}"
-        );
-        // Canonical re-serialization round-trips.
-        assert_eq!(json_lines(&recs), text);
-        // Missing fields are a schema violation.
-        assert!(parse_line(
-            "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":1}"
-        )
-        .is_err());
-        // Traces without SolverCache records render nothing.
-        assert_eq!(solver_cache_table(&[]), "");
+        // The two summary kinds it replaced are unknown kinds now.
+        for old in [
+            "{\"t\":1,\"task\":0,\"kind\":\"Metrics\",\"settle_fast_path\":1,\
+             \"settle_escapes\":0,\"x_island_cones\":0,\"settle_sweeps\":1}",
+            "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
+             \"bitblast_cache_misses\":10,\"session_reuse_milli\":800}",
+        ] {
+            let err = parse_line(old).unwrap_err();
+            assert!(err.starts_with("unknown kind"), "{err}");
+        }
+        // Traces without Summary records render nothing.
+        assert_eq!(summary_table(&[]), "");
     }
 
     #[test]

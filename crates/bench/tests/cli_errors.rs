@@ -104,30 +104,6 @@ fn malformed_jobs_exit_2() {
     );
 }
 
-#[test]
-fn tracedump_checks_pre_change_solver_cache_lines() {
-    let dir = std::env::temp_dir().join(format!("symbfuzz-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("old_trace.jsonl");
-    std::fs::write(
-        &path,
-        "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
-         \"bitblast_cache_misses\":10,\"session_reuse_milli\":800,\"portfolio_races\":5,\
-         \"portfolio_wins\":[3,2]}\n",
-    )
-    .unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_tracedump"),
-        &[path.to_str().unwrap(), "--check"],
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
 fn results(name: &str) -> String {
     format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"))
 }

@@ -4,7 +4,7 @@
 //! line up with the underlying covmaps.
 
 use symbfuzz_bench::covreport::{build_report, render_html};
-use symbfuzz_bench::experiments::resource_profile;
+use symbfuzz_bench::experiments::{resource_profile, Outputs};
 use symbfuzz_bench::schema::{validate_covmap, validate_report};
 use symbfuzz_core::FuzzConfig;
 
@@ -15,8 +15,20 @@ const BUDGET: u64 = 1_500;
 /// `--jobs 1` vs `--jobs 4` on `ibex_like`.
 #[test]
 fn report_and_covmaps_are_byte_identical_across_job_counts() {
-    let serial = resource_profile(&FuzzConfig::builder(), BENCH, BUDGET, 1);
-    let wide = resource_profile(&FuzzConfig::builder(), BENCH, BUDGET, 4);
+    let serial = resource_profile(
+        &FuzzConfig::builder(),
+        &Outputs::default(),
+        BENCH,
+        BUDGET,
+        1,
+    );
+    let wide = resource_profile(
+        &FuzzConfig::builder(),
+        &Outputs::default(),
+        BENCH,
+        BUDGET,
+        4,
+    );
     for ((n1, r1), (n4, r4)) in serial.iter().zip(&wide) {
         assert_eq!(n1, n4);
         assert_eq!(
@@ -36,7 +48,13 @@ fn report_and_covmaps_are_byte_identical_across_job_counts() {
 
 #[test]
 fn generated_artifacts_pass_their_schema_checkers() {
-    let results = resource_profile(&FuzzConfig::builder(), BENCH, BUDGET, 4);
+    let results = resource_profile(
+        &FuzzConfig::builder(),
+        &Outputs::default(),
+        BENCH,
+        BUDGET,
+        4,
+    );
     for (name, r) in &results {
         let covmap_json = serde_json::to_string_pretty(&r.covmap).unwrap();
         let m = validate_covmap(&covmap_json).unwrap_or_else(|e| panic!("{name} covmap: {e}"));
@@ -66,7 +84,13 @@ fn generated_artifacts_pass_their_schema_checkers() {
 
 #[test]
 fn attribution_joins_line_up_with_covmaps() {
-    let results = resource_profile(&FuzzConfig::builder(), BENCH, BUDGET, 4);
+    let results = resource_profile(
+        &FuzzConfig::builder(),
+        &Outputs::default(),
+        BENCH,
+        BUDGET,
+        4,
+    );
     let report = build_report("ibex_like", BUDGET, &results);
     // Per-strategy mechanism tallies account for every node and edge.
     for (s, (_, r)) in report.strategies.iter().zip(&results) {

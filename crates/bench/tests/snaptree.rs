@@ -149,10 +149,10 @@ fn budgeted_eviction_campaign_is_deterministic() {
 /// byte-identical at `--jobs 1` vs `--jobs 4`.
 #[test]
 fn budgeted_campaigns_are_byte_identical_across_job_counts() {
-    use symbfuzz_bench::experiments::resource_profile;
+    use symbfuzz_bench::experiments::{resource_profile, Outputs};
     let base = FuzzConfig::builder().snapshot_mem_budget(BUDGET_BYTES);
-    let serial = resource_profile(&base, 0, 1_500, 1);
-    let wide = resource_profile(&base, 0, 1_500, 4);
+    let serial = resource_profile(&base, &Outputs::default(), 0, 1_500, 1);
+    let wide = resource_profile(&base, &Outputs::default(), 0, 1_500, 4);
     for ((n1, r1), (n4, r4)) in serial.iter().zip(&wide) {
         assert_eq!(n1, n4);
         assert_eq!(

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use symbfuzz_bench::experiments::resource_profile;
+use symbfuzz_bench::experiments::{resource_profile, Outputs};
 use symbfuzz_bench::schema::parse_line;
 use symbfuzz_bench::trace::phase_table;
 use symbfuzz_core::{CampaignResult, FuzzConfig, PropertySpec, Strategy, SymbFuzz, TelemetryBlock};
@@ -46,8 +46,8 @@ fn lock_fuzzer(max_vectors: u64) -> SymbFuzz {
 /// campaign report embedding them) are byte-identical at any `--jobs`.
 #[test]
 fn merged_telemetry_is_byte_identical_across_job_counts() {
-    let serial = resource_profile(&FuzzConfig::builder(), 1, 2_000, 1);
-    let wide = resource_profile(&FuzzConfig::builder(), 1, 2_000, 4);
+    let serial = resource_profile(&FuzzConfig::builder(), &Outputs::default(), 1, 2_000, 1);
+    let wide = resource_profile(&FuzzConfig::builder(), &Outputs::default(), 1, 2_000, 4);
     let merge = |rows: &[(String, CampaignResult)]| {
         let mut merged = TelemetryBlock::default();
         for (_, r) in rows {

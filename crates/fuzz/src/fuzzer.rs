@@ -18,10 +18,10 @@ use symbfuzz_props::{PropError, Property, PropertyChecker};
 use symbfuzz_ruvm::{Driver, SequenceItem, Sequencer};
 use symbfuzz_sim::{Reentry, Simulator, SnapshotId, SnapshotStore};
 use symbfuzz_smt::Budget;
-use symbfuzz_symexec::{ReachOutcome, ReachStats, SymbolicEngine};
+use symbfuzz_symexec::{ReachOutcome, ReachStats, SolverCacheStats, SymbolicEngine};
 use symbfuzz_telemetry::{
-    Collector, Counter, Event, Gauge, Mechanism, MonotonicClock, Phase, SampleState, Sampler,
-    SolveStatus,
+    Collector, Counter, Event, FieldValue, Gauge, Mechanism, MonotonicClock, Phase, SampleState,
+    Sampler, SolveStatus, SUMMARY_RECORD,
 };
 
 /// Unseen values listed per control register when building the
@@ -277,14 +277,28 @@ impl SymbFuzz {
         Ok(())
     }
 
-    /// Streams the once-per-campaign `SolverCache` trace record: the
-    /// bitblast-cache hit/miss counters and the session-reuse gauge.
-    /// No-op when the campaign never built its symbolic engine (no
-    /// stagnation, or a baseline) or no trace sink is attached.
-    pub fn emit_solver_metrics(&self) {
-        if self.engine.is_some() {
-            self.telemetry.emit_solver_cache_metrics();
-        }
+    /// Streams the end-of-campaign `Summary` trace record: the
+    /// settle-engine mix and the symbolic engine's frame-cache figures
+    /// (`null` when the campaign never built its engine: no
+    /// stagnation, or a baseline). No-op without a trace sink.
+    fn emit_summary(&self) {
+        let t = &self.telemetry;
+        let cache = self.engine.as_ref().map(SymbolicEngine::cache_stats);
+        let figure = |f: fn(&SolverCacheStats) -> u64| FieldValue::NumOrNull(cache.as_ref().map(f));
+        t.trace_record(
+            t.now_micros(),
+            SUMMARY_RECORD,
+            &[
+                FieldValue::Num(t.get(Counter::SettleFastPath)),
+                FieldValue::Num(t.get(Counter::SettleEscapes)),
+                FieldValue::Num(t.gauge(Gauge::XIslandCones)),
+                FieldValue::Num(t.get(Counter::SettleSweeps)),
+                figure(|c| c.frame_hits),
+                figure(|c| c.frame_misses),
+                figure(|c| c.goals),
+                figure(|c| c.reused_goals),
+            ],
+        );
     }
 
     /// The profiler sections appended to the `status.json` heartbeat:
@@ -310,7 +324,7 @@ impl SymbFuzz {
     }
 
     /// Runs until the vector budget is exhausted and returns the
-    /// campaign result.
+    /// campaign result. Ends by streaming one `Summary` trace record.
     pub fn run(&mut self) -> CampaignResult {
         // A zero interval consumes no vectors per iteration; bail out
         // rather than loop forever (FuzzConfig::validate rejects it).
@@ -322,12 +336,22 @@ impl SymbFuzz {
             });
             self.note_interval();
         }
+        self.emit_summary();
         self.result()
     }
 
     /// Runs until `property` fires or the budget is exhausted; returns
     /// the vectors spent (used by the Table 1 per-bug measurements).
+    /// Ends by streaming one `Summary` trace record, as
+    /// [`run`](Self::run) does.
     pub fn run_until_bug(&mut self, property: &str) -> Option<u64> {
+        let found = self.hunt(property);
+        self.emit_summary();
+        found
+    }
+
+    /// [`run_until_bug`](Self::run_until_bug)'s loop.
+    fn hunt(&mut self, property: &str) -> Option<u64> {
         while self.config.interval > 0 && self.vectors < self.config.max_vectors {
             self.run_interval();
             if let Some(b) = self.bugs.iter().find(|b| b.property == property) {
@@ -365,8 +389,6 @@ impl SymbFuzz {
             .set_gauge(Gauge::SnapshotBytes, self.snap_store.unique_bytes());
         self.telemetry
             .set_gauge(Gauge::SnapshotSharing, self.snap_store.sharing_milli());
-        self.telemetry
-            .set_gauge(Gauge::CorpusSeeds, self.mutator.corpus_len() as u64);
         self.telemetry
             .set_gauge(Gauge::CaseCorpus, self.mutator.case_corpus_len() as u64);
         if self.sampler.is_some() {
@@ -414,11 +436,9 @@ impl SymbFuzz {
         // Live simulator state, plus the snapshot store's *unique* page
         // bytes at peak (copy-on-write sharing counted once — the old
         // `state × (1 + snapshots)` formula assumed every snapshot was
-        // a full deep copy), plus the mutation corpus.
+        // a full deep copy), plus the baselines' testcase corpus.
         let word_bytes = (self.design.fuzz_width() as u64).div_ceil(8);
-        let corpus_bytes = (self.mutator.corpus_len() as u64
-            + self.mutator.case_corpus_len() as u64 * TESTCASE_LEN as u64)
-            * word_bytes;
+        let corpus_bytes = self.mutator.case_corpus_len() as u64 * TESTCASE_LEN as u64 * word_bytes;
         resources.peak_state_bytes = state_bytes + resources.peak_snapshot_bytes + corpus_bytes;
         CampaignResult {
             fuzzer: self.strategy.name().to_string(),
@@ -548,7 +568,7 @@ impl SymbFuzz {
                 return;
             }
             let (word, mechanism) = {
-                let _span = telemetry.phase_owned(Phase::Mutate);
+                let _span = telemetry.phase(Phase::Mutate);
                 match self.strategy {
                     Strategy::SymbFuzz => {
                         // A non-empty replay queue means the next word
@@ -592,7 +612,7 @@ impl SymbFuzz {
                 },
                 checkpoint: self.active_checkpoint,
             };
-            let _settle = telemetry.phase_owned(Phase::Settle);
+            let _settle = telemetry.phase(Phase::Settle);
             self.driver
                 .drive(&mut self.sim, &SequenceItem::new(word.clone()));
             let outcome = self
@@ -636,7 +656,7 @@ impl SymbFuzz {
             }
             drop(_settle);
 
-            let _props = telemetry.phase_owned(Phase::Props);
+            let _props = telemetry.phase(Phase::Props);
             let violations = self.checker.on_cycle(self.sim.cycle(), self.sim.values());
             for v in violations {
                 if self.seen_bugs.insert(v.property.clone()) {
@@ -709,7 +729,7 @@ impl SymbFuzz {
 
     fn full_reset(&mut self) {
         let telemetry = Arc::clone(&self.telemetry);
-        let _span = telemetry.phase_owned(Phase::Reset);
+        let _span = telemetry.phase(Phase::Reset);
         self.resources.cycles += self.config.reset_cycles as u64;
         self.sim.reenter(Reentry::FullReset {
             cycles: self.config.reset_cycles,
@@ -727,7 +747,7 @@ impl SymbFuzz {
     /// the solved input sequence into the sequencer.
     fn symbolic_guidance(&mut self) {
         let telemetry = Arc::clone(&self.telemetry);
-        let _span = telemetry.phase_owned(Phase::Symbolic);
+        let _span = telemetry.phase(Phase::Symbolic);
         if !self.config.use_solver {
             self.note_episode(None, 0, SolveStatus::Skipped);
             return;
@@ -858,7 +878,7 @@ impl SymbFuzz {
             tried += 1;
             self.resources.solver_calls += 1;
             let result = {
-                let _span = self.telemetry.phase_owned(Phase::Solve);
+                let _span = self.telemetry.phase(Phase::Solve);
                 self.engine
                     .as_ref()
                     .expect("checked above")
@@ -880,14 +900,14 @@ impl SymbFuzz {
                         &stats,
                     );
                     self.note_goal_scope(&name, target_value, &outcome, &stats);
-                    Some(outcome)
+                    Some((outcome, stats.spent))
                 }
                 // An unposable goal never reached the solver; it is
                 // cached like a proven unsat but left unprofiled.
                 Err(_) => None,
             };
             match outcome {
-                Some(ReachOutcome::Reached(seq)) => {
+                Some((ReachOutcome::Reached(seq), _)) => {
                     let items = seq
                         .iter()
                         .map(|a| SequenceItem::new(a.to_word(&self.design)));
@@ -901,13 +921,13 @@ impl SymbFuzz {
                         Some(self.note_goal(reg, target_value, checkpoint, SolveStatus::Sat));
                     return SolveStatus::Sat;
                 }
-                Some(ReachOutcome::Unreachable) | None => {
+                Some((ReachOutcome::Unreachable, _)) | None => {
                     // Proven unsat (or an unposable goal): never
                     // worth re-attempting from this rollback point.
                     self.neg_cache.insert(key);
                     self.note_goal(reg, target_value, checkpoint, SolveStatus::Unsat);
                 }
-                Some(ReachOutcome::Exhausted { reason, spent }) => {
+                Some((ReachOutcome::Exhausted { reason }, spent)) => {
                     self.neg_cache.insert(key);
                     self.note_goal(reg, target_value, checkpoint, SolveStatus::Unknown(reason));
                     self.telemetry.add(Counter::BudgetExhaustions, 1);
@@ -1009,7 +1029,7 @@ impl SymbFuzz {
     /// happens to cover is attributed to the replay-prefix mechanism.
     fn rollback_to(&mut self, node: NodeId) {
         let telemetry = Arc::clone(&self.telemetry);
-        let _span = telemetry.phase_owned(Phase::Reset);
+        let _span = telemetry.phase(Phase::Reset);
         self.resources.rollbacks += 1;
         let ancestor = if self.config.use_ancestor_reentry {
             self.cfg
@@ -1288,10 +1308,26 @@ mod tests {
             "expected >= 6 distinct event kinds, got {distinct}: {:?}",
             r.telemetry.events
         );
-        // The same events streamed through the sink as JSONL.
+        // The same events streamed through the sink as JSONL, ending
+        // with the one summary record, which carries the frame-cache
+        // figures of the engine the campaign built.
         let lines = handle.lines();
-        assert!(!lines.is_empty());
         assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
+        let summaries: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.contains("\"kind\":\"Summary\""))
+            .collect();
+        assert_eq!(summaries.len(), 1);
+        assert_eq!(Some(summaries[0]), lines.last());
+        let cache = r.solver_cache.expect("the campaign stagnated");
+        assert!(
+            summaries[0].ends_with(&format!(
+                "\"frame_hits\":{},\"frame_misses\":{},\"goals\":{},\"reused_goals\":{}}}",
+                cache.frame_hits, cache.frame_misses, cache.goals, cache.reused_goals
+            )),
+            "{}",
+            summaries[0]
+        );
         // Phase spans fired for the whole Algorithm-1 taxonomy.
         for phase in ["mutate", "settle", "props", "symbolic", "solve", "reset"] {
             assert!(
@@ -1633,9 +1669,9 @@ mod tests {
         let r = f.run();
         let text = std::fs::read_to_string(&flight).unwrap();
         assert_eq!(text.lines().count(), r.flight.len());
-        assert!(text.lines().all(|l| l.starts_with("{\"v\":1,")));
+        assert!(text.lines().all(|l| l.starts_with("{\"v\":2,")));
         let st = std::fs::read_to_string(&status).unwrap();
-        assert!(st.contains("\"v\":1"));
+        assert!(st.contains("\"v\":2"));
         assert!(st.contains("\"counters\":{\"vectors\":"));
         assert!(st.contains("\"vm_profile\":{"), "status: {st}");
         assert!(st.contains("\"solver_profile\":{"), "status: {st}");
@@ -1788,15 +1824,7 @@ mod tests {
         assert!(cache.reused_goals > 0, "cache block: {cache:?}");
         assert!(cache.reused_goals <= cache.goals);
         assert_eq!(cache.reuse_milli, cache.reused_goals * 1000 / cache.goals);
-        // The cache counters surfaced in telemetry too.
-        let misses = r
-            .telemetry
-            .counters
-            .iter()
-            .find(|(k, _)| k == "bitblast_cache_misses")
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        assert!(misses > 0, "counters: {:?}", r.telemetry.counters);
+        assert!(cache.frame_misses > 0, "cache block: {cache:?}");
         // Warm sessions are deterministic: same seed, same report.
         let mut g = SymbFuzz::new(Arc::clone(&d), Strategy::SymbFuzz, cfg, &lock_props()).unwrap();
         assert_eq!(r, g.run());

@@ -15,14 +15,13 @@ pub enum Granularity {
     Byte,
 }
 
-/// A coverage-guided corpus mutator: words (or whole multi-cycle
-/// testcases) that produced new coverage are kept as seeds; subsequent
-/// stimuli mutate a random seed.
+/// A coverage-guided corpus mutator: whole multi-cycle testcases that
+/// produced new coverage are kept as seeds; subsequent testcases mutate
+/// a random seed.
 #[derive(Debug, Clone)]
 pub struct Mutator {
     rng: StdRng,
     width: u32,
-    corpus: Vec<LogicVec>,
     /// Multi-cycle testcase corpus (hardware fuzzers mutate input
     /// *programs*, not single cycles).
     case_corpus: Vec<Vec<LogicVec>>,
@@ -38,7 +37,6 @@ impl Mutator {
         Mutator {
             rng: StdRng::seed_from_u64(seed),
             width: width.max(1),
-            corpus: Vec::new(),
             case_corpus: Vec::new(),
             granularity,
             explore_pct: 34,
@@ -108,65 +106,10 @@ impl Mutator {
         }
     }
 
-    /// Number of seeds retained.
-    pub fn corpus_len(&self) -> usize {
-        self.corpus.len()
-    }
-
-    /// Records a word that produced new coverage.
-    pub fn keep(&mut self, word: LogicVec) {
-        if self.corpus.len() < 4096 {
-            self.corpus.push(word);
-        }
-    }
-
     fn random_word(&mut self) -> LogicVec {
         let mut w = LogicVec::zeros(self.width);
         for i in 0..self.width {
             w.set_bit(i, Bit::from_bool(self.rng.gen::<bool>()));
-        }
-        w
-    }
-
-    /// Produces the next stimulus word.
-    pub fn next_word(&mut self) -> LogicVec {
-        if self.corpus.is_empty() || self.rng.gen_range(0..100) < self.explore_pct {
-            return self.random_word();
-        }
-        let idx = self.rng.gen_range(0..self.corpus.len());
-        let mut w = self.corpus[idx].clone();
-        match self.granularity {
-            Granularity::Bit => {
-                let flips = 1 + self.rng.gen_range(0..3);
-                for _ in 0..flips {
-                    let i = self.rng.gen_range(0..self.width);
-                    w.set_bit(i, !w.bit(i));
-                }
-            }
-            Granularity::Word => {
-                // Splice halves of two seeds or re-randomise a span.
-                if self.corpus.len() > 1 && self.rng.gen::<bool>() {
-                    let other = &self.corpus[self.rng.gen_range(0..self.corpus.len())];
-                    let cut = self.rng.gen_range(0..self.width);
-                    for i in cut..self.width {
-                        w.set_bit(i, other.bit(i));
-                    }
-                } else {
-                    let lo = self.rng.gen_range(0..self.width);
-                    let len = self.rng.gen_range(1..=(self.width - lo));
-                    for i in lo..lo + len {
-                        w.set_bit(i, Bit::from_bool(self.rng.gen::<bool>()));
-                    }
-                }
-            }
-            Granularity::Byte => {
-                let byte = self.rng.gen_range(0..self.width.div_ceil(8));
-                let lo = byte * 8;
-                let val: u8 = self.rng.gen();
-                for i in 0..8.min(self.width - lo) {
-                    w.set_bit(lo + i, Bit::from_bool((val >> i) & 1 == 1));
-                }
-            }
         }
         w
     }
@@ -178,22 +121,26 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
+        let seed: Vec<LogicVec> = (0..8).map(|i| LogicVec::from_u64(32, i)).collect();
         let mut a = Mutator::new(32, Granularity::Bit, 5);
         let mut b = Mutator::new(32, Granularity::Bit, 5);
+        a.keep_case(seed.clone());
+        b.keep_case(seed);
         for _ in 0..10 {
-            assert_eq!(a.next_word(), b.next_word());
+            assert_eq!(a.next_case(8), b.next_case(8));
         }
     }
 
     #[test]
-    fn words_have_requested_width_and_are_defined() {
+    fn cases_have_requested_length_and_width() {
         for g in [Granularity::Bit, Granularity::Word, Granularity::Byte] {
             let mut m = Mutator::new(13, g, 1);
-            m.keep(LogicVec::from_u64(13, 0x1234 & 0x1FFF));
+            assert!(m.next_case(32).iter().all(|w| w.width() == 13));
+            m.keep_case(vec![LogicVec::from_u64(13, 0x1234 & 0x1FFF); 4]);
             for _ in 0..50 {
-                let w = m.next_word();
-                assert_eq!(w.width(), 13);
-                assert!(!w.has_unknown());
+                let case = m.next_case(32);
+                assert_eq!(case.len(), 32);
+                assert!(case.iter().all(|w| w.width() == 13 && !w.has_unknown()));
             }
         }
     }
@@ -202,12 +149,17 @@ mod tests {
     fn bit_mutations_stay_close_to_seed() {
         let mut m = Mutator::new(64, Granularity::Bit, 2);
         m.explore_pct = 0;
-        let seed = LogicVec::from_u64(64, 0xDEAD_BEEF_CAFE_F00D);
-        m.keep(seed.clone());
+        let seed = vec![LogicVec::from_u64(64, 0xDEAD_BEEF_CAFE_F00D); 4];
+        m.keep_case(seed.clone());
         for _ in 0..50 {
-            let w = m.next_word();
-            let diff = (&w ^ &seed).iter_bits().filter(|b| *b == Bit::One).count();
-            assert!(diff <= 3, "bit mutation flipped {diff} bits");
+            let case = m.next_case(4);
+            // At most three edits of at most three flips each.
+            let diff: usize = case
+                .iter()
+                .zip(&seed)
+                .map(|(w, s)| (w ^ s).iter_bits().filter(|b| *b == Bit::One).count())
+                .sum();
+            assert!(diff <= 9, "bit mutation flipped {diff} bits");
         }
     }
 
@@ -215,37 +167,19 @@ mod tests {
     fn byte_mutations_touch_one_byte() {
         let mut m = Mutator::new(64, Granularity::Byte, 3);
         m.explore_pct = 0;
-        let seed = LogicVec::from_u64(64, 0);
-        m.keep(seed.clone());
+        m.keep_case(vec![LogicVec::from_u64(64, 0); 4]);
         for _ in 0..50 {
-            let w = m.next_word();
-            let v = w.to_u64().unwrap();
-            // All set bits confined to one aligned byte.
-            let mut bytes_touched = 0;
-            for b in 0..8 {
-                if (v >> (b * 8)) & 0xFF != 0 {
-                    bytes_touched += 1;
-                }
-            }
-            assert!(bytes_touched <= 1);
+            // Each of at most three edits rewrites one aligned byte.
+            let touched: usize = m
+                .next_case(4)
+                .iter()
+                .map(|w| {
+                    let v = w.to_u64().unwrap();
+                    (0..8).filter(|b| (v >> (b * 8)) & 0xFF != 0).count()
+                })
+                .sum();
+            assert!(touched <= 3, "{touched} bytes touched");
         }
-    }
-
-    #[test]
-    fn corpus_is_bounded() {
-        let mut m = Mutator::new(8, Granularity::Word, 4);
-        for i in 0..5000 {
-            m.keep(LogicVec::from_u64(8, i % 256));
-        }
-        assert!(m.corpus_len() <= 4096);
-    }
-
-    #[test]
-    fn cases_have_requested_length_and_width() {
-        let mut m = Mutator::new(9, Granularity::Word, 11);
-        let case = m.next_case(32);
-        assert_eq!(case.len(), 32);
-        assert!(case.iter().all(|w| w.width() == 9 && !w.has_unknown()));
     }
 
     #[test]

@@ -1531,7 +1531,6 @@ mod tests {
         let mut b = SolverProfileBlock::default();
         let exhausted = ReachOutcome::Exhausted {
             reason: symbfuzz_telemetry::UnknownReason::Conflicts,
-            spent: symbfuzz_smt::BudgetSpent::default(),
         };
         b.note_attempt("easy", 1, 0, &ReachOutcome::Unreachable, &stats(1));
         b.note_attempt("hard", 2, 0, &exhausted, &stats_at(50, 4, 4));

@@ -59,7 +59,8 @@ impl BitBlaster {
     }
 
     /// The embedded solver (e.g. to call
-    /// [`solve`](crate::SatSolver::solve) after asserting).
+    /// [`solve_budgeted`](crate::SatSolver::solve_budgeted) after
+    /// asserting).
     pub fn solver_mut(&mut self) -> &mut SatSolver {
         &mut self.solver
     }
@@ -368,7 +369,10 @@ mod tests {
         let eq = pool.eq(t, c);
         let mut bb = BitBlaster::new();
         bb.assert_true(pool, eq);
-        match bb.solver_mut().solve() {
+        match bb
+            .solver_mut()
+            .solve_budgeted(&[], &crate::Budget::unlimited())
+        {
             SatResult::Sat(model) => {
                 let mut env = std::collections::HashMap::new();
                 for (name, width) in pool.vars() {
@@ -385,7 +389,7 @@ mod tests {
                 }
                 Some(env)
             }
-            // solve() is unlimited, so Unknown cannot occur here.
+            // The budget is unlimited, so Unknown cannot occur here.
             SatResult::Unsat | SatResult::Unknown { .. } => None,
         }
     }

@@ -13,16 +13,17 @@
 //! (`max_steps` of the symbolic engine's one query).
 //!
 //! [`BudgetSpent`] is the matching receipt: how much each counter
-//! advanced during the attempt, carried inside `Unknown` results so
-//! callers can report and escalate.
+//! advanced during the attempt, returned by every
+//! [`SolverSession::check_assuming`](crate::SolverSession::check_assuming)
+//! so callers can report and escalate.
 
 use std::sync::Arc;
 use symbfuzz_telemetry::{Clock, UnknownReason};
 
 /// How much work a budgeted attempt consumed.
 ///
-/// Returned inside `Unknown { spent, .. }` results and accumulated
-/// across the symbolic engine's depth schedule, so one reachability
+/// Returned by every session check and accumulated across the
+/// symbolic engine's depth schedule, so one reachability
 /// query shares a single budget regardless of how many exact-depth
 /// solves it issues.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -59,13 +59,11 @@ pub enum SatResult {
     Sat(Vec<bool>),
     /// Unsatisfiable.
     Unsat,
-    /// The search hit a [`Budget`] ceiling before a verdict. Only
-    /// produced by [`SatSolver::solve_budgeted`].
+    /// The search hit a [`Budget`] ceiling before a verdict; never
+    /// returned under [`Budget::unlimited`].
     Unknown {
         /// Ceiling that stopped the search.
         reason: UnknownReason,
-        /// Work consumed by this call.
-        spent: BudgetSpent,
     },
 }
 
@@ -83,13 +81,13 @@ const INVALID: usize = usize::MAX;
 /// # Examples
 ///
 /// ```
-/// use symbfuzz_smt::{Lit, SatSolver, SatResult};
+/// use symbfuzz_smt::{Budget, Lit, SatSolver, SatResult};
 ///
 /// let mut s = SatSolver::new();
 /// let (a, b) = (s.new_var(), s.new_var());
 /// s.add_clause(&[Lit::new(a, true), Lit::new(b, true)]);
 /// s.add_clause(&[Lit::new(a, false)]);
-/// let SatResult::Sat(model) = s.solve() else { panic!() };
+/// let SatResult::Sat(model) = s.solve_budgeted(&[], &Budget::unlimited()) else { panic!() };
 /// assert!(!model[a as usize] && model[b as usize]);
 /// ```
 #[derive(Debug, Default, Clone)]
@@ -231,13 +229,13 @@ impl SatSolver {
     /// Adds a clause. Tautologies are dropped; duplicate literals are
     /// merged; the empty clause makes the instance trivially UNSAT.
     ///
-    /// Clauses must be added before [`solve`](Self::solve) at decision
-    /// level 0.
+    /// Clauses must be added before [`solve_budgeted`](Self::solve_budgeted)
+    /// at decision level 0.
     pub fn add_clause(&mut self, lits: &[Lit]) {
         if self.unsat {
             return;
         }
-        // A previous solve() may have left decisions on the trail;
+        // A previous solve may have left decisions on the trail;
         // clauses must be integrated at decision level 0.
         if self.decision_level() > 0 {
             self.cancel_until(0);
@@ -455,28 +453,22 @@ impl SatSolver {
         best.map(|(v, _)| v)
     }
 
-    /// Solves the instance.
-    pub fn solve(&mut self) -> SatResult {
-        self.solve_with(&[])
-    }
-
-    /// Solves under `assumptions` (literals forced as the first
-    /// decisions). Returns [`SatResult::Unsat`] if the assumptions are
-    /// inconsistent with the clauses. Never returns
-    /// [`SatResult::Unknown`].
-    pub fn solve_with(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_budgeted(assumptions, &Budget::unlimited())
-    }
-
-    /// Like [`solve_with`](Self::solve_with), but bounded by `budget`.
+    /// The solver's one entry point: solves under `assumptions`
+    /// (literals forced as the first decisions; pass none to solve the
+    /// clauses alone), bounded by `budget`. Returns
+    /// [`SatResult::Unsat`] if the assumptions are inconsistent with
+    /// the clauses.
     ///
     /// The ceilings are checked once per main-loop iteration (i.e. at
     /// propagation/decision granularity), so a search may overshoot a
     /// ceiling by the work of one propagation sweep before stopping.
     /// On exhaustion the trail is cancelled to level 0 and
-    /// [`SatResult::Unknown`] carries the reason plus the conflicts,
-    /// decisions and propagations this call consumed; learned clauses
-    /// are kept, so a retry with a larger budget resumes warm.
+    /// [`SatResult::Unknown`] carries the reason; learned clauses are
+    /// kept, so a retry with a larger budget resumes warm. The work
+    /// spent is read off the cumulative counters
+    /// ([`conflicts`](Self::conflicts) and its siblings), as
+    /// [`SolverSession::check_assuming`](crate::SolverSession::check_assuming)
+    /// does.
     pub fn solve_budgeted(&mut self, assumptions: &[Lit], budget: &Budget) -> SatResult {
         if self.unsat {
             return SatResult::Unsat;
@@ -499,7 +491,7 @@ impl SatSolver {
                 };
                 if let Some(reason) = budget.check(spent) {
                     self.cancel_until(0);
-                    return SatResult::Unknown { reason, spent };
+                    return SatResult::Unknown { reason };
                 }
             }
             if let Some(confl) = self.propagate() {
@@ -600,6 +592,10 @@ mod tests {
         Lit::new(v, pos)
     }
 
+    fn solve(s: &mut SatSolver) -> SatResult {
+        s.solve_budgeted(&[], &Budget::unlimited())
+    }
+
     #[test]
     fn literal_encoding() {
         let l = lit(3, true);
@@ -615,13 +611,13 @@ mod tests {
         let mut s = SatSolver::new();
         let a = s.new_var();
         s.add_clause(&[lit(a, true)]);
-        assert!(s.solve().is_sat());
+        assert!(solve(&mut s).is_sat());
 
         let mut s = SatSolver::new();
         let a = s.new_var();
         s.add_clause(&[lit(a, true)]);
         s.add_clause(&[lit(a, false)]);
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(solve(&mut s), SatResult::Unsat);
     }
 
     #[test]
@@ -629,7 +625,7 @@ mod tests {
         let mut s = SatSolver::new();
         s.new_var();
         s.add_clause(&[]);
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(solve(&mut s), SatResult::Unsat);
     }
 
     #[test]
@@ -641,7 +637,7 @@ mod tests {
         for w in vars.windows(2) {
             s.add_clause(&[lit(w[0], false), lit(w[1], true)]);
         }
-        let SatResult::Sat(m) = s.solve() else {
+        let SatResult::Sat(m) = solve(&mut s) else {
             panic!()
         };
         assert!(vars.iter().all(|&v| m[v as usize]));
@@ -656,7 +652,7 @@ mod tests {
         s.add_clause(&[lit(a, true), lit(b, true)]);
         s.add_clause(&[lit(a, false), lit(b, false)]);
         s.add_clause(&[lit(a, true)]);
-        let SatResult::Sat(m) = s.solve() else {
+        let SatResult::Sat(m) = solve(&mut s) else {
             panic!()
         };
         assert!(m[a as usize] && !m[b as usize]);
@@ -683,7 +679,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(solve(&mut s), SatResult::Unsat);
         assert!(s.conflicts() > 0);
     }
 
@@ -693,15 +689,18 @@ mod tests {
         let a = s.new_var();
         let b = s.new_var();
         s.add_clause(&[lit(a, true), lit(b, true)]);
-        let SatResult::Sat(m) = s.solve_with(&[lit(a, false)]) else {
+        let SatResult::Sat(m) = s.solve_budgeted(&[lit(a, false)], &Budget::unlimited()) else {
             panic!()
         };
         assert!(!m[a as usize] && m[b as usize]);
         // Assumptions conflicting with clauses yield UNSAT but the
         // instance stays solvable without them.
         s.add_clause(&[lit(b, false)]);
-        assert_eq!(s.solve_with(&[lit(a, false)]), SatResult::Unsat);
-        assert!(s.solve().is_sat());
+        assert_eq!(
+            s.solve_budgeted(&[lit(a, false)], &Budget::unlimited()),
+            SatResult::Unsat
+        );
+        assert!(solve(&mut s).is_sat());
     }
 
     #[test]
@@ -711,7 +710,7 @@ mod tests {
         let b = s.new_var();
         s.add_clause(&[lit(a, true), lit(a, true), lit(b, false)]);
         s.add_clause(&[lit(a, true), lit(a, false)]); // tautology, dropped
-        assert!(s.solve().is_sat());
+        assert!(solve(&mut s).is_sat());
     }
 
     #[test]
@@ -743,13 +742,13 @@ mod tests {
         pigeonhole(&mut s, 5, 4);
         let budget = Budget::unlimited().with_conflicts(2);
         let r = s.solve_budgeted(&[], &budget);
-        let SatResult::Unknown { reason, spent } = r else {
+        let SatResult::Unknown { reason } = r else {
             panic!("expected Unknown, got {r:?}");
         };
         assert_eq!(reason, UnknownReason::Conflicts);
-        assert!(spent.conflicts >= 2);
+        assert!(s.conflicts() >= 2);
         // Learned clauses are kept; the unlimited retry still decides.
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(solve(&mut s), SatResult::Unsat);
     }
 
     #[test]
@@ -763,18 +762,9 @@ mod tests {
         s.add_clause(&[lit(a, true)]);
         let budget = Budget::unlimited().with_wall_deadline(clock, 500);
         match s.solve_budgeted(&[], &budget) {
-            SatResult::Unknown { reason, .. } => assert_eq!(reason, UnknownReason::WallClock),
+            SatResult::Unknown { reason } => assert_eq!(reason, UnknownReason::WallClock),
             r => panic!("expected Unknown, got {r:?}"),
         }
-    }
-
-    #[test]
-    fn unlimited_budget_matches_solve() {
-        let mut s1 = SatSolver::new();
-        let mut s2 = SatSolver::new();
-        pigeonhole(&mut s1, 4, 3);
-        pigeonhole(&mut s2, 4, 3);
-        assert_eq!(s1.solve(), s2.solve_budgeted(&[], &Budget::unlimited()));
     }
 
     #[test]
@@ -784,7 +774,7 @@ mod tests {
         assert!(s.trace().is_none());
         assert!(s.take_trace(4).is_none());
         s.enable_trace();
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(solve(&mut s), SatResult::Unsat);
         let t = s.take_trace(4).unwrap();
         assert!(t.learned >= 1, "no learned clauses recorded: {t:?}");
         assert!(t.conflict_depth_max >= 1);
@@ -804,7 +794,7 @@ mod tests {
         pigeonhole(&mut plain, 4, 3);
         pigeonhole(&mut traced, 4, 3);
         traced.enable_trace();
-        assert_eq!(plain.solve(), traced.solve());
+        assert_eq!(solve(&mut plain), solve(&mut traced));
         assert_eq!(plain.conflicts(), traced.conflicts());
         assert_eq!(plain.decisions(), traced.decisions());
     }
@@ -832,6 +822,6 @@ mod tests {
             s.add_clause(&c);
         }
         // Just ensure a decision is reached.
-        let _ = s.solve();
+        let _ = solve(&mut s);
     }
 }

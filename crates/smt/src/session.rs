@@ -225,7 +225,7 @@ mod tests {
             let goal = factor_goal(&mut p, 8, prod);
             let mut bb = BitBlaster::new();
             bb.assert_true(&p, goal);
-            let fresh = bb.solver_mut().solve();
+            let fresh = bb.solver_mut().solve_budgeted(&[], &Budget::unlimited());
             assert_eq!(
                 warm.is_sat(),
                 fresh.is_sat(),
@@ -332,24 +332,20 @@ mod tests {
         };
         let budget = Budget::unlimited().with_conflicts(2);
         let (r, spent) = sess.check_assuming(&[goal], &budget);
-        match r {
+        assert_eq!(
+            r,
             SatResult::Unknown {
-                reason,
-                spent: inner,
-            } => {
-                assert_eq!(reason, UnknownReason::Conflicts);
-                assert_eq!(spent, inner, "delta counting must match solver's receipt");
+                reason: UnknownReason::Conflicts
             }
-            other => panic!("expected Unknown, got {other:?}"),
-        }
+        );
+        assert!(spent.conflicts >= 2, "{spent:?}");
         // An escalated retry on the same session is still bounded.
         let (r, escalated) = sess.check_assuming(&[goal], &budget.escalate(2));
         assert!(
             matches!(
                 r,
                 SatResult::Unknown {
-                    reason: UnknownReason::Conflicts,
-                    ..
+                    reason: UnknownReason::Conflicts
                 }
             ),
             "{r:?}"

@@ -67,7 +67,7 @@ proptest! {
             solver.add_clause(&lits);
         }
         let expected = brute_force(num_vars, &clauses);
-        match solver.solve() {
+        match solver.solve_budgeted(&[], &Budget::unlimited()) {
             SatResult::Sat(model) => {
                 prop_assert!(expected, "solver said SAT, brute force says UNSAT");
                 // The model must actually satisfy every clause.

@@ -6,11 +6,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use symbfuzz_hdl::{BinaryOp, Edge, UnaryOp};
 use symbfuzz_logic::{Bit, LogicVec};
-use symbfuzz_netlist::{
-    reset_tree, Design, NExpr, NLValue, NStmt, ProcKind, ResetTree, SignalId, SignalKind,
-};
+use symbfuzz_netlist::{reset_tree, Design, NExpr, NLValue, NStmt, ProcKind, ResetTree, SignalId};
 use symbfuzz_smt::{Budget, BudgetSpent, SatResult, SolverSession, TermId, TermKind, TermPool};
-use symbfuzz_telemetry::{Collector, Counter, Event, Gauge, SolveStatus, UnknownReason};
+use symbfuzz_telemetry::{Collector, Counter, Event, SolveStatus, UnknownReason};
 
 /// Conflict ceiling for each blame-extraction solve (the initial
 /// assumption check and every greedy drop-one probe). Small by design:
@@ -106,12 +104,11 @@ pub enum ReachOutcome {
     Reached(Vec<InputAssignment>),
     /// Proven unreachable within the requested unroll bound.
     Unreachable,
-    /// The budget ran out before the query was decided.
+    /// The budget ran out before the query was decided; the work it
+    /// consumed is the query's [`ReachStats::spent`].
     Exhausted {
         /// Which ceiling tripped first.
         reason: UnknownReason,
-        /// Work consumed across the whole depth schedule.
-        spent: BudgetSpent,
     },
 }
 
@@ -121,7 +118,7 @@ impl ReachOutcome {
         match self {
             ReachOutcome::Reached(_) => SolveStatus::Sat,
             ReachOutcome::Unreachable => SolveStatus::Unsat,
-            ReachOutcome::Exhausted { reason, .. } => SolveStatus::Unknown(*reason),
+            ReachOutcome::Exhausted { reason } => SolveStatus::Unknown(*reason),
         }
     }
 }
@@ -482,19 +479,9 @@ impl SymbolicEngine {
             let (verdict, spent) =
                 self.solve_at_depth(current, targets, steps, &remaining, stats.scope.as_mut());
             stats.spent = stats.spent.saturating_add(spent);
-            match verdict {
-                ReachOutcome::Unreachable => {}
-                ReachOutcome::Exhausted { reason, .. } => {
-                    outcome = ReachOutcome::Exhausted {
-                        reason,
-                        spent: stats.spent,
-                    };
-                    break;
-                }
-                reached => {
-                    outcome = reached;
-                    break;
-                }
+            if verdict != ReachOutcome::Unreachable {
+                outcome = verdict;
+                break;
             }
         }
         if let Some(scope) = &mut stats.scope {
@@ -599,15 +586,13 @@ impl SymbolicEngine {
     ) -> (ReachOutcome, BudgetSpent) {
         let have = chain.states.len() as u32 - 1;
         self.extend(chain, steps);
-        let hits = u64::from(have.min(steps));
-        let misses = u64::from(steps) - hits;
-        let reuse_milli = kept.map(|stats| {
+        if let Some(stats) = kept {
+            let hits = u64::from(have.min(steps));
             stats.frame_hits += hits;
-            stats.frame_misses += misses;
+            stats.frame_misses += u64::from(steps) - hits;
             stats.goals += 1;
             stats.reused_goals += u64::from(chain.sess.goals_checked() > 0);
-            stats.reuse_milli()
-        });
+        }
         let goals = self.goal_terms(chain, targets, steps);
 
         let t0 = self.telemetry.as_ref().map(|t| t.now_micros());
@@ -622,11 +607,6 @@ impl SymbolicEngine {
             tel.add(Counter::SatClauses, clauses);
             tel.add(Counter::SatDecisions, spent.decisions);
             tel.add(Counter::SatConflicts, spent.conflicts);
-            if let Some(reuse) = reuse_milli {
-                tel.add(Counter::BitblastCacheHits, hits);
-                tel.add(Counter::BitblastCacheMisses, misses);
-                tel.set_gauge(Gauge::SolverSessionReuse, reuse);
-            }
             tel.record(Event::SmtSolve {
                 vars,
                 clauses,
@@ -657,7 +637,7 @@ impl SymbolicEngine {
 
         let verdict = match result {
             SatResult::Unsat => ReachOutcome::Unreachable,
-            SatResult::Unknown { reason, .. } => ReachOutcome::Exhausted { reason, spent },
+            SatResult::Unknown { reason } => ReachOutcome::Exhausted { reason },
             SatResult::Sat(model) => {
                 // An input outside the goal's cone was never blasted.
                 let read = |sig: SignalId, var: TermId| {
@@ -1045,9 +1025,6 @@ impl SymbolicEngine {
         // An output/wire read before any driver ran this pass, or a
         // genuinely undriven signal: model as an unconstrained symbol.
         let s = self.design.signal(sig);
-        if s.kind == SignalKind::Input || s.is_register {
-            // Should have been pre-seeded; fall back to a var.
-        }
         self.pool.var(format!("float.{}", s.name), s.width)
     }
 
@@ -1550,8 +1527,7 @@ mod tests {
         assert!(matches!(
             out,
             ReachOutcome::Exhausted {
-                reason: UnknownReason::Conflicts,
-                ..
+                reason: UnknownReason::Conflicts
             }
         ));
     }

@@ -2,9 +2,7 @@
 
 use crate::clock::{Clock, ManualClock, MonotonicClock};
 use crate::event::Event;
-use crate::record::{
-    FieldValue, RecordSchema, METRICS_RECORD, PHASE_RECORD, RECORDS, SOLVER_CACHE_RECORD,
-};
+use crate::record::{FieldValue, RecordSchema, PHASE_RECORD, RECORDS};
 use crate::sink::{NullSink, TraceSink};
 use crate::snapshot::{MetricsSnapshot, PhaseStat};
 use std::fmt;
@@ -63,17 +61,11 @@ pub enum Counter {
     LearnedClauses,
     /// Assumption-core-lite extractions performed on failed goals.
     CoreExtractions,
-    /// Unrolled frames served from the solver-session bitblast cache
-    /// (the frame's transition-relation CNF was already blasted).
-    BitblastCacheHits,
-    /// Unrolled frames blasted fresh because the cache had no session
-    /// at that depth (or caching is off).
-    BitblastCacheMisses,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 21;
 
     /// All counters in index order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -98,8 +90,6 @@ impl Counter {
         Counter::SnapshotEvictions,
         Counter::LearnedClauses,
         Counter::CoreExtractions,
-        Counter::BitblastCacheHits,
-        Counter::BitblastCacheMisses,
     ];
 
     /// Stable snake_case name used in snapshots and reports.
@@ -126,8 +116,6 @@ impl Counter {
             Counter::SnapshotEvictions => "snapshot_evictions",
             Counter::LearnedClauses => "learned_clauses",
             Counter::CoreExtractions => "core_extractions",
-            Counter::BitblastCacheHits => "bitblast_cache_hits",
-            Counter::BitblastCacheMisses => "bitblast_cache_misses",
         }
     }
 }
@@ -138,8 +126,6 @@ impl Counter {
 pub enum Gauge {
     /// Cached per-node snapshots held.
     SnapshotCache,
-    /// Seed words in the mutation corpus.
-    CorpusSeeds,
     /// Multi-cycle testcases in the case corpus.
     CaseCorpus,
     /// Current budget-escalation level (0 = base budget).
@@ -154,39 +140,31 @@ pub enum Gauge {
     /// live snapshots over their unique page bytes (0 when no
     /// snapshots are held; 1000 means no page is shared).
     SnapshotSharing,
-    /// Solver-session reuse ratio ×1000: goals answered by a warm
-    /// frame chain over all goals checked on it (0 before the first
-    /// solve).
-    SolverSessionReuse,
 }
 
 impl Gauge {
     /// Number of gauges.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 6;
 
     /// All gauges in index order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
         Gauge::SnapshotCache,
-        Gauge::CorpusSeeds,
         Gauge::CaseCorpus,
         Gauge::EscalationLevel,
         Gauge::XIslandCones,
         Gauge::SnapshotBytes,
         Gauge::SnapshotSharing,
-        Gauge::SolverSessionReuse,
     ];
 
     /// Stable snake_case name used in snapshots and reports.
     pub fn name(self) -> &'static str {
         match self {
             Gauge::SnapshotCache => "snapshot_cache",
-            Gauge::CorpusSeeds => "corpus_seeds",
             Gauge::CaseCorpus => "case_corpus",
             Gauge::EscalationLevel => "escalation_level",
             Gauge::XIslandCones => "x_island_cones",
             Gauge::SnapshotBytes => "snapshot_bytes",
             Gauge::SnapshotSharing => "snapshot_sharing_milli",
-            Gauge::SolverSessionReuse => "solver_session_reuse_milli",
         }
     }
 }
@@ -354,13 +332,6 @@ impl Collector {
         }
     }
 
-    /// Flushes the trace sink.
-    pub fn flush(&self) {
-        if let Ok(mut s) = self.sink.lock() {
-            s.flush();
-        }
-    }
-
     /// Current clock reading.
     pub fn now_micros(&self) -> u64 {
         self.clock.now_micros()
@@ -393,39 +364,6 @@ impl Collector {
         self.gauges[g as usize].load(Ordering::Relaxed)
     }
 
-    /// Streams one `Metrics` summary record to the sink: the
-    /// compiled-settle fast-path counters alongside the settle-sweep
-    /// total, so `tracedump` can show the fast-path hit rate per
-    /// campaign. Call once at campaign end.
-    pub fn emit_settle_metrics(&self) {
-        self.trace_record(
-            self.now_micros(),
-            METRICS_RECORD,
-            &[
-                FieldValue::Num(self.get(Counter::SettleFastPath)),
-                FieldValue::Num(self.get(Counter::SettleEscapes)),
-                FieldValue::Num(self.gauge(Gauge::XIslandCones)),
-                FieldValue::Num(self.get(Counter::SettleSweeps)),
-            ],
-        );
-    }
-
-    /// Streams one `SolverCache` summary record to the sink: the
-    /// bitblast-cache hit/miss counters and the session-reuse gauge,
-    /// so `tracedump` can report the cache hit rate. Call once at
-    /// campaign end; no-op when no sink is attached.
-    pub fn emit_solver_cache_metrics(&self) {
-        self.trace_record(
-            self.now_micros(),
-            SOLVER_CACHE_RECORD,
-            &[
-                FieldValue::Num(self.get(Counter::BitblastCacheHits)),
-                FieldValue::Num(self.get(Counter::BitblastCacheMisses)),
-                FieldValue::Num(self.gauge(Gauge::SolverSessionReuse)),
-            ],
-        );
-    }
-
     /// Records an event: counts its kind and streams it to the sink
     /// when one is attached.
     pub fn record(&self, event: Event) {
@@ -443,8 +381,9 @@ impl Collector {
 
     /// Opens an RAII phase span. Spans nest: a parent's accumulated
     /// time excludes its children, so summing all phases never exceeds
-    /// total wall time.
-    pub fn phase(&self, phase: Phase) -> PhaseTimer<'_> {
+    /// total wall time. The guard owns a clone of the `Arc`, leaving
+    /// the caller free to mutably borrow itself while the span is open.
+    pub fn phase(self: &Arc<Collector>, phase: Phase) -> PhaseTimer {
         let start = self.clock.now_micros();
         self.spans.lock().unwrap().push(Frame {
             phase,
@@ -452,22 +391,6 @@ impl Collector {
             child_micros: 0,
         });
         PhaseTimer {
-            collector: self,
-            phase,
-        }
-    }
-
-    /// Like [`Collector::phase`], but the guard owns a clone of the
-    /// `Arc`, leaving the caller free to mutably borrow itself while
-    /// the span is open.
-    pub fn phase_owned(self: &Arc<Collector>, phase: Phase) -> OwnedPhaseTimer {
-        let start = self.clock.now_micros();
-        self.spans.lock().unwrap().push(Frame {
-            phase,
-            start,
-            child_micros: 0,
-        });
-        OwnedPhaseTimer {
             collector: Arc::clone(self),
             phase,
         }
@@ -550,25 +473,12 @@ impl Collector {
 
 /// RAII span handle from [`Collector::phase`]; records the phase
 /// duration on drop.
-pub struct PhaseTimer<'a> {
-    collector: &'a Collector,
-    phase: Phase,
-}
-
-impl Drop for PhaseTimer<'_> {
-    fn drop(&mut self) {
-        self.collector.end_phase(self.phase);
-    }
-}
-
-/// RAII span handle from [`Collector::phase_owned`]; records the phase
-/// duration on drop.
-pub struct OwnedPhaseTimer {
+pub struct PhaseTimer {
     collector: Arc<Collector>,
     phase: Phase,
 }
 
-impl Drop for OwnedPhaseTimer {
+impl Drop for PhaseTimer {
     fn drop(&mut self) {
         self.collector.end_phase(self.phase);
     }
@@ -629,7 +539,7 @@ mod tests {
 
     #[test]
     fn nested_phases_attribute_self_time() {
-        let c = Collector::deterministic();
+        let c = Arc::new(Collector::deterministic());
         {
             let _outer = c.phase(Phase::Symbolic);
             c.set_time(10);
@@ -653,7 +563,7 @@ mod tests {
     fn events_stream_to_sink_with_task_label() {
         let sink = BufferSink::new();
         let handle = sink.handle();
-        let c = Collector::deterministic();
+        let c = Arc::new(Collector::deterministic());
         c.set_task(3);
         c.set_sink(Box::new(sink));
         c.set_time(9);

@@ -13,8 +13,8 @@
 //!   and optionally streamed as JSONL through a [`TraceSink`].
 //!
 //! The JSONL layout is declared once: [`RECORDS`] gives every record
-//! kind (the twelve events plus the synthetic `Phase`, `Metrics`,
-//! `SolverCache` and `Flight` records) its ordered, typed fields, and
+//! kind (the twelve events plus the synthetic `Phase`, `Summary` and
+//! `Flight` records) its ordered, typed fields, and
 //! [`RecordSchema::line`] is the one writer. The bench crate's trace
 //! checker reads the same table.
 //!
@@ -33,14 +33,12 @@ mod sink;
 mod snapshot;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use collector::{
-    bucket_of, Collector, Counter, Gauge, OwnedPhaseTimer, Phase, PhaseTimer, HIST_BUCKETS,
-};
+pub use collector::{bucket_of, Collector, Counter, Gauge, Phase, PhaseTimer, HIST_BUCKETS};
 pub use event::{Event, Mechanism, SolveStatus, UnknownReason};
 pub use log::{log_at, log_enabled, log_level, set_log_level, Level};
 pub use record::{
-    record_schema, FieldType, FieldValue, RecordSchema, FLIGHT_RECORD, METRICS_RECORD,
-    PHASE_RECORD, RECORDS, SOLVER_CACHE_RECORD,
+    record_schema, FieldType, FieldValue, RecordSchema, FLIGHT_RECORD, PHASE_RECORD, RECORDS,
+    SUMMARY_RECORD,
 };
 pub use sampler::{
     flight_line, merge_flight, status_json, write_atomic, FlightSample, SampleState, Sampler,

@@ -3,9 +3,9 @@
 //!
 //! A record is `{"t":…,"task":…,"kind":"…"` followed by its kind's
 //! fields in table order. [`RECORDS`] lists the twelve [`Event`] kinds
-//! (in [`Event::kind_index`] order) and then the four synthetic kinds the
-//! collector and the flight recorder write: [`PHASE_RECORD`],
-//! [`METRICS_RECORD`], [`SOLVER_CACHE_RECORD`] and [`FLIGHT_RECORD`].
+//! (in [`Event::kind_index`] order) and then the three synthetic kinds
+//! the collector, the campaign and the flight recorder write:
+//! [`PHASE_RECORD`], [`SUMMARY_RECORD`] and [`FLIGHT_RECORD`].
 //! Trace checkers read the same table, so a field is named once.
 
 use crate::collector::Phase;
@@ -88,7 +88,7 @@ const fn rec(kind: &'static str, fields: &'static [(&'static str, FieldType)]) -
 
 /// Every trace record kind. The first [`Event::KIND_COUNT`] entries
 /// are the [`Event`] kinds in [`Event::kind_index`] order.
-pub const RECORDS: [RecordSchema; Event::KIND_COUNT + 4] = [
+pub const RECORDS: [RecordSchema; Event::KIND_COUNT + 3] = [
     rec(
         "CoverageDelta",
         &[("vectors", Num), ("coverage", Num), ("delta", Num)],
@@ -169,20 +169,16 @@ pub const RECORDS: [RecordSchema; Event::KIND_COUNT + 4] = [
     ),
     rec("Phase", &[("phase", PhaseName), ("micros", Num)]),
     rec(
-        "Metrics",
+        "Summary",
         &[
             ("settle_fast_path", Num),
             ("settle_escapes", Num),
             ("x_island_cones", Num),
             ("settle_sweeps", Num),
-        ],
-    ),
-    rec(
-        "SolverCache",
-        &[
-            ("bitblast_cache_hits", Num),
-            ("bitblast_cache_misses", Num),
-            ("session_reuse_milli", Num),
+            ("frame_hits", NumOrNull),
+            ("frame_misses", NumOrNull),
+            ("goals", NumOrNull),
+            ("reused_goals", NumOrNull),
         ],
     ),
     rec(
@@ -203,17 +199,15 @@ pub const RECORDS: [RecordSchema; Event::KIND_COUNT + 4] = [
 /// A closed [`crate::PhaseTimer`] span, with its self time.
 pub const PHASE_RECORD: &RecordSchema = &RECORDS[Event::KIND_COUNT];
 
-/// The once-per-campaign settle-engine summary
-/// ([`crate::Collector::emit_settle_metrics`]).
-pub const METRICS_RECORD: &RecordSchema = &RECORDS[Event::KIND_COUNT + 1];
-
-/// The once-per-campaign frame-cache summary
-/// ([`crate::Collector::emit_solver_cache_metrics`]).
-pub const SOLVER_CACHE_RECORD: &RecordSchema = &RECORDS[Event::KIND_COUNT + 2];
+/// The end-of-campaign summary a campaign writes each time it stops:
+/// the settle-engine mix (compiled fast path, escapes, X-island
+/// extent, sweeps) and the symbolic engine's frame-cache figures,
+/// `null` when the campaign never built its engine.
+pub const SUMMARY_RECORD: &RecordSchema = &RECORDS[Event::KIND_COUNT + 1];
 
 /// The flight recorder's headline numbers, mirrored into the trace
 /// ([`crate::Sampler::maybe_sample`]).
-pub const FLIGHT_RECORD: &RecordSchema = &RECORDS[Event::KIND_COUNT + 3];
+pub const FLIGHT_RECORD: &RecordSchema = &RECORDS[Event::KIND_COUNT + 2];
 
 /// The schema of the record kind named `kind`.
 pub fn record_schema(kind: &str) -> Option<&'static RecordSchema> {
@@ -282,9 +276,10 @@ pub(crate) fn escape_json_into(s: &str, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::{Collector, Counter, Gauge};
+    use crate::collector::{Collector, Counter};
     use crate::sampler::{SampleState, Sampler};
     use crate::sink::BufferSink;
+    use std::sync::Arc;
 
     /// One record of every kind, through the paths campaigns use, must
     /// render byte for byte as the hand-written writers before the
@@ -376,7 +371,7 @@ mod tests {
 
         let sink = BufferSink::new();
         let handle = sink.handle();
-        let c = Collector::deterministic();
+        let c = Arc::new(Collector::deterministic());
         c.set_task(3);
         c.set_sink(Box::new(sink));
         c.set_time(10);
@@ -386,13 +381,16 @@ mod tests {
         }
         c.add(Counter::SettleFastPath, 75);
         c.add(Counter::SettleEscapes, 25);
-        c.set_gauge(Gauge::XIslandCones, 3);
-        c.add(Counter::SettleSweeps, 100);
-        c.emit_settle_metrics();
-        c.add(Counter::BitblastCacheHits, 30);
-        c.add(Counter::BitblastCacheMisses, 10);
-        c.set_gauge(Gauge::SolverSessionReuse, 800);
-        c.emit_solver_cache_metrics();
+        for cache in [[Some(30), Some(10), Some(4), Some(3)], [None; 4]] {
+            let mut values = vec![
+                FieldValue::Num(75),
+                FieldValue::Num(25),
+                FieldValue::Num(3),
+                FieldValue::Num(100),
+            ];
+            values.extend(cache.map(FieldValue::NumOrNull));
+            c.trace_record(30, SUMMARY_RECORD, &values);
+        }
         c.add(Counter::Vectors, 1000);
         c.add(Counter::SolverCalls, 7);
         c.set_time(1000);
@@ -421,8 +419,8 @@ mod tests {
             r#"{"t":11,"task":1,"kind":"GoalSolveCost","register":"mode","value":1,"status":"sat","depth":2,"calls":2,"conflicts":0,"learned":0,"restarts":0,"hist":[]}"#,
             r#"{"t":12,"task":1,"kind":"CoreExtracted","register":"lock\"r","value":7,"core":0,"blamed":1}"#,
             r#"{"t":30,"task":3,"kind":"Phase","phase":"solve","micros":20}"#,
-            r#"{"t":30,"task":3,"kind":"Metrics","settle_fast_path":75,"settle_escapes":25,"x_island_cones":3,"settle_sweeps":100}"#,
-            r#"{"t":30,"task":3,"kind":"SolverCache","bitblast_cache_hits":30,"bitblast_cache_misses":10,"session_reuse_milli":800}"#,
+            r#"{"t":30,"task":3,"kind":"Summary","settle_fast_path":75,"settle_escapes":25,"x_island_cones":3,"settle_sweeps":100,"frame_hits":30,"frame_misses":10,"goals":4,"reused_goals":3}"#,
+            r#"{"t":30,"task":3,"kind":"Summary","settle_fast_path":75,"settle_escapes":25,"x_island_cones":3,"settle_sweeps":100,"frame_hits":null,"frame_misses":null,"goals":null,"reused_goals":null}"#,
             r#"{"t":1000,"task":3,"kind":"Flight","interval":2,"vectors":1000,"coverage":42,"stagnant":1,"d_vectors":1000,"d_solver_calls":7,"d_settle_fast_path":75,"d_settle_escapes":25}"#,
         ];
         assert_eq!(lines, golden);

@@ -16,9 +16,6 @@ pub trait TraceSink: Send {
 
     /// Delivers one record.
     fn write_line(&mut self, line: &str);
-
-    /// Flushes buffered records (best effort).
-    fn flush(&mut self) {}
 }
 
 /// Discards everything; the default sink.
@@ -36,28 +33,23 @@ impl TraceSink for NullSink {
 /// A sink over a shared writer, for fanning several collectors (one
 /// per pool task) into one trace file. Each record is written under
 /// the lock, so lines from concurrent campaigns interleave but never
-/// tear; the per-record `task` field keeps them attributable.
-pub struct SharedSink<W: Write + Send> {
+/// tear; the per-record `task` field keeps them attributable. The
+/// writer's owner flushes it once the campaigns are done.
+pub struct SharedSink<W: Write + Send + ?Sized> {
     out: Arc<Mutex<W>>,
 }
 
-impl<W: Write + Send> SharedSink<W> {
+impl<W: Write + Send + ?Sized> SharedSink<W> {
     /// Wraps a shared writer.
     pub fn new(out: Arc<Mutex<W>>) -> SharedSink<W> {
         SharedSink { out }
     }
 }
 
-impl<W: Write + Send> TraceSink for SharedSink<W> {
+impl<W: Write + Send + ?Sized> TraceSink for SharedSink<W> {
     fn write_line(&mut self, line: &str) {
         if let Ok(mut w) = self.out.lock() {
             let _ = writeln!(w, "{line}");
-        }
-    }
-
-    fn flush(&mut self) {
-        if let Ok(mut w) = self.out.lock() {
-            let _ = w.flush();
         }
     }
 }
@@ -119,7 +111,6 @@ mod tests {
         let mut sink = SharedSink::new(Arc::clone(&buf));
         sink.write_line("x");
         sink.write_line("y");
-        sink.flush();
         assert_eq!(&*buf.lock().unwrap(), b"x\ny\n");
     }
 }

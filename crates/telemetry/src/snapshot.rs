@@ -153,7 +153,7 @@ mod tests {
     use crate::event::Event;
 
     fn sample(vectors: u64, cache: u64) -> MetricsSnapshot {
-        let c = Collector::deterministic();
+        let c = std::sync::Arc::new(Collector::deterministic());
         c.add(Counter::Vectors, vectors);
         c.set_gauge(Gauge::SnapshotCache, cache);
         c.record(Event::FullReset);
