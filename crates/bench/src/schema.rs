@@ -22,10 +22,10 @@
 //! Trace records are checked against the telemetry crate's [`RECORDS`]
 //! table, the one its writer renders from; a kind no longer in it
 //! (`Metrics`, `SolverCache`) is an unknown kind. Old files load
-//! through two rules, both here: v1 heartbeat solver sections
-//! ([`status_solver_profile`]) and `BENCH_telemetry` files without
+//! through one rule here, for `BENCH_telemetry` files without
 //! introspection rows; [`bench_telemetry_history`] reads legacy
-//! `BENCH_telemetry` heads forward.
+//! `BENCH_telemetry` heads forward. Heartbeats carry one solver-section
+//! shape, the versioned block ([`status_solver_profile`]).
 
 use crate::args::{exit_usage, ArgError};
 use crate::covreport::{CovReport, COVREPORT_VERSION};
@@ -291,14 +291,14 @@ pub fn status_vm_profile(status: &Value) -> Option<Result<VmProfileBlock, String
     Some(VmProfileBlock::from_value(p).map_err(|e| e.to_string()))
 }
 
-/// The heartbeat's per-goal solver section, when present: read
-/// through [`SolverProfileBlock::from_sections`] (so heartbeats with a
-/// v1 section and a `solver_scope` block still load), then checked with
-/// [`SolverProfileBlock::check`].
+/// The heartbeat's per-goal solver section, when present, read as the
+/// versioned block and checked with [`SolverProfileBlock::check`].
+/// Older section shapes were only ever written into version-1
+/// heartbeats, which [`check_status`] rejects before reading sections.
 pub fn status_solver_profile(status: &Value) -> Option<Result<SolverProfileBlock, String>> {
     let p = status.field("solver_profile").ok()?;
     Some(
-        SolverProfileBlock::from_sections(p, status.field("solver_scope").ok())
+        SolverProfileBlock::from_value(p)
             .map_err(|e| e.to_string())
             .and_then(|block| block.check().map(|()| block)),
     )
@@ -991,53 +991,61 @@ mod tests {
         assert!(validate_bench_artifact("BENCH_future", r#"{"anything":true}"#).is_ok());
         assert!(validate_bench_artifact("BENCH_future", "null").is_err());
     }
-    /// A heartbeat whose solver sections are as written before the
-    /// per-goal record was unified: an unversioned `solver_profile`
-    /// plus a `solver_scope` block.
-    const PRE_CHANGE_STATUS: &str = r#"{"v":2,"interval":2,"t":200,"vectors":200,
+    /// A heartbeat as campaigns write it now, with one introspected
+    /// goal in its versioned solver section.
+    const STATUS: &str = r#"{"v":2,"interval":2,"t":200,"vectors":200,
       "coverage":3,"nodes":2,"edges":1,"stagnant":0,"counters":{"vectors":200},
       "gauges":{},"events":{},"phase_self_micros":{},
-      "solver_profile":{"goals":[{"register":"st","value":2,"attempts":1,"sat":0,
-        "unsat":1,"exhausted":0,"neg_cache_hits":3,"conflicts":12,"decisions":30,
-        "propagations":99,"solver_calls":2,"deepest_unroll":4,"escalations":[0]}],
-        "total_attempts":1,"total_neg_cache_hits":3},
-      "solver_scope":{"version":1,"goals":[{"register":"st","value":2,"attempts":1,
-        "conflicts":12,"learned":11,"restarts":0,
-        "learned_size_hist":[0,11,0,0,0,0,0,0,0,0,0,0],
-        "lbd_hist":[0,11,0,0,0,0,0,0,0,0,0,0],
-        "call_conflict_hist":[0,0,2,0,0,0,0,0,0,0,0,0],"restart_timeline":[],
-        "conflict_depth_sum":20,"conflict_depth_max":4,"hot_signals":[["k",1000]],
-        "blame":["st"],"sketch":[1,2],"depth":4}],
-        "affinity":[[1000]],"mean_adjacent_affinity_milli":0}}"#;
-
-    /// A heartbeat whose v2 `solver_profile` was written while
-    /// structural sketches existed: per-row `sketch`/`depth`, the
-    /// `affinity` matrix, its adjacent mean and the retired gauge.
-    const SKETCH_ERA_STATUS: &str = r#"{"v":2,"interval":2,"t":200,"vectors":200,
-      "coverage":3,"nodes":2,"edges":1,"stagnant":0,"counters":{"vectors":200},
-      "gauges":{"mean_affinity_milli":812},"events":{},"phase_self_micros":{},
       "solver_profile":{"version":2,"goals":[{"register":"st","value":2,"attempts":1,
-        "sat":0,"unsat":1,"exhausted":0,"neg_cache_hits":0,"conflicts":12,"decisions":30,
+        "sat":0,"unsat":1,"exhausted":0,"neg_cache_hits":3,"conflicts":12,"decisions":30,
         "propagations":99,"solver_calls":2,"deepest_unroll":4,"escalations":[0],
         "introspection":{"learned":11,"restarts":0,
           "learned_size_hist":[0,11,0,0,0,0,0,0,0,0,0,0],
           "lbd_hist":[0,11,0,0,0,0,0,0,0,0,0,0],
           "call_conflict_hist":[0,0,2,0,0,0,0,0,0,0,0,0],"restart_timeline":[],
           "conflict_depth_sum":20,"conflict_depth_max":4,"hot_signals":[["k",1000]],
-          "blame":["st"],"sketch":[780051993405796900,12],"depth":4}}],
-        "total_attempts":1,"total_neg_cache_hits":0,
-        "affinity":[[1000]],"mean_adjacent_affinity_milli":0}}"#;
+          "blame":["st"]}}],
+        "total_attempts":1,"total_neg_cache_hits":3}}"#;
 
     #[test]
-    fn sketch_era_status_loads_and_checks() {
-        let status = check_status(SKETCH_ERA_STATUS).expect("v2 heartbeat validates");
+    fn status_solver_sections_load_and_render() {
+        let status = check_status(STATUS).expect("heartbeat validates");
         let block = status_solver_profile(&status).unwrap().unwrap();
         let i = block.goals[0].introspection.as_ref().unwrap();
         assert_eq!(
-            (i.learned, i.blame.as_slice()),
-            (11, &["st".to_string()][..])
+            (i.learned, block.goals[0].conflicts, i.blame.as_slice()),
+            (11, 12, &["st".to_string()][..])
         );
         assert_eq!(block.total_attempts, 1);
+        let dash = render_dashboard(&status, &[], 5);
+        assert!(dash.contains("st==2"), "{dash}");
+        let prom = render_prometheus(&status);
+        assert!(
+            prom.contains("symbfuzz_goal_attempts{register=\"st\",value=\"2\"} 1"),
+            "{prom}"
+        );
+    }
+
+    #[test]
+    fn bad_status_solver_sections_are_named_and_shown_unreadable() {
+        // A section that fails to read is named by the check and shown
+        // by both renderers instead of silently dropped.
+        let broken: Value =
+            serde_json::from_str(&STATUS.replace("\"total_attempts\":1,", "")).unwrap();
+        let err = check_status(&serde_json::to_string(&broken).unwrap()).unwrap_err();
+        assert!(err.starts_with("solver_profile: "), "{err}");
+        assert!(err.contains("total_attempts"), "{err}");
+        let dash = render_dashboard(&broken, &[], 5);
+        assert!(dash.contains("solver profile unreadable"), "{dash}");
+        let prom = render_prometheus(&broken);
+        assert!(prom.contains("# solver_profile unreadable"), "{prom}");
+        assert!(parse_prometheus(&prom).is_ok(), "{prom}");
+        // An unversioned section is not upgraded: no writer of a
+        // version-2 heartbeat produced one.
+        let unversioned = STATUS.replace("\"version\":2,", "");
+        let err = check_status(&unversioned).unwrap_err();
+        assert!(err.starts_with("solver_profile: "), "{err}");
+        assert!(err.contains("version"), "{err}");
     }
 
     #[test]
@@ -1068,36 +1076,6 @@ mod tests {
         assert!(err.starts_with("solver_profile: "), "{err}");
         assert!(err.contains(&name), "{err}");
         assert!(err.contains("call-conflict"), "{err}");
-    }
-
-    #[test]
-    fn pre_change_status_loads_and_bad_solver_sections_are_reported() {
-        let status = check_status(PRE_CHANGE_STATUS).expect("v1 solver sections validate");
-        let block = status_solver_profile(&status).unwrap().unwrap();
-        let i = block.goals[0]
-            .introspection
-            .as_ref()
-            .expect("joined by goal");
-        assert_eq!((i.learned, block.goals[0].conflicts), (11, 12));
-        let dash = render_dashboard(&status, &[], 5);
-        assert!(dash.contains("st==2"), "{dash}");
-        let prom = render_prometheus(&status);
-        assert!(
-            prom.contains("symbfuzz_goal_attempts{register=\"st\",value=\"2\"} 1"),
-            "{prom}"
-        );
-        // A section that fails to read is named by the check and shown
-        // by both renderers instead of silently dropped.
-        let broken: Value =
-            serde_json::from_str(&PRE_CHANGE_STATUS.replace("\"total_attempts\":1,", "")).unwrap();
-        let err = check_status(&serde_json::to_string(&broken).unwrap()).unwrap_err();
-        assert!(err.starts_with("solver_profile: "), "{err}");
-        assert!(err.contains("total_attempts"), "{err}");
-        let dash = render_dashboard(&broken, &[], 5);
-        assert!(dash.contains("solver profile unreadable"), "{dash}");
-        let prom = render_prometheus(&broken);
-        assert!(prom.contains("# solver_profile unreadable"), "{prom}");
-        assert!(parse_prometheus(&prom).is_ok(), "{prom}");
     }
 
     #[test]

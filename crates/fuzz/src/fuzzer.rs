@@ -242,8 +242,13 @@ impl SymbFuzz {
     /// Replaces the campaign's collector and re-points the simulator
     /// and (if built) the symbolic engine at it. The bench harness
     /// uses this to install a wall-clock collector streaming JSONL to
-    /// a trace file; the default stays deterministic.
+    /// a trace file; the default stays deterministic. The counters and
+    /// gauge levels the replaced collector holds, such as the reset
+    /// cycles [`new`](Self::new) drove, carry over
+    /// ([`Collector::fold_counts`]), so a traced campaign counts the
+    /// same work as an untraced one.
     pub fn install_telemetry(&mut self, telemetry: Arc<Collector>) {
+        telemetry.fold_counts(&self.telemetry);
         self.sim.set_collector(Some(Arc::clone(&telemetry)));
         if let Some(engine) = &mut self.engine {
             engine.set_collector(Some(Arc::clone(&telemetry)));
@@ -1285,6 +1290,30 @@ mod tests {
         // The default collector runs on the deterministic vector clock,
         // so the whole telemetry block reproduces too.
         assert_eq!(a.telemetry, b.telemetry);
+    }
+
+    #[test]
+    fn installed_collectors_count_the_set_up_work() {
+        let d = lock_design();
+        let run = |installed: bool| {
+            let mut f = SymbFuzz::new(
+                Arc::clone(&d),
+                Strategy::SymbFuzz,
+                small_cfg(3_000),
+                &lock_props(),
+            )
+            .unwrap();
+            if installed {
+                let reset_steps = f.telemetry().get(Counter::SimSteps);
+                assert!(reset_steps > 0, "construction drives the reset cycles");
+                f.install_telemetry(Arc::new(Collector::monotonic()));
+                assert_eq!(f.telemetry().get(Counter::SimSteps), reset_steps);
+            }
+            f.run().telemetry
+        };
+        let (kept, installed) = (run(false), run(true));
+        assert_eq!(kept.counters, installed.counters);
+        assert_eq!(kept.gauges, installed.gauges);
     }
 
     #[test]

@@ -2,8 +2,27 @@
 
 use crate::sat::{Lit, SatSolver};
 use crate::term::{TermId, TermKind, TermPool};
-use std::collections::HashMap;
 use symbfuzz_logic::Bit;
+
+/// A term's literals: `len` entries of the flat literal vector from
+/// `start`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The table entry of a term not blasted yet.
+    const NONE: Span = Span {
+        start: u32::MAX,
+        len: 0,
+    };
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
 
 /// A CNF formula under construction (kept for introspection/tests).
 #[derive(Debug, Default, Clone)]
@@ -19,11 +38,15 @@ pub struct Cnf {
 /// Every term maps to one [`Lit`] per bit (LSB first). Gate outputs get
 /// fresh variables constrained by Tseitin clauses; adders are ripple
 /// carry, multipliers shift-and-add, comparisons MSB-first equality
-/// chains.
+/// chains. The literals of all blasted terms sit back to back in one
+/// vector, found through a table indexed by [`TermId`].
 #[derive(Debug, Clone)]
 pub struct BitBlaster {
     solver: SatSolver,
-    map: HashMap<TermId, Vec<Lit>>,
+    /// Per [`TermId`], its literals' span in `lits`, [`Span::NONE`]
+    /// until blasted.
+    spans: Vec<Span>,
+    lits: Vec<Lit>,
     tru: Lit,
     stats: Cnf,
 }
@@ -44,7 +67,8 @@ impl BitBlaster {
         solver.add_clause(&[tru]);
         BitBlaster {
             solver,
-            map: HashMap::new(),
+            spans: Vec::new(),
+            lits: Vec::new(),
             tru,
             stats: Cnf {
                 num_vars: 1,
@@ -158,161 +182,230 @@ impl BitBlaster {
         (sum, cout)
     }
 
-    fn adder(&mut self, a: &[Lit], b: &[Lit], mut carry: Lit) -> Vec<Lit> {
-        let mut out = Vec::with_capacity(a.len());
-        for i in 0..a.len() {
-            let (s, c) = self.full_adder(a[i], b[i], carry);
-            out.push(s);
+    /// The span of an already blasted term.
+    fn span(&self, t: TermId) -> Span {
+        self.spans[t.index()]
+    }
+
+    /// The `i`th literal of an already blasted term.
+    fn bit(&self, t: TermId, i: usize) -> Lit {
+        self.lits[self.span(t).start as usize + i]
+    }
+
+    fn width_of(&self, t: TermId) -> usize {
+        self.span(t).len as usize
+    }
+
+    /// Ripple-carry sum of `a` and `b` (`b` negated when `negate_b`),
+    /// pushed onto the literal vector.
+    fn push_adder(&mut self, a: TermId, b: TermId, negate_b: bool, mut carry: Lit) {
+        for i in 0..self.width_of(a) {
+            let y = self.bit(b, i);
+            let y = if negate_b { y.negated() } else { y };
+            let (sum, c) = self.full_adder(self.bit(a, i), y, carry);
+            self.lits.push(sum);
             carry = c;
         }
-        out
+    }
+
+    /// `op` applied bitwise to `a` and `b`, pushed onto the literal
+    /// vector.
+    fn push_bitwise(&mut self, a: TermId, b: TermId, op: fn(&mut Self, Lit, Lit) -> Lit) {
+        for i in 0..self.width_of(a).min(self.width_of(b)) {
+            let g = op(self, self.bit(a, i), self.bit(b, i));
+            self.lits.push(g);
+        }
     }
 
     /// Bit-blasts `t` and returns one literal per bit, LSB first.
-    pub fn lits(&mut self, pool: &TermPool, t: TermId) -> Vec<Lit> {
-        if let Some(ls) = self.map.get(&t) {
-            return ls.clone();
+    pub(crate) fn lits(&mut self, pool: &TermPool, t: TermId) -> &[Lit] {
+        let span = self.blast(pool, t);
+        &self.lits[span.range()]
+    }
+
+    /// Blasts `t`'s children, then pushes `t`'s literals onto the flat
+    /// vector, creating gates in bit order.
+    fn blast(&mut self, pool: &TermPool, t: TermId) -> Span {
+        if let Some(&span) = self.spans.get(t.index()) {
+            if span != Span::NONE {
+                return span;
+            }
+        } else {
+            self.spans.resize(pool.len(), Span::NONE);
         }
-        let out: Vec<Lit> = match pool.kind(t).clone() {
-            TermKind::Const(v) => v
-                .iter_bits()
-                .map(|b| self.const_lit(b == Bit::One))
-                .collect(),
-            TermKind::Var(_, w) => (0..w).map(|_| self.fresh()).collect(),
-            TermKind::Not(a) => self.lits(pool, a).iter().map(|l| l.negated()).collect(),
-            TermKind::And(a, b) => {
-                let (la, lb) = (self.lits(pool, a), self.lits(pool, b));
-                la.iter()
-                    .zip(&lb)
-                    .map(|(&x, &y)| self.and_gate(x, y))
-                    .collect()
+        let kind = pool.kind(t);
+        // Children first, in the order their literals are read.
+        match kind {
+            TermKind::Const(_) | TermKind::Var(..) => {}
+            TermKind::Not(a)
+            | TermKind::Extract { arg: a, .. }
+            | TermKind::ShlConst(a, _)
+            | TermKind::LshrConst(a, _)
+            | TermKind::RedAnd(a)
+            | TermKind::RedOr(a)
+            | TermKind::RedXor(a) => {
+                self.blast(pool, a);
             }
-            TermKind::Or(a, b) => {
-                let (la, lb) = (self.lits(pool, a), self.lits(pool, b));
-                la.iter()
-                    .zip(&lb)
-                    .map(|(&x, &y)| self.or_gate(x, y))
-                    .collect()
+            TermKind::And(a, b)
+            | TermKind::Or(a, b)
+            | TermKind::Xor(a, b)
+            | TermKind::Add(a, b)
+            | TermKind::Sub(a, b)
+            | TermKind::Mul(a, b)
+            | TermKind::Eq(a, b)
+            | TermKind::Ult(a, b) => {
+                self.blast(pool, a);
+                self.blast(pool, b);
             }
-            TermKind::Xor(a, b) => {
-                let (la, lb) = (self.lits(pool, a), self.lits(pool, b));
-                la.iter()
-                    .zip(&lb)
-                    .map(|(&x, &y)| self.xor_gate(x, y))
-                    .collect()
+            TermKind::Ite(c, a, b) => {
+                self.blast(pool, c);
+                self.blast(pool, a);
+                self.blast(pool, b);
             }
+            TermKind::ConcatPair(hi, lo) => {
+                self.blast(pool, lo);
+                self.blast(pool, hi);
+            }
+        }
+        let start = self.lits.len();
+        match kind {
+            TermKind::Const(c) => {
+                for b in pool.const_value(c).iter_bits() {
+                    let l = self.const_lit(b == Bit::One);
+                    self.lits.push(l);
+                }
+            }
+            TermKind::Var(_, w) => {
+                for _ in 0..w {
+                    let l = self.fresh();
+                    self.lits.push(l);
+                }
+            }
+            TermKind::Not(a) => {
+                for i in self.span(a).range() {
+                    let l = self.lits[i].negated();
+                    self.lits.push(l);
+                }
+            }
+            TermKind::And(a, b) => self.push_bitwise(a, b, Self::and_gate),
+            TermKind::Or(a, b) => self.push_bitwise(a, b, Self::or_gate),
+            TermKind::Xor(a, b) => self.push_bitwise(a, b, Self::xor_gate),
             TermKind::Add(a, b) => {
-                let (la, lb) = (self.lits(pool, a), self.lits(pool, b));
                 let f = self.const_lit(false);
-                self.adder(&la, &lb, f)
+                self.push_adder(a, b, false, f);
             }
             TermKind::Sub(a, b) => {
-                let la = self.lits(pool, a);
-                let lb: Vec<Lit> = self.lits(pool, b).iter().map(|l| l.negated()).collect();
                 let t1 = self.const_lit(true);
-                self.adder(&la, &lb, t1)
+                self.push_adder(a, b, true, t1);
             }
             TermKind::Mul(a, b) => {
-                let (la, lb) = (self.lits(pool, a), self.lits(pool, b));
-                let w = la.len();
-                let mut acc: Vec<Lit> = vec![self.const_lit(false); w];
-                for (i, &bi) in lb.iter().enumerate() {
+                let w = self.width_of(a);
+                let f = self.const_lit(false);
+                let mut acc = vec![f; w];
+                let mut addend = vec![f; w];
+                for i in 0..self.width_of(b) {
+                    let bi = self.bit(b, i);
                     // addend = (a << i) gated by b_i
-                    let mut addend = vec![self.const_lit(false); w];
+                    addend.fill(f);
                     for j in 0..w.saturating_sub(i) {
-                        addend[j + i] = self.and_gate(la[j], bi);
+                        addend[j + i] = self.and_gate(self.bit(a, j), bi);
                     }
-                    let f = self.const_lit(false);
-                    acc = self.adder(&acc, &addend, f);
+                    let mut carry = f;
+                    for (x, &y) in acc.iter_mut().zip(&addend) {
+                        let (sum, c) = self.full_adder(*x, y, carry);
+                        *x = sum;
+                        carry = c;
+                    }
                 }
-                acc
+                self.lits.extend_from_slice(&acc);
             }
             TermKind::Eq(a, b) => {
-                let (la, lb) = (self.lits(pool, a), self.lits(pool, b));
                 let mut acc = self.const_lit(true);
-                for (&x, &y) in la.iter().zip(&lb) {
-                    let same = self.xor_gate(x, y).negated();
+                for i in 0..self.width_of(a).min(self.width_of(b)) {
+                    let same = self.xor_gate(self.bit(a, i), self.bit(b, i)).negated();
                     acc = self.and_gate(acc, same);
                 }
-                vec![acc]
+                self.lits.push(acc);
             }
             TermKind::Ult(a, b) => {
-                let (la, lb) = (self.lits(pool, a), self.lits(pool, b));
                 // MSB-first: lt = (¬a_i ∧ b_i) ∨ (a_i ≡ b_i) ∧ lt_below
                 let mut lt = self.const_lit(false);
-                for (&x, &y) in la.iter().zip(&lb) {
+                for i in 0..self.width_of(a).min(self.width_of(b)) {
                     // iterating LSB→MSB and folding keeps the same
                     // recurrence with the MSB applied last
+                    let (x, y) = (self.bit(a, i), self.bit(b, i));
                     let strictly = self.and_gate(x.negated(), y);
                     let same = self.xor_gate(x, y).negated();
                     let keep = self.and_gate(same, lt);
                     lt = self.or_gate(strictly, keep);
                 }
-                vec![lt]
+                self.lits.push(lt);
             }
             TermKind::Ite(c, a, b) => {
-                let lc = self.lits(pool, c)[0];
-                let (la, lb) = (self.lits(pool, a), self.lits(pool, b));
-                la.iter()
-                    .zip(&lb)
-                    .map(|(&x, &y)| self.mux_gate(lc, x, y))
-                    .collect()
+                let lc = self.bit(c, 0);
+                for i in 0..self.width_of(a).min(self.width_of(b)) {
+                    let g = self.mux_gate(lc, self.bit(a, i), self.bit(b, i));
+                    self.lits.push(g);
+                }
             }
             TermKind::Extract { arg, lo, width } => {
-                let la = self.lits(pool, arg);
-                la[lo as usize..(lo + width) as usize].to_vec()
+                // A slice of the argument's literals; nothing to push.
+                let span = Span {
+                    start: self.span(arg).start + lo,
+                    len: width,
+                };
+                self.spans[t.index()] = span;
+                return span;
             }
             TermKind::ConcatPair(hi, lo) => {
-                let mut out = self.lits(pool, lo);
-                out.extend(self.lits(pool, hi));
-                out
+                self.lits.extend_from_within(self.span(lo).range());
+                self.lits.extend_from_within(self.span(hi).range());
             }
             TermKind::ShlConst(a, n) => {
-                let la = self.lits(pool, a);
-                let w = la.len();
-                let mut out = vec![self.const_lit(false); w];
-                for i in 0..w.saturating_sub(n as usize) {
-                    out[i + n as usize] = la[i];
+                let (w, n) = (self.width_of(a), n as usize);
+                let f = self.const_lit(false);
+                for i in 0..w {
+                    let l = if i >= n { self.bit(a, i - n) } else { f };
+                    self.lits.push(l);
                 }
-                out
             }
             TermKind::LshrConst(a, n) => {
-                let la = self.lits(pool, a);
-                let w = la.len();
-                let mut out = vec![self.const_lit(false); w];
-                for i in n as usize..w {
-                    out[i - n as usize] = la[i];
+                let (w, n) = (self.width_of(a), n as usize);
+                let f = self.const_lit(false);
+                for i in 0..w {
+                    let l = if i + n < w { self.bit(a, i + n) } else { f };
+                    self.lits.push(l);
                 }
-                out
             }
             TermKind::RedAnd(a) => {
-                let la = self.lits(pool, a);
                 let mut acc = self.const_lit(true);
-                for &x in &la {
-                    acc = self.and_gate(acc, x);
+                for i in 0..self.width_of(a) {
+                    acc = self.and_gate(acc, self.bit(a, i));
                 }
-                vec![acc]
+                self.lits.push(acc);
             }
             TermKind::RedOr(a) => {
-                let la = self.lits(pool, a);
                 let mut acc = self.const_lit(false);
-                for &x in &la {
-                    acc = self.or_gate(acc, x);
+                for i in 0..self.width_of(a) {
+                    acc = self.or_gate(acc, self.bit(a, i));
                 }
-                vec![acc]
+                self.lits.push(acc);
             }
             TermKind::RedXor(a) => {
-                let la = self.lits(pool, a);
                 let mut acc = self.const_lit(false);
-                for &x in &la {
-                    acc = self.xor_gate(acc, x);
+                for i in 0..self.width_of(a) {
+                    acc = self.xor_gate(acc, self.bit(a, i));
                 }
-                vec![acc]
+                self.lits.push(acc);
             }
+        }
+        let span = Span {
+            start: u32::try_from(start).expect("literal table outgrew u32 offsets"),
+            len: u32::try_from(self.lits.len() - start).expect("term width fits u32"),
         };
-        debug_assert_eq!(out.len() as u32, pool.width(t));
-        self.map.insert(t, out.clone());
-        out
+        debug_assert_eq!(span.len, pool.width(t));
+        self.spans[t.index()] = span;
+        span
     }
 
     /// Asserts that a 1-bit term is true.
@@ -326,28 +419,37 @@ impl BitBlaster {
         self.clause(&[l]);
     }
 
-    /// The literal vector previously produced for `t`, if blasted.
+    /// The literals previously produced for `t`, if blasted.
     pub fn lits_of(&self, t: TermId) -> Option<&[Lit]> {
-        self.map.get(&t).map(|v| v.as_slice())
+        let span = *self.spans.get(t.index())?;
+        (span != Span::NONE).then(|| &self.lits[span.range()])
     }
 
     /// Attributes SAT variables back to the blasted terms whose bit
     /// vectors contain them, as `(var, term, bit_index)`. When several
     /// terms share a literal (gate/extract sharing), the smallest
-    /// [`TermId`] wins, so attribution is deterministic. Introspection
-    /// path only — builds a reverse index over the whole blast map.
+    /// [`TermId`] wins, and within it the lowest bit, so attribution is
+    /// deterministic. Introspection path only — walks the whole
+    /// literal table.
     pub fn attribute_vars(&self, vars: &[u32]) -> Vec<(u32, TermId, u32)> {
-        let mut reverse: HashMap<u32, (TermId, u32)> = HashMap::new();
-        for (&t, lits) in &self.map {
-            for (i, l) in lits.iter().enumerate() {
-                let slot = reverse.entry(l.var()).or_insert((t, i as u32));
-                if t < slot.0 {
-                    *slot = (t, i as u32);
-                }
+        let mut owner: Vec<Option<(TermId, u32)>> = vec![None; self.solver.num_vars()];
+        for (t, &span) in self.spans.iter().enumerate() {
+            if span == Span::NONE {
+                continue;
+            }
+            let t = TermId(u32::try_from(t).expect("term index fits a TermId"));
+            for (i, l) in (0u32..).zip(&self.lits[span.range()]) {
+                owner[l.var() as usize].get_or_insert((t, i));
             }
         }
         vars.iter()
-            .filter_map(|&v| reverse.get(&v).map(|&(t, i)| (v, t, i)))
+            .filter_map(|&v| {
+                owner
+                    .get(v as usize)
+                    .copied()
+                    .flatten()
+                    .map(|(t, i)| (v, t, i))
+            })
             .collect()
     }
 }

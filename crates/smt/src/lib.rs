@@ -7,19 +7,24 @@
 //! fragment the paper actually needs, the textbook way:
 //!
 //! * [`TermPool`] — hash-consed bit-vector terms with constant folding
-//!   and identity simplification;
+//!   and identity simplification; variable names and constants are
+//!   interned, so a [`TermKind`] is a `Copy` value of ids;
 //! * [`bitblast`](BitBlaster) — Tseitin transformation of terms into
-//!   CNF (ripple-carry adders, shift-and-add multipliers, mux trees);
-//! * [`SatSolver`] — a CDCL SAT solver with two-watched-literal
-//!   propagation, VSIDS decision ordering, first-UIP clause learning
-//!   and Luby restarts;
+//!   CNF (ripple-carry adders, shift-and-add multipliers, mux trees),
+//!   every term's literals in one table indexed by [`TermId`];
+//! * [`SatSolver`] — a CDCL SAT solver over one clause arena, with
+//!   two-watched-literal propagation, a VSIDS order heap, first-UIP
+//!   clause learning and Luby restarts;
 //! * [`Budget`] — an optional conflict ceiling and an opt-in wall-clock
 //!   deadline that turn checks into three-valued results with
 //!   [`SatResult::Unknown`].
 //! * [`SolverSession`] — the one wrapper over blaster and solver:
 //!   assert 1-bit terms, check under assumption literals, read the
 //!   model off each variable's bit literals. One warm session can
-//!   serve related goals, learned clauses retained between checks.
+//!   serve related goals, learned clauses retained between checks;
+//! * [`IdMap`] — a map under [`IdHasher`], a multiplicative hasher for
+//!   keys built from the program's own ids only (terms, interned names
+//!   and constants), never from HDL text.
 //!
 //! # Examples
 //!
@@ -49,6 +54,7 @@
 
 mod bitblast;
 mod budget;
+mod idhash;
 mod sat;
 mod session;
 mod term;
@@ -56,9 +62,10 @@ mod trace;
 
 pub use bitblast::{BitBlaster, Cnf};
 pub use budget::{Budget, BudgetSpent};
+pub use idhash::{IdHasher, IdMap};
 pub use sat::{Lit, SatResult, SatSolver};
 pub use session::SolverSession;
-pub use term::{TermId, TermKind, TermPool};
+pub use term::{ConstId, Sym, TermId, TermKind, TermPool};
 pub use trace::{
     trace_bucket, trace_hist_quantile, SolveTrace, RESTART_TIMELINE_CAP, TRACE_HIST_BUCKETS,
 };

@@ -74,7 +74,115 @@ impl SatResult {
     }
 }
 
-const INVALID: usize = usize::MAX;
+/// `reason` of a variable assigned by a decision, an assumption or a
+/// unit clause.
+const NO_REASON: u32 = u32::MAX;
+
+/// Position of a variable that is not in the [`OrderHeap`].
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// The VSIDS decision order: a binary heap of variables, the most
+/// active first and equal activities by ascending index, which is the
+/// variable a linear scan for the first most active unassigned one
+/// returns. Assigned variables leave lazily, when they reach the top.
+#[derive(Debug, Default, Clone)]
+struct OrderHeap {
+    heap: Vec<u32>,
+    /// Each variable's slot in `heap`, [`NOT_IN_HEAP`] when absent.
+    pos: Vec<u32>,
+}
+
+impl OrderHeap {
+    /// Whether `a` is picked before `b`.
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    /// Adds `v` unless it is already queued.
+    fn insert(&mut self, v: u32, activity: &[f64]) {
+        let v_idx = v as usize;
+        if v_idx >= self.pos.len() {
+            self.pos.resize(v_idx + 1, NOT_IN_HEAP);
+        }
+        if self.pos[v_idx] != NOT_IN_HEAP {
+            return;
+        }
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Restores the order after `v`'s activity rose.
+    fn bumped(&mut self, v: u32, activity: &[f64]) {
+        let p = self.pos[v as usize];
+        if p != NOT_IN_HEAP {
+            self.sift_up(p as usize, activity);
+        }
+    }
+
+    /// Removes and returns the first variable in the order.
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("heap has a top");
+        self.pos[top as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Re-establishes the order over the queued variables, after a
+    /// rescale that may have tied activities that differed.
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn place(&mut self, i: usize, v: u32) {
+        self.heap[i] = v;
+        self.pos[v as usize] = u32::try_from(i).expect("heap slots are variable indices");
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !Self::before(activity, v, p) {
+                break;
+            }
+            self.place(i, p);
+            i = parent;
+        }
+        self.place(i, v);
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && Self::before(activity, self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !Self::before(activity, c, v) {
+                break;
+            }
+            self.place(i, c);
+            i = child;
+        }
+        self.place(i, v);
+    }
+}
 
 /// A CDCL SAT solver over clauses of [`Lit`]s.
 ///
@@ -92,21 +200,34 @@ const INVALID: usize = usize::MAX;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct SatSolver {
-    clauses: Vec<Vec<Lit>>,
-    watches: Vec<Vec<usize>>,
+    /// Every clause of two or more literals, back to back: a header
+    /// word holding the clause's length, then its literals, watched
+    /// pair first. A clause is named by its header's offset.
+    arena: Vec<Lit>,
+    /// Per literal code, the offsets of the clauses watching its
+    /// negation.
+    watches: Vec<Vec<u32>>,
     /// 0 = unassigned, 1 = true, -1 = false.
     assign: Vec<i8>,
     /// Saved phase for phase-saving decisions.
     phase: Vec<bool>,
     level: Vec<u32>,
-    reason: Vec<usize>,
+    /// The clause that implied each assignment, or [`NO_REASON`].
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
     activity: Vec<f64>,
+    order: OrderHeap,
     /// Conflict analysis's per-variable marks; all clear between
     /// analyses.
     seen: Vec<bool>,
+    /// Scratch copy of the clause [`add_clause`](Self::add_clause)
+    /// normalizes, reused across calls.
+    add_buf: Vec<Lit>,
+    /// Scratch for conflict analysis's learned clause, reused across
+    /// conflicts.
+    learned_buf: Vec<Lit>,
     var_inc: f64,
     unsat: bool,
     conflicts: u64,
@@ -115,6 +236,16 @@ pub struct SatSolver {
     /// Opt-in CDCL analytics; `None` (the default) costs one null test
     /// per conflict/restart and nothing else.
     trace: Option<Box<SolveTrace>>,
+}
+
+/// The value of `l` under `assign`: 1 true, -1 false, 0 unassigned.
+fn lit_value(assign: &[i8], l: Lit) -> i8 {
+    let v = assign[l.var() as usize];
+    if l.is_pos() {
+        v
+    } else {
+        -v
+    }
 }
 
 impl SatSolver {
@@ -128,15 +259,16 @@ impl SatSolver {
 
     /// Allocates a fresh variable and returns its index.
     pub fn new_var(&mut self) -> u32 {
-        let v = self.assign.len() as u32;
+        let v = u32::try_from(self.assign.len()).expect("variable count fits a literal");
         self.assign.push(0);
         self.phase.push(false);
         self.level.push(0);
-        self.reason.push(INVALID);
+        self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.order.insert(v, &self.activity);
         v
     }
 
@@ -218,12 +350,14 @@ impl SatSolver {
     }
 
     fn value(&self, l: Lit) -> i8 {
-        let v = self.assign[l.var() as usize];
-        if l.is_pos() {
-            v
-        } else {
-            -v
-        }
+        lit_value(&self.assign, l)
+    }
+
+    /// The literals of the clause at offset `cr`.
+    fn clause(&self, cr: u32) -> &[Lit] {
+        let start = cr as usize + 1;
+        let len = self.arena[cr as usize].0 as usize;
+        &self.arena[start..start + len]
     }
 
     /// Adds a clause. Tautologies are dropped; duplicate literals are
@@ -240,7 +374,16 @@ impl SatSolver {
         if self.decision_level() > 0 {
             self.cancel_until(0);
         }
-        let mut c: Vec<Lit> = lits.to_vec();
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend_from_slice(lits);
+        self.add_normalized(&mut c);
+        self.add_buf = c;
+    }
+
+    /// [`add_clause`](Self::add_clause)'s body, over its scratch copy
+    /// of the literals.
+    fn add_normalized(&mut self, c: &mut Vec<Lit>) {
         c.sort_unstable();
         c.dedup();
         // Tautology: both polarities of one var.
@@ -257,7 +400,7 @@ impl SatSolver {
         match c.len() {
             0 => self.unsat = true,
             1 => {
-                if !self.enqueue(c[0], INVALID) || self.propagate().is_some() {
+                if !self.enqueue(c[0], NO_REASON) || self.propagate().is_some() {
                     self.unsat = true;
                 }
             }
@@ -267,15 +410,18 @@ impl SatSolver {
         }
     }
 
-    fn attach(&mut self, c: Vec<Lit>) -> usize {
-        let idx = self.clauses.len();
-        self.watches[c[0].negated().code()].push(idx);
-        self.watches[c[1].negated().code()].push(idx);
-        self.clauses.push(c);
-        idx
+    /// Appends `c` to the arena and watches its first two literals.
+    fn attach(&mut self, c: &[Lit]) -> u32 {
+        let cr = u32::try_from(self.arena.len()).expect("clause arena outgrew u32 offsets");
+        let len = u32::try_from(c.len()).expect("clause length fits a header word");
+        self.watches[c[0].negated().code()].push(cr);
+        self.watches[c[1].negated().code()].push(cr);
+        self.arena.push(Lit(len));
+        self.arena.extend_from_slice(c);
+        cr
     }
 
-    fn enqueue(&mut self, l: Lit, reason: usize) -> bool {
+    fn enqueue(&mut self, l: Lit, reason: u32) -> bool {
         match self.value(l) {
             1 => true,
             -1 => false,
@@ -295,59 +441,61 @@ impl SatSolver {
         self.trail_lim.len() as u32
     }
 
-    /// Unit propagation; returns the index of a conflicting clause.
-    fn propagate(&mut self) -> Option<usize> {
+    /// Unit propagation; returns the offset of a conflicting clause.
+    ///
+    /// Each watch list is compacted in place: the watches it keeps stay
+    /// in their order, followed, after a conflict, by the unvisited
+    /// tail.
+    fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let l = self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
+            let falsified = l.negated();
             // Clauses that watch ¬l may become unit/conflicting now
             // that l is true.
             let mut ws = std::mem::take(&mut self.watches[l.code()]);
-            let mut keep = Vec::with_capacity(ws.len());
+            let mut kept = 0;
+            let mut i = 0;
             let mut conflict = None;
-            for (wi, &ci) in ws.iter().enumerate() {
-                let falsified = l.negated();
-                // Normalise: watched literals are clause[0] and clause[1].
-                {
-                    let c = &mut self.clauses[ci];
-                    if c[0] == falsified {
-                        c.swap(0, 1);
-                    }
+            while i < ws.len() {
+                let cr = ws[i];
+                i += 1;
+                let start = cr as usize + 1;
+                let len = self.arena[cr as usize].0 as usize;
+                let c = &mut self.arena[start..start + len];
+                // Normalise: watched literals are c[0] and c[1].
+                if c[0] == falsified {
+                    c.swap(0, 1);
                 }
-                if self.value(self.clauses[ci][0]) == 1 {
-                    keep.push(ci);
+                if lit_value(&self.assign, c[0]) == 1 {
+                    ws[kept] = cr;
+                    kept += 1;
                     continue;
                 }
                 // Find a replacement watch.
-                let mut moved = false;
-                for k in 2..self.clauses[ci].len() {
-                    if self.value(self.clauses[ci][k]) != -1 {
-                        self.clauses[ci].swap(1, k);
-                        let new_watch = self.clauses[ci][1].negated().code();
-                        self.watches[new_watch].push(ci);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                if let Some(k) = (2..len).find(|&k| lit_value(&self.assign, c[k]) != -1) {
+                    c.swap(1, k);
+                    self.watches[c[1].negated().code()].push(cr);
                     continue;
                 }
-                keep.push(ci);
-                let first = self.clauses[ci][0];
-                if !self.enqueue(first, ci) {
-                    // Conflict: keep remaining watches and bail out.
-                    keep.extend_from_slice(&ws[wi + 1..]);
-                    conflict = Some(ci);
+                ws[kept] = cr;
+                kept += 1;
+                let first = c[0];
+                if !self.enqueue(first, cr) {
+                    // Conflict: keep the unvisited watches and bail out.
+                    ws.copy_within(i.., kept);
+                    kept += ws.len() - i;
+                    conflict = Some(cr);
                     break;
                 }
             }
-            ws.clear();
+            ws.truncate(kept);
             let slot = &mut self.watches[l.code()];
-            keep.append(slot);
-            *slot = keep;
-            if let Some(ci) = conflict {
-                return Some(ci);
+            ws.append(slot);
+            *slot = ws;
+            if conflict.is_some() {
+                return conflict;
             }
         }
         None
@@ -361,20 +509,27 @@ impl SatSolver {
                 *act *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Rounding and underflow can tie activities that differed.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.bumped(var, &self.activity);
         }
     }
 
-    /// First-UIP conflict analysis. Returns (learned clause, backjump level).
-    fn analyze(&mut self, confl: usize) -> (Vec<Lit>, u32) {
-        let mut learned: Vec<Lit> = vec![Lit::new(0, true)]; // placeholder for the asserting literal
+    /// First-UIP conflict analysis: writes the learned clause into
+    /// `learned`, asserting literal first, and returns the backjump
+    /// level.
+    fn analyze(&mut self, confl: u32, learned: &mut Vec<Lit>) -> u32 {
+        learned.clear();
+        learned.push(Lit::new(0, true)); // placeholder for the asserting literal
         let mut counter = 0u32;
         let mut lit: Option<Lit> = None;
         let mut idx = self.trail.len();
         let mut clause = confl;
         loop {
             let start = if lit.is_none() { 0 } else { 1 };
-            for i in start..self.clauses[clause].len() {
-                let q = self.clauses[clause][i];
+            for i in start..self.clause(clause).len() {
+                let q = self.clause(clause)[i];
                 let v = q.var() as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -402,7 +557,7 @@ impl SatSolver {
             }
             clause = self.reason[p.var() as usize];
             lit = Some(p);
-            debug_assert_ne!(clause, INVALID);
+            debug_assert_ne!(clause, NO_REASON);
         }
         learned[0] = lit.unwrap().negated();
         // Every current-level mark was cleared on the trail walk; the
@@ -425,22 +580,40 @@ impl SatSolver {
                 + 1;
             learned.swap(1, pos);
         }
-        (learned, bj)
+        bj
     }
 
     fn cancel_until(&mut self, lvl: u32) {
         while self.decision_level() > lvl {
             let lim = self.trail_lim.pop().unwrap();
             while self.trail.len() > lim {
-                let l = self.trail.pop().unwrap();
-                self.assign[l.var() as usize] = 0;
-                self.reason[l.var() as usize] = INVALID;
+                let v = self.trail.pop().unwrap().var();
+                self.assign[v as usize] = 0;
+                self.reason[v as usize] = NO_REASON;
+                self.order.insert(v, &self.activity);
             }
         }
         self.qhead = self.trail.len();
     }
 
-    fn pick_branch(&self) -> Option<u32> {
+    /// The next decision variable: the most active unassigned one,
+    /// the lowest index among equals.
+    fn pick_branch(&mut self) -> Option<u32> {
+        let pick = loop {
+            match self.order.pop(&self.activity) {
+                Some(v) if self.assign[v as usize] != 0 => continue,
+                pick => break pick,
+            }
+        };
+        #[cfg(test)]
+        assert_eq!(pick, self.scan_pick(), "order heap disagrees with a scan");
+        pick
+    }
+
+    /// The decision a linear scan over every variable makes, which the
+    /// order heap must reproduce.
+    #[cfg(test)]
+    fn scan_pick(&self) -> Option<u32> {
         let mut best: Option<(u32, f64)> = None;
         for v in 0..self.num_vars() {
             if self.assign[v] == 0 {
@@ -506,7 +679,8 @@ impl SatSolver {
                     self.cancel_until(0);
                     return SatResult::Unsat;
                 }
-                let (learned, bj) = self.analyze(confl);
+                let mut learned = std::mem::take(&mut self.learned_buf);
+                let bj = self.analyze(confl, &mut learned);
                 if self.trace.is_some() {
                     let lbd = self.lbd(&learned);
                     let depth = self.decision_level();
@@ -517,15 +691,14 @@ impl SatSolver {
                 let bj = bj.max(assumptions.len() as u32);
                 self.cancel_until(bj);
                 let assert_lit = learned[0];
-                if learned.len() == 1 {
-                    if !self.enqueue(assert_lit, INVALID) {
-                        return SatResult::Unsat;
-                    }
+                let reason = if learned.len() == 1 {
+                    NO_REASON
                 } else {
-                    let ci = self.attach(learned);
-                    if !self.enqueue(assert_lit, ci) {
-                        return SatResult::Unsat;
-                    }
+                    self.attach(&learned)
+                };
+                self.learned_buf = learned;
+                if !self.enqueue(assert_lit, reason) {
+                    return SatResult::Unsat;
                 }
                 self.var_inc /= 0.95;
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
@@ -550,7 +723,7 @@ impl SatSolver {
                         -1 => return SatResult::Unsat,
                         _ => {
                             self.trail_lim.push(self.trail.len());
-                            self.enqueue(a, INVALID);
+                            self.enqueue(a, NO_REASON);
                         }
                     }
                     continue;
@@ -564,7 +737,7 @@ impl SatSolver {
                         self.decisions += 1;
                         self.trail_lim.push(self.trail.len());
                         let l = Lit::new(v, self.phase[v as usize]);
-                        self.enqueue(l, INVALID);
+                        self.enqueue(l, NO_REASON);
                     }
                 }
             }
@@ -799,29 +972,194 @@ mod tests {
         assert_eq!(plain.decisions(), traced.decisions());
     }
 
-    #[test]
-    fn moderately_hard_random_instance() {
-        // Deterministic pseudo-random 3-SAT at ratio ~4.0 (40 vars,
-        // 160 clauses): solvable either way, must terminate.
-        let mut s = SatSolver::new();
-        let vars: Vec<u32> = (0..40).map(|_| s.new_var()).collect();
-        let mut state = 0x12345678u64;
+    /// Deterministic pseudo-random 3-SAT: `clauses` clauses over
+    /// `vars` fresh variables, literals drawn from an LCG seeded with
+    /// `seed`.
+    fn random_3sat(s: &mut SatSolver, vars: u32, clauses: usize, seed: u64) {
+        let vs: Vec<u32> = (0..vars).map(|_| s.new_var()).collect();
+        let mut state = seed;
         let mut next = || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
         };
-        for _ in 0..160 {
+        for _ in 0..clauses {
             let c: Vec<Lit> = (0..3)
                 .map(|_| {
-                    let v = vars[(next() % 40) as usize];
+                    let v = vs[(next() % vars) as usize];
                     lit(v, next() % 2 == 0)
                 })
                 .collect();
             s.add_clause(&c);
         }
+    }
+
+    #[test]
+    fn moderately_hard_random_instance() {
+        // Ratio ~4.0 (40 vars, 160 clauses): solvable either way, must
+        // terminate.
+        let mut s = SatSolver::new();
+        random_3sat(&mut s, 40, 160, 0x12345678);
         // Just ensure a decision is reached.
         let _ = solve(&mut s);
+    }
+
+    /// Conflicts after which `var_inc`, grown by 1/0.95 per conflict,
+    /// has passed 1e100, so the next bump rescales every activity.
+    const RESCALE_CONFLICTS: u64 = 4_490;
+
+    /// Warm solves under random assumptions and conflict budgets, with
+    /// a random clause added after each; every decision is checked
+    /// against the scan inside `pick_branch`.
+    fn warm_rounds(s: &mut SatSolver, seed: u64, rounds: usize) {
+        let vars = s.num_vars() as u64;
+        let mut state = seed;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for _ in 0..rounds {
+            let assumptions: Vec<Lit> = (0..next(4))
+                .map(|_| lit(next(vars) as u32, next(2) == 0))
+                .collect();
+            let budget = match next(3) {
+                0 => Budget::unlimited(),
+                _ => Budget::unlimited().with_conflicts(1 + next(400)),
+            };
+            let _ = s.solve_budgeted(&assumptions, &budget);
+            let c: Vec<Lit> = (0..3)
+                .map(|_| lit(next(vars) as u32, next(2) == 0))
+                .collect();
+            s.add_clause(&c);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn heap_picks_match_the_scan_under_assumptions_and_budgets(seed: u64) {
+            let mut s = SatSolver::new();
+            let vars = 8 + (seed % 48) as u32;
+            random_3sat(&mut s, vars, vars as usize * 4, seed);
+            warm_rounds(&mut s, seed, 8);
+        }
+    }
+
+    #[test]
+    fn heap_picks_match_the_scan_across_restarts_and_the_rescale() {
+        let mut s = SatSolver::new();
+        pigeonhole(&mut s, 8, 7);
+        warm_rounds(&mut s, 0xCAB, 12);
+        let _ = solve(&mut s);
+        assert!(
+            s.conflicts() > RESCALE_CONFLICTS,
+            "{} conflicts",
+            s.conflicts()
+        );
+    }
+
+    /// `(verdict, conflicts, decisions, propagations)` of one search.
+    type Receipt = (&'static str, u64, u64, u64);
+
+    fn receipt(r: &SatResult, conflicts: u64, decisions: u64, propagations: u64) -> Receipt {
+        let verdict = match r {
+            SatResult::Sat(_) => "sat",
+            SatResult::Unsat => "unsat",
+            SatResult::Unknown { .. } => "unknown",
+        };
+        (verdict, conflicts, decisions, propagations)
+    }
+
+    fn solve_receipt(s: &mut SatSolver) -> Receipt {
+        let r = solve(s);
+        receipt(&r, s.conflicts(), s.decisions(), s.propagations())
+    }
+
+    fn session_receipt(
+        sess: &mut crate::SolverSession,
+        targets: &[crate::TermId],
+        budget: &Budget,
+    ) -> Receipt {
+        let (r, spent) = sess.check_assuming(targets, budget);
+        receipt(&r, spent.conflicts, spent.decisions, spent.propagations)
+    }
+
+    /// The solver's work on fixed instances, as the linear-scan,
+    /// vector-of-clauses solver did it: the order heap and the clause
+    /// arena must make every decision and propagation it made.
+    #[test]
+    fn search_receipts_are_pinned() {
+        let mut got: Vec<(&str, Receipt)> = Vec::new();
+
+        let mut s = SatSolver::new();
+        pigeonhole(&mut s, 5, 4);
+        got.push(("pigeonhole 5->4", solve_receipt(&mut s)));
+
+        let mut s = SatSolver::new();
+        random_3sat(&mut s, 40, 160, 0x12345678);
+        got.push(("random 3-SAT", solve_receipt(&mut s)));
+
+        // Crosses the 1e100 activity rescale, with restarts.
+        let mut s = SatSolver::new();
+        pigeonhole(&mut s, 8, 7);
+        got.push(("pigeonhole 8->7", solve_receipt(&mut s)));
+        assert!(s.conflicts() > RESCALE_CONFLICTS);
+
+        let mut s = SatSolver::new();
+        random_3sat(&mut s, 120, 510, 0x5eed);
+        got.push(("random 3-SAT, satisfiable", solve_receipt(&mut s)));
+
+        let mut sess = crate::SolverSession::new();
+        let goal = crate::session::tests::semiprime_goal(sess.pool_mut());
+        sess.assert_term(goal);
+        let budget = Budget::unlimited().with_conflicts(300);
+        got.push((
+            "semiprime, 300 conflicts",
+            session_receipt(&mut sess, &[], &budget),
+        ));
+
+        // Sibling goals on one warm session: factor 16-bit values into
+        // 8-bit factors above 1.
+        let mut sess = crate::SolverSession::new();
+        let product = {
+            let p = sess.pool_mut();
+            let a = p.var("a", 8);
+            let b = p.var("b", 8);
+            let one = p.const_u64(8, 1);
+            let (ga, gb) = (p.ult(one, a), p.ult(one, b));
+            let guards = p.and(ga, gb);
+            let (aw, bw) = (p.resize(a, 16), p.resize(b, 16));
+            let m = p.mul(aw, bw);
+            (guards, m)
+        };
+        sess.assert_term(product.0);
+        for value in [143u64, 251, 221, 257, 899, 1009] {
+            let goal = {
+                let p = sess.pool_mut();
+                let c = p.const_u64(16, value);
+                p.eq(product.1, c)
+            };
+            let r = session_receipt(&mut sess, &[goal], &Budget::unlimited());
+            got.push(("warm factoring goal", r));
+        }
+
+        let want: Vec<(&str, Receipt)> = vec![
+            ("pigeonhole 5->4", ("unsat", 28, 38, 297)),
+            ("random 3-SAT", ("unsat", 39, 40, 435)),
+            ("pigeonhole 8->7", ("unsat", 5004, 5958, 65180)),
+            ("random 3-SAT, satisfiable", ("sat", 1330, 1618, 37890)),
+            ("semiprime, 300 conflicts", ("unknown", 300, 1026, 140409)),
+            ("warm factoring goal", ("sat", 123, 290, 12565)),
+            ("warm factoring goal", ("unsat", 84, 143, 7166)),
+            ("warm factoring goal", ("sat", 27, 37, 2872)),
+            ("warm factoring goal", ("unsat", 48, 51, 5492)),
+            ("warm factoring goal", ("sat", 0, 6, 433)),
+            ("warm factoring goal", ("unsat", 75, 94, 7163)),
+        ];
+        assert_eq!(got, want);
     }
 }

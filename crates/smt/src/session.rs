@@ -189,7 +189,7 @@ impl SolverSession {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use symbfuzz_telemetry::UnknownReason;
 
@@ -403,7 +403,7 @@ mod tests {
 
     /// `x * y == 821297 * 823541` over 20-bit factors, both above 1: a
     /// few hundred conflicts cannot crack it.
-    fn semiprime_goal(p: &mut TermPool) -> TermId {
+    pub(crate) fn semiprime_goal(p: &mut TermPool) -> TermId {
         let x = p.var("x", 20);
         let y = p.var("y", 20);
         let xw = p.resize(x, 40);

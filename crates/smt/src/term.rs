@@ -1,5 +1,6 @@
 //! Hash-consed QF_BV terms with constant folding.
 
+use crate::idhash::IdMap;
 use std::collections::HashMap;
 use symbfuzz_logic::LogicVec;
 
@@ -14,16 +15,26 @@ impl TermId {
     }
 }
 
+/// An interned variable name of a [`TermPool`]; read it back with
+/// [`TermPool::name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Sym(u32);
+
+/// An interned constant value of a [`TermPool`]; read it back with
+/// [`TermPool::const_value`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ConstId(u32);
+
 /// The shape of a term. All bit-vector values are unsigned; constants
 /// are fully defined (`X`/`Z` never enter the solver — the paper's
 /// engine "constrains solving undefined pin values" by *choosing*
 /// concrete values for them, §3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TermKind {
     /// A constant (no unknown bits).
-    Const(LogicVec),
+    Const(ConstId),
     /// A free variable with a name and width.
-    Var(String, u32),
+    Var(Sym, u32),
     /// Bitwise NOT.
     Not(TermId),
     /// Bitwise AND.
@@ -71,11 +82,18 @@ pub enum TermKind {
 ///
 /// Construction methods fold constants eagerly and apply cheap identity
 /// rewrites (`x & 0 = 0`, `x ^ x = 0`, `ite(c, t, t) = t`, …), so
-/// structurally equal terms share a [`TermId`].
+/// structurally equal terms share a [`TermId`]. Variable names and
+/// constant values live once each in interning tables, so a
+/// [`TermKind`] is a few words of ids.
 #[derive(Debug, Default, Clone)]
 pub struct TermPool {
     terms: Vec<(TermKind, u32)>,
-    intern: HashMap<TermKind, TermId>,
+    intern: IdMap<TermKind, TermId>,
+    /// Each variable name with the width it was declared at.
+    names: Vec<(String, u32)>,
+    name_ids: HashMap<String, Sym>,
+    consts: Vec<LogicVec>,
+    const_ids: HashMap<LogicVec, ConstId>,
 }
 
 impl TermPool {
@@ -95,8 +113,8 @@ impl TermPool {
     }
 
     /// The kind of a term.
-    pub fn kind(&self, t: TermId) -> &TermKind {
-        &self.terms[t.index()].0
+    pub fn kind(&self, t: TermId) -> TermKind {
+        self.terms[t.index()].0
     }
 
     /// The width of a term.
@@ -107,19 +125,28 @@ impl TermPool {
     /// The constant value of a term, if it is a constant.
     pub fn as_const(&self, t: TermId) -> Option<&LogicVec> {
         match self.kind(t) {
-            TermKind::Const(v) => Some(v),
+            TermKind::Const(c) => Some(self.const_value(c)),
             _ => None,
         }
     }
 
+    /// The value of an interned constant.
+    pub fn const_value(&self, c: ConstId) -> &LogicVec {
+        &self.consts[c.0 as usize]
+    }
+
+    /// The name of an interned variable.
+    pub fn name(&self, sym: Sym) -> &str {
+        &self.names[sym.0 as usize].0
+    }
+
     fn mk(&mut self, kind: TermKind, width: u32) -> TermId {
-        if let Some(id) = self.intern.get(&kind) {
-            return *id;
-        }
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push((kind.clone(), width));
-        self.intern.insert(kind, id);
-        id
+        let terms = &mut self.terms;
+        *self.intern.entry(kind).or_insert_with(|| {
+            let id = TermId(u32::try_from(terms.len()).expect("term count fits a TermId"));
+            terms.push((kind, width));
+            id
+        })
     }
 
     /// A constant term.
@@ -133,7 +160,16 @@ impl TermPool {
             "SMT constants must be fully defined, got {value}"
         );
         let w = value.width();
-        self.mk(TermKind::Const(value), w)
+        let c = match self.const_ids.get(&value) {
+            Some(&c) => c,
+            None => {
+                let c = ConstId(u32::try_from(self.consts.len()).expect("constant count fits"));
+                self.consts.push(value.clone());
+                self.const_ids.insert(value, c);
+                c
+            }
+        };
+        self.mk(TermKind::Const(c), w)
     }
 
     /// A `width`-bit constant from a `u64`.
@@ -159,28 +195,31 @@ impl TermPool {
     /// Panics if the name was already used with a different width.
     pub fn var(&mut self, name: impl Into<String>, width: u32) -> TermId {
         let name = name.into();
-        let kind = TermKind::Var(name.clone(), width);
-        if let Some(id) = self.intern.get(&kind) {
-            return *id;
-        }
-        // Detect width clashes among existing vars of the same name.
-        for (k, _) in &self.terms {
-            if let TermKind::Var(n, w) = k {
+        let sym = match self.name_ids.get(&name) {
+            Some(&sym) => {
+                let was = self.names[sym.0 as usize].1;
                 assert!(
-                    *n != name || *w == width,
-                    "variable `{name}` redeclared with width {width} (was {w})"
+                    was == width,
+                    "variable `{name}` redeclared with width {width} (was {was})"
                 );
+                sym
             }
-        }
-        self.mk(kind, width)
+            None => {
+                let sym = Sym(u32::try_from(self.names.len()).expect("name count fits"));
+                self.names.push((name.clone(), width));
+                self.name_ids.insert(name, sym);
+                sym
+            }
+        };
+        self.mk(TermKind::Var(sym, width), width)
     }
 
     /// All variables in the pool as `(name, width)`.
     pub fn vars(&self) -> Vec<(String, u32)> {
         self.terms
             .iter()
-            .filter_map(|(k, _)| match k {
-                TermKind::Var(n, w) => Some((n.clone(), *w)),
+            .filter_map(|(k, _)| match *k {
+                TermKind::Var(sym, w) => Some((self.name(sym).to_string(), w)),
                 _ => None,
             })
             .collect()
@@ -213,11 +252,8 @@ impl TermPool {
         b: TermId,
         f: impl Fn(&LogicVec, &LogicVec) -> LogicVec,
     ) -> Option<TermId> {
-        let (ca, cb) = (self.as_const(a).cloned(), self.as_const(b).cloned());
-        match (ca, cb) {
-            (Some(x), Some(y)) => Some(self.constant(f(&x, &y))),
-            _ => None,
-        }
+        let v = f(self.as_const(a)?, self.as_const(b)?);
+        Some(self.constant(v))
     }
 
     /// Bitwise NOT.
@@ -227,7 +263,7 @@ impl TermPool {
             return self.constant(v);
         }
         if let TermKind::Not(inner) = self.kind(t) {
-            return *inner;
+            return inner;
         }
         let w = self.width(t);
         self.mk(TermKind::Not(t), w)
@@ -548,43 +584,42 @@ impl TermPool {
     /// Panics if a variable is missing from `env`.
     pub fn eval(&self, t: TermId, env: &HashMap<String, LogicVec>) -> LogicVec {
         match self.kind(t) {
-            TermKind::Const(v) => v.clone(),
-            TermKind::Var(n, w) => env
-                .get(n)
-                .unwrap_or_else(|| panic!("missing variable `{n}` in eval env"))
-                .resized(*w),
-            TermKind::Not(a) => !&self.eval(*a, env),
-            TermKind::And(a, b) => &self.eval(*a, env) & &self.eval(*b, env),
-            TermKind::Or(a, b) => &self.eval(*a, env) | &self.eval(*b, env),
-            TermKind::Xor(a, b) => &self.eval(*a, env) ^ &self.eval(*b, env),
-            TermKind::Add(a, b) => self.eval(*a, env).add(&self.eval(*b, env)),
-            TermKind::Sub(a, b) => self.eval(*a, env).sub(&self.eval(*b, env)),
-            TermKind::Mul(a, b) => self.eval(*a, env).mul(&self.eval(*b, env)),
+            TermKind::Const(c) => self.const_value(c).clone(),
+            TermKind::Var(sym, w) => {
+                let n = self.name(sym);
+                env.get(n)
+                    .unwrap_or_else(|| panic!("missing variable `{n}` in eval env"))
+                    .resized(w)
+            }
+            TermKind::Not(a) => !&self.eval(a, env),
+            TermKind::And(a, b) => &self.eval(a, env) & &self.eval(b, env),
+            TermKind::Or(a, b) => &self.eval(a, env) | &self.eval(b, env),
+            TermKind::Xor(a, b) => &self.eval(a, env) ^ &self.eval(b, env),
+            TermKind::Add(a, b) => self.eval(a, env).add(&self.eval(b, env)),
+            TermKind::Sub(a, b) => self.eval(a, env).sub(&self.eval(b, env)),
+            TermKind::Mul(a, b) => self.eval(a, env).mul(&self.eval(b, env)),
             TermKind::Eq(a, b) => LogicVec::from_u64(
                 1,
-                (self.eval(*a, env).logic_eq(&self.eval(*b, env)) == symbfuzz_logic::Bit::One)
-                    as u64,
+                (self.eval(a, env).logic_eq(&self.eval(b, env)) == symbfuzz_logic::Bit::One) as u64,
             ),
             TermKind::Ult(a, b) => LogicVec::from_u64(
                 1,
-                (self.eval(*a, env).ult(&self.eval(*b, env)) == symbfuzz_logic::Bit::One) as u64,
+                (self.eval(a, env).ult(&self.eval(b, env)) == symbfuzz_logic::Bit::One) as u64,
             ),
             TermKind::Ite(c, a, b) => {
-                if self.eval(*c, env).to_u64() == Some(1) {
-                    self.eval(*a, env)
+                if self.eval(c, env).to_u64() == Some(1) {
+                    self.eval(a, env)
                 } else {
-                    self.eval(*b, env)
+                    self.eval(b, env)
                 }
             }
-            TermKind::Extract { arg, lo, width } => self.eval(*arg, env).slice(*lo, *width),
-            TermKind::ConcatPair(h, l) => {
-                LogicVec::concat(&self.eval(*h, env), &self.eval(*l, env))
-            }
-            TermKind::ShlConst(a, n) => self.eval(*a, env).shl(*n),
-            TermKind::LshrConst(a, n) => self.eval(*a, env).lshr(*n),
-            TermKind::RedAnd(a) => LogicVec::from_bit(self.eval(*a, env).reduce_and()),
-            TermKind::RedOr(a) => LogicVec::from_bit(self.eval(*a, env).reduce_or()),
-            TermKind::RedXor(a) => LogicVec::from_bit(self.eval(*a, env).reduce_xor()),
+            TermKind::Extract { arg, lo, width } => self.eval(arg, env).slice(lo, width),
+            TermKind::ConcatPair(h, l) => LogicVec::concat(&self.eval(h, env), &self.eval(l, env)),
+            TermKind::ShlConst(a, n) => self.eval(a, env).shl(n),
+            TermKind::LshrConst(a, n) => self.eval(a, env).lshr(n),
+            TermKind::RedAnd(a) => LogicVec::from_bit(self.eval(a, env).reduce_and()),
+            TermKind::RedOr(a) => LogicVec::from_bit(self.eval(a, env).reduce_or()),
+            TermKind::RedXor(a) => LogicVec::from_bit(self.eval(a, env).reduce_xor()),
         }
     }
 }

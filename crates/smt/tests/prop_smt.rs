@@ -35,11 +35,11 @@ fn solve(
     let env = vars
         .iter()
         .map(|&t| {
-            let TermKind::Var(name, _) = s.pool().kind(t) else {
+            let TermKind::Var(sym, _) = s.pool().kind(t) else {
                 panic!("{t:?} is not a variable")
             };
             let v = s.value_of(t, &model).expect("variable was blasted");
-            (name.clone(), v)
+            (s.pool().name(sym).to_string(), v)
         })
         .collect();
     Some(env)

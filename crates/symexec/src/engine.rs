@@ -7,7 +7,9 @@ use std::sync::Arc;
 use symbfuzz_hdl::{BinaryOp, Edge, UnaryOp};
 use symbfuzz_logic::{Bit, LogicVec};
 use symbfuzz_netlist::{reset_tree, Design, NExpr, NLValue, NStmt, ProcKind, ResetTree, SignalId};
-use symbfuzz_smt::{Budget, BudgetSpent, SatResult, SolverSession, TermId, TermKind, TermPool};
+use symbfuzz_smt::{
+    Budget, BudgetSpent, IdMap, SatResult, SolverSession, TermId, TermKind, TermPool,
+};
 use symbfuzz_telemetry::{Collector, Counter, Event, SolveStatus, UnknownReason};
 
 /// Conflict ceiling for each blame-extraction solve (the initial
@@ -183,7 +185,7 @@ struct Chain {
     traced: bool,
     /// `states[k]` maps each current-state var to its term after `k`
     /// unroll steps (`states[0]` is the seeded start state).
-    states: Vec<HashMap<TermId, TermId>>,
+    states: Vec<IdMap<TermId, TermId>>,
     /// Per-step input symbols in signal order, for model extraction.
     step_inputs: Vec<Vec<(SignalId, TermId)>>,
     /// CNF size `(vars, clauses)` at the previous telemetry report, so
@@ -192,7 +194,7 @@ struct Chain {
 }
 
 impl Chain {
-    fn new(sess: SolverSession, traced: bool, start: HashMap<TermId, TermId>) -> Chain {
+    fn new(sess: SolverSession, traced: bool, start: IdMap<TermId, TermId>) -> Chain {
         Chain {
             sess,
             traced,
@@ -619,8 +621,8 @@ impl SymbolicEngine {
                 let vars: Vec<u32> = trace.hot_vars.iter().map(|(v, _)| *v).collect();
                 let mut named: Vec<(String, u64)> = Vec::new();
                 for (v, t, _bit) in chain.sess.blaster().attribute_vars(&vars) {
-                    if let TermKind::Var(name, _) = chain.sess.pool().kind(t) {
-                        if let Some(sig) = signal_of_term_name(name) {
+                    if let TermKind::Var(sym, _) = chain.sess.pool().kind(t) {
+                        if let Some(sig) = signal_of_term_name(chain.sess.pool().name(sym)) {
                             let permille = trace
                                 .hot_vars
                                 .iter()
@@ -683,8 +685,8 @@ impl SymbolicEngine {
                     chain.sess.assert_term(pin);
                 }
             }
-            let mut memo = HashMap::new();
-            let mut state = HashMap::new();
+            let mut memo = IdMap::default();
+            let mut state = IdMap::default();
             for (&reg, &var) in &self.cur_vars {
                 let pool = chain.sess.pool_mut();
                 state.insert(var, subst(pool, self.eqs[&reg], &subst_map, &mut memo));
@@ -724,7 +726,7 @@ impl SymbolicEngine {
         if traced {
             sess.enable_trace();
         }
-        let mut start = HashMap::new();
+        let mut start = IdMap::default();
         let mut pins = Vec::new();
         for (&reg, &var) in &self.cur_vars {
             let v = &current[reg.index()];
@@ -788,7 +790,7 @@ impl SymbolicEngine {
                 .name
                 .cmp(&self.design.signal(b.0).name)
         });
-        let mut start = HashMap::new();
+        let mut start = IdMap::default();
         let mut assumptions: Vec<(String, TermId)> = Vec::new();
         for (reg, var) in regs {
             let v = &current[reg.index()];
@@ -1147,8 +1149,8 @@ impl SymbolicEngine {
 fn subst(
     pool: &mut TermPool,
     t: TermId,
-    map: &HashMap<TermId, TermId>,
-    memo: &mut HashMap<TermId, TermId>,
+    map: &IdMap<TermId, TermId>,
+    memo: &mut IdMap<TermId, TermId>,
 ) -> TermId {
     if let Some(r) = memo.get(&t) {
         return *r;
@@ -1157,8 +1159,7 @@ fn subst(
         memo.insert(t, *r);
         return *r;
     }
-    let kind = pool.kind(t).clone();
-    let r = match kind {
+    let r = match pool.kind(t) {
         TermKind::Const(_) | TermKind::Var(_, _) => t,
         TermKind::Not(a) => {
             let a = subst(pool, a, map, memo);

@@ -364,6 +364,18 @@ impl Collector {
         self.gauges[g as usize].load(Ordering::Relaxed)
     }
 
+    /// Folds the work `earlier` already counted into this collector:
+    /// its counters are added, and each gauge rises to `earlier`'s
+    /// level where that is higher.
+    pub fn fold_counts(&self, earlier: &Collector) {
+        for c in Counter::ALL {
+            self.add(c, earlier.get(c));
+        }
+        for g in Gauge::ALL {
+            self.gauges[g as usize].fetch_max(earlier.gauge(g), Ordering::Relaxed);
+        }
+    }
+
     /// Records an event: counts its kind and streams it to the sink
     /// when one is attached.
     pub fn record(&self, event: Event) {
@@ -489,6 +501,25 @@ mod tests {
     use super::*;
     use crate::event::SolveStatus;
     use crate::sink::BufferSink;
+
+    #[test]
+    fn folding_adds_counters_and_keeps_gauge_maxima() {
+        let (earlier, later) = (Collector::deterministic(), Collector::monotonic());
+        earlier.add(Counter::SimSteps, 12);
+        earlier.set_gauge(Gauge::XIslandCones, 4);
+        earlier.set_gauge(Gauge::CaseCorpus, 1);
+        later.add(Counter::SimSteps, 3);
+        later.set_gauge(Gauge::CaseCorpus, 7);
+        later.fold_counts(&earlier);
+        assert_eq!(later.get(Counter::SimSteps), 15);
+        assert_eq!(later.gauge(Gauge::XIslandCones), 4);
+        assert_eq!(later.gauge(Gauge::CaseCorpus), 7);
+        assert_eq!(
+            earlier.get(Counter::SimSteps),
+            12,
+            "the source is left as it was"
+        );
+    }
 
     #[test]
     fn counters_and_gauges_accumulate() {
