@@ -669,7 +669,10 @@ impl SatSolver {
             }
             if let Some(confl) = self.propagate() {
                 self.conflicts += 1;
+                // A conflict at level 0 refutes the clauses themselves:
+                // it must stick, or a re-solve would start past it.
                 if self.decision_level() == 0 {
+                    self.unsat = true;
                     return SatResult::Unsat;
                 }
                 // A conflict while only assumption decisions are on the
@@ -698,6 +701,10 @@ impl SatSolver {
                 };
                 self.learned_buf = learned;
                 if !self.enqueue(assert_lit, reason) {
+                    // The learned clause follows from the clauses alone:
+                    // falsified with no assumption on the trail, it
+                    // refutes them.
+                    self.unsat = self.decision_level() == 0;
                     return SatResult::Unsat;
                 }
                 self.var_inc /= 0.95;
@@ -974,8 +981,8 @@ mod tests {
 
     /// Deterministic pseudo-random 3-SAT: `clauses` clauses over
     /// `vars` fresh variables, literals drawn from an LCG seeded with
-    /// `seed`.
-    fn random_3sat(s: &mut SatSolver, vars: u32, clauses: usize, seed: u64) {
+    /// `seed`. Returns the clauses as added.
+    fn random_3sat(s: &mut SatSolver, vars: u32, clauses: usize, seed: u64) -> Vec<Vec<Lit>> {
         let vs: Vec<u32> = (0..vars).map(|_| s.new_var()).collect();
         let mut state = seed;
         let mut next = || {
@@ -984,15 +991,51 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
         };
-        for _ in 0..clauses {
-            let c: Vec<Lit> = (0..3)
-                .map(|_| {
-                    let v = vs[(next() % vars) as usize];
-                    lit(v, next() % 2 == 0)
-                })
-                .collect();
-            s.add_clause(&c);
+        (0..clauses)
+            .map(|_| {
+                let c: Vec<Lit> = (0..3)
+                    .map(|_| {
+                        let v = vs[(next() % vars) as usize];
+                        lit(v, next() % 2 == 0)
+                    })
+                    .collect();
+                s.add_clause(&c);
+                c
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refutations_stick_across_re_solves() {
+        // Every instance is solved twice: each model must satisfy every
+        // clause, and a level-0 refutation must not be forgotten by the
+        // second solve.
+        let mut refuted = 0;
+        for seed in 0..3_000u64 {
+            let mut s = SatSolver::new();
+            let vars = 20 + (seed % 40) as u32;
+            let clauses = random_3sat(&mut s, vars, vars as usize * 9 / 2, seed);
+            let mut sat = [false; 2];
+            for (round, verdict) in sat.iter_mut().enumerate() {
+                *verdict = match solve(&mut s) {
+                    SatResult::Sat(m) => {
+                        let broken = clauses
+                            .iter()
+                            .find(|c| !c.iter().any(|l| m[l.var() as usize] == l.is_pos()));
+                        assert!(broken.is_none(), "seed {seed} solve {round}: {broken:?}");
+                        true
+                    }
+                    SatResult::Unsat => false,
+                    r => panic!("seed {seed} solve {round}: {r:?}"),
+                };
+            }
+            assert_eq!(
+                sat[0], sat[1],
+                "seed {seed}: the re-solve changed its verdict"
+            );
+            refuted += u32::from(!sat[0]);
         }
+        assert!(refuted > 1_000, "only {refuted} instances were refuted");
     }
 
     #[test]

@@ -24,6 +24,22 @@ const BLAME_CONFLICT_CAP: u64 = 2_000;
 /// factoring instance; an undecided probe only leaves the value live.
 const IMAGE_CONFLICT_CAP: u64 = 2_000;
 
+/// The image memo's verdict on one `(register, value)` pair, from the
+/// one-step image probes (see [`SymbolicEngine::solve_reach_profiled`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Image {
+    /// No state and input, resets inactive, produce the value in one
+    /// clock edge: it is unreachable at every depth from every start.
+    Dead,
+    /// Only a state that already holds the value produces it, so
+    /// `register != value` is 1-inductive: it is unreachable at every
+    /// depth from a start whose register is fully defined and differs.
+    HeldOnly,
+    /// Some state that does not hold the value produces it, or a probe
+    /// was undecided.
+    Live,
+}
+
 /// A concrete input stimulus produced by the solver: one value per
 /// top-level input (clocks excluded, resets held inactive).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,10 +253,12 @@ pub struct SymbolicEngine {
     introspect: bool,
     /// The frame cache every exact-depth solve of the schedule runs on.
     cache: RefCell<FrameCache>,
-    /// One-step image verdicts per `(register, value)`: `true` when no
-    /// state and input, resets inactive, produce the value in one
-    /// clock edge, so it is dead at every depth from every start state.
-    image_memo: RefCell<HashMap<(SignalId, LogicVec), bool>>,
+    /// One-step image verdicts per `(register, value)`, written once by
+    /// [`probe_image`](Self::probe_image): [`Image::Dead`] answers every
+    /// later query for the value without a solve, [`Image::HeldOnly`]
+    /// those from a start whose register holds another, fully defined
+    /// value, and [`Image::Live`] none.
+    image_memo: RefCell<HashMap<(SignalId, LogicVec), Image>>,
 }
 
 impl SymbolicEngine {
@@ -414,15 +432,27 @@ impl SymbolicEngine {
     /// The first time the schedule proves a single-target goal
     /// `Unreachable`, the engine also probes once whether any state
     /// and input, resets inactive, produce that value in one clock
-    /// edge. The probe is one more exact-depth call on this query's
-    /// receipt, capped at 2 000 conflicts (`IMAGE_CONFLICT_CAP`) within
-    /// what `budget` has left, and it never changes this query's
-    /// outcome. If no state can, the value is dead at every depth from
-    /// every start state: a later query with a dead target runs no
-    /// solve and answers `Unreachable` with a zero receipt. The memo
-    /// is exact under an unlimited budget; under a conflict or
-    /// wall-clock ceiling it can answer `Unreachable` where the
-    /// schedule would have run out.
+    /// edge, and if some state does, whether any state that does not
+    /// already hold the value does. Each probe is one more exact-depth
+    /// call on this query's receipt, capped at 2 000 conflicts
+    /// (`IMAGE_CONFLICT_CAP`) within what `budget` has left, and
+    /// neither changes this query's outcome. The memo then holds one
+    /// of three verdicts for the value:
+    ///
+    /// - *dead*: no state produces it, so it is unreachable at every
+    ///   depth from every start state;
+    /// - *held-only*: only a state that already holds it produces it,
+    ///   so from a start whose register is fully defined and holds
+    ///   another value no frame reaches it (1-induction);
+    /// - *live*: otherwise, or a probe was undecided.
+    ///
+    /// A later query with a dead target, or a held-only target whose
+    /// register the start state defines fully and to another value,
+    /// runs no solve and answers `Unreachable` with a zero receipt. A
+    /// start that holds a held-only value, or leaves `X` or `Z` bits in
+    /// its register, runs the schedule. The memo is exact under an
+    /// unlimited budget; under a conflict or wall-clock ceiling it can
+    /// answer `Unreachable` where the schedule would have run out.
     ///
     /// With introspection on, a goal that was solved at least once
     /// without being reached also gets a blame set: the deepest depth
@@ -465,15 +495,19 @@ impl SymbolicEngine {
             ..ReachStats::default()
         };
         let mut outcome = ReachOutcome::Unreachable;
-        let dead = {
+        let proved = {
             let memo = self.image_memo.borrow();
-            targets.iter().any(|t| memo.get(t) == Some(&true))
+            targets.iter().any(|t| match memo.get(t) {
+                Some(Image::Dead) => true,
+                Some(Image::HeldOnly) => current[t.0.index()].logic_eq(&t.1) == Bit::Zero,
+                Some(Image::Live) | None => false,
+            })
         };
         // Geometric depth schedule: deep plans pad with idle cycles, so
         // exact-k solving at 1, 2, 4, … plus the bound itself finds any
         // plan within the bound at a fraction of the solver calls. A
-        // dead target needs none of them.
-        while !dead && stats.deepest_unroll < max_steps {
+        // target the memo proves out of reach needs none of them.
+        while !proved && stats.deepest_unroll < max_steps {
             let steps = stats.deepest_unroll.saturating_mul(2).clamp(1, max_steps);
             stats.solver_calls += 1;
             stats.deepest_unroll = steps;
@@ -513,17 +547,21 @@ impl SymbolicEngine {
         Ok((outcome, stats))
     }
 
-    /// The one-step image probe, run once per `(register, value)` after
-    /// the depth schedule first proves it unreachable: a depth-1 check
-    /// on a dropped chain seeded from the all-X start state, so every
-    /// register is a free symbol and only the resets are pinned. Unsat
-    /// records the value dead, which later queries answer without a
-    /// solve; Sat or an undecided probe records it live.
+    /// The one-step image probes, run once per `(register, value)`
+    /// after the depth schedule first proves it unreachable, on a
+    /// dropped chain seeded from the all-X start state, so every
+    /// register is a free symbol and only the resets are pinned. The
+    /// first is a depth-1 check of the target: Unsat records the value
+    /// [`Image::Dead`]. When it is Sat, the second poses the same check
+    /// on the same chain with `register != value` asserted of the start
+    /// state, 1-induction on that disequality: Unsat records
+    /// [`Image::HeldOnly`]. Sat or an undecided probe records
+    /// [`Image::Live`].
     ///
-    /// The probe counts as one of the query's exact-depth calls: it
+    /// Each probe counts as one of the query's exact-depth calls: it
     /// spends from what the query left of `budget`, at most
     /// [`IMAGE_CONFLICT_CAP`] conflicts, and is traced into the query's
-    /// scope. It never touches the frame cache's warm chain.
+    /// scope. Neither touches the frame cache's warm chain.
     fn probe_image(&self, target: &(SignalId, LogicVec), budget: &Budget, stats: &mut ReachStats) {
         let free: Vec<LogicVec> = self
             .design
@@ -532,23 +570,42 @@ impl SymbolicEngine {
             .map(|s| LogicVec::xes(s.width))
             .collect();
         let mut chain = self.seed_chain(&free, stats.scope.is_some());
-        let remaining = budget.remaining_after(stats.spent);
-        let cap = remaining
-            .conflicts()
-            .map_or(IMAGE_CONFLICT_CAP, |c| c.min(IMAGE_CONFLICT_CAP));
-        let (verdict, spent) = self.check(
-            &mut chain,
-            None,
-            std::slice::from_ref(target),
-            1,
-            &remaining.with_conflicts(cap),
-            stats.scope.as_mut(),
-        );
-        stats.solver_calls += 1;
-        stats.spent = stats.spent.saturating_add(spent);
-        self.image_memo
-            .borrow_mut()
-            .insert(target.clone(), verdict == ReachOutcome::Unreachable);
+        let goal = std::slice::from_ref(target);
+        let mut probe = |chain: &mut Chain| {
+            let remaining = budget.remaining_after(stats.spent);
+            let cap = remaining
+                .conflicts()
+                .map_or(IMAGE_CONFLICT_CAP, |c| c.min(IMAGE_CONFLICT_CAP));
+            let (verdict, spent) = self.check(
+                chain,
+                None,
+                goal,
+                1,
+                &remaining.with_conflicts(cap),
+                stats.scope.as_mut(),
+            );
+            stats.solver_calls += 1;
+            stats.spent = stats.spent.saturating_add(spent);
+            verdict
+        };
+        let image = match probe(&mut chain) {
+            ReachOutcome::Unreachable => Image::Dead,
+            ReachOutcome::Exhausted { .. } => Image::Live,
+            ReachOutcome::Reached(_) => {
+                // The chain is dropped after this probe, so the start
+                // state's disequality is asserted rather than assumed.
+                let start = chain.states[0][&self.cur_vars[&target.0]];
+                let pool = chain.sess.pool_mut();
+                let value = pool.constant(target.1.clone());
+                let fresh = pool.ne(start, value);
+                chain.sess.assert_term(fresh);
+                match probe(&mut chain) {
+                    ReachOutcome::Unreachable => Image::HeldOnly,
+                    _ => Image::Live,
+                }
+            }
+        };
+        self.image_memo.borrow_mut().insert(target.clone(), image);
     }
 
     /// One exact-depth solve on the frame cache's warm chain, reseeded
@@ -1802,10 +1859,12 @@ mod tests {
             assert_memo_answer(&format!("from state {start}"), &outcome, &stats);
         }
         // 3 fails from state 0 in one step but follows state 2: the
-        // probe finds it live, and the next query runs the schedule
-        // again without probing.
+        // free-state probe reaches it, so the induction probe runs too
+        // and reaches it from state 2, which does not hold 3. The value
+        // is live, and the next query runs the schedule again without
+        // probing.
         let three = [(st, LogicVec::from_u64(3, 3))];
-        for calls in [2, 1] {
+        for calls in [3, 1] {
             let (outcome, stats) = e
                 .solve_reach_profiled(&fsm_state(&d, 0), &three, 1, &unlimited)
                 .unwrap();
@@ -1818,6 +1877,59 @@ mod tests {
             .solve_reach_profiled(&fsm_state(&d, 0), &both, 4, &unlimited)
             .unwrap();
         assert_memo_answer("conjunction", &outcome, &stats);
+    }
+
+    /// `s` moves 0 → 1 → 2 → 0 unless `hold` is set; no arm writes 3,
+    /// so only the hold keeps it.
+    const HELD_ONLY: &str = "
+        module h(input clk, input rst_n, input hold, input [1:0] go,
+                 output logic [1:0] s);
+          always_ff @(posedge clk or negedge rst_n)
+            if (!rst_n) s <= 2'd0;
+            else if (!hold) begin
+              case (s)
+                2'd0: if (go == 2'd1) s <= 2'd1;
+                2'd1: s <= 2'd2;
+                default: s <= 2'd0;
+              endcase
+            end
+        endmodule";
+
+    #[test]
+    fn held_only_values_skip_the_schedule_from_other_defined_starts() {
+        let e = engine(HELD_ONLY, "h");
+        let d = Arc::clone(e.design());
+        let s = d.signal_by_name("s").unwrap();
+        let three = [(s, LogicVec::from_u64(2, 3))];
+        let from = |v: LogicVec| {
+            let mut state = zero_state(&d);
+            state[s.index()] = v;
+            state
+        };
+        let unlimited = Budget::unlimited();
+        // The 1, 2, 4 schedule, then both probes: the free start state
+        // reaches 3 by holding it, and no start that does not hold 3
+        // reaches it.
+        let (outcome, stats) = e
+            .solve_reach_profiled(&from(LogicVec::from_u64(2, 0)), &three, 4, &unlimited)
+            .unwrap();
+        assert_eq!(outcome, ReachOutcome::Unreachable);
+        assert_eq!((stats.solver_calls, stats.deepest_unroll), (5, 4));
+        for start in 0..3 {
+            let (outcome, stats) = e
+                .solve_reach_profiled(&from(LogicVec::from_u64(2, start)), &three, 4, &unlimited)
+                .unwrap();
+            assert_memo_answer(&format!("from s = {start}"), &outcome, &stats);
+        }
+        // A start that holds 3, or may, runs the schedule and holds it.
+        for start in [LogicVec::from_u64(2, 3), LogicVec::xes(2)] {
+            let what = format!("from s = {start:?}");
+            let (outcome, stats) = e
+                .solve_reach_profiled(&from(start), &three, 4, &unlimited)
+                .unwrap();
+            assert!(matches!(outcome, ReachOutcome::Reached(_)), "{what}");
+            assert_eq!((stats.solver_calls, stats.deepest_unroll), (1, 1), "{what}");
+        }
     }
 
     #[test]

@@ -37,11 +37,15 @@
 //! unreachable, a one-step *image probe* asks, on a dropped chain
 //! seeded from the all-`X` state, whether any state and input (resets
 //! inactive) produce the value in one clock edge. If none can, the
-//! value is dead at every depth from every start state, and later
-//! queries for it are answered `Unreachable` without a solve. The
-//! probe spends from the query's own budget, capped at 2 000 conflicts;
-//! an undecided probe leaves the value live. This is the
-//! implication-based untestability test of ATPG, applied per goal.
+//! value is dead at every depth from every start state. If some can,
+//! a second probe asks whether any state that does not hold the value
+//! can. If none can, the value is held-only: by 1-induction it is
+//! unreachable from every start whose register is fully defined and
+//! holds another value. Later queries the memo covers are answered
+//! `Unreachable` without a solve. Each probe spends from the query's
+//! own budget, capped at 2 000 conflicts; an undecided probe leaves the
+//! value live. This is the implication-based untestability test of
+//! ATPG, applied per goal.
 //!
 //! Undefined (`X`) bits in the current state are left unconstrained —
 //! the paper's "constrains solving undefined pin values" (§3): the

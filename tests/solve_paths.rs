@@ -24,8 +24,14 @@
 //! - a never-queried engine's first query is exactly the depth
 //!   schedule's verdict, so it checks the image memo: a memo answer
 //!   (`Unreachable` with no solver call) must be the never-queried
-//!   verdict too, under every limit, and no goal that either engine
-//!   reached from any start may ever be memo-answered.
+//!   verdict too, under every limit. The memo answers a goal whose
+//!   value is *dead* (no state produces it in one clock edge) from any
+//!   start, and one whose value is *held-only* (only a state already
+//!   holding it produces it) from a start whose register is fully
+//!   defined and holds another value; from any other start a held-only
+//!   goal runs the depth schedule, and a *live* goal always does. So no
+//!   goal that either engine reached from a start whose register held
+//!   another, fully defined value may ever be memo-answered.
 //!
 //! A never-reset start state, whose registers are `X`, is used for
 //! verdict agreement only: its plans assume values the simulator does
@@ -35,7 +41,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 use symbfuzz_designs::{bug_benchmarks, goal_fabric, processor_benchmarks, toy_alu};
-use symbfuzz_logic::LogicVec;
+use symbfuzz_logic::{Bit, LogicVec};
 use symbfuzz_netlist::{classify_registers, Design, SignalId};
 use symbfuzz_sim::{Reentry, Simulator};
 use symbfuzz_smt::Budget;
@@ -256,9 +262,16 @@ fn check_case(case: Case, seed: u64) -> Tally {
                 if memo > 0 {
                     memo_goals.insert(goal.clone());
                 }
-                if answers
-                    .iter()
-                    .any(|a| matches!(a.0, ReachOutcome::Reached(_)))
+                // A held-only goal may be reached from a start that
+                // holds it or leaves its register unknown and still be
+                // memo-answered from the others; only a reach from a
+                // start holding another, defined value rules out both
+                // verdicts.
+                let holds_another = state[goal.0.index()].logic_eq(&goal.1) == Bit::Zero;
+                if holds_another
+                    && answers
+                        .iter()
+                        .any(|a| matches!(a.0, ReachOutcome::Reached(_)))
                 {
                     reached.insert(goal.clone());
                 }
